@@ -180,7 +180,7 @@ func BenchmarkSelectEndToEnd(b *testing.B) {
 // Planner per iteration with the process-wide cut cache purged, so
 // every architecture is planned, profiled and cut from scratch — the
 // baseline the warm benchmark's cache-hit speedup is read against in
-// BENCH_<date>.json.
+// BENCH_<date>_<shortsha>.json.
 func BenchmarkPlannerSelectCold(b *testing.B) {
 	g, err := NetworkByName("ResNet-50")
 	if err != nil {

@@ -209,6 +209,12 @@ func run() int {
 		fmt.Println("netserve: prewarming zoo across the fleet in the background")
 	}
 
+	// Take over SIGINT/SIGTERM before the listener opens: a signal that
+	// lands as soon as "serving on" is printed must start the drain, not
+	// kill the process by its default action.
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+
 	// Bind before daemonizing claims: a bad -addr must be a prompt,
 	// non-zero exit, not a goroutine's log line.
 	ln, err := net.Listen("tcp", *addr)
@@ -230,9 +236,6 @@ func run() int {
 	go func() { errCh <- srv.Serve(ln) }()
 	fmt.Printf("netserve: serving on %s (seed %d, devices %v)\n",
 		ln.Addr(), *seed, gw.Pool().DeviceNames())
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 
 	select {
 	case sig := <-sigCh:

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 
 	"netcut/internal/core"
 	"netcut/internal/device"
@@ -52,22 +51,6 @@ func (c *Config) fill() {
 	}
 }
 
-// lazy is a singleflight cell: the first caller builds the value, every
-// concurrent caller blocks on that one build, and the result (value and
-// error alike) is immutable afterwards. It replaces the Lab's previous
-// single big mutex, under which concurrent figure generators serialized
-// even when they needed disjoint state.
-type lazy[T any] struct {
-	once sync.Once
-	val  T
-	err  error
-}
-
-func (c *lazy[T]) get(build func() (T, error)) (T, error) {
-	c.once.Do(func() { c.val, c.err = build() })
-	return c.val, c.err
-}
-
 // Lab owns the shared experimental state: the simulated device, the
 // profiled tables, the 148-TRN blockwise families with measured
 // latencies and retrained accuracies, and the trained estimators. All
@@ -87,13 +70,13 @@ type Lab struct {
 	sim  *transfer.Simulator
 	rt   core.Retrainer
 
-	nets       lazy[[]*graph.Graph]
-	candidates lazy[[]core.Candidate]
-	tables     lazy[map[string]*profiler.Table]
-	samples    lazy[[]estimate.Sample]
-	sweep      lazy[*core.Sweep]
-	analytical lazy[*estimate.AnalyticalEstimator]
-	linear     lazy[*estimate.LinearEstimator]
+	nets       par.Lazy[[]*graph.Graph]
+	candidates par.Lazy[[]core.Candidate]
+	tables     par.Lazy[map[string]*profiler.Table]
+	samples    par.Lazy[[]estimate.Sample]
+	sweep      par.Lazy[*core.Sweep]
+	analytical par.Lazy[*estimate.AnalyticalEstimator]
+	linear     par.Lazy[*estimate.LinearEstimator]
 }
 
 // NewLab builds a Lab for the given configuration.
@@ -126,7 +109,7 @@ func (l *Lab) Device() *device.Device { return l.dev }
 
 // networks returns the shared network slice; callers must not mutate it.
 func (l *Lab) networks() []*graph.Graph {
-	nets, _ := l.nets.get(func() ([]*graph.Graph, error) { return zoo.Paper7(), nil })
+	nets, _ := l.nets.Get(func() ([]*graph.Graph, error) { return zoo.Paper7(), nil })
 	return nets
 }
 
@@ -163,7 +146,7 @@ func (l *Lab) buildCandidates() ([]core.Candidate, error) {
 // Candidates returns the Algorithm-1 inputs: each network with measured
 // latency and transfer-learned accuracy. The returned slice is a copy.
 func (l *Lab) Candidates() ([]core.Candidate, error) {
-	c, err := l.candidates.get(l.buildCandidates)
+	c, err := l.candidates.Get(l.buildCandidates)
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +174,7 @@ func (l *Lab) buildTables() (map[string]*profiler.Table, error) {
 // is a copy (the *Table values are shared and immutable), so callers may
 // add or remove entries freely.
 func (l *Lab) Tables() map[string]*profiler.Table {
-	t, _ := l.tables.get(l.buildTables)
+	t, _ := l.tables.Get(l.buildTables)
 	out := make(map[string]*profiler.Table, len(t))
 	for k, v := range t {
 		out[k] = v
@@ -204,7 +187,7 @@ func (l *Lab) Tables() map[string]*profiler.Table {
 // the pool; each measurement's noise stream is derived from the TRN's
 // own name, so the sample list is identical in any schedule.
 func (l *Lab) buildSamples() ([]estimate.Sample, error) {
-	cands, err := l.candidates.get(l.buildCandidates)
+	cands, err := l.candidates.Get(l.buildCandidates)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +215,7 @@ func (l *Lab) buildSamples() ([]estimate.Sample, error) {
 // latencies — the regression dataset of Sec. V-B2. The returned slice
 // is a copy.
 func (l *Lab) Samples() ([]estimate.Sample, error) {
-	s, err := l.samples.get(l.buildSamples)
+	s, err := l.samples.Get(l.buildSamples)
 	if err != nil {
 		return nil, err
 	}
@@ -242,8 +225,8 @@ func (l *Lab) Samples() ([]estimate.Sample, error) {
 // Sweep returns the blockwise exploration baseline: all 148 TRNs
 // retrained and measured.
 func (l *Lab) Sweep() (*core.Sweep, error) {
-	return l.sweep.get(func() (*core.Sweep, error) {
-		cands, err := l.candidates.get(l.buildCandidates)
+	return l.sweep.Get(func() (*core.Sweep, error) {
+		cands, err := l.candidates.Get(l.buildCandidates)
 		if err != nil {
 			return nil, err
 		}
@@ -260,8 +243,8 @@ func (l *Lab) ProfilerEstimator() *estimate.ProfilerEstimator {
 // AnalyticalEstimator returns the SVR estimator trained on the
 // stratified 20% split of the measured TRN samples.
 func (l *Lab) AnalyticalEstimator() (*estimate.AnalyticalEstimator, error) {
-	return l.analytical.get(func() (*estimate.AnalyticalEstimator, error) {
-		samples, err := l.samples.get(l.buildSamples)
+	return l.analytical.Get(func() (*estimate.AnalyticalEstimator, error) {
+		samples, err := l.samples.Get(l.buildSamples)
 		if err != nil {
 			return nil, err
 		}
@@ -272,8 +255,8 @@ func (l *Lab) AnalyticalEstimator() (*estimate.AnalyticalEstimator, error) {
 
 // LinearEstimator returns the OLS baseline trained on the same split.
 func (l *Lab) LinearEstimator() (*estimate.LinearEstimator, error) {
-	return l.linear.get(func() (*estimate.LinearEstimator, error) {
-		samples, err := l.samples.get(l.buildSamples)
+	return l.linear.Get(func() (*estimate.LinearEstimator, error) {
+		samples, err := l.samples.Get(l.buildSamples)
 		if err != nil {
 			return nil, err
 		}
@@ -284,7 +267,7 @@ func (l *Lab) LinearEstimator() (*estimate.LinearEstimator, error) {
 
 // TestSamples returns the held-out 80% of the measured TRN samples.
 func (l *Lab) TestSamples() ([]estimate.Sample, error) {
-	samples, err := l.samples.get(l.buildSamples)
+	samples, err := l.samples.Get(l.buildSamples)
 	if err != nil {
 		return nil, err
 	}

@@ -5,52 +5,65 @@
 // sheds requests, with a telemetry registry exposed in Prometheus text
 // format at /metrics and as JSON at /debug/stats.
 //
-// Request flow, in order:
+// Request flow: every plan request takes the steps below in this
+// order, each once — a degraded request re-runs steps 4 to 8 once on
+// its fallback device. The order is written out once, in admit, resolve
+// and gates, and the invariants below rely on it.
 //
 //  1. Decode: the body is size-limited (Config.MaxBodyBytes) and the
 //     decoded graph stops at graph.Validate — malformed or oversized
 //     input is a structured 400/413, never a panic or an OOM.
-//  2. Route: the request's target ("" = default device, "auto" =
-//     fastest device whose estimated warm-path latency fits the
-//     budget, or a registered name from GET /v1/devices) resolves to
-//     one device's planner; an unregistered name is a 400.
-//  3. Byte cache: a request whose fully resolved identity (device +
+//  2. Drain and quarantine: a draining gateway answers 503 with a
+//     Retry-After from the remaining drain budget (byte-cache hits
+//     stop too); an identity quarantined for repeated planner panics
+//     gets a structured 500 — on every target, so before routing.
+//  3. Route: the target ("" = default device, a registered name from
+//     GET /v1/devices, or "auto" = fastest eligible device whose
+//     estimated warm-path latency fits the budget) resolves to one
+//     device; an unregistered name is a 400. When no device qualifies
+//     for "auto", an identical execution in flight on any eligible
+//     device is joined; failing that, no eligible device at all is 503
+//     no_healthy_device, and otherwise the request is shed with 429 or
+//     degrades (step 9).
+//  4. Health: a device tripped unhealthy is 503 device_unhealthy.
+//  5. Byte cache: a request whose fully resolved identity (device +
 //     calibration, name + structure, deadline, estimator) already has a
 //     delivered body in the bounded rendered-response cache
-//     (Config.ByteCacheCap) is answered from those bytes immediately —
-//     no lane, no planner pass, no wire-marshal. Hits are transparent
-//     (a hit returns exactly what a fresh execution would render) and
-//     are counted by netcut_gateway_bytecache_hits_total, never as
-//     planner executions.
-//  4. Coalesce: requests with identical (device, name, structure,
+//     (Config.ByteCacheCap) is answered from those bytes — no lane, no
+//     planner pass, no wire-marshal — even under a tight budget_ms,
+//     since rendered bytes fit any budget. Hits are transparent and are
+//     counted by netcut_gateway_bytecache_hits_total, never as planner
+//     executions.
+//  6. Coalesce: requests with identical (device, name, structure,
 //     deadline, estimator) share one in-flight planner execution and
-//     receive byte-identical response bodies, singleflight-style.
-//     Joining an in-flight call consumes no planner work and no queue
-//     slot.
-//  5. Shed: a would-be leader whose budget_ms cannot cover the
-//     resolved target's warm-path p99 — for "auto", any target's — is
-//     rejected up front with 429 and a retry hint, as is any arrival
-//     finding the admission queue full. Shed requests never consume
-//     planner work. (A byte-cache hit is served even to a
-//     budget-constrained request: delivering rendered bytes fits any
-//     budget, so shedding applies only to requests that would queue
-//     for an execution.)
-//  6. Batch: admitted leaders sit in their resolved device's bounded
-//     lane — one queue plus workers per registered device, so one slow
-//     target's cold plan can never head-of-line-block another target's
-//     warm traffic — where that lane's workers drain bursts of them,
-//     holding the pass open for Config.BatchWindow when staggered
+//     receive byte-identical response bodies, singleflight-style, at no
+//     planner work and no queue slot.
+//  7. Emergency: at load level 2 (see overload.go) a would-be leader
+//     is shed with 429 overload_shed.
+//  8. Budget: a would-be leader whose budget_ms cannot cover the
+//     device's warm-path p99 plus the batching window is shed with 429
+//     and a retry hint ("auto" was checked by its route in step 3).
+//  9. Degrade: with "allow_degraded": true, a request that step 3's
+//     budget check, step 4 or step 8 would refuse is served instead: it
+//     falls back to the fastest eligible device and re-enters at step 4
+//     there, once, with step 8 skipped. It is counted as degraded,
+//     never as shed; with no eligible device left it is 503
+//     no_healthy_device.
+//  10. Batch: admitted leaders sit in their device's bounded lane — one
+//     queue plus workers per registered device, so one slow target's
+//     cold plan can never head-of-line-block another target's warm
+//     traffic; a full lane sheds with 429. The lane's workers drain
+//     bursts, hold the pass open for Config.BatchWindow when staggered
 //     arrivals are expected, and group compatible requests (same
-//     deadline and estimator; lanes never span devices) into one
-//     SelectBatch planner pass. Lane capacities divide the configured
-//     QueueDepth/Workers totals evenly across devices (minimum 1
-//     each), the same division rule the planner pool applies to its
-//     cache caps.
-//  7. Drain: Shutdown stops admission (503 + Retry-After derived from
-//     the remaining drain budget — byte-cache hits stop too), lets
-//     every queued call finish and deliver, then stops every lane's
-//     workers and waits for the background loops (autosave, prewarm,
-//     probes).
+//     deadline and estimator) into one SelectBatch planner pass. Lane
+//     capacities divide the QueueDepth/Workers totals evenly across
+//     devices (minimum 1 each), as the planner pool divides its cache
+//     caps.
+//
+// Shed and refused requests never consume planner work. Shutdown stops
+// admission at step 2, lets every queued call finish and deliver, then
+// stops every lane's workers and waits for the background loops
+// (autosave, prewarm, probes).
 //
 // Fault containment & graceful degradation: every planner pass runs
 // behind a panic boundary — a panicking request gets a structured 500
@@ -505,6 +518,7 @@ type deviceHealth struct {
 // device's traffic.
 type lane struct {
 	device    string
+	planner   *serve.Planner
 	queue     chan *call
 	shedQueue *telemetry.Counter // queue_full sheds on this lane
 
@@ -553,9 +567,9 @@ type Gateway struct {
 	// once when the drain starts; the Retry-After hint drain rejections
 	// carry is the remaining budget, not a hardcoded constant.
 	drainDeadline atomic.Int64
-	stop          chan struct{} // closed when the drain starts: background loops exit
-	pending   sync.WaitGroup // queued, not yet delivered calls
-	workers   sync.WaitGroup
+	stop          chan struct{}  // closed when the drain starts: background loops exit
+	pending       sync.WaitGroup // queued, not yet delivered calls
+	workers       sync.WaitGroup
 	// background tracks the gateway-owned background goroutines —
 	// autosave loop, prewarm sweeps, health probes — so Shutdown can
 	// wait for them to wind down (no save left mid-write, no tmp file
@@ -693,7 +707,7 @@ func New(cfg Config) (*Gateway, error) {
 			"allow_degraded requests served from a fallback device instead of being rejected"),
 		traceSampledOut: reg.Counter("netcut_gateway_trace_sampled_out_total",
 			"completed traces dropped from the /debug/trace ring by brownout sampling"),
-		mem: &telemetry.MemSampler{},
+		mem:          &telemetry.MemSampler{},
 		requestLatMs: reg.Histogram("netcut_gateway_request_ms", "wall-clock request latency of admitted plan requests", nil),
 		cancelledLatMs: reg.Histogram("netcut_gateway_request_cancelled_lat_ms",
 			"wall-clock latency of admitted plan requests cancelled by client disconnect before delivery", nil),
@@ -750,14 +764,17 @@ func New(cfg Config) (*Gateway, error) {
 	g.unhealthyByDev = make(map[string]*telemetry.Gauge, len(names))
 	g.probesByDev = make(map[string]*telemetry.Counter, len(names))
 	for _, name := range names {
-		if p, err := pool.Planner(name); err == nil { // registered names only
-			dc := p.DeviceConfig()
-			g.calib[name] = dc.Fingerprint()
+		p, err := pool.Planner(name)
+		if err != nil {
+			return nil, fmt.Errorf("gateway: %w", err)
 		}
+		dc := p.DeviceConfig()
+		g.calib[name] = dc.Fingerprint()
 		labels := []telemetry.Label{{Key: "device", Value: name}}
 		l := &lane{
-			device: name,
-			queue:  make(chan *call, g.laneQueueCap),
+			device:  name,
+			planner: p,
+			queue:   make(chan *call, g.laneQueueCap),
 			shedQueue: reg.CounterWith("netcut_gateway_shed_queue_full_total",
 				"requests shed because the device's admission lane was full", labels),
 			execLimit: g.laneWorkers,
@@ -1072,25 +1089,11 @@ func (g *Gateway) windowMs() float64 {
 	return float64(g.cfg.BatchWindow) / float64(time.Millisecond)
 }
 
-// admit resolves the target, then serves from the byte cache,
-// coalesces, sheds or enqueues one decoded request: it returns either
-// a cached rendered body (byte-cache hit) or the call to wait on.
-// Target resolution — "" is the default device, "auto" routes to the
-// fastest device whose estimated warm-path latency fits the budget,
-// anything else must be a registered name — is admission policy: it
-// decides where an execution runs, never what that execution returns,
-// and the resolved device becomes part of the coalescing key, so an
-// auto-routed body is byte-identical to the same request naming the
-// device explicitly.
-//
-// The byte-cache lookup sits after the drain, quarantine and
-// device-health gates (a refused request is refused whether or not its
-// bytes are resident) and after target resolution (the key needs the
-// resolved device), but before coalescing, shedding and queueing: a
-// hit consumes no planner work by definition, and it is served even to
-// a budget-constrained request — delivering already-rendered bytes
-// fits any budget, so shedding applies only to requests that would
-// queue for an execution.
+// admit is the admission pipeline of one decoded request: it returns
+// either a cached rendered body (byte-cache hit) or the call to wait
+// on. The gate order of the package comment is written out once — the
+// drain and quarantine gates here, then resolve, then gates — and a
+// degraded fallback re-enters gates rather than copying it.
 func (g *Gateway) admit(dec *decodedRequest, tr *trace.Trace) (*call, []byte, *apiError) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -1123,122 +1126,208 @@ func (g *Gateway) admit(dec *decodedRequest, tr *trace.Trace) (*call, []byte, *a
 		}
 	}
 	tr.MarkZero(stageQuarantine, verdictOK)
-	switch dec.target {
-	case "":
-		p := g.pool.Default()
-		name := p.DeviceName()
-		tr.SetDevice(name)
-		tr.MarkZero(stageRoute, name)
-		if !g.deviceEligible(name) {
-			tr.MarkZero(stageHealth, "unhealthy")
-			if dec.allowDegraded {
-				return g.admitDegraded(dec, degradedUnhealthy, tr)
-			}
-			return nil, nil, g.unhealthyErr(name)
-		}
-		tr.MarkZero(stageHealth, verdictOK)
-		dec.key.device = name
-		if body, ok := g.byteCacheGet(dec.key); ok {
-			tr.Mark(stageByteCache, "hit")
-			return nil, body, nil
-		}
-		tr.MarkZero(stageByteCache, "miss")
-		c, e := g.admitOn(dec, p, true, tr)
-		if e != nil && dec.allowDegraded && e.wire.Code == "budget_too_small" {
-			return g.admitDegraded(dec, degradedBudget, tr)
-		}
-		return c, nil, e
-	case "auto":
-		name, est, ok := g.pool.Route(dec.budgetMs, g.windowMs(), uint64(g.cfg.ShedMinSamples), g.deviceEligible)
-		if ok {
-			g.autoRouted.Inc()
-			dec.key.device = name
-			tr.SetDevice(name)
-			tr.Mark(stageRoute, name)
-			tr.MarkZero(stageHealth, verdictOK)
-			p, err := g.pool.Planner(name)
-			if err != nil {
-				// Route only returns registered names.
-				panic(err)
-			}
-			if body, okc := g.byteCacheGet(dec.key); okc {
-				tr.Mark(stageByteCache, "hit")
-				return nil, body, nil
-			}
-			tr.MarkZero(stageByteCache, "miss")
-			// Route already applied the budget predicate to the chosen
-			// device; re-checking here could shed a request it just
-			// qualified (the estimate moves between the two reads).
-			c, e := g.admitOn(dec, p, false, tr)
-			return c, nil, e
-		}
-		tr.Mark(stageRoute, "none")
-		// No device qualifies — but coalesce before shedding: an
-		// identical execution already in flight on any healthy device
-		// serves this request at zero planner cost, which beats a 429.
-		for _, devName := range g.pool.DeviceNames() {
-			if !g.deviceEligible(devName) {
-				continue
-			}
-			k := dec.key
-			k.device = devName
-			if c, inFlight := g.inflight[k]; inFlight {
-				g.coalesced.Inc()
-				c.waiters.Add(1)
-				tr.SetDevice(devName)
-				tr.MarkZero(stageCoalesce, "follower")
-				return c, nil, nil
-			}
-		}
-		// Route reports +Inf exactly when the eligible set was empty:
-		// nothing to shed against, the fleet is unhealthy — and nothing
-		// to degrade onto either, so allow_degraded keeps the 503.
-		if math.IsInf(est, 1) {
-			tr.MarkZero(stageHealth, "no_healthy_device")
-			e := errf(http.StatusServiceUnavailable, "no_healthy_device",
-				"every registered device is unhealthy; background probes are running")
-			e.wire.RetryAfterMs = float64(g.cfg.ProbeInterval) / float64(time.Millisecond)
-			return nil, nil, e
-		}
-		if dec.allowDegraded {
-			return g.admitDegraded(dec, degradedBudget, tr)
-		}
-		tr.MarkZero(stageShed, "budget")
-		g.shedBudget.Inc()
-		e := errf(http.StatusTooManyRequests, "budget_too_small",
-			"budget %.3f ms is below every device's estimated warm-path latency (fastest: %.3f ms)",
-			dec.budgetMs, est)
-		e.wire.RetryAfterMs = est
-		return nil, nil, e
-	default:
-		p, err := g.pool.Planner(dec.target)
-		if err != nil {
-			tr.MarkZero(stageRoute, "unknown")
-			g.rejected.Inc()
-			return nil, nil, errf(http.StatusBadRequest, "unknown_device", "%v", err)
-		}
-		tr.SetDevice(dec.target)
-		tr.MarkZero(stageRoute, dec.target)
-		if !g.deviceEligible(dec.target) {
-			tr.MarkZero(stageHealth, "unhealthy")
-			if dec.allowDegraded {
-				return g.admitDegraded(dec, degradedUnhealthy, tr)
-			}
-			return nil, nil, g.unhealthyErr(dec.target)
-		}
-		tr.MarkZero(stageHealth, verdictOK)
-		dec.key.device = dec.target
-		if body, ok := g.byteCacheGet(dec.key); ok {
-			tr.Mark(stageByteCache, "hit")
-			return nil, body, nil
-		}
-		tr.MarkZero(stageByteCache, "miss")
-		c, e := g.admitOn(dec, p, true, tr)
-		if e != nil && dec.allowDegraded && e.wire.Code == "budget_too_small" {
-			return g.admitDegraded(dec, degradedBudget, tr)
-		}
+
+	dev, c, e := g.resolve(dec, tr)
+	if c != nil || e != nil {
 		return c, nil, e
 	}
+	return g.gates(dec, dev, tr)
+}
+
+// resolve turns the request's target spelling into one device: "" is
+// the default device, any other name must be registered (400
+// unknown_device otherwise), and "auto" routes to the fastest eligible
+// device whose estimated warm-path latency fits the budget — the budget
+// gate then skips it, since re-checking could shed a request Route just
+// qualified. Resolution decides where an execution runs, never what it
+// returns: the device joins the coalescing key, so an auto-routed body
+// is byte-identical to the same request naming the device explicitly.
+//
+// When no device qualifies for "auto", an identical execution already
+// in flight on any eligible device still serves the request at zero
+// planner cost (returned as the call to wait on). Failing that, an
+// empty eligible set is the fleet-down 503, and otherwise the request
+// degrades if it opted in and is shed with 429 if not.
+func (g *Gateway) resolve(dec *decodedRequest, tr *trace.Trace) (string, *call, *apiError) {
+	if dec.target != "auto" {
+		dev := dec.target
+		if dev == "" {
+			dev = g.pool.Default().DeviceName()
+		}
+		if _, err := g.pool.Planner(dev); err != nil {
+			tr.MarkZero(stageRoute, "unknown")
+			g.rejected.Inc()
+			return "", nil, errf(http.StatusBadRequest, "unknown_device", "%v", err)
+		}
+		tr.MarkZero(stageRoute, dev)
+		return dev, nil, nil
+	}
+	dev, est, ok := g.pool.Route(dec.budgetMs, g.windowMs(), uint64(g.cfg.ShedMinSamples), g.deviceEligible)
+	if ok {
+		g.autoRouted.Inc()
+		tr.Mark(stageRoute, dev)
+		return dev, nil, nil
+	}
+	tr.Mark(stageRoute, "none")
+	for _, name := range g.pool.DeviceNames() {
+		k := dec.key
+		k.device = name
+		if c, inFlight := g.inflight[k]; inFlight && g.deviceEligible(name) {
+			g.coalesced.Inc()
+			c.waiters.Add(1)
+			tr.SetDevice(name)
+			tr.MarkZero(stageCoalesce, "follower")
+			return "", c, nil
+		}
+	}
+	// Route reports +Inf exactly when the eligible set was empty.
+	if math.IsInf(est, 1) {
+		return "", nil, g.fleetDown(tr)
+	}
+	if dec.allowDegraded {
+		dev, e := g.fallback(dec, degradedBudget, tr)
+		return dev, nil, e
+	}
+	tr.MarkZero(stageShed, "budget")
+	g.shedBudget.Inc()
+	e := errf(http.StatusTooManyRequests, "budget_too_small",
+		"budget %.3f ms is below every device's estimated warm-path latency (fastest: %.3f ms)",
+		dec.budgetMs, est)
+	e.wire.RetryAfterMs = est
+	return "", nil, e
+}
+
+// gates runs the per-device gates on a resolved device, each exactly
+// once, in the package comment's order: health, byte cache, coalesce,
+// emergency, budget, enqueue. A health or budget refusal of a request
+// that opted into allow_degraded, and has not degraded yet, is not
+// applied — no verdict, no shed counter — and the request degrades
+// instead.
+func (g *Gateway) gates(dec *decodedRequest, dev string, tr *trace.Trace) (*call, []byte, *apiError) {
+	mayDegrade := dec.allowDegraded && dec.degradedReason == ""
+	dec.key.device = dev
+	tr.SetDevice(dev)
+
+	if !g.deviceEligible(dev) {
+		if mayDegrade {
+			return g.degrade(dec, degradedUnhealthy, tr)
+		}
+		tr.MarkZero(stageHealth, "unhealthy")
+		return nil, nil, g.unhealthyErr(dev)
+	}
+	tr.MarkZero(stageHealth, verdictOK)
+
+	// The byte cache comes after the drain, quarantine and health gates
+	// (a refused request is refused whether or not its bytes are
+	// resident) and before every shed: a hit is served even to a
+	// budget-constrained request, since rendered bytes fit any budget.
+	if body, ok := g.byteCacheGet(dec.key); ok {
+		tr.Mark(stageByteCache, "hit")
+		return nil, body, nil
+	}
+	tr.MarkZero(stageByteCache, "miss")
+
+	// Coalesce before shedding: joining an in-flight execution consumes
+	// no planner work. The join increments waiters under the gateway
+	// mutex — the same lock cancellation holds — so a call can never be
+	// cancelled between being found here and being waited on.
+	if c, ok := g.inflight[dec.key]; ok {
+		g.coalesced.Inc()
+		c.waiters.Add(1)
+		tr.MarkZero(stageCoalesce, "follower")
+		return c, nil, nil
+	}
+	tr.MarkZero(stageCoalesce, "leader")
+
+	l := g.lanes[dev]
+	// Emergency gate: at load level 2 every cold miss — degraded ones
+	// too, a fallback still costs an execution — is shed pre-execution
+	// with a level-scaled backlog-honest hint.
+	if lvl := int(g.loadLevel.Load()); lvl >= levelEmergency {
+		tr.MarkZero(stageShed, "overload")
+		g.shedOverload.Inc()
+		e := errf(http.StatusTooManyRequests, "overload_shed",
+			"gateway is at load level %d (emergency): only cached responses and coalesce joins are served", lvl)
+		p99, _ := l.planner.WarmQuantile(0.99)
+		e.wire.RetryAfterMs = math.Max(float64(lvl)*laneWaves(len(l.queue), g.laneWorkers)*(p99+g.windowMs()), 1)
+		return nil, nil, e
+	}
+	// Budget gate: if the client's budget cannot cover the warm p99 plus
+	// the batching window every pass leader waits out, queueing only
+	// manufactures a guaranteed-late response. "auto" already applied
+	// it in Route; a degraded request opted into lateness.
+	if dec.budgetMs > 0 && dec.target != "auto" && dec.degradedReason == "" {
+		p99, samples := l.planner.WarmQuantile(0.99)
+		need := p99 + g.windowMs()
+		if samples >= uint64(g.cfg.ShedMinSamples) && dec.budgetMs < need {
+			if mayDegrade {
+				return g.degrade(dec, degradedBudget, tr)
+			}
+			tr.MarkZero(stageShed, "budget")
+			g.shedBudget.Inc()
+			e := errf(http.StatusTooManyRequests, "budget_too_small",
+				"budget %.3f ms is below device %s's estimated warm-path latency of %.3f ms",
+				dec.budgetMs, dev, need)
+			e.wire.RetryAfterMs = need
+			return nil, nil, e
+		}
+	}
+	tr.MarkZero(stageShed, verdictOK)
+
+	c := &call{key: dec.key, req: dec.req, planner: l.planner, done: make(chan struct{})}
+	// The planner reports its internal phase timings (measure /
+	// estimate / explore) into the call, where every coalesced waiter's
+	// trace picks them up after delivery. Observability only: the
+	// callback cannot influence the response, and it is not part of the
+	// coalescing identity (dec.key was computed before it existed).
+	c.req.Trace = c.notePhase
+	c.waiters.Store(1) // the leader
+	select {
+	case l.queue <- c:
+		g.inflight[dec.key] = c
+		g.pending.Add(1)
+		// The enqueue mark's clock read sets the trace cursor to the
+		// instant admission handed the call off — where the queue-wait
+		// span stitched in after delivery begins.
+		tr.Mark(stageEnqueue, verdictOK)
+		return c, nil, nil
+	default:
+		tr.Mark(stageEnqueue, "full")
+		l.shedQueue.Inc()
+		e := errf(http.StatusTooManyRequests, "queue_full",
+			"admission lane of %d for device %s is full", g.laneQueueCap, l.device)
+		// A full lane means a backlog of whole execution waves stands
+		// between this client and service: ceil(backlog / workers)
+		// passes of roughly (p99 + window) each.
+		p99, _ := l.planner.WarmQuantile(0.99)
+		e.wire.RetryAfterMs = math.Max(laneWaves(len(l.queue), g.laneWorkers)*(p99+g.windowMs()), 1)
+		return nil, nil, e
+	}
+}
+
+// degrade is the allow_degraded exit of the health and budget gates:
+// fall back, then run the gates once more on the fallback device.
+func (g *Gateway) degrade(dec *decodedRequest, reason string, tr *trace.Trace) (*call, []byte, *apiError) {
+	dev, e := g.fallback(dec, reason, tr)
+	if e != nil {
+		return nil, nil, e
+	}
+	return g.gates(dec, dev, tr)
+}
+
+// fallback picks a degraded request's device: the fastest eligible one,
+// by the same unbudgeted ranking an explicit Route would use, so the
+// body is byte-identical to the explicit spelling of that device; the
+// response is marked degraded at write time.
+func (g *Gateway) fallback(dec *decodedRequest, reason string, tr *trace.Trace) (string, *apiError) {
+	dev, _, ok := g.pool.Fastest(g.windowMs(), uint64(g.cfg.ShedMinSamples), g.deviceEligible)
+	if !ok {
+		return "", g.fleetDown(tr)
+	}
+	dec.degradedReason = reason
+	g.degradedServed.Inc()
+	tr.MarkZero(stageDegraded, reason)
+	return dev, nil
 }
 
 // deviceEligible is the health predicate "auto" routing and explicit
@@ -1260,93 +1349,22 @@ func (g *Gateway) unhealthyErr(name string) *apiError {
 	return e
 }
 
+// fleetDown is the 503 for a fleet with no eligible device: nothing to
+// route or degrade onto until a background probe restores one.
+func (g *Gateway) fleetDown(tr *trace.Trace) *apiError {
+	tr.MarkZero(stageHealth, "no_healthy_device")
+	e := errf(http.StatusServiceUnavailable, "no_healthy_device",
+		"every registered device is unhealthy; background probes are running")
+	e.wire.RetryAfterMs = float64(g.cfg.ProbeInterval) / float64(time.Millisecond)
+	return e
+}
+
 // quarantineKey is a call's panic-attribution identity: the coalesce
 // key with the device cleared, because a poison structure is poison on
 // every target.
 func quarantineKey(k coalesceKey) coalesceKey {
 	k.device = ""
 	return k
-}
-
-// admitOn coalesces, sheds or enqueues a target-resolved request on
-// its planner. shedCheck is false when the caller already applied the
-// budget predicate (the auto route).
-func (g *Gateway) admitOn(dec *decodedRequest, planner *serve.Planner, shedCheck bool, tr *trace.Trace) (*call, *apiError) {
-	// Coalesce before shedding: joining an in-flight execution consumes
-	// no planner work, so even a budget-constrained request is better
-	// served than shed. The join increments waiters under the gateway
-	// mutex — the same lock cancellation holds — so a call can never be
-	// cancelled between being found here and being waited on.
-	if c, ok := g.inflight[dec.key]; ok {
-		g.coalesced.Inc()
-		c.waiters.Add(1)
-		tr.MarkZero(stageCoalesce, "follower")
-		return c, nil
-	}
-	tr.MarkZero(stageCoalesce, "leader")
-	l := g.lanes[dec.key.device]
-	// Emergency gate: at load level 2 only work that costs no planner
-	// execution is admitted — byte-cache hits were already served in
-	// admit, coalesce joins just above — and every cold miss is shed
-	// here, pre-execution, with a level-scaled backlog-honest hint.
-	// Degraded requests shed too: a fallback still costs an execution.
-	if lvl := int(g.loadLevel.Load()); lvl >= levelEmergency {
-		tr.MarkZero(stageShed, "overload")
-		g.shedOverload.Inc()
-		e := errf(http.StatusTooManyRequests, "overload_shed",
-			"gateway is at load level %d (emergency): only cached responses and coalesce joins are served", lvl)
-		p99, _ := planner.WarmQuantile(0.99)
-		e.wire.RetryAfterMs = math.Max(float64(lvl)*laneWaves(len(l.queue), g.laneWorkers)*(p99+g.windowMs()), 1)
-		return nil, e
-	}
-	// Deadline-aware shedding: if the client's remaining budget cannot
-	// cover the target's warm-path p99 plus the batching window every
-	// pass leader waits out, queueing it only manufactures a
-	// guaranteed-late response.
-	if shedCheck && dec.budgetMs > 0 {
-		p99, samples := planner.WarmQuantile(0.99)
-		need := p99 + g.windowMs()
-		if samples >= uint64(g.cfg.ShedMinSamples) && dec.budgetMs < need {
-			tr.MarkZero(stageShed, "budget")
-			g.shedBudget.Inc()
-			e := errf(http.StatusTooManyRequests, "budget_too_small",
-				"budget %.3f ms is below device %s's estimated warm-path latency of %.3f ms",
-				dec.budgetMs, dec.key.device, need)
-			e.wire.RetryAfterMs = need
-			return nil, e
-		}
-	}
-	tr.MarkZero(stageShed, verdictOK)
-	c := &call{key: dec.key, req: dec.req, planner: planner, done: make(chan struct{})}
-	// The planner reports its internal phase timings (measure /
-	// estimate / explore) into the call, where every coalesced waiter's
-	// trace picks them up after delivery. Observability only: the
-	// callback cannot influence the response, and it is not part of the
-	// coalescing identity (dec.key was computed before it existed).
-	c.req.Trace = c.notePhase
-	c.waiters.Store(1) // the leader
-	select {
-	case l.queue <- c:
-		g.inflight[dec.key] = c
-		g.pending.Add(1)
-		// The enqueue mark's clock read sets the trace cursor to the
-		// instant admission handed the call off — where the queue-wait
-		// span stitched in after delivery begins.
-		tr.Mark(stageEnqueue, verdictOK)
-		return c, nil
-	default:
-		tr.Mark(stageEnqueue, "full")
-		l.shedQueue.Inc()
-		e := errf(http.StatusTooManyRequests, "queue_full",
-			"admission lane of %d for device %s is full", g.laneQueueCap, l.device)
-		// A full lane means a backlog of whole execution waves stands
-		// between this client and service: ceil(backlog / workers)
-		// passes of roughly (p99 + window) each — not one request's
-		// worth, which is what this hint used to claim.
-		p99, _ := planner.WarmQuantile(0.99)
-		e.wire.RetryAfterMs = math.Max(laneWaves(len(l.queue), g.laneWorkers)*(p99+g.windowMs()), 1)
-		return nil, e
-	}
 }
 
 // worker drains one device's admission lane: one blocking receive, a

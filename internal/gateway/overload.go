@@ -36,12 +36,10 @@ package gateway
 // when executions run — never what any execution returns.
 
 import (
-	"net/http"
 	"time"
 
 	"netcut/internal/faultinject"
 	"netcut/internal/telemetry"
-	"netcut/internal/trace"
 )
 
 // The load-level ladder.
@@ -361,44 +359,6 @@ func (g *Gateway) laneAIMDDecrease(dev string) {
 		l.aimdDecreases.Inc()
 	}
 	l.execMu.Unlock()
-}
-
-// admitDegraded is the allow_degraded fallback, entered under the
-// gateway mutex from admit: instead of rejecting a budget-infeasible
-// or unhealthy-device request, route it to the fastest healthy device
-// — deterministically, by the same unbudgeted ranking an explicit
-// Route would use, so the response body is byte-identical to the
-// explicit spelling of that target — and mark the response degraded at
-// write time. Budget shedding is skipped on the fallback (the client
-// opted into lateness over rejection); the emergency overload gate in
-// admitOn still applies, because a degraded response costs a planner
-// execution like any other cold miss.
-func (g *Gateway) admitDegraded(dec *decodedRequest, reason string, tr *trace.Trace) (*call, []byte, *apiError) {
-	name, _, ok := g.pool.Fastest(g.windowMs(), uint64(g.cfg.ShedMinSamples), g.deviceEligible)
-	if !ok {
-		// Fleet-wide unhealthy: nothing to degrade onto.
-		tr.MarkZero(stageHealth, "no_healthy_device")
-		e := errf(http.StatusServiceUnavailable, "no_healthy_device",
-			"every registered device is unhealthy; background probes are running")
-		e.wire.RetryAfterMs = float64(g.cfg.ProbeInterval) / float64(time.Millisecond)
-		return nil, nil, e
-	}
-	dec.key.device = name
-	dec.degradedReason = reason
-	g.degradedServed.Inc()
-	tr.SetDevice(name)
-	tr.MarkZero(stageDegraded, reason)
-	p, err := g.pool.Planner(name)
-	if err != nil {
-		panic(err) // Fastest only returns registered names
-	}
-	if body, okc := g.byteCacheGet(dec.key); okc {
-		tr.Mark(stageByteCache, "hit")
-		return nil, body, nil
-	}
-	tr.MarkZero(stageByteCache, "miss")
-	c, e := g.admitOn(dec, p, false, tr)
-	return c, nil, e
 }
 
 // overloadStats is the /debug/stats "overload" document: the live

@@ -543,11 +543,11 @@ func TestFaultDegradedUnhealthyDevice(t *testing.T) {
 
 // TestFaultDegradedBudgetAndFleetDown pins the other degraded entry
 // point and its limit: a budget-infeasible request with allow_degraded
-// is served late on the fastest device instead of shed — for default
-// and auto targets, marked budget_infeasible, byte-identical to the
-// unbudgeted spelling modulo markers — while a fleet with no healthy
-// device keeps returning 503 no_healthy_device: there is nothing to
-// degrade onto.
+// is served late on the fastest device instead of shed — for default,
+// explicit and auto targets, marked budget_infeasible, byte-identical
+// to the unbudgeted spelling modulo markers, and never counted as a
+// shed — while a fleet with no healthy device keeps returning 503
+// no_healthy_device: there is nothing to degrade onto.
 func TestFaultDegradedBudgetAndFleetDown(t *testing.T) {
 	defer faultinject.Reset()
 	cfg := quickConfig(39)
@@ -578,6 +578,7 @@ func TestFaultDegradedBudgetAndFleetDown(t *testing.T) {
 
 	for _, spelling := range []string{
 		`,"budget_ms":0.000001,"allow_degraded":true`,
+		`,"target":"sim-xavier","budget_ms":0.000001,"allow_degraded":true`,
 		`,"target":"auto","budget_ms":0.000001,"allow_degraded":true`,
 	} {
 		rec := post(g, graphBody(t, userNet(0), 0.35, spelling))
@@ -595,8 +596,13 @@ func TestFaultDegradedBudgetAndFleetDown(t *testing.T) {
 			t.Fatalf("degraded budget body diverged from the unbudgeted spelling:\n%s\nwant %s", rec.Body.Bytes(), want)
 		}
 	}
-	if g.degradedServed.Value() != 2 {
-		t.Fatalf("degraded counter %d, want 2", g.degradedServed.Value())
+	if g.degradedServed.Value() != 3 {
+		t.Fatalf("degraded counter %d, want 3", g.degradedServed.Value())
+	}
+	// Served degraded, not shed: the unflagged request stays the only
+	// budget shed.
+	if got := g.shedBudget.Value(); got != 1 {
+		t.Fatalf("shed_budget counter %d after the degraded spellings, want 1", got)
 	}
 
 	// Fleet-wide unhealthy: allow_degraded cannot conjure a device.

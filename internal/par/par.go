@@ -143,3 +143,18 @@ func ForEach(n int, fn func(i int) error) error {
 	}
 	return nil
 }
+
+// Lazy is a singleflight cell: the first Get builds the value, every
+// concurrent caller blocks on that one build, and the result (value and
+// error alike) is immutable afterwards.
+type Lazy[T any] struct {
+	once sync.Once
+	val  T
+	err  error
+}
+
+// Get returns the cell's value, building it with build on first use.
+func (c *Lazy[T]) Get(build func() (T, error)) (T, error) {
+	c.once.Do(func() { c.val, c.err = build() })
+	return c.val, c.err
+}

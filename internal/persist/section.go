@@ -1,8 +1,8 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -367,19 +367,19 @@ func (r *SectionReader) Next() (*Section, error) {
 	return s, nil
 }
 
+// legacyPrefix opens every snapshot of the retired JSON generation
+// (schema v1): its encoder always wrote the magic as the first field.
+const legacyPrefix = `{"magic":"` + Magic + `"`
+
 // checkEnvelope validates the binary envelope and returns the payload.
 // A file from the retired JSON generation is recognized by its leading
-// '{' and classified as ErrVersionMismatch — the "old version = cold
-// boot" policy, reported as a version skew rather than corruption.
+// magic field and classified as ErrVersionMismatch — the "old version =
+// cold boot" policy, reported as a version skew rather than corruption.
 func checkEnvelope(raw []byte) ([]byte, error) {
 	if len(raw) > 0 && raw[0] == '{' {
-		var env struct {
-			Magic   string `json:"magic"`
-			Version int    `json:"version"`
-		}
-		if json.Unmarshal(raw, &env) == nil && env.Magic == Magic {
-			return nil, fmt.Errorf("persist: %w: JSON-generation snapshot (version %d), this build speaks binary version %d",
-				ErrVersionMismatch, env.Version, SchemaVersion)
+		if bytes.HasPrefix(raw, []byte(legacyPrefix)) {
+			return nil, fmt.Errorf("persist: %w: JSON-generation snapshot, this build speaks binary version %d",
+				ErrVersionMismatch, SchemaVersion)
 		}
 		return nil, fmt.Errorf("persist: %w: not a binary netcut snapshot", ErrNotSnapshot)
 	}

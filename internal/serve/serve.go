@@ -176,19 +176,6 @@ type Response struct {
 	TRN *trim.TRN
 }
 
-// lazy is a singleflight cell (see exp.Lab): first caller builds, every
-// concurrent caller blocks on that build, result is immutable after.
-type lazy[T any] struct {
-	once sync.Once
-	val  T
-	err  error
-}
-
-func (c *lazy[T]) get(build func() (T, error)) (T, error) {
-	c.once.Do(func() { c.val, c.err = build() })
-	return c.val, c.err
-}
-
 // Planner is the long-lived planning service. One Planner is safe for
 // arbitrarily many concurrent Select calls; all requests share the
 // device's kernel-plan cache, the profiler's measurement and table
@@ -203,9 +190,9 @@ type Planner struct {
 
 	// zooSamples is the 148-TRN measured regression set the shared
 	// analytical/linear estimators train on, built at most once.
-	zooSamples lazy[[]estimate.Sample]
-	analytical lazy[*estimate.AnalyticalEstimator]
-	linear     lazy[*estimate.LinearEstimator]
+	zooSamples par.Lazy[[]estimate.Sample]
+	analytical par.Lazy[*estimate.AnalyticalEstimator]
+	linear     par.Lazy[*estimate.LinearEstimator]
 
 	// names binds each admitted network name to its structural
 	// fingerprint. The measurement seeds, transfer profiles and
@@ -447,13 +434,13 @@ func (p *Planner) estimator(kind string, g *graph.Graph, parentMs float64) (esti
 		tbl := p.prof.Profile(g)
 		return estimate.NewProfilerEstimator(map[string]*profiler.Table{g.Name: tbl}), nil
 	case "analytical":
-		base, err := p.analytical.get(p.buildAnalytical)
+		base, err := p.analytical.Get(p.buildAnalytical)
 		if err != nil {
 			return nil, err
 		}
 		return base.WithParentLatency(g.Name, parentMs), nil
 	case "linear":
-		base, err := p.linear.get(p.buildLinear)
+		base, err := p.linear.Get(p.buildLinear)
 		if err != nil {
 			return nil, err
 		}
@@ -497,7 +484,7 @@ func (p *Planner) buildZooSamples() ([]estimate.Sample, error) {
 }
 
 func (p *Planner) buildAnalytical() (*estimate.AnalyticalEstimator, error) {
-	samples, err := p.zooSamples.get(p.buildZooSamples)
+	samples, err := p.zooSamples.Get(p.buildZooSamples)
 	if err != nil {
 		return nil, err
 	}
@@ -506,7 +493,7 @@ func (p *Planner) buildAnalytical() (*estimate.AnalyticalEstimator, error) {
 }
 
 func (p *Planner) buildLinear() (*estimate.LinearEstimator, error) {
-	samples, err := p.zooSamples.get(p.buildZooSamples)
+	samples, err := p.zooSamples.Get(p.buildZooSamples)
 	if err != nil {
 		return nil, err
 	}

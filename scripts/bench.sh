@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # bench.sh — run the figure-regeneration and end-to-end benchmarks and
-# emit a machine-readable BENCH_<date>.json so successive PRs accumulate
-# a performance trajectory.
+# emit a machine-readable BENCH_<date>_<shortsha>.json so successive
+# commits accumulate a performance trajectory (two commits benchmarked
+# on the same day no longer overwrite each other).
 #
 # Usage: scripts/bench.sh [output-dir] [benchtime]
-#   output-dir  where BENCH_<date>.json lands (default: repo root)
+#   output-dir  where BENCH_<date>_<shortsha>.json lands (default: repo root)
 #   benchtime   go test -benchtime value (default: 100ms). The old 1x
 #               default made every recorded number a single-iteration
 #               sample — fine for the macro-scale figure generators
@@ -21,8 +22,10 @@ cd "$(dirname "$0")/.."
 OUT_DIR="${1:-.}"
 BENCHTIME="${2:-100ms}"
 DATE="$(date -u +%Y-%m-%d)"
+COMMIT="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
+GOMAXPROCS_USED="${GOMAXPROCS:-$(nproc)}"
 mkdir -p "$OUT_DIR"
-OUT="$OUT_DIR/BENCH_${DATE}.json"
+OUT="$OUT_DIR/BENCH_${DATE}_${COMMIT:0:7}.json"
 
 # The Planner|Gateway|State patterns pick up the serving-stack gates:
 # PlannerSelectCold/Warm, PlannerSelectRestoredCold (snapshot restore),
@@ -41,6 +44,8 @@ RAW="$(go test -run '^$' -bench 'SelectEndToEnd|Planner|Gateway|State|Fig|Tab|Ab
   echo "  \"date\": \"${DATE}\","
   echo "  \"host\": \"$(uname -srm)\","
   echo "  \"cpus\": $(getconf _NPROCESSORS_ONLN),"
+  echo "  \"gomaxprocs\": ${GOMAXPROCS_USED},"
+  echo "  \"commit\": \"${COMMIT}\","
   echo "  \"go\": \"$(go env GOVERSION)\","
   echo "  \"benchtime\": \"${BENCHTIME}\","
   echo "  \"benchmarks\": ["
@@ -73,11 +78,13 @@ RAW="$(go test -run '^$' -bench 'SelectEndToEnd|Planner|Gateway|State|Fig|Tab|Ab
 
 echo "wrote $OUT"
 
-# Compare against the most recent prior BENCH_*.json so drift shows up
-# in the run log, not only in git archaeology. A missing prior file is
-# an explicit warning — a compare step that silently passes when there
-# is nothing to compare against would read as "no regressions".
-PREV="$(ls -1 "$OUT_DIR"/BENCH_*.json 2>/dev/null | grep -v "^$OUT\$" | sort | tail -1 || true)"
+# Compare against the most recently written other BENCH_*.json (by
+# modification time, not name: names sort by date first, so two runs on
+# one day would otherwise compare by commit hash) so drift shows up in
+# the run log, not only in git archaeology. A missing prior file is an
+# explicit warning — a compare step that silently passes when there is
+# nothing to compare against would read as "no regressions".
+PREV="$(ls -1t "$OUT_DIR"/BENCH_*.json 2>/dev/null | grep -vxF "$OUT" | head -1 || true)"
 if [ -z "$PREV" ]; then
   echo "WARNING: no prior BENCH_*.json in $OUT_DIR to compare against — drift not checked" >&2
 else
