@@ -35,27 +35,29 @@ func BenchmarkInferMs(b *testing.B) {
 	}
 }
 
-func BenchmarkInferProfiledMs(b *testing.B) {
+func BenchmarkInferProfiledAdd(b *testing.B) {
 	d := New(Xavier())
 	g, _ := zoo.ByName("InceptionV3")
 	s := d.Open(g, 1)
+	sums := make([]float64, len(s.ProfiledLayers()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.InferProfiledMs()
+		s.InferProfiledAdd(sums)
 	}
 }
 
-func BenchmarkInferProfiledMsDenseNet(b *testing.B) {
+func BenchmarkInferProfiledAddDenseNet(b *testing.B) {
 	// DenseNet-121 is the worst case: the most layers, the most kernels
 	// (concat blocks fusion), so the most rows per profiled run.
 	d := New(Xavier())
 	g, _ := zoo.ByName("DenseNet-121")
 	s := d.Open(g, 1)
+	sums := make([]float64, len(s.ProfiledLayers()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.InferProfiledMs()
+		s.InferProfiledAdd(sums)
 	}
 }
 

@@ -125,7 +125,7 @@ func (d *Device) KernelTimeMs(k *Kernel) float64 {
 	}
 	bytes := (float64(k.WeightBytes) + float64(k.IOBytes)) * c.Precision.bytesPerElem()
 	memS := bytes / c.MemBandwidth
-	return c.LaunchOverheadMs + 1e3*math.Max(computeS, memS)
+	return c.LaunchOverheadMs + float64(1e3*math.Max(computeS, memS))
 }
 
 // LatencyMs returns the noise-free steady-state end-to-end inference
@@ -172,18 +172,23 @@ func (s *Session) coldFactor() float64 {
 	if c.ColdPenalty == 0 {
 		return 1
 	}
-	return 1 + c.ColdPenalty*math.Exp(-float64(s.runs)/c.ColdRuns)
+	return 1 + float64(c.ColdPenalty*math.Exp(-float64(s.runs)/c.ColdRuns))
 }
 
 // runNoise is the per-run global noise factor (clock and DVFS jitter
 // affect all kernels of a run together); kernelNoise is the smaller
 // independent per-kernel jitter.
+//
+// Throughout the noise math, an explicit float64(x*y) rounds a product
+// before it is added: the Go spec lets a compiler fuse x*y+z into one
+// multiply-add, even across statements (arm64 builds do), and only a
+// conversion rules that out, so every build draws the same bits.
 func (s *Session) runNoise() float64 {
-	return 1 + s.dev.cfg.NoiseSigma*s.rng.NormFloat64()
+	return 1 + float64(s.dev.cfg.NoiseSigma*s.rng.NormFloat64())
 }
 
 func (s *Session) kernelNoise() float64 {
-	return 1 + 0.5*s.dev.cfg.NoiseSigma*s.rng.NormFloat64()
+	return 1 + float64(0.5*s.dev.cfg.NoiseSigma*s.rng.NormFloat64())
 }
 
 // InferMs executes one inference and returns its measured latency in
@@ -194,51 +199,60 @@ func (s *Session) InferMs() float64 {
 	s.runs++
 	total := 0.0
 	for _, b := range s.info.baseMs {
-		total += b * s.kernelNoise()
+		total += float64(b * s.kernelNoise())
 	}
 	return total * run * cold
 }
 
-// LayerTimeMs is one row of a per-layer profiling table.
-type LayerTimeMs struct {
+// ProfiledLayer identifies one row of a per-layer profiling table: a
+// fused node of the execution plan, in plan order.
+type ProfiledLayer struct {
 	NodeID int
 	Name   string
 	Kind   graph.OpKind
-	Ms     float64
 }
 
-// InferProfiledMs executes one inference with per-layer event recording,
-// returning a per-layer latency table and the end-to-end latency the
-// run would have had without events. Kernel time is attributed to its
-// fused layers proportionally to their MAC share (precomputed once per
-// plan, not per run), and each recorded layer pays the event overhead —
-// which is why the table's sum slightly exceeds the end-to-end latency,
-// the effect Eq. (1) divides away.
-func (s *Session) InferProfiledMs() ([]LayerTimeMs, float64) {
-	return s.InferProfiledInto(make([]LayerTimeMs, 0, s.info.rows))
+// ProfiledLayers returns the row identities of a profiled run, in the
+// order InferProfiledAdd accumulates them. Rows come from the plan's
+// row template, so they are the same for every run of the session.
+func (s *Session) ProfiledLayers() []ProfiledLayer {
+	out := make([]ProfiledLayer, 0, s.info.rows)
+	for _, tmpl := range s.info.rowTmpl {
+		for _, r := range tmpl {
+			out = append(out, ProfiledLayer{NodeID: r.nodeID, Name: r.name, Kind: r.kind})
+		}
+	}
+	return out
 }
 
-// InferProfiledInto is InferProfiledMs appending into rows (which it
-// returns re-sliced), so a measurement-protocol loop can reuse one
-// buffer across its hundreds of runs. Pass rows[:0] to recycle.
-func (s *Session) InferProfiledInto(rows []LayerTimeMs) ([]LayerTimeMs, float64) {
+// InferProfiledAdd executes one inference with per-layer event
+// recording: it adds each layer's measured latency to the matching
+// entry of sums (one per ProfiledLayers row; it panics if sums is
+// shorter) and returns the end-to-end latency the run would have had
+// without events. Kernel time is attributed to its fused layers
+// proportionally to their MAC share (precomputed once per plan, not per
+// run), and each recorded layer pays the event overhead — which is why
+// the per-layer sum slightly exceeds the end-to-end latency, the effect
+// Eq. (1) divides away. Accumulating in place lets an 800-run
+// measurement protocol build a table without materializing any row.
+func (s *Session) InferProfiledAdd(sums []float64) float64 {
 	cold := s.coldFactor()
 	run := s.runNoise()
 	s.runs++
 	total := 0.0
 	ev := s.dev.cfg.EventOverheadMs
+	sums = sums[:s.info.rows]
+	ri := 0
 	for ki, tmpl := range s.info.rowTmpl {
-		t := s.info.baseMs[ki] * s.kernelNoise() * run * cold
+		t := float64(s.info.baseMs[ki] * s.kernelNoise() * run * cold)
 		total += t
-		for ri := range tmpl {
-			r := &tmpl[ri]
-			rows = append(rows, LayerTimeMs{
-				NodeID: r.nodeID,
-				Name:   r.name,
-				Kind:   r.kind,
-				Ms:     t*r.share + ev*(1+0.1*s.rng.NormFloat64()),
-			})
+		for j := range tmpl {
+			// One RNG draw per row, in plan order; both products are
+			// rounded before the adds.
+			jitter := 1 + float64(0.1*s.rng.NormFloat64())
+			sums[ri] += float64(t*tmpl[j].share) + float64(ev*jitter)
+			ri++
 		}
 	}
-	return rows, total
+	return total
 }

@@ -172,10 +172,12 @@ func TestProfiledSumExceedsEndToEnd(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		s.InferMs()
 	}
-	rows, total := s.InferProfiledMs()
+	layers := s.ProfiledLayers()
+	sums := make([]float64, len(layers))
+	total := s.InferProfiledAdd(sums)
 	var sum float64
-	for _, r := range rows {
-		sum += r.Ms
+	for _, ms := range sums {
+		sum += ms
 	}
 	if sum <= total {
 		t.Fatalf("layer-table sum %.4f not greater than end-to-end %.4f", sum, total)
@@ -183,8 +185,8 @@ func TestProfiledSumExceedsEndToEnd(t *testing.T) {
 	if sum > total*1.25 {
 		t.Fatalf("event overhead implausibly large: sum %.4f vs total %.4f", sum, total)
 	}
-	if len(rows) != g.LayerCount() {
-		t.Fatalf("profiled %d layers, want %d", len(rows), g.LayerCount())
+	if len(layers) != g.LayerCount() {
+		t.Fatalf("profiled %d layers, want %d", len(layers), g.LayerCount())
 	}
 }
 

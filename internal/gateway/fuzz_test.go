@@ -3,6 +3,8 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"reflect"
 	"testing"
 
 	"netcut/internal/graph"
@@ -13,7 +15,9 @@ import (
 // request decoder must reject — never panic on — arbitrary bytes, and
 // any request it accepts must carry a graph the planning pipeline can
 // safely run (the property the graph-package fuzzers pin for Validate
-// acceptances).
+// acceptances). Whenever the single-pass parser accepts a body, its
+// decode must equal encoding/json's, so the fast path can never change
+// what a request means.
 func FuzzDecodeRequest(f *testing.F) {
 	// Well-formed seeds: zoo shorthand, a full encoded user graph, and
 	// each knob exercised.
@@ -28,8 +32,29 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"network":42}`))
 	f.Add([]byte(`[`))
 	f.Add([]byte(``))
+	// Edges of the canonical subset, on both sides.
+	for _, body := range nonCanonicalBodies {
+		f.Add([]byte(body))
+	}
+	for _, body := range canonicalEdgeBodies {
+		f.Add([]byte(body))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var fast PlanRequestWire
+		if parseRequest(data, &fast) {
+			var ref PlanRequestWire
+			dec := json.NewDecoder(bytes.NewReader(data))
+			if err := dec.Decode(&ref); err != nil {
+				t.Fatalf("fast path accepted a body encoding/json rejects: %v", err)
+			}
+			if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+				t.Fatalf("fast path accepted trailing data: %v", err)
+			}
+			if !reflect.DeepEqual(fast, ref) {
+				t.Fatalf("fast path decode diverges from encoding/json:\n fast %+v\n json %+v", fast, ref)
+			}
+		}
 		dec, aerr := decodeRequest(bytes.NewReader(data))
 		if aerr != nil {
 			if aerr.status < 400 || aerr.status > 499 {

@@ -1282,16 +1282,12 @@ func (g *Gateway) gates(dec *decodedRequest, dev string, tr *trace.Trace) (*call
 	// coalescing identity (dec.key was computed before it existed).
 	c.req.Trace = c.notePhase
 	c.waiters.Store(1) // the leader
-	select {
-	case l.queue <- c:
-		g.inflight[dec.key] = c
-		g.pending.Add(1)
-		// The enqueue mark's clock read sets the trace cursor to the
-		// instant admission handed the call off — where the queue-wait
-		// span stitched in after delivery begins.
-		tr.Mark(stageEnqueue, verdictOK)
-		return c, nil, nil
-	default:
+	// Admission holds g.mu and is the lanes' only producer, and workers
+	// only drain, so a lane with room now still has room at the send.
+	// That lets the enqueue mark go in before the send: a worker may
+	// start the pass the instant the call lands, and the queue-wait
+	// span stitched in after delivery begins at this mark.
+	if len(l.queue) == cap(l.queue) {
 		tr.Mark(stageEnqueue, "full")
 		l.shedQueue.Inc()
 		e := errf(http.StatusTooManyRequests, "queue_full",
@@ -1303,6 +1299,11 @@ func (g *Gateway) gates(dec *decodedRequest, dev string, tr *trace.Trace) (*call
 		e.wire.RetryAfterMs = math.Max(laneWaves(len(l.queue), g.laneWorkers)*(p99+g.windowMs()), 1)
 		return nil, nil, e
 	}
+	tr.Mark(stageEnqueue, verdictOK)
+	g.inflight[dec.key] = c
+	g.pending.Add(1)
+	l.queue <- c
+	return c, nil, nil
 }
 
 // degrade is the allow_degraded exit of the health and budget gates:

@@ -421,6 +421,17 @@ func TestOverloadIdleDriftDecay(t *testing.T) {
 		}
 	}
 	l := g.lanes["sim-xavier"]
+	// A post returns once its body is delivered, before the worker
+	// releases its execution slot: wait for the lane to go idle, or the
+	// idle ticks below see a busy lane and never decay.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		l.execMu.Lock()
+		active := l.execActive
+		l.execMu.Unlock()
+		if active == 0 || time.Now().After(deadline) {
+			break
+		}
+	}
 	l.execMu.Lock()
 	l.execEwmaMs = 1e6
 	l.execMu.Unlock()

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"unicode/utf8"
 
 	"netcut/internal/graph"
 	"netcut/internal/serve"
@@ -542,12 +543,13 @@ type coalesceKey struct {
 
 // decodeRequest parses and validates one request body. It never panics
 // on arbitrary input (fuzzed), and everything it accepts is safe to
-// hand to the planner. Oversized bodies surface as 413 when body is an
-// http.MaxBytesReader.
+// hand to the planner. The body is read whole first, so a body over the
+// http.MaxBytesReader limit is 413 wherever it would have turned
+// malformed. Canonical bodies then take parseRequest's single pass;
+// anything else goes to decodeRequestJSON over the same bytes.
 func decodeRequest(body io.Reader) (*decodedRequest, *apiError) {
-	var wire PlanRequestWire
-	dec := json.NewDecoder(body)
-	if err := dec.Decode(&wire); err != nil {
+	data, err := io.ReadAll(body)
+	if err != nil {
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
 			return nil, errf(http.StatusRequestEntityTooLarge, "body_too_large",
@@ -555,10 +557,12 @@ func decodeRequest(body io.Reader) (*decodedRequest, *apiError) {
 		}
 		return nil, errf(http.StatusBadRequest, "invalid_json", "decoding request: %v", err)
 	}
-	// Trailing garbage after the JSON value is a malformed request, not
-	// a second request.
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return nil, errf(http.StatusBadRequest, "invalid_json", "trailing data after request body")
+	var wire PlanRequestWire
+	if !parseRequest(data, &wire) {
+		wire = PlanRequestWire{}
+		if aerr := decodeRequestJSON(data, &wire); aerr != nil {
+			return nil, aerr
+		}
 	}
 
 	switch wire.Estimator {
@@ -623,6 +627,407 @@ func decodeRequest(body io.Reader) (*decodedRequest, *apiError) {
 	}, nil
 }
 
+// decodeRequestJSON is the reference decoder: encoding/json over the
+// whole body, then a check that only whitespace follows the value. It
+// decides every body parseRequest declines, so the bodies and errors
+// outside the canonical subset are exactly encoding/json's.
+func decodeRequestJSON(data []byte, wire *PlanRequestWire) *apiError {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if err := dec.Decode(wire); err != nil {
+		return errf(http.StatusBadRequest, "invalid_json", "decoding request: %v", err)
+	}
+	// Trailing garbage after the JSON value is a malformed request, not
+	// a second request.
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return errf(http.StatusBadRequest, "invalid_json", "trailing data after request body")
+	}
+	return nil
+}
+
+// parseRequest decodes data into w in one pass, without reflection,
+// when data is in the canonical subset of the wire format: one object
+// of exact lowercase known keys, each at most once; strings with no
+// escapes or control bytes (non-ASCII only as valid UTF-8); numbers
+// in JSON grammar, integers with no fraction, exponent or overflow; no
+// null; only whitespace after the object. json.Marshal of a request
+// built with EncodeGraph is in the subset whenever its names need no
+// JSON escaping. On that subset the result equals
+// encoding/json's decode (FuzzDecodeRequest checks it); for anything
+// else parseRequest reports false, leaving w partly filled, and the
+// caller decodes with encoding/json instead.
+func parseRequest(data []byte, w *PlanRequestWire) bool {
+	p := wireParser{b: data}
+	p.ws()
+	if !p.object(func(key []byte) uint32 {
+		switch string(key) {
+		case "network":
+			return p.str(&w.Network, 1<<0)
+		case "graph":
+			w.Graph = new(GraphWire)
+			return p.graph(w.Graph, 1<<1)
+		case "target":
+			return p.str(&w.Target, 1<<2)
+		case "deadline_ms":
+			return p.float(&w.DeadlineMs, 1<<3)
+		case "estimator":
+			return p.str(&w.Estimator, 1<<4)
+		case "budget_ms":
+			return p.float(&w.BudgetMs, 1<<5)
+		case "allow_degraded":
+			return p.boolean(&w.AllowDegraded, 1<<6)
+		}
+		return 0
+	}) {
+		return false
+	}
+	p.ws()
+	return p.i == len(p.b)
+}
+
+// wireParser is parseRequest's cursor. Each value method takes the
+// destination and the field's bit in its object, and returns the bit
+// on success and 0 when the value is outside the canonical subset.
+type wireParser struct {
+	b    []byte
+	i    int
+	ints []int // scratch for int arrays, copied out at their length
+}
+
+func (p *wireParser) ws() {
+	b, i := p.b, p.i
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	p.i = i
+}
+
+// lit consumes c if it is the next byte.
+func (p *wireParser) lit(c byte) bool {
+	if p.i < len(p.b) && p.b[p.i] == c {
+		p.i++
+		return true
+	}
+	return false
+}
+
+// object parses one object, calling member with the cursor on each
+// value. member returns the key's field bit, or 0 for an unknown key
+// or a value it declined; a zero or repeated bit declines the object.
+func (p *wireParser) object(member func(key []byte) uint32) bool {
+	if !p.lit('{') {
+		return false
+	}
+	p.ws()
+	if p.lit('}') {
+		return true
+	}
+	var seen uint32
+	for {
+		key, ok := p.quoted()
+		if !ok {
+			return false
+		}
+		p.ws()
+		if !p.lit(':') {
+			return false
+		}
+		p.ws()
+		bit := member(key)
+		if bit == 0 || seen&bit != 0 {
+			return false
+		}
+		seen |= bit
+		p.ws()
+		if p.lit('}') {
+			return true
+		}
+		if !p.lit(',') {
+			return false
+		}
+		p.ws()
+	}
+}
+
+// array parses one array, calling elem with the cursor on each element.
+func (p *wireParser) array(elem func() bool) bool {
+	if !p.lit('[') {
+		return false
+	}
+	p.ws()
+	if p.lit(']') {
+		return true
+	}
+	for {
+		if !elem() {
+			return false
+		}
+		p.ws()
+		if p.lit(']') {
+			return true
+		}
+		if !p.lit(',') {
+			return false
+		}
+		p.ws()
+	}
+}
+
+// quoted returns the bytes of a string with no escapes or control
+// bytes, aliasing the input. Invalid UTF-8 is declined: encoding/json
+// would replace it with U+FFFD.
+func (p *wireParser) quoted() ([]byte, bool) {
+	if !p.lit('"') {
+		return nil, false
+	}
+	b, start, ascii := p.b, p.i, true
+	for i := start; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			p.i = i + 1
+			return b[start:i], ascii || utf8.Valid(b[start:i])
+		case c == '\\' || c < 0x20:
+			return nil, false
+		case c >= utf8.RuneSelf:
+			ascii = false
+		}
+	}
+	return nil, false
+}
+
+func (p *wireParser) str(dst *string, bit uint32) uint32 {
+	s, ok := p.quoted()
+	if !ok {
+		return 0
+	}
+	*dst = string(s)
+	return bit
+}
+
+func (p *wireParser) boolean(dst *bool, bit uint32) uint32 {
+	rest := p.b[p.i:]
+	switch {
+	case bytes.HasPrefix(rest, []byte("true")):
+		*dst, p.i = true, p.i+4
+	case bytes.HasPrefix(rest, []byte("false")):
+		*dst, p.i = false, p.i+5
+	default:
+		return 0
+	}
+	return bit
+}
+
+// digits consumes a run of decimal digits and returns its length.
+func (p *wireParser) digits() int {
+	b, i := p.b, p.i
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	n := i - p.i
+	p.i = i
+	return n
+}
+
+// intValue parses an integer: an optional minus, then 0 or a digit run
+// without a leading zero, in int64 range, not followed by a fraction
+// or exponent (encoding/json rejects those for integer fields).
+func (p *wireParser) intValue() (int64, bool) {
+	neg := p.lit('-')
+	start := p.i
+	n := p.digits()
+	// 19 digits always fit a uint64; any 20-digit value overflows int64.
+	if n == 0 || n > 19 || (n > 1 && p.b[start] == '0') {
+		return 0, false
+	}
+	if p.i < len(p.b) && (p.b[p.i] == '.' || p.b[p.i] == 'e' || p.b[p.i] == 'E') {
+		return 0, false
+	}
+	var u uint64
+	for _, c := range p.b[start:p.i] {
+		u = u*10 + uint64(c-'0')
+	}
+	if neg {
+		if u > 1<<63 {
+			return 0, false
+		}
+		return -int64(u), true
+	}
+	if u > math.MaxInt64 {
+		return 0, false
+	}
+	return int64(u), true
+}
+
+func (p *wireParser) integer64(dst *int64, bit uint32) uint32 {
+	v, ok := p.intValue()
+	if !ok {
+		return 0
+	}
+	*dst = v
+	return bit
+}
+
+func (p *wireParser) integer(dst *int, bit uint32) uint32 {
+	v, ok := p.intValue()
+	if !ok || int64(int(v)) != v {
+		return 0
+	}
+	*dst = int(v)
+	return bit
+}
+
+// float parses a number in JSON grammar with strconv.ParseFloat, the
+// conversion encoding/json makes; out-of-range values are declined.
+func (p *wireParser) float(dst *float64, bit uint32) uint32 {
+	start := p.i
+	p.lit('-')
+	if !p.lit('0') && p.digits() == 0 {
+		return 0
+	}
+	if p.lit('.') && p.digits() == 0 {
+		return 0
+	}
+	if p.lit('e') || p.lit('E') {
+		if !p.lit('+') {
+			p.lit('-')
+		}
+		if p.digits() == 0 {
+			return 0
+		}
+	}
+	f, err := strconv.ParseFloat(string(p.b[start:p.i]), 64)
+	if err != nil {
+		return 0
+	}
+	*dst = f
+	return bit
+}
+
+// intList parses an array of ints. "[]" decodes to an empty, non-nil
+// slice, as encoding/json decodes it.
+func (p *wireParser) intList(dst *[]int, bit uint32) uint32 {
+	p.ints = p.ints[:0]
+	if !p.array(func() bool {
+		var v int
+		ok := p.integer(&v, 1) != 0
+		p.ints = append(p.ints, v)
+		return ok
+	}) {
+		return 0
+	}
+	*dst = append(make([]int, 0, len(p.ints)), p.ints...)
+	return bit
+}
+
+func (p *wireParser) shape(dst *ShapeWire, bit uint32) uint32 {
+	if !p.object(func(key []byte) uint32 {
+		switch string(key) {
+		case "h":
+			return p.integer(&dst.H, 1<<0)
+		case "w":
+			return p.integer(&dst.W, 1<<1)
+		case "c":
+			return p.integer(&dst.C, 1<<2)
+		}
+		return 0
+	}) {
+		return 0
+	}
+	return bit
+}
+
+func (p *wireParser) graph(g *GraphWire, bit uint32) uint32 {
+	if !p.object(func(key []byte) uint32 {
+		switch string(key) {
+		case "name":
+			return p.str(&g.Name, 1<<0)
+		case "input":
+			return p.shape(&g.Input, 1<<1)
+		case "num_classes":
+			return p.integer(&g.NumClasses, 1<<2)
+		case "nodes":
+			g.Nodes = []NodeWire{}
+			if !p.array(func() bool {
+				g.Nodes = append(g.Nodes, NodeWire{})
+				return p.node(&g.Nodes[len(g.Nodes)-1])
+			}) {
+				return 0
+			}
+			return 1 << 3
+		case "blocks":
+			g.Blocks = []BlockWire{}
+			if !p.array(func() bool {
+				g.Blocks = append(g.Blocks, BlockWire{})
+				return p.block(&g.Blocks[len(g.Blocks)-1])
+			}) {
+				return 0
+			}
+			return 1 << 4
+		}
+		return 0
+	}) {
+		return 0
+	}
+	return bit
+}
+
+func (p *wireParser) node(n *NodeWire) bool {
+	return p.object(func(key []byte) uint32 {
+		switch string(key) {
+		case "id":
+			return p.integer(&n.ID, 1<<0)
+		case "name":
+			return p.str(&n.Name, 1<<1)
+		case "kind":
+			return p.str(&n.Kind, 1<<2)
+		case "inputs":
+			return p.intList(&n.Inputs, 1<<3)
+		case "in":
+			n.In = new(ShapeWire)
+			return p.shape(n.In, 1<<4)
+		case "out":
+			return p.shape(&n.Out, 1<<5)
+		case "kh":
+			return p.integer(&n.KH, 1<<6)
+		case "kw":
+			return p.integer(&n.KW, 1<<7)
+		case "stride":
+			return p.integer(&n.Stride, 1<<8)
+		case "pad":
+			return p.str(&n.Pad, 1<<9)
+		case "macs":
+			return p.integer64(&n.MACs, 1<<10)
+		case "params":
+			return p.integer64(&n.Params, 1<<11)
+		case "weight_bytes":
+			return p.integer64(&n.WeightBytes, 1<<12)
+		case "io_bytes":
+			return p.integer64(&n.IOBytes, 1<<13)
+		case "block":
+			n.Block = new(int)
+			return p.integer(n.Block, 1<<14)
+		case "head":
+			return p.boolean(&n.Head, 1<<15)
+		}
+		return 0
+	})
+}
+
+func (p *wireParser) block(b *BlockWire) bool {
+	return p.object(func(key []byte) uint32 {
+		switch string(key) {
+		case "index":
+			return p.integer(&b.Index, 1<<0)
+		case "label":
+			return p.str(&b.Label, 1<<1)
+		case "nodes":
+			return p.intList(&b.Nodes, 1<<2)
+		case "output":
+			return p.integer(&b.Output, 1<<3)
+		}
+		return 0
+	})
+}
+
 // DeviceWire is one entry of GET /v1/devices: the registered
 // calibration summary plus the target's live planning telemetry.
 // Entries are listed in registration order — the order "auto" routing
@@ -633,8 +1038,8 @@ type DeviceWire struct {
 	// Healthy is the fault-containment state "auto" routing reads: false
 	// while repeated panics or watchdog abandons have tripped the device
 	// and its background probe has not yet restored it.
-	Healthy          bool   `json:"healthy"`
-	Precision        string `json:"precision"`
+	Healthy          bool    `json:"healthy"`
+	Precision        string  `json:"precision"`
 	PeakMACs         float64 `json:"peak_macs"`
 	MemBandwidth     float64 `json:"mem_bandwidth_bytes"`
 	LaunchOverheadMs float64 `json:"launch_overhead_ms"`

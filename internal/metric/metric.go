@@ -102,7 +102,7 @@ func Std(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d) // rounded before the add: never fused into a multiply-add
 	}
 	return math.Sqrt(s / float64(len(xs)))
 }

@@ -4,7 +4,10 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
+
+	"netcut/internal/graph"
 )
 
 // WriteCSV dumps the per-layer table as CSV (node_id, name, kind,
@@ -33,9 +36,11 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a table written by WriteCSV. Kind information is not
-// reconstructed (the string form is informational); lookups by node ID
-// and Eq. (1) sums work as with a freshly profiled table.
+// ReadCSV parses a table written by WriteCSV, rebuilding every row
+// field, so lookups by node ID, Eq. (1) sums and a re-written CSV match
+// the original table. It rejects tables Eq. (1) could not use: a
+// repeated node ID (SumMs would count it twice), an unknown kind, and a
+// latency that is NaN, infinite or negative.
 func ReadCSV(network string, r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -58,12 +63,22 @@ func ReadCSV(network string, r io.Reader) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("profiler: csv latency %q: %w", rec[3], err)
 		}
+		if math.IsNaN(ms) || math.IsInf(ms, 0) || ms < 0 {
+			return nil, fmt.Errorf("profiler: csv node %d: latency %v is not a finite non-negative value", id, ms)
+		}
 		if id == -1 {
 			t.EndToEndMs = ms
 			continue
 		}
+		if _, dup := t.byID[id]; dup {
+			return nil, fmt.Errorf("profiler: csv node %d appears twice", id)
+		}
+		kind, ok := graph.ParseOpKind(rec[2])
+		if !ok {
+			return nil, fmt.Errorf("profiler: csv node %d: unknown kind %q", id, rec[2])
+		}
 		t.byID[id] = len(t.Layers)
-		t.Layers = append(t.Layers, LayerStat{NodeID: id, Name: rec[1], MeanMs: ms})
+		t.Layers = append(t.Layers, LayerStat{NodeID: id, Name: rec[1], Kind: kind, MeanMs: ms})
 	}
 	if t.EndToEndMs == 0 {
 		return nil, fmt.Errorf("profiler: csv missing end_to_end summary row")

@@ -37,6 +37,11 @@ func TestCSVRoundTrip(t *testing.T) {
 			t.Fatalf("layer %d latency %v vs %v", l.NodeID, ms, l.MeanMs)
 		}
 	}
+	for i, l := range tbl.Layers {
+		if g := got.Layers[i]; g.NodeID != l.NodeID || g.Name != l.Name || g.Kind != l.Kind {
+			t.Fatalf("row %d: read back %d %q %v, wrote %d %q %v", i, g.NodeID, g.Name, g.Kind, l.NodeID, l.Name, l.Kind)
+		}
+	}
 	if math.Abs(got.SumMs()-tbl.SumMs()) > 1e-4 {
 		t.Fatalf("sum %v vs %v", got.SumMs(), tbl.SumMs())
 	}
@@ -50,6 +55,12 @@ func TestReadCSVErrors(t *testing.T) {
 		"bad latency":  "node_id,name,kind,mean_ms\n1,conv,Conv,zzz\n-1,end_to_end,,1\n",
 		"no summary":   "node_id,name,kind,mean_ms\n1,conv,Conv,0.1\n",
 		"wrong fields": "node_id,name,kind\n1,conv,Conv\n",
+		"duplicate id": "node_id,name,kind,mean_ms\n1,conv,Conv,0.1\n1,conv,Conv,0.1\n-1,end_to_end,,1\n",
+		"unknown kind": "node_id,name,kind,mean_ms\n1,conv,Teleport,0.1\n-1,end_to_end,,1\n",
+		"NaN latency":  "node_id,name,kind,mean_ms\n1,conv,Conv,NaN\n-1,end_to_end,,1\n",
+		"Inf latency":  "node_id,name,kind,mean_ms\n1,conv,Conv,+Inf\n-1,end_to_end,,1\n",
+		"negative":     "node_id,name,kind,mean_ms\n1,conv,Conv,-0.1\n-1,end_to_end,,1\n",
+		"NaN summary":  "node_id,name,kind,mean_ms\n1,conv,Conv,0.1\n-1,end_to_end,,NaN\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadCSV("x", strings.NewReader(in)); err == nil {

@@ -225,38 +225,28 @@ func (p *Profiler) profile(g *graph.Graph) *Table {
 		s.InferMs()
 	}
 	// The execution plan — and therefore the profiled row order — is
-	// identical on every run, so the first run fixes the layer order and
-	// the remaining runs accumulate positionally, with no map ops in the
-	// hot loop.
+	// identical on every run, so the runs accumulate positionally into
+	// one sums slice, with no rows and no map ops in the hot loop.
+	layers := s.ProfiledLayers()
+	sums := make([]float64, len(layers))
 	var endToEnd float64
-	var rows []device.LayerTimeMs
-	var sums []float64
 	for i := 0; i < p.proto.TimedRuns; i++ {
-		var total float64
-		rows, total = s.InferProfiledInto(rows[:0])
-		endToEnd += total
-		if sums == nil {
-			sums = make([]float64, len(rows))
-		}
-		for ri := range rows {
-			sums[ri] += rows[ri].Ms
-		}
+		endToEnd += s.InferProfiledAdd(sums)
 	}
 	tbl := &Table{
 		Network:    g.Name,
 		EndToEndMs: endToEnd / float64(p.proto.TimedRuns),
-		Layers:     make([]LayerStat, 0, len(rows)),
-		byID:       make(map[int]int, len(rows)),
+		Layers:     make([]LayerStat, len(layers)),
+		byID:       make(map[int]int, len(layers)),
 	}
-	for ri := range rows {
-		r := &rows[ri]
-		tbl.byID[r.NodeID] = len(tbl.Layers)
-		tbl.Layers = append(tbl.Layers, LayerStat{
-			NodeID: r.NodeID,
-			Name:   r.Name,
-			Kind:   r.Kind,
+	for ri, l := range layers {
+		tbl.byID[l.NodeID] = ri
+		tbl.Layers[ri] = LayerStat{
+			NodeID: l.NodeID,
+			Name:   l.Name,
+			Kind:   l.Kind,
 			MeanMs: sums[ri] / float64(p.proto.TimedRuns),
-		})
+		}
 	}
 	return tbl
 }

@@ -84,7 +84,9 @@ func alphaString(alpha float64) string {
 // going below 90% of the unrounded value — the channel-rounding rule the
 // MobileNet family uses for width multipliers.
 func makeDivisible(v float64, divisor int) int {
-	n := int(v+float64(divisor)/2) / divisor * divisor
+	// float64(v) rounds a caller's inlined c*alpha before the add, so
+	// no build fuses it into a multiply-add and shifts a channel count.
+	n := int(float64(v)+float64(divisor)/2) / divisor * divisor
 	if n < divisor {
 		n = divisor
 	}

@@ -39,6 +39,17 @@ OUT="$OUT_DIR/BENCH_${DATE}_${COMMIT:0:7}.json"
 RAW="$(go test -run '^$' -bench 'SelectEndToEnd|Planner|Gateway|State|Fig|Tab|Abl' \
   -benchtime="$BENCHTIME" -benchmem . | grep -E '^Benchmark')"
 
+# Every layer benchmark under internal/ too (DecodeRequest, Profile,
+# InferProfiledAdd, ...), each name prefixed by its package path
+# ("internal/gateway.BenchmarkDecodeRequest/graph") so two packages'
+# benchmarks of one name stay apart. Root benchmarks keep their bare
+# names, which earlier BENCH files compare against.
+MODULE="$(go list -m)"
+LAYERS="$(go test -run '^$' -bench . -benchtime="$BENCHTIME" -benchmem ./internal/... |
+  awk -v mod="$MODULE/" '/^pkg: /{pkg = substr($2, length(mod) + 1)} /^Benchmark/{$1 = pkg "." $1; print}')"
+RAW="$RAW
+$LAYERS"
+
 {
   echo "{"
   echo "  \"date\": \"${DATE}\","
