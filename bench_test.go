@@ -222,6 +222,56 @@ func BenchmarkPlannerSelectWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkPlannerSelectPhases splits a planner request into the
+// phases its Request.Trace callback reports and records each phase's
+// mean as a metric (measure_ms, estimate_ms, explore_ms), so the
+// cold/warm phase split is a tracked number rather than a one-off
+// profile. "cold" is BenchmarkPlannerSelectCold's request (a fresh
+// Planner, cut cache purged); "warm" is BenchmarkPlannerSelectWarm's
+// (one Planner, the same request again).
+func BenchmarkPlannerSelectPhases(b *testing.B) {
+	g, err := NetworkByName("ResNet-50")
+	if err != nil {
+		b.Fatal(err)
+	}
+	newPlanner := func(b *testing.B) *Planner {
+		p, err := NewPlanner(PlannerConfig{Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p
+	}
+	run := func(b *testing.B, next func() *Planner) {
+		phases := map[string]time.Duration{}
+		req := PlanRequest{Graph: g, DeadlineMs: 0.9, Trace: func(phase string, start, end time.Time) {
+			phases[phase] += end.Sub(start)
+		}}
+		n := 0
+		for b.Loop() {
+			if _, err := next().Select(req); err != nil {
+				b.Fatal(err)
+			}
+			n++
+		}
+		for _, phase := range []string{"measure", "estimate", "explore"} {
+			b.ReportMetric(float64(phases[phase])/float64(time.Millisecond)/float64(n), phase+"_ms")
+		}
+	}
+	b.Run("cold", func(b *testing.B) {
+		run(b, func() *Planner {
+			trim.PurgeCutCache()
+			return newPlanner(b)
+		})
+	})
+	b.Run("warm", func(b *testing.B) {
+		p := newPlanner(b)
+		if _, err := p.Select(PlanRequest{Graph: g, DeadlineMs: 0.9}); err != nil {
+			b.Fatal(err)
+		}
+		run(b, func() *Planner { return p })
+	})
+}
+
 // BenchmarkPlannerSelectRestoredCold measures the restart path the
 // warm-state snapshot exists for: a fresh Planner (cold process, cut
 // cache purged) restores a snapshot written by a warmed planner, then

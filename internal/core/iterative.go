@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"netcut/internal/graph"
 	"netcut/internal/trim"
 )
 
@@ -18,8 +19,8 @@ func IterativeExplore(cands []Candidate, deadlineMs float64, rt Retrainer, measu
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("netcut: no candidate networks")
 	}
-	if deadlineMs <= 0 {
-		return nil, fmt.Errorf("netcut: non-positive deadline %v", deadlineMs)
+	if !(deadlineMs > 0) { // also rejects NaN
+		return nil, fmt.Errorf("netcut: deadline %v is not positive", deadlineMs)
 	}
 	if measure == nil {
 		return nil, fmt.Errorf("netcut: nil measurer")
@@ -58,13 +59,14 @@ func iterativeOne(c Candidate, deadlineMs float64, rt Retrainer, measure Measure
 	var trn *trim.TRN
 	var acc float64
 	var hours float64
+	print := graph.Fingerprint(c.Graph)
 	for lat > deadlineMs {
 		cut++
 		if cut > c.Graph.BlockCount() {
 			return Proposal{}, false, nil
 		}
 		var err error
-		trn, err = trim.CutScoped(c.CacheScope, c.Graph, cut, head)
+		trn, err = trim.CutFingerprinted(c.CacheScope, c.Graph, print, cut, head)
 		if err != nil {
 			return Proposal{}, false, err
 		}
@@ -83,7 +85,7 @@ func iterativeOne(c Candidate, deadlineMs float64, rt Retrainer, measure Measure
 	if cut == 0 {
 		p.Accuracy = c.Accuracy
 		var err error
-		p.TRN, err = trim.CutScoped(c.CacheScope, c.Graph, 0, head)
+		p.TRN, err = trim.CutFingerprinted(c.CacheScope, c.Graph, print, 0, head)
 		if err != nil {
 			return Proposal{}, false, err
 		}

@@ -97,8 +97,8 @@ func Explore(cands []Candidate, deadlineMs float64, est estimate.Estimator, rt R
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("netcut: no candidate networks")
 	}
-	if deadlineMs <= 0 {
-		return nil, fmt.Errorf("netcut: non-positive deadline %v", deadlineMs)
+	if !(deadlineMs > 0) { // also rejects NaN
+		return nil, fmt.Errorf("netcut: deadline %v is not positive", deadlineMs)
 	}
 	for _, c := range cands {
 		if c.Graph == nil {
@@ -147,13 +147,16 @@ func exploreOne(c Candidate, deadlineMs float64, est estimate.Estimator, rt Retr
 	cut := 0
 	var trn *trim.TRN
 	iters := 1
+	// Every cut of this candidate shares one parent, so it is hashed
+	// once here rather than once per cut.
+	print := graph.Fingerprint(c.Graph)
 	for estMs > deadlineMs {
 		cut++
 		if cut > c.Graph.BlockCount() {
 			return Proposal{}, false, nil
 		}
 		var err error
-		trn, err = trim.CutScoped(c.CacheScope, c.Graph, cut, head)
+		trn, err = trim.CutFingerprinted(c.CacheScope, c.Graph, print, cut, head)
 		if err != nil {
 			return Proposal{}, false, err
 		}
@@ -170,7 +173,7 @@ func exploreOne(c Candidate, deadlineMs float64, est estimate.Estimator, rt Retr
 		// retraining needed, its accuracy is known (Algorithm 1 input).
 		p.Accuracy = c.Accuracy
 		var err error
-		p.TRN, err = trim.CutScoped(c.CacheScope, c.Graph, 0, head)
+		p.TRN, err = trim.CutFingerprinted(c.CacheScope, c.Graph, print, 0, head)
 		if err != nil {
 			return Proposal{}, false, err
 		}

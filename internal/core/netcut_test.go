@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -26,7 +27,7 @@ type stack struct {
 
 var sharedStack *stack
 
-func getStack(t *testing.T) *stack {
+func getStack(t testing.TB) *stack {
 	t.Helper()
 	if sharedStack != nil {
 		return sharedStack
@@ -68,7 +69,7 @@ func (s *stack) profilerEst() estimate.Estimator {
 	return estimate.NewProfilerEstimator(s.tables)
 }
 
-func (s *stack) analyticalEst(t *testing.T) estimate.Estimator {
+func (s *stack) analyticalEst(t testing.TB) estimate.Estimator {
 	t.Helper()
 	train, _ := estimate.StratifiedSplit(s.samples, 0.2, 1)
 	e, err := estimate.TrainAnalytical(train, estimate.AnalyticalConfig{Seed: 1})
@@ -205,8 +206,10 @@ func TestExploreInputValidation(t *testing.T) {
 	if _, err := Explore(nil, deadline, s.profilerEst(), s.rt, trim.DefaultHead); err == nil {
 		t.Fatal("empty candidates accepted")
 	}
-	if _, err := Explore(s.cands, -1, s.profilerEst(), s.rt, trim.DefaultHead); err == nil {
-		t.Fatal("negative deadline accepted")
+	for _, d := range []float64{-1, 0, math.NaN(), math.Inf(-1)} {
+		if _, err := Explore(s.cands, d, s.profilerEst(), s.rt, trim.DefaultHead); err == nil {
+			t.Fatalf("deadline %v accepted", d)
+		}
 	}
 	if _, err := Explore([]Candidate{{}}, deadline, s.profilerEst(), s.rt, trim.DefaultHead); err == nil {
 		t.Fatal("nil graph accepted")
@@ -315,8 +318,10 @@ func TestIterativeExploreValidation(t *testing.T) {
 	if _, err := IterativeExplore(nil, deadline, s.rt, measure, trim.DefaultHead); err == nil {
 		t.Fatal("empty candidates accepted")
 	}
-	if _, err := IterativeExplore(s.cands, 0, s.rt, measure, trim.DefaultHead); err == nil {
-		t.Fatal("zero deadline accepted")
+	for _, d := range []float64{-1, 0, math.NaN(), math.Inf(-1)} {
+		if _, err := IterativeExplore(s.cands, d, s.rt, measure, trim.DefaultHead); err == nil {
+			t.Fatalf("deadline %v accepted", d)
+		}
 	}
 	if _, err := IterativeExplore(s.cands, deadline, s.rt, nil, trim.DefaultHead); err == nil {
 		t.Fatal("nil measurer accepted")

@@ -47,20 +47,16 @@ func BlockwiseSweep(cands []Candidate, rt Retrainer, measure Measurer, head trim
 	var entries []SweepEntry
 	var todo []int // indices of entries needing retrain+measure
 	for _, c := range cands {
-		zero, err := trim.CutScoped(c.CacheScope, c.Graph, 0, head)
+		trns, err := trim.EnumerateBlockwiseScoped(c.CacheScope, c.Graph, head, true)
 		if err != nil {
 			return nil, err
 		}
 		entries = append(entries, SweepEntry{
-			TRN:        zero,
+			TRN:        trns[0],
 			Accuracy:   c.Accuracy,
 			MeasuredMs: c.MeasuredMs,
 		})
-		trns, err := trim.EnumerateBlockwiseScoped(c.CacheScope, c.Graph, head, false)
-		if err != nil {
-			return nil, err
-		}
-		for _, tr := range trns {
+		for _, tr := range trns[1:] {
 			todo = append(todo, len(entries))
 			entries = append(entries, SweepEntry{TRN: tr})
 		}

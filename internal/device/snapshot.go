@@ -112,6 +112,18 @@ func buildPlanEntries(entries []PlanState) ([]lru.Entry[uint64, *planInfo], erro
 			info.rowTmpl[ki] = tmpl
 			info.rows += len(rows)
 		}
+		// A plan has one row per non-input node, so its node IDs are
+		// distinct and at most its row count; the per-layer tables
+		// profiled from it index rows by node ID on that basis.
+		seen := make([]bool, info.rows+1)
+		for ki, tmpl := range info.rowTmpl {
+			for _, r := range tmpl {
+				if r.nodeID < 0 || r.nodeID > info.rows || seen[r.nodeID] {
+					return nil, fmt.Errorf("device: plan entry %d: kernel %d: node %d repeated or out of range [0,%d]", i, ki, r.nodeID, info.rows)
+				}
+				seen[r.nodeID] = true
+			}
+		}
 		for ki, b := range info.baseMs {
 			if !isFinite(b) || b < 0 {
 				return nil, fmt.Errorf("device: plan entry %d: kernel %d: bad steady-state time %v", i, ki, b)

@@ -18,7 +18,6 @@ package estimate
 import (
 	"fmt"
 
-	"netcut/internal/graph"
 	"netcut/internal/profiler"
 	"netcut/internal/trim"
 )
@@ -52,34 +51,40 @@ func (e *ProfilerEstimator) Name() string { return "profiler" }
 //	Latency(TRN_n) = Latency(Net_0) * (1 - sum(removed) / sum(all))
 //
 // where the sums run over the parent's feature layers (classification
-// layers excluded) in the profiled table.
+// layers excluded) in the profiled table. sum(all) is the same for
+// every cut of a parent, so the table computes it once
+// (profiler.Table.FeatureSumMs) and a cut costs O(removed layers).
 func (e *ProfilerEstimator) EstimateMs(t *trim.TRN) (float64, error) {
-	tbl, ok := e.tables[t.Parent.Name]
-	if !ok {
-		return 0, fmt.Errorf("estimate: no profile table for %q", t.Parent.Name)
+	tbl, removed, err := e.removedMs(t)
+	if err != nil {
+		return 0, err
 	}
-	var all, removed float64
-	for _, n := range t.Parent.Nodes {
-		if n.Head || n.Kind == graph.OpInput {
-			continue
-		}
-		ms, ok := tbl.LayerMs(n.ID)
-		if !ok {
-			return 0, fmt.Errorf("estimate: table for %q missing layer %d", t.Parent.Name, n.ID)
-		}
-		all += ms
-	}
-	for _, id := range t.RemovedIDs {
-		ms, ok := tbl.LayerMs(id)
-		if !ok {
-			return 0, fmt.Errorf("estimate: table for %q missing removed layer %d", t.Parent.Name, id)
-		}
-		removed += ms
+	all, err := tbl.FeatureSumMs(t.Parent)
+	if err != nil {
+		return 0, fmt.Errorf("estimate: %w", err)
 	}
 	if all <= 0 {
 		return 0, fmt.Errorf("estimate: degenerate table sum for %q", t.Parent.Name)
 	}
 	return tbl.EndToEndMs * (1 - removed/all), nil
+}
+
+// removedMs returns the table of t's parent and the sum of its
+// per-layer means over t's removed layers.
+func (e *ProfilerEstimator) removedMs(t *trim.TRN) (*profiler.Table, float64, error) {
+	tbl, ok := e.tables[t.Parent.Name]
+	if !ok {
+		return nil, 0, fmt.Errorf("estimate: no profile table for %q", t.Parent.Name)
+	}
+	var removed float64
+	for _, id := range t.RemovedIDs {
+		ms, ok := tbl.LayerMs(id)
+		if !ok {
+			return nil, 0, fmt.Errorf("estimate: table for %q missing removed layer %d", t.Parent.Name, id)
+		}
+		removed += ms
+	}
+	return tbl, removed, nil
 }
 
 // FeatureNames documents the device-agnostic feature vector order used

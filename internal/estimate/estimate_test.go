@@ -1,9 +1,12 @@
 package estimate
 
 import (
+	"math"
+	"sync"
 	"testing"
 
 	"netcut/internal/device"
+	"netcut/internal/graph"
 	"netcut/internal/metric"
 	"netcut/internal/profiler"
 	"netcut/internal/trim"
@@ -276,4 +279,57 @@ func TestEstimatesDecreaseWithCutDepth(t *testing.T) {
 		}
 		prev = est
 	}
+}
+
+// TestProfilerEstimateConcurrentFirstUse pins the memoized Eq. (1)
+// denominator: goroutines racing on a fresh table's first estimate, and
+// every later estimate, return the bits of Eq. (1) summed in full over
+// the parent's feature layers in node order. Run under -race it also
+// checks the memo is published safely.
+func TestProfilerEstimateConcurrentFirstUse(t *testing.T) {
+	g := zoo.ResNet50()
+	prof, err := profiler.New(device.New(device.Xavier()), profiler.Protocol{WarmupRuns: 5, TimedRuns: 10}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := prof.Profile(g)
+	cuts, err := trim.EnumerateBlockwise(g, trim.DefaultHead, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, len(cuts))
+	for i, c := range cuts {
+		var all, removed float64
+		for _, n := range g.Nodes {
+			if !n.Head && n.Kind != graph.OpInput {
+				ms, _ := tbl.LayerMs(n.ID)
+				all += ms
+			}
+		}
+		for _, id := range c.RemovedIDs {
+			ms, _ := tbl.LayerMs(id)
+			removed += ms
+		}
+		want[i] = tbl.EndToEndMs * (1 - removed/all)
+	}
+	est := NewProfilerEstimator(map[string]*profiler.Table{g.Name: tbl})
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range 2 * len(cuts) {
+				i := (k + 3*w) % len(cuts)
+				got, err := est.EstimateMs(cuts[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if math.Float64bits(got) != math.Float64bits(want[i]) {
+					t.Errorf("cut %d: estimate %v, want %v", i, got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

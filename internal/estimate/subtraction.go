@@ -1,10 +1,6 @@
 package estimate
 
-import (
-	"fmt"
-
-	"netcut/internal/trim"
-)
+import "netcut/internal/trim"
 
 // SubtractionEstimator is the naive alternative to Eq. (1): subtract
 // the removed layers' profiled latencies from the parent's end-to-end
@@ -28,17 +24,9 @@ func (e *SubtractionEstimator) Name() string { return "subtraction" }
 
 // EstimateMs implements Estimator.
 func (e *SubtractionEstimator) EstimateMs(t *trim.TRN) (float64, error) {
-	tbl, ok := e.inner.tables[t.Parent.Name]
-	if !ok {
-		return 0, fmt.Errorf("estimate: no profile table for %q", t.Parent.Name)
-	}
-	var removed float64
-	for _, id := range t.RemovedIDs {
-		ms, ok := tbl.LayerMs(id)
-		if !ok {
-			return 0, fmt.Errorf("estimate: table for %q missing removed layer %d", t.Parent.Name, id)
-		}
-		removed += ms
+	tbl, removed, err := e.inner.removedMs(t)
+	if err != nil {
+		return 0, err
 	}
 	est := tbl.EndToEndMs - removed
 	if est < 0 {

@@ -144,7 +144,7 @@ func FuzzBuilderFinish(f *testing.F) {
 			data = data[1:]
 			return b
 		}
-		b := graph.NewBuilder("fuzz", graph.Shape{H: int(next())%16 + 1, W: int(next())%16 + 1, C: int(next())%8 + 1}, int(next())%8 + 1)
+		b := graph.NewBuilder("fuzz", graph.Shape{H: int(next())%16 + 1, W: int(next())%16 + 1, C: int(next())%8 + 1}, int(next())%8+1)
 		x := b.Input()
 		inBlock := false
 		ops := int(next())%12 + 1

@@ -118,12 +118,12 @@ func TestResize(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	c := New[int, int](2)
-	c.Get(1)       // miss
-	c.Add(1, 1)    //
-	c.Get(1)       // hit
-	c.Add(2, 2)    //
-	c.Add(3, 3)    // evicts 1
-	c.Get(1)       // miss
+	c.Get(1)    // miss
+	c.Add(1, 1) //
+	c.Get(1)    // hit
+	c.Add(2, 2) //
+	c.Add(3, 3) // evicts 1
+	c.Get(1)    // miss
 	s := c.Stats()
 	if s.Hits != 1 || s.Misses != 2 || s.Evictions != 1 || s.Len != 2 || s.Cap != 2 {
 		t.Fatalf("stats = %+v", s)

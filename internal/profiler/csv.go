@@ -39,8 +39,9 @@ func (t *Table) WriteCSV(w io.Writer) error {
 // ReadCSV parses a table written by WriteCSV, rebuilding every row
 // field, so lookups by node ID, Eq. (1) sums and a re-written CSV match
 // the original table. It rejects tables Eq. (1) could not use: a
-// repeated node ID (SumMs would count it twice), an unknown kind, and a
-// latency that is NaN, infinite or negative.
+// repeated node ID (SumMs would count it twice), a node ID outside
+// [0, rows] (a profiled table has one row per non-input node), an
+// unknown kind, and a latency that is NaN, infinite or negative.
 func ReadCSV(network string, r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -50,7 +51,7 @@ func ReadCSV(network string, r io.Reader) (*Table, error) {
 	if len(rows) < 2 {
 		return nil, fmt.Errorf("profiler: csv too short")
 	}
-	t := &Table{Network: network, byID: map[int]int{}}
+	t := &Table{Network: network}
 	for _, rec := range rows[1:] {
 		if len(rec) != 4 {
 			return nil, fmt.Errorf("profiler: csv row has %d fields", len(rec))
@@ -70,18 +71,17 @@ func ReadCSV(network string, r io.Reader) (*Table, error) {
 			t.EndToEndMs = ms
 			continue
 		}
-		if _, dup := t.byID[id]; dup {
-			return nil, fmt.Errorf("profiler: csv node %d appears twice", id)
-		}
 		kind, ok := graph.ParseOpKind(rec[2])
 		if !ok {
 			return nil, fmt.Errorf("profiler: csv node %d: unknown kind %q", id, rec[2])
 		}
-		t.byID[id] = len(t.Layers)
 		t.Layers = append(t.Layers, LayerStat{NodeID: id, Name: rec[1], Kind: kind, MeanMs: ms})
 	}
 	if t.EndToEndMs == 0 {
 		return nil, fmt.Errorf("profiler: csv missing end_to_end summary row")
+	}
+	if err := t.indexRows(); err != nil {
+		return nil, fmt.Errorf("profiler: csv %w", err)
 	}
 	return t, nil
 }

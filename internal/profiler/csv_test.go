@@ -56,6 +56,8 @@ func TestReadCSVErrors(t *testing.T) {
 		"no summary":   "node_id,name,kind,mean_ms\n1,conv,Conv,0.1\n",
 		"wrong fields": "node_id,name,kind\n1,conv,Conv\n",
 		"duplicate id": "node_id,name,kind,mean_ms\n1,conv,Conv,0.1\n1,conv,Conv,0.1\n-1,end_to_end,,1\n",
+		"negative id":  "node_id,name,kind,mean_ms\n-2,conv,Conv,0.1\n-1,end_to_end,,1\n",
+		"id past rows": "node_id,name,kind,mean_ms\n2,conv,Conv,0.1\n-1,end_to_end,,1\n",
 		"unknown kind": "node_id,name,kind,mean_ms\n1,conv,Teleport,0.1\n-1,end_to_end,,1\n",
 		"NaN latency":  "node_id,name,kind,mean_ms\n1,conv,Conv,NaN\n-1,end_to_end,,1\n",
 		"Inf latency":  "node_id,name,kind,mean_ms\n1,conv,Conv,+Inf\n-1,end_to_end,,1\n",

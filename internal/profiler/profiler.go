@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"sync"
 
 	"netcut/internal/device"
 	"netcut/internal/graph"
@@ -65,8 +66,36 @@ type Table struct {
 	// EndToEndMs is the mean plain (non-instrumented) latency measured
 	// under the same protocol.
 	EndToEndMs float64
-	// byID indexes Layers by graph node ID.
-	byID map[int]int
+	// rows indexes Layers by graph node ID: rows[id] is the row of node
+	// id plus one, 0 when the node has no row.
+	rows []int32
+
+	// feature memoizes FeatureSumMs; the table is immutable once built,
+	// so the sum is the same on every call.
+	feature struct {
+		once sync.Once
+		ms   float64
+		err  error
+	}
+}
+
+// indexRows builds the node-ID index over Layers. A table holds one row
+// per non-input node of its network, so node IDs run 1..len(Layers)
+// (node 0 is the input) and the index is a slice as long as the table.
+// It rejects an ID outside [0, len(Layers)] and a repeated ID (SumMs
+// would count it twice).
+func (t *Table) indexRows() error {
+	t.rows = make([]int32, len(t.Layers)+1)
+	for i, l := range t.Layers {
+		if l.NodeID < 0 || l.NodeID >= len(t.rows) {
+			return fmt.Errorf("node %d out of range [0,%d]", l.NodeID, len(t.Layers))
+		}
+		if t.rows[l.NodeID] != 0 {
+			return fmt.Errorf("node %d appears twice", l.NodeID)
+		}
+		t.rows[l.NodeID] = int32(i + 1)
+	}
+	return nil
 }
 
 // SumMs returns the sum of per-layer mean latencies; due to event
@@ -82,11 +111,33 @@ func (t *Table) SumMs() float64 {
 // LayerMs returns the mean latency of the layer with the given graph
 // node ID and whether it is present.
 func (t *Table) LayerMs(nodeID int) (float64, bool) {
-	i, ok := t.byID[nodeID]
-	if !ok {
+	if nodeID < 0 || nodeID >= len(t.rows) || t.rows[nodeID] == 0 {
 		return 0, false
 	}
-	return t.Layers[i].MeanMs, true
+	return t.Layers[t.rows[nodeID]-1].MeanMs, true
+}
+
+// FeatureSumMs returns the sum of the per-layer means over g's feature
+// layers (every node but the input and the classification head), added
+// in g's node order: the denominator of Eq. (1). g must be the network
+// the table profiles. The sum is computed on the first call and reused
+// by every later one, so an explorer estimating many cuts of one
+// network pays for it once per table.
+func (t *Table) FeatureSumMs(g *graph.Graph) (float64, error) {
+	t.feature.once.Do(func() {
+		for _, n := range g.Nodes {
+			if n.Head || n.Kind == graph.OpInput {
+				continue
+			}
+			ms, ok := t.LayerMs(n.ID)
+			if !ok {
+				t.feature.err = fmt.Errorf("table for %q missing layer %d", g.Name, n.ID)
+				return
+			}
+			t.feature.ms += ms
+		}
+	})
+	return t.feature.ms, t.feature.err
 }
 
 // Profiler measures networks on a device.
@@ -237,16 +288,18 @@ func (p *Profiler) profile(g *graph.Graph) *Table {
 		Network:    g.Name,
 		EndToEndMs: endToEnd / float64(p.proto.TimedRuns),
 		Layers:     make([]LayerStat, len(layers)),
-		byID:       make(map[int]int, len(layers)),
 	}
 	for ri, l := range layers {
-		tbl.byID[l.NodeID] = ri
 		tbl.Layers[ri] = LayerStat{
 			NodeID: l.NodeID,
 			Name:   l.Name,
 			Kind:   l.Kind,
 			MeanMs: sums[ri] / float64(p.proto.TimedRuns),
 		}
+	}
+	if err := tbl.indexRows(); err != nil {
+		// The plan gives every non-input node exactly one row.
+		panic(fmt.Sprintf("profiler: profiling %s: %v", g.Name, err))
 	}
 	return tbl
 }

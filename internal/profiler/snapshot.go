@@ -145,19 +145,17 @@ func buildTableEntries(entries []TableState) ([]lru.Entry[uint64, *Table], error
 			Network:    e.Network,
 			EndToEndMs: e.EndToEndMs,
 			Layers:     make([]LayerStat, 0, len(e.Layers)),
-			byID:       make(map[int]int, len(e.Layers)),
 		}
 		for _, l := range e.Layers {
 			if !finite(l.MeanMs) || l.MeanMs < 0 {
 				return nil, fmt.Errorf("profiler: table entry %d (%s): node %d: bad latency %v", i, e.Network, l.NodeID, l.MeanMs)
 			}
-			if _, dup := tbl.byID[l.NodeID]; dup {
-				return nil, fmt.Errorf("profiler: table entry %d (%s): duplicate node %d", i, e.Network, l.NodeID)
-			}
-			tbl.byID[l.NodeID] = len(tbl.Layers)
 			tbl.Layers = append(tbl.Layers, LayerStat{
 				NodeID: l.NodeID, Name: l.Name, Kind: graph.OpKind(l.Kind), MeanMs: l.MeanMs,
 			})
+		}
+		if err := tbl.indexRows(); err != nil {
+			return nil, fmt.Errorf("profiler: table entry %d (%s): %w", i, e.Network, err)
 		}
 		ts = append(ts, lru.Entry[uint64, *Table]{Key: e.Key, Val: tbl})
 	}

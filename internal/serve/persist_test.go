@@ -283,6 +283,57 @@ func TestLoadStateIsAllOrNothing(t *testing.T) {
 	}
 }
 
+// TestLoadStateRejectsBadNodeIDs pins the node-ID rules of restored
+// plans and tables: a table indexes its rows by node ID in a slice as
+// long as the table, so a plan or table row with a repeated or
+// out-of-range node ID is rejected at load rather than trusted.
+func TestLoadStateRejectsBadNodeIDs(t *testing.T) {
+	trim.PurgeCutCache()
+	t.Cleanup(trim.PurgeCutCache)
+	warm, err := New(Config{Seed: 4, Protocol: quickProto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := warm.Select(Request{Graph: userNet(0), DeadlineMs: 0.3}); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := warm.SaveState(&snap); err != nil {
+		t.Fatal(err)
+	}
+	poisons := map[string]func(f *persist.File){
+		"plan id out of range": func(f *persist.File) { f.Planners[0].Plans[0].RowTmpl[0][0].NodeID = 1 << 30 },
+		"plan id repeated": func(f *persist.File) {
+			rows := f.Planners[0].Plans[0].RowTmpl
+			rows[1][0].NodeID = rows[0][0].NodeID
+		},
+		"table id negative":     func(f *persist.File) { f.Planners[0].Tables[0].Layers[0].NodeID = -2 },
+		"table id out of range": func(f *persist.File) { f.Planners[0].Tables[0].Layers[0].NodeID = 1 << 30 },
+		"table id repeated": func(f *persist.File) {
+			ls := f.Planners[0].Tables[0].Layers
+			ls[1].NodeID = ls[0].NodeID
+		},
+	}
+	for name, poison := range poisons {
+		f, err := persist.Decode(bytes.NewReader(snap.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		poison(f)
+		var buf bytes.Buffer
+		if err := persist.Encode(&buf, f); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := New(Config{Seed: 4, Protocol: quickProto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.LoadState(&buf); err == nil {
+			t.Errorf("%s: snapshot accepted", name)
+		}
+	}
+}
+
 // TestPoolStateRoundTrip pins pool-level persistence: a restored pool
 // answers byte-identically to the pool that wrote the snapshot on every
 // device, a subset pool restores just its own sections, and a snapshot

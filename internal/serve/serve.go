@@ -128,7 +128,8 @@ type Request struct {
 	// not be mutated after submission (the caches key on structure).
 	Graph *graph.Graph
 	// DeadlineMs is the application deadline; 0 means the prosthetic
-	// hand's 0.9 ms.
+	// hand's 0.9 ms. A negative or NaN deadline is rejected; +Inf is
+	// met by the unmodified network (cut 0).
 	DeadlineMs float64
 	// Estimator selects the latency estimator: "profiler" (default,
 	// Eq. 1 over the graph's own per-layer table), "analytical"
@@ -314,8 +315,8 @@ func (p *Planner) selectOne(req Request) (*Response, error) {
 	if deadline == 0 {
 		deadline = 0.9
 	}
-	if deadline < 0 {
-		return nil, fmt.Errorf("serve: negative deadline %v", deadline)
+	if !(deadline >= 0) { // also rejects NaN
+		return nil, fmt.Errorf("serve: deadline %v is negative or NaN", deadline)
 	}
 	// Telemetry wraps the execution from here down: validation failures
 	// above never count as executions, which is what lets the gateway's

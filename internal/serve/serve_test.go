@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -276,6 +277,47 @@ func TestPlannerRejectsInvalid(t *testing.T) {
 	}
 	if _, err := p.Select(Request{Graph: userNet(0), Estimator: "oracle"}); err == nil {
 		t.Fatal("unknown estimator accepted")
+	}
+}
+
+// TestPlannerDeadlineEdges pins Select on zero and non-finite
+// deadlines: NaN and -Inf are rejected like a negative deadline (a NaN
+// deadline used to pass both checks and plan ResNet-50/0 as feasible),
+// 0 plans exactly like the 0.9 ms default, and +Inf is met by the
+// unmodified network.
+func TestPlannerDeadlineEdges(t *testing.T) {
+	p, err := New(Config{Seed: 1, Protocol: quickProto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := zoo.ResNet50()
+	def, err := p.Select(Request{Graph: g, DeadlineMs: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name     string
+		deadline float64
+		reject   bool
+		want     func(r *Response) bool
+	}{
+		{"NaN", math.NaN(), true, nil},
+		{"-Inf", math.Inf(-1), true, nil},
+		{"zero", 0, false, func(r *Response) bool { return responseKey(r) == responseKey(def) }},
+		{"+Inf", math.Inf(1), false, func(r *Response) bool {
+			return r.Feasible && r.BlocksRemoved == 0 && r.Network == "ResNet-50/0"
+		}},
+	}
+	for _, c := range cases {
+		r, err := p.Select(Request{Graph: g, DeadlineMs: c.deadline})
+		switch {
+		case c.reject && err == nil:
+			t.Errorf("%s: accepted, planned %s (feasible %v)", c.name, r.Network, r.Feasible)
+		case !c.reject && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case !c.reject && !c.want(r):
+			t.Errorf("%s: planned %+v", c.name, responseKey(r))
+		}
 	}
 }
 

@@ -225,17 +225,24 @@ type Result struct {
 }
 
 // Simulator produces retraining results for TRNs. It is safe for
-// concurrent use: the profile table and boundary memos are guarded by
-// one mutex, and every result is a pure function of (seed, network,
-// cut), so concurrent callers in any interleaving observe the same
-// accuracies a serial run would.
+// concurrent use: the profile table and the boundary and noise memos
+// are guarded by one mutex, and every result is a pure function of
+// (seed, network, cut), so concurrent callers in any interleaving
+// observe the same accuracies a serial run would.
 type Simulator struct {
 	cost TrainCost
 	seed int64
 
 	mu         sync.Mutex
 	profiles   map[string]*Profile
-	boundaries map[string][]int // cumulative layers removed per blockwise cutpoint
+	boundaries map[string][]int     // cumulative layers removed per blockwise cutpoint
+	normals    map[noiseKey]float64 // standard-normal retraining draw (see noise)
+}
+
+// noiseKey identifies one retraining-noise draw.
+type noiseKey struct {
+	network string
+	removed int
 }
 
 // NewSimulator returns a Simulator over the paper profiles plus the
@@ -251,6 +258,7 @@ func NewSimulator(seed int64) *Simulator {
 		cost:       K20mCost(),
 		seed:       seed,
 		boundaries: map[string][]int{},
+		normals:    map[noiseKey]float64{},
 	}
 }
 
@@ -337,13 +345,12 @@ func (s *Simulator) blockBoundaries(t *trim.TRN) ([]int, error) {
 	if b, ok := s.boundaries[t.Parent.Name]; ok {
 		return b, nil
 	}
-	nb := t.Parent.BlockCount()
-	bounds := make([]int, nb+1)
-	for c := 0; c <= nb; c++ {
-		cut, err := trim.Cut(t.Parent, c, trim.DefaultHead)
-		if err != nil {
-			return nil, fmt.Errorf("transfer: boundary table for %s: %w", t.Parent.Name, err)
-		}
+	cuts, err := trim.EnumerateBlockwise(t.Parent, trim.DefaultHead, true)
+	if err != nil {
+		return nil, fmt.Errorf("transfer: boundary table for %s: %w", t.Parent.Name, err)
+	}
+	bounds := make([]int, len(cuts))
+	for c, cut := range cuts {
 		bounds[c] = cut.LayersRemoved
 	}
 	s.boundaries[t.Parent.Name] = bounds
@@ -352,12 +359,24 @@ func (s *Simulator) blockBoundaries(t *trim.TRN) ([]int, error) {
 
 // noise returns the deterministic retraining perturbation for a TRN:
 // same (seed, network, layers removed) always trains to the same
-// accuracy, mimicking a fixed training seed.
+// accuracy, mimicking a fixed training seed. Seeding a math/rand source
+// costs far more than the rest of a retrain, so the standard-normal
+// draw is memoized per (network, layers removed); a concurrent miss
+// draws the identical value.
 func (s *Simulator) noise(network string, removed int, sigma float64) float64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%s|%d", s.seed, network, removed)
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
-	return sigma * rng.NormFloat64()
+	k := noiseKey{network: network, removed: removed}
+	s.mu.Lock()
+	z, ok := s.normals[k]
+	s.mu.Unlock()
+	if !ok {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%d|%s|%d", s.seed, network, removed)
+		z = rand.New(rand.NewSource(int64(h.Sum64()))).NormFloat64()
+		s.mu.Lock()
+		s.normals[k] = z
+		s.mu.Unlock()
+	}
+	return sigma * z
 }
 
 // Accuracy returns the retrained accuracy of a TRN without the cost

@@ -2,6 +2,7 @@ package transfer
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -287,4 +288,56 @@ func TestAccuracyMonotoneProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestAccuracyConcurrentFirstUse pins the memoized retraining noise:
+// goroutines racing on a fresh simulator's first draws, and every later
+// call, return the bits a serial simulator's first calls return, for
+// blockwise and within-block cuts alike. Run under -race it also checks
+// the noise and boundary memos are guarded.
+func TestAccuracyConcurrentFirstUse(t *testing.T) {
+	g := zoo.ResNet50()
+	blockwise, err := trim.EnumerateBlockwise(g, trim.DefaultHead, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exhaustive, err := trim.EnumerateExhaustive(g, trim.DefaultHead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cuts := append(blockwise, exhaustive...)
+	ref := NewSimulator(9)
+	want := make([]float64, len(cuts))
+	for i, c := range cuts {
+		if want[i], err = ref.Accuracy(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantOTS, err := ref.OffTheShelfAccuracy(g.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := NewSimulator(9)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range 2 * len(cuts) {
+				i := (k + 7*w) % len(cuts)
+				got, err := sim.Accuracy(cuts[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if math.Float64bits(got) != math.Float64bits(want[i]) {
+					t.Errorf("%s: accuracy %v, want %v", cuts[i].Graph.Name, got, want[i])
+				}
+			}
+			if got, err := sim.OffTheShelfAccuracy(g.Name); err != nil || math.Float64bits(got) != math.Float64bits(wantOTS) {
+				t.Errorf("off-the-shelf accuracy %v (%v), want %v", got, err, wantOTS)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -154,6 +154,14 @@ func Cut(g *graph.Graph, blocks int, head HeadSpec) (*TRN, error) {
 // every target, so sharing them across a pool is cache reuse, not
 // cross-device leakage.
 func CutScoped(scope uint64, g *graph.Graph, blocks int, head HeadSpec) (*TRN, error) {
+	return CutFingerprinted(scope, g, graph.Fingerprint(g), blocks, head)
+}
+
+// CutFingerprinted is CutScoped for a caller that already holds g's
+// structural fingerprint (print must equal graph.Fingerprint(g)).
+// Hashing the parent costs more than a cache hit, so a loop over one
+// parent's cuts fingerprints it once and passes it to every cut.
+func CutFingerprinted(scope uint64, g *graph.Graph, print uint64, blocks int, head HeadSpec) (*TRN, error) {
 	// Fault site (no-op unless a test armed it): a panic deep in the
 	// planning layer stack, fired before the cache lookup so a poison
 	// graph re-panics on every attempt rather than only on its first.
@@ -161,7 +169,7 @@ func CutScoped(scope uint64, g *graph.Graph, blocks int, head HeadSpec) (*TRN, e
 	if err := head.validate(); err != nil {
 		return nil, err
 	}
-	key := cutKey{scope: scope, parent: graph.Fingerprint(g), at: blocks, blockwise: true, head: head}
+	key := cutKey{scope: scope, parent: print, at: blocks, blockwise: true, head: head}
 	if v, ok := cutCache.Get(key); ok {
 		return v, nil
 	}
@@ -292,8 +300,9 @@ func EnumerateBlockwiseScoped(scope uint64, g *graph.Graph, head HeadSpec, inclu
 	if includeZero {
 		start = 0
 	}
+	print := graph.Fingerprint(g)
 	for c := start; c <= g.BlockCount(); c++ {
-		t, err := CutScoped(scope, g, c, head)
+		t, err := CutFingerprinted(scope, g, print, c, head)
 		if err != nil {
 			return nil, err
 		}
