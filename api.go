@@ -334,16 +334,15 @@ func NewPlannerPool(cfg PoolConfig) (*PlannerPool, error) { return serve.NewPool
 // work level by level: prewarming pauses, the batch window shrinks,
 // trace-ring retention is sampled, and at level 2 only byte-cache hits
 // and coalesce joins are admitted while cold misses are shed
-// pre-execution with backlog-honest Retry-After hints. Per-lane
-// execution concurrency adapts by AIMD between 1 and the configured
-// workers. Requests that prefer a degraded answer over a rejection set
-// "allow_degraded": true in the body: a budget-infeasible or
-// unhealthy-device request then falls back deterministically to the
-// fastest healthy device and returns its plan with "degraded": true
-// and a "degraded_reason" ("budget_infeasible" or "unhealthy_device")
-// spliced in at write time — the body is byte-identical to the
-// explicit spelling of the fallback target modulo trace_id and those
-// markers (strip them with StripDegraded / StripTraceID).
+// pre-execution with backlog-honest Retry-After hints. Requests that
+// prefer a degraded answer over a rejection set "allow_degraded": true
+// in the body: a budget-infeasible or unhealthy-device request then
+// falls back deterministically to the fastest healthy device and
+// returns its plan with "degraded": true and a "degraded_reason"
+// ("budget_infeasible" or "unhealthy_device") spliced in at write
+// time — the body is byte-identical to the explicit spelling of the
+// fallback target modulo trace_id and those markers (strip them with
+// StripDegraded / StripTraceID).
 // See the gateway package comment's "Overload" section.
 //
 // Every request is traced: the response carries the trace ID in the

@@ -67,11 +67,9 @@
 // sheds optional work first: prewarming pauses, the batch window
 // shrinks, trace retention is sampled, and at level 2 only cached
 // responses and coalesce joins are served while cold misses get 429s
-// with backlog-honest Retry-After hints. Per-lane execution
-// concurrency adapts by AIMD between 1 and the configured workers.
-// Clients that prefer a degraded answer over a rejection can set
-// "allow_degraded": true in the request body — see the gateway package
-// documentation.
+// with backlog-honest Retry-After hints. Clients that prefer a
+// degraded answer over a rejection can set "allow_degraded": true in
+// the request body — see the gateway package documentation.
 //
 // Signals: the first SIGINT/SIGTERM starts the graceful drain; a second
 // one forces exit(1) immediately, logging which drain phase was in
@@ -113,7 +111,7 @@ func run() int {
 		queue        = flag.Int("queue", 0, "admission queue depth (0 = default)")
 		batch        = flag.Int("batch", 0, "max requests per batched planner pass (0 = default)")
 		batchWindow  = flag.Duration("batch-window", 0, "how long a worker holds a drained burst open for staggered arrivals (0 = no window)")
-		workers      = flag.Int("workers", 0, "batch worker goroutines (0 = default)")
+		workers      = flag.Int("workers", 0, "batch worker goroutines, split evenly across devices with at least one per device: devices x max(1, workers/devices) run (0 = default 2)")
 		maxBody      = flag.Int64("max-body", 0, "request body size limit in bytes (0 = default, negative = unlimited)")
 		shedMin      = flag.Int("shed-min-samples", 0, "warm executions required before budget shedding activates (0 = default)")
 		byteCache    = flag.Int("byte-cache", netcut.DefaultByteCacheCap, "rendered-response byte cache entries (0 = disabled)")

@@ -262,9 +262,8 @@
 // level is a pure function of the current signals, so it returns to
 // normal within one interval of the load going away (the drift EWMA,
 // the one signal with memory, halves each tick while its lane is
-// idle). Each lane's execution parallelism adapts by AIMD between 1
-// and its configured worker count: +1 per pass while latency tracks
-// the device's warm p99, halved on containment events.
+// idle). Each lane runs its full per-lane worker count of concurrent
+// passes, so the hint's worker count is exact.
 //
 // Requests may opt into degraded serving with "allow_degraded": true:
 // instead of a budget_too_small or device_unhealthy rejection, the

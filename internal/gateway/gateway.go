@@ -86,10 +86,9 @@
 // Overload control & degraded serving: a closed-loop controller
 // (Config.OverloadInterval) publishes a load level that
 // deterministically sheds optional work — down to serving only
-// byte-cache hits and coalesce joins at level 2 — each lane's
-// execution parallelism adapts by AIMD, and requests may opt into
-// degraded fallback routing with "allow_degraded": true. See the
-// package comment in overload.go for the ladder and its signals.
+// byte-cache hits and coalesce joins at level 2 — and requests may
+// opt into degraded fallback routing with "allow_degraded": true. See
+// the package comment in overload.go for the ladder and its signals.
 //
 // Warm-state persistence: POST /v1/state/save (enabled by
 // Config.StatePath) snapshots every planner's caches to disk via
@@ -162,8 +161,11 @@ type Config struct {
 	// single planner pass. 0 means DefaultBatchMax.
 	BatchMax int
 	// Workers is the total number of batch workers, divided evenly
-	// across the per-device lanes (minimum 1 each) so no device is ever
-	// without a worker. 0 means DefaultWorkers.
+	// across the per-device lanes with at least one worker per lane, so
+	// no device is ever without a worker: devices x max(1,
+	// Workers/devices) goroutines run, each executing its own planner
+	// passes. The default of 2 over the 4-device registry runs 4.
+	// 0 means DefaultWorkers.
 	Workers int
 	// StatePath enables warm-state persistence: POST /v1/state/save
 	// atomically writes the pool's snapshot there (and cmd/netserve
@@ -258,13 +260,6 @@ type Config struct {
 	// (level 1). 0 (the default) disables both memory signals; negative
 	// is a configuration error.
 	HeapLimitBytes int64
-	// BrownoutQueueFrac and EmergencyQueueFrac are the lane-backlog
-	// thresholds of the load ladder, as fractions of a lane's queue
-	// capacity: the fullest lane at or past the brownout fraction holds
-	// the level at 1, past the emergency fraction at 2. 0 means the
-	// defaults (0.5 and 0.9); out of (0, 1] is a configuration error.
-	BrownoutQueueFrac  float64
-	EmergencyQueueFrac float64
 
 	// SlowTraceMs emits a structured log/slog line (on SlowLog, or the
 	// process default logger) for every request whose end-to-end trace
@@ -317,11 +312,6 @@ const (
 	// ~100ms, slow enough that a tick's few atomic reads never register
 	// against the request path.
 	DefaultOverloadInterval = 100 * time.Millisecond
-	// DefaultBrownoutQueueFrac / DefaultEmergencyQueueFrac are the lane
-	// backlog thresholds of the load ladder: half-full lanes start the
-	// brownout, near-full lanes declare the emergency.
-	DefaultBrownoutQueueFrac  = 0.5
-	DefaultEmergencyQueueFrac = 0.9
 
 	// quarantineCap bounds the panic-count LRU: big enough to hold a
 	// burst of distinct poison keys, small enough that the quarantine
@@ -367,17 +357,6 @@ func (c *Config) fill() error {
 	if c.HeapLimitBytes < 0 {
 		return fmt.Errorf("negative HeapLimitBytes %d", c.HeapLimitBytes)
 	}
-	for _, k := range []struct {
-		name string
-		val  float64
-	}{
-		{"BrownoutQueueFrac", c.BrownoutQueueFrac},
-		{"EmergencyQueueFrac", c.EmergencyQueueFrac},
-	} {
-		if k.val < 0 || k.val > 1 {
-			return fmt.Errorf("%s %v outside (0, 1]", k.name, k.val)
-		}
-	}
 	if c.AutosaveInterval > 0 && c.StatePath == "" {
 		return fmt.Errorf("AutosaveInterval requires a StatePath")
 	}
@@ -418,12 +397,6 @@ func (c *Config) fill() error {
 	// default, negative means disabled.
 	if c.OverloadInterval == 0 {
 		c.OverloadInterval = DefaultOverloadInterval
-	}
-	if c.BrownoutQueueFrac == 0 {
-		c.BrownoutQueueFrac = DefaultBrownoutQueueFrac
-	}
-	if c.EmergencyQueueFrac == 0 {
-		c.EmergencyQueueFrac = DefaultEmergencyQueueFrac
 	}
 	return nil
 }
@@ -522,19 +495,15 @@ type lane struct {
 	queue     chan *call
 	shedQueue *telemetry.Counter // queue_full sheds on this lane
 
-	// AIMD execution-concurrency limit (see overload.go): workers
-	// acquire a slot before running a planner pass. execLimit moves
-	// between 1 and the configured per-lane worker count — additive
-	// increase while observed pass latency tracks the warm p99,
-	// multiplicative decrease on containment events — and execEwmaMs is
-	// the smoothed observed pass latency the overload controller reads
-	// as its warm-p99 drift signal. All guarded by execMu.
-	execMu        sync.Mutex
-	execCond      *sync.Cond
-	execLimit     int
-	execActive    int
-	execEwmaMs    float64
-	aimdDecreases *telemetry.Counter
+	// busy counts the lane's workers holding dequeued calls, from the
+	// first dequeue through the batch window to delivery; the overload
+	// controller decays the drift signal only while it is 0 and the
+	// queue is empty (see overload.go).
+	busy atomic.Int32
+	// execEwmaMs is the smoothed observed pass latency the overload
+	// controller reads as its warm-p99 drift signal, guarded by ewmaMu.
+	ewmaMu     sync.Mutex
+	execEwmaMs float64
 }
 
 // Gateway is the serving layer. Construct with New, expose Handler on
@@ -777,21 +746,10 @@ func New(cfg Config) (*Gateway, error) {
 			queue:   make(chan *call, g.laneQueueCap),
 			shedQueue: reg.CounterWith("netcut_gateway_shed_queue_full_total",
 				"requests shed because the device's admission lane was full", labels),
-			execLimit: g.laneWorkers,
-			aimdDecreases: reg.CounterWith("netcut_gateway_aimd_decreases_total",
-				"multiplicative decreases of the lane's AIMD execution-concurrency limit", labels),
 		}
-		l.execCond = sync.NewCond(&l.execMu)
 		reg.GaugeFuncWith("netcut_gateway_queue_depth",
 			"requests waiting in the device's admission lane", labels,
 			func() float64 { return float64(len(l.queue)) })
-		reg.GaugeFuncWith("netcut_gateway_lane_concurrency",
-			"current AIMD execution-concurrency limit of the device's lane", labels,
-			func() float64 {
-				l.execMu.Lock()
-				defer l.execMu.Unlock()
-				return float64(l.execLimit)
-			})
 		g.lanes[name] = l
 		g.health[name] = &deviceHealth{device: name}
 		g.panicsByDev[name] = reg.CounterWith("netcut_gateway_panics_total",
@@ -1376,6 +1334,7 @@ func quarantineKey(k coalesceKey) coalesceKey {
 func (g *Gateway) worker(l *lane) {
 	defer g.workers.Done()
 	for first := range l.queue {
+		l.busy.Add(1)
 		// The yield lets the rest of a concurrent burst reach admission
 		// before this pass executes: arrivals for the same key join the
 		// in-flight call (coalesce), compatible distinct ones land in
@@ -1434,14 +1393,9 @@ func (g *Gateway) worker(l *lane) {
 			}
 		}
 		if len(live) > 0 {
-			// The AIMD slot bounds how many of this lane's workers run
-			// planner passes concurrently; the queue stays drained by
-			// everyone, so admission behavior is unchanged — only the
-			// execution parallelism adapts.
-			l.acquireExec()
 			g.execute(live)
-			l.releaseExec()
 		}
+		l.busy.Add(-1)
 	}
 }
 
@@ -1594,7 +1548,7 @@ func (g *Gateway) executeGroup(dev string, calls []*call) {
 				g.deliverPanic(c, sres)
 			default:
 				g.deviceOK(dev)
-				g.laneAIMDIncrease(dev, float64(c.execEndAt.Sub(c.execStartAt))/float64(time.Millisecond))
+				g.observePass(dev, c.execEndAt.Sub(c.execStartAt))
 				g.deliverResult(c, sres.resps[0], sres.errs[0])
 			}
 		}
@@ -1602,7 +1556,7 @@ func (g *Gateway) executeGroup(dev string, calls []*call) {
 		g.deliverPanic(calls[0], res)
 	default:
 		g.deviceOK(dev)
-		g.laneAIMDIncrease(dev, float64(execEnd.Sub(execStart))/float64(time.Millisecond))
+		g.observePass(dev, execEnd.Sub(execStart))
 		for i, c := range calls {
 			g.deliverResult(c, res.resps[i], res.errs[i])
 		}
@@ -1679,10 +1633,6 @@ func (g *Gateway) notePanicKey(k coalesceKey) {
 // against a device; crossing Config.UnhealthyAfter consecutive events
 // trips it unhealthy and starts the probe loop that will restore it.
 func (g *Gateway) deviceFault(dev string) {
-	// Containment events are the AIMD limit's multiplicative-decrease
-	// trigger: a panicking or wedging device should immediately see
-	// less concurrent pressure, even with health tracking disabled.
-	g.laneAIMDDecrease(dev)
 	if g.cfg.UnhealthyAfter < 0 {
 		return
 	}

@@ -7,10 +7,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"netcut/internal/device"
+	"netcut/internal/faultinject"
 	"netcut/internal/persist"
 	"netcut/internal/serve"
 	"netcut/internal/trim"
@@ -116,6 +118,72 @@ func TestGatewayLaneCapsDivide(t *testing.T) {
 	if gs.laneQueueCap != 1 || gs.laneWorkers != 1 {
 		t.Fatalf("small lane caps %d/%d, want 1/1", gs.laneQueueCap, gs.laneWorkers)
 	}
+}
+
+// TestGatewayLaneRunsWorkersConcurrently pins that a lane's
+// parallelism is its configured worker count, fixed: with two workers
+// per lane, two distinct graphs sent to one device both enter their
+// planner passes before either may finish — and still do right after
+// a contained panic on that device, which the queue-full and emergency
+// Retry-After hints rely on.
+func TestGatewayLaneRunsWorkersConcurrently(t *testing.T) {
+	defer faultinject.Reset()
+	cfg := quickConfig(22)
+	cfg.Devices = []device.Config{device.Xavier(), device.EdgeCPU()}
+	cfg.Workers = 2 * len(cfg.Devices)
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustShutdown(t, g)
+	if g.laneWorkers != 2 {
+		t.Fatalf("%d workers per lane, want 2", g.laneWorkers)
+	}
+
+	var mu sync.Mutex
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 4)
+	g.testHookBatch = func(dev string, _ int) {
+		if dev != "sim-xavier" {
+			return
+		}
+		mu.Lock()
+		ch := gate
+		mu.Unlock()
+		entered <- struct{}{}
+		<-ch
+	}
+	concurrent := func(phase string, a, b int) {
+		t.Helper()
+		results := make(chan *httptest.ResponseRecorder, 2)
+		for _, i := range []int{a, b} {
+			go func() { results <- post(g, graphBody(t, userNet(i), 0.35, "")) }()
+			select {
+			case <-entered:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s: pass for graph %d never started while another pass held the lane", phase, i)
+			}
+		}
+		mu.Lock()
+		close(gate)
+		mu.Unlock()
+		for range 2 {
+			if rec := <-results; rec.Code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", phase, rec.Code, rec.Body.String())
+			}
+		}
+	}
+	concurrent("fresh lane", 0, 1)
+
+	faultinject.Arm(faultinject.TrimPanic, "poison-parallel", 0)
+	if rec := post(g, graphBody(t, poisonNet(2, "poison-parallel"), 0.35, "")); rec.Code != http.StatusInternalServerError {
+		t.Fatalf("poison request: status %d: %s", rec.Code, rec.Body.String())
+	}
+	<-entered // the poison pass crossed the (open) gate
+	mu.Lock()
+	gate = make(chan struct{})
+	mu.Unlock()
+	concurrent("after a contained panic", 3, 4)
 }
 
 // TestGatewayStateSaveEndpoint pins the admin persistence surface:

@@ -25,15 +25,14 @@ package gateway
 // with memory, the per-lane exec-latency EWMA, decays while its lane
 // is idle: it only collects samples when passes run, so without decay
 // a single slow cold pass would hold an otherwise idle gateway in
-// brownout with nothing left to pull the average back down.
+// brownout with nothing left to pull the average back down. A lane
+// counts as busy from the moment a worker dequeues a call, so a pass
+// waiting out its batch window keeps its EWMA.
 //
-// Alongside the ladder, each lane's execution parallelism adapts by
-// AIMD (laneAIMDIncrease / laneAIMDDecrease): workers acquire a slot
-// from a limit that grows by one while observed pass latency tracks
-// the warm p99 and halves on containment events, floored at 1 and
-// capped at the configured per-lane worker count. Like every admission
-// mechanism in this repository, overload control decides where and
-// when executions run — never what any execution returns.
+// A lane's parallelism is its per-lane worker count, fixed: that is
+// what the backlog-honest Retry-After hints assume. Like every admission mechanism in this repository,
+// overload control decides where and when executions run — never what
+// any execution returns.
 
 import (
 	"time"
@@ -56,6 +55,12 @@ const (
 )
 
 const (
+	// brownoutQueueFrac / emergencyQueueFrac are the lane-backlog
+	// thresholds of the ladder, as fractions of a lane's queue
+	// capacity: a half-full lane starts the brownout, a near-full one
+	// declares the emergency.
+	brownoutQueueFrac  = 0.5
+	emergencyQueueFrac = 0.9
 	// heapBrownoutFrac is the fraction of Config.HeapLimitBytes at
 	// which the heap signal starts the brownout; the limit itself is
 	// the emergency.
@@ -133,31 +138,49 @@ func (g *Gateway) overloadTick() {
 }
 
 // decayIdleLanes halves the exec-latency EWMA of every lane with no
-// queued work and no pass in flight, zeroing it below one microsecond.
+// queued work and no busy worker, zeroing it below one microsecond.
 // Only idle lanes decay — a loaded lane's EWMA stays sample-driven, so
 // the drift signal cannot be washed out while the condition it
 // measures persists.
 func (g *Gateway) decayIdleLanes() {
 	for _, l := range g.lanes {
-		if len(l.queue) != 0 {
+		if len(l.queue) != 0 || l.busy.Load() != 0 {
 			continue
 		}
-		l.execMu.Lock()
-		if l.execActive == 0 && l.execEwmaMs > 0 {
-			l.execEwmaMs /= 2
-			if l.execEwmaMs < 1e-3 {
-				l.execEwmaMs = 0
-			}
+		l.ewmaMu.Lock()
+		if l.execEwmaMs /= 2; l.execEwmaMs < 1e-3 {
+			l.execEwmaMs = 0
 		}
-		l.execMu.Unlock()
+		l.ewmaMu.Unlock()
 	}
+}
+
+// observePass folds one successful pass's observed wall-clock duration
+// into its lane's exec-latency EWMA, the drift signal's input.
+func (g *Gateway) observePass(dev string, d time.Duration) {
+	l := g.lanes[dev]
+	ms := float64(d) / float64(time.Millisecond)
+	l.ewmaMu.Lock()
+	if l.execEwmaMs == 0 {
+		l.execEwmaMs = ms
+	} else {
+		l.execEwmaMs = (1-execEwmaAlpha)*l.execEwmaMs + execEwmaAlpha*ms
+	}
+	l.ewmaMu.Unlock()
+}
+
+// ewma reads a lane's exec-latency EWMA.
+func (l *lane) ewma() float64 {
+	l.ewmaMu.Lock()
+	defer l.ewmaMu.Unlock()
+	return l.execEwmaMs
 }
 
 // computeLoadLevel is the ladder's pure signal fold. Signals, in
 // escalation order:
 //
 //   - lane backlog: the fullest lane's occupancy against the
-//     Brownout/EmergencyQueueFrac thresholds (the faultinject
+//     brownout/emergencyQueueFrac thresholds (the faultinject
 //     QueueStall point reads a lane as completely full, so tests pin
 //     the ladder deterministically);
 //   - heap: live heap against Config.HeapLimitBytes (emergency at the
@@ -182,10 +205,10 @@ func (g *Gateway) computeLoadLevel() int {
 			occ = o
 		}
 	}
-	if occ >= g.cfg.EmergencyQueueFrac {
+	if occ >= emergencyQueueFrac {
 		return levelEmergency
 	}
-	if occ >= g.cfg.BrownoutQueueFrac {
+	if occ >= brownoutQueueFrac {
 		level = levelBrownout
 	}
 	if faultinject.Fire(faultinject.HeapPressure, "heap") {
@@ -218,9 +241,7 @@ func (g *Gateway) computeLoadLevel() int {
 // estimate is noise.
 func (g *Gateway) anyLaneDrifting() bool {
 	for _, l := range g.lanes {
-		l.execMu.Lock()
-		ewma := l.execEwmaMs
-		l.execMu.Unlock()
+		ewma := l.ewma()
 		if ewma <= 0 {
 			continue
 		}
@@ -238,8 +259,8 @@ func (g *Gateway) anyLaneDrifting() bool {
 }
 
 // driftSamplesFloor is the warm-sample count at which the drift
-// signal (and the AIMD tracking predicate) activates:
-// Config.ShedMinSamples, never below driftMinSamples.
+// signal activates: Config.ShedMinSamples, never below
+// driftMinSamples.
 func (g *Gateway) driftSamplesFloor() uint64 {
 	if g.cfg.ShedMinSamples < driftMinSamples {
 		return driftMinSamples
@@ -292,86 +313,12 @@ func laneWaves(backlog, workers int) float64 {
 	return float64(waves)
 }
 
-// acquireExec takes one of the lane's AIMD execution slots, blocking
-// while the lane is already running at its current limit. Workers call
-// it only between queue drains, so admission (and the queue's backlog
-// signal) is never blocked by it.
-func (l *lane) acquireExec() {
-	l.execMu.Lock()
-	for l.execActive >= l.execLimit {
-		l.execCond.Wait()
-	}
-	l.execActive++
-	l.execMu.Unlock()
-}
-
-// releaseExec returns a slot and wakes one waiter.
-func (l *lane) releaseExec() {
-	l.execMu.Lock()
-	l.execActive--
-	l.execCond.Signal()
-	l.execMu.Unlock()
-}
-
-// laneAIMDIncrease is the additive half of the lane's concurrency
-// control, called after every successful planner pass with the pass's
-// observed wall-clock duration: the EWMA the drift signal reads is
-// updated unconditionally, and while the observation still tracks the
-// device's own warm p99 the limit grows by one toward the configured
-// per-lane worker ceiling.
-func (g *Gateway) laneAIMDIncrease(dev string, passMs float64) {
-	l := g.lanes[dev]
-	if l == nil {
-		return
-	}
-	tracking := true
-	if p, err := g.pool.Planner(dev); err == nil {
-		p99, samples := p.WarmQuantile(0.99)
-		if samples >= g.driftSamplesFloor() && p99 > 0 &&
-			passMs > execDriftFactor*(p99+g.windowMs()) {
-			tracking = false
-		}
-	}
-	l.execMu.Lock()
-	if l.execEwmaMs == 0 {
-		l.execEwmaMs = passMs
-	} else {
-		l.execEwmaMs = (1-execEwmaAlpha)*l.execEwmaMs + execEwmaAlpha*passMs
-	}
-	if tracking && l.execLimit < g.laneWorkers {
-		l.execLimit++
-		l.execCond.Broadcast()
-	}
-	l.execMu.Unlock()
-}
-
-// laneAIMDDecrease is the multiplicative half, called on containment
-// events (panics, watchdog abandons): the limit halves, floored at 1
-// so the lane always makes progress.
-func (g *Gateway) laneAIMDDecrease(dev string) {
-	l := g.lanes[dev]
-	if l == nil {
-		return
-	}
-	l.execMu.Lock()
-	if half := l.execLimit / 2; half >= 1 && half < l.execLimit {
-		l.execLimit = half
-		l.aimdDecreases.Inc()
-	}
-	l.execMu.Unlock()
-}
-
 // overloadStats is the /debug/stats "overload" document: the live
-// level plus each lane's AIMD limit and smoothed pass latency.
+// level plus each lane's smoothed pass latency.
 func (g *Gateway) overloadStats() map[string]any {
 	lanes := make(map[string]any, len(g.lanes))
 	for name, l := range g.lanes {
-		l.execMu.Lock()
-		lanes[name] = map[string]any{
-			"concurrency_limit": l.execLimit,
-			"exec_ewma_ms":      l.execEwmaMs,
-		}
-		l.execMu.Unlock()
+		lanes[name] = map[string]any{"exec_ewma_ms": l.ewma()}
 	}
 	return map[string]any{
 		"level": g.LoadLevel(),

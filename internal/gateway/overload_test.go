@@ -2,12 +2,12 @@ package gateway
 
 // Overload-control suite: the load-level ladder (driven
 // deterministically through the faultinject QueueStall/HeapPressure
-// points), the emergency admission gate, AIMD lane concurrency, the
-// opt-in degraded-serving fallback, the backlog-honest retry hints,
-// and the -race soak that pushes ~4x the queue capacity through a
-// tiny gateway. The TestFault* names put the heavyweight tests in the
-// CI fault job's -race -run 'Fault' selection alongside the
-// containment suite.
+// points), the emergency admission gate, the drift signal and its
+// idle decay, the opt-in degraded-serving fallback, the
+// backlog-honest retry hints, and the -race soak that pushes ~4x the
+// queue capacity through a tiny gateway. The TestFault* names put the
+// heavyweight tests in the CI fault job's -race -run 'Fault' selection
+// alongside the containment suite.
 
 import (
 	"bytes"
@@ -173,28 +173,20 @@ func TestFaultOverloadHeapPressure(t *testing.T) {
 	waitFor(t, "level 0 after heap pressure clears", func() bool { return g.LoadLevel() == levelNormal })
 }
 
-// TestOverloadConfigValidation pins the new knobs' edges: negative
-// heap limits and out-of-range ladder fractions are configuration
-// errors, and a negative OverloadInterval disables the controller —
-// the level stays 0 even with a stall signal armed, and nothing is
-// shed.
+// TestOverloadConfigValidation pins the controller knobs' edges: a
+// negative heap limit is a configuration error, and a negative
+// OverloadInterval disables the controller — the level stays 0 even
+// with a stall signal armed, and nothing is shed.
 func TestOverloadConfigValidation(t *testing.T) {
 	defer faultinject.Reset()
-	for name, mutate := range map[string]func(*Config){
-		"negative heap limit":      func(c *Config) { c.HeapLimitBytes = -1 },
-		"brownout frac above one":  func(c *Config) { c.BrownoutQueueFrac = 1.5 },
-		"negative emergency frac":  func(c *Config) { c.EmergencyQueueFrac = -0.2 },
-		"emergency frac above one": func(c *Config) { c.EmergencyQueueFrac = 2 },
-	} {
-		cfg := quickConfig(33)
-		cfg.Devices = []device.Config{device.Xavier()}
-		mutate(&cfg)
-		if _, err := New(cfg); err == nil {
-			t.Fatalf("%s: config accepted", name)
-		}
+	cfg := quickConfig(33)
+	cfg.Devices = []device.Config{device.Xavier()}
+	cfg.HeapLimitBytes = -1
+	if _, err := New(cfg); err == nil {
+		t.Fatal("negative heap limit: config accepted")
 	}
 
-	cfg := quickConfig(33)
+	cfg = quickConfig(33)
 	cfg.Devices = []device.Config{device.Xavier()}
 	cfg.OverloadInterval = -1
 	g, err := New(cfg)
@@ -315,92 +307,22 @@ func TestFaultShutdownNoTrailingProbe(t *testing.T) {
 	}
 }
 
-// TestOverloadAIMDLaneConcurrency pins the AIMD limit's arithmetic
-// against a real lane: it starts at the per-lane worker ceiling,
-// halves (floored at 1, counted) on containment events, grows back by
-// one per tracking pass, refuses to grow on a drifting pass — and
-// that same drifting observation is what flips the controller's
-// warm-p99 drift signal to brownout.
-func TestOverloadAIMDLaneConcurrency(t *testing.T) {
-	cfg := quickConfig(37)
-	cfg.Devices = []device.Config{device.Xavier()}
-	cfg.Workers = 4
-	cfg.ShedMinSamples = 1
-	cfg.ByteCacheCap = -1
-	cfg.OverloadInterval = -1
-	g, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mustShutdown(t, g)
-	l := g.lanes["sim-xavier"]
-	limit := func() int {
-		l.execMu.Lock()
-		defer l.execMu.Unlock()
-		return l.execLimit
-	}
-	if g.laneWorkers != 4 || limit() != 4 {
-		t.Fatalf("lane starts at limit %d of %d workers, want the ceiling 4", limit(), g.laneWorkers)
-	}
-
-	// Warm the histogram past driftMinSamples so the tracking predicate
-	// and the drift gate are active, then pin the drift EWMA to the
-	// warm p99 — the cold pass's wall-clock legitimately reads as drift
-	// against warm history, and this test pins the signal arithmetic,
-	// not the cold start.
-	for i := 0; i < driftMinSamples+2; i++ {
-		if rec := post(g, graphBody(t, userNet(0), 0.35, "")); rec.Code != http.StatusOK {
-			t.Fatal(rec.Body.String())
-		}
-	}
-	p, err := g.pool.Planner("sim-xavier")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p99, _ := p.WarmQuantile(0.99)
-	l.execMu.Lock()
-	l.execEwmaMs = p99
-	l.execMu.Unlock()
-	if lvl := g.computeLoadLevel(); lvl != levelNormal {
-		t.Fatalf("calm gateway computes level %d", lvl)
-	}
-
-	for i, want := range []int{2, 1, 1} { // halve, halve, floor
-		g.laneAIMDDecrease("sim-xavier")
-		if got := limit(); got != want {
-			t.Fatalf("decrease %d: limit %d, want %d", i, got, want)
-		}
-	}
-	if got := l.aimdDecreases.Value(); got != 2 {
-		t.Fatalf("%d decreases counted, want 2 (the floor no-op does not count)", got)
-	}
-
-	for i, want := range []int{2, 3, 4, 4} { // additive growth, capped
-		g.laneAIMDIncrease("sim-xavier", p99)
-		if got := limit(); got != want {
-			t.Fatalf("increase %d: limit %d, want %d", i, got, want)
-		}
-	}
-
-	// A drifting pass: the limit must not grow past a decrease, and
-	// the drift EWMA flips the controller signal to brownout.
-	g.laneAIMDDecrease("sim-xavier")
-	g.laneAIMDIncrease("sim-xavier", 1e6)
-	if got := limit(); got != 2 {
-		t.Fatalf("drifting pass grew the limit to %d", got)
-	}
-	if lvl := g.computeLoadLevel(); lvl != levelBrownout {
-		t.Fatalf("drifting lane computes level %d, want brownout", lvl)
-	}
+// setLaneEwmaMs overwrites a lane's drift EWMA under its lock.
+func setLaneEwmaMs(l *lane, v float64) {
+	l.ewmaMu.Lock()
+	l.execEwmaMs = v
+	l.ewmaMu.Unlock()
 }
 
-// TestOverloadIdleDriftDecay pins the controller's idle decay: the
-// drift EWMA is the one ladder signal with memory, and it only
+// TestOverloadIdleDriftDecay pins the drift signal end to end: a pass
+// observation seeds the lane's EWMA, a later one smooths it by
+// execEwmaAlpha, and a drifting observation moves the ladder to
+// brownout. The EWMA is the one ladder signal with memory, and it only
 // collects samples while passes run — so a lone slow pass must not
 // hold an idle gateway in brownout. Each tick halves the EWMA of a
-// lane with no queued work and no pass in flight (and only such a
-// lane), and the level folds back to normal once it decays under the
-// drift threshold.
+// lane with no queued work and no busy worker (and only such a lane),
+// and the level folds back to normal once it decays under the drift
+// threshold.
 func TestOverloadIdleDriftDecay(t *testing.T) {
 	cfg := quickConfig(43)
 	cfg.Devices = []device.Config{device.Xavier()}
@@ -413,44 +335,54 @@ func TestOverloadIdleDriftDecay(t *testing.T) {
 	}
 	defer mustShutdown(t, g)
 
-	// Warm history past driftMinSamples so the drift gate is active,
-	// then inflate the EWMA the way a slow cold pass would.
+	// Warm history past driftMinSamples so the drift gate is active.
 	for i := 0; i < driftMinSamples+2; i++ {
 		if rec := post(g, graphBody(t, userNet(0), 0.35, "")); rec.Code != http.StatusOK {
 			t.Fatal(rec.Body.String())
 		}
 	}
 	l := g.lanes["sim-xavier"]
-	// A post returns once its body is delivered, before the worker
-	// releases its execution slot: wait for the lane to go idle, or the
-	// idle ticks below see a busy lane and never decay.
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		l.execMu.Lock()
-		active := l.execActive
-		l.execMu.Unlock()
-		if active == 0 || time.Now().After(deadline) {
-			break
-		}
+	// A post returns once its body is delivered, a moment before the
+	// worker counts itself idle: wait for that, or the idle ticks below
+	// see a busy lane and never decay.
+	waitFor(t, "the lane to go idle", func() bool { return l.busy.Load() == 0 })
+
+	// Drift arithmetic, against the device's own warm p99: the first
+	// observation seeds the EWMA, the next is folded in with weight
+	// execEwmaAlpha, and neither drifts; a pass far past
+	// execDriftFactor x (p99 + window) does.
+	p, err := g.pool.Planner("sim-xavier")
+	if err != nil {
+		t.Fatal(err)
 	}
-	l.execMu.Lock()
-	l.execEwmaMs = 1e6
-	l.execMu.Unlock()
+	p99, _ := p.WarmQuantile(0.99)
+	ms := func(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
+	setLaneEwmaMs(l, 0)
+	g.observePass("sim-xavier", ms(p99))
+	seed := l.ewma()
+	if math.Abs(seed-p99) > 1e-6 {
+		t.Fatalf("first observation seeds EWMA %v, want %v", seed, p99)
+	}
+	g.observePass("sim-xavier", ms(2*p99))
+	if got, want := l.ewma(), (1-execEwmaAlpha)*seed+execEwmaAlpha*2*p99; math.Abs(got-want) > 1e-6 {
+		t.Fatalf("smoothed EWMA %v, want %v", got, want)
+	}
+	if lvl := g.computeLoadLevel(); lvl != levelNormal {
+		t.Fatalf("tracking lane computes level %d", lvl)
+	}
+	g.observePass("sim-xavier", ms(1e6))
 	if lvl := g.computeLoadLevel(); lvl != levelBrownout {
-		t.Fatalf("inflated drift EWMA computes level %d, want brownout", lvl)
+		t.Fatalf("drifting lane computes level %d, want brownout", lvl)
 	}
 
 	// A busy lane must not decay: the drift signal may not be washed
 	// out while passes are in flight.
-	l.execMu.Lock()
-	l.execActive++
-	l.execMu.Unlock()
+	setLaneEwmaMs(l, 1e6)
+	l.busy.Add(1)
 	g.overloadTick()
-	l.execMu.Lock()
-	busyEwma := l.execEwmaMs
-	l.execActive--
-	l.execMu.Unlock()
-	if busyEwma != 1e6 {
-		t.Fatalf("tick decayed a busy lane's EWMA to %v", busyEwma)
+	l.busy.Add(-1)
+	if got := l.ewma(); got != 1e6 {
+		t.Fatalf("tick decayed a busy lane's EWMA to %v", got)
 	}
 
 	// Idle ticks halve the EWMA until the level folds back to normal
@@ -465,11 +397,45 @@ func TestOverloadIdleDriftDecay(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		g.overloadTick()
 	}
-	l.execMu.Lock()
-	final := l.execEwmaMs
-	l.execMu.Unlock()
-	if final != 0 {
+	if final := l.ewma(); final != 0 {
 		t.Fatalf("idle EWMA decayed to %v, want exactly 0", final)
+	}
+}
+
+// TestOverloadNoDecayDuringBatchWindow pins when a lane turns busy: a
+// worker that has dequeued a call and is waiting out its batch window
+// holds work, even though the queue is empty and no planner pass has
+// started, so a controller tick in that window must leave the drift
+// EWMA alone.
+func TestOverloadNoDecayDuringBatchWindow(t *testing.T) {
+	cfg := quickConfig(44)
+	cfg.Devices = []device.Config{device.Xavier()}
+	cfg.BatchWindow = time.Second
+	cfg.OverloadInterval = -1 // ticks driven by hand
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustShutdown(t, g)
+	l := g.lanes["sim-xavier"]
+	setLaneEwmaMs(l, 1e6)
+
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() { done <- post(g, graphBody(t, userNet(0), 0.35, "")) }()
+	// Admission inserts into inflight and enqueues under g.mu, and the
+	// entry leaves inflight only at delivery: one entry with an empty
+	// queue means a worker holds the call.
+	waitFor(t, "a worker to dequeue the call", func() bool {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		return len(g.inflight) == 1 && len(l.queue) == 0
+	})
+	g.overloadTick()
+	if got := l.ewma(); got != 1e6 {
+		t.Fatalf("tick during the batch window decayed the EWMA to %v", got)
+	}
+	if rec := <-done; rec.Code != http.StatusOK {
+		t.Fatal(rec.Body.String())
 	}
 }
 
