@@ -102,13 +102,12 @@ var FeatureNames = []string{
 // network (the only device-dependent feature, available from the same
 // seven measurements Fig. 1 needs).
 func Features(t *trim.TRN, parentLatencyMs float64) []float64 {
-	g := t.Graph
 	return []float64{
 		parentLatencyMs,
-		float64(g.TotalMACs()),
-		float64(g.TotalParams()),
-		float64(g.LayerCount()),
-		float64(g.TotalFilterSize()),
+		float64(t.Totals.MACs),
+		float64(t.Totals.Params),
+		float64(t.Totals.Layers),
+		float64(t.Totals.FilterSize),
 	}
 }
 

@@ -214,3 +214,50 @@ func TestValidateErrorPaths(t *testing.T) {
 		}
 	}
 }
+
+// TestSubgraphBuilderSharesUnchangedNodes pins the sharing rule: kept
+// nodes whose ID, inputs and block survive are g's own nodes, and every
+// node after a dropped one is a renumbered copy that leaves g intact.
+func TestSubgraphBuilderSharesUnchangedNodes(t *testing.T) {
+	g := branchy(t)
+	var dropout int
+	for _, n := range g.Nodes {
+		if n.Kind == OpDropout {
+			dropout = n.ID
+		}
+	}
+	// The right branch skips the left branch's conv, so only the stem
+	// keeps its IDs.
+	keep := g.Ancestors(dropout)
+	if len(keep) == dropout+1 {
+		t.Fatal("right branch keeps an ID prefix; the test needs a gap")
+	}
+	b, last := SubgraphBuilder("right", g, keep, 4)
+	b.BeginHead()
+	b.Softmax(b.Dense(b.GlobalAvgPool(last), 4))
+	sub, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range keep {
+		n := sub.Nodes[i]
+		if shared := n == g.Nodes[id]; shared != (i == id && g.Nodes[id].Block < 0) {
+			t.Fatalf("node %d (parent %d): shared = %v", i, id, shared)
+		}
+	}
+	if err := Validate(g); err != nil {
+		t.Fatalf("parent changed: %v", err)
+	}
+	// A cut at the last block output keeps an ID prefix: all shared,
+	// block table included.
+	keep = g.Ancestors(g.Blocks[1].Output)
+	b, _ = SubgraphBuilder("prefix", g, keep, 4)
+	for i := range keep {
+		if b.g.Nodes[i] != g.Nodes[i] {
+			t.Fatalf("prefix node %d copied", i)
+		}
+	}
+	if &b.g.Blocks[0] != &g.Blocks[0] {
+		t.Fatal("prefix block table copied")
+	}
+}

@@ -1,0 +1,50 @@
+package serve
+
+import (
+	"testing"
+
+	"netcut/internal/trim"
+	"netcut/internal/zoo"
+)
+
+// TestWarmSelectBuildsNoGraph runs BenchmarkPlannerSelectWarm's request
+// (ResNet-50, 0.9 ms, profiler estimator, seed 1) on a warmed planner:
+// repeats miss neither the cut cache nor the device plan cache, and
+// each allocates fewer objects than building one cut graph does.
+func TestWarmSelectBuildsNoGraph(t *testing.T) {
+	p, err := New(Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := zoo.ResNet50()
+	req := Request{Graph: g, DeadlineMs: 0.9}
+	if _, err := p.Select(req); err != nil {
+		t.Fatal(err)
+	}
+	before := p.Stats()
+	warm := testing.AllocsPerRun(20, func() {
+		if _, err := p.Select(req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	after := p.Stats()
+	if after.Cuts.Misses != before.Cuts.Misses {
+		t.Fatalf("warm requests missed the cut cache %d times", after.Cuts.Misses-before.Cuts.Misses)
+	}
+	if after.Plans.Misses != before.Plans.Misses {
+		t.Fatalf("warm requests missed the plan cache %d times", after.Plans.Misses-before.Plans.Misses)
+	}
+
+	// One cut-cache miss of the same parent (a fresh scope per run),
+	// for scale.
+	scope := uint64(0)
+	cut := testing.AllocsPerRun(5, func() {
+		scope++
+		if _, err := trim.CutScoped(scope, g, 9, trim.DefaultHead); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if warm >= cut {
+		t.Fatalf("a warm select allocates %.0f objects, one cut build %.0f", warm, cut)
+	}
+}

@@ -432,14 +432,7 @@ func (s *Simulator) partialBlockAccuracy(p *Profile, bounds []int, r int) float6
 // phase (forward-only features, trainable head) followed by full
 // fine-tuning (forward + backward everywhere).
 func (s *Simulator) TrainHours(t *trim.TRN) float64 {
-	var featMACs, headMACs float64
-	for _, n := range t.Graph.Nodes {
-		if n.Head {
-			headMACs += float64(n.MACs)
-		} else {
-			featMACs += float64(n.MACs)
-		}
-	}
+	featMACs, headMACs := t.Totals.FeatureMACs, t.Totals.HeadMACs
 	c := s.cost
 	n := float64(c.DatasetSize)
 	frozen := (featMACs + 3*headMACs) * n * float64(c.EpochsFrozen)

@@ -7,15 +7,16 @@ import (
 	"netcut/internal/graph"
 )
 
-// Warm-state snapshot/restore of the process-wide cut cache. A TRN
-// carries whole graphs, so snapshots do not serialize built TRNs:
-// instead each cache entry is recorded as its *cut coordinates* — the
-// parent graph plus (scope, position, granularity, head) — and restore
-// re-runs the cut, which is a pure function of those coordinates. A
-// restored entry is therefore byte-identical to a recomputed one by
-// construction; the snapshot saves the caller only the parent graphs
-// and the work of rediscovering which cuts were hot. The persistence
-// layer (internal/persist) dedupes parents by fingerprint on the wire.
+// Warm-state snapshot/restore of the process-wide cut cache. A TRN is
+// fully determined by its cut coordinates, so snapshots do not
+// serialize built TRNs (whose graphs share the parent's nodes in
+// memory): each cache entry is recorded as the parent graph plus
+// (scope, position, granularity, head), and restore re-runs the cut,
+// which is a pure function of those coordinates. A restored entry is
+// therefore byte-identical to a recomputed one by construction; the
+// snapshot saves the caller only the parent graphs and the work of
+// rediscovering which cuts were hot. The persistence layer
+// (internal/persist) dedupes parents by fingerprint on the wire.
 
 // CutRecord is the cut-coordinate form of one cut-cache entry.
 type CutRecord struct {

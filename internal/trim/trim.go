@@ -44,7 +44,11 @@ func (h HeadSpec) validate() error {
 // TRN is a trimmed network: a prefix of a parent network with a fresh
 // transfer head.
 type TRN struct {
-	Graph  *graph.Graph // the trimmed network, head attached
+	// Graph is the trimmed network, head attached. It shares every kept
+	// node that the cut leaves unchanged with Parent (see
+	// graph.SubgraphBuilder), so a cached TRN holds little more than
+	// its new head: treat both graphs as immutable.
+	Graph  *graph.Graph
 	Parent *graph.Graph // the original network
 
 	// Cutpoint is the number of trailing blocks removed for blockwise
@@ -58,12 +62,46 @@ type TRN struct {
 	// RemovedIDs lists the parent-graph IDs of removed feature layers
 	// (excluding the parent's head), as consumed by Eq. (1).
 	RemovedIDs []int
+	// Totals are Graph's whole-network figures, computed once at the
+	// cut so the estimators and the retraining simulator do not walk
+	// the nodes per query.
+	Totals Totals
 }
 
-// Name returns the paper-style label, e.g. "ResNet-50/94".
-func (t *TRN) Name() string {
-	return fmt.Sprintf("%s/%d", t.Parent.Name, t.LayersRemoved)
+// Totals are the figures of a trimmed graph, head included, that the
+// estimators and the retraining simulator read.
+type Totals struct {
+	MACs       int64 // graph.Graph.TotalMACs
+	Params     int64 // graph.Graph.TotalParams
+	Layers     int   // graph.Graph.LayerCount
+	FilterSize int64 // graph.Graph.TotalFilterSize
+	// FeatureMACs and HeadMACs are float64(n.MACs) summed in node order
+	// over the non-head and the head layers: the operands of
+	// transfer.Simulator.TrainHours, kept as float sums so any MAC
+	// counts round exactly as a walk over the nodes would.
+	FeatureMACs, HeadMACs float64
 }
+
+func totalsOf(g *graph.Graph) Totals {
+	t := Totals{
+		MACs:       g.TotalMACs(),
+		Params:     g.TotalParams(),
+		Layers:     g.LayerCount(),
+		FilterSize: g.TotalFilterSize(),
+	}
+	for _, n := range g.Nodes {
+		if n.Head {
+			t.HeadMACs += float64(n.MACs)
+		} else {
+			t.FeatureMACs += float64(n.MACs)
+		}
+	}
+	return t
+}
+
+// Name returns the paper-style label, e.g. "ResNet-50/94": the name of
+// Graph, set once at the cut.
+func (t *TRN) Name() string { return t.Graph.Name }
 
 // cutKey identifies one memoized cut: the parent graph (by structural
 // fingerprint, so the cache is bounded by the number of distinct
@@ -80,10 +118,12 @@ type cutKey struct {
 }
 
 // cutCache memoizes built TRNs. Cutting is deterministic, and TRNs are
-// immutable once built (nothing in this codebase writes to a TRN or its
-// graph after construction), so Algorithm 1's inner loop — which
-// re-derives the same cuts for every estimator and every deadline —
-// costs one subgraph build per distinct cut instead of one per query.
+// immutable once built (nothing in this codebase writes to a TRN, its
+// graph, or the parent nodes that graph shares after construction), so
+// Algorithm 1's inner loop — which re-derives the same cuts for every
+// estimator and every deadline — costs one subgraph build per distinct
+// cut instead of one per query. An entry holds its parent, which the
+// request that cut it already held, plus the cut's own new nodes.
 // Note a cache hit may return a TRN whose Parent pointer is a different
 // (structurally identical) graph object than the argument; nothing in
 // this codebase compares parents by pointer identity.
@@ -247,7 +287,7 @@ func cutAtNode(g *graph.Graph, nodeID int, head HeadSpec) (*TRN, error) {
 
 func cutAt(g *graph.Graph, keepLast int, head HeadSpec) (*TRN, error) {
 	keep := g.Ancestors(keepLast)
-	inSet := make(map[int]bool, len(keep))
+	inSet := make([]bool, len(g.Nodes))
 	for _, id := range keep {
 		inSet[id] = true
 	}
@@ -272,16 +312,15 @@ func cutAt(g *graph.Graph, keepLast int, head HeadSpec) (*TRN, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trim: cutting %s at node %d: %w", g.Name, keepLast, err)
 	}
-
-	trn := &TRN{
+	ng.Name = fmt.Sprintf("%s/%d", g.Name, len(removed))
+	return &TRN{
 		Graph:         ng,
 		Parent:        g,
 		CutNode:       keepLast,
 		LayersRemoved: len(removed),
 		RemovedIDs:    removed,
-	}
-	ng.Name = trn.Name()
-	return trn, nil
+		Totals:        totalsOf(ng),
+	}, nil
 }
 
 // EnumerateBlockwise returns the blockwise TRN family of g for cutpoints

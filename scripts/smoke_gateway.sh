@@ -388,20 +388,24 @@ fi
 PID=""
 
 # Overload leg: a tiny-capacity daemon (one lane worker, queue depth
-# 4, fast controller ticks, and a deliberately huge 250ms batch
-# window) is flooded by more concurrent posters than one open pass
-# can absorb. The window makes the backlog independent of how fast
-# the warm planner is on this host: the lone worker holds each pass
-# open for the full window once arrivals stop filling it, absorbing
-# at most BatchMax (16) requests per 250ms, so with ~24 posters the
-# 4-slot queue sits full for most of every window and the 50ms
-# controller ticks observe it. The load level must rise, rejections
-# must be structured 429s carrying a backlog-honest Retry-After,
-# byte-cache hits must keep serving through the overload, and the
-# level must return to 0 once the flood stops — before a clean
-# SIGTERM drain. (The ladder flaps by design: emergency sheds the
-# inflow, the queue drains, the level falls, and admission resumes —
-# the poll below only needs to observe one elevated sample.)
+# 4, fast controller ticks, a 250ms batch window) is flooded by 24
+# concurrent posters, each posting its own never-seen graphs. Every
+# such post is a cold planning pass (profile, measure, cut) that costs
+# milliseconds, against ~20us for a warm one, so the lone worker's
+# passes stay slower than the inflow and the 4-slot queue sits full
+# for the 50ms controller ticks to observe whatever the host's speed.
+# The bodies are generated once, before the flood, so the posters only
+# spawn curl. The load level must rise, rejections must be structured
+# 429s carrying a backlog-honest Retry-After, byte-cache hits must
+# keep serving through the overload, and the level must return to 0
+# once the flood stops — before a clean SIGTERM drain. (The ladder
+# flaps by design: emergency sheds the inflow, the queue drains, the
+# level falls, and admission resumes — the poll below only needs to
+# observe one elevated sample.)
+OV_POSTERS=24
+OV_BODIES=40 # per poster
+mkdir -p "$TMP/cold"
+go run ./scripts/coldbodies -n $((OV_POSTERS * OV_BODIES)) -out "$TMP/cold"
 "$BIN" -addr "$ADDR" -seed 1 -devices sim-xavier -queue 4 -workers 1 -shed-min-samples 1 -overload-interval 50ms -batch-window 250ms >"$TMP/netserve6.log" 2>&1 &
 PID=$!
 for _ in $(seq 1 50); do
@@ -417,19 +421,19 @@ done
 # One identity warmed into the byte cache before the storm.
 [ "$(plan "$TMP/ov_hit.json" '{"network":"ResNet-50","deadline_ms":0.9}')" = 200 ]
 
-# Sustained flood: 24 parallel posters, each cycling unique deadlines
-# (every deadline is a distinct response identity, so every request is
-# a cold miss competing for the open pass and the 4-slot lane queue).
+# Sustained flood: poster w cycles through its own bodies w, w+24,
+# w+48, ... (a body shed with a 429 is still cold when it comes round
+# again) until told to stop.
 rm -f "$TMP/ov_stop"
 ovpids=()
-for w in $(seq 1 24); do
+for w in $(seq 0 $((OV_POSTERS - 1))); do
   (
     i=0
     while [ ! -f "$TMP/ov_stop" ] && [ "$i" -lt 500 ]; do
-      i=$((i + 1))
       curl -s -o /dev/null -w '%{http_code}\n' -X POST \
-        -d "{\"network\":\"ResNet-50\",\"deadline_ms\":0.${w}$((100 + i))}" \
+        --data-binary "@$TMP/cold/$((i % OV_BODIES * OV_POSTERS + w)).json" \
         "http://$ADDR/v1/plan" >>"$TMP/ov_codes.$w" 2>/dev/null || true
+      i=$((i + 1))
     done
   ) &
   ovpids+=("$!")
