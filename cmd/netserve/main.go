@@ -89,6 +89,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -191,6 +192,13 @@ func run() int {
 	if *stateFile != "" {
 		t0 := time.Now()
 		if used, err := gw.LoadStateFile(); err == nil {
+			// Most of what a restore allocates — the decoded file, the
+			// parents' wire form — is garbage once it returns, and the
+			// heap goal was last set in the middle of it, from however
+			// much of that garbage was still live then. Collect once so
+			// serving starts from a goal set by the restored caches
+			// alone, rather than one that varies with restore timing.
+			runtime.GC()
 			fmt.Printf("netserve: restored warm state from %s in %.1fms\n",
 				used, float64(time.Since(t0))/float64(time.Millisecond))
 		} else if !errors.Is(err, os.ErrNotExist) {
