@@ -19,10 +19,10 @@ import (
 // PlanRowState is the serializable form of one fused-layer template row
 // of a kernel plan.
 type PlanRowState struct {
-	NodeID int     `json:"id"`
-	Name   string  `json:"name,omitempty"`
-	Kind   int     `json:"kind"`
-	Share  float64 `json:"share"`
+	NodeID int
+	Name   string
+	Kind   int
+	Share  float64
 }
 
 // PlanState is the serializable form of one memoized kernel plan, keyed
@@ -31,9 +31,9 @@ type PlanRowState struct {
 // derivable from BaseMs/RowTmpl and are recomputed on restore rather
 // than trusted from the snapshot.
 type PlanState struct {
-	Key     uint64           `json:"key"`
-	BaseMs  []float64        `json:"base_ms"`
-	RowTmpl [][]PlanRowState `json:"rows"`
+	Key     uint64
+	BaseMs  []float64
+	RowTmpl [][]PlanRowState
 }
 
 // SnapshotPlans exports the fingerprint-keyed plan cache in LRU order

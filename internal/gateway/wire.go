@@ -423,13 +423,8 @@ func decodeGraph(w *GraphWire) (*graph.Graph, *apiError) {
 		if !ok {
 			return nil, errf(http.StatusBadRequest, "invalid_graph", "graph %s: node %d: unknown kind %q", w.Name, nw.ID, nw.Kind)
 		}
-		var pad graph.PadMode
-		switch nw.Pad {
-		case "", "valid":
-			pad = graph.Valid
-		case "same":
-			pad = graph.Same
-		default:
+		pad, ok := graph.ParsePadMode(nw.Pad)
+		if !ok {
 			return nil, errf(http.StatusBadRequest, "invalid_graph", "graph %s: node %d: unknown pad mode %q", w.Name, nw.ID, nw.Pad)
 		}
 		block := -1

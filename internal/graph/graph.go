@@ -70,8 +70,8 @@ var opKindsByName = func() map[string]OpKind {
 }()
 
 // ParseOpKind resolves an operator name as produced by OpKind.String
-// ("Conv", "BatchNorm", ...). It is the decode half of the gateway's
-// JSON graph wire format.
+// ("Conv", "BatchNorm", ...). It is the decode half of both graph wire
+// formats: the gateway's JSON schema and the state snapshot.
 func ParseOpKind(s string) (OpKind, bool) {
 	k, ok := opKindsByName[s]
 	return k, ok
@@ -93,6 +93,18 @@ func (p PadMode) String() string {
 		return "same"
 	}
 	return "valid"
+}
+
+// ParsePadMode resolves a pad-mode name as produced by PadMode.String;
+// the empty string is Valid, the zero value.
+func ParsePadMode(s string) (PadMode, bool) {
+	switch s {
+	case "", "valid":
+		return Valid, true
+	case "same":
+		return Same, true
+	}
+	return Valid, false
 }
 
 // Shape is a spatial feature-map shape. Dense layers use H = W = 1.

@@ -252,4 +252,25 @@ func TestOpKindString(t *testing.T) {
 	if Same.String() != "same" || Valid.String() != "valid" {
 		t.Fatal("PadMode.String broken")
 	}
+	// Both graph codecs write names and parse them back, so every
+	// operator and pad mode must round-trip through its name.
+	for k := range opNames {
+		if got, ok := ParseOpKind(k.String()); !ok || got != k {
+			t.Fatalf("ParseOpKind(%q) = %v, %v", k.String(), got, ok)
+		}
+	}
+	for _, p := range []PadMode{Valid, Same} {
+		if got, ok := ParsePadMode(p.String()); !ok || got != p {
+			t.Fatalf("ParsePadMode(%q) = %v, %v", p.String(), got, ok)
+		}
+	}
+	if _, ok := ParseOpKind(OpKind(99).String()); ok {
+		t.Fatal("ParseOpKind accepted an unknown operator")
+	}
+	if p, ok := ParsePadMode(""); !ok || p != Valid {
+		t.Fatal(`ParsePadMode("") is not Valid`)
+	}
+	if _, ok := ParsePadMode("full"); ok {
+		t.Fatal("ParsePadMode accepted an unknown pad mode")
+	}
 }

@@ -2,8 +2,10 @@ package persist
 
 import (
 	"bytes"
+	"os"
 	"testing"
 
+	"netcut/internal/graph"
 	"netcut/internal/trim"
 	"netcut/internal/zoo"
 )
@@ -45,13 +47,19 @@ func FuzzDecodeState(f *testing.F) {
 			WarmupRuns: 200, TimedRuns: 800,
 		}},
 		Cuts: CutsState{
-			Parents: []GraphState{EncodeGraph(g)},
+			Parents: []*graph.Graph{g},
 			Cuts:    []CutState{{Parent: 0, At: 1, Blockwise: true, Head: trim.DefaultHead}},
 		},
 	}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(full.Bytes())
+	// The reference snapshot: every section kind and many parents.
+	ref, err := os.ReadFile(referencePath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ref)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		file, err := DecodeBytes(data)

@@ -94,45 +94,48 @@ var (
 type File struct {
 	// Seed is the base measurement/retraining seed the state was
 	// produced under.
-	Seed int64 `json:"seed"`
+	Seed int64
 	// Planners holds one section per device-keyed planner, in
 	// registration order.
-	Planners []PlannerState `json:"planners"`
+	Planners []PlannerState
 	// Cuts is the cut-coordinate form of the process-wide cut cache
 	// (filtered to the saved planners' scopes plus the shared scope 0).
-	Cuts CutsState `json:"cuts"`
+	Cuts CutsState
 }
 
 // PlannerState is one planner's warm state plus the identity fields a
 // restore must match before trusting any entry.
 type PlannerState struct {
-	Device      string `json:"device"`
-	Calibration uint64 `json:"calibration"`
-	Seed        int64  `json:"seed"`
-	WarmupRuns  int    `json:"warmup_runs"`
-	TimedRuns   int    `json:"timed_runs"`
+	Device      string
+	Calibration uint64
+	Seed        int64
+	WarmupRuns  int
+	TimedRuns   int
 
-	Plans        []device.PlanState          `json:"plans"`
-	Measurements []profiler.MeasurementState `json:"measurements"`
-	Tables       []profiler.TableState       `json:"tables"`
+	Plans        []device.PlanState
+	Measurements []profiler.MeasurementState
+	Tables       []profiler.TableState
 }
 
 // CutsState stores cut-cache entries as cut coordinates against a
 // deduplicated parent-graph table (see trim.SnapshotCuts for why cuts
-// are re-executed rather than stored).
+// are re-executed rather than stored). Parents are shared, not copied:
+// a captured state points at the cut cache's own immutable parents,
+// and a decoded one holds graphs no caller has validated yet (see
+// RestoreCuts).
 type CutsState struct {
-	Parents []GraphState `json:"parents"`
-	Cuts    []CutState   `json:"cuts"`
+	Parents []*graph.Graph
+	Cuts    []CutState
 }
 
 // CutState is one cut-cache entry: scope + parent (by index into
 // CutsState.Parents) + position + granularity + head.
 type CutState struct {
-	Scope     uint64        `json:"scope"`
-	Parent    int           `json:"parent"`
-	At        int           `json:"at"`
-	Blockwise bool          `json:"blockwise"`
-	Head      trim.HeadSpec `json:"head"`
+	Scope     uint64
+	Parent    int
+	At        int
+	Blockwise bool
+	Head      trim.HeadSpec
 }
 
 // Encode writes f as a versioned, checksummed binary snapshot. Equal
@@ -175,8 +178,8 @@ func DecodeBytesParallel(raw []byte) (*File, error) {
 }
 
 // CaptureCuts snapshots the process-wide cut cache (filtered by scope;
-// nil keeps everything) into wire form, deduplicating parent graphs by
-// structural fingerprint in first-appearance order.
+// nil keeps everything) as cut coordinates, deduplicating parent graphs
+// by structural fingerprint in first-appearance order.
 func CaptureCuts(keep func(scope uint64) bool) CutsState {
 	recs := trim.SnapshotCuts(keep)
 	var cs CutsState
@@ -186,7 +189,7 @@ func CaptureCuts(keep func(scope uint64) bool) CutsState {
 		if !ok {
 			pi = len(cs.Parents)
 			index[r.ParentPrint] = pi
-			cs.Parents = append(cs.Parents, EncodeGraph(r.Parent))
+			cs.Parents = append(cs.Parents, r.Parent)
 		}
 		cs.Cuts = append(cs.Cuts, CutState{
 			Scope:     r.Scope,
@@ -204,12 +207,12 @@ func CaptureCuts(keep func(scope uint64) bool) CutsState {
 // (nil keeps everything): a restoring planner passes its own
 // calibration fingerprint plus the shared scope 0, so entries scoped to
 // devices this process does not serve are skipped, not trusted. Only
-// parents a kept cut references are decoded (each must pass
+// parents a kept cut references are checked (each must pass
 // graph.Validate), and every kept record — parent and coordinates — is
 // validated before any cut is replayed, so a rejected cut section
 // leaves the cache untouched.
 //
-// Parent decoding and cut building fan out over par.ForEach with
+// Parent validation and cut building fan out over par.ForEach with
 // position-indexed slots; insertion into the cut cache stays serial in
 // snapshot order, so the cache's per-shard recency — and with it the
 // save/load/save byte identity — is exactly what a serial replay
@@ -229,25 +232,21 @@ func RestoreCuts(cs CutsState, keep func(scope uint64) bool) error {
 		return nil
 	}
 
-	// Decode each referenced parent once, concurrently. Slot order is
+	// Validate each referenced parent once, concurrently. order is
 	// first-use order, so the lowest-index error par.ForEach reports is
 	// the same parent a serial walk would have failed on first.
-	slot := make(map[int]int)
+	seen := make(map[int]bool)
 	var order []int
 	for _, i := range kept {
-		p := cs.Cuts[i].Parent
-		if _, ok := slot[p]; !ok {
-			slot[p] = len(order)
+		if p := cs.Cuts[i].Parent; !seen[p] {
+			seen[p] = true
 			order = append(order, p)
 		}
 	}
-	decoded := make([]*graph.Graph, len(order))
 	if err := par.ForEach(len(order), func(j int) error {
-		g, err := DecodeGraph(&cs.Parents[order[j]])
-		if err != nil {
+		if err := graph.Validate(cs.Parents[order[j]]); err != nil {
 			return fmt.Errorf("persist: cut parent %d: %w", order[j], err)
 		}
-		decoded[j] = g
 		return nil
 	}); err != nil {
 		return err
@@ -258,7 +257,7 @@ func RestoreCuts(cs CutsState, keep func(scope uint64) bool) error {
 		c := cs.Cuts[i]
 		recs[j] = trim.CutRecord{
 			Scope:     c.Scope,
-			Parent:    decoded[slot[c.Parent]],
+			Parent:    cs.Parents[c.Parent],
 			At:        c.At,
 			Blockwise: c.Blockwise,
 			Head:      c.Head,

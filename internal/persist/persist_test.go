@@ -3,7 +3,6 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"io"
 	"reflect"
@@ -33,7 +32,7 @@ func sampleFile(t *testing.T) *File {
 			TimedRuns:   800,
 		}},
 		Cuts: CutsState{
-			Parents: []GraphState{EncodeGraph(g)},
+			Parents: []*graph.Graph{g},
 			Cuts: []CutState{
 				{Scope: 0, Parent: 0, At: 1, Blockwise: true, Head: trim.DefaultHead},
 			},
@@ -282,35 +281,105 @@ func TestFromSectionsRejectsStructure(t *testing.T) {
 
 // TestGraphCodecRoundTrip pins that the snapshot graph codec preserves
 // the structural fingerprint — the property every restored cache key
-// depends on — for both a zoo network and a hand-built blocked graph.
+// depends on — and every field of every extended-zoo network, through
+// the binary graphs section.
 func TestGraphCodecRoundTrip(t *testing.T) {
-	nets := zoo.Paper7()
-	for _, src := range nets {
-		st := EncodeGraph(src)
-		b, err := json.Marshal(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back GraphState
-		if err := json.Unmarshal(b, &back); err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeGraph(&back)
-		if err != nil {
+	nets := zoo.ExtendedZoo()
+	var raw bytes.Buffer
+	if err := WriteSections(&raw, []Section{{ID: SectionID{Kind: SectionGraphs}, Graphs: nets}}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewSectionReader(raw.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec, err := r.Decode(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sec.Graphs) != len(nets) {
+		t.Fatalf("decoded %d graphs, want %d", len(sec.Graphs), len(nets))
+	}
+	for i, src := range nets {
+		got := sec.Graphs[i]
+		if err := graph.Validate(got); err != nil {
 			t.Fatalf("%s: %v", src.Name, err)
 		}
 		if graph.Fingerprint(got) != graph.Fingerprint(src) {
 			t.Fatalf("%s: fingerprint changed across the snapshot codec", src.Name)
+		}
+		if !reflect.DeepEqual(got, src) {
+			t.Fatalf("%s: decoded graph differs from the original", src.Name)
+		}
+	}
+}
+
+// graphsSnapshot builds by hand a snapshot whose graphs frame holds
+// one single-node graph with the given operator and pad names.
+func graphsSnapshot(kind, pad string) []byte {
+	var body enc
+	body.uvarint(1) // graphs
+	body.str("hand")
+	for _, v := range []int{8, 8, 3, 10} { // input H, W, C; classes
+		body.vint(v)
+	}
+	body.uvarint(1) // nodes
+	body.vint(0)
+	body.str("input")
+	body.str(kind)
+	body.uvarint(0) // inputs
+	// In, Out, KH, KW, Stride.
+	for _, v := range []int{8, 8, 3, 8, 8, 3, 0, 0, 0} {
+		body.vint(v)
+	}
+	body.str(pad)
+	for range 4 { // MACs, Params, WeightBytes, IOBytes
+		body.varint(0)
+	}
+	body.vint(-1) // block
+	body.bool(false)
+	body.uvarint(0) // blocks
+
+	raw := append([]byte(Magic), SchemaVersion, 0, 0, 0, 0, 0, 0, 0, 0)
+	raw, _ = appendFrame(raw, &Section{ID: SectionID{Kind: SectionMeta}})
+	raw = appendBody(raw, SectionID{Kind: SectionGraphs}, &body)
+	return reseal(raw)
+}
+
+// TestDecodeRejectsUnknownGraphNames pins that an operator or pad name
+// this build does not know fails the decode of the graphs section
+// itself, before any restoring layer sees the graph.
+func TestDecodeRejectsUnknownGraphNames(t *testing.T) {
+	f, err := DecodeBytes(graphsSnapshot("Input", "valid"))
+	if err != nil {
+		t.Fatalf("well-formed hand-built snapshot: %v", err)
+	}
+	if n := f.Cuts.Parents[0].Nodes[0]; n.Kind != graph.OpInput || n.Pad != graph.Valid {
+		t.Fatalf("decoded node %+v", n)
+	}
+	for _, tc := range []struct{ kind, pad, name string }{
+		{"Warp", "valid", `unknown kind "Warp"`},
+		{"Input", "reflect", `unknown pad mode "reflect"`},
+	} {
+		_, err := DecodeBytes(graphsSnapshot(tc.kind, tc.pad))
+		if !errors.Is(err, ErrNotSnapshot) || !strings.Contains(err.Error(), "graphs section") ||
+			!strings.Contains(err.Error(), tc.name) {
+			t.Fatalf("kind %q pad %q: err = %v, want ErrNotSnapshot in the graphs section naming %s",
+				tc.kind, tc.pad, err, tc.name)
 		}
 	}
 }
 
 // TestRestoreCutsRejectsBadParents pins that a snapshot carrying an
 // invalid parent graph or a dangling parent index is rejected before
-// any cut is replayed.
+// any cut is replayed, and that only parents a kept cut references are
+// validated.
 func TestRestoreCutsRejectsBadParents(t *testing.T) {
+	trim.PurgeCutCache()
+	t.Cleanup(trim.PurgeCutCache)
+	bad := &graph.Graph{Name: ""} // fails graph.Validate
 	if err := RestoreCuts(CutsState{
-		Parents: []GraphState{{Name: ""}}, // fails DecodeGraph
+		Parents: []*graph.Graph{bad},
 		Cuts:    []CutState{{Parent: 0, At: 1, Blockwise: true, Head: trim.DefaultHead}},
 	}, nil); err == nil {
 		t.Fatal("invalid parent accepted")
@@ -320,11 +389,34 @@ func TestRestoreCutsRejectsBadParents(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = RestoreCuts(CutsState{
-		Parents: []GraphState{EncodeGraph(g)},
+		Parents: []*graph.Graph{g},
 		Cuts:    []CutState{{Parent: 3, At: 1, Blockwise: true, Head: trim.DefaultHead}},
 	}, nil)
 	if err == nil || !strings.Contains(err.Error(), "references parent") {
 		t.Fatalf("dangling parent index: err = %v", err)
+	}
+
+	// The invalid parent is referenced only from scope 99.
+	mixed := CutsState{
+		Parents: []*graph.Graph{g, bad},
+		Cuts: []CutState{
+			{Scope: 0, Parent: 0, At: 1, Blockwise: true, Head: trim.DefaultHead},
+			{Scope: 99, Parent: 1, At: 1, Blockwise: true, Head: trim.DefaultHead},
+		},
+	}
+	if err := RestoreCuts(mixed, func(scope uint64) bool { return scope == 0 }); err != nil {
+		t.Fatalf("invalid parent of a dropped cut was validated: %v", err)
+	}
+	if got := len(trim.SnapshotCuts(nil)); got != 1 {
+		t.Fatalf("restored %d cuts, want 1", got)
+	}
+	trim.PurgeCutCache()
+	err = RestoreCuts(mixed, nil)
+	if err == nil || !strings.Contains(err.Error(), "cut parent 1") {
+		t.Fatalf("invalid parent of a kept cut: err = %v", err)
+	}
+	if got := len(trim.SnapshotCuts(nil)); got != 0 {
+		t.Fatalf("rejected restore left %d cuts in the cache", got)
 	}
 }
 
@@ -347,25 +439,26 @@ func TestCaptureRestoreCutsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	encodeCuts := func(cs CutsState) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := Encode(&buf, &File{Seed: 1, Cuts: cs}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
 	cs := CaptureCuts(nil)
 	if len(cs.Cuts) != 4 || len(cs.Parents) != 1 {
 		t.Fatalf("captured %d cuts over %d parents, want 4 over 1", len(cs.Cuts), len(cs.Parents))
 	}
-	a, err := json.Marshal(cs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := encodeCuts(cs)
 
 	trim.PurgeCutCache()
 	if err := RestoreCuts(cs, nil); err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(CaptureCuts(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("cut state diverged across restore:\n before %s\n after  %s", a, b)
+	if b := encodeCuts(CaptureCuts(nil)); !bytes.Equal(a, b) {
+		t.Fatalf("cut state diverged across restore: %s", firstDiff(b, a))
 	}
 
 	// Scope filtering: restoring with a filter keeps only matching

@@ -62,7 +62,7 @@ func referenceFile(t testing.TB) *File {
 		}},
 	}
 	for pi, g := range zoo.ExtendedZoo() {
-		f.Cuts.Parents = append(f.Cuts.Parents, EncodeGraph(g))
+		f.Cuts.Parents = append(f.Cuts.Parents, g)
 		nb := g.BlockCount()
 		mid := g.FeatureLayerCount() / 2
 		f.Cuts.Cuts = append(f.Cuts.Cuts,

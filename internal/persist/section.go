@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"netcut/internal/device"
+	"netcut/internal/graph"
 	"netcut/internal/par"
 	"netcut/internal/profiler"
 )
@@ -73,8 +74,8 @@ func (k SectionKind) String() string {
 // SectionID is a frame's identity header: what the section is plus the
 // inputs its values are pure functions of. Device-independent sections
 // (meta, graphs, cuts) leave Device empty and Calibration zero; the
-// restoring layer matches the device-keyed fields the same way it
-// matched PlannerState identities in the JSON generation.
+// restoring layer matches the device-keyed fields against its own
+// identity before it trusts any record.
 type SectionID struct {
 	Kind        SectionKind
 	Device      string
@@ -92,7 +93,7 @@ type Section struct {
 	Plans        []device.PlanState
 	Measurements []profiler.MeasurementState
 	Tables       []profiler.TableState
-	Graphs       []GraphState
+	Graphs       []*graph.Graph
 	Cuts         []CutState
 }
 
@@ -225,22 +226,27 @@ func appendFrame(dst []byte, s *Section) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("unknown section kind %d", s.ID.Kind)
 	}
+	return appendBody(dst, s.ID, &body), nil
+}
+
+// appendBody frames an encoded record body under its identity header.
+func appendBody(dst []byte, id SectionID, body *enc) []byte {
 	var fr enc
-	fr.buf = make([]byte, 0, len(body.buf)+len(s.ID.Device)+64)
-	fr.u8(byte(s.ID.Kind))
-	fr.rawString(s.ID.Device)
-	fr.u64(s.ID.Calibration)
-	fr.varint(s.ID.Seed)
-	fr.vint(s.ID.WarmupRuns)
-	fr.vint(s.ID.TimedRuns)
+	fr.buf = make([]byte, 0, len(body.buf)+len(id.Device)+64)
+	fr.u8(byte(id.Kind))
+	fr.rawString(id.Device)
+	fr.u64(id.Calibration)
+	fr.varint(id.Seed)
+	fr.vint(id.WarmupRuns)
+	fr.vint(id.TimedRuns)
 	fr.uvarint(uint64(len(body.table)))
 	for _, str := range body.table {
 		fr.rawString(str)
 	}
 	fr.buf = append(fr.buf, body.buf...)
-	fr.u64(checksum64(fr.buf[:len(fr.buf)])) // self-checksum over everything before it
+	fr.u64(checksum64(fr.buf)) // self-checksum over everything before it
 	dst = binary.AppendUvarint(dst, uint64(len(fr.buf)))
-	return append(dst, fr.buf...), nil
+	return append(dst, fr.buf...)
 }
 
 func decodeIdentity(d *dec, id *SectionID) {
@@ -444,8 +450,8 @@ func encodePlans(e *enc, plans []device.PlanState) {
 		}
 		// RowTmpl's length mirrors BaseMs only in valid states; it is
 		// encoded independently so any in-memory state round-trips and
-		// the mismatch is rejected by the same validation layer
-		// (device.PreparePlans) that rejected it in the JSON generation.
+		// a mismatch reaches device.PreparePlans, the one layer that
+		// validates plans, instead of being hidden by the codec.
 		e.uvarint(uint64(len(p.RowTmpl)))
 		for _, rows := range p.RowTmpl {
 			e.uvarint(uint64(len(rows)))
@@ -556,21 +562,31 @@ func decodeTables(d *dec, table []string) []profiler.TableState {
 	return out
 }
 
-func encodeGraphs(e *enc, gs []GraphState) {
+// encodeGraphs writes every graph.Graph field — including every field
+// the structural fingerprint covers and every field the planning
+// pipeline (fusion pass, subgraph builder, Eq. (1)) reads — so a
+// decoded parent has the same fingerprint and plans, measures and cuts
+// identically to the original. Kind and Pad are written as their
+// canonical names (OpKind.String, PadMode.String), which keeps a
+// snapshot debuggable and lets decode reject an unknown operator
+// structurally. The codec is deliberately independent of the gateway's
+// HTTP wire schema: the two formats evolve on different compatibility
+// clocks (a state file is consumed by the same binary generation that
+// wrote it, enforced by SchemaVersion; the HTTP API is a public
+// surface).
+func encodeGraphs(e *enc, gs []*graph.Graph) {
 	e.uvarint(uint64(len(gs)))
-	for i := range gs {
-		g := &gs[i]
+	for _, g := range gs {
 		e.str(g.Name)
-		e.vint(g.Input.H)
-		e.vint(g.Input.W)
-		e.vint(g.Input.C)
+		e.vint(g.InputShape.H)
+		e.vint(g.InputShape.W)
+		e.vint(g.InputShape.C)
 		e.vint(g.NumClasses)
 		e.uvarint(uint64(len(g.Nodes)))
-		for j := range g.Nodes {
-			n := &g.Nodes[j]
+		for _, n := range g.Nodes {
 			e.vint(n.ID)
 			e.str(n.Name)
-			e.str(n.Kind)
+			e.str(n.Kind.String())
 			e.uvarint(uint64(len(n.Inputs)))
 			for _, in := range n.Inputs {
 				e.vint(in)
@@ -584,7 +600,7 @@ func encodeGraphs(e *enc, gs []GraphState) {
 			e.vint(n.KH)
 			e.vint(n.KW)
 			e.vint(n.Stride)
-			e.str(n.Pad)
+			e.str(n.Pad.String())
 			e.varint(n.MACs)
 			e.varint(n.Params)
 			e.varint(n.WeightBytes)
@@ -593,8 +609,7 @@ func encodeGraphs(e *enc, gs []GraphState) {
 			e.bool(n.Head)
 		}
 		e.uvarint(uint64(len(g.Blocks)))
-		for j := range g.Blocks {
-			b := &g.Blocks[j]
+		for _, b := range g.Blocks {
 			e.vint(b.Index)
 			e.str(b.Label)
 			e.uvarint(uint64(len(b.Nodes)))
@@ -606,58 +621,69 @@ func encodeGraphs(e *enc, gs []GraphState) {
 	}
 }
 
-func decodeGraphs(d *dec, table []string) []GraphState {
+// decodeGraphs rebuilds the parent graphs. It checks only what the
+// wire can get wrong on its own (lengths, string references, operator
+// and pad names); graph.Validate runs on each parent a kept cut
+// references, in RestoreCuts.
+func decodeGraphs(d *dec, table []string) []*graph.Graph {
 	n := d.count(7)
-	out := make([]GraphState, 0, n)
+	out := make([]*graph.Graph, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {
-		var g GraphState
-		g.Name = d.str(table)
-		g.Input = ShapeState{H: d.vint(), W: d.vint(), C: d.vint()}
+		g := &graph.Graph{Name: d.str(table)}
+		g.InputShape = shape(d)
 		g.NumClasses = d.vint()
 		nn := d.count(19)
-		g.Nodes = make([]NodeState, 0, nn)
+		g.Nodes = make([]*graph.Node, 0, nn)
 		for j := 0; j < nn && d.err == nil; j++ {
-			var ns NodeState
-			ns.ID = d.vint()
-			ns.Name = d.str(table)
-			ns.Kind = d.str(table)
-			ni := d.count(1)
-			if ni > 0 {
-				ns.Inputs = make([]int, ni)
-				for k := range ns.Inputs {
-					ns.Inputs[k] = d.vint()
+			nd := &graph.Node{ID: d.vint(), Name: d.str(table)}
+			kind := d.str(table)
+			var ok bool
+			if nd.Kind, ok = graph.ParseOpKind(kind); !ok {
+				d.failf("graph %q: node %d: unknown kind %q", g.Name, nd.ID, kind)
+			}
+			if ni := d.count(1); ni > 0 {
+				nd.Inputs = make([]int, ni)
+				for k := range nd.Inputs {
+					nd.Inputs[k] = d.vint()
 				}
 			}
-			ns.In = ShapeState{H: d.vint(), W: d.vint(), C: d.vint()}
-			ns.Out = ShapeState{H: d.vint(), W: d.vint(), C: d.vint()}
-			ns.KH = d.vint()
-			ns.KW = d.vint()
-			ns.Stride = d.vint()
-			ns.Pad = d.str(table)
-			ns.MACs = d.varint()
-			ns.Params = d.varint()
-			ns.WeightBytes = d.varint()
-			ns.IOBytes = d.varint()
-			ns.Block = d.vint()
-			ns.Head = d.bool()
-			g.Nodes = append(g.Nodes, ns)
+			nd.In = shape(d)
+			nd.Out = shape(d)
+			nd.KH = d.vint()
+			nd.KW = d.vint()
+			nd.Stride = d.vint()
+			pad := d.str(table)
+			if nd.Pad, ok = graph.ParsePadMode(pad); !ok {
+				d.failf("graph %q: node %d: unknown pad mode %q", g.Name, nd.ID, pad)
+			}
+			nd.MACs = d.varint()
+			nd.Params = d.varint()
+			nd.WeightBytes = d.varint()
+			nd.IOBytes = d.varint()
+			nd.Block = d.vint()
+			nd.Head = d.bool()
+			g.Nodes = append(g.Nodes, nd)
 		}
 		nb := d.count(4)
 		for j := 0; j < nb && d.err == nil; j++ {
-			var bs BlockState
-			bs.Index = d.vint()
-			bs.Label = d.str(table)
-			nbn := d.count(1)
-			bs.Nodes = make([]int, nbn)
-			for k := range bs.Nodes {
-				bs.Nodes[k] = d.vint()
+			b := graph.Block{Index: d.vint(), Label: d.str(table)}
+			if nbn := d.count(1); nbn > 0 {
+				b.Nodes = make([]int, nbn)
+				for k := range b.Nodes {
+					b.Nodes[k] = d.vint()
+				}
 			}
-			bs.Output = d.vint()
-			g.Blocks = append(g.Blocks, bs)
+			b.Output = d.vint()
+			g.Blocks = append(g.Blocks, b)
 		}
 		out = append(out, g)
 	}
 	return out
+}
+
+// shape reads a feature-map shape (H, W, C).
+func shape(d *dec) graph.Shape {
+	return graph.Shape{H: d.vint(), W: d.vint(), C: d.vint()}
 }
 
 func encodeCuts(e *enc, cuts []CutState) {

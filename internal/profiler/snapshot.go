@@ -18,29 +18,29 @@ import (
 // MeasurementState is one snapshotted end-to-end measurement, keyed by
 // the device-scoped plan key.
 type MeasurementState struct {
-	Key uint64 `json:"key"`
+	Key uint64
 	// The Measurement fields, flattened for a stable wire shape.
-	Network string  `json:"network"`
-	MeanMs  float64 `json:"mean_ms"`
-	StdMs   float64 `json:"std_ms"`
-	Runs    int     `json:"runs"`
+	Network string
+	MeanMs  float64
+	StdMs   float64
+	Runs    int
 }
 
 // TableRowState is one per-layer row of a snapshotted table.
 type TableRowState struct {
-	NodeID int     `json:"id"`
-	Name   string  `json:"name,omitempty"`
-	Kind   int     `json:"kind"`
-	MeanMs float64 `json:"mean_ms"`
+	NodeID int
+	Name   string
+	Kind   int
+	MeanMs float64
 }
 
 // TableState is one snapshotted per-layer table, keyed by the
 // device-scoped plan key.
 type TableState struct {
-	Key        uint64          `json:"key"`
-	Network    string          `json:"network"`
-	EndToEndMs float64         `json:"end_to_end_ms"`
-	Layers     []TableRowState `json:"layers"`
+	Key        uint64
+	Network    string
+	EndToEndMs float64
+	Layers     []TableRowState
 }
 
 // SnapshotMeasurements exports the end-to-end measurement memo in LRU
