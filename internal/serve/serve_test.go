@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"netcut/internal/exp"
 	"netcut/internal/graph"
 	"netcut/internal/profiler"
 	"netcut/internal/zoo"
@@ -42,51 +41,6 @@ func responseKey(r *Response) [10]interface{} {
 	return [10]interface{}{
 		r.Feasible, r.Network, r.Parent, r.BlocksRemoved, r.LayersRemoved,
 		r.EstimatedMs, r.MeasuredMs, r.Accuracy, r.TrainHours, r.Iterations,
-	}
-}
-
-// TestPlannerMatchesSingleLabSelect pins the acceptance criterion:
-// for every paper network, the shared-cache Planner's proposal is
-// byte-identical to the proposal a fresh single-use Lab produces for
-// the same seed, deadline and estimator.
-func TestPlannerMatchesSingleLabSelect(t *testing.T) {
-	const seed = 42
-	lab, err := exp.NewLab(exp.Config{Seed: seed, DeadlineMs: 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := lab.Explore(lab.ProfilerEstimator())
-	if err != nil {
-		t.Fatal(err)
-	}
-	labByParent := map[string][10]interface{}{}
-	for i := range res.Proposals {
-		pr := &res.Proposals[i]
-		labByParent[pr.TRN.Parent.Name] = [10]interface{}{
-			true, pr.TRN.Name(), pr.TRN.Parent.Name, pr.Cutpoint, pr.TRN.LayersRemoved,
-			pr.EstimateMs, lab.Device().LatencyMs(pr.TRN.Graph), pr.Accuracy, pr.TrainHours, pr.Iterations,
-		}
-	}
-
-	p, err := New(Config{Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range zoo.Paper7() {
-		resp, err := p.Select(Request{Graph: g, DeadlineMs: 0.9})
-		if err != nil {
-			t.Fatalf("%s: %v", g.Name, err)
-		}
-		want, feasible := labByParent[g.Name]
-		if !feasible {
-			if resp.Feasible {
-				t.Fatalf("%s: planner feasible but Lab infeasible", g.Name)
-			}
-			continue
-		}
-		if responseKey(resp) != want {
-			t.Fatalf("%s: planner response %v differs from Lab proposal %v", g.Name, responseKey(resp), want)
-		}
 	}
 }
 
