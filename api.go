@@ -121,7 +121,9 @@ type Selection struct {
 
 // Select runs the complete NetCut pipeline — profile the zoo on the
 // device, train the chosen estimator, run Algorithm 1 — and returns the
-// highest-accuracy network meeting the deadline.
+// highest-accuracy network meeting the deadline. Each call builds a
+// fresh Lab, and with it a single-use Planner; an invalid Options.Device
+// is an error.
 func Select(opts Options) (*Selection, error) {
 	lab, est, err := buildLab(opts)
 	if err != nil {
@@ -260,11 +262,11 @@ type (
 	PlannerStats = serve.Stats
 )
 
-// NewPlanner builds the planning service. Unlike Select — which builds
-// a fresh Lab per call — a Planner amortizes profiling across requests:
-// repeated or structurally identical graphs are cache hits end to end,
-// and its proposals are byte-identical to single-use Select for the
-// same seed.
+// NewPlanner builds the planning service. Select runs the same pipeline
+// on a fresh single-use Planner per call; a long-lived Planner amortizes
+// profiling across requests: repeated or structurally identical graphs
+// are cache hits end to end, and its proposals are byte-identical to
+// single-use Select for the same seed.
 func NewPlanner(cfg PlannerConfig) (*Planner, error) { return serve.New(cfg) }
 
 // PlannerPool is the multi-target planning service: one Planner per

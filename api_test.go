@@ -59,6 +59,35 @@ func TestExploreReturnsAllProposals(t *testing.T) {
 	}
 }
 
+// TestInvalidDeviceIsAnError pins that the one-shot entry points reject
+// an invalid device profile with an error, as NewPlanner does, instead
+// of panicking.
+func TestInvalidDeviceIsAnError(t *testing.T) {
+	bad := XavierConfig()
+	bad.PeakMACs = 0
+	calls := []struct {
+		name string
+		call func() error
+	}{
+		{"Select", func() error { _, err := Select(Options{Device: &bad}); return err }},
+		{"Explore", func() error { _, err := Explore(Options{Device: &bad}); return err }},
+		{"NewLab", func() error { _, err := NewLab(LabConfig{Device: &bad}); return err }},
+		{"NewPlanner", func() error { _, err := NewPlanner(PlannerConfig{Device: &bad}); return err }},
+	}
+	for _, c := range calls {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s panicked: %v", c.name, r)
+				}
+			}()
+			if err := c.call(); err == nil || !strings.Contains(err.Error(), "non-positive peak throughput") {
+				t.Errorf("%s: err = %v, want the device validation error", c.name, err)
+			}
+		}()
+	}
+}
+
 func TestZooAccessors(t *testing.T) {
 	if len(Networks()) != 7 || len(NetworkNames()) != 7 {
 		t.Fatal("zoo accessors broken")

@@ -47,11 +47,12 @@
 // the same TRN share one plan); the profiler memoizes whole
 // measurements and per-layer tables per plan key; and internal/trim
 // memoizes built TRNs, so Algorithm 1's inner loop costs one subgraph
-// build per distinct cut. The experiment Lab guards each shared
-// artefact (candidates, tables, the 148-sample set, the sweep, the
-// trained estimators) with a singleflight cell and fans its measurement
-// work — per network, per TRN, per SVR grid point x fold, per figure —
-// out over a bounded worker pool (internal/par).
+// build per distinct cut. The experiment Lab and the Planner it is
+// built on guard each shared artefact (candidates, tables, the
+// 148-sample set, the sweep, the trained estimators) with a
+// singleflight cell and fan their measurement work — per network, per
+// TRN, per SVR grid point x fold, per figure — out over a bounded
+// worker pool (internal/par).
 //
 // Determinism contract: parallelism changes wall-clock time only, never
 // results. Every task derives its randomness from the configured seed

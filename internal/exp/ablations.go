@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+
 	"netcut/internal/core"
 	"netcut/internal/device"
 	"netcut/internal/estimate"
@@ -164,7 +166,10 @@ func (l *Lab) AblDeviceModes() (*Figure, error) {
 		cfg := *l.cfg.Device
 		cfg.Fusion = m.fusion
 		cfg.Precision = m.precision
-		d := device.New(cfg)
+		d, err := device.NewChecked(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("exp: device mode %q: %w", m.name, err)
+		}
 		s := Series{Name: m.name}
 		for i, g := range l.Networks() {
 			lat := d.LatencyMs(g)

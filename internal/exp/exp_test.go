@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"netcut/internal/device"
 	"netcut/internal/profiler"
 )
 
@@ -323,5 +324,31 @@ func TestLabConfigDefaults(t *testing.T) {
 	}
 	if l.Device() == nil {
 		t.Fatal("no device")
+	}
+}
+
+// TestAblDeviceModesRejectsInvalidMode pins that an ablated device mode
+// the Lab's device cannot run (an INT8 profile without an FP32 slowdown
+// is valid, its FP32 variant is not) is an error naming the mode, not a
+// panic that takes down All.
+func TestAblDeviceModesRejectsInvalidMode(t *testing.T) {
+	cfg := device.Xavier()
+	cfg.FP32Slowdown = 0
+	l, err := NewLab(Config{
+		Seed:     1,
+		Device:   &cfg,
+		Protocol: profiler.Protocol{WarmupRuns: 10, TimedRuns: 20},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("AblDeviceModes panicked: %v", r)
+		}
+	}()
+	_, err = l.AblDeviceModes()
+	if err == nil || !strings.Contains(err.Error(), "fp32+fusion") {
+		t.Fatalf("err = %v, want an error naming the fp32+fusion mode", err)
 	}
 }

@@ -72,16 +72,12 @@ func (l *Lab) AblExtendedZoo() (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		acc, err := l.sim.OffTheShelfAccuracy(name)
+		c, err := l.p.Candidate(g)
 		if err != nil {
 			return nil, err
 		}
 		extTables[name] = l.prof.Profile(g)
-		cands = append(cands, core.Candidate{
-			Graph:      g,
-			MeasuredMs: l.prof.Measure(g).MeanMs,
-			Accuracy:   acc,
-		})
+		cands = append(cands, c)
 	}
 
 	f := &Figure{

@@ -9,12 +9,14 @@ import (
 	"netcut/internal/graph"
 	"netcut/internal/par"
 	"netcut/internal/profiler"
+	"netcut/internal/serve"
 	"netcut/internal/transfer"
 	"netcut/internal/trim"
 	"netcut/internal/zoo"
 )
 
-// Config parameterizes the experimental setup.
+// Config parameterizes the experimental setup. A zero Device, Protocol,
+// Head or TrainFraction takes serve.Config's default.
 type Config struct {
 	Seed       int64
 	DeadlineMs float64           // 0 = the prosthetic hand's 0.9 ms
@@ -33,28 +35,18 @@ func (c *Config) fill() {
 	if c.DeadlineMs == 0 {
 		c.DeadlineMs = 0.9
 	}
-	if c.Device == nil {
-		cfg := device.Xavier()
-		c.Device = &cfg
-	}
-	if c.Protocol == (profiler.Protocol{}) {
-		c.Protocol = profiler.PaperProtocol()
-	}
-	if c.Head == (trim.HeadSpec{}) {
-		c.Head = trim.DefaultHead
-	}
-	if c.TrainFraction == 0 {
-		c.TrainFraction = 0.2
-	}
 	if c.BandMinMs == 0 {
 		c.BandMinMs = 0.15
 	}
 }
 
-// Lab owns the shared experimental state: the simulated device, the
-// profiled tables, the 148-TRN blockwise families with measured
-// latencies and retrained accuracies, and the trained estimators. All
-// figure generators draw from the same measurements, as the paper's do.
+// Lab runs the figure and table generators on the serving pipeline: it
+// builds one serve.Planner and takes the simulated device, profiler,
+// retraining simulator, zoo samples and trained estimators from it, so
+// the figures and the service share one NetCut pipeline. On top it
+// keeps the paper zoo's candidates, profiled tables and blockwise
+// sweep. All figure generators draw from the same measurements, as the
+// paper's do.
 //
 // Every shared artefact is built at most once behind a singleflight
 // cell, is immutable after its build, and fans its measurement work out
@@ -65,7 +57,7 @@ func (c *Config) fill() {
 type Lab struct {
 	cfg Config
 
-	dev  *device.Device
+	p    *serve.Planner
 	prof *profiler.Profiler
 	sim  *transfer.Simulator
 	rt   core.Retrainer
@@ -73,39 +65,40 @@ type Lab struct {
 	nets       par.Lazy[[]*graph.Graph]
 	candidates par.Lazy[[]core.Candidate]
 	tables     par.Lazy[map[string]*profiler.Table]
-	samples    par.Lazy[[]estimate.Sample]
 	sweep      par.Lazy[*core.Sweep]
-	analytical par.Lazy[*estimate.AnalyticalEstimator]
-	linear     par.Lazy[*estimate.LinearEstimator]
 }
 
-// NewLab builds a Lab for the given configuration.
+// NewLab builds a Lab for the given configuration. An invalid device
+// profile is an error, as it is for serve.New.
 func NewLab(cfg Config) (*Lab, error) {
 	cfg.fill()
-	dev := device.New(*cfg.Device)
-	prof, err := profiler.New(dev, cfg.Protocol, cfg.Seed)
+	p, err := serve.New(serve.Config{
+		Seed:          cfg.Seed,
+		Device:        cfg.Device,
+		Protocol:      cfg.Protocol,
+		Head:          cfg.Head,
+		TrainFraction: cfg.TrainFraction,
+	})
 	if err != nil {
 		return nil, err
 	}
-	sim := transfer.NewSimulator(cfg.Seed)
-	l := &Lab{
+	// The figures read the filled defaults from l.cfg.
+	pc := p.Config()
+	cfg.Device, cfg.Protocol, cfg.Head, cfg.TrainFraction = pc.Device, pc.Protocol, pc.Head, pc.TrainFraction
+	return &Lab{
 		cfg:  cfg,
-		dev:  dev,
-		prof: prof,
-		sim:  sim,
-	}
-	l.rt = core.RetrainerFunc(func(t *trim.TRN) (core.TrainResult, error) {
-		r, err := sim.Retrain(t)
-		return core.TrainResult{Accuracy: r.Accuracy, TrainHours: r.TrainHours}, err
-	})
-	return l, nil
+		p:    p,
+		prof: p.Profiler(),
+		sim:  p.Simulator(),
+		rt:   p.Retrainer(),
+	}, nil
 }
 
 // Deadline returns the configured deadline in milliseconds.
 func (l *Lab) Deadline() float64 { return l.cfg.DeadlineMs }
 
 // Device returns the simulated device.
-func (l *Lab) Device() *device.Device { return l.dev }
+func (l *Lab) Device() *device.Device { return l.p.Device() }
 
 // networks returns the shared network slice; callers must not mutate it.
 func (l *Lab) networks() []*graph.Graph {
@@ -124,18 +117,9 @@ func (l *Lab) Networks() []*graph.Graph {
 func (l *Lab) buildCandidates() ([]core.Candidate, error) {
 	nets := l.networks()
 	out := make([]core.Candidate, len(nets))
-	err := par.ForEach(len(nets), func(i int) error {
-		g := nets[i]
-		acc, err := l.sim.OffTheShelfAccuracy(g.Name)
-		if err != nil {
-			return err
-		}
-		out[i] = core.Candidate{
-			Graph:      g,
-			MeasuredMs: l.prof.Measure(g).MeanMs,
-			Accuracy:   acc,
-		}
-		return nil
+	err := par.ForEach(len(nets), func(i int) (err error) {
+		out[i], err = l.p.Candidate(nets[i])
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -182,40 +166,11 @@ func (l *Lab) Tables() map[string]*profiler.Table {
 	return out
 }
 
-// buildSamples enumerates the blockwise TRN family of every candidate
-// (cheap, serial) and fans the 148 ground-truth measurements out over
-// the pool; each measurement's noise stream is derived from the TRN's
-// own name, so the sample list is identical in any schedule.
-func (l *Lab) buildSamples() ([]estimate.Sample, error) {
-	cands, err := l.candidates.Get(l.buildCandidates)
-	if err != nil {
-		return nil, err
-	}
-	var out []estimate.Sample
-	for _, c := range cands {
-		trns, err := trim.EnumerateBlockwise(c.Graph, l.cfg.Head, false)
-		if err != nil {
-			return nil, err
-		}
-		for _, tr := range trns {
-			out = append(out, estimate.Sample{TRN: tr, ParentLatencyMs: c.MeasuredMs})
-		}
-	}
-	err = par.ForEach(len(out), func(i int) error {
-		out[i].MeasuredMs = l.prof.Measure(out[i].TRN.Graph).MeanMs
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Samples returns the 148 blockwise TRNs with measured ground-truth
 // latencies — the regression dataset of Sec. V-B2. The returned slice
 // is a copy.
 func (l *Lab) Samples() ([]estimate.Sample, error) {
-	s, err := l.samples.Get(l.buildSamples)
+	s, err := l.p.ZooSamples()
 	if err != nil {
 		return nil, err
 	}
@@ -243,31 +198,17 @@ func (l *Lab) ProfilerEstimator() *estimate.ProfilerEstimator {
 // AnalyticalEstimator returns the SVR estimator trained on the
 // stratified 20% split of the measured TRN samples.
 func (l *Lab) AnalyticalEstimator() (*estimate.AnalyticalEstimator, error) {
-	return l.analytical.Get(func() (*estimate.AnalyticalEstimator, error) {
-		samples, err := l.samples.Get(l.buildSamples)
-		if err != nil {
-			return nil, err
-		}
-		train, _ := estimate.StratifiedSplit(samples, l.cfg.TrainFraction, l.cfg.Seed)
-		return estimate.TrainAnalytical(train, estimate.AnalyticalConfig{Seed: l.cfg.Seed})
-	})
+	return l.p.AnalyticalEstimator()
 }
 
 // LinearEstimator returns the OLS baseline trained on the same split.
 func (l *Lab) LinearEstimator() (*estimate.LinearEstimator, error) {
-	return l.linear.Get(func() (*estimate.LinearEstimator, error) {
-		samples, err := l.samples.Get(l.buildSamples)
-		if err != nil {
-			return nil, err
-		}
-		train, _ := estimate.StratifiedSplit(samples, l.cfg.TrainFraction, l.cfg.Seed)
-		return estimate.TrainLinear(train)
-	})
+	return l.p.LinearEstimator()
 }
 
 // TestSamples returns the held-out 80% of the measured TRN samples.
 func (l *Lab) TestSamples() ([]estimate.Sample, error) {
-	samples, err := l.samples.Get(l.buildSamples)
+	samples, err := l.p.ZooSamples()
 	if err != nil {
 		return nil, err
 	}
@@ -283,19 +224,6 @@ func (l *Lab) Explore(est estimate.Estimator) (*core.Result, error) {
 	}
 	return core.Explore(cands, l.cfg.DeadlineMs, est, l.rt, l.cfg.Head)
 }
-
-// OffTheShelfAccuracy returns the transfer-learned accuracy of a
-// network. The simulator derives it deterministically from (seed,
-// network), so no caching layer is needed here.
-func (l *Lab) OffTheShelfAccuracy(name string) (float64, error) {
-	return l.sim.OffTheShelfAccuracy(name)
-}
-
-// Retrainer exposes the lab's retraining backend.
-func (l *Lab) Retrainer() core.Retrainer { return l.rt }
-
-// Simulator exposes the retraining simulator.
-func (l *Lab) Simulator() *transfer.Simulator { return l.sim }
 
 // All runs every figure and table generator in paper order. The
 // generators execute concurrently — shared state they contend on is

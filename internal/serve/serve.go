@@ -6,15 +6,16 @@
 // bounded, so a stream of arbitrary user graphs plans in constant
 // memory.
 //
-// This is the "production" counterpart of the figure-reproduction Lab
-// (internal/exp): where a Lab owns the paper's fixed 7-network zoo and
-// builds each artefact once, a Planner amortizes profiling across an
-// open-ended request stream. Measurement results are pure functions of
-// (seed, device config, graph structure), so cross-request sharing is
-// exact: a Planner's proposal for a paper network is byte-identical to
-// the one a fresh single-use Lab would produce for the same seed, and
-// repeated requests for the same architecture are cache hits end to
-// end.
+// A Planner is also the one NetCut pipeline in the repository: the
+// figure-reproduction Lab (internal/exp) is built on a Planner and takes
+// its device, profiler, retraining simulator, zoo samples, trained
+// estimators and candidates (Candidate) from it, adding only the
+// paper-zoo artefacts the figures need. Measurement results are pure
+// functions of (seed, device config, graph structure), so cross-request
+// sharing is exact: a Planner's proposal for a paper network is
+// byte-identical to the one a fresh single-use Lab would produce for the
+// same seed, and repeated requests for the same architecture are cache
+// hits end to end.
 //
 // Determinism contract: the Planner inherits the repository-wide rule
 // that concurrency changes wall-clock time only. Every noise stream
@@ -267,6 +268,22 @@ func (p *Planner) DeviceName() string { return p.cfg.Device.Name }
 // DeviceConfig returns the planner's device calibration.
 func (p *Planner) DeviceConfig() device.Config { return p.dev.Config() }
 
+// Config returns the planner's configuration with every default
+// filled in.
+func (p *Planner) Config() Config { return p.cfg }
+
+// Device returns the planner's simulated device.
+func (p *Planner) Device() *device.Device { return p.dev }
+
+// Profiler returns the planner's shared profiler.
+func (p *Planner) Profiler() *profiler.Profiler { return p.prof }
+
+// Simulator returns the planner's retraining simulator.
+func (p *Planner) Simulator() *transfer.Simulator { return p.sim }
+
+// Retrainer returns the retraining backend Algorithm 1 runs with.
+func (p *Planner) Retrainer() core.Retrainer { return p.rt }
+
 // Select plans one request: validate the graph, measure it on the
 // shared device (a cache hit for any structure seen before), run
 // Algorithm 1 with the requested estimator, and return the
@@ -361,26 +378,13 @@ func (p *Planner) selectOne(req Request) (*Response, error) {
 	}
 	phase("")
 
-	if err := p.ensureProfile(g); err != nil {
-		return nil, err
-	}
-
-	meas := p.prof.Measure(g)
-	acc, err := p.sim.OffTheShelfAccuracy(g.Name)
+	cand, err := p.Candidate(g)
 	if err != nil {
 		return nil, err
 	}
 	phase("measure")
-	// CacheScope keys every cut this exploration creates by the device
-	// calibration, so no two targets in a pool share cut-cache entries.
-	cand := core.Candidate{
-		Graph:      g,
-		MeasuredMs: meas.MeanMs,
-		Accuracy:   acc,
-		CacheScope: p.dev.Fingerprint(),
-	}
 
-	est, err := p.estimator(req.Estimator, g, meas.MeanMs)
+	est, err := p.estimator(req.Estimator, g, cand.MeasuredMs)
 	if err != nil {
 		return nil, err
 	}
@@ -413,6 +417,28 @@ func (p *Planner) selectOne(req Request) (*Response, error) {
 	}, nil
 }
 
+// Candidate builds the Algorithm-1 input for g: its measured latency on
+// the planner's device and its off-the-shelf accuracy, registering a
+// generic transfer profile first when g is outside the calibrated zoo.
+// The candidate's CacheScope keys every cut an exploration of it
+// creates by the device calibration, so no two targets in a pool share
+// cut-cache entries.
+func (p *Planner) Candidate(g *graph.Graph) (core.Candidate, error) {
+	if err := p.ensureProfile(g); err != nil {
+		return core.Candidate{}, err
+	}
+	acc, err := p.sim.OffTheShelfAccuracy(g.Name)
+	if err != nil {
+		return core.Candidate{}, err
+	}
+	return core.Candidate{
+		Graph:      g,
+		MeasuredMs: p.prof.Measure(g).MeanMs,
+		Accuracy:   acc,
+		CacheScope: p.dev.Fingerprint(),
+	}, nil
+}
+
 // ensureProfile registers a deterministic generic transfer profile for
 // networks outside the calibrated zoo, so arbitrary user graphs can be
 // "retrained". Derived from (name, feature-layer count) alone, the
@@ -435,13 +461,13 @@ func (p *Planner) estimator(kind string, g *graph.Graph, parentMs float64) (esti
 		tbl := p.prof.Profile(g)
 		return estimate.NewProfilerEstimator(map[string]*profiler.Table{g.Name: tbl}), nil
 	case "analytical":
-		base, err := p.analytical.Get(p.buildAnalytical)
+		base, err := p.AnalyticalEstimator()
 		if err != nil {
 			return nil, err
 		}
 		return base.WithParentLatency(g.Name, parentMs), nil
 	case "linear":
-		base, err := p.linear.Get(p.buildLinear)
+		base, err := p.LinearEstimator()
 		if err != nil {
 			return nil, err
 		}
@@ -451,9 +477,18 @@ func (p *Planner) estimator(kind string, g *graph.Graph, parentMs float64) (esti
 	}
 }
 
-// buildZooSamples mirrors exp.Lab's sample construction exactly — same
-// zoo order, same enumeration, same per-TRN measurement seeds — so the
-// shared estimators train to byte-identical models.
+// ZooSamples returns the 148 blockwise TRNs of the paper zoo with
+// measured ground-truth latencies, in zoo order: the regression set of
+// Sec. V-B2 that the analytical and linear estimators train on. It is
+// built once; callers must not mutate the returned slice.
+func (p *Planner) ZooSamples() ([]estimate.Sample, error) {
+	return p.zooSamples.Get(p.buildZooSamples)
+}
+
+// buildZooSamples enumerates the blockwise family of every zoo network
+// (cheap, serial) and fans the ground-truth measurements out over the
+// pool. Each measurement's noise stream derives from the TRN's own
+// name, so the sample list is identical in any schedule.
 func (p *Planner) buildZooSamples() ([]estimate.Sample, error) {
 	nets := zoo.Paper7()
 	parentMs := make([]float64, len(nets))
@@ -484,8 +519,20 @@ func (p *Planner) buildZooSamples() ([]estimate.Sample, error) {
 	return out, nil
 }
 
+// AnalyticalEstimator returns the shared SVR estimator, trained once on
+// the stratified TrainFraction split of ZooSamples.
+func (p *Planner) AnalyticalEstimator() (*estimate.AnalyticalEstimator, error) {
+	return p.analytical.Get(p.buildAnalytical)
+}
+
+// LinearEstimator returns the shared OLS baseline, trained once on the
+// same split.
+func (p *Planner) LinearEstimator() (*estimate.LinearEstimator, error) {
+	return p.linear.Get(p.buildLinear)
+}
+
 func (p *Planner) buildAnalytical() (*estimate.AnalyticalEstimator, error) {
-	samples, err := p.zooSamples.Get(p.buildZooSamples)
+	samples, err := p.ZooSamples()
 	if err != nil {
 		return nil, err
 	}
@@ -494,7 +541,7 @@ func (p *Planner) buildAnalytical() (*estimate.AnalyticalEstimator, error) {
 }
 
 func (p *Planner) buildLinear() (*estimate.LinearEstimator, error) {
-	samples, err := p.zooSamples.Get(p.buildZooSamples)
+	samples, err := p.ZooSamples()
 	if err != nil {
 		return nil, err
 	}
