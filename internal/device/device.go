@@ -2,11 +2,11 @@ package device
 
 import (
 	"math"
-	"math/rand"
 	"sync"
 
 	"netcut/internal/graph"
 	"netcut/internal/lru"
+	"netcut/internal/noise"
 	"netcut/internal/telemetry"
 )
 
@@ -26,6 +26,7 @@ type Device struct {
 	print   uint64   // cfg.Fingerprint(), folded into every plan key
 	byPtr   sync.Map // weak.Pointer[graph.Graph] -> *planInfo, self-evicting
 	byPrint *lru.Cache[uint64, *planInfo]
+	cold    []float64 // cfg.coldFactor(k) for the first coldTableRuns runs
 }
 
 // DefaultPlanCacheCap bounds the fingerprint-keyed plan cache. It
@@ -33,6 +34,12 @@ type Device struct {
 // blockwise TRNs, a few hundred exhaustive cuts) while capping what a
 // stream of distinct user graphs can pin.
 const DefaultPlanCacheCap = 4096
+
+// coldTableRuns is how many leading runs' warm-up factors a Device
+// tabulates at construction, so a session's run reads its factor
+// instead of calling math.Exp. It covers the paper protocol's 1000
+// runs; later runs compute the factor.
+const coldTableRuns = 1024
 
 // New returns a Device for the given configuration. Configurations are
 // static calibration tables, so an invalid one panics rather than
@@ -56,10 +63,15 @@ func NewChecked(cfg Config) (*Device, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cold := make([]float64, coldTableRuns)
+	for k := range cold {
+		cold[k] = cfg.coldFactor(k)
+	}
 	return &Device{
 		cfg:     cfg,
 		print:   cfg.Fingerprint(),
 		byPrint: lru.New[uint64, *planInfo](DefaultPlanCacheCap),
+		cold:    cold,
 	}, nil
 }
 
@@ -141,23 +153,30 @@ func (d *Device) LatencyMs(g *graph.Graph) float64 {
 // shared, immutable cache state; only the run counter and noise stream
 // are per-session.
 type Session struct {
-	dev  *Device
-	g    *graph.Graph
-	info *planInfo
-	runs int
-	rng  *rand.Rand
+	dev   *Device
+	g     *graph.Graph
+	info  *planInfo
+	runs  int
+	noise noise.Source
 }
 
 // Open prepares a session for g, reusing the device's memoized plan and
 // steady-state kernel times. The seed makes the measurement-noise
 // stream reproducible.
 func (d *Device) Open(g *graph.Graph, seed int64) *Session {
-	return &Session{
-		dev:  d,
-		g:    g,
-		info: d.plan(g),
-		rng:  rand.New(rand.NewSource(seed)),
-	}
+	s := &Session{dev: d, g: g, info: d.plan(g)}
+	s.noise.Seed(seed)
+	return s
+}
+
+// Fork returns an independent copy of the session: same run count,
+// and a noise stream that continues where s's would. Running the fork
+// yields exactly what running s would have, without touching s, so
+// two protocols that share a warm-up can each start from one warmed
+// session.
+func (s *Session) Fork() *Session {
+	f := *s
+	return &f
 }
 
 // Graph returns the network this session executes.
@@ -167,12 +186,20 @@ func (s *Session) Graph() *graph.Graph { return s.g }
 func (s *Session) Runs() int { return s.runs }
 
 // coldFactor models the warm-up transient of run k.
-func (s *Session) coldFactor() float64 {
-	c := &s.dev.cfg
+func (c *Config) coldFactor(k int) float64 {
 	if c.ColdPenalty == 0 {
 		return 1
 	}
-	return 1 + float64(c.ColdPenalty*math.Exp(-float64(s.runs)/c.ColdRuns))
+	return 1 + float64(c.ColdPenalty*math.Exp(-float64(k)/c.ColdRuns))
+}
+
+// coldFactor is the warm-up factor of the session's next run, read
+// from the device's table while the run is in it.
+func (s *Session) coldFactor() float64 {
+	if s.runs < len(s.dev.cold) {
+		return s.dev.cold[s.runs]
+	}
+	return s.dev.cfg.coldFactor(s.runs)
 }
 
 // runNoise is the per-run global noise factor (clock and DVFS jitter
@@ -182,13 +209,17 @@ func (s *Session) coldFactor() float64 {
 // Throughout the noise math, an explicit float64(x*y) rounds a product
 // before it is added: the Go spec lets a compiler fuse x*y+z into one
 // multiply-add, even across statements (arm64 builds do), and only a
-// conversion rules that out, so every build draws the same bits.
+// conversion rules that out, so every build draws the same bits. The
+// draws themselves come from internal/noise, which reproduces
+// math/rand's seeded normal stream; its ziggurat keeps math/rand's
+// expressions unrounded on purpose, so it fuses wherever math/rand
+// does.
 func (s *Session) runNoise() float64 {
-	return 1 + float64(s.dev.cfg.NoiseSigma*s.rng.NormFloat64())
+	return 1 + float64(s.dev.cfg.NoiseSigma*s.noise.NormFloat64())
 }
 
 func (s *Session) kernelNoise() float64 {
-	return 1 + float64(0.5*s.dev.cfg.NoiseSigma*s.rng.NormFloat64())
+	return 1 + float64(0.5*s.dev.cfg.NoiseSigma*s.noise.NormFloat64())
 }
 
 // InferMs executes one inference and returns its measured latency in
@@ -249,7 +280,7 @@ func (s *Session) InferProfiledAdd(sums []float64) float64 {
 		for j := range tmpl {
 			// One RNG draw per row, in plan order; both products are
 			// rounded before the adds.
-			jitter := 1 + float64(0.1*s.rng.NormFloat64())
+			jitter := 1 + float64(0.1*s.noise.NormFloat64())
 			sums[ri] += float64(t*tmpl[j].share) + float64(ev*jitter)
 			ri++
 		}

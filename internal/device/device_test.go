@@ -303,3 +303,74 @@ func TestNewPanicsOnInvalidConfig(t *testing.T) {
 	cfg.PeakMACs = -1
 	New(cfg)
 }
+
+// TestForkMatchesFreshSession checks that a fork of a warmed session
+// draws what an identically warmed fresh session draws, bit for bit,
+// in plain and in profiled runs, and leaves the forked session as it
+// was.
+func TestForkMatchesFreshSession(t *testing.T) {
+	d := New(Xavier())
+	g, err := zoo.ByName("MobileNetV1 (0.5)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := func() *Session {
+		s := d.Open(g, 5)
+		for i := 0; i < 200; i++ {
+			s.InferMs()
+		}
+		return s
+	}
+	bits := func(s *Session, profiled bool) []uint64 {
+		var out []uint64
+		sums := make([]float64, len(s.ProfiledLayers()))
+		for i := 0; i < 800; i++ {
+			if profiled {
+				out = append(out, math.Float64bits(s.InferProfiledAdd(sums)))
+			} else {
+				out = append(out, math.Float64bits(s.InferMs()))
+			}
+		}
+		for _, v := range sums {
+			out = append(out, math.Float64bits(v))
+		}
+		return out
+	}
+	orig := warm()
+	for _, profiled := range []bool{false, true} {
+		fork := orig.Fork()
+		got, want := bits(fork, profiled), bits(warm(), profiled)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("profiled=%v: value %d of the fork is %#x, fresh session %#x", profiled, i, got[i], want[i])
+			}
+		}
+		if fork.Runs() != 1000 {
+			t.Fatalf("fork ran %d times, want 1000", fork.Runs())
+		}
+	}
+	if orig.Runs() != 200 {
+		t.Fatalf("running forks advanced the original to %d runs", orig.Runs())
+	}
+	got, want := bits(orig, false), bits(warm(), false)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("the original after forking: value %d is %#x, fresh session %#x", i, got[i], want[i])
+		}
+	}
+}
+
+// TestColdFactorTableMatchesFormula checks the device's tabulated
+// warm-up factors against the formula at both ends of the table and
+// past it, where sessions compute the factor instead.
+func TestColdFactorTableMatchesFormula(t *testing.T) {
+	d := New(Xavier())
+	s := d.Open(testNet(), 1)
+	for _, k := range []int{0, 1, 199, coldTableRuns - 1, coldTableRuns, 5000} {
+		s.runs = k
+		cfg := d.Config()
+		if got, want := s.coldFactor(), cfg.coldFactor(k); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("run %d: factor %v, formula %v", k, got, want)
+		}
+	}
+}
