@@ -67,8 +67,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		m := prof.Measure(g)
-		tbl := prof.Profile(g)
+		m, tbl := prof.MeasureProfile(g)
 		fmt.Fprintf(w, "%s\t%.4f\t%.4f\t%d\t%.4f\t%+.1f%%\n",
 			n, m.MeanMs, m.StdMs, m.Runs, tbl.SumMs(),
 			100*(tbl.SumMs()-tbl.EndToEndMs)/tbl.EndToEndMs)

@@ -7,12 +7,13 @@ import (
 	"netcut/internal/graph"
 )
 
-// BenchmarkProfile times the profiler's two protocol runs on a cold
-// graph, named like their trace stages: "profile" is a fresh
-// profiler's per-layer table build (the cold estimate phase), and
-// "measure" is one end-to-end Measure. Every iteration starts from a
-// fresh device and profiler, so no plan, table or measurement is
-// cached, as for a never-seen graph posted to the gateway.
+// BenchmarkProfile times the profiler's protocol runs on a cold graph:
+// "profile" is a fresh profiler's per-layer table build, "measure" is
+// one end-to-end Measure, and "measure_profile" is both in one
+// MeasureProfile, sharing one warm-up, which is the cold measure phase
+// of a profiler-estimator request. Every iteration starts from a fresh
+// device and profiler, so no plan, table or measurement is cached, as
+// for a never-seen graph posted to the gateway.
 func BenchmarkProfile(b *testing.B) {
 	g := coldGraph()
 	fresh := func(b *testing.B) *Profiler {
@@ -32,6 +33,12 @@ func BenchmarkProfile(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
 			fresh(b).Measure(g)
+		}
+	})
+	b.Run("measure_profile", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			fresh(b).MeasureProfile(g)
 		}
 	})
 }

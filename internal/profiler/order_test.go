@@ -73,3 +73,39 @@ func TestMeasureProfileOrderIndependent(t *testing.T) {
 		sameBits(t, g.Name, ma, mb, ta, tb)
 	}
 }
+
+// TestMeasureProfileMatchesSeparateCalls checks MeasureProfile against
+// Measure followed by Profile on fresh profilers: the same bits and
+// the same cache counters when both caches miss (the warm-up is
+// shared), when only the table misses, and when only the measurement
+// misses.
+func TestMeasureProfileMatchesSeparateCalls(t *testing.T) {
+	for _, g := range orderNets(t) {
+		ref := newProfiler(t, PaperProtocol())
+		mr, tr := ref.Measure(g), ref.Profile(g)
+
+		both := newProfiler(t, PaperProtocol())
+		m, tbl := both.MeasureProfile(g)
+		oneMissEach(t, g.Name+" MeasureProfile", both)
+		sameBits(t, g.Name+" both missing", mr, m, tr, tbl)
+
+		for _, prime := range []string{"measure", "profile"} {
+			p := newProfiler(t, PaperProtocol())
+			var wantMeasureHits, wantTableHits uint64
+			if prime == "measure" {
+				p.Measure(g)
+				wantMeasureHits = 1
+			} else {
+				p.Profile(g)
+				wantTableHits = 1
+			}
+			m, tbl := p.MeasureProfile(g)
+			sameBits(t, g.Name+" after "+prime, mr, m, tr, tbl)
+			ms, ts := p.CacheStats()
+			if ms.Misses != 1 || ms.Hits != wantMeasureHits || ts.Misses != 1 || ts.Hits != wantTableHits {
+				t.Fatalf("%s after %s: measurements %d hits/%d misses, tables %d hits/%d misses",
+					g.Name, prime, ms.Hits, ms.Misses, ts.Hits, ts.Misses)
+			}
+		}
+	}
+}

@@ -222,6 +222,11 @@ func (p *Profiler) HasMeasurement(g *graph.Graph) bool {
 	return p.measurements.Contains(p.dev.PlanKey(g))
 }
 
+// HasTable is HasMeasurement for g's per-layer table.
+func (p *Profiler) HasTable(g *graph.Graph) bool {
+	return p.tables.Contains(p.dev.PlanKey(g))
+}
+
 // sessionSeed derives the per-network measurement seed from the
 // profiler's base seed: seed XOR a hash of the network name. Each
 // network therefore draws its own reproducible noise stream that is
@@ -240,21 +245,52 @@ func sessionSeed(base int64, name string) int64 {
 func (p *Profiler) Measure(g *graph.Graph) Measurement {
 	// A concurrent miss computes the identical value; either store wins.
 	return p.measurements.GetOrCompute(p.dev.PlanKey(g), func() Measurement {
-		return p.measure(g)
+		return p.measure(p.warmup(g))
 	})
 }
 
-func (p *Profiler) measure(g *graph.Graph) Measurement {
+// MeasureProfile returns Measure(g) and Profile(g), with the same
+// results and cache counters as calling the two in that order. When
+// both miss, the table's timed runs start from a fork of the
+// measurement's warmed-up session instead of repeating the warm-up:
+// both protocols open the same seeded session and run the same
+// warm-up, so the fork is the session a second warm-up would produce.
+func (p *Profiler) MeasureProfile(g *graph.Graph) (Measurement, *Table) {
+	key := p.dev.PlanKey(g)
+	var warm *device.Session
+	m := p.measurements.GetOrCompute(key, func() Measurement {
+		s := p.warmup(g)
+		warm = s.Fork()
+		return p.measure(s)
+	})
+	tbl := p.tables.GetOrCompute(key, func() *Table {
+		if warm == nil {
+			warm = p.warmup(g)
+		}
+		return p.profile(warm)
+	})
+	return m, tbl
+}
+
+// warmup opens g's seeded session and runs the protocol's warm-up on
+// it: the identical first phase of Measure and Profile.
+func (p *Profiler) warmup(g *graph.Graph) *device.Session {
 	s := p.dev.Open(g, sessionSeed(p.seed, g.Name))
 	for i := 0; i < p.proto.WarmupRuns; i++ {
 		s.InferMs()
 	}
+	return s
+}
+
+// measure runs the timed phase of the end-to-end protocol on a
+// warmed-up session.
+func (p *Profiler) measure(s *device.Session) Measurement {
 	lat := make([]float64, p.proto.TimedRuns)
 	for i := range lat {
 		lat[i] = s.InferMs()
 	}
 	return Measurement{
-		Network: g.Name,
+		Network: s.Graph().Name,
 		MeanMs:  metric.Mean(lat),
 		StdMs:   metric.Std(lat),
 		Runs:    p.proto.TimedRuns,
@@ -266,15 +302,14 @@ func (p *Profiler) measure(g *graph.Graph) Measurement {
 // one cached table; callers treat tables as immutable.
 func (p *Profiler) Profile(g *graph.Graph) *Table {
 	return p.tables.GetOrCompute(p.dev.PlanKey(g), func() *Table {
-		return p.profile(g)
+		return p.profile(p.warmup(g))
 	})
 }
 
-func (p *Profiler) profile(g *graph.Graph) *Table {
-	s := p.dev.Open(g, sessionSeed(p.seed, g.Name))
-	for i := 0; i < p.proto.WarmupRuns; i++ {
-		s.InferMs()
-	}
+// profile runs the timed phase of the instrumented protocol on a
+// warmed-up session.
+func (p *Profiler) profile(s *device.Session) *Table {
+	g := s.Graph()
 	// The execution plan — and therefore the profiled row order — is
 	// identical on every run, so the runs accumulate positionally into
 	// one sums slice, with no rows and no map ops in the hot loop.

@@ -138,8 +138,10 @@ type Request struct {
 	Estimator string
 	// Trace, when non-nil, receives the planner's internal phase
 	// boundaries for this request — "measure" (profile registration +
-	// device measurement + off-the-shelf accuracy), "estimate"
-	// (estimator resolution, including any zoo-table build), "explore"
+	// device measurement + off-the-shelf accuracy, and for the
+	// profiler estimator the graph's per-layer table), "estimate"
+	// (estimator resolution, including a shared model's first
+	// training), "explore"
 	// (Algorithm 1) — with absolute start/end timestamps. Observability
 	// only: the callback sees timings, never influences the response,
 	// and a request with the callback plans identically to one without.
@@ -338,12 +340,17 @@ func (p *Planner) selectOne(req Request) (*Response, error) {
 	// Telemetry wraps the execution from here down: validation failures
 	// above never count as executions, which is what lets the gateway's
 	// shed and coalesce tests assert "no planner work" via the counter.
+	// The profiler estimator reads g's own per-layer table, which the
+	// measure phase builds together with the measurement.
+	profiled := req.Estimator == "" || req.Estimator == "profiler"
 	tel := p.tel.Load()
 	var warm bool
 	var start time.Time
 	if tel != nil {
 		tel.executions.Inc()
-		warm = p.prof.HasMeasurement(g)
+		// Warm means the request runs no cold protocol: a profiler
+		// request whose table is not cached builds one.
+		warm = p.prof.HasMeasurement(g) && (!profiled || p.prof.HasTable(g))
 		start = time.Now()
 	}
 	record := func() {
@@ -378,13 +385,13 @@ func (p *Planner) selectOne(req Request) (*Response, error) {
 	}
 	phase("")
 
-	cand, err := p.Candidate(g)
+	cand, tbl, err := p.candidate(g, profiled)
 	if err != nil {
 		return nil, err
 	}
 	phase("measure")
 
-	est, err := p.estimator(req.Estimator, g, cand.MeasuredMs)
+	est, err := p.estimator(req.Estimator, g, cand.MeasuredMs, tbl)
 	if err != nil {
 		return nil, err
 	}
@@ -424,19 +431,34 @@ func (p *Planner) selectOne(req Request) (*Response, error) {
 // creates by the device calibration, so no two targets in a pool share
 // cut-cache entries.
 func (p *Planner) Candidate(g *graph.Graph) (core.Candidate, error) {
+	cand, _, err := p.candidate(g, false)
+	return cand, err
+}
+
+// candidate is Candidate that, when withTable is set, also returns g's
+// per-layer profiler table, measuring and profiling g in one
+// Profiler.MeasureProfile so the two protocols share a warm-up.
+func (p *Planner) candidate(g *graph.Graph, withTable bool) (core.Candidate, *profiler.Table, error) {
 	if err := p.ensureProfile(g); err != nil {
-		return core.Candidate{}, err
+		return core.Candidate{}, nil, err
 	}
 	acc, err := p.sim.OffTheShelfAccuracy(g.Name)
 	if err != nil {
-		return core.Candidate{}, err
+		return core.Candidate{}, nil, err
+	}
+	var m profiler.Measurement
+	var tbl *profiler.Table
+	if withTable {
+		m, tbl = p.prof.MeasureProfile(g)
+	} else {
+		m = p.prof.Measure(g)
 	}
 	return core.Candidate{
 		Graph:      g,
-		MeasuredMs: p.prof.Measure(g).MeanMs,
+		MeasuredMs: m.MeanMs,
 		Accuracy:   acc,
 		CacheScope: p.dev.Fingerprint(),
-	}, nil
+	}, tbl, nil
 }
 
 // ensureProfile registers a deterministic generic transfer profile for
@@ -451,14 +473,13 @@ func (p *Planner) ensureProfile(g *graph.Graph) error {
 }
 
 // estimator resolves the per-request estimator. The profiler kind
-// profiles the request's own graph (one bounded-cached table per
-// structure); the analytical and linear kinds share one model trained
-// on the paper zoo, overlaid — copy-on-write, never mutating the shared
-// model — with the request graph's measured parent latency.
-func (p *Planner) estimator(kind string, g *graph.Graph, parentMs float64) (estimate.Estimator, error) {
+// reads tbl, the request graph's own profile (one bounded-cached table
+// per structure); the analytical and linear kinds share one model
+// trained on the paper zoo, overlaid — copy-on-write, never mutating
+// the shared model — with the request graph's measured parent latency.
+func (p *Planner) estimator(kind string, g *graph.Graph, parentMs float64, tbl *profiler.Table) (estimate.Estimator, error) {
 	switch kind {
 	case "", "profiler":
-		tbl := p.prof.Profile(g)
 		return estimate.NewProfilerEstimator(map[string]*profiler.Table{g.Name: tbl}), nil
 	case "analytical":
 		base, err := p.AnalyticalEstimator()
@@ -580,9 +601,9 @@ func (p *Planner) Instrument(reg *telemetry.Registry) {
 			"planning executions: validated requests that ran the measurement pipeline and Algorithm 1",
 			labels),
 		coldMs: reg.HistogramWith("netcut_planner_cold_ms",
-			"execution latency of requests whose structure was not yet measured", nil, labels),
+			"execution latency of requests whose structure was not yet measured, or not yet profiled for the profiler estimator", nil, labels),
 		warmMs: reg.HistogramWith("netcut_planner_warm_ms",
-			"execution latency of requests served from the shared measurement caches", nil, labels),
+			"execution latency of requests served from the shared measurement and profiler-table caches", nil, labels),
 	})
 }
 

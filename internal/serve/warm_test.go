@@ -3,6 +3,7 @@ package serve
 import (
 	"testing"
 
+	"netcut/internal/telemetry"
 	"netcut/internal/trim"
 	"netcut/internal/zoo"
 )
@@ -46,5 +47,34 @@ func TestWarmSelectBuildsNoGraph(t *testing.T) {
 	})
 	if warm >= cut {
 		t.Fatalf("a warm select allocates %.0f objects, one cut build %.0f", warm, cut)
+	}
+}
+
+// TestTableColdRequestIsTimedCold checks the warm/cold split of the
+// execution-latency histograms for a profiler request whose graph is
+// measured but not yet profiled, the state an analytical or linear
+// request (or a table eviction) leaves behind. That request builds the
+// whole per-layer table, so it must be timed as cold: the warm
+// histogram feeds budget shedding, auto routing and the drift signal.
+func TestTableColdRequestIsTimedCold(t *testing.T) {
+	p, err := New(Config{Seed: 1, Protocol: quickProto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Instrument(telemetry.NewRegistry())
+	g := userNet(1)
+	p.Profiler().Measure(g)
+	req := Request{Graph: g, DeadlineMs: 0.35, Estimator: "profiler"}
+	if _, err := p.Select(req); err != nil {
+		t.Fatal(err)
+	}
+	if _, n := p.WarmQuantile(0.5); n != 0 {
+		t.Fatalf("a request that built its profiler table was timed as warm (%d warm samples)", n)
+	}
+	if _, err := p.Select(req); err != nil {
+		t.Fatal(err)
+	}
+	if _, n := p.WarmQuantile(0.5); n != 1 {
+		t.Fatalf("a repeat with measurement and table cached: %d warm samples, want 1", n)
 	}
 }
