@@ -141,13 +141,13 @@ type Request struct {
 	// device measurement + off-the-shelf accuracy, and for the
 	// profiler estimator the graph's per-layer table), "estimate"
 	// (estimator resolution, including a shared model's first
-	// training), "explore"
-	// (Algorithm 1) — with absolute start/end timestamps. Observability
-	// only: the callback sees timings, never influences the response,
-	// and a request with the callback plans identically to one without.
-	// It is invoked from whichever goroutine runs this request's
-	// exploration, so it must be safe for that (the gateway records
-	// into per-call storage read only after delivery).
+	// training), "explore" (Algorithm 1) — with absolute start/end
+	// timestamps. Observability only: the callback sees timings, never
+	// influences the response, and a request with the callback plans
+	// identically to one without. It is invoked from whichever
+	// goroutine runs this request's exploration, so it must be safe for
+	// that (the gateway records into per-call storage read only after
+	// delivery).
 	Trace func(phase string, start, end time.Time)
 }
 
@@ -337,12 +337,13 @@ func (p *Planner) selectOne(req Request) (*Response, error) {
 	if !(deadline >= 0) { // also rejects NaN
 		return nil, fmt.Errorf("serve: deadline %v is negative or NaN", deadline)
 	}
-	// Telemetry wraps the execution from here down: validation failures
-	// above never count as executions, which is what lets the gateway's
-	// shed and coalesce tests assert "no planner work" via the counter.
 	// The profiler estimator reads g's own per-layer table, which the
 	// measure phase builds together with the measurement.
 	profiled := req.Estimator == "" || req.Estimator == "profiler"
+
+	// Telemetry wraps the execution from here down: validation failures
+	// above never count as executions, which is what lets the gateway's
+	// shed and coalesce tests assert "no planner work" via the counter.
 	tel := p.tel.Load()
 	var warm bool
 	var start time.Time
