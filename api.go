@@ -293,29 +293,29 @@ func NewPlannerPool(cfg PoolConfig) (*PlannerPool, error) { return serve.NewPool
 // PlannerPool: a JSON planning API (POST /v1/plan) with per-request
 // device targeting ("target": a registered device name, "auto", or
 // empty for the default device; GET /v1/devices lists the fleet),
-// singleflight coalescing of identical requests, batch admission of
-// compatible ones, a bounded rendered-response byte cache (repeat
+// singleflight coalescing of identical requests, a bounded
+// rendered-response byte cache (repeat
 // requests are answered with the previously rendered body straight
 // from admission — after the drain, quarantine and device-health
 // gates, before any queueing; GatewayConfig.ByteCacheCap, on by
 // default at DefaultByteCacheCap entries, negative disables),
-// per-device worker lanes (one bounded queue + workers
-// per target, so a cold plan on one device never head-of-line-blocks
-// another's warm traffic), load shedding keyed to the client's own
+// per-device worker lanes (one bounded queue + workers per target,
+// each worker planning one request per pass, so a cold plan on one
+// device never head-of-line-blocks another's warm traffic), load shedding keyed to the client's own
 // latency budget, graceful drain, warm-state snapshot/restore
 // (SaveState/LoadState, POST /v1/state/save via GatewayConfig.StatePath)
 // with background zoo prewarming (Prewarm), and a telemetry registry
 // exposed at /metrics (Prometheus text, per-device series carry a
-// device label) and /debug/stats (JSON). Routing, coalescing, batching,
+// device label) and /debug/stats (JSON). Routing, coalescing, lanes,
 // caching and shedding change which executions happen, where and when —
-// never what any request returns: a coalesced, batched or byte-cached
-// response body is byte-identical to the same request served alone
+// never what any request returns: a coalesced or byte-cached response
+// body is byte-identical to the same request served alone
 // through that device's Planner, and an auto-routed body to the same
 // request naming the resolved device explicitly.
 //
 // Faults are contained rather than propagated: planner-pass panics are
-// recovered per request (innocent batchmates are retried solo with
-// byte-identical results, repeat offenders quarantined), disconnected
+// recovered per request (only the poison request fails, repeat
+// offenders are quarantined), disconnected
 // clients have queued work cancelled before execution, an optional
 // watchdog (GatewayConfig.ExecTimeout) abandons stuck passes with a
 // 504, repeatedly faulting devices leave rotation until a background
@@ -361,7 +361,7 @@ type (
 	Gateway = gateway.Gateway
 	// GatewayConfig parameterizes a Gateway: the embedded PlannerConfig
 	// template and device list plus the HTTP-side knobs (body size
-	// limit, queue depth, batch width and window, worker count, shed
+	// limit, queue depth, batch window, worker count, shed
 	// warm-up, watchdog and autosave intervals, health thresholds).
 	GatewayConfig = gateway.Config
 )
@@ -377,7 +377,7 @@ const DefaultByteCacheCap = gateway.DefaultByteCacheCap
 // slow-request log).
 const DefaultTraceRingCap = gateway.DefaultTraceRingCap
 
-// NewGateway builds the serving gateway and starts its batch workers.
+// NewGateway builds the serving gateway and starts its lane workers.
 // Mount Handler() on an http.Server and call Shutdown to drain:
 //
 //	gw, err := netcut.NewGateway(netcut.GatewayConfig{})

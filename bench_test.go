@@ -198,6 +198,70 @@ func BenchmarkPlannerSelectCold(b *testing.B) {
 	}
 }
 
+// BenchmarkPlannerSelectColdGraph measures the cold request alone: one
+// Planner, built outside the timer, plans a never-seen graph per
+// iteration. BenchmarkPlannerSelectCold also times NewPlanner's zoo
+// build; here that happens once. Each graph is ResNet-50's architecture
+// at its own input side, so its measurement, per-layer table, cuts and
+// every cut's device plan are new to the planner. The profiler's
+// table-miss counter checks that every iteration ran cold.
+func BenchmarkPlannerSelectColdGraph(b *testing.B) {
+	graphs := make([]*Graph, b.N)
+	for i := range graphs {
+		graphs[i] = coldResNet50(i)
+	}
+	trim.PurgeCutCache()
+	p, err := NewPlanner(PlannerConfig{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, tables := p.Profiler().CacheStats()
+	b.ResetTimer()
+	for _, g := range graphs {
+		if _, err := p.Select(PlanRequest{Graph: g, DeadlineMs: 0.9}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	_, after := p.Profiler().CacheStats()
+	// A cold request builds exactly one table, its graph's own.
+	if misses := after.Misses - tables.Misses; misses != uint64(b.N) {
+		b.Fatalf("%d table misses over %d requests, want one per request", misses, b.N)
+	}
+}
+
+// coldResNet50 builds ResNet-50's architecture named "cold-ResNet-50-k"
+// with a (160+k)-pixel input side: every layer shape, and with it every
+// structural fingerprint of the graph and its cuts, is unique to k.
+func coldResNet50(k int) *Graph {
+	side := 160 + k
+	b := graph.NewBuilder(fmt.Sprintf("cold-ResNet-50-%d", k), graph.Shape{H: side, W: side, C: 3}, 1000)
+	x := b.Input()
+	x = b.ConvBNReLU(x, 7, 64, 2, graph.Same)
+	x = b.MaxPool(x, 3, 2, graph.Same)
+	// (bottleneck width, output channels, repeats, first stride).
+	for stage, c := range []struct{ w, c, n, s int }{{64, 256, 3, 1}, {128, 512, 4, 2}, {256, 1024, 6, 2}, {512, 2048, 3, 2}} {
+		for i := 0; i < c.n; i++ {
+			b.BeginBlock(fmt.Sprintf("res%d_%d", stage+2, i+1))
+			shortcut, stride := x, 1
+			if i == 0 {
+				stride = c.s
+				shortcut = b.ConvBN(x, 1, c.c, stride, graph.Same)
+			}
+			y := b.ConvBNReLU(x, 1, c.w, stride, graph.Same)
+			y = b.ConvBNReLU(y, 3, c.w, 1, graph.Same)
+			y = b.ConvBN(y, 1, c.c, 1, graph.Same)
+			x = b.ReLU(b.Add(y, shortcut))
+			b.EndBlock()
+		}
+	}
+	b.BeginHead()
+	x = b.GlobalAvgPool(x)
+	x = b.Dense(x, 1000)
+	b.Softmax(x)
+	return b.MustFinish()
+}
+
 // BenchmarkPlannerSelectWarm measures the repeated-config request the
 // planning service exists for: one long-lived Planner, the same
 // request over and over — every iteration is served from the shared
@@ -572,15 +636,16 @@ func BenchmarkPlannerPoolWarmAcrossDevices(b *testing.B) {
 }
 
 // BenchmarkGatewayCoalescedBurstStaggered is the burst benchmark under
-// the load shape the timed batching window exists for: the 16 requests
-// of each burst start ~50 µs apart (socket-staggered arrivals) instead
-// of simultaneously. With BatchWindow enabled the worker holds its
-// pass open for the stragglers, keeping exec/burst near 1 where the
-// window-less gateway pays one execution per straggler wave.
+// the load shape the timed window exists for: the 16 requests of each
+// burst start ~50 µs apart (socket-staggered arrivals) instead of
+// simultaneously. With BatchWindow enabled the worker holds its pass
+// open while the stragglers coalesce onto it, keeping exec/burst near
+// 1 where the window-less gateway pays one execution per straggler
+// wave.
 func BenchmarkGatewayCoalescedBurstStaggered(b *testing.B) {
 	const burst = 16
-	// Like BenchmarkGatewayCoalescedBurst: the batching window is the
-	// subject, so the byte cache stays out of the way.
+	// Like BenchmarkGatewayCoalescedBurst: the window is the subject,
+	// so the byte cache stays out of the way.
 	gw := newBenchGatewayCfg(b, GatewayConfig{
 		Planner:      PlannerConfig{Seed: 1},
 		BatchWindow:  2 * time.Millisecond,

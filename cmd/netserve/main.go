@@ -1,6 +1,6 @@
 // netserve is the NetCut serving daemon: it mounts the deadline-aware
 // planning gateway — JSON planning API over a device fleet with
-// per-request targeting, request coalescing, batch admission, load
+// per-request targeting, request coalescing, per-device lanes, load
 // shedding and fault containment — on an HTTP listener and runs until
 // SIGINT/SIGTERM, then drains gracefully.
 //
@@ -24,7 +24,7 @@
 //	netserve                            # serve the full device registry on :8080, seed 0
 //	netserve -devices sim-xavier,sim-server-gpu
 //	netserve -addr 127.0.0.1:9090 -seed 7
-//	netserve -queue 512 -batch 32 -workers 4 -batch-window 2ms
+//	netserve -queue 512 -workers 4 -batch-window 2ms
 //	netserve -max-body 4194304 -drain-timeout 30s
 //	netserve -byte-cache 8192                # rendered-response cache entries (0 = off)
 //	netserve -state-file /var/lib/netcut/state.bin -prewarm
@@ -110,9 +110,8 @@ func run() int {
 		seed         = flag.Int64("seed", 0, "measurement and retraining seed")
 		devices      = flag.String("devices", "", "comma-separated registered device names to serve (empty = full registry; see /v1/devices)")
 		queue        = flag.Int("queue", 0, "admission queue depth (0 = default)")
-		batch        = flag.Int("batch", 0, "max requests per batched planner pass (0 = default)")
-		batchWindow  = flag.Duration("batch-window", 0, "how long a worker holds a drained burst open for staggered arrivals (0 = no window)")
-		workers      = flag.Int("workers", 0, "batch worker goroutines, split evenly across devices with at least one per device: devices x max(1, workers/devices) run (0 = default 2)")
+		batchWindow  = flag.Duration("batch-window", 0, "how long a worker holds a request open so identical staggered arrivals coalesce onto it (0 = no window)")
+		workers      = flag.Int("workers", 0, "lane worker goroutines, split evenly across devices with at least one per device: devices x max(1, workers/devices) run (0 = GOMAXPROCS per device)")
 		maxBody      = flag.Int64("max-body", 0, "request body size limit in bytes (0 = default, negative = unlimited)")
 		shedMin      = flag.Int("shed-min-samples", 0, "warm executions required before budget shedding activates (0 = default)")
 		byteCache    = flag.Int("byte-cache", netcut.DefaultByteCacheCap, "rendered-response byte cache entries (0 = disabled)")
@@ -163,7 +162,6 @@ func run() int {
 		Planner:          netcut.PlannerConfig{Seed: *seed},
 		Devices:          devs,
 		QueueDepth:       *queue,
-		BatchMax:         *batch,
 		BatchWindow:      *batchWindow,
 		Workers:          *workers,
 		MaxBodyBytes:     *maxBody,

@@ -124,9 +124,9 @@
 // device-health gates but before any queueing, skipping its lane, the
 // planner and the JSON rendering. Identical in-flight requests
 // coalesce into one planner execution, singleflight-style, and all
-// receive byte-identical bodies. Distinct compatible requests drain
-// from a bounded queue into batched planner passes
-// (Planner.SelectBatch). A request carrying its own latency budget
+// receive byte-identical bodies. Distinct requests wait in a bounded
+// per-device queue, and each lane worker plans one of them per pass
+// through Planner.Select. A request carrying its own latency budget
 // ("budget_ms") that cannot cover the observed warm-path p99 is shed
 // up front with 429 and a retry hint — as is any arrival finding the
 // queue full — consuming no planner work (a byte-cache hit beats the
@@ -135,9 +135,9 @@
 // from the remaining drain budget while every admitted call completes
 // and delivers.
 //
-// Caching, coalescing, batching and shedding change which executions
-// happen and when — never what any request returns: a cached,
-// coalesced or batched response body is byte-identical to the same
+// Caching, coalescing, lanes and shedding change which executions
+// happen and when — never what any request returns: a cached or
+// coalesced response body is byte-identical to the same
 // request served alone through a Planner (pinned by the gateway
 // package tests, the TestByteCache* seam suite and the GOMAXPROCS
 // determinism guard). Only fully delivered 200 bodies are cached —
@@ -211,9 +211,10 @@
 // miss for a known architecture.
 //
 // The gateway's admission machinery is one bounded lane — queue plus
-// workers — per registered device, with the configured QueueDepth and
-// Workers totals divided evenly across lanes (minimum 1 each, the pool
-// cache-cap division rule). Lane assignment is the resolved-device
+// workers — per registered device, with the configured QueueDepth
+// total divided evenly across lanes (minimum 1 each, the pool
+// cache-cap division rule). Every lane runs GOMAXPROCS workers unless
+// GatewayConfig.Workers sets a total, which divides the same way. Lane assignment is the resolved-device
 // routing decision, so lanes shift which worker runs an execution and
 // when, never what it returns, and one target's cold plan cannot
 // head-of-line-block another target's warm traffic.
@@ -223,8 +224,8 @@
 // Faults are contained at the lane-worker boundary and degradation
 // moves or refuses executions, never changes their bytes. A panic
 // inside a planner pass becomes a structured 500 for the poisoned
-// request while its batchmates are retried solo (receiving exactly the
-// bytes the batch would have produced) and the worker survives;
+// request — a pass plans exactly one request, so no other request
+// shares its fate — and the worker survives;
 // request identities that panic repeatedly are quarantined in a
 // bounded LRU and refused up front. A client that disconnects while
 // queued has its work cancelled before the planner runs. An optional

@@ -38,7 +38,7 @@ const (
 	// request whose planning execution blows up deep in the layer
 	// stack.
 	TrimPanic Point = "trim-panic"
-	// ExecDelay sleeps inside serve.(*Planner).selectOne, keyed by the
+	// ExecDelay sleeps inside serve.(*Planner).Select, keyed by the
 	// graph name — the "stuck execution" fault the gateway watchdog
 	// abandons.
 	ExecDelay Point = "exec-delay"

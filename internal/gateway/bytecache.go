@@ -7,7 +7,7 @@ import "math"
 // repeat request skips its lane, the planner and the wire-marshal
 // entirely. The cache is legal because responses are pure functions of
 // (seed, device calibration, graph structure, deadline, estimator) —
-// the same byte-identity contract that makes coalescing and batching
+// the same byte-identity contract that makes coalescing
 // transparent — so a hit returns exactly the bytes a fresh execution
 // would render, and eviction only restores the recompute cost.
 //

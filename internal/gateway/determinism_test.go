@@ -15,7 +15,7 @@ import (
 // layer — now including the device pool and its routing path: any
 // interleaving of concurrent gateway requests spanning default,
 // explicit-device and "auto" targets, at any GOMAXPROCS and any
-// coalescing/batching schedule, must produce bodies byte-identical to
+// coalescing/lane schedule, must produce bodies byte-identical to
 // a serial replay on a fresh gateway. ShedMinSamples is pinned above
 // the test's traffic so "auto" stays on its deterministic cold-start
 // route (warm estimates below the activation threshold read as 0 for

@@ -25,6 +25,7 @@ import (
 	"netcut/internal/device"
 	"netcut/internal/faultinject"
 	"netcut/internal/graph"
+	"netcut/internal/par"
 	"netcut/internal/serve"
 	"netcut/internal/zoo"
 )
@@ -145,6 +146,30 @@ func TestFaultPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestFaultPanicStackNamesSite pins what the contained-panic log
+// reports: the original panic value and the stack of the frame that
+// panicked. A planner panic reaches the pass wrapped in a
+// *par.TaskPanic by core's exploration fan-out, whose own re-raise
+// stack names only par.
+func TestFaultPanicStackNamesSite(t *testing.T) {
+	defer faultinject.Reset()
+	p, err := serve.New(serve.Config{Seed: 14, Protocol: quickProto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Arm(faultinject.TrimPanic, "poison-site", 0)
+	res := runPass(p, serve.Request{Graph: poisonNet(7, "poison-site"), DeadlineMs: 0.35})
+	if !res.panicked {
+		t.Fatal("armed TrimPanic did not panic the pass")
+	}
+	if _, wrapped := res.pval.(*par.TaskPanic); wrapped {
+		t.Fatalf("panic value still wrapped: %v", res.pval)
+	}
+	if !strings.Contains(string(res.stack), "netcut/internal/trim.") {
+		t.Fatalf("contained-panic stack does not name the trim panic site:\n%s", res.stack)
+	}
+}
+
 // TestFaultQuarantine pins the bounded-LRU quarantine: after
 // QuarantineAfter panics from one request identity, further spellings
 // of it are rejected at admission — structured 500, no worker touched,
@@ -238,7 +263,7 @@ func TestFaultCancelledQueuedRequestNoExecution(t *testing.T) {
 	entered := make(chan struct{}, 4)
 	release := make(chan struct{})
 	var releaseOnce atomic.Bool
-	g.testHookBatch = func(string, int) {
+	g.testHookPass = func(string) {
 		entered <- struct{}{}
 		if !releaseOnce.Load() {
 			<-release
@@ -302,7 +327,7 @@ func TestFaultCancelledLatencyRecorded(t *testing.T) {
 	entered := make(chan struct{}, 4)
 	release := make(chan struct{})
 	var releaseOnce atomic.Bool
-	g.testHookBatch = func(string, int) {
+	g.testHookPass = func(string) {
 		entered <- struct{}{}
 		if !releaseOnce.Load() {
 			<-release
@@ -611,7 +636,7 @@ func TestFaultRetryAfterEveryRejection(t *testing.T) {
 	entered := make(chan struct{}, 4)
 	release := make(chan struct{})
 	var releaseOnce atomic.Bool
-	g2.testHookBatch = func(string, int) {
+	g2.testHookPass = func(string) {
 		entered <- struct{}{}
 		if !releaseOnce.Load() {
 			<-release

@@ -1,8 +1,8 @@
 // Package gateway is the deadline-aware serving layer of NetCut: a
 // JSON-over-HTTP planning API on top of a device-keyed
-// serve.PlannerPool that routes, admits, coalesces, batches and —
-// when the client's own latency budget cannot be met on any target —
-// sheds requests, with a telemetry registry exposed in Prometheus text
+// serve.PlannerPool that routes, admits, coalesces and — when the
+// client's own latency budget cannot be met on any target — sheds
+// requests, with a telemetry registry exposed in Prometheus text
 // format at /metrics and as JSON at /debug/stats.
 //
 // Request flow: every plan request takes the steps below in this
@@ -41,7 +41,7 @@
 //  7. Emergency: at load level 2 (see overload.go) a would-be leader
 //     is shed with 429 overload_shed.
 //  8. Budget: a would-be leader whose budget_ms cannot cover the
-//     device's warm-path p99 plus the batching window is shed with 429
+//     device's warm-path p99 plus Config.BatchWindow is shed with 429
 //     and a retry hint ("auto" was checked by its route in step 3).
 //  9. Degrade: with "allow_degraded": true, a request that step 3's
 //     budget check, step 4 or step 8 would refuse is served instead: it
@@ -49,16 +49,16 @@
 //     there, once, with step 8 skipped. It is counted as degraded,
 //     never as shed; with no eligible device left it is 503
 //     no_healthy_device.
-//  10. Batch: admitted leaders sit in their device's bounded lane — one
+//  10. Lane: admitted leaders sit in their device's bounded lane — one
 //     queue plus workers per registered device, so one slow target's
 //     cold plan can never head-of-line-block another target's warm
-//     traffic; a full lane sheds with 429. The lane's workers drain
-//     bursts, hold the pass open for Config.BatchWindow when staggered
-//     arrivals are expected, and group compatible requests (same
-//     deadline and estimator) into one SelectBatch planner pass. Lane
-//     capacities divide the QueueDepth/Workers totals evenly across
-//     devices (minimum 1 each), as the planner pool divides its cache
-//     caps.
+//     traffic; a full lane sheds with 429. Each worker runs one request
+//     per planner pass, after holding it open for Config.BatchWindow so
+//     identical stragglers coalesce onto it. Every lane runs
+//     GOMAXPROCS workers unless Config.Workers is set; lane capacities
+//     divide the QueueDepth (and an explicit Workers) total evenly
+//     across devices (minimum 1 each), as the planner pool divides its
+//     cache caps.
 //
 // Shed and refused requests never consume planner work. Shutdown stops
 // admission at step 2, lets every queued call finish and deliver, then
@@ -66,8 +66,7 @@
 // (autosave, prewarm, probes).
 //
 // Fault containment & graceful degradation: every planner pass runs
-// behind a panic boundary — a panicking request gets a structured 500
-// (grouped passes retry solo first, so only the poison request pays),
+// behind a panic boundary — a panicking request gets a structured 500,
 // counted per device, and identities that panic repeatedly are
 // quarantined at admission by a bounded LRU. An optional execution
 // watchdog (Config.ExecTimeout) abandons stuck passes with a 504 so one
@@ -97,13 +96,13 @@
 // Prewarm plans the calibrated zoo across the fleet in the background
 // to eliminate the remaining cold misses.
 //
-// Determinism contract: routing, coalescing, batching and shedding
-// change which executions happen, where and when — never what any
-// execution returns. A coalesced or batched response body is
-// byte-identical to the same request served alone through that
-// device's serve.Planner, and an auto-routed body to the same request
-// naming the resolved device explicitly — pinned by the package tests
-// and the GOMAXPROCS determinism guard.
+// Determinism contract: routing, coalescing, lanes and shedding change
+// which executions happen, where and when — never what any execution
+// returns. A coalesced response body is byte-identical to the same
+// request served alone through that device's serve.Planner, and an
+// auto-routed body to the same request naming the resolved device
+// explicitly — pinned by the package tests and the GOMAXPROCS
+// determinism guard.
 package gateway
 
 import (
@@ -129,6 +128,7 @@ import (
 	"netcut/internal/device"
 	"netcut/internal/faultinject"
 	"netcut/internal/lru"
+	"netcut/internal/par"
 	"netcut/internal/serve"
 	"netcut/internal/telemetry"
 	"netcut/internal/trace"
@@ -157,15 +157,12 @@ type Config struct {
 	// division rule), and arrivals beyond a lane's slice are shed with
 	// 429. 0 means DefaultQueueDepth.
 	QueueDepth int
-	// BatchMax caps how many queued requests one worker drains into a
-	// single planner pass. 0 means DefaultBatchMax.
-	BatchMax int
-	// Workers is the total number of batch workers, divided evenly
+	// Workers is the total number of lane workers, divided evenly
 	// across the per-device lanes with at least one worker per lane, so
 	// no device is ever without a worker: devices x max(1,
-	// Workers/devices) goroutines run, each executing its own planner
-	// passes. The default of 2 over the 4-device registry runs 4.
-	// 0 means DefaultWorkers.
+	// Workers/devices) goroutines run, each executing one request per
+	// planner pass. 0 gives every lane par.Workers() (GOMAXPROCS)
+	// workers, so a single lane can keep every core busy.
 	Workers int
 	// StatePath enables warm-state persistence: POST /v1/state/save
 	// atomically writes the pool's snapshot there (and cmd/netserve
@@ -199,13 +196,14 @@ type Config struct {
 	// than a hardcoded constant. 0 means DefaultDrainTimeout; negative
 	// is a configuration error.
 	DrainTimeout time.Duration
-	// BatchWindow is how long a worker holds a drained burst open for
-	// stragglers before executing its planner pass: with socket-
-	// staggered bursts, a small window (hundreds of microseconds to a
-	// few milliseconds) lets the whole burst coalesce/batch into one
-	// pass instead of two or three. 0 (the default) keeps the
-	// zero-latency behavior: one cooperative yield, then a
-	// non-blocking sweep. Negative is a configuration error.
+	// BatchWindow is how long a worker holds a dequeued request open
+	// before executing its planner pass: with socket-staggered bursts
+	// of identical requests, a small window (hundreds of microseconds
+	// to a few milliseconds) lets the stragglers coalesce onto the one
+	// pass instead of running two or three. The wait ends early when
+	// the drain starts. 0 (the default) keeps the zero-latency
+	// behavior: one cooperative yield. Negative is a configuration
+	// error.
 	BatchWindow time.Duration
 
 	// ExecTimeout is the per-pass execution watchdog: a planner pass
@@ -287,8 +285,6 @@ type Config struct {
 const (
 	DefaultMaxBodyBytes    = 1 << 20 // 1 MiB: ~10x the largest zoo graph's wire form
 	DefaultQueueDepth      = 256
-	DefaultBatchMax        = 16
-	DefaultWorkers         = 2
 	DefaultShedMinSamples  = 64
 	DefaultUnhealthyAfter  = 3
 	DefaultProbeInterval   = 500 * time.Millisecond
@@ -329,7 +325,6 @@ func (c *Config) fill() error {
 		val  int
 	}{
 		{"QueueDepth", c.QueueDepth},
-		{"BatchMax", c.BatchMax},
 		{"Workers", c.Workers},
 		{"ShedMinSamples", c.ShedMinSamples},
 	} {
@@ -365,12 +360,6 @@ func (c *Config) fill() error {
 	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = DefaultQueueDepth
-	}
-	if c.BatchMax == 0 {
-		c.BatchMax = DefaultBatchMax
-	}
-	if c.Workers == 0 {
-		c.Workers = DefaultWorkers
 	}
 	if c.ShedMinSamples == 0 {
 		c.ShedMinSamples = DefaultShedMinSamples
@@ -465,14 +454,6 @@ func (c *call) phases() []phaseWindow {
 	return append([]phaseWindow(nil), c.planPhases...)
 }
 
-// clearPhases drops phases recorded by a pass that will be redone (the
-// solo retry after a grouped panic).
-func (c *call) clearPhases() {
-	c.phaseMu.Lock()
-	c.planPhases = c.planPhases[:0]
-	c.phaseMu.Unlock()
-}
-
 // deviceHealth is one device's fault-containment state. consecutive
 // counts containment events (panics, watchdog abandons) since the last
 // successful execution; crossing Config.UnhealthyAfter trips unhealthy,
@@ -516,7 +497,8 @@ type Gateway struct {
 	lanes map[string]*lane // one per registered device
 
 	// laneQueueCap / laneWorkers are the per-lane slices of the
-	// configured QueueDepth / Workers totals.
+	// configured QueueDepth / Workers totals (laneWorkers is
+	// par.Workers() when Workers is unset).
 	laneQueueCap int
 	laneWorkers  int
 
@@ -569,8 +551,6 @@ type Gateway struct {
 	shedBudget     *telemetry.Counter
 	shedDraining   *telemetry.Counter
 	rejected       *telemetry.Counter
-	batches        *telemetry.Counter
-	batchedReqs    *telemetry.Counter
 	planErrors     *telemetry.Counter
 	prewarmed      *telemetry.Counter
 	stateSaves     *telemetry.Counter
@@ -602,8 +582,8 @@ type Gateway struct {
 	// series, so cancellations neither vanish from latency telemetry
 	// (survivorship bias) nor pollute the delivered-request histogram.
 	cancelledLatMs *telemetry.Histogram
-	testHookBatch  func(device string, n int) // test-only: runs in a worker before a planner pass of n requests on one device
-	testHookProbe  func(device string)        // test-only: runs before each health probe plan
+	testHookPass   func(device string) // test-only: runs in a worker before each planner pass
+	testHookProbe  func(device string) // test-only: runs before each health probe plan
 
 	// Request tracing (see trace.go in this package): ids mints the
 	// deterministic-format trace IDs, live tracks in-flight traces for
@@ -619,7 +599,7 @@ type Gateway struct {
 
 // New builds the gateway — one planner per registered device behind a
 // serve.PlannerPool — instruments every planner and cache layer under
-// it (per-device series carry a device label), and starts the batch
+// it (per-device series carry a device label), and starts the lane
 // workers. Callers own the HTTP server; see Handler.
 func New(cfg Config) (*Gateway, error) {
 	if err := cfg.fill(); err != nil {
@@ -652,8 +632,6 @@ func New(cfg Config) (*Gateway, error) {
 		shedBudget:   reg.Counter("netcut_gateway_shed_budget_total", "requests shed because budget_ms cannot cover the warm p99"),
 		shedDraining: reg.Counter("netcut_gateway_shed_draining_total", "requests rejected during drain"),
 		rejected:     reg.Counter("netcut_gateway_rejected_total", "malformed requests rejected at the decode boundary"),
-		batches:      reg.Counter("netcut_gateway_batches_total", "planner passes executed by the batch workers"),
-		batchedReqs:  reg.Counter("netcut_gateway_batched_requests_total", "requests served through batched planner passes"),
 		planErrors:   reg.Counter("netcut_gateway_plan_errors_total", "admitted requests the planner returned an error for"),
 		prewarmed:    reg.Counter("netcut_gateway_prewarmed_total", "zoo x fleet plans completed by startup prewarming"),
 		stateSaves:   reg.Counter("netcut_gateway_state_saves_total", "warm-state snapshots written to the configured state path"),
@@ -715,15 +693,14 @@ func New(cfg Config) (*Gateway, error) {
 	// worker totals divide evenly across lanes (minimum 1 each, the
 	// same division rule the planner pool applies to cache caps), and
 	// each lane's queue depth and queue_full sheds are device-labeled
-	// series on the shared registry.
+	// series on the shared registry. With Workers unset every lane gets
+	// one worker per core: a pass plans one request, so lane width is
+	// the only way one device's traffic reaches a second core.
 	names := pool.DeviceNames()
-	g.laneQueueCap = cfg.QueueDepth / len(names)
-	if g.laneQueueCap < 1 {
-		g.laneQueueCap = 1
-	}
-	g.laneWorkers = cfg.Workers / len(names)
-	if g.laneWorkers < 1 {
-		g.laneWorkers = 1
+	g.laneQueueCap = max(1, cfg.QueueDepth/len(names))
+	g.laneWorkers = par.Workers()
+	if cfg.Workers > 0 {
+		g.laneWorkers = max(1, cfg.Workers/len(names))
 	}
 	g.lanes = make(map[string]*lane, len(names))
 	g.health = make(map[string]*deviceHealth, len(names))
@@ -1038,8 +1015,8 @@ func (g *Gateway) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// windowMs is the timed batching window expressed in the latency
-// arithmetic's unit. Every pass leader waits up to this long before
+// windowMs is Config.BatchWindow expressed in the latency
+// arithmetic's unit. Every pass waits up to this long before
 // executing, so the budget shed predicates fold it into the expected
 // service time — admitting a request whose budget covers only the
 // bare warm p99 would queue it into guaranteed lateness.
@@ -1211,7 +1188,7 @@ func (g *Gateway) gates(dec *decodedRequest, dev string, tr *trace.Trace) (*call
 		return nil, nil, e
 	}
 	// Budget gate: if the client's budget cannot cover the warm p99 plus
-	// the batching window every pass leader waits out, queueing only
+	// the BatchWindow every pass waits out, queueing only
 	// manufactures a guaranteed-late response. "auto" already applied
 	// it in Route; a degraded request opted into lateness.
 	if dec.budgetMs > 0 && dec.target != "auto" && dec.degradedReason == "" {
@@ -1326,74 +1303,38 @@ func quarantineKey(k coalesceKey) coalesceKey {
 	return k
 }
 
-// worker drains one device's admission lane: one blocking receive, a
-// cooperative yield, an optional timed batching window, then an
-// opportunistic non-blocking sweep up to BatchMax, grouped into
-// compatible planner passes. Workers never cross lanes, so a cold plan
-// here cannot delay any other device's queue.
+// worker drains one device's admission lane, one request per planner
+// pass: a blocking receive, a cooperative yield, an optional timed
+// window, the cancellation check, then the pass. Workers never cross
+// lanes, so a cold plan here cannot delay any other device's queue.
 func (g *Gateway) worker(l *lane) {
 	defer g.workers.Done()
-	for first := range l.queue {
+	for c := range l.queue {
 		l.busy.Add(1)
 		// The yield lets the rest of a concurrent burst reach admission
-		// before this pass executes: arrivals for the same key join the
-		// in-flight call (coalesce), compatible distinct ones land in
-		// the queue for the sweep below (batch). Without it, a
-		// fully-loaded single-core scheduler runs the worker ahead of
-		// the burst's remaining handlers and serializes the burst into
-		// per-request executions. Costs nothing when idle.
+		// before this pass executes, so identical arrivals join the
+		// in-flight call (coalesce) instead of finding it delivered and
+		// starting an execution of their own. Without it, a fully-loaded
+		// single-core scheduler runs the worker ahead of the burst's
+		// remaining handlers. Costs nothing when idle.
 		runtime.Gosched()
-		batch := []*call{first}
+		// Timed window: hold the pass open for socket-staggered
+		// identical stragglers, which coalesce onto this call while it
+		// waits; the drain ends the wait early. Like every admission
+		// mechanism it shifts when executions run, never what they
+		// return. The cost: every pass — including a lone, uncontended
+		// request — waits up to BatchWindow before executing, which is
+		// why the budget shed predicates add windowMs to the expected
+		// service time. Under overload the window shrinks (brownout) or
+		// disappears (emergency) — holding passes open is optional work.
 		if w := g.effectiveBatchWindow(); w > 0 {
-			// Timed window: hold the pass open for socket-staggered
-			// stragglers. The yield catches bursts already in flight;
-			// the window catches bursts whose members are still
-			// arriving over real connections. Like every admission
-			// mechanism it shifts when executions run, never what they
-			// return. The cost: every pass leader — including a lone,
-			// uncontended request — waits up to BatchWindow before
-			// executing, which is why the budget shed predicates add
-			// windowMs to the expected service time. Under overload the
-			// window shrinks (brownout) or disappears (emergency) —
-			// holding passes open is optional work.
-			timer := time.NewTimer(w)
-		window:
-			for len(batch) < g.cfg.BatchMax {
-				select {
-				case c, ok := <-l.queue:
-					if !ok {
-						break window // draining: run what we have
-					}
-					batch = append(batch, c)
-				case <-timer.C:
-					break window
-				}
-			}
-			timer.Stop()
+			g.sleep(w)
 		}
-	sweep:
-		for len(batch) < g.cfg.BatchMax {
-			select {
-			case c, ok := <-l.queue:
-				if !ok {
-					break sweep
-				}
-				batch = append(batch, c)
-			default:
-				break sweep
-			}
-		}
-		// Cancellation sweep: a dequeued call nobody waits on anymore —
-		// every coalesced client disconnected while it was queued — is
-		// retired here, before it can consume a planner execution.
-		live := batch[:0]
-		for _, c := range batch {
-			if !g.tryCancel(c) {
-				live = append(live, c)
-			}
-		}
-		if len(live) > 0 {
-			g.execute(live)
+		// A dequeued call nobody waits on anymore — every coalesced
+		// client disconnected while it was queued — is retired here,
+		// before it can consume a planner execution.
+		if !g.tryCancel(c) {
+			g.execute(c)
 		}
 		l.busy.Add(-1)
 	}
@@ -1427,57 +1368,37 @@ func (g *Gateway) tryCancel(c *call) bool {
 	return true
 }
 
-// execute groups a drained burst by (device, deadline, estimator) and
-// runs each group as one SelectBatch pass on that device's planner,
-// delivering every call's response. Grouping preserves arrival order
-// within a group, and responses are position-indexed, so batching
-// cannot permute results; two targets never share a planner pass.
-func (g *Gateway) execute(batch []*call) {
-	type groupKey struct {
-		device    string
-		deadline  float64
-		estimator string
-	}
-	order := make([]groupKey, 0, len(batch))
-	groups := make(map[groupKey][]*call, 1)
-	for _, c := range batch {
-		k := groupKey{c.key.device, c.req.DeadlineMs, c.req.Estimator}
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], c)
-	}
-	for _, k := range order {
-		g.executeGroup(k.device, groups[k])
-	}
-}
-
 // passResult is one planner pass's outcome, including a recovered
 // panic: the recover happens on the goroutine that ran the pass (the
 // only place Go allows it), and the result crosses back to the worker
 // as a value.
 type passResult struct {
-	resps    []*serve.Response
-	errs     []error
+	resp     *serve.Response
+	err      error
 	panicked bool
 	pval     any
 	stack    []byte
 }
 
 // runPass executes one planner pass with the panic boundary. A panic
-// anywhere under SelectBatch — trim, profiler, estimator — is contained
+// anywhere under Select — trim, profiler, estimator — is contained
 // here: every mutex on the planning path releases by defer, and the
 // caches only ever hold completed values, so the planner stays
-// serviceable after the unwind.
-func runPass(p *serve.Planner, reqs []serve.Request) (res passResult) {
+// serviceable after the unwind. A panic raised inside a par fan-out
+// arrives wrapped in a *par.TaskPanic; the result carries the original
+// value and the stack of the goroutine that panicked, so the log names
+// the panic site rather than par's re-raise.
+func runPass(p *serve.Planner, req serve.Request) (res passResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			res.panicked = true
-			res.pval = r
-			res.stack = debug.Stack()
+			res.pval, res.stack = r, debug.Stack()
+			if tp, ok := r.(*par.TaskPanic); ok {
+				res.pval, res.stack = tp.Value, tp.Stack
+			}
 		}
 	}()
-	res.resps, res.errs = p.SelectBatch(reqs)
+	res.resp, res.err = p.Select(req)
 	return res
 }
 
@@ -1487,13 +1408,13 @@ func runPass(p *serve.Planner, reqs []serve.Request) (res passResult) {
 // abandons it — abandoned reports true, the goroutine's eventual result
 // lands in the buffered channel and is discarded, and the lane moves
 // on. Abandonment never caches anything at the gateway layer: the
-// coalesce entries die with the calls.
-func (g *Gateway) runGuarded(p *serve.Planner, reqs []serve.Request) (res passResult, abandoned bool) {
+// coalesce entry dies with the call.
+func (g *Gateway) runGuarded(p *serve.Planner, req serve.Request) (res passResult, abandoned bool) {
 	if g.cfg.ExecTimeout <= 0 {
-		return runPass(p, reqs), false
+		return runPass(p, req), false
 	}
 	ch := make(chan passResult, 1)
-	go func() { ch <- runPass(p, reqs) }()
+	go func() { ch <- runPass(p, req) }()
 	timer := time.NewTimer(g.cfg.ExecTimeout)
 	defer timer.Stop()
 	select {
@@ -1504,62 +1425,27 @@ func (g *Gateway) runGuarded(p *serve.Planner, reqs []serve.Request) (res passRe
 	}
 }
 
-// executeGroup runs one compatible group as a planner pass behind the
-// panic and watchdog boundaries. A panic in a grouped pass cannot name
-// the request that caused it, so the group retries solo — byte-identity
-// (solo == batched) guarantees the innocent requests' retried bodies
-// are exactly what the batched pass would have returned, and only the
-// poison request pays with a 500.
-func (g *Gateway) executeGroup(dev string, calls []*call) {
-	if hook := g.testHookBatch; hook != nil {
-		hook(dev, len(calls))
+// execute runs one call as a planner pass on its device's planner,
+// behind the panic and watchdog boundaries, and delivers the outcome.
+// Two clock reads bracket the pass; waiters stitch the window into
+// their traces as the exec span after done closes.
+func (g *Gateway) execute(c *call) {
+	dev := c.key.device
+	if hook := g.testHookPass; hook != nil {
+		hook(dev)
 	}
-	reqs := make([]serve.Request, len(calls))
-	for i, c := range calls {
-		reqs[i] = c.req
-	}
-	g.batches.Inc()
-	g.batchedReqs.Add(uint64(len(calls)))
-	// Two clock reads bracket the pass for the whole group; every call
-	// shares them, and waiters stitch the window into their traces as
-	// the exec span after done closes.
-	execStart := time.Now()
-	for _, c := range calls {
-		c.execStartAt = execStart
-	}
-	res, abandoned := g.runGuarded(calls[0].planner, reqs)
-	execEnd := time.Now()
-	for _, c := range calls {
-		c.execEndAt = execEnd
-	}
+	c.execStartAt = time.Now()
+	res, abandoned := g.runGuarded(c.planner, c.req)
+	c.execEndAt = time.Now()
 	switch {
 	case abandoned:
-		g.abandonCalls(dev, calls)
-	case res.panicked && len(calls) > 1:
-		for _, c := range calls {
-			c.clearPhases() // the panicked group pass's partial phases
-			c.execStartAt = time.Now()
-			sres, sab := g.runGuarded(c.planner, []serve.Request{c.req})
-			c.execEndAt = time.Now()
-			switch {
-			case sab:
-				g.abandonCalls(dev, []*call{c})
-			case sres.panicked:
-				g.deliverPanic(c, sres)
-			default:
-				g.deviceOK(dev)
-				g.observePass(dev, c.execEndAt.Sub(c.execStartAt))
-				g.deliverResult(c, sres.resps[0], sres.errs[0])
-			}
-		}
+		g.abandonCall(c)
 	case res.panicked:
-		g.deliverPanic(calls[0], res)
+		g.deliverPanic(c, res)
 	default:
 		g.deviceOK(dev)
-		g.observePass(dev, execEnd.Sub(execStart))
-		for i, c := range calls {
-			g.deliverResult(c, res.resps[i], res.errs[i])
-		}
+		g.observePass(dev, c.execEndAt.Sub(c.execStartAt))
+		g.deliverResult(c, res.resp, res.err)
 	}
 }
 
@@ -1600,11 +1486,12 @@ func (g *Gateway) deliverPanic(c *call, res passResult) {
 	g.deliver(c, e.status, append(b, '\n'), 0)
 }
 
-// abandonCalls is the watchdog outcome: every call of the abandoned
-// pass gets a 504 with a Retry-After, the coalesce entries die (an
-// abandoned result is never cached at this layer), and the device takes
-// a containment mark.
-func (g *Gateway) abandonCalls(dev string, calls []*call) {
+// abandonCall is the watchdog outcome: the abandoned pass's call gets
+// a 504 with a Retry-After, its coalesce entry dies (an abandoned
+// result is never cached at this layer), and the device takes a
+// containment mark.
+func (g *Gateway) abandonCall(c *call) {
+	dev := c.key.device
 	g.abandonedByDev[dev].Inc()
 	g.deviceFault(dev)
 	retryMs := float64(g.cfg.ExecTimeout) / float64(time.Millisecond)
@@ -1612,10 +1499,7 @@ func (g *Gateway) abandonCalls(dev string, calls []*call) {
 		"planner pass on %s exceeded the %v execution watchdog and was abandoned", dev, g.cfg.ExecTimeout)
 	e.wire.RetryAfterMs = retryMs
 	b, _ := json.Marshal(e.wire)
-	body := append(b, '\n')
-	for _, c := range calls {
-		g.deliver(c, e.status, body, retryMs)
-	}
+	g.deliver(c, e.status, append(b, '\n'), retryMs)
 }
 
 // notePanicKey bumps a request identity's panic count in the bounded

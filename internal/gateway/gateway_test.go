@@ -148,9 +148,9 @@ func TestGatewayCoalescesIdenticalRequests(t *testing.T) {
 	}
 	defer mustShutdown(t, g)
 
-	// Gate the batch worker until every request has either become the
+	// Gate the lane worker until every request has either become the
 	// leader or joined it, so the coalescing window is deterministic.
-	g.testHookBatch = func(string, int) {
+	g.testHookPass = func(string) {
 		deadline := time.Now().Add(10 * time.Second)
 		for g.coalesced.Value() < n-1 {
 			if time.Now().After(deadline) {
@@ -252,7 +252,6 @@ func TestGatewayShedsOnQueueFull(t *testing.T) {
 	cfg := quickConfig(7)
 	cfg.Workers = 1
 	cfg.QueueDepth = 1
-	cfg.BatchMax = 1
 	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +260,7 @@ func TestGatewayShedsOnQueueFull(t *testing.T) {
 
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 16)
-	g.testHookBatch = func(string, int) {
+	g.testHookPass = func(string) {
 		entered <- struct{}{}
 		<-gate
 	}
@@ -308,10 +307,11 @@ func TestGatewayShedsOnQueueFull(t *testing.T) {
 	}
 }
 
-// TestGatewayBatchesCompatibleRequests checks distinct compatible
-// requests drain into one SelectBatch pass and that every batched body
-// equals the same request served alone.
-func TestGatewayBatchesCompatibleRequests(t *testing.T) {
+// TestGatewayQueuedRequestsRunOnePassEach pins that a pass plans one
+// request: distinct requests queued behind a busy worker each get a
+// planner pass of their own, and every body equals the same request
+// served alone.
+func TestGatewayQueuedRequestsRunOnePassEach(t *testing.T) {
 	const k = 4
 	cfg := quickConfig(11)
 	cfg.Workers = 1
@@ -324,12 +324,9 @@ func TestGatewayBatchesCompatibleRequests(t *testing.T) {
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 16)
 	var gateOnce atomic.Bool
-	var sizes []int
-	var sizesMu sync.Mutex
-	g.testHookBatch = func(_ string, n int) {
-		sizesMu.Lock()
-		sizes = append(sizes, n)
-		sizesMu.Unlock()
+	var passes atomic.Int64
+	g.testHookPass = func(string) {
+		passes.Add(1)
 		if gateOnce.CompareAndSwap(false, true) {
 			entered <- struct{}{}
 			<-gate
@@ -348,8 +345,7 @@ func TestGatewayBatchesCompatibleRequests(t *testing.T) {
 	}
 
 	// Block the worker on a sacrificial request, queue k distinct
-	// compatible requests behind it, then release: the worker sweeps
-	// all k into one batch.
+	// requests behind it, then release.
 	go send(100)
 	<-entered
 	for i := 0; i < k; i++ {
@@ -373,17 +369,8 @@ func TestGatewayBatchesCompatibleRequests(t *testing.T) {
 		}
 		got[r.i] = r.body
 	}
-
-	sizesMu.Lock()
-	maxBatch := 0
-	for _, s := range sizes {
-		if s > maxBatch {
-			maxBatch = s
-		}
-	}
-	sizesMu.Unlock()
-	if maxBatch < k {
-		t.Fatalf("largest planner pass covered %d requests, want %d in one batch", maxBatch, k)
+	if p, e := passes.Load(), g.Planner().Executions(); p != k+1 || e != k+1 {
+		t.Fatalf("%d requests ran %d passes and %d executions, want %d of each", k+1, p, e, k+1)
 	}
 
 	solo, err := serve.New(serve.Config{Seed: 11, Protocol: quickProto})
@@ -396,7 +383,7 @@ func TestGatewayBatchesCompatibleRequests(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got[i], EncodeResponse(want)) {
-			t.Fatalf("batched response %d diverges from solo:\n gw: %s\nsolo: %s", i, got[i], EncodeResponse(want))
+			t.Fatalf("queued response %d diverges from solo:\n gw: %s\nsolo: %s", i, got[i], EncodeResponse(want))
 		}
 	}
 }
@@ -406,7 +393,6 @@ func TestGatewayBatchesCompatibleRequests(t *testing.T) {
 func TestGatewayRejectsNegativeConfig(t *testing.T) {
 	for _, cfg := range []Config{
 		{QueueDepth: -1},
-		{BatchMax: -1},
 		{Workers: -1},
 		{ShedMinSamples: -1},
 	} {
@@ -514,7 +500,7 @@ func TestGatewayDrain(t *testing.T) {
 
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 4)
-	g.testHookBatch = func(string, int) {
+	g.testHookPass = func(string) {
 		entered <- struct{}{}
 		<-gate
 	}
@@ -865,32 +851,26 @@ func TestGatewayAutoShedsOnlyWhenNoDeviceQualifies(t *testing.T) {
 	}
 }
 
-// TestGatewayBatchWindowDrainsStaggeredBurst pins the timed batching
-// window: staggered compatible arrivals within the window drain into
-// one planner pass (the pass closes early once BatchMax is reached, so
-// the test never waits out the full window).
+// TestGatewayBatchWindowDrainsStaggeredBurst pins the timed window:
+// socket-staggered identical requests arriving while the window holds
+// the leader's pass open coalesce onto it, so the burst costs exactly
+// one planner execution. The byte cache is off, so a straggler that
+// missed the window would show as a second execution.
 func TestGatewayBatchWindowDrainsStaggeredBurst(t *testing.T) {
 	const k = 4
 	cfg := quickConfig(37)
 	cfg.Workers = 1
-	cfg.BatchMax = k
-	cfg.BatchWindow = 10 * time.Second // exits early at BatchMax
+	cfg.ByteCacheCap = -1
+	cfg.BatchWindow = 300 * time.Millisecond
 	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mustShutdown(t, g)
 
-	var sizes []int
-	var sizesMu sync.Mutex
-	g.testHookBatch = func(_ string, n int) {
-		sizesMu.Lock()
-		sizes = append(sizes, n)
-		sizesMu.Unlock()
-	}
-
+	body := graphBody(t, userNet(1), 0.35, "")
+	execs := g.Planner().Executions()
 	type result struct {
-		i    int
 		code int
 		body []byte
 	}
@@ -898,36 +878,39 @@ func TestGatewayBatchWindowDrainsStaggeredBurst(t *testing.T) {
 	for i := 0; i < k; i++ {
 		go func(i int) {
 			time.Sleep(time.Duration(i*5) * time.Millisecond) // socket-staggered burst
-			rec := post(g, graphBody(t, userNet(i), 0.35, ""))
-			results <- result{i, rec.Code, stripped(rec.Body.Bytes())}
+			rec := post(g, body)
+			results <- result{rec.Code, stripped(rec.Body.Bytes())}
 		}(i)
 	}
-	got := make(map[int][]byte, k)
+	var first []byte
 	for i := 0; i < k; i++ {
 		r := <-results
 		if r.code != http.StatusOK {
-			t.Fatalf("request %d: %d: %s", r.i, r.code, r.body)
+			t.Fatalf("request %d: %d: %s", i, r.code, r.body)
 		}
-		got[r.i] = r.body
+		if first == nil {
+			first = r.body
+		} else if !bytes.Equal(r.body, first) {
+			t.Fatalf("coalesced bodies differ:\n%s\n%s", r.body, first)
+		}
 	}
-	sizesMu.Lock()
-	defer sizesMu.Unlock()
-	if len(sizes) != 1 || sizes[0] != k {
-		t.Fatalf("planner passes %v, want one pass of %d (window did not hold the burst)", sizes, k)
+	if got := g.Planner().Executions() - execs; got != 1 {
+		t.Fatalf("staggered burst of %d identical requests cost %d planner executions, want 1", k, got)
 	}
-	// Windowed batching never changes bytes.
+	if got := g.coalesced.Value(); got != k-1 {
+		t.Fatalf("coalesced counter %d, want %d", got, k-1)
+	}
+	// The window never changes bytes.
 	solo, err := serve.New(serve.Config{Seed: 37, Protocol: quickProto})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < k; i++ {
-		want, err := solo.Select(serve.Request{Graph: userNet(i), DeadlineMs: 0.35, Estimator: "profiler"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got[i], EncodeResponse(want)) {
-			t.Fatalf("windowed response %d diverges from solo:\n gw: %s\nsolo: %s", i, got[i], EncodeResponse(want))
-		}
+	want, err := solo.Select(serve.Request{Graph: userNet(1), DeadlineMs: 0.35, Estimator: "profiler"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, EncodeResponse(want)) {
+		t.Fatalf("windowed response diverges from solo:\n gw: %s\nsolo: %s", first, EncodeResponse(want))
 	}
 }
 
@@ -965,7 +948,7 @@ func TestGatewayAutoCoalescesBeforeShedding(t *testing.T) {
 	// impossible-budget auto request: it must join the in-flight call.
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 4)
-	g.testHookBatch = func(string, int) {
+	g.testHookPass = func(string) {
 		entered <- struct{}{}
 		<-gate
 	}
@@ -999,7 +982,7 @@ func TestGatewayAutoCoalescesBeforeShedding(t *testing.T) {
 }
 
 // TestGatewayShedAccountsForBatchWindow pins the latency arithmetic:
-// with a batching window configured, a budget that covers the bare
+// with a BatchWindow configured, a budget that covers the bare
 // warm p99 but not p99+window is shed — admitting it would queue the
 // client into guaranteed lateness behind the window.
 func TestGatewayShedAccountsForBatchWindow(t *testing.T) {

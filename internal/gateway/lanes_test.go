@@ -13,6 +13,7 @@ import (
 
 	"netcut/internal/device"
 	"netcut/internal/faultinject"
+	"netcut/internal/par"
 	"netcut/internal/persist"
 	"netcut/internal/serve"
 	"netcut/internal/trim"
@@ -44,7 +45,7 @@ func TestGatewayLaneIsolation(t *testing.T) {
 	slowDev := g.pool.DeviceNames()[2]
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 4)
-	g.testHookBatch = func(device string, _ int) {
+	g.testHookPass = func(device string) {
 		if device == slowDev {
 			entered <- struct{}{}
 			<-gate
@@ -82,7 +83,7 @@ func TestGatewayLaneIsolation(t *testing.T) {
 
 // TestGatewayLaneCapsDivide pins the division rule: lane queue depth
 // and workers are the configured totals split evenly across devices,
-// minimum 1 each.
+// minimum 1 each, and an unset Workers gives every lane par.Workers().
 func TestGatewayLaneCapsDivide(t *testing.T) {
 	cfg := quickConfig(1)
 	cfg.QueueDepth = 64
@@ -118,6 +119,16 @@ func TestGatewayLaneCapsDivide(t *testing.T) {
 	if gs.laneQueueCap != 1 || gs.laneWorkers != 1 {
 		t.Fatalf("small lane caps %d/%d, want 1/1", gs.laneQueueCap, gs.laneWorkers)
 	}
+
+	// Workers unset: every lane gets one worker per core.
+	gd, err := New(quickConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustShutdown(t, gd)
+	if gd.laneWorkers != par.Workers() {
+		t.Fatalf("default lane workers %d, want par.Workers() = %d", gd.laneWorkers, par.Workers())
+	}
 }
 
 // TestGatewayLaneRunsWorkersConcurrently pins that a lane's
@@ -143,7 +154,7 @@ func TestGatewayLaneRunsWorkersConcurrently(t *testing.T) {
 	var mu sync.Mutex
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 4)
-	g.testHookBatch = func(dev string, _ int) {
+	g.testHookPass = func(dev string) {
 		if dev != "sim-xavier" {
 			return
 		}

@@ -72,7 +72,7 @@ func TestFaultOverloadLadderQueueStall(t *testing.T) {
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
 	var releaseOnce atomic.Bool
-	g.testHookBatch = func(string, int) {
+	g.testHookPass = func(string) {
 		entered <- struct{}{}
 		if !releaseOnce.Load() {
 			<-release
@@ -632,7 +632,7 @@ func TestOverloadQueueFullRetryAfterWaves(t *testing.T) {
 	entered := make(chan struct{}, 8)
 	release := make(chan struct{})
 	var releaseOnce atomic.Bool
-	g.testHookBatch = func(string, int) {
+	g.testHookPass = func(string) {
 		entered <- struct{}{}
 		if !releaseOnce.Load() {
 			<-release

@@ -219,7 +219,7 @@ func TestDebugRequestsShowsInflight(t *testing.T) {
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	var once sync.Once
-	g.testHookBatch = func(string, int) {
+	g.testHookPass = func(string) {
 		once.Do(func() { entered <- struct{}{}; <-gate })
 	}
 	done := make(chan *httptest.ResponseRecorder, 1)
@@ -516,7 +516,7 @@ func TestCancelledRequestTraced(t *testing.T) {
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	var once sync.Once
-	g.testHookBatch = func(string, int) {
+	g.testHookPass = func(string) {
 		once.Do(func() { entered <- struct{}{}; <-gate })
 	}
 	// Wedge the worker with a sacrificial request...

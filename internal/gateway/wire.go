@@ -174,7 +174,7 @@ var encBufPool = sync.Pool{
 
 // EncodeResponse renders a planner response as the gateway's response
 // body. Exported so tests (and clients embedded in this repo) can pin
-// the byte-identity contract: a coalesced or batched gateway body
+// the byte-identity contract: a coalesced gateway body
 // equals EncodeResponse of the same request served alone.
 //
 // The rendering is hand-rolled — field order and spelling mirror

@@ -143,7 +143,7 @@ func (pp *PlannerPool) Select(target string, req Request) (*Response, error) {
 // Route picks the serving target for an auto-routed request: the
 // fastest device — by estimated warm-path latency, the p99 of its warm
 // execution histogram plus the caller's fixed per-request overheadMs
-// (the gateway passes its batching window) — whose estimate fits the
+// (the gateway passes its BatchWindow) — whose estimate fits the
 // client's budget. Devices whose histogram holds fewer than minSamples
 // warm executions estimate as 0 ("unmeasured, assume fast"), mirroring
 // the gateway's shed activation rule; they therefore both qualify and

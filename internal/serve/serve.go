@@ -293,30 +293,6 @@ func (p *Planner) Retrainer() core.Retrainer { return p.rt }
 // the response is a pure function of (Config, Request).
 func (p *Planner) Select(req Request) (*Response, error) {
 	p.requests.Add(1)
-	return p.selectOne(req)
-}
-
-// SelectBatch plans a group of admitted requests in one planner pass:
-// the per-request explorations fan out over the shared worker pool and
-// all of them hit the same shared caches, so a batch of structurally
-// related requests costs little more than its most expensive member.
-// Responses and errors are position-indexed per request and each is
-// byte-identical to what Select would return for that request alone —
-// batching, like every other form of concurrency in this codebase,
-// changes wall-clock time only.
-func (p *Planner) SelectBatch(reqs []Request) ([]*Response, []error) {
-	p.requests.Add(uint64(len(reqs)))
-	resps := make([]*Response, len(reqs))
-	errs := make([]error, len(reqs))
-	par.ForEach(len(reqs), func(i int) error {
-		resps[i], errs[i] = p.selectOne(reqs[i])
-		return nil
-	})
-	return resps, errs
-}
-
-// selectOne is the shared execution path of Select and SelectBatch.
-func (p *Planner) selectOne(req Request) (*Response, error) {
 	g := req.Graph
 	if g == nil {
 		return nil, fmt.Errorf("serve: nil graph")

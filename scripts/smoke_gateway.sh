@@ -68,7 +68,7 @@ same() { [ "$(canon "$1")" = "$(canon "$2")" ]; }
 same "$TMP/cold.json" "$TMP/warm.json" || {
   echo "FAIL: repeated identical request returned a different body" >&2; exit 1; }
 
-# Concurrent identical burst: exercises the coalesce/batch machinery
+# Concurrent identical burst: exercises the coalescing machinery
 # under real sockets; bodies must stay byte-identical to the first.
 pids=()
 for i in $(seq 1 16); do
