@@ -181,8 +181,9 @@
 //
 // Restarts and slow targets are kept off the warm path. A Planner,
 // PlannerPool or Gateway can snapshot its warm state — device kernel
-// plans, profiler measurements and tables, and the device-scoped TRN
-// cut cache — with SaveState and restore it with LoadState.
+// plans, profiler measurements and tables, and the TRN cut cache,
+// which is device-independent and shared by every device — with
+// SaveState and restore it with LoadState.
 // internal/persist defines the format: a compact, deterministic binary
 // envelope (magic, schema-version byte, FNV-1a payload checksum) over
 // length-prefixed section frames, one per (kind, device, calibration)

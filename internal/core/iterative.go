@@ -66,7 +66,7 @@ func iterativeOne(c Candidate, deadlineMs float64, rt Retrainer, measure Measure
 			return Proposal{}, false, nil
 		}
 		var err error
-		trn, err = trim.CutFingerprinted(c.CacheScope, c.Graph, print, cut, head)
+		trn, err = trim.CutFingerprinted(c.Graph, print, cut, head)
 		if err != nil {
 			return Proposal{}, false, err
 		}
@@ -85,7 +85,7 @@ func iterativeOne(c Candidate, deadlineMs float64, rt Retrainer, measure Measure
 	if cut == 0 {
 		p.Accuracy = c.Accuracy
 		var err error
-		p.TRN, err = trim.CutFingerprinted(c.CacheScope, c.Graph, print, 0, head)
+		p.TRN, err = trim.CutFingerprinted(c.Graph, print, 0, head)
 		if err != nil {
 			return Proposal{}, false, err
 		}

@@ -43,12 +43,11 @@ type Candidate struct {
 	Graph      *graph.Graph
 	MeasuredMs float64 // measured inference latency of the unmodified network
 	Accuracy   float64 // transfer-learned accuracy of the unmodified network
-	// CacheScope scopes the TRN cut-cache entries this exploration
-	// creates (trim.CutScoped). A device-targeted planner passes its
-	// calibration fingerprint so no two targets share cut entries; 0
-	// (the Lab/library default) is the unscoped shared namespace. Cuts
-	// are pure graph transforms, so the scope never changes a result —
-	// only which cache entries exploration touches.
+	// Ignored: a cut does not depend on the device, so the cut cache
+	// has one namespace.
+	//
+	// Deprecated: leave it unset. Only the benchmark module still sets
+	// it.
 	CacheScope uint64
 }
 
@@ -156,7 +155,7 @@ func exploreOne(c Candidate, deadlineMs float64, est estimate.Estimator, rt Retr
 			return Proposal{}, false, nil
 		}
 		var err error
-		trn, err = trim.CutFingerprinted(c.CacheScope, c.Graph, print, cut, head)
+		trn, err = trim.CutFingerprinted(c.Graph, print, cut, head)
 		if err != nil {
 			return Proposal{}, false, err
 		}
@@ -173,7 +172,7 @@ func exploreOne(c Candidate, deadlineMs float64, est estimate.Estimator, rt Retr
 		// retraining needed, its accuracy is known (Algorithm 1 input).
 		p.Accuracy = c.Accuracy
 		var err error
-		p.TRN, err = trim.CutFingerprinted(c.CacheScope, c.Graph, print, 0, head)
+		p.TRN, err = trim.CutFingerprinted(c.Graph, print, 0, head)
 		if err != nil {
 			return Proposal{}, false, err
 		}

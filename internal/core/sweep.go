@@ -47,7 +47,7 @@ func BlockwiseSweep(cands []Candidate, rt Retrainer, measure Measurer, head trim
 	var entries []SweepEntry
 	var todo []int // indices of entries needing retrain+measure
 	for _, c := range cands {
-		trns, err := trim.EnumerateBlockwiseScoped(c.CacheScope, c.Graph, head, true)
+		trns, err := trim.EnumerateBlockwise(c.Graph, head, true)
 		if err != nil {
 			return nil, err
 		}

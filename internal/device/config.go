@@ -147,11 +147,12 @@ func (c *Config) Validate() error {
 // Fingerprint returns a calibration identity hash covering every Config
 // field. It is the device half of every structure-keyed cache key in
 // the measurement stack: the device folds it into its plan keys (which
-// the profiler's measurement and table memos inherit) and the planner
-// scopes its cut-cache entries with it, so two targets with different
-// calibrations can never share plans, measurements, tables or cuts —
-// even if a future refactor points them at one shared cache. Two
-// configs with equal fingerprints simulate identically.
+// the profiler's measurement and table memos inherit), so two targets
+// with different calibrations can never share plans, measurements or
+// tables — even if a future refactor points them at one shared cache.
+// Cuts are not keyed by it: a TRN depends on the parent and the cut
+// alone, so every device shares one cut namespace. Two configs with
+// equal fingerprints simulate identically.
 // fingerprintedFields must equal the number of fields in Config: a
 // reflection test fails when a new field is added without folding it
 // into Fingerprint below, because an omitted field would let two

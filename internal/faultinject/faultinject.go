@@ -33,10 +33,10 @@ type Point string
 
 // The fault points wired into the serving stack.
 const (
-	// TrimPanic panics inside trim.CutScoped / trim.CutAtNodeScoped,
-	// keyed by the parent graph's name — the "poison graph" fault: a
-	// request whose planning execution blows up deep in the layer
-	// stack.
+	// TrimPanic panics inside trim's cut path (Cut, CutAtNode and
+	// BuildCut), keyed by the parent graph's name — the "poison graph"
+	// fault: a request whose planning execution blows up deep in the
+	// layer stack.
 	TrimPanic Point = "trim-panic"
 	// ExecDelay sleeps inside serve.(*Planner).Select, keyed by the
 	// graph name — the "stuck execution" fault the gateway watchdog

@@ -27,7 +27,7 @@ func benchFile(b *testing.B) *File {
 	for _, g := range zoo.Paper7() {
 		prof.Profile(g)
 		prof.Measure(g)
-		trns, err := trim.EnumerateBlockwiseScoped(dev.Fingerprint(), g, trim.DefaultHead, true)
+		trns, err := trim.EnumerateBlockwise(g, trim.DefaultHead, true)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -47,7 +47,7 @@ func benchFile(b *testing.B) *File {
 			Measurements: prof.SnapshotMeasurements(),
 			Tables:       prof.SnapshotTables(),
 		}},
-		Cuts: CaptureCuts(nil),
+		Cuts: CaptureCuts(),
 	}
 }
 

@@ -34,7 +34,7 @@ func FuzzDecodeState(f *testing.F) {
 		f.Fatal(err)
 	}
 	var cutsOnly bytes.Buffer
-	if err := Encode(&cutsOnly, &File{Seed: 1, Cuts: CaptureCuts(nil)}); err != nil {
+	if err := Encode(&cutsOnly, &File{Seed: 1, Cuts: CaptureCuts()}); err != nil {
 		f.Fatal(err)
 	}
 	trim.PurgeCutCache()
@@ -88,6 +88,6 @@ func FuzzDecodeState(f *testing.F) {
 		// through graph.Validate and cuts replay through the public trim
 		// path, so errors are fine, panics are the bug.
 		defer trim.PurgeCutCache()
-		_ = RestoreCuts(file.Cuts, nil)
+		_ = RestoreCuts(file.Cuts)
 	})
 }

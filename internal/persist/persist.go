@@ -1,6 +1,6 @@
 // Package persist implements the versioned, deterministic serialization
 // of the planning stack's warm state — device kernel plans, profiler
-// measurements and per-layer tables, and scoped trim cuts — so a
+// measurements and per-layer tables, and trim cuts — so a
 // restarted daemon (or a freshly built Planner) can restore its caches
 // instead of paying the ~23x cold/warm gap on every first-seen
 // (graph, device) pair.
@@ -98,8 +98,7 @@ type File struct {
 	// Planners holds one section per device-keyed planner, in
 	// registration order.
 	Planners []PlannerState
-	// Cuts is the cut-coordinate form of the process-wide cut cache
-	// (filtered to the saved planners' scopes plus the shared scope 0).
+	// Cuts is the cut-coordinate form of the process-wide cut cache.
 	Cuts CutsState
 }
 
@@ -128,9 +127,13 @@ type CutsState struct {
 	Cuts    []CutState
 }
 
-// CutState is one cut-cache entry: scope + parent (by index into
+// CutState is one cut-cache entry: parent (by index into
 // CutsState.Parents) + position + granularity + head.
 type CutState struct {
+	// Scope is a wire field from when cut-cache entries were keyed by
+	// device. CaptureCuts writes it as 0 and RestoreCuts ignores it, so
+	// a file written either way restores every cut into the one
+	// namespace.
 	Scope     uint64
 	Parent    int
 	At        int
@@ -177,11 +180,11 @@ func DecodeBytesParallel(raw []byte) (*File, error) {
 	return decodeAll(raw, true)
 }
 
-// CaptureCuts snapshots the process-wide cut cache (filtered by scope;
-// nil keeps everything) as cut coordinates, deduplicating parent graphs
-// by structural fingerprint in first-appearance order.
-func CaptureCuts(keep func(scope uint64) bool) CutsState {
-	recs := trim.SnapshotCuts(keep)
+// CaptureCuts snapshots the process-wide cut cache as cut coordinates,
+// deduplicating parent graphs by structural fingerprint in
+// first-appearance order.
+func CaptureCuts() CutsState {
+	recs := trim.SnapshotCuts()
 	var cs CutsState
 	index := make(map[uint64]int)
 	for _, r := range recs {
@@ -192,7 +195,6 @@ func CaptureCuts(keep func(scope uint64) bool) CutsState {
 			cs.Parents = append(cs.Parents, r.Parent)
 		}
 		cs.Cuts = append(cs.Cuts, CutState{
-			Scope:     r.Scope,
 			Parent:    pi,
 			At:        r.At,
 			Blockwise: r.Blockwise,
@@ -203,44 +205,30 @@ func CaptureCuts(keep func(scope uint64) bool) CutsState {
 }
 
 // RestoreCuts re-executes snapshotted cuts through the public trim
-// path, repopulating the process-wide cut cache. keep filters by scope
-// (nil keeps everything): a restoring planner passes its own
-// calibration fingerprint plus the shared scope 0, so entries scoped to
-// devices this process does not serve are skipped, not trusted. Only
-// parents a kept cut references are checked (each must pass
-// graph.Validate), and every kept record — parent and coordinates — is
-// validated before any cut is replayed, so a rejected cut section
-// leaves the cache untouched.
+// path, repopulating the process-wide cut cache. Every parent a cut
+// references must pass graph.Validate, and every record — parent and
+// coordinates — is validated before any cut is replayed, so a rejected
+// cut section leaves the cache untouched. Records that differ only in
+// Scope land on one entry.
 //
 // Parent validation and cut building fan out over par.ForEach with
 // position-indexed slots; insertion into the cut cache stays serial in
 // snapshot order, so the cache's per-shard recency — and with it the
 // save/load/save byte identity — is exactly what a serial replay
 // would have produced.
-func RestoreCuts(cs CutsState, keep func(scope uint64) bool) error {
-	kept := make([]int, 0, len(cs.Cuts))
-	for i, c := range cs.Cuts {
-		if keep != nil && !keep(c.Scope) {
-			continue
-		}
-		if c.Parent < 0 || c.Parent >= len(cs.Parents) {
-			return fmt.Errorf("persist: cut %d references parent %d of %d", i, c.Parent, len(cs.Parents))
-		}
-		kept = append(kept, i)
-	}
-	if len(kept) == 0 {
-		return nil
-	}
-
+func RestoreCuts(cs CutsState) error {
 	// Validate each referenced parent once, concurrently. order is
 	// first-use order, so the lowest-index error par.ForEach reports is
 	// the same parent a serial walk would have failed on first.
 	seen := make(map[int]bool)
 	var order []int
-	for _, i := range kept {
-		if p := cs.Cuts[i].Parent; !seen[p] {
-			seen[p] = true
-			order = append(order, p)
+	for i, c := range cs.Cuts {
+		if c.Parent < 0 || c.Parent >= len(cs.Parents) {
+			return fmt.Errorf("persist: cut %d references parent %d of %d", i, c.Parent, len(cs.Parents))
+		}
+		if !seen[c.Parent] {
+			seen[c.Parent] = true
+			order = append(order, c.Parent)
 		}
 	}
 	if err := par.ForEach(len(order), func(j int) error {
@@ -252,17 +240,15 @@ func RestoreCuts(cs CutsState, keep func(scope uint64) bool) error {
 		return err
 	}
 
-	recs := make([]trim.CutRecord, len(kept))
-	for j, i := range kept {
-		c := cs.Cuts[i]
-		recs[j] = trim.CutRecord{
-			Scope:     c.Scope,
+	recs := make([]trim.CutRecord, len(cs.Cuts))
+	for i, c := range cs.Cuts {
+		recs[i] = trim.CutRecord{
 			Parent:    cs.Parents[c.Parent],
 			At:        c.At,
 			Blockwise: c.Blockwise,
 			Head:      c.Head,
 		}
-		if err := trim.CheckCut(recs[j]); err != nil {
+		if err := trim.CheckCut(recs[i]); err != nil {
 			return fmt.Errorf("persist: cut %d: %w", i, err)
 		}
 	}
@@ -273,7 +259,7 @@ func RestoreCuts(cs CutsState, keep func(scope uint64) bool) error {
 	if err := par.ForEach(len(recs), func(j int) error {
 		trn, err := trim.BuildCut(recs[j])
 		if err != nil {
-			return fmt.Errorf("persist: replaying cut %d: %w", kept[j], err)
+			return fmt.Errorf("persist: replaying cut %d: %w", j, err)
 		}
 		trns[j] = trn
 		return nil

@@ -372,8 +372,8 @@ func TestDecodeRejectsUnknownGraphNames(t *testing.T) {
 
 // TestRestoreCutsRejectsBadParents pins that a snapshot carrying an
 // invalid parent graph or a dangling parent index is rejected before
-// any cut is replayed, and that only parents a kept cut references are
-// validated.
+// any cut is replayed: every parent a cut references is validated, and
+// a rejected section leaves the cache empty.
 func TestRestoreCutsRejectsBadParents(t *testing.T) {
 	trim.PurgeCutCache()
 	t.Cleanup(trim.PurgeCutCache)
@@ -381,7 +381,7 @@ func TestRestoreCutsRejectsBadParents(t *testing.T) {
 	if err := RestoreCuts(CutsState{
 		Parents: []*graph.Graph{bad},
 		Cuts:    []CutState{{Parent: 0, At: 1, Blockwise: true, Head: trim.DefaultHead}},
-	}, nil); err == nil {
+	}); err == nil {
 		t.Fatal("invalid parent accepted")
 	}
 	g, err := zoo.ByName("MobileNetV1 (0.25)")
@@ -391,38 +391,32 @@ func TestRestoreCutsRejectsBadParents(t *testing.T) {
 	err = RestoreCuts(CutsState{
 		Parents: []*graph.Graph{g},
 		Cuts:    []CutState{{Parent: 3, At: 1, Blockwise: true, Head: trim.DefaultHead}},
-	}, nil)
+	})
 	if err == nil || !strings.Contains(err.Error(), "references parent") {
 		t.Fatalf("dangling parent index: err = %v", err)
 	}
 
-	// The invalid parent is referenced only from scope 99.
-	mixed := CutsState{
+	// A valid cut beside one whose parent is invalid: the whole section
+	// is rejected, whatever scope the bad record was written under.
+	err = RestoreCuts(CutsState{
 		Parents: []*graph.Graph{g, bad},
 		Cuts: []CutState{
 			{Scope: 0, Parent: 0, At: 1, Blockwise: true, Head: trim.DefaultHead},
 			{Scope: 99, Parent: 1, At: 1, Blockwise: true, Head: trim.DefaultHead},
 		},
-	}
-	if err := RestoreCuts(mixed, func(scope uint64) bool { return scope == 0 }); err != nil {
-		t.Fatalf("invalid parent of a dropped cut was validated: %v", err)
-	}
-	if got := len(trim.SnapshotCuts(nil)); got != 1 {
-		t.Fatalf("restored %d cuts, want 1", got)
-	}
-	trim.PurgeCutCache()
-	err = RestoreCuts(mixed, nil)
+	})
 	if err == nil || !strings.Contains(err.Error(), "cut parent 1") {
-		t.Fatalf("invalid parent of a kept cut: err = %v", err)
+		t.Fatalf("invalid parent of a cut: err = %v", err)
 	}
-	if got := len(trim.SnapshotCuts(nil)); got != 0 {
+	if got := len(trim.SnapshotCuts()); got != 0 {
 		t.Fatalf("rejected restore left %d cuts in the cache", got)
 	}
 }
 
 // TestCaptureRestoreCutsRoundTrip pins capture -> restore -> capture
 // byte identity for the cut-cache state: replaying a snapshot
-// reproduces the same records (contents and order).
+// reproduces the same records (contents and order), each written with
+// scope 0.
 func TestCaptureRestoreCutsRoundTrip(t *testing.T) {
 	trim.PurgeCutCache()
 	t.Cleanup(trim.PurgeCutCache)
@@ -431,11 +425,11 @@ func TestCaptureRestoreCutsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for c := 1; c <= 3; c++ {
-		if _, err := trim.CutScoped(99, g, c, trim.DefaultHead); err != nil {
+		if _, err := trim.Cut(g, c, trim.DefaultHead); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := trim.Cut(g, 1, trim.DefaultHead); err != nil { // scope 0
+	if _, err := trim.CutAtNode(g, 5, trim.DefaultHead); err != nil {
 		t.Fatal(err)
 	}
 
@@ -447,27 +441,22 @@ func TestCaptureRestoreCutsRoundTrip(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	cs := CaptureCuts(nil)
+	cs := CaptureCuts()
 	if len(cs.Cuts) != 4 || len(cs.Parents) != 1 {
 		t.Fatalf("captured %d cuts over %d parents, want 4 over 1", len(cs.Cuts), len(cs.Parents))
+	}
+	for i, c := range cs.Cuts {
+		if c.Scope != 0 {
+			t.Fatalf("cut %d written with scope %#x, want 0", i, c.Scope)
+		}
 	}
 	a := encodeCuts(cs)
 
 	trim.PurgeCutCache()
-	if err := RestoreCuts(cs, nil); err != nil {
+	if err := RestoreCuts(cs); err != nil {
 		t.Fatal(err)
 	}
-	if b := encodeCuts(CaptureCuts(nil)); !bytes.Equal(a, b) {
+	if b := encodeCuts(CaptureCuts()); !bytes.Equal(a, b) {
 		t.Fatalf("cut state diverged across restore: %s", firstDiff(b, a))
-	}
-
-	// Scope filtering: restoring with a filter keeps only matching
-	// scopes resident.
-	trim.PurgeCutCache()
-	if err := RestoreCuts(cs, func(scope uint64) bool { return scope == 0 }); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(CaptureCuts(nil).Cuts); got != 1 {
-		t.Fatalf("scope filter restored %d cuts, want 1", got)
 	}
 }

@@ -17,15 +17,16 @@ import (
 // stays the same.
 const referencePath = "testdata/reference.snap"
 
-// referenceScope is the non-zero cut scope of the reference state; it
-// doubles as its planner section's calibration fingerprint, the way a
-// planner scopes its own cuts.
+// referenceScope is the non-zero cut scope of the reference state and
+// its planner section's calibration fingerprint. The file dates from
+// builds that keyed cuts by device calibration; restore now ignores
+// the scope, so it pins how such a file lands in one namespace.
 const referenceScope = 0x5eed_cafe_f00d_0001
 
 // referenceFile is the fixed state behind referencePath: every network
-// of the extended zoo as a parent, blockwise and node cuts of each in
-// the shared scope 0 and in referenceScope, and one planner section
-// with records of every kind.
+// of the extended zoo as a parent, blockwise and node cuts of each
+// written under scope 0 and under referenceScope, and one planner
+// section with records of every kind.
 func referenceFile(t testing.TB) *File {
 	t.Helper()
 	f := &File{
@@ -79,7 +80,8 @@ func referenceFile(t testing.TB) *File {
 // TestReferenceSnapshotBytes pins the snapshot bytes against a file
 // written by an earlier build: encoding the reference state reproduces
 // it exactly, decoding and re-encoding it is the identity, and its
-// cuts restore.
+// cuts restore into one namespace, one entry per distinct cut
+// coordinate whatever its scope.
 func TestReferenceSnapshotBytes(t *testing.T) {
 	want, err := os.ReadFile(referencePath)
 	if err != nil {
@@ -107,11 +109,18 @@ func TestReferenceSnapshotBytes(t *testing.T) {
 
 	trim.PurgeCutCache()
 	t.Cleanup(trim.PurgeCutCache)
-	if err := RestoreCuts(f.Cuts, nil); err != nil {
+	if err := RestoreCuts(f.Cuts); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(trim.SnapshotCuts(nil)), len(f.Cuts.Cuts); got != want {
-		t.Fatalf("restored %d cuts, want %d", got, want)
+	coords := make(map[CutState]bool)
+	for _, c := range f.Cuts.Cuts {
+		c.Scope = 0
+		coords[c] = true
+	}
+	// Two of the 45 records differ only in scope: a network whose
+	// middle blockwise cut is 2 blocks.
+	if got, want := len(trim.SnapshotCuts()), len(coords); got != want || want != 44 {
+		t.Fatalf("restored %d cuts from %d records, want %d (44 distinct coordinates)", got, len(f.Cuts.Cuts), want)
 	}
 }
 

@@ -48,8 +48,8 @@ const (
 	// SectionGraphs is the deduplicated parent-graph table the cut
 	// records reference by index.
 	SectionGraphs
-	// SectionCuts is the scoped cut-coordinate records of the
-	// process-wide cut cache.
+	// SectionCuts is the cut-coordinate records of the process-wide
+	// cut cache.
 	SectionCuts
 )
 
@@ -623,8 +623,8 @@ func encodeGraphs(e *enc, gs []*graph.Graph) {
 
 // decodeGraphs rebuilds the parent graphs. It checks only what the
 // wire can get wrong on its own (lengths, string references, operator
-// and pad names); graph.Validate runs on each parent a kept cut
-// references, in RestoreCuts.
+// and pad names); graph.Validate runs on each parent a cut references,
+// in RestoreCuts.
 func decodeGraphs(d *dec, table []string) []*graph.Graph {
 	n := d.count(7)
 	out := make([]*graph.Graph, 0, n)

@@ -12,8 +12,8 @@ import (
 
 // Warm-state persistence: SaveState serializes a planner's (or pool's)
 // cache layers — device kernel plans, profiler measurements and tables,
-// and the cut-cache entries scoped to its devices plus the shared
-// scope 0 — and LoadState restores them into a fresh process, so a
+// and the process-wide cut cache, which is device-independent — and
+// LoadState restores them into a fresh process, so a
 // daemon restart resumes on the warm path instead of re-measuring its
 // whole working set.
 //
@@ -103,24 +103,15 @@ func (p *Planner) applyPrepared(ps preparedState) {
 	p.prof.RestoreTables(ps.tables)
 }
 
-// scopeFor builds the cut-cache scope filter for a set of calibration
-// fingerprints: the devices' own scopes plus the shared scope 0 (the
-// retraining simulator's device-independent boundary cuts).
-func scopeFor(prints ...uint64) func(uint64) bool {
-	set := map[uint64]bool{0: true}
-	for _, pr := range prints {
-		set[pr] = true
-	}
-	return func(scope uint64) bool { return set[scope] }
-}
-
 // StateSections captures the planner's warm state as section frames —
-// the shard a replica serving only this device would request.
+// the shard a replica serving only this device would request: its
+// planner sections plus the whole cut cache, since cuts do not depend
+// on the device.
 func (p *Planner) StateSections() []persist.Section {
 	f := &persist.File{
 		Seed:     p.cfg.Seed,
 		Planners: []persist.PlannerState{p.state()},
-		Cuts:     persist.CaptureCuts(scopeFor(p.dev.Fingerprint())),
+		Cuts:     persist.CaptureCuts(),
 	}
 	return f.Sections()
 }
@@ -164,11 +155,10 @@ func (p *Planner) loadFile(f *persist.File) error {
 				return err
 			}
 			// Cuts replay through the public trim path into the
-			// process-wide cache; RestoreCuts validates every kept
-			// record before replaying any, and runs first so a bad cut
-			// section rejects the snapshot before the planner caches
-			// fill.
-			if err := persist.RestoreCuts(f.Cuts, scopeFor(p.dev.Fingerprint())); err != nil {
+			// process-wide cache; RestoreCuts validates every record
+			// before replaying any, and runs first so a bad cut section
+			// rejects the snapshot before the planner caches fill.
+			if err := persist.RestoreCuts(f.Cuts); err != nil {
 				return err
 			}
 			p.applyPrepared(ps)
@@ -194,8 +184,8 @@ func snapshotIdentity(f *persist.File) string {
 
 // StateSections captures the warm state of the named devices (all
 // registered devices when none are named) as section frames, in
-// registration order, with the cut sections scoped to exactly those
-// devices — the shard a replica owning that device subset would
+// registration order, plus the whole cut cache, which every device
+// shares — the shard a replica owning that device subset would
 // request. Naming a device the pool does not serve is an error.
 func (pp *PlannerPool) StateSections(devices ...string) ([]persist.Section, error) {
 	names := pp.names
@@ -208,20 +198,16 @@ func (pp *PlannerPool) StateSections(devices ...string) ([]persist.Section, erro
 			names = append(names, want)
 		}
 	}
-	f := &persist.File{Seed: pp.Default().cfg.Seed}
-	prints := make([]uint64, 0, len(names))
+	f := &persist.File{Seed: pp.Default().cfg.Seed, Cuts: persist.CaptureCuts()}
 	for _, name := range names {
-		p := pp.planners[name]
-		f.Planners = append(f.Planners, p.state())
-		prints = append(prints, p.dev.Fingerprint())
+		f.Planners = append(f.Planners, pp.planners[name].state())
 	}
-	f.Cuts = persist.CaptureCuts(scopeFor(prints...))
 	return f.Sections(), nil
 }
 
 // SaveState writes the pool's warm state — one section group per
-// registered device, in registration order, plus every device's scoped
-// cuts — as one snapshot.
+// registered device, in registration order, plus the cut cache — as
+// one snapshot.
 func (pp *PlannerPool) SaveState(w io.Writer) error {
 	return pp.SaveStateFor(w)
 }
@@ -241,8 +227,8 @@ func (pp *PlannerPool) SaveStateFor(w io.Writer, devices ...string) error {
 // devices is ErrStateMismatch; sections for devices this pool does not
 // serve are skipped (their cache entries would be unreachable here),
 // and registered devices absent from the snapshot simply start cold.
-// Every matched section — and every kept cut — is validated before any
-// is applied, so a rejected snapshot leaves every cache untouched.
+// Every matched section — and every cut — is validated before any is
+// applied, so a rejected snapshot leaves every cache untouched.
 func (pp *PlannerPool) LoadState(r io.Reader) error {
 	f, err := persist.DecodeParallel(r)
 	if err != nil {
@@ -266,10 +252,8 @@ func (pp *PlannerPool) loadFile(f *persist.File) error {
 		state   *persist.PlannerState
 	}
 	var matches []match
-	prints := make([]uint64, 0, len(pp.names))
 	for _, name := range pp.names {
 		p := pp.planners[name]
-		prints = append(prints, p.dev.Fingerprint())
 		for i := range f.Planners {
 			if p.matches(&f.Planners[i]) {
 				matches = append(matches, match{p, &f.Planners[i]})
@@ -296,7 +280,7 @@ func (pp *PlannerPool) loadFile(f *persist.File) error {
 	}); err != nil {
 		return err
 	}
-	if err := persist.RestoreCuts(f.Cuts, scopeFor(prints...)); err != nil {
+	if err := persist.RestoreCuts(f.Cuts); err != nil {
 		return err
 	}
 	for i, m := range matches {

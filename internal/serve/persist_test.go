@@ -442,7 +442,7 @@ func TestPoolSectionShard(t *testing.T) {
 		want[name] = responseKey(resp)
 	}
 
-	// One device's shard: its planner sections plus its scoped cuts.
+	// One device's shard: its planner sections plus the shared cuts.
 	var shard bytes.Buffer
 	if err := warm.SaveStateFor(&shard, devs[0].Name); err != nil {
 		t.Fatal(err)

@@ -84,10 +84,10 @@ func NewPool(cfg PoolConfig) (*PlannerPool, error) {
 		pc.PlanCacheCap = splitCap(cfg.Base.PlanCacheCap, device.DefaultPlanCacheCap, n)
 		pc.MeasurementCacheCap = splitCap(cfg.Base.MeasurementCacheCap, profiler.DefaultMeasurementCacheCap, n)
 		pc.TableCacheCap = splitCap(cfg.Base.TableCacheCap, profiler.DefaultTableCacheCap, n)
-		// The cut cache is process-wide (entries are device-scoped by
-		// key, the total by the one shared cap), so Base.CutCacheCap
-		// passes through unchanged: each planner re-applies the same
-		// value, which is idempotent.
+		// The cut cache is process-wide and device-independent (one
+		// namespace, one cap), so Base.CutCacheCap passes through
+		// unchanged: each planner re-applies the same value, which is
+		// idempotent.
 		p, err := New(pc)
 		if err != nil {
 			// serve.New already names the failing device; adding a pool

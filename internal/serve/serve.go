@@ -404,9 +404,6 @@ func (p *Planner) Select(req Request) (*Response, error) {
 // Candidate builds the Algorithm-1 input for g: its measured latency on
 // the planner's device and its off-the-shelf accuracy, registering a
 // generic transfer profile first when g is outside the calibrated zoo.
-// The candidate's CacheScope keys every cut an exploration of it
-// creates by the device calibration, so no two targets in a pool share
-// cut-cache entries.
 func (p *Planner) Candidate(g *graph.Graph) (core.Candidate, error) {
 	cand, _, err := p.candidate(g, false)
 	return cand, err
@@ -434,7 +431,6 @@ func (p *Planner) candidate(g *graph.Graph, withTable bool) (core.Candidate, *pr
 		Graph:      g,
 		MeasuredMs: m.MeanMs,
 		Accuracy:   acc,
-		CacheScope: p.dev.Fingerprint(),
 	}, tbl, nil
 }
 
@@ -499,7 +495,7 @@ func (p *Planner) buildZooSamples() ([]estimate.Sample, error) {
 	}
 	var out []estimate.Sample
 	for i, g := range nets {
-		trns, err := trim.EnumerateBlockwiseScoped(p.dev.Fingerprint(), g, p.cfg.Head, false)
+		trns, err := trim.EnumerateBlockwise(g, p.cfg.Head, false)
 		if err != nil {
 			return nil, err
 		}

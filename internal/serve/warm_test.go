@@ -36,12 +36,12 @@ func TestWarmSelectBuildsNoGraph(t *testing.T) {
 		t.Fatalf("warm requests missed the plan cache %d times", after.Plans.Misses-before.Plans.Misses)
 	}
 
-	// One cut-cache miss of the same parent (a fresh scope per run),
-	// for scale.
-	scope := uint64(0)
+	// One cut-cache miss of the same parent (a new head class count
+	// per run), for scale.
+	head := trim.DefaultHead
 	cut := testing.AllocsPerRun(5, func() {
-		scope++
-		if _, err := trim.CutScoped(scope, g, 9, trim.DefaultHead); err != nil {
+		head.Classes++
+		if _, err := trim.Cut(g, 9, head); err != nil {
 			t.Fatal(err)
 		}
 	})

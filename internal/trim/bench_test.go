@@ -9,8 +9,9 @@ import (
 )
 
 // BenchmarkCut times one blockwise cut of ResNet-50 (9 blocks removed)
-// on a cut-cache miss (cold: every op uses a fresh cache scope, so the
-// cut is derived from scratch) and on a hit (warm). Both report
+// on a cut-cache miss (cold: every op attaches a head with a new class
+// count, so the key is fresh and the cut is derived from scratch) and
+// on a hit (warm). Both report
 // retained_B/cut: the live heap one cached cut holds, measured after
 // runtime.GC() with retainedCuts distinct cuts of the shared parent in
 // the cache.
@@ -18,10 +19,10 @@ func BenchmarkCut(b *testing.B) {
 	g := zoo.ResNet50()
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
-		scope := uint64(0)
+		head := DefaultHead
 		for b.Loop() {
-			scope++
-			if _, err := CutScoped(scope, g, 9, DefaultHead); err != nil {
+			head.Classes++
+			if _, err := Cut(g, 9, head); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -47,17 +48,20 @@ func BenchmarkCut(b *testing.B) {
 // shard's share of the default cap, so none is evicted.
 const retainedCuts = 256
 
-// retainedPerCut caches retainedCuts distinct cuts of g (one per cache
-// scope) into an empty cut cache and returns the live-heap growth per
-// cut. The parent is shared and already live, so it is not counted.
+// retainedPerCut caches retainedCuts distinct cuts of g (one per head
+// class count; all land in the parent's shard) into an empty cut cache
+// and returns the live-heap growth per cut. The parent is shared and
+// already live, so it is not counted.
 func retainedPerCut(b *testing.B, g *graph.Graph) float64 {
 	PurgeCutCache()
 	defer PurgeCutCache()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	for i := 1; i <= retainedCuts; i++ {
-		if _, err := CutScoped(uint64(i), g, 9, DefaultHead); err != nil {
+	head := DefaultHead
+	for range retainedCuts {
+		head.Classes++
+		if _, err := Cut(g, 9, head); err != nil {
 			b.Fatal(err)
 		}
 	}

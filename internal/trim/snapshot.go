@@ -11,7 +11,7 @@ import (
 // fully determined by its cut coordinates, so snapshots do not
 // serialize built TRNs (whose graphs share the parent's nodes in
 // memory): each cache entry is recorded as the parent graph plus
-// (scope, position, granularity, head), and restore re-runs the cut,
+// (position, granularity, head), and restore re-runs the cut,
 // which is a pure function of those coordinates. A restored entry is
 // therefore byte-identical to a recomputed one by construction; the
 // snapshot saves the caller only the parent graphs and the work of
@@ -20,10 +20,6 @@ import (
 
 // CutRecord is the cut-coordinate form of one cut-cache entry.
 type CutRecord struct {
-	// Scope is the cache scope the entry lives under: 0 for the shared
-	// library namespace, a device-calibration fingerprint for
-	// planner-driven cuts (see CutScoped).
-	Scope uint64
 	// Parent is the graph the cut was taken from; ParentPrint its
 	// structural fingerprint (the cache key's parent half).
 	Parent      *graph.Graph
@@ -38,17 +34,11 @@ type CutRecord struct {
 // SnapshotCuts exports the cut cache as cut records in shard order,
 // each shard least-recently-used first (the lru snapshot order), so a
 // replay through RestoreCut reproduces contents and per-shard recency.
-// keep filters by scope (nil keeps every entry): a single-device
-// planner persists only its own scope plus the shared scope 0.
-func SnapshotCuts(keep func(scope uint64) bool) []CutRecord {
+func SnapshotCuts() []CutRecord {
 	entries := cutCache.Snapshot()
 	out := make([]CutRecord, 0, len(entries))
 	for _, e := range entries {
-		if keep != nil && !keep(e.Key.scope) {
-			continue
-		}
 		out = append(out, CutRecord{
-			Scope:       e.Key.scope,
 			Parent:      e.Val.Parent,
 			ParentPrint: e.Key.parent,
 			At:          e.Key.at,
@@ -92,9 +82,9 @@ func CheckCut(rec CutRecord) error {
 func RestoreCut(rec CutRecord) error {
 	var err error
 	if rec.Blockwise {
-		_, err = CutScoped(rec.Scope, rec.Parent, rec.At, rec.Head)
+		_, err = Cut(rec.Parent, rec.At, rec.Head)
 	} else {
-		_, err = CutAtNodeScoped(rec.Scope, rec.Parent, rec.At, rec.Head)
+		_, err = CutAtNode(rec.Parent, rec.At, rec.Head)
 	}
 	return err
 }
@@ -119,7 +109,6 @@ func BuildCut(rec CutRecord) (*TRN, error) {
 // coordinates — the insert half of the parallel-restore split.
 func InsertCut(rec CutRecord, trn *TRN) {
 	cutCache.Add(cutKey{
-		scope:     rec.Scope,
 		parent:    graph.Fingerprint(rec.Parent),
 		at:        rec.At,
 		blockwise: rec.Blockwise,

@@ -106,11 +106,10 @@ func (t *TRN) Name() string { return t.Graph.Name }
 // cutKey identifies one memoized cut: the parent graph (by structural
 // fingerprint, so the cache is bounded by the number of distinct
 // architectures seen in the process, not by how many times equal graphs
-// are rebuilt), the cut position, its granularity, the head attached,
-// and the caller's cache scope (the device-calibration fingerprint for
-// planner-driven cuts; see the Scoped variants).
+// are rebuilt), the cut position, its granularity and the head
+// attached. Nothing about the target device enters a cut, so one entry
+// serves every device of a pool.
 type cutKey struct {
-	scope     uint64 // 0 for unscoped library cuts
 	parent    uint64 // graph.Fingerprint of the parent
 	at        int    // blocks for blockwise cuts, node ID for exhaustive cuts
 	blockwise bool
@@ -175,33 +174,14 @@ func CutCacheStats() lru.Stats { return cutCache.Stats() }
 // The returned TRN may be shared with other callers; treat it as
 // immutable.
 func Cut(g *graph.Graph, blocks int, head HeadSpec) (*TRN, error) {
-	return CutScoped(0, g, blocks, head)
+	return CutFingerprinted(g, graph.Fingerprint(g), blocks, head)
 }
 
-// CutScoped is Cut with an explicit cache scope folded into the memo
-// key. Cutting itself is a pure graph transform — the same inputs build
-// the same TRN whatever the scope — but a multi-target planner pool
-// passes its device-calibration fingerprint (device.Config.Fingerprint)
-// here so that no two targets share a cut-cache entry for any
-// device-dependent work: every cut the planning path creates (candidate
-// exploration, zoo-sample enumeration) is device-scoped, so evicting
-// one device's working set cannot be caused by another device's
-// traffic patterns against the same parents. Scope 0 is the unscoped
-// shared namespace: the library/Lab path, and deliberately also the
-// retraining simulator's boundary-table cuts (transfer.Simulator),
-// which feed a device-independent accuracy model — those entries are
-// pure functions of (parent, cut, head) with identical values for
-// every target, so sharing them across a pool is cache reuse, not
-// cross-device leakage.
-func CutScoped(scope uint64, g *graph.Graph, blocks int, head HeadSpec) (*TRN, error) {
-	return CutFingerprinted(scope, g, graph.Fingerprint(g), blocks, head)
-}
-
-// CutFingerprinted is CutScoped for a caller that already holds g's
+// CutFingerprinted is Cut for a caller that already holds g's
 // structural fingerprint (print must equal graph.Fingerprint(g)).
 // Hashing the parent costs more than a cache hit, so a loop over one
 // parent's cuts fingerprints it once and passes it to every cut.
-func CutFingerprinted(scope uint64, g *graph.Graph, print uint64, blocks int, head HeadSpec) (*TRN, error) {
+func CutFingerprinted(g *graph.Graph, print uint64, blocks int, head HeadSpec) (*TRN, error) {
 	// Fault site (no-op unless a test armed it): a panic deep in the
 	// planning layer stack, fired before the cache lookup so a poison
 	// graph re-panics on every attempt rather than only on its first.
@@ -209,7 +189,7 @@ func CutFingerprinted(scope uint64, g *graph.Graph, print uint64, blocks int, he
 	if err := head.validate(); err != nil {
 		return nil, err
 	}
-	key := cutKey{scope: scope, parent: print, at: blocks, blockwise: true, head: head}
+	key := cutKey{parent: print, at: blocks, blockwise: true, head: head}
 	if v, ok := cutCache.Get(key); ok {
 		return v, nil
 	}
@@ -249,17 +229,11 @@ func cutBlocks(g *graph.Graph, blocks int, head HeadSpec) (*TRN, error) {
 // ancestor subgraph, and attaches the replacement head. The returned
 // TRN may be shared with other callers; treat it as immutable.
 func CutAtNode(g *graph.Graph, nodeID int, head HeadSpec) (*TRN, error) {
-	return CutAtNodeScoped(0, g, nodeID, head)
-}
-
-// CutAtNodeScoped is CutAtNode with an explicit cache scope (see
-// CutScoped).
-func CutAtNodeScoped(scope uint64, g *graph.Graph, nodeID int, head HeadSpec) (*TRN, error) {
 	faultinject.Panic(faultinject.TrimPanic, g.Name)
 	if err := head.validate(); err != nil {
 		return nil, err
 	}
-	key := cutKey{scope: scope, parent: graph.Fingerprint(g), at: nodeID, blockwise: false, head: head}
+	key := cutKey{parent: graph.Fingerprint(g), at: nodeID, blockwise: false, head: head}
 	if v, ok := cutCache.Get(key); ok {
 		return v, nil
 	}
@@ -328,12 +302,6 @@ func cutAt(g *graph.Graph, keepLast int, head HeadSpec) (*TRN, error) {
 // networks is 148. Set includeZero to also prepend the cut-0 (head-only)
 // TRN.
 func EnumerateBlockwise(g *graph.Graph, head HeadSpec, includeZero bool) ([]*TRN, error) {
-	return EnumerateBlockwiseScoped(0, g, head, includeZero)
-}
-
-// EnumerateBlockwiseScoped is EnumerateBlockwise with an explicit cache
-// scope (see CutScoped).
-func EnumerateBlockwiseScoped(scope uint64, g *graph.Graph, head HeadSpec, includeZero bool) ([]*TRN, error) {
 	var out []*TRN
 	start := 1
 	if includeZero {
@@ -341,7 +309,7 @@ func EnumerateBlockwiseScoped(scope uint64, g *graph.Graph, head HeadSpec, inclu
 	}
 	print := graph.Fingerprint(g)
 	for c := start; c <= g.BlockCount(); c++ {
-		t, err := CutFingerprinted(scope, g, print, c, head)
+		t, err := CutFingerprinted(g, print, c, head)
 		if err != nil {
 			return nil, err
 		}

@@ -247,50 +247,31 @@ func TestParentGraphUnmodified(t *testing.T) {
 	}
 }
 
-// TestCutScopeIsolatesCacheEntries pins the device half of the cut
-// cache key: the same (parent, cut, head) under two scopes builds two
-// independent entries with structurally identical TRNs, repeats within
-// one scope stay cache hits, and scope 0 remains the shared library
-// namespace.
-func TestCutScopeIsolatesCacheEntries(t *testing.T) {
+// TestCutCacheIsOneNamespace pins that a cut-cache entry depends on
+// the parent's structure, the cut and the head alone: an equal parent
+// rebuilt as a new object, as a second device's request would carry
+// it, hits the first cut's entry and gets the same *TRN back.
+func TestCutCacheIsOneNamespace(t *testing.T) {
 	PurgeCutCache()
+	t.Cleanup(PurgeCutCache)
+	a, err := Cut(zoo.MobileNetV1(0.5), 3, DefaultHead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := CutCacheStats()
 	g := zoo.MobileNetV1(0.5)
-	const scopeA, scopeB = 0xA11CE, 0xB0B
-	a1, err := CutScoped(scopeA, g, 3, DefaultHead)
+	if g == a.Parent {
+		t.Fatal("the zoo returned the same graph object twice")
+	}
+	b, err := Cut(g, 3, DefaultHead)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lenAfterA := CutCacheStats().Len
-	b1, err := CutScoped(scopeB, g, 3, DefaultHead)
-	if err != nil {
-		t.Fatal(err)
+	after := CutCacheStats()
+	if b != a {
+		t.Fatal("an equal parent rebuilt as a new object did not share the first cut's entry")
 	}
-	if CutCacheStats().Len != lenAfterA+1 {
-		t.Fatalf("second scope did not create its own entry: %d -> %d",
-			lenAfterA, CutCacheStats().Len)
-	}
-	if a1 == b1 {
-		t.Fatal("two scopes returned one shared *TRN: cache entries are shared")
-	}
-	// The scope changes cache identity only, never the cut itself.
-	if a1.Name() != b1.Name() || a1.LayersRemoved != b1.LayersRemoved ||
-		graph.Fingerprint(a1.Graph) != graph.Fingerprint(b1.Graph) {
-		t.Fatal("scoped cuts diverged structurally")
-	}
-	// Repeats within a scope are hits on that scope's entry.
-	a2, err := CutScoped(scopeA, g, 3, DefaultHead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a2 != a1 {
-		t.Fatal("repeat within one scope rebuilt the TRN")
-	}
-	// The unscoped path is its own namespace too.
-	u, err := Cut(g, 3, DefaultHead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u == a1 || u == b1 {
-		t.Fatal("unscoped cut aliased a scoped entry")
+	if after.Len != before.Len || after.Misses != before.Misses || after.Hits != before.Hits+1 {
+		t.Fatalf("cache stats %+v -> %+v, want one hit and no new entry", before, after)
 	}
 }
