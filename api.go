@@ -329,12 +329,11 @@ func NewPlannerPool(cfg PoolConfig) (*PlannerPool, error) { return serve.NewPool
 //
 // Under sustained pressure the gateway degrades instead of failing
 // binary: a closed-loop overload controller
-// (GatewayConfig.OverloadInterval) samples lane backlog, observed
-// latency drift and — with GatewayConfig.HeapLimitBytes — heap/GC
-// pressure into a load level (0 normal, 1 brownout, 2 emergency;
+// (GatewayConfig.OverloadInterval) samples lane backlog and observed
+// latency drift into a load level (0 normal, 1 brownout, 2 emergency;
 // netcut_gateway_load_level, Gateway.LoadLevel) that sheds optional
-// work level by level: prewarming pauses, the batch window shrinks,
-// trace-ring retention is sampled, and at level 2 only byte-cache hits
+// work level by level: prewarming pauses, trace-ring retention is
+// sampled, and at level 2 only byte-cache hits
 // and coalesce joins are admitted while cold misses are shed
 // pre-execution with backlog-honest Retry-After hints. Requests that
 // prefer a degraded answer over a rejection set "allow_degraded": true
@@ -361,7 +360,7 @@ type (
 	Gateway = gateway.Gateway
 	// GatewayConfig parameterizes a Gateway: the embedded PlannerConfig
 	// template and device list plus the HTTP-side knobs (body size
-	// limit, queue depth, batch window, worker count, shed
+	// limit, queue depth, worker count, shed
 	// warm-up, watchdog and autosave intervals, health thresholds).
 	GatewayConfig = gateway.Config
 )

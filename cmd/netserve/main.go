@@ -24,13 +24,13 @@
 //	netserve                            # serve the full device registry on :8080, seed 0
 //	netserve -devices sim-xavier,sim-server-gpu
 //	netserve -addr 127.0.0.1:9090 -seed 7
-//	netserve -queue 512 -workers 4 -batch-window 2ms
+//	netserve -queue 512 -workers 4
 //	netserve -max-body 4194304 -drain-timeout 30s
 //	netserve -byte-cache 8192                # rendered-response cache entries (0 = off)
 //	netserve -state-file /var/lib/netcut/state.bin -prewarm
 //	netserve -state-file /var/lib/netcut/state.bin -autosave 30s
 //	netserve -exec-timeout 5s
-//	netserve -overload-interval 50ms -heap-limit 536870912
+//	netserve -overload-interval 50ms
 //	netserve -slow-trace 50ms                # log requests slower than this
 //	netserve -pprof                          # mount /debug/pprof/ (off by default)
 //
@@ -61,13 +61,12 @@
 // package documentation.
 //
 // Overload control: a closed-loop controller (sampling every
-// -overload-interval) folds lane backlog, latency drift and — with
-// -heap-limit — heap/GC pressure into a load level (0 normal,
-// 1 brownout, 2 emergency, exported as netcut_gateway_load_level) that
-// sheds optional work first: prewarming pauses, the batch window
-// shrinks, trace retention is sampled, and at level 2 only cached
-// responses and coalesce joins are served while cold misses get 429s
-// with backlog-honest Retry-After hints. Clients that prefer a
+// -overload-interval) folds lane backlog and latency drift into a load
+// level (0 normal, 1 brownout, 2 emergency, exported as
+// netcut_gateway_load_level) that sheds optional work first:
+// prewarming pauses, trace retention is sampled, and at level 2 only
+// cached responses and coalesce joins are served while cold misses get
+// 429s with backlog-honest Retry-After hints. Clients that prefer a
 // degraded answer over a rejection can set "allow_degraded": true in
 // the request body — see the gateway package documentation.
 //
@@ -110,7 +109,6 @@ func run() int {
 		seed         = flag.Int64("seed", 0, "measurement and retraining seed")
 		devices      = flag.String("devices", "", "comma-separated registered device names to serve (empty = full registry; see /v1/devices)")
 		queue        = flag.Int("queue", 0, "admission queue depth (0 = default)")
-		batchWindow  = flag.Duration("batch-window", 0, "how long a worker holds a request open so identical staggered arrivals coalesce onto it (0 = no window)")
 		workers      = flag.Int("workers", 0, "lane worker goroutines, split evenly across devices with at least one per device: devices x max(1, workers/devices) run (0 = GOMAXPROCS per device)")
 		maxBody      = flag.Int64("max-body", 0, "request body size limit in bytes (0 = default, negative = unlimited)")
 		shedMin      = flag.Int("shed-min-samples", 0, "warm executions required before budget shedding activates (0 = default)")
@@ -121,7 +119,6 @@ func run() int {
 		execTimeout  = flag.Duration("exec-timeout", 0, "per-pass execution watchdog: abandon planner passes stuck longer than this with a 504 (0 = disabled)")
 		prewarm      = flag.Bool("prewarm", false, "plan the calibrated zoo on every device in the background at startup (after any -state-file restore)")
 		overloadInt  = flag.Duration("overload-interval", 0, "overload-controller sampling interval (0 = default 100ms, negative = controller disabled)")
-		heapLimit    = flag.Int64("heap-limit", 0, "live-heap bytes at which the overload controller declares an emergency; also arms the GC-pause brownout signal (0 = memory signals disabled)")
 		slowTrace    = flag.Duration("slow-trace", 0, "log a structured per-stage trace for requests slower than this (0 = disabled)")
 		traceRing    = flag.Int("trace-ring", netcut.DefaultTraceRingCap, "completed request traces retained for /debug/trace (0 = disabled)")
 		pprof        = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default; enable only on trusted listeners)")
@@ -162,7 +159,6 @@ func run() int {
 		Planner:          netcut.PlannerConfig{Seed: *seed},
 		Devices:          devs,
 		QueueDepth:       *queue,
-		BatchWindow:      *batchWindow,
 		Workers:          *workers,
 		MaxBodyBytes:     *maxBody,
 		ShedMinSamples:   *shedMin,
@@ -172,7 +168,6 @@ func run() int {
 		AutosaveInterval: *autosave,
 		ExecTimeout:      *execTimeout,
 		OverloadInterval: *overloadInt,
-		HeapLimitBytes:   *heapLimit,
 		SlowTraceMs:      float64(*slowTrace) / float64(time.Millisecond),
 		TraceRingCap:     traceRingCap,
 		Pprof:            *pprof,

@@ -251,17 +251,14 @@
 // # Overload control & degraded serving
 //
 // A closed-loop controller (GatewayConfig.OverloadInterval, netserve
-// -overload-interval) folds per-lane backlog, warm-p99 drift of
-// observed execution latency and — when GatewayConfig.HeapLimitBytes
-// (-heap-limit) arms the memory signals — heap occupancy and GC-pause
-// pressure into one load level — 0 normal, 1 brownout, 2 emergency —
-// exported
-// as netcut_gateway_load_level. Each level sheds optional work first:
-// brownout halves the batch window, pauses prewarming and samples the
-// trace ring 1-in-4; emergency drops the window, samples 1-in-16 and
-// admits only byte-cache hits and coalesce joins, shedding every cold
-// miss pre-execution with a level-scaled, backlog-honest Retry-After
-// (ceil(backlog/workers) execution waves of p99+window each). The
+// -overload-interval) folds per-lane backlog and warm-p99 drift of
+// observed execution latency into one load level — 0 normal,
+// 1 brownout, 2 emergency — exported as netcut_gateway_load_level.
+// Each level sheds optional work first: brownout pauses prewarming and
+// samples the trace ring 1-in-4; emergency samples 1-in-16 and admits
+// only byte-cache hits and coalesce joins, shedding every cold miss
+// pre-execution with a level-scaled, backlog-honest Retry-After
+// (ceil(backlog/workers) execution waves of p99 each). The
 // level is a pure function of the current signals, so it returns to
 // normal within one interval of the load going away (the drift EWMA,
 // the one signal with memory, halves each tick while its lane is

@@ -49,10 +49,6 @@ const (
 	// snapshot, keyed by the state path — the fault that exercises the
 	// .bak recovery path end to end.
 	StateCorrupt Point = "state-corrupt"
-	// HeapPressure makes the gateway's overload sampler read the heap
-	// as over its configured limit, keyed by "heap" — lets tests drive
-	// the load ladder to emergency without actually allocating.
-	HeapPressure Point = "heap-pressure"
 	// QueueStall makes the overload sampler read a lane's backlog as
 	// completely full, keyed by the device name — the deterministic way
 	// to pin brownout behavior without racing real queue occupancy.

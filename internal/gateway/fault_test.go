@@ -666,15 +666,14 @@ func TestFaultRetryAfterEveryRejection(t *testing.T) {
 			rec.Code, errCode(t, rec), rec.Header().Get("Retry-After"), wantRetryAfter(t, rec))
 	}
 	// The hint must be backlog-honest: one request (B) queued behind
-	// one worker is one execution wave of (p99 + window) — and the
-	// arithmetic must be the wave product, not a flat per-request
-	// estimate.
+	// one worker is one execution wave of p99 — and the arithmetic must
+	// be the wave product, not a flat per-request estimate.
 	var qf ErrorWire
 	if err := json.Unmarshal(rec.Body.Bytes(), &qf); err != nil {
 		t.Fatal(err)
 	}
-	if want := math.Max(laneWaves(1, g2.laneWorkers)*(p99+g2.windowMs()), 1); qf.RetryAfterMs != want {
-		t.Fatalf("queue-full hint %v, want ceil(backlog/workers)*(p99+window) = %v", qf.RetryAfterMs, want)
+	if want := math.Max(laneWaves(1, g2.laneWorkers)*p99, 1); qf.RetryAfterMs != want {
+		t.Fatalf("queue-full hint %v, want ceil(backlog/workers)*p99 = %v", qf.RetryAfterMs, want)
 	}
 	releaseOnce.Store(true)
 	close(release)

@@ -41,8 +41,8 @@
 //  7. Emergency: at load level 2 (see overload.go) a would-be leader
 //     is shed with 429 overload_shed.
 //  8. Budget: a would-be leader whose budget_ms cannot cover the
-//     device's warm-path p99 plus Config.BatchWindow is shed with 429
-//     and a retry hint ("auto" was checked by its route in step 3).
+//     device's warm-path p99 is shed with 429 and a retry hint ("auto"
+//     was checked by its route in step 3).
 //  9. Degrade: with "allow_degraded": true, a request that step 3's
 //     budget check, step 4 or step 8 would refuse is served instead: it
 //     falls back to the fastest eligible device and re-enters at step 4
@@ -53,8 +53,8 @@
 //     queue plus workers per registered device, so one slow target's
 //     cold plan can never head-of-line-block another target's warm
 //     traffic; a full lane sheds with 429. Each worker runs one request
-//     per planner pass, after holding it open for Config.BatchWindow so
-//     identical stragglers coalesce onto it. Every lane runs
+//     per planner pass; identical stragglers that miss the pass find
+//     its body in the byte cache (step 5). Every lane runs
 //     GOMAXPROCS workers unless Config.Workers is set; lane capacities
 //     divide the QueueDepth (and an explicit Workers) total evenly
 //     across devices (minimum 1 each), as the planner pool divides its
@@ -196,15 +196,6 @@ type Config struct {
 	// than a hardcoded constant. 0 means DefaultDrainTimeout; negative
 	// is a configuration error.
 	DrainTimeout time.Duration
-	// BatchWindow is how long a worker holds a dequeued request open
-	// before executing its planner pass: with socket-staggered bursts
-	// of identical requests, a small window (hundreds of microseconds
-	// to a few milliseconds) lets the stragglers coalesce onto the one
-	// pass instead of running two or three. The wait ends early when
-	// the drain starts. 0 (the default) keeps the zero-latency
-	// behavior: one cooperative yield. Negative is a configuration
-	// error.
-	BatchWindow time.Duration
 
 	// ExecTimeout is the per-pass execution watchdog: a planner pass
 	// still running after this long is abandoned — its calls get a
@@ -243,21 +234,15 @@ type Config struct {
 
 	// OverloadInterval is the closed-loop overload controller's sampling
 	// cadence: every interval a background sampler folds the signals the
-	// process already has — per-lane backlog, warm-p99 drift of observed
-	// execution latency, heap and GC-pause gauges — into a discrete load
-	// level (0 normal, 1 brownout, 2 emergency) that deterministically
+	// process already has — per-lane backlog and warm-p99 drift of
+	// observed execution latency — into a discrete load level
+	// (0 normal, 1 brownout, 2 emergency) that deterministically
 	// disables optional work (see the package comment's "Overload"
 	// section). The level is a pure function of the current signals, so
 	// it returns to 0 within one interval of the load going away.
 	// 0 means DefaultOverloadInterval; negative disables the controller
 	// (the level is pinned at 0), mirroring the ByteCacheCap convention.
 	OverloadInterval time.Duration
-	// HeapLimitBytes arms the controller's memory signals: live heap at
-	// or above this limit is an emergency (level 2), at or above 80% of
-	// it — or a p99 GC stop-the-world pause over 50ms — a brownout
-	// (level 1). 0 (the default) disables both memory signals; negative
-	// is a configuration error.
-	HeapLimitBytes int64
 
 	// SlowTraceMs emits a structured log/slog line (on SlowLog, or the
 	// process default logger) for every request whose end-to-end trace
@@ -336,7 +321,6 @@ func (c *Config) fill() error {
 		name string
 		val  time.Duration
 	}{
-		{"BatchWindow", c.BatchWindow},
 		{"ExecTimeout", c.ExecTimeout},
 		{"AutosaveInterval", c.AutosaveInterval},
 		{"ProbeInterval", c.ProbeInterval},
@@ -348,9 +332,6 @@ func (c *Config) fill() error {
 	}
 	if c.SlowTraceMs < 0 {
 		return fmt.Errorf("negative SlowTraceMs %v", c.SlowTraceMs)
-	}
-	if c.HeapLimitBytes < 0 {
-		return fmt.Errorf("negative HeapLimitBytes %d", c.HeapLimitBytes)
 	}
 	if c.AutosaveInterval > 0 && c.StatePath == "" {
 		return fmt.Errorf("AutosaveInterval requires a StatePath")
@@ -476,10 +457,10 @@ type lane struct {
 	queue     chan *call
 	shedQueue *telemetry.Counter // queue_full sheds on this lane
 
-	// busy counts the lane's workers holding dequeued calls, from the
-	// first dequeue through the batch window to delivery; the overload
-	// controller decays the drift signal only while it is 0 and the
-	// queue is empty (see overload.go).
+	// busy counts the lane's workers holding dequeued calls, from
+	// dequeue to delivery; the overload controller decays the drift
+	// signal only while it is 0 and the queue is empty (see
+	// overload.go).
 	busy atomic.Int32
 	// execEwmaMs is the smoothed observed pass latency the overload
 	// controller reads as its warm-p99 drift signal, guarded by ewmaMu.
@@ -567,11 +548,9 @@ type Gateway struct {
 	requestLatMs   *telemetry.Histogram
 
 	// Overload control (see overload.go): loadLevel is the controller's
-	// published load level (0 normal, 1 brownout, 2 emergency), mem the
-	// memoized MemStats sampler its heap/GC signals read, traceSeq the
-	// deterministic counter behind brownout trace-ring sampling.
+	// published load level (0 normal, 1 brownout, 2 emergency), traceSeq
+	// the deterministic counter behind brownout trace-ring sampling.
 	loadLevel       atomic.Int32
-	mem             *telemetry.MemSampler
 	traceSeq        atomic.Uint64
 	loadTransitions *telemetry.Counter
 	shedOverload    *telemetry.Counter
@@ -654,7 +633,6 @@ func New(cfg Config) (*Gateway, error) {
 			"allow_degraded requests served from a fallback device instead of being rejected"),
 		traceSampledOut: reg.Counter("netcut_gateway_trace_sampled_out_total",
 			"completed traces dropped from the /debug/trace ring by brownout sampling"),
-		mem:          &telemetry.MemSampler{},
 		requestLatMs: reg.Histogram("netcut_gateway_request_ms", "wall-clock request latency of admitted plan requests", nil),
 		cancelledLatMs: reg.Histogram("netcut_gateway_request_cancelled_lat_ms",
 			"wall-clock latency of admitted plan requests cancelled by client disconnect before delivery", nil),
@@ -1015,15 +993,6 @@ func (g *Gateway) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// windowMs is Config.BatchWindow expressed in the latency
-// arithmetic's unit. Every pass waits up to this long before
-// executing, so the budget shed predicates fold it into the expected
-// service time — admitting a request whose budget covers only the
-// bare warm p99 would queue it into guaranteed lateness.
-func (g *Gateway) windowMs() float64 {
-	return float64(g.cfg.BatchWindow) / float64(time.Millisecond)
-}
-
 // admit is the admission pipeline of one decoded request: it returns
 // either a cached rendered body (byte-cache hit) or the call to wait
 // on. The gate order of the package comment is written out once — the
@@ -1097,7 +1066,7 @@ func (g *Gateway) resolve(dec *decodedRequest, tr *trace.Trace) (string, *call, 
 		tr.MarkZero(stageRoute, dev)
 		return dev, nil, nil
 	}
-	dev, est, ok := g.pool.Route(dec.budgetMs, g.windowMs(), uint64(g.cfg.ShedMinSamples), g.deviceEligible)
+	dev, est, ok := g.pool.Route(dec.budgetMs, uint64(g.cfg.ShedMinSamples), g.deviceEligible)
 	if ok {
 		g.autoRouted.Inc()
 		tr.Mark(stageRoute, dev)
@@ -1184,17 +1153,16 @@ func (g *Gateway) gates(dec *decodedRequest, dev string, tr *trace.Trace) (*call
 		e := errf(http.StatusTooManyRequests, "overload_shed",
 			"gateway is at load level %d (emergency): only cached responses and coalesce joins are served", lvl)
 		p99, _ := l.planner.WarmQuantile(0.99)
-		e.wire.RetryAfterMs = math.Max(float64(lvl)*laneWaves(len(l.queue), g.laneWorkers)*(p99+g.windowMs()), 1)
+		e.wire.RetryAfterMs = math.Max(float64(lvl)*laneWaves(len(l.queue), g.laneWorkers)*p99, 1)
 		return nil, nil, e
 	}
-	// Budget gate: if the client's budget cannot cover the warm p99 plus
-	// the BatchWindow every pass waits out, queueing only
-	// manufactures a guaranteed-late response. "auto" already applied
-	// it in Route; a degraded request opted into lateness.
+	// Budget gate: if the client's budget cannot cover the warm p99,
+	// queueing only manufactures a guaranteed-late response. "auto"
+	// already applied it in Route; a degraded request opted into
+	// lateness.
 	if dec.budgetMs > 0 && dec.target != "auto" && dec.degradedReason == "" {
 		p99, samples := l.planner.WarmQuantile(0.99)
-		need := p99 + g.windowMs()
-		if samples >= uint64(g.cfg.ShedMinSamples) && dec.budgetMs < need {
+		if samples >= uint64(g.cfg.ShedMinSamples) && dec.budgetMs < p99 {
 			if mayDegrade {
 				return g.degrade(dec, degradedBudget, tr)
 			}
@@ -1202,8 +1170,8 @@ func (g *Gateway) gates(dec *decodedRequest, dev string, tr *trace.Trace) (*call
 			g.shedBudget.Inc()
 			e := errf(http.StatusTooManyRequests, "budget_too_small",
 				"budget %.3f ms is below device %s's estimated warm-path latency of %.3f ms",
-				dec.budgetMs, dev, need)
-			e.wire.RetryAfterMs = need
+				dec.budgetMs, dev, p99)
+			e.wire.RetryAfterMs = p99
 			return nil, nil, e
 		}
 	}
@@ -1229,9 +1197,9 @@ func (g *Gateway) gates(dec *decodedRequest, dev string, tr *trace.Trace) (*call
 			"admission lane of %d for device %s is full", g.laneQueueCap, l.device)
 		// A full lane means a backlog of whole execution waves stands
 		// between this client and service: ceil(backlog / workers)
-		// passes of roughly (p99 + window) each.
+		// passes of roughly p99 each.
 		p99, _ := l.planner.WarmQuantile(0.99)
-		e.wire.RetryAfterMs = math.Max(laneWaves(len(l.queue), g.laneWorkers)*(p99+g.windowMs()), 1)
+		e.wire.RetryAfterMs = math.Max(laneWaves(len(l.queue), g.laneWorkers)*p99, 1)
 		return nil, nil, e
 	}
 	tr.Mark(stageEnqueue, verdictOK)
@@ -1256,7 +1224,7 @@ func (g *Gateway) degrade(dec *decodedRequest, reason string, tr *trace.Trace) (
 // body is byte-identical to the explicit spelling of that device; the
 // response is marked degraded at write time.
 func (g *Gateway) fallback(dec *decodedRequest, reason string, tr *trace.Trace) (string, *apiError) {
-	dev, _, ok := g.pool.Fastest(g.windowMs(), uint64(g.cfg.ShedMinSamples), g.deviceEligible)
+	dev, _, ok := g.pool.Fastest(uint64(g.cfg.ShedMinSamples), g.deviceEligible)
 	if !ok {
 		return "", g.fleetDown(tr)
 	}
@@ -1304,9 +1272,9 @@ func quarantineKey(k coalesceKey) coalesceKey {
 }
 
 // worker drains one device's admission lane, one request per planner
-// pass: a blocking receive, a cooperative yield, an optional timed
-// window, the cancellation check, then the pass. Workers never cross
-// lanes, so a cold plan here cannot delay any other device's queue.
+// pass: a blocking receive, a cooperative yield, the cancellation
+// check, then the pass. Workers never cross lanes, so a cold plan here
+// cannot delay any other device's queue.
 func (g *Gateway) worker(l *lane) {
 	defer g.workers.Done()
 	for c := range l.queue {
@@ -1318,18 +1286,6 @@ func (g *Gateway) worker(l *lane) {
 		// single-core scheduler runs the worker ahead of the burst's
 		// remaining handlers. Costs nothing when idle.
 		runtime.Gosched()
-		// Timed window: hold the pass open for socket-staggered
-		// identical stragglers, which coalesce onto this call while it
-		// waits; the drain ends the wait early. Like every admission
-		// mechanism it shifts when executions run, never what they
-		// return. The cost: every pass — including a lone, uncontended
-		// request — waits up to BatchWindow before executing, which is
-		// why the budget shed predicates add windowMs to the expected
-		// service time. Under overload the window shrinks (brownout) or
-		// disappears (emergency) — holding passes open is optional work.
-		if w := g.effectiveBatchWindow(); w > 0 {
-			g.sleep(w)
-		}
 		// A dequeued call nobody waits on anymore — every coalesced
 		// client disconnected while it was queued — is retired here,
 		// before it can consume a planner execution.

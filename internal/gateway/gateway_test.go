@@ -391,13 +391,27 @@ func TestGatewayQueuedRequestsRunOnePassEach(t *testing.T) {
 // TestGatewayRejectsNegativeConfig pins that bad knobs are a prompt
 // constructor error (netserve exits 1 on them), never a panic.
 func TestGatewayRejectsNegativeConfig(t *testing.T) {
-	for _, cfg := range []Config{
-		{QueueDepth: -1},
-		{Workers: -1},
-		{ShedMinSamples: -1},
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{QueueDepth: -1}, "negative QueueDepth"},
+		{Config{Workers: -1}, "negative Workers"},
+		{Config{ShedMinSamples: -1}, "negative ShedMinSamples"},
+		{Config{ExecTimeout: -time.Second}, "negative ExecTimeout"},
+		{Config{AutosaveInterval: -time.Second, StatePath: "state.bin"}, "negative AutosaveInterval"},
+		{Config{ProbeInterval: -time.Second}, "negative ProbeInterval"},
+		{Config{DrainTimeout: -time.Second}, "negative DrainTimeout"},
+		{Config{SlowTraceMs: -1}, "negative SlowTraceMs"},
+		{Config{AutosaveInterval: time.Second}, "AutosaveInterval requires a StatePath"},
 	} {
-		if _, err := New(cfg); err == nil {
-			t.Fatalf("config %+v accepted", cfg)
+		g, err := New(c.cfg)
+		if err == nil {
+			g.Shutdown(context.Background())
+			t.Fatalf("config %+v accepted", c.cfg)
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("config %+v: error %q, want it to name %q", c.cfg, err, c.want)
 		}
 	}
 }
@@ -851,56 +865,60 @@ func TestGatewayAutoShedsOnlyWhenNoDeviceQualifies(t *testing.T) {
 	}
 }
 
-// TestGatewayBatchWindowDrainsStaggeredBurst pins the timed window:
-// socket-staggered identical requests arriving while the window holds
-// the leader's pass open coalesce onto it, so the burst costs exactly
-// one planner execution. The byte cache is off, so a straggler that
-// missed the window would show as a second execution.
-func TestGatewayBatchWindowDrainsStaggeredBurst(t *testing.T) {
-	const k = 4
-	cfg := quickConfig(37)
-	cfg.Workers = 1
-	cfg.ByteCacheCap = -1
-	cfg.BatchWindow = 300 * time.Millisecond
-	g, err := New(cfg)
+// TestGatewayCoalescesStaggeredBurstOnDefaultConfig pins that socket-
+// staggered identical requests cost one planner pass per burst with
+// the byte cache on and nothing held open: admission checks the byte
+// cache and then the in-flight map under one lock, and a pass caches
+// its body before it leaves the in-flight map, so every straggler
+// either joins the pass or hits its body. Each burst carries a fresh
+// deadline, so its leader is a byte-cache miss.
+func TestGatewayCoalescesStaggeredBurstOnDefaultConfig(t *testing.T) {
+	const bursts, k = 8, 16
+	g, err := New(quickConfig(37))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mustShutdown(t, g)
 
-	body := graphBody(t, userNet(1), 0.35, "")
-	execs := g.Planner().Executions()
 	type result struct {
 		code int
 		body []byte
 	}
-	results := make(chan result, k)
-	for i := 0; i < k; i++ {
-		go func(i int) {
-			time.Sleep(time.Duration(i*5) * time.Millisecond) // socket-staggered burst
-			rec := post(g, body)
-			results <- result{rec.Code, stripped(rec.Body.Bytes())}
-		}(i)
-	}
+	execs := g.Planner().Executions()
 	var first []byte
-	for i := 0; i < k; i++ {
-		r := <-results
-		if r.code != http.StatusOK {
-			t.Fatalf("request %d: %d: %s", i, r.code, r.body)
+	for b := 0; b < bursts; b++ {
+		body := graphBody(t, userNet(1), 0.35+float64(b)*1e-3, "")
+		start := make(chan struct{})
+		results := make(chan result, k)
+		for i := 0; i < k; i++ {
+			go func(i int) {
+				<-start
+				time.Sleep(time.Duration(50+40*i) * time.Microsecond) // socket-staggered burst
+				rec := post(g, body)
+				results <- result{rec.Code, stripped(rec.Body.Bytes())}
+			}(i)
+		}
+		close(start)
+		var burstBody []byte
+		for i := 0; i < k; i++ {
+			r := <-results
+			if r.code != http.StatusOK {
+				t.Fatalf("burst %d request %d: %d: %s", b, i, r.code, r.body)
+			}
+			if burstBody == nil {
+				burstBody = r.body
+			} else if !bytes.Equal(r.body, burstBody) {
+				t.Fatalf("burst %d: bodies differ:\n%s\n%s", b, r.body, burstBody)
+			}
+		}
+		if got := g.Planner().Executions() - execs; got != uint64(b+1) {
+			t.Fatalf("after %d staggered bursts of %d identical requests: %d planner executions, want %d", b+1, k, got, b+1)
 		}
 		if first == nil {
-			first = r.body
-		} else if !bytes.Equal(r.body, first) {
-			t.Fatalf("coalesced bodies differ:\n%s\n%s", r.body, first)
+			first = burstBody
 		}
 	}
-	if got := g.Planner().Executions() - execs; got != 1 {
-		t.Fatalf("staggered burst of %d identical requests cost %d planner executions, want 1", k, got)
-	}
-	if got := g.coalesced.Value(); got != k-1 {
-		t.Fatalf("coalesced counter %d, want %d", got, k-1)
-	}
-	// The window never changes bytes.
+	// Coalescing and cache hits never change bytes.
 	solo, err := serve.New(serve.Config{Seed: 37, Protocol: quickProto})
 	if err != nil {
 		t.Fatal(err)
@@ -910,7 +928,7 @@ func TestGatewayBatchWindowDrainsStaggeredBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first, EncodeResponse(want)) {
-		t.Fatalf("windowed response diverges from solo:\n gw: %s\nsolo: %s", first, EncodeResponse(want))
+		t.Fatalf("coalesced response diverges from solo:\n gw: %s\nsolo: %s", first, EncodeResponse(want))
 	}
 }
 
@@ -978,48 +996,5 @@ func TestGatewayAutoCoalescesBeforeShedding(t *testing.T) {
 	}
 	if got := g.Planner().Executions(); got != execs+1 {
 		t.Fatalf("executions %d -> %d, want exactly the leader's one", execs, got)
-	}
-}
-
-// TestGatewayShedAccountsForBatchWindow pins the latency arithmetic:
-// with a BatchWindow configured, a budget that covers the bare
-// warm p99 but not p99+window is shed — admitting it would queue the
-// client into guaranteed lateness behind the window.
-func TestGatewayShedAccountsForBatchWindow(t *testing.T) {
-	cfg := quickConfig(43)
-	cfg.ShedMinSamples = 1
-	// The window-blind budget request repeats the warm-up's identity;
-	// disable the byte cache so it reaches the shed predicate.
-	cfg.ByteCacheCap = -1
-	cfg.Devices = []device.Config{device.Xavier()}
-	cfg.BatchWindow = 500 * time.Millisecond
-	g, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mustShutdown(t, g)
-
-	body := graphBody(t, userNet(6), 0.35, "")
-	for i := 0; i < 2; i++ {
-		if rec := post(g, body); rec.Code != http.StatusOK {
-			t.Fatalf("warmup %d: %d", i, rec.Code)
-		}
-	}
-	p99, _ := g.Planner().WarmQuantile(0.99)
-	budget := p99 + 100 // covers the execution, not the 500ms window
-	rec := post(g, graphBody(t, userNet(6), 0.35, fmt.Sprintf(`,"budget_ms":%g`, budget)))
-	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("window-blind budget %.3f ms admitted: %d: %s", budget, rec.Code, rec.Body.String())
-	}
-	var e ErrorWire
-	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Code != "budget_too_small" {
-		t.Fatalf("shed body %s", rec.Body.String())
-	}
-	if e.RetryAfterMs < 500 {
-		t.Fatalf("retry hint %.3f ms does not include the window", e.RetryAfterMs)
-	}
-	// A budget covering p99+window is admitted.
-	if rec := post(g, graphBody(t, userNet(6), 0.35, `,"budget_ms":60000`)); rec.Code != http.StatusOK {
-		t.Fatalf("generous budget: %d", rec.Code)
 	}
 }

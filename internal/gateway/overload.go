@@ -1,33 +1,32 @@
 package gateway
 
 // Adaptive overload control: the closed-loop half of the gateway's
-// admission policy. A background sampler (overloadLoop) folds signals
-// the process already has — per-lane backlog, warm-p99 drift of
-// observed execution latency, heap occupancy and GC pauses — into one
-// discrete load level, and each level deterministically sheds optional
-// work:
+// admission policy. A background sampler (overloadLoop) folds two
+// signals the process already has — per-lane backlog and warm-p99
+// drift of observed execution latency — into one discrete load level,
+// and each level deterministically sheds optional work:
 //
-//	level 0 (normal)    everything on: full batch window, prewarming,
-//	                    every completed trace retained.
-//	level 1 (brownout)  batch window halved, Prewarm paused, the
-//	                    /debug/trace ring samples 1-in-4 traces.
-//	level 2 (emergency) batch window dropped, Prewarm paused, ring
-//	                    samples 1-in-16, and admission serves only
-//	                    byte-cache hits and coalesce joins — every
-//	                    cold miss is shed pre-execution with a
-//	                    level-scaled, backlog-honest Retry-After.
+//	level 0 (normal)    everything on: prewarming, every completed
+//	                    trace retained.
+//	level 1 (brownout)  Prewarm paused, the /debug/trace ring samples
+//	                    1-in-4 traces.
+//	level 2 (emergency) Prewarm paused, ring samples 1-in-16, and
+//	                    admission serves only byte-cache hits and
+//	                    coalesce joins — every cold miss is shed
+//	                    pre-execution with a level-scaled,
+//	                    backlog-honest Retry-After.
 //
 // The level is a pure function of the signals sampled each tick — no
 // hysteresis — so it returns to 0 within one controller interval of
 // the load going away, and a fixed signal state always maps to the
 // same level (the property the deterministic ladder tests pin, via
-// the faultinject QueueStall/HeapPressure points). The one signal
-// with memory, the per-lane exec-latency EWMA, decays while its lane
-// is idle: it only collects samples when passes run, so without decay
-// a single slow cold pass would hold an otherwise idle gateway in
-// brownout with nothing left to pull the average back down. A lane
-// counts as busy from the moment a worker dequeues a call, so a pass
-// waiting out its batch window keeps its EWMA.
+// the faultinject QueueStall point). The one signal with memory, the
+// per-lane exec-latency EWMA, decays while its lane is idle: it only
+// collects samples when passes run, so without decay a single slow
+// cold pass would hold an otherwise idle gateway in brownout with
+// nothing left to pull the average back down. A lane counts as busy
+// from the moment a worker dequeues a call until the pass delivers,
+// so a long pass keeps its EWMA.
 //
 // A lane's parallelism is its per-lane worker count, fixed: that is
 // what the backlog-honest Retry-After hints assume. Like every admission mechanism in this repository,
@@ -38,7 +37,6 @@ import (
 	"time"
 
 	"netcut/internal/faultinject"
-	"netcut/internal/telemetry"
 )
 
 // The load-level ladder.
@@ -61,19 +59,10 @@ const (
 	// declares the emergency.
 	brownoutQueueFrac  = 0.5
 	emergencyQueueFrac = 0.9
-	// heapBrownoutFrac is the fraction of Config.HeapLimitBytes at
-	// which the heap signal starts the brownout; the limit itself is
-	// the emergency.
-	heapBrownoutFrac = 0.8
-	// gcPauseBrownoutMs holds the level at brownout while the p99 GC
-	// stop-the-world pause exceeds it: a collector this busy is already
-	// taxing every request, so optional work goes first. Armed, like
-	// the heap thresholds, only when Config.HeapLimitBytes is set.
-	gcPauseBrownoutMs = 50.0
 	// execDriftFactor is the warm-p99 drift signal's threshold: a
 	// lane whose smoothed observed pass latency exceeds this multiple
-	// of (warm p99 + batch window) is running hotter than its own
-	// history predicts — a brownout signal.
+	// of its warm p99 is running hotter than its own history
+	// predicts — a brownout signal.
 	execDriftFactor = 2.0
 	// execEwmaAlpha is the smoothing weight of a new pass observation
 	// in the lane's exec-latency EWMA.
@@ -183,18 +172,9 @@ func (l *lane) ewma() float64 {
 //     brownout/emergencyQueueFrac thresholds (the faultinject
 //     QueueStall point reads a lane as completely full, so tests pin
 //     the ladder deterministically);
-//   - heap: live heap against Config.HeapLimitBytes (emergency at the
-//     limit, brownout at heapBrownoutFrac of it; the HeapPressure
-//     point reads the heap as over the limit);
-//   - GC pressure: p99 stop-the-world pause over gcPauseBrownoutMs.
-//     Like the heap signal it is armed only when HeapLimitBytes is
-//     set: GC pauses on a contended host reflect scheduler noise as
-//     much as allocation pressure, and an unarmed memory signal must
-//     never brown out a gateway on its own;
 //   - warm-p99 drift: any lane whose smoothed observed pass latency
-//     exceeds execDriftFactor x its device's (warm p99 + window).
+//     exceeds execDriftFactor x its device's warm p99.
 func (g *Gateway) computeLoadLevel() int {
-	level := levelNormal
 	occ := 0.0
 	for _, l := range g.lanes {
 		o := float64(len(l.queue)) / float64(g.laneQueueCap)
@@ -208,35 +188,16 @@ func (g *Gateway) computeLoadLevel() int {
 	if occ >= emergencyQueueFrac {
 		return levelEmergency
 	}
-	if occ >= brownoutQueueFrac {
-		level = levelBrownout
+	if occ >= brownoutQueueFrac || g.anyLaneDrifting() {
+		return levelBrownout
 	}
-	if faultinject.Fire(faultinject.HeapPressure, "heap") {
-		return levelEmergency
-	}
-	if g.cfg.HeapLimitBytes > 0 {
-		stat := g.mem.Read()
-		if stat.HeapAlloc >= uint64(g.cfg.HeapLimitBytes) {
-			return levelEmergency
-		}
-		if float64(stat.HeapAlloc) >= heapBrownoutFrac*float64(g.cfg.HeapLimitBytes) {
-			level = levelBrownout
-		}
-		if telemetry.GCPauseP99(&stat) >= gcPauseBrownoutMs {
-			level = levelBrownout
-		}
-	}
-	if level == levelNormal && g.anyLaneDrifting() {
-		level = levelBrownout
-	}
-	return level
+	return levelNormal
 }
 
 // anyLaneDrifting reports whether any lane's smoothed observed pass
 // latency has drifted past execDriftFactor x its device's own warm
-// p99 (plus the batch window every pass leader waits out). Only lanes
-// whose histograms hold driftSamplesFloor executions participate —
-// the activation rule budget shedding uses, floored at
+// p99. Only lanes whose histograms hold driftSamplesFloor executions
+// participate — the activation rule budget shedding uses, floored at
 // driftMinSamples, for the same reason: drifting against a cold
 // estimate is noise.
 func (g *Gateway) anyLaneDrifting() bool {
@@ -251,7 +212,7 @@ func (g *Gateway) anyLaneDrifting() bool {
 		}
 		p99, samples := p.WarmQuantile(0.99)
 		if samples >= g.driftSamplesFloor() && p99 > 0 &&
-			ewma > execDriftFactor*(p99+g.windowMs()) {
+			ewma > execDriftFactor*p99 {
 			return true
 		}
 	}
@@ -266,22 +227,6 @@ func (g *Gateway) driftSamplesFloor() uint64 {
 		return driftMinSamples
 	}
 	return uint64(g.cfg.ShedMinSamples)
-}
-
-// effectiveBatchWindow is the batch window after the ladder's cut:
-// full at level 0, halved in brownout, gone in emergency. The budget
-// shed predicates keep using the configured window — a conservative
-// (over-reporting) estimate during overload, matching the repo-wide
-// quantile rule.
-func (g *Gateway) effectiveBatchWindow() time.Duration {
-	switch g.loadLevel.Load() {
-	case levelNormal:
-		return g.cfg.BatchWindow
-	case levelBrownout:
-		return g.cfg.BatchWindow / 2
-	default:
-		return 0
-	}
 }
 
 // traceKeep decides whether a completed trace enters the /debug/trace

@@ -1,8 +1,8 @@
 package gateway
 
 // Overload-control suite: the load-level ladder (driven
-// deterministically through the faultinject QueueStall/HeapPressure
-// points), the emergency admission gate, the drift signal and its
+// deterministically through the faultinject QueueStall point), the
+// emergency admission gate, the drift signal and its
 // idle decay, the opt-in degraded-serving fallback, the
 // backlog-honest retry hints, and the -race soak that pushes ~4x the
 // queue capacity through a tiny gateway. The TestFault* names put the
@@ -102,7 +102,7 @@ func TestFaultOverloadLadderQueueStall(t *testing.T) {
 	waitFor(t, "follower to coalesce at level 2", func() bool { return g.coalesced.Value() > joined })
 
 	// A cold miss is shed pre-execution with the level-scaled,
-	// backlog-honest hint: level x ceil(backlog/workers) x (p99+window).
+	// backlog-honest hint: level x ceil(backlog/workers) x p99.
 	p, err := g.pool.Planner("sim-xavier")
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestFaultOverloadLadderQueueStall(t *testing.T) {
 	if rec.Code != http.StatusTooManyRequests || errCode(t, rec) != "overload_shed" {
 		t.Fatalf("cold miss at level 2: status %d code %q, want 429 overload_shed", rec.Code, errCode(t, rec))
 	}
-	want := math.Max(float64(levelEmergency)*laneWaves(backlog, g.laneWorkers)*(p99+g.windowMs()), 1)
+	want := math.Max(float64(levelEmergency)*laneWaves(backlog, g.laneWorkers)*p99, 1)
 	if got := retryAfterMs(t, rec); got != want {
 		t.Fatalf("overload_shed hint %v, want level-scaled %v", got, want)
 	}
@@ -153,40 +153,12 @@ func TestFaultOverloadLadderQueueStall(t *testing.T) {
 	}
 }
 
-// TestFaultOverloadHeapPressure pins the memory signal's escalation:
-// the HeapPressure point reads the heap as over the configured limit,
-// which is an emergency on the next tick, and clears with the signal.
-func TestFaultOverloadHeapPressure(t *testing.T) {
-	defer faultinject.Reset()
-	cfg := quickConfig(32)
-	cfg.Devices = []device.Config{device.Xavier()}
-	cfg.OverloadInterval = 2 * time.Millisecond
-	g, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mustShutdown(t, g)
-
-	faultinject.Arm(faultinject.HeapPressure, "heap", 0)
-	waitFor(t, "heap pressure to force level 2", func() bool { return g.LoadLevel() == levelEmergency })
-	faultinject.Reset()
-	waitFor(t, "level 0 after heap pressure clears", func() bool { return g.LoadLevel() == levelNormal })
-}
-
-// TestOverloadConfigValidation pins the controller knobs' edges: a
-// negative heap limit is a configuration error, and a negative
-// OverloadInterval disables the controller — the level stays 0 even
-// with a stall signal armed, and nothing is shed.
+// TestOverloadConfigValidation pins the controller knob's edge: a
+// negative OverloadInterval disables the controller — the level stays
+// 0 even with a stall signal armed, and nothing is shed.
 func TestOverloadConfigValidation(t *testing.T) {
 	defer faultinject.Reset()
 	cfg := quickConfig(33)
-	cfg.Devices = []device.Config{device.Xavier()}
-	cfg.HeapLimitBytes = -1
-	if _, err := New(cfg); err == nil {
-		t.Fatal("negative heap limit: config accepted")
-	}
-
-	cfg = quickConfig(33)
 	cfg.Devices = []device.Config{device.Xavier()}
 	cfg.OverloadInterval = -1
 	g, err := New(cfg)
@@ -204,32 +176,19 @@ func TestOverloadConfigValidation(t *testing.T) {
 	}
 }
 
-// TestOverloadBrownoutWindowAndTraceSampling pins the brownout cuts
-// that have no wire-visible effect: the effective batch window halves
-// at level 1 and drops at level 2, and the trace ring keeps a
+// TestOverloadBrownoutWindowAndTraceSampling pins the brownout cut
+// that has no wire-visible effect: the trace ring keeps a
 // deterministic 1-in-4 sample under brownout (the sampled-out
 // remainder is counted, and requests themselves are unaffected).
 func TestOverloadBrownoutWindowAndTraceSampling(t *testing.T) {
 	cfg := quickConfig(34)
 	cfg.Devices = []device.Config{device.Xavier()}
-	cfg.BatchWindow = 4 * time.Millisecond
 	cfg.OverloadInterval = -1 // manual level control below
 	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mustShutdown(t, g)
-
-	for lvl, want := range map[int32]time.Duration{
-		levelNormal:    cfg.BatchWindow,
-		levelBrownout:  cfg.BatchWindow / 2,
-		levelEmergency: 0,
-	} {
-		g.loadLevel.Store(lvl)
-		if got := g.effectiveBatchWindow(); got != want {
-			t.Fatalf("effective window at level %d = %v, want %v", lvl, got, want)
-		}
-	}
 
 	g.loadLevel.Store(levelBrownout)
 	for i := 0; i < 8; i++ {
@@ -350,7 +309,7 @@ func TestOverloadIdleDriftDecay(t *testing.T) {
 	// Drift arithmetic, against the device's own warm p99: the first
 	// observation seeds the EWMA, the next is folded in with weight
 	// execEwmaAlpha, and neither drifts; a pass far past
-	// execDriftFactor x (p99 + window) does.
+	// execDriftFactor x p99 does.
 	p, err := g.pool.Planner("sim-xavier")
 	if err != nil {
 		t.Fatal(err)
@@ -402,15 +361,14 @@ func TestOverloadIdleDriftDecay(t *testing.T) {
 	}
 }
 
-// TestOverloadNoDecayDuringBatchWindow pins when a lane turns busy: a
-// worker that has dequeued a call and is waiting out its batch window
-// holds work, even though the queue is empty and no planner pass has
-// started, so a controller tick in that window must leave the drift
-// EWMA alone.
-func TestOverloadNoDecayDuringBatchWindow(t *testing.T) {
+// TestOverloadNoDecayDuringPass pins when a lane is busy: from the
+// moment a worker dequeues a call until the pass delivers. A pass held
+// in the planner by the ExecDelay point leaves the queue empty, yet a
+// controller tick during it must leave the drift EWMA alone.
+func TestOverloadNoDecayDuringPass(t *testing.T) {
+	defer faultinject.Reset()
 	cfg := quickConfig(44)
 	cfg.Devices = []device.Config{device.Xavier()}
-	cfg.BatchWindow = time.Second
 	cfg.OverloadInterval = -1 // ticks driven by hand
 	g, err := New(cfg)
 	if err != nil {
@@ -420,6 +378,7 @@ func TestOverloadNoDecayDuringBatchWindow(t *testing.T) {
 	l := g.lanes["sim-xavier"]
 	setLaneEwmaMs(l, 1e6)
 
+	faultinject.ArmDelay(faultinject.ExecDelay, "user-net-0", 1, time.Second)
 	done := make(chan *httptest.ResponseRecorder, 1)
 	go func() { done <- post(g, graphBody(t, userNet(0), 0.35, "")) }()
 	// Admission inserts into inflight and enqueues under g.mu, and the
@@ -432,7 +391,7 @@ func TestOverloadNoDecayDuringBatchWindow(t *testing.T) {
 	})
 	g.overloadTick()
 	if got := l.ewma(); got != 1e6 {
-		t.Fatalf("tick during the batch window decayed the EWMA to %v", got)
+		t.Fatalf("tick during the pass decayed the EWMA to %v", got)
 	}
 	if rec := <-done; rec.Code != http.StatusOK {
 		t.Fatal(rec.Body.String())
@@ -607,8 +566,8 @@ func TestFaultDegradedBudgetAndFleetDown(t *testing.T) {
 
 // TestOverloadQueueFullRetryAfterWaves pins the backlog-honest hint at
 // depth: with four requests queued behind one wedged worker, the
-// queue-full hint must claim ceil(4/1) execution waves of (p99 +
-// window) each — four times what a one-deep backlog claims.
+// queue-full hint must claim ceil(4/1) execution waves of p99 each —
+// four times what a one-deep backlog claims.
 func TestOverloadQueueFullRetryAfterWaves(t *testing.T) {
 	cfg := quickConfig(41)
 	cfg.Devices = []device.Config{device.Xavier()}
@@ -664,7 +623,7 @@ func TestOverloadQueueFullRetryAfterWaves(t *testing.T) {
 	if rec.Code != http.StatusTooManyRequests || errCode(t, rec) != "queue_full" {
 		t.Fatalf("probe: status %d code %q", rec.Code, errCode(t, rec))
 	}
-	want := math.Max(4*(p99+g.windowMs()), 1)
+	want := math.Max(4*p99, 1)
 	if got := retryAfterMs(t, rec); got != want {
 		t.Fatalf("queue-full hint %v, want 4 waves = %v (p99 %v)", got, want, p99)
 	}

@@ -142,13 +142,12 @@ func (pp *PlannerPool) Select(target string, req Request) (*Response, error) {
 
 // Route picks the serving target for an auto-routed request: the
 // fastest device — by estimated warm-path latency, the p99 of its warm
-// execution histogram plus the caller's fixed per-request overheadMs
-// (the gateway passes its BatchWindow) — whose estimate fits the
-// client's budget. Devices whose histogram holds fewer than minSamples
-// warm executions estimate as 0 ("unmeasured, assume fast"), mirroring
-// the gateway's shed activation rule; they therefore both qualify and
-// win the fastest-first ranking until real measurements exist, which
-// is what spreads a fresh pool's first traffic instead of shedding it.
+// execution histogram — whose estimate fits the client's budget.
+// Devices whose histogram holds fewer than minSamples warm executions
+// estimate as 0 ("unmeasured, assume fast"), mirroring the gateway's
+// shed activation rule; they therefore both qualify and win the
+// fastest-first ranking until real measurements exist, which is what
+// spreads a fresh pool's first traffic instead of shedding it.
 // Ties — including the all-unmeasured cold start — break on
 // registration order, so routing is deterministic for a fixed
 // telemetry state.
@@ -163,7 +162,7 @@ func (pp *PlannerPool) Select(target string, req Request) (*Response, error) {
 // the eligible set's minimum estimate as the caller's retry hint (+Inf
 // when nothing was eligible at all). budgetMs <= 0 means unbudgeted:
 // every eligible device qualifies and the fastest wins.
-func (pp *PlannerPool) Route(budgetMs, overheadMs float64, minSamples uint64, eligible func(device string) bool) (name string, estMs float64, ok bool) {
+func (pp *PlannerPool) Route(budgetMs float64, minSamples uint64, eligible func(device string) bool) (name string, estMs float64, ok bool) {
 	bestEst := math.Inf(1)
 	minEst := math.Inf(1)
 	for _, n := range pp.names {
@@ -173,9 +172,6 @@ func (pp *PlannerPool) Route(budgetMs, overheadMs float64, minSamples uint64, el
 		est, samples := pp.planners[n].WarmQuantile(0.99)
 		if samples < minSamples {
 			est = 0
-		}
-		if est > 0 {
-			est += overheadMs
 		}
 		if est < minEst {
 			minEst = est
@@ -200,8 +196,8 @@ func (pp *PlannerPool) Route(budgetMs, overheadMs float64, minSamples uint64, el
 // instead of rejecting, and the spelling of the answer stays identical
 // to an explicit request for that device. ok is false only when
 // nothing was eligible.
-func (pp *PlannerPool) Fastest(overheadMs float64, minSamples uint64, eligible func(device string) bool) (name string, estMs float64, ok bool) {
-	return pp.Route(0, overheadMs, minSamples, eligible)
+func (pp *PlannerPool) Fastest(minSamples uint64, eligible func(device string) bool) (name string, estMs float64, ok bool) {
+	return pp.Route(0, minSamples, eligible)
 }
 
 // Instrument registers every planner's series — each labeled with its

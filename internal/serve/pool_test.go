@@ -174,7 +174,7 @@ func TestPoolRoute(t *testing.T) {
 	pp := quickPool(t, 3, device.Xavier(), device.EdgeCPU())
 
 	// Cold start: no estimates anywhere, first registered target wins.
-	name, est, ok := pp.Route(0.5, 0, 1, nil)
+	name, est, ok := pp.Route(0.5, 1, nil)
 	if !ok || name != "sim-xavier" || est != 0 {
 		t.Fatalf("cold route = (%q, %v, %v), want deterministic first device", name, est, ok)
 	}
@@ -194,16 +194,16 @@ func TestPoolRoute(t *testing.T) {
 	if samples == 0 || p99 <= 0 {
 		t.Fatalf("warm histogram empty after repeats: %v/%d", p99, samples)
 	}
-	if name, _, ok := pp.Route(0, 0, 1, nil); !ok || name != "sim-edge-cpu" {
+	if name, _, ok := pp.Route(0, 1, nil); !ok || name != "sim-edge-cpu" {
 		t.Fatalf("route = %q, want the unmeasured device ranked fastest", name)
 	}
 	// A budget below the measured device's p99 disqualifies it; the
 	// unmeasured device still qualifies.
-	if name, _, ok := pp.Route(p99/1e6, 0, 1, nil); !ok || name != "sim-edge-cpu" {
+	if name, _, ok := pp.Route(p99/1e6, 1, nil); !ok || name != "sim-edge-cpu" {
 		t.Fatalf("tiny-budget route = (%q, %v)", name, ok)
 	}
 	// With a huge min-sample threshold every estimate reads 0 again.
-	if name, _, ok := pp.Route(p99/1e6, 0, 1<<40, nil); !ok || name != "sim-xavier" {
+	if name, _, ok := pp.Route(p99/1e6, 1<<40, nil); !ok || name != "sim-xavier" {
 		t.Fatalf("high-threshold route = (%q, %v), want first device", name, ok)
 	}
 
@@ -220,7 +220,7 @@ func TestPoolRoute(t *testing.T) {
 	if b99, _ := pb.WarmQuantile(0.99); b99 < minP99 {
 		minP99 = b99
 	}
-	name, hint, ok := pp.Route(minP99/1e6, 0, 1, nil)
+	name, hint, ok := pp.Route(minP99/1e6, 1, nil)
 	if ok {
 		t.Fatalf("impossible budget routed to %q", name)
 	}
@@ -241,11 +241,11 @@ func TestPoolRouteEligibility(t *testing.T) {
 	}
 	// Cold start normally picks the first registered device; filtering
 	// it out must hand the route to the next one.
-	if name, _, ok := pp.Route(0, 0, 1, only("sim-edge-cpu")); !ok || name != "sim-edge-cpu" {
+	if name, _, ok := pp.Route(0, 1, only("sim-edge-cpu")); !ok || name != "sim-edge-cpu" {
 		t.Fatalf("filtered route = (%q, %v), want sim-edge-cpu", name, ok)
 	}
 	// Nothing eligible: no qualifier, +Inf hint.
-	name, hint, ok := pp.Route(0, 0, 1, func(string) bool { return false })
+	name, hint, ok := pp.Route(0, 1, func(string) bool { return false })
 	if ok {
 		t.Fatalf("empty eligible set routed to %q", name)
 	}

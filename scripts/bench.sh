@@ -34,7 +34,7 @@ OUT="$OUT_DIR/BENCH_${DATE}_${COMMIT:0:7}.json"
 # PlannerSelectCold/Warm, PlannerSelectRestoredCold (snapshot restore),
 # PlannerConcurrentThroughput, PlannerPoolWarmAcrossDevices
 # (multi-target warm path), GatewayThroughput, GatewayCoalescedBurst,
-# GatewayCoalescedBurstStaggered (timed coalescing window),
+# GatewayCoalescedBurstStaggered (staggered arrivals, default config),
 # GatewayLaneIsolation (per-device lane p99s) and StateSave/StateRestore
 # (snapshot codec bytes + ns). -benchmem adds B/op and allocs/op to
 # every entry so allocation regressions (a copy creeping back onto the

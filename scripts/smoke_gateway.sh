@@ -388,7 +388,7 @@ fi
 PID=""
 
 # Overload leg: a tiny-capacity daemon (one lane worker, queue depth
-# 4, fast controller ticks, a 250ms batch window) is flooded by 24
+# 4, fast controller ticks) is flooded by 24
 # concurrent posters, each posting its own never-seen graphs. Every
 # such post is a cold planning pass (profile, measure, cut) that costs
 # milliseconds, against ~20us for a warm one, so the lone worker's
@@ -406,7 +406,7 @@ OV_POSTERS=24
 OV_BODIES=40 # per poster
 mkdir -p "$TMP/cold"
 go run ./scripts/coldbodies -n $((OV_POSTERS * OV_BODIES)) -out "$TMP/cold"
-"$BIN" -addr "$ADDR" -seed 1 -devices sim-xavier -queue 4 -workers 1 -shed-min-samples 1 -overload-interval 50ms -batch-window 250ms >"$TMP/netserve6.log" 2>&1 &
+"$BIN" -addr "$ADDR" -seed 1 -devices sim-xavier -queue 4 -workers 1 -shed-min-samples 1 -overload-interval 50ms >"$TMP/netserve6.log" 2>&1 &
 PID=$!
 for _ in $(seq 1 50); do
   curl -fsS "http://$ADDR/healthz" >/dev/null 2>&1 && break
