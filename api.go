@@ -21,9 +21,10 @@ import (
 // for the common flows.
 type (
 	// Graph is a network as a layer graph. Graphs are immutable once
-	// built: the measurement and planning layers memoize per graph
-	// structure, so mutating a Graph's fields after passing it to any
-	// function in this package yields stale cached results.
+	// built: a built graph records its structural fingerprint, and the
+	// measurement and planning layers memoize per graph structure, so
+	// mutating a built Graph's fields — even before passing it to any
+	// function in this package — yields stale cached results.
 	Graph = graph.Graph
 	// TRN is a trimmed network.
 	TRN = trim.TRN

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"netcut/internal/graph"
 	"netcut/internal/trim"
 )
 
@@ -59,14 +58,13 @@ func iterativeOne(c Candidate, deadlineMs float64, rt Retrainer, measure Measure
 	var trn *trim.TRN
 	var acc float64
 	var hours float64
-	print := graph.Fingerprint(c.Graph)
 	for lat > deadlineMs {
 		cut++
 		if cut > c.Graph.BlockCount() {
 			return Proposal{}, false, nil
 		}
 		var err error
-		trn, err = trim.CutFingerprinted(c.Graph, print, cut, head)
+		trn, err = trim.Cut(c.Graph, cut, head)
 		if err != nil {
 			return Proposal{}, false, err
 		}
@@ -85,7 +83,7 @@ func iterativeOne(c Candidate, deadlineMs float64, rt Retrainer, measure Measure
 	if cut == 0 {
 		p.Accuracy = c.Accuracy
 		var err error
-		p.TRN, err = trim.CutFingerprinted(c.Graph, print, 0, head)
+		p.TRN, err = trim.Cut(c.Graph, 0, head)
 		if err != nil {
 			return Proposal{}, false, err
 		}

@@ -146,16 +146,13 @@ func exploreOne(c Candidate, deadlineMs float64, est estimate.Estimator, rt Retr
 	cut := 0
 	var trn *trim.TRN
 	iters := 1
-	// Every cut of this candidate shares one parent, so it is hashed
-	// once here rather than once per cut.
-	print := graph.Fingerprint(c.Graph)
 	for estMs > deadlineMs {
 		cut++
 		if cut > c.Graph.BlockCount() {
 			return Proposal{}, false, nil
 		}
 		var err error
-		trn, err = trim.CutFingerprinted(c.Graph, print, cut, head)
+		trn, err = trim.Cut(c.Graph, cut, head)
 		if err != nil {
 			return Proposal{}, false, err
 		}
@@ -172,7 +169,7 @@ func exploreOne(c Candidate, deadlineMs float64, est estimate.Estimator, rt Retr
 		// retraining needed, its accuracy is known (Algorithm 1 input).
 		p.Accuracy = c.Accuracy
 		var err error
-		p.TRN, err = trim.CutFingerprinted(c.Graph, print, 0, head)
+		p.TRN, err = trim.Cut(c.Graph, 0, head)
 		if err != nil {
 			return Proposal{}, false, err
 		}

@@ -1,11 +1,6 @@
 package device
 
-import (
-	"runtime"
-	"weak"
-
-	"netcut/internal/graph"
-)
+import "netcut/internal/graph"
 
 // planInfo is the memoized execution state of one graph on one device:
 // each kernel's noise-free steady-state time and their sum, and the
@@ -13,10 +8,10 @@ import (
 // with. Everything here is loop-invariant across measurement runs, so a
 // Session computes none of it — the 200-warm-up/800-run protocol
 // touches only the noise stream. planInfo holds no reference to the
-// graph it was built from, which is what lets the pointer-level cache
-// below use weak keys.
+// graph it was built from, so a cached plan never keeps a caller's
+// graph alive.
 type planInfo struct {
-	key      uint64    // the structural fingerprint this plan is cached under
+	key      uint64    // the plan key this plan is cached under
 	baseMs   []float64 // per-kernel steady-state latency (KernelTimeMs)
 	steadyMs float64   // sum of baseMs: the noise-free end-to-end latency
 	// rowTmpl[ki] holds one template row per fused node of kernel ki —
@@ -35,29 +30,19 @@ type profRow struct {
 }
 
 // plan returns the memoized execution state of g, building it on first
-// use. The fast path is a weak-pointer-keyed hit (repeated queries on
-// the same graph object); fresh pointers fall back to the structural
-// fingerprint, so re-cut copies of a TRN share one planInfo. The
-// pointer level evicts itself when a graph is collected (the cache
-// must not keep caller graphs alive), while the fingerprint level is a
-// bounded LRU — eviction is transparent because buildPlan is a pure
-// function of (config, structure). Safe for concurrent callers; on a
-// race both build the same deterministic value and one copy wins.
+// use. The cache has one level, keyed by the structural fingerprint
+// (scoped by the calibration, see planKey): a sealed graph carries its
+// fingerprint, so a repeat costs one LRU hit, and independently built
+// copies of a structure — a TRN re-cut by two explorations — share one
+// planInfo. The LRU is bounded, and eviction is transparent because
+// buildPlan is a pure function of (config, structure). Safe for
+// concurrent callers; on a race both build the same deterministic
+// value and one copy wins.
 func (d *Device) plan(g *graph.Graph) *planInfo {
-	wp := weak.Make(g)
-	if v, ok := d.byPtr.Load(wp); ok {
-		return v.(*planInfo)
-	}
 	key := planKey(d.print, graph.Fingerprint(g))
-	info := d.byPrint.GetOrCompute(key, func() *planInfo {
+	return d.byPrint.GetOrCompute(key, func() *planInfo {
 		return d.buildPlan(g, key)
 	})
-	if _, loaded := d.byPtr.LoadOrStore(wp, info); !loaded {
-		runtime.AddCleanup(g, func(k weak.Pointer[graph.Graph]) {
-			d.byPtr.Delete(k)
-		}, wp)
-	}
-	return info
 }
 
 // planKey folds the device-calibration fingerprint into the graph's

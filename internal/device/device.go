@@ -2,7 +2,6 @@ package device
 
 import (
 	"math"
-	"sync"
 
 	"netcut/internal/graph"
 	"netcut/internal/lru"
@@ -14,17 +13,15 @@ import (
 // plan and steady-state kernel times of every graph it sees, the way a
 // deployed engine caches compiled engines: repeated latency queries and
 // session opens on the same network cost a cache hit, not a re-plan.
-// The cache is two-level — by (weak) graph pointer for O(1) repeats
-// that never outlive the graph, by structural fingerprint so
-// independently built copies of the same network (e.g. a TRN re-cut by
-// two explorations) share one plan. The fingerprint level is a bounded
-// LRU (DefaultPlanCacheCap), so a service planning a stream of
-// arbitrary user graphs runs in constant memory; plans are pure
-// functions of (config, structure), so eviction is transparent.
+// The cache is keyed by structural fingerprint, so independently built
+// copies of the same network (e.g. a TRN re-cut by two explorations)
+// share one plan. It is a bounded LRU (DefaultPlanCacheCap), so a
+// service planning a stream of arbitrary user graphs runs in constant
+// memory; plans are pure functions of (config, structure), so eviction
+// is transparent.
 type Device struct {
 	cfg     Config
-	print   uint64   // cfg.Fingerprint(), folded into every plan key
-	byPtr   sync.Map // weak.Pointer[graph.Graph] -> *planInfo, self-evicting
+	print   uint64 // cfg.Fingerprint(), folded into every plan key
 	byPrint *lru.Cache[uint64, *planInfo]
 	cold    []float64 // cfg.coldFactor(k) for the first coldTableRuns runs
 }

@@ -42,7 +42,6 @@ func TestPlanCacheCapNeverExceeded(t *testing.T) {
 
 // TestPlanEvictionTransparent pins cache transparency: after an entry
 // is evicted, re-querying a freshly built copy of the same structure
-// (a new object, so the pointer-level cache cannot short-circuit)
 // reproduces the pre-eviction latency exactly.
 func TestPlanEvictionTransparent(t *testing.T) {
 	d := New(Xavier())
@@ -51,7 +50,7 @@ func TestPlanEvictionTransparent(t *testing.T) {
 	for i := 1; i < 8; i++ { // evict variant-0
 		d.LatencyMs(variantNet(i))
 	}
-	if _, ok := d.byPrint.Get(graph.Fingerprint(variantNet(0))); ok {
+	if _, ok := d.byPrint.Get(planKey(d.print, graph.Fingerprint(variantNet(0)))); ok {
 		t.Fatal("variant-0 plan unexpectedly still resident")
 	}
 	after := d.LatencyMs(variantNet(0))

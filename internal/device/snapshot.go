@@ -12,9 +12,7 @@ import (
 // cache. Plans are pure functions of (calibration, structure), so a
 // restored plan is byte-identical to the one a fresh build would
 // produce; the serialization exists only to skip the rebuild cost after
-// a daemon restart. The pointer-level (weak-keyed) cache is not
-// persisted: it re-populates per live graph object, which a restarted
-// process does not have anyway.
+// a daemon restart.
 
 // PlanRowState is the serializable form of one fused-layer template row
 // of a kernel plan.

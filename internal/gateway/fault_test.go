@@ -30,13 +30,9 @@ import (
 	"netcut/internal/zoo"
 )
 
-// poisonNet is userNet(i) renamed so the TrimPanic fault point — keyed
-// by graph name — matches it and nothing else.
-func poisonNet(i int, name string) *graph.Graph {
-	g := userNet(i)
-	g.Name = name
-	return g
-}
+// poisonNet is userNet(i) under its own name, so the TrimPanic fault
+// point — keyed by graph name — matches it and nothing else.
+func poisonNet(i int, name string) *graph.Graph { return namedNet(name, i) }
 
 // errCode decodes the structured error body's code field.
 func errCode(t *testing.T, rec *httptest.ResponseRecorder) string {

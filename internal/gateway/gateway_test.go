@@ -31,8 +31,13 @@ func quickConfig(seed int64) Config {
 
 // userNet builds a structurally distinct blocked network per index,
 // mirroring the serve-package stress graphs.
-func userNet(i int) *graph.Graph {
-	b := graph.NewBuilder(fmt.Sprintf("user-net-%d", i), graph.Shape{H: 32, W: 32, C: 3}, 8)
+func userNet(i int) *graph.Graph { return namedNet(fmt.Sprintf("user-net-%d", i), i) }
+
+// namedNet is userNet(i)'s structure under another name. A graph is
+// sealed with its fingerprint when built, so it is built under the
+// name it is planned with, never renamed afterwards.
+func namedNet(name string, i int) *graph.Graph {
+	b := graph.NewBuilder(name, graph.Shape{H: 32, W: 32, C: 3}, 8)
 	x := b.Input()
 	x = b.ConvBNReLU(x, 3, 8+i%4, 2, graph.Same)
 	for blk := 0; blk < 3+i%3; blk++ {
@@ -489,8 +494,7 @@ func TestGatewayNameConflictIs409(t *testing.T) {
 	if rec := post(g, graphBody(t, userNet(0), 0.35, "")); rec.Code != http.StatusOK {
 		t.Fatalf("first request: %d", rec.Code)
 	}
-	imposter := userNet(1)
-	imposter.Name = "user-net-0"
+	imposter := namedNet("user-net-0", 1)
 	rec := post(g, graphBody(t, imposter, 0.35, ""))
 	if rec.Code != http.StatusConflict {
 		t.Fatalf("imposter: status %d: %s", rec.Code, rec.Body.String())

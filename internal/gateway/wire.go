@@ -402,11 +402,12 @@ func EncodeGraph(g *graph.Graph) *GraphWire {
 	return w
 }
 
-// decodeGraph converts the wire schema to a graph.Graph. Structural
-// soundness is graph.Validate's job; this only rejects what Validate
-// cannot see from the assembled struct (unknown operator names, bad
-// pad modes, node-count mismatches that would otherwise panic during
-// assembly).
+// decodeGraph converts the wire schema to a graph.Graph and seals it
+// with graph.Check, so the planner neither validates nor hashes it
+// again. Structural soundness is graph.Validate's job; this only
+// rejects what Validate cannot see from the assembled struct (unknown
+// operator names, bad pad modes, node-count mismatches that would
+// otherwise panic during assembly).
 func decodeGraph(w *GraphWire) (*graph.Graph, *apiError) {
 	if w.Name == "" {
 		return nil, errf(http.StatusBadRequest, "invalid_graph", "graph: missing name")
@@ -461,43 +462,29 @@ func decodeGraph(w *GraphWire) (*graph.Graph, *apiError) {
 			Output: bw.Output,
 		})
 	}
-	if err := graph.Validate(g); err != nil {
+	if err := graph.Check(g); err != nil {
 		return nil, errf(http.StatusBadRequest, "invalid_graph", "%v", err)
 	}
 	return g, nil
 }
 
-// zooCache shares one graph instance (and one fingerprint) per
-// calibrated name across all shorthand requests: zoo graphs are
-// immutable once built, and rebuilding ResNet-50's several hundred
-// nodes per request would dominate the warm-path decode cost and
-// stagger otherwise-coalescable arrivals.
-var zooCache sync.Map // name -> zooEntry
-
-type zooEntry struct {
-	g     *graph.Graph
-	print uint64
-}
+// zooCache shares one graph instance per calibrated name across all
+// shorthand requests: zoo graphs are immutable once built and carry
+// their fingerprint, and rebuilding ResNet-50's several hundred nodes
+// per request would dominate the warm-path decode cost and stagger
+// otherwise-coalescable arrivals.
+var zooCache sync.Map // name -> *graph.Graph
 
 func zooGraph(name string) (*graph.Graph, error) {
-	if e, ok := zooCache.Load(name); ok {
-		return e.(zooEntry).g, nil
+	if g, ok := zooCache.Load(name); ok {
+		return g.(*graph.Graph), nil
 	}
 	g, err := zoo.ByName(name)
 	if err != nil {
 		return nil, err
 	}
-	e, _ := zooCache.LoadOrStore(name, zooEntry{g: g, print: graph.Fingerprint(g)})
-	return e.(zooEntry).g, nil
-}
-
-// fingerprintOf returns the request graph's structural fingerprint,
-// served from the zoo cache for shorthand requests.
-func fingerprintOf(g *graph.Graph) uint64 {
-	if e, ok := zooCache.Load(g.Name); ok && e.(zooEntry).g == g {
-		return e.(zooEntry).print
-	}
-	return graph.Fingerprint(g)
+	shared, _ := zooCache.LoadOrStore(name, g)
+	return shared.(*graph.Graph), nil
 }
 
 // decodedRequest is a parsed, validated plan request plus the identity
@@ -615,7 +602,7 @@ func decodeRequest(body io.Reader) (*decodedRequest, *apiError) {
 		allowDegraded: wire.AllowDegraded,
 		key: coalesceKey{
 			name:      g.Name,
-			print:     fingerprintOf(g),
+			print:     graph.Fingerprint(g),
 			deadline:  deadline,
 			estimator: wire.Estimator,
 		},

@@ -294,12 +294,13 @@ func (b *Builder) BeginHead() {
 	b.inHead = true
 }
 
-// Finish validates and returns the constructed graph.
+// Finish validates, seals (see the Graph doc) and returns the
+// constructed graph.
 func (b *Builder) Finish() (*Graph, error) {
 	if b.curBlock >= 0 {
 		return nil, fmt.Errorf("graph %s: unterminated block %s", b.g.Name, b.g.Blocks[b.curBlock].Label)
 	}
-	if err := Validate(b.g); err != nil {
+	if err := Check(b.g); err != nil {
 		return nil, err
 	}
 	return b.g, nil

@@ -36,10 +36,18 @@ func (h Hash64) Sum() uint64 { return uint64(h) }
 // execute identically, profile identically (per-layer row names
 // included) and cut identically, which is what lets the device,
 // profiler and trim layers memoize per structure instead of per
-// object. Graphs are immutable once built (see the Graph doc);
-// mutating a graph after it has been fingerprinted would poison those
-// caches.
+// object. A sealed graph (see the Graph doc) returns the fingerprint
+// its constructor recorded; an unsealed one is hashed on every call.
+// Graphs are immutable once built: mutating a graph after it has been
+// fingerprinted would poison those caches.
 func Fingerprint(g *Graph) uint64 {
+	if g.sealed {
+		return g.print
+	}
+	return fingerprint(g)
+}
+
+func fingerprint(g *Graph) uint64 {
 	h := NewHash()
 	mix := func(v uint64) { h = h.Mix(v) }
 	str := func(s string) { h = h.MixString(s) }

@@ -193,6 +193,15 @@ func FuzzBuilderFinish(f *testing.F) {
 			if verr := graph.Validate(g); verr != nil {
 				t.Fatalf("Finish accepted a graph Validate rejects: %v", verr)
 			}
+			if !g.Sealed() || graph.Fingerprint(g) != graph.Fingerprint(unsealed(g)) {
+				t.Fatalf("Finish sealed %s with a fingerprint that does not match its structure", g.Name)
+			}
 		}
 	})
+}
+
+// unsealed is a struct-literal copy of g's exported fields: the same
+// structure, hashed by Fingerprint on every call.
+func unsealed(g *graph.Graph) *graph.Graph {
+	return &graph.Graph{Name: g.Name, InputShape: g.InputShape, NumClasses: g.NumClasses, Nodes: g.Nodes, Blocks: g.Blocks}
 }

@@ -158,12 +158,42 @@ type Block struct {
 
 // Graph is an immutable-after-build directed acyclic layer graph in
 // topological order (Nodes[i].Inputs all have ID < i).
+//
+// A graph's constructor seals it: Builder.Finish, and Check for the
+// decoders that assemble a graph from a request or a snapshot, record
+// that the graph passed Validate together with its Fingerprint, so
+// every later reader gets the fingerprint in O(1) and need not
+// validate it again. The seal is not recomputed, which is why nothing
+// may change a graph after its constructor returns — not even its
+// Name: a changed graph would keep its old fingerprint, and every
+// structure-keyed cache would serve it the old graph's results. A
+// graph written as a struct literal is unsealed; Fingerprint hashes it
+// on every call, and the planner validates it per request.
 type Graph struct {
 	Name       string
 	InputShape Shape
 	NumClasses int
 	Nodes      []*Node
 	Blocks     []Block
+
+	sealed bool   // passed Validate in its constructor
+	print  uint64 // fingerprint(g) when sealed
+}
+
+// Sealed reports whether g was checked by its constructor (see the
+// Graph doc).
+func (g *Graph) Sealed() bool { return g != nil && g.sealed }
+
+// Check validates g and seals it. It is for constructors only — the
+// decoders that assemble a graph from untrusted input — and must run
+// before the graph is shared: sealing writes g.
+func Check(g *Graph) error {
+	if err := Validate(g); err != nil {
+		return err
+	}
+	g.print = fingerprint(g)
+	g.sealed = true
+	return nil
 }
 
 // Node returns the node with the given ID.

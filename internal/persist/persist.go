@@ -206,44 +206,32 @@ func CaptureCuts() CutsState {
 
 // RestoreCuts re-executes snapshotted cuts through the public trim
 // path, repopulating the process-wide cut cache. Every parent a cut
-// references must pass graph.Validate, and every record — parent and
-// coordinates — is validated before any cut is replayed, so a rejected
-// cut section leaves the cache untouched. Records that differ only in
-// Scope land on one entry.
+// references must pass graph.Validate (a decoded snapshot's graphs
+// were checked and sealed by the decoder, so only an unsealed parent
+// is validated here), and every record is validated before any cut is
+// replayed, so a rejected cut section leaves the cache untouched.
+// Records that differ only in Scope land on one entry.
 //
-// Parent validation and cut building fan out over par.ForEach with
-// position-indexed slots; insertion into the cut cache stays serial in
-// snapshot order, so the cache's per-shard recency — and with it the
-// save/load/save byte identity — is exactly what a serial replay
-// would have produced.
+// Cut building fans out over par.ForEach with position-indexed slots;
+// insertion into the cut cache stays serial in snapshot order, so the
+// cache's per-shard recency — and with it the save/load/save byte
+// identity — is exactly what a serial replay would have produced.
 func RestoreCuts(cs CutsState) error {
-	// Validate each referenced parent once, concurrently. order is
-	// first-use order, so the lowest-index error par.ForEach reports is
-	// the same parent a serial walk would have failed on first.
-	seen := make(map[int]bool)
-	var order []int
+	checked := make([]bool, len(cs.Parents))
+	recs := make([]trim.CutRecord, len(cs.Cuts))
 	for i, c := range cs.Cuts {
 		if c.Parent < 0 || c.Parent >= len(cs.Parents) {
 			return fmt.Errorf("persist: cut %d references parent %d of %d", i, c.Parent, len(cs.Parents))
 		}
-		if !seen[c.Parent] {
-			seen[c.Parent] = true
-			order = append(order, c.Parent)
+		parent := cs.Parents[c.Parent]
+		if !checked[c.Parent] && !parent.Sealed() {
+			if err := graph.Validate(parent); err != nil {
+				return fmt.Errorf("persist: cut parent %d: %w", c.Parent, err)
+			}
 		}
-	}
-	if err := par.ForEach(len(order), func(j int) error {
-		if err := graph.Validate(cs.Parents[order[j]]); err != nil {
-			return fmt.Errorf("persist: cut parent %d: %w", order[j], err)
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-
-	recs := make([]trim.CutRecord, len(cs.Cuts))
-	for i, c := range cs.Cuts {
+		checked[c.Parent] = true
 		recs[i] = trim.CutRecord{
-			Parent:    cs.Parents[c.Parent],
+			Parent:    parent,
 			At:        c.At,
 			Blockwise: c.Blockwise,
 			Head:      c.Head,

@@ -621,10 +621,10 @@ func encodeGraphs(e *enc, gs []*graph.Graph) {
 	}
 }
 
-// decodeGraphs rebuilds the parent graphs. It checks only what the
-// wire can get wrong on its own (lengths, string references, operator
-// and pad names); graph.Validate runs on each parent a cut references,
-// in RestoreCuts.
+// decodeGraphs rebuilds the parent graphs. It checks what the wire can
+// get wrong on its own (lengths, string references, operator and pad
+// names), then validates and seals each graph with graph.Check, so a
+// restored cut parent is neither validated nor hashed again.
 func decodeGraphs(d *dec, table []string) []*graph.Graph {
 	n := d.count(7)
 	out := make([]*graph.Graph, 0, n)
@@ -675,6 +675,11 @@ func decodeGraphs(d *dec, table []string) []*graph.Graph {
 			}
 			b.Output = d.vint()
 			g.Blocks = append(g.Blocks, b)
+		}
+		if d.err == nil {
+			if err := graph.Check(g); err != nil {
+				d.failf("graph %d: %v", i, err)
+			}
 		}
 		out = append(out, g)
 	}

@@ -50,8 +50,7 @@ func TestMeasurementEvictionTransparent(t *testing.T) {
 		t.Fatalf("expected evictions; stats %+v / %+v", mStats, tStats)
 	}
 
-	// Fresh copies so the device's pointer-level cache cannot mask a
-	// structural re-measure.
+	// Fresh copies of the evicted structure: a structural re-measure.
 	gotM := p.Measure(variantNet(0))
 	gotT := p.Profile(variantNet(0))
 	if gotM != wantM {

@@ -126,7 +126,11 @@ var ErrNameBound = errors.New("name is already bound to a different structure")
 // that meets a deadline.
 type Request struct {
 	// Graph is the user network. It must pass graph.Validate and must
-	// not be mutated after submission (the caches key on structure).
+	// not be mutated after submission (the caches key on structure). A
+	// graph sealed by its constructor (Builder.Finish, or graph.Check in
+	// the gateway and snapshot decoders) is not validated again, and
+	// its fingerprint is read, not recomputed; a hand-built graph is
+	// validated and hashed on every request.
 	Graph *graph.Graph
 	// DeadlineMs is the application deadline; 0 means the prosthetic
 	// hand's 0.9 ms. A negative or NaN deadline is rejected; +Inf is
@@ -297,14 +301,12 @@ func (p *Planner) Select(req Request) (*Response, error) {
 	if g == nil {
 		return nil, fmt.Errorf("serve: nil graph")
 	}
-	if err := graph.Validate(g); err != nil {
-		return nil, fmt.Errorf("serve: rejecting graph: %w", err)
-	}
-	// Admission: one name, one structure (see the names field). The
-	// fingerprint-equal path is the common repeated-request case.
-	print := graph.Fingerprint(g)
-	if prev, loaded := p.names.LoadOrStore(g.Name, print); loaded && prev.(uint64) != print {
-		return nil, fmt.Errorf("serve: rejecting graph %q: %w", g.Name, ErrNameBound)
+	// A sealed graph passed Validate in its constructor (see the
+	// graph.Graph doc); only a hand-built one is checked here.
+	if !g.Sealed() {
+		if err := graph.Validate(g); err != nil {
+			return nil, fmt.Errorf("serve: rejecting graph: %w", err)
+		}
 	}
 	deadline := req.DeadlineMs
 	if deadline == 0 {
@@ -313,9 +315,24 @@ func (p *Planner) Select(req Request) (*Response, error) {
 	if !(deadline >= 0) { // also rejects NaN
 		return nil, fmt.Errorf("serve: deadline %v is negative or NaN", deadline)
 	}
-	// The profiler estimator reads g's own per-layer table, which the
+	// An unknown estimator is rejected before any planner work. The
+	// profiler estimator reads g's own per-layer table, which the
 	// measure phase builds together with the measurement.
-	profiled := req.Estimator == "" || req.Estimator == "profiler"
+	var profiled bool
+	switch req.Estimator {
+	case "", "profiler":
+		profiled = true
+	case "analytical", "linear":
+	default:
+		return nil, fmt.Errorf("serve: unknown estimator %q", req.Estimator)
+	}
+	// Admission: one name, one structure (see the names field), bound
+	// only by a request that passed every check above. The
+	// fingerprint-equal path is the common repeated-request case.
+	print := graph.Fingerprint(g)
+	if prev, loaded := p.names.LoadOrStore(g.Name, print); loaded && prev.(uint64) != print {
+		return nil, fmt.Errorf("serve: rejecting graph %q: %w", g.Name, ErrNameBound)
+	}
 
 	// Telemetry wraps the execution from here down: validation failures
 	// above never count as executions, which is what lets the gateway's

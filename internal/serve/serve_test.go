@@ -3,11 +3,13 @@ package serve
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
 	"netcut/internal/graph"
 	"netcut/internal/profiler"
+	"netcut/internal/telemetry"
 	"netcut/internal/zoo"
 )
 
@@ -17,8 +19,13 @@ var quickProto = profiler.Protocol{WarmupRuns: 10, TimedRuns: 40}
 
 // userNet builds a structurally distinct blocked network per index,
 // standing in for the service's stream of arbitrary user graphs.
-func userNet(i int) *graph.Graph {
-	b := graph.NewBuilder(fmt.Sprintf("user-net-%d", i), graph.Shape{H: 32, W: 32, C: 3}, 8)
+func userNet(i int) *graph.Graph { return namedNet(fmt.Sprintf("user-net-%d", i), i) }
+
+// namedNet is userNet(i)'s structure under another name. A graph is
+// sealed with its fingerprint when built, so it is built under the
+// name it is planned with, never renamed afterwards.
+func namedNet(name string, i int) *graph.Graph {
+	b := graph.NewBuilder(name, graph.Shape{H: 32, W: 32, C: 3}, 8)
 	x := b.Input()
 	x = b.ConvBNReLU(x, 3, 8+i%4, 2, graph.Same)
 	for blk := 0; blk < 3+i%3; blk++ {
@@ -222,15 +229,45 @@ func TestPlannerRejectsInvalid(t *testing.T) {
 	if _, err := p.Select(Request{}); err == nil {
 		t.Fatal("nil graph accepted")
 	}
+	// A hand-built graph is unsealed, so Select validates it.
 	bad := &graph.Graph{Name: "bad", Nodes: []*graph.Node{{ID: 0, Kind: graph.OpConv}}}
-	if _, err := p.Select(Request{Graph: bad}); err == nil {
-		t.Fatal("invalid graph accepted")
+	if _, err := p.Select(Request{Graph: bad}); err == nil || !strings.HasPrefix(err.Error(), "serve: rejecting graph") {
+		t.Fatalf("invalid unsealed graph: err = %v", err)
 	}
 	if _, err := p.Select(Request{Graph: userNet(0), DeadlineMs: -1}); err == nil {
 		t.Fatal("negative deadline accepted")
 	}
 	if _, err := p.Select(Request{Graph: userNet(0), Estimator: "oracle"}); err == nil {
 		t.Fatal("unknown estimator accepted")
+	}
+}
+
+// TestPlannerUnknownEstimatorDoesNoWork pins that an unknown
+// estimator is rejected before any planner work: no execution is
+// counted, the graph is not measured and its name is not bound.
+func TestPlannerUnknownEstimatorDoesNoWork(t *testing.T) {
+	p, err := New(Config{Seed: 1, Protocol: quickProto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Instrument(telemetry.NewRegistry())
+	g := userNet(0)
+	_, err = p.Select(Request{Graph: g, Estimator: "bogus"})
+	if err == nil || err.Error() != `serve: unknown estimator "bogus"` {
+		t.Fatalf("err = %v", err)
+	}
+	if n := p.Executions(); n != 0 {
+		t.Fatalf("executions = %d after a rejected estimator, want 0", n)
+	}
+	if p.Profiler().HasMeasurement(g) {
+		t.Fatal("a request with an unknown estimator measured its graph")
+	}
+	// Neither rejection bound user-net-0 to g's structure.
+	if _, err := p.Select(Request{Graph: g, DeadlineMs: -1}); err == nil {
+		t.Fatal("negative deadline accepted")
+	}
+	if _, err := p.Select(Request{Graph: namedNet("user-net-0", 1), DeadlineMs: 0.35}); err != nil {
+		t.Fatalf("name bound by rejected requests: %v", err)
 	}
 }
 
@@ -288,14 +325,12 @@ func TestPlannerRejectsNameCollisions(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same name, different structure.
-	imposter := userNet(1)
-	imposter.Name = "user-net-0"
+	imposter := namedNet("user-net-0", 1)
 	if _, err := p.Select(Request{Graph: imposter, DeadlineMs: 0.35}); err == nil {
 		t.Fatal("structurally different graph admitted under an existing name")
 	}
 	// Zoo names are reserved at construction, before any zoo request.
-	fake := userNet(2)
-	fake.Name = "ResNet-50"
+	fake := namedNet("ResNet-50", 2)
 	if _, err := p.Select(Request{Graph: fake, DeadlineMs: 0.35}); err == nil {
 		t.Fatal("fake ResNet-50 admitted against the calibrated name")
 	}

@@ -87,8 +87,9 @@ func TestBlockwiseCutSharesParentNodes(t *testing.T) {
 
 // TestCutGraphReleasedWithCut checks that nothing but the cut cache
 // keeps a trimmed graph alive: after the graph has been measured on a
-// device (whose plan cache keys graphs by weak pointer) and the cut has
-// left the cache, the graph is collected while its parent lives on.
+// device (whose plan cache keys plans by fingerprint and holds no
+// graph) and the cut has left the cache, the graph is collected while
+// its parent lives on.
 func TestCutGraphReleasedWithCut(t *testing.T) {
 	PurgeCutCache()
 	defer PurgeCutCache()

@@ -174,14 +174,6 @@ func CutCacheStats() lru.Stats { return cutCache.Stats() }
 // The returned TRN may be shared with other callers; treat it as
 // immutable.
 func Cut(g *graph.Graph, blocks int, head HeadSpec) (*TRN, error) {
-	return CutFingerprinted(g, graph.Fingerprint(g), blocks, head)
-}
-
-// CutFingerprinted is Cut for a caller that already holds g's
-// structural fingerprint (print must equal graph.Fingerprint(g)).
-// Hashing the parent costs more than a cache hit, so a loop over one
-// parent's cuts fingerprints it once and passes it to every cut.
-func CutFingerprinted(g *graph.Graph, print uint64, blocks int, head HeadSpec) (*TRN, error) {
 	// Fault site (no-op unless a test armed it): a panic deep in the
 	// planning layer stack, fired before the cache lookup so a poison
 	// graph re-panics on every attempt rather than only on its first.
@@ -189,7 +181,7 @@ func CutFingerprinted(g *graph.Graph, print uint64, blocks int, head HeadSpec) (
 	if err := head.validate(); err != nil {
 		return nil, err
 	}
-	key := cutKey{parent: print, at: blocks, blockwise: true, head: head}
+	key := cutKey{parent: graph.Fingerprint(g), at: blocks, blockwise: true, head: head}
 	if v, ok := cutCache.Get(key); ok {
 		return v, nil
 	}
@@ -273,7 +265,7 @@ func cutAt(g *graph.Graph, keepLast int, head HeadSpec) (*TRN, error) {
 		removed = append(removed, n.ID)
 	}
 
-	b, last := graph.SubgraphBuilder("", g, keep, head.Classes)
+	b, last := graph.SubgraphBuilder(fmt.Sprintf("%s/%d", g.Name, len(removed)), g, keep, head.Classes)
 	b.BeginHead()
 	x := b.GlobalAvgPool(last)
 	x = b.Dense(x, head.Hidden1)
@@ -286,7 +278,6 @@ func cutAt(g *graph.Graph, keepLast int, head HeadSpec) (*TRN, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trim: cutting %s at node %d: %w", g.Name, keepLast, err)
 	}
-	ng.Name = fmt.Sprintf("%s/%d", g.Name, len(removed))
 	return &TRN{
 		Graph:         ng,
 		Parent:        g,
@@ -307,9 +298,8 @@ func EnumerateBlockwise(g *graph.Graph, head HeadSpec, includeZero bool) ([]*TRN
 	if includeZero {
 		start = 0
 	}
-	print := graph.Fingerprint(g)
 	for c := start; c <= g.BlockCount(); c++ {
-		t, err := CutFingerprinted(g, print, c, head)
+		t, err := Cut(g, c, head)
 		if err != nil {
 			return nil, err
 		}
