@@ -347,8 +347,9 @@ func graphsSnapshot(kind, pad string) []byte {
 }
 
 // TestDecodeRejectsUnknownGraphNames pins that an operator or pad name
-// this build does not know fails the decode of the graphs section
-// itself, before any restoring layer sees the graph.
+// this build does not know, or a graph graph.Validate rejects, fails
+// the decode of the graphs section itself, before any restoring layer
+// sees the graph.
 func TestDecodeRejectsUnknownGraphNames(t *testing.T) {
 	f, err := DecodeBytes(graphsSnapshot("Input", "valid"))
 	if err != nil {
@@ -360,6 +361,7 @@ func TestDecodeRejectsUnknownGraphNames(t *testing.T) {
 	for _, tc := range []struct{ kind, pad, name string }{
 		{"Warp", "valid", `unknown kind "Warp"`},
 		{"Input", "reflect", `unknown pad mode "reflect"`},
+		{"Conv", "valid", "first node must be Input"},
 	} {
 		_, err := DecodeBytes(graphsSnapshot(tc.kind, tc.pad))
 		if !errors.Is(err, ErrNotSnapshot) || !strings.Contains(err.Error(), "graphs section") ||
