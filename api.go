@@ -333,10 +333,9 @@ func NewPlannerPool(cfg PoolConfig) (*PlannerPool, error) { return serve.NewPool
 // (GatewayConfig.OverloadInterval) samples lane backlog and observed
 // latency drift into a load level (0 normal, 1 brownout, 2 emergency;
 // netcut_gateway_load_level, Gateway.LoadLevel) that sheds optional
-// work level by level: prewarming pauses, trace-ring retention is
-// sampled, and at level 2 only byte-cache hits
-// and coalesce joins are admitted while cold misses are shed
-// pre-execution with backlog-honest Retry-After hints. Requests that
+// work level by level: prewarming pauses, and at level 2 only
+// byte-cache hits and coalesce joins are admitted while cold misses
+// are shed pre-execution with backlog-honest Retry-After hints. Requests that
 // prefer a degraded answer over a rejection set "allow_degraded": true
 // in the body: a budget-infeasible or unhealthy-device request then
 // falls back deterministically to the fastest healthy device and
@@ -350,19 +349,21 @@ func NewPlannerPool(cfg PoolConfig) (*PlannerPool, error) { return serve.NewPool
 // Every request is traced: the response carries the trace ID in the
 // X-Netcut-Trace header and the trace_id body field (the only byte
 // tracing adds — everything else is observability-only), completed
-// traces are served from a bounded ring at GET /debug/trace
-// (GatewayConfig.TraceRingCap, DefaultTraceRingCap when 0), in-flight
-// ones at GET /debug/requests, per-stage latencies feed the
-// netcut_gateway_stage_ms histograms, requests slower than
-// GatewayConfig.SlowTraceMs log one structured line, and
-// GatewayConfig.Pprof mounts net/http/pprof under /debug/pprof/. See
-// the package comment's "Observability" section for the catalogue.
+// traces are served from a bounded ring at GET /debug/trace (the
+// newest DefaultTraceRingCap), in-flight ones at GET /debug/requests,
+// per-stage latencies feed the netcut_gateway_stage_ms histograms,
+// requests slower than GatewayConfig.SlowTraceMs log one structured
+// line, and GatewayConfig.Pprof mounts net/http/pprof under
+// /debug/pprof/. See the package comment's "Observability" section for
+// the catalogue.
 type (
 	Gateway = gateway.Gateway
 	// GatewayConfig parameterizes a Gateway: the embedded PlannerConfig
-	// template and device list plus the HTTP-side knobs (body size
-	// limit, queue depth, worker count, shed
-	// warm-up, watchdog and autosave intervals, health thresholds).
+	// template and device list plus the deployment settings (body size
+	// limit, queue depth, worker count, byte-cache size, state path,
+	// watchdog, autosave and overload intervals, slow-trace logging).
+	// The shed warm-up (64 warm executions), the health and quarantine
+	// thresholds, the probe cadence and the trace-ring size are fixed.
 	GatewayConfig = gateway.Config
 )
 
@@ -372,9 +373,7 @@ type (
 const DefaultByteCacheCap = gateway.DefaultByteCacheCap
 
 // DefaultTraceRingCap is the completed-trace retention of GET
-// /debug/trace when GatewayConfig.TraceRingCap is 0; negative disables
-// the ring (requests are still traced for /metrics, the header and the
-// slow-request log).
+// /debug/trace: the ring keeps the newest DefaultTraceRingCap traces.
 const DefaultTraceRingCap = gateway.DefaultTraceRingCap
 
 // NewGateway builds the serving gateway and starts its lane workers.

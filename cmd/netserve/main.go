@@ -36,7 +36,7 @@
 //
 // Observability: every request is traced end to end — the response
 // carries the trace ID in the X-Netcut-Trace header and the trace_id
-// body field, /debug/trace serves the recent-trace ring buffer,
+// body field, /debug/trace serves the 512 most recent completed traces,
 // /debug/requests dumps what is in flight right now, and requests
 // slower than -slow-trace are logged as structured lines with their
 // per-stage timings. See the "Observability" section of the library
@@ -60,13 +60,17 @@
 // rotation until a background probe restores them — see the gateway
 // package documentation.
 //
+// Budget shedding: a request's "budget_ms" is checked against its
+// device's warm p99 once that device has served 64 warm executions;
+// until then every budget is admitted.
+//
 // Overload control: a closed-loop controller (sampling every
 // -overload-interval) folds lane backlog and latency drift into a load
 // level (0 normal, 1 brownout, 2 emergency, exported as
 // netcut_gateway_load_level) that sheds optional work first:
-// prewarming pauses, trace retention is sampled, and at level 2 only
-// cached responses and coalesce joins are served while cold misses get
-// 429s with backlog-honest Retry-After hints. Clients that prefer a
+// prewarming pauses, and at level 2 only cached responses and coalesce
+// joins are served while cold misses get 429s with backlog-honest
+// Retry-After hints. Clients that prefer a
 // degraded answer over a rejection can set "allow_degraded": true in
 // the request body — see the gateway package documentation.
 //
@@ -111,7 +115,6 @@ func run() int {
 		queue        = flag.Int("queue", 0, "admission queue depth (0 = default)")
 		workers      = flag.Int("workers", 0, "lane worker goroutines, split evenly across devices with at least one per device: devices x max(1, workers/devices) run (0 = GOMAXPROCS per device)")
 		maxBody      = flag.Int64("max-body", 0, "request body size limit in bytes (0 = default, negative = unlimited)")
-		shedMin      = flag.Int("shed-min-samples", 0, "warm executions required before budget shedding activates (0 = default)")
 		byteCache    = flag.Int("byte-cache", netcut.DefaultByteCacheCap, "rendered-response byte cache entries (0 = disabled)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 		stateFile    = flag.String("state-file", "", "warm-state snapshot path: restored on boot (with .bak fallback), saved after the SIGTERM drain and by POST /v1/state/save (empty = no persistence)")
@@ -120,7 +123,6 @@ func run() int {
 		prewarm      = flag.Bool("prewarm", false, "plan the calibrated zoo on every device in the background at startup (after any -state-file restore)")
 		overloadInt  = flag.Duration("overload-interval", 0, "overload-controller sampling interval (0 = default 100ms, negative = controller disabled)")
 		slowTrace    = flag.Duration("slow-trace", 0, "log a structured per-stage trace for requests slower than this (0 = disabled)")
-		traceRing    = flag.Int("trace-ring", netcut.DefaultTraceRingCap, "completed request traces retained for /debug/trace (0 = disabled)")
 		pprof        = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default; enable only on trusted listeners)")
 	)
 	flag.Parse()
@@ -151,17 +153,12 @@ func run() int {
 	if byteCacheCap == 0 {
 		byteCacheCap = -1
 	}
-	traceRingCap := *traceRing
-	if traceRingCap == 0 {
-		traceRingCap = -1
-	}
 	gw, err := netcut.NewGateway(netcut.GatewayConfig{
 		Planner:          netcut.PlannerConfig{Seed: *seed},
 		Devices:          devs,
 		QueueDepth:       *queue,
 		Workers:          *workers,
 		MaxBodyBytes:     *maxBody,
-		ShedMinSamples:   *shedMin,
 		ByteCacheCap:     byteCacheCap,
 		DrainTimeout:     *drainTimeout,
 		StatePath:        *stateFile,
@@ -169,7 +166,6 @@ func run() int {
 		ExecTimeout:      *execTimeout,
 		OverloadInterval: *overloadInt,
 		SlowTraceMs:      float64(*slowTrace) / float64(time.Millisecond),
-		TraceRingCap:     traceRingCap,
 		Pprof:            *pprof,
 	})
 	if err != nil {

@@ -127,8 +127,9 @@
 // receive byte-identical bodies. Distinct requests wait in a bounded
 // per-device queue, and each lane worker plans one of them per pass
 // through Planner.Select. A request carrying its own latency budget
-// ("budget_ms") that cannot cover the observed warm-path p99 is shed
-// up front with 429 and a retry hint — as is any arrival finding the
+// ("budget_ms") that cannot cover the observed warm-path p99 — read
+// once the device has served 64 warm executions — is shed up front
+// with 429 and a retry hint — as is any arrival finding the
 // queue full — consuming no planner work (a byte-cache hit beats the
 // shed: delivering rendered bytes fits any budget). Gateway.Shutdown
 // drains gracefully: new requests get 503 with a Retry-After derived
@@ -254,9 +255,9 @@
 // -overload-interval) folds per-lane backlog and warm-p99 drift of
 // observed execution latency into one load level — 0 normal,
 // 1 brownout, 2 emergency — exported as netcut_gateway_load_level.
-// Each level sheds optional work first: brownout pauses prewarming and
-// samples the trace ring 1-in-4; emergency samples 1-in-16 and admits
-// only byte-cache hits and coalesce joins, shedding every cold miss
+// Each level sheds optional work first: brownout pauses prewarming;
+// emergency pauses it too and admits only byte-cache hits and
+// coalesce joins, shedding every cold miss
 // pre-execution with a level-scaled, backlog-honest Retry-After
 // (ceil(backlog/workers) execution waves of p99 each). The
 // level is a pure function of the current signals, so it returns to
@@ -298,7 +299,7 @@
 // execution as separate spans, encode and delivery. Completed traces
 // land in a bounded lock-sharded ring served at GET /debug/trace
 // (filterable by id, device, status, min_ms, limit;
-// GatewayConfig.TraceRingCap / netserve -trace-ring bounds it);
+// it keeps the newest DefaultTraceRingCap);
 // in-flight requests are visible at GET /debug/requests, oldest
 // first, so stuck work surfaces at the top. Requests slower than
 // GatewayConfig.SlowTraceMs (netserve -slow-trace) are additionally

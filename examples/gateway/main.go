@@ -4,7 +4,8 @@
 // coalesce into one planner execution, a budget-constrained request
 // that gets shed, the /v1/devices listing, the same network planned on
 // two explicit targets, and an auto-routed request whose body matches
-// the explicit spelling — then scrapes /metrics and drains.
+// the explicit spelling — then scrapes /metrics and drains. It exits 1
+// if any behaviour it demonstrates does not hold.
 package main
 
 import (
@@ -29,6 +30,23 @@ func die(err error) {
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
 }
+
+// check dies unless the demonstrated invariant holds.
+func check(ok bool, format string, args ...any) {
+	if !ok {
+		die(fmt.Errorf("example: "+format, args...))
+	}
+}
+
+// sameBody compares two response bodies modulo the trace_id every
+// response carries.
+func sameBody(a, b string) bool {
+	return bytes.Equal(netcut.StripTraceID([]byte(a)), netcut.StripTraceID([]byte(b)))
+}
+
+// shedWarmup is how many warm executions a device must serve before
+// the gateway sheds on budget_ms.
+const shedWarmup = 64
 
 // customNet is a small residual network standing in for a user
 // architecture outside the calibrated zoo.
@@ -64,11 +82,8 @@ func post(base string, body string) (int, string) {
 }
 
 func main() {
-	// ShedMinSamples 1 so this short demo reaches the shed path; the
-	// production default waits for a fuller warm histogram.
 	gw, err := netcut.NewGateway(netcut.GatewayConfig{
-		Planner:        netcut.PlannerConfig{Seed: 1},
-		ShedMinSamples: 1,
+		Planner: netcut.PlannerConfig{Seed: 1},
 	})
 	if err != nil {
 		die(err)
@@ -82,12 +97,10 @@ func main() {
 	base := "http://" + ln.Addr().String()
 	fmt.Println("gateway listening on", base)
 
-	// 1. A calibrated zoo network by name — twice: the repeat is served
-	// warm from the shared caches and seeds the warm-latency histogram
-	// the shed path reads.
+	// 1. A calibrated zoo network by name.
 	code, body := post(base, `{"network":"ResNet-50","deadline_ms":0.9}`)
 	fmt.Printf("\nzoo request         -> %d %s\n", code, body)
-	post(base, `{"network":"ResNet-50","deadline_ms":0.9}`)
+	check(code == http.StatusOK, "zoo request: status %d", code)
 
 	// 2. A custom graph over the wire.
 	gjson, err := json.Marshal(gateway.EncodeGraph(customNet()))
@@ -96,11 +109,13 @@ func main() {
 	}
 	code, body = post(base, fmt.Sprintf(`{"graph":%s,"deadline_ms":0.35}`, gjson))
 	fmt.Printf("custom graph        -> %d %s\n", code, body)
+	check(code == http.StatusOK, "custom graph: status %d", code)
 
 	// 3. A burst of identical requests: arrivals that overlap an
 	// in-flight identical execution join it instead of planning again
 	// (stragglers landing after it completes run warm from the shared
-	// caches), and every body is byte-identical either way.
+	// caches), and every body is byte-identical (modulo its trace_id)
+	// either way.
 	const burst = 16
 	before := gw.Planner().Executions()
 	var wg sync.WaitGroup
@@ -115,14 +130,27 @@ func main() {
 	wg.Wait()
 	identical := true
 	for _, b := range bodies[1:] {
-		identical = identical && b == bodies[0]
+		identical = identical && sameBody(b, bodies[0])
 	}
 	fmt.Printf("burst of %d         -> %d planner execution(s), identical bodies: %v\n",
 		burst, gw.Planner().Executions()-before, identical)
+	check(identical, "burst bodies differ")
 
 	// 4. A request whose own latency budget cannot cover the warm p99.
-	code, body = post(base, `{"network":"ResNet-50","deadline_ms":0.9,"budget_ms":0.000001}`)
+	// Budget shedding reads the warm p99 only once the device has
+	// served shedWarmup warm executions, so warm it first: each
+	// request carries a fresh deadline, which the byte cache has never
+	// seen, so each runs a warm planner pass. The tiny-budget request
+	// then asks for yet another deadline, so no cached body can answer
+	// it before the budget gate.
+	for i := 1; i <= shedWarmup; i++ {
+		code, body = post(base, fmt.Sprintf(`{"network":"ResNet-50","deadline_ms":1.%03d}`, i))
+		check(code == http.StatusOK, "warm-up request %d: status %d %s", i, code, body)
+	}
+	code, body = post(base, `{"network":"ResNet-50","deadline_ms":0.95,"budget_ms":0.000001}`)
 	fmt.Printf("tiny budget_ms      -> %d %s\n", code, body)
+	check(code == http.StatusTooManyRequests && strings.Contains(body, `"code":"budget_too_small"`),
+		"tiny budget: want 429 budget_too_small, got %d %s", code, body)
 
 	// 5. The device fleet: list the registered targets, plan the same
 	// network on two of them (different calibrations, different
@@ -143,7 +171,8 @@ func main() {
 	}
 	fmt.Printf("\n/v1/devices         -> %d registered targets:\n", len(fleet.Devices))
 	for _, d := range fleet.Devices {
-		fmt.Printf("  %-16s default=%-5v precision=%s\n", d.Name, d.Default, d.Precision)
+		fmt.Printf("  %-16s default=%-5v precision=%-4s warm_p99_ms=%.4f\n",
+			d.Name, d.Default, d.Precision, d.WarmP99Ms)
 	}
 	_, onXavier := post(base, `{"network":"MobileNetV2 (1.0)","deadline_ms":0.9,"target":"sim-xavier"}`)
 	_, onGPU := post(base, `{"network":"MobileNetV2 (1.0)","deadline_ms":0.9,"target":"sim-server-gpu"}`)
@@ -159,7 +188,8 @@ func main() {
 	_, explicit := post(base, fmt.Sprintf(
 		`{"network":"MobileNetV2 (1.0)","deadline_ms":0.9,"target":%q}`, routed.Device))
 	fmt.Printf("auto target         -> routed to %s (byte-identical to explicit: %v)\n",
-		routed.Device, auto == explicit)
+		routed.Device, sameBody(auto, explicit))
+	check(sameBody(auto, explicit), "auto body differs from the explicit %s body", routed.Device)
 
 	// 6. The observability surface.
 	resp, err = http.Get(base + "/metrics")

@@ -13,11 +13,11 @@ import (
 	"fmt"
 	"net/http"
 	"testing"
-	"time"
 
 	"netcut/internal/device"
 	"netcut/internal/faultinject"
 	"netcut/internal/graph"
+	"netcut/internal/zoo"
 )
 
 // admissionCounters are the counters an admission decision can move.
@@ -75,31 +75,35 @@ type admissionState struct {
 	extra string
 }
 
-// tripDevice trips dev unhealthy (the state's UnhealthyAfter is 1) with
-// one request that panics in the trim layer.
+// tripDevice trips dev unhealthy with unhealthyAfter requests that
+// panic in the trim layer, each a distinct identity so none is
+// quarantined first, and keeps it down: the probes' zoo plan
+// (zoo.Names[0]) panics too until the caller resets the harness.
 func tripDevice(t *testing.T, g *Gateway, i int, dev string) {
 	t.Helper()
-	name := "poison-trip-" + dev
-	faultinject.Arm(faultinject.TrimPanic, name, 1)
-	if rec := post(g, graphBody(t, poisonNet(i, name), 0.35, `,"target":"`+dev+`"`)); rec.Code != http.StatusInternalServerError {
-		t.Fatalf("tripping %s: status %d: %s", dev, rec.Code, rec.Body.String())
+	prefix := "poison-trip-" + dev
+	faultinject.Arm(faultinject.TrimPanic, prefix, 0)
+	faultinject.Arm(faultinject.TrimPanic, zoo.Names[0], 0)
+	for k := 0; k < unhealthyAfter; k++ {
+		name := fmt.Sprintf("%s-%d", prefix, k)
+		if rec := post(g, graphBody(t, poisonNet(i, name), 0.35, `,"target":"`+dev+`"`)); rec.Code != http.StatusInternalServerError {
+			t.Fatalf("tripping %s: status %d: %s", dev, rec.Code, rec.Body.String())
+		}
 	}
 	if g.deviceEligible(dev) {
-		t.Fatalf("%s still eligible after a contained panic", dev)
+		t.Fatalf("%s still eligible after %d contained panics", dev, unhealthyAfter)
 	}
 }
 
 var admissionStates = map[string]admissionState{
 	"normal": {},
 	"target-unhealthy": {
-		cfg: func(c *Config) { c.UnhealthyAfter = 1 },
 		setup: func(t *testing.T, g *Gateway) *graph.Graph {
 			tripDevice(t, g, 40, "sim-xavier")
 			return nil
 		},
 	},
 	"fleet-unhealthy": {
-		cfg: func(c *Config) { c.UnhealthyAfter = 1 },
 		setup: func(t *testing.T, g *Gateway) *graph.Graph {
 			tripDevice(t, g, 40, "sim-xavier")
 			tripDevice(t, g, 41, "sim-edge-cpu")
@@ -125,21 +129,12 @@ var admissionStates = map[string]admissionState{
 		},
 	},
 	// One device, so the degraded fallback (the fastest device by
-	// measured warm p99) is deterministic; the byte cache is off so the
-	// warm-up repeat reaches the planner's warm path and fills the
+	// measured warm p99) is deterministic; the warm-up fills the
 	// histogram budget shedding reads.
 	"budget-infeasible": {
-		cfg: func(c *Config) {
-			c.Devices = []device.Config{device.Xavier()}
-			c.ShedMinSamples = 1
-			c.ByteCacheCap = -1
-		},
+		cfg: func(c *Config) { c.Devices = []device.Config{device.Xavier()} },
 		setup: func(t *testing.T, g *Gateway) *graph.Graph {
-			for i := 0; i < 2; i++ {
-				if rec := post(g, graphBody(t, userNet(8), 0.35, "")); rec.Code != http.StatusOK {
-					t.Fatalf("warming the histogram: status %d: %s", rec.Code, rec.Body.String())
-				}
-			}
+			warmExecutions(t, g, "sim-xavier", userNet(8), shedMinSamples)
 			return nil
 		},
 		extra: `,"budget_ms":0.000001`,
@@ -153,8 +148,8 @@ var admissionStates = map[string]admissionState{
 	"quarantined": {
 		setup: func(t *testing.T, g *Gateway) *graph.Graph {
 			poison := poisonNet(42, "poison-quarantine")
-			faultinject.Arm(faultinject.TrimPanic, "poison-quarantine", DefaultQuarantineAfter)
-			for i := 0; i < DefaultQuarantineAfter; i++ {
+			faultinject.Arm(faultinject.TrimPanic, "poison-quarantine", quarantineAfter)
+			for i := 0; i < quarantineAfter; i++ {
 				if rec := post(g, graphBody(t, poison, 0.35, "")); rec.Code != http.StatusInternalServerError {
 					t.Fatalf("poisoning: status %d: %s", rec.Code, rec.Body.String())
 				}
@@ -250,8 +245,7 @@ func TestAdmissionTable(t *testing.T) {
 				defer faultinject.Reset()
 				cfg := quickConfig(90)
 				cfg.Devices = []device.Config{device.Xavier(), device.EdgeCPU()}
-				cfg.ProbeInterval = time.Hour // no health recovery mid-cell
-				cfg.OverloadInterval = -1     // the level moves only by an explicit tick
+				cfg.OverloadInterval = -1 // the level moves only by an explicit tick
 				if st.cfg != nil {
 					st.cfg(&cfg)
 				}

@@ -16,7 +16,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"netcut/internal/device"
 	"netcut/internal/faultinject"
@@ -209,10 +208,6 @@ func TestByteCacheQuarantineGatePrecedesCache(t *testing.T) {
 	defer faultinject.Reset()
 	cfg := quickConfig(59)
 	cfg.Devices = []device.Config{device.Xavier(), device.EdgeCPU()}
-	// Keep the panics from also tripping device health: this test wants
-	// the quarantine gate isolated from the health gate.
-	cfg.UnhealthyAfter = 100
-	cfg.QuarantineAfter = 2
 	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -230,9 +225,11 @@ func TestByteCacheQuarantineGatePrecedesCache(t *testing.T) {
 	}
 
 	// Same structure, deadline and estimator on the other device: each
-	// contained panic bumps the device-agnostic quarantine count.
-	faultinject.Arm(faultinject.TrimPanic, "poison-cached", cfg.QuarantineAfter)
-	for i := 0; i < cfg.QuarantineAfter; i++ {
+	// contained panic bumps the device-agnostic quarantine count. There
+	// are fewer of them than unhealthyAfter, so the health gate stays
+	// out of the way.
+	faultinject.Arm(faultinject.TrimPanic, "poison-cached", quarantineAfter)
+	for i := 0; i < quarantineAfter; i++ {
 		if rec := post(g, graphBody(t, net, 0.35, `,"target":"sim-edge-cpu"`)); rec.Code != http.StatusInternalServerError {
 			t.Fatalf("poison pass %d: status %d: %s", i, rec.Code, rec.Body.String())
 		}
@@ -254,8 +251,6 @@ func TestByteCacheHealthTripPurgesDevice(t *testing.T) {
 	defer faultinject.Reset()
 	cfg := quickConfig(61)
 	cfg.Devices = []device.Config{device.Xavier()}
-	cfg.UnhealthyAfter = 1
-	cfg.ProbeInterval = time.Hour // no recovery during the test
 	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -270,10 +265,7 @@ func TestByteCacheHealthTripPurgesDevice(t *testing.T) {
 		t.Fatal("seeding request was not cached")
 	}
 
-	faultinject.Arm(faultinject.TrimPanic, "poison-trip", 1)
-	if rec := post(g, graphBody(t, poisonNet(8, "poison-trip"), 0.35, "")); rec.Code != http.StatusInternalServerError {
-		t.Fatalf("poison request: status %d: %s", rec.Code, rec.Body.String())
-	}
+	tripDevice(t, g, 8, "sim-xavier")
 
 	if n := g.bytes.Stats().Len; n != 0 {
 		t.Fatalf("bytecache holds %d entries after the device tripped, want 0", n)

@@ -86,8 +86,6 @@ func TestFaultPanicIsolation(t *testing.T) {
 	xavier := device.Xavier()
 	cfg := quickConfig(9)
 	cfg.Devices = []device.Config{xavier}
-	cfg.UnhealthyAfter = 100  // health is TestFaultUnhealthyDevice's subject
-	cfg.QuarantineAfter = 100 // quarantine is TestFaultQuarantine's subject
 	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -167,14 +165,14 @@ func TestFaultPanicStackNamesSite(t *testing.T) {
 }
 
 // TestFaultQuarantine pins the bounded-LRU quarantine: after
-// QuarantineAfter panics from one request identity, further spellings
+// quarantineAfter panics from one request identity, further spellings
 // of it are rejected at admission — structured 500, no worker touched,
-// zero additional planner executions.
+// zero additional planner executions. quarantineAfter is below
+// unhealthyAfter, so the device keeps admitting throughout.
 func TestFaultQuarantine(t *testing.T) {
 	defer faultinject.Reset()
 	cfg := quickConfig(10)
 	cfg.Devices = []device.Config{device.Xavier()}
-	cfg.UnhealthyAfter = -1 // keep the device admitting so panics repeat
 	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +182,7 @@ func TestFaultQuarantine(t *testing.T) {
 	faultinject.Arm(faultinject.TrimPanic, "poison-quar", 0)
 	body := graphBody(t, poisonNet(6, "poison-quar"), 0.35, "")
 
-	for i := 0; i < DefaultQuarantineAfter; i++ {
+	for i := 0; i < quarantineAfter; i++ {
 		if rec := post(g, body); rec.Code != http.StatusInternalServerError || errCode(t, rec) != "internal_panic" {
 			t.Fatalf("panic %d: status %d code %q", i, rec.Code, errCode(t, rec))
 		}
@@ -372,13 +370,12 @@ func TestFaultCancelledLatencyRecorded(t *testing.T) {
 // TestFaultUnhealthyDeviceSkippedAndRecovers pins per-device health:
 // consecutive panics trip a device unhealthy — "auto" routes around it,
 // explicit requests get 503 + Retry-After, GET /v1/devices reports it —
-// and the background probe restores it once the fault clears.
+// and the background probe restores it once the fault clears. Each
+// poison is a distinct identity, so none is quarantined first.
 func TestFaultUnhealthyDeviceSkippedAndRecovers(t *testing.T) {
 	defer faultinject.Reset()
 	cfg := quickConfig(13)
 	cfg.Devices = []device.Config{device.Xavier(), device.EdgeCPU()}
-	cfg.QuarantineAfter = -1 // distinct poisons each panic once; keep admission open
-	cfg.ProbeInterval = 20 * time.Millisecond
 	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -391,7 +388,7 @@ func TestFaultUnhealthyDeviceSkippedAndRecovers(t *testing.T) {
 	faultinject.Arm(faultinject.TrimPanic, "poison-health", 0)
 	faultinject.Arm(faultinject.TrimPanic, zoo.Names[0], 0)
 
-	for i := 0; i < DefaultUnhealthyAfter; i++ {
+	for i := 0; i < unhealthyAfter; i++ {
 		body := graphBody(t, poisonNet(i, "poison-health-"+string(rune('a'+i))), 0.35, `,"target":"sim-xavier"`)
 		if rec := post(g, body); rec.Code != http.StatusInternalServerError {
 			t.Fatalf("poison %d: status %d: %s", i, rec.Code, rec.Body.String())
@@ -607,22 +604,13 @@ func TestFaultRetryAfterEveryRejection(t *testing.T) {
 	cfg.Devices = []device.Config{device.Xavier()}
 	cfg.Workers = 1
 	cfg.QueueDepth = 1
-	cfg.ShedMinSamples = 1
-	// The tiny-budget probe repeats the warm-up's response identity
-	// (budget is not part of it), so the byte cache would answer it
-	// with a 200 before the shed predicate ever ran.
-	cfg.ByteCacheCap = -1
 	g2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mustShutdown(t, g2)
 	// Warm the histogram so budget shedding activates.
-	for i := 0; i < 2; i++ {
-		if rec := post(g2, graphBody(t, userNet(0), 0.35, "")); rec.Code != http.StatusOK {
-			t.Fatal(rec.Body.String())
-		}
-	}
+	warmExecutions(t, g2, "sim-xavier", userNet(0), shedMinSamples)
 	rec = post(g2, graphBody(t, userNet(0), 0.35, `,"budget_ms":0.000001`))
 	if rec.Code != http.StatusTooManyRequests || errCode(t, rec) != "budget_too_small" ||
 		rec.Header().Get("Retry-After") != wantRetryAfter(t, rec) {
@@ -679,30 +667,26 @@ func TestFaultRetryAfterEveryRejection(t *testing.T) {
 	// Paths 4+5: device_unhealthy and no_healthy_device.
 	cfg3 := quickConfig(19)
 	cfg3.Devices = []device.Config{device.Xavier()}
-	cfg3.UnhealthyAfter = 1
-	cfg3.ProbeInterval = time.Hour // no recovery during the test
 	g3, err := New(cfg3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mustShutdown(t, g3)
-	faultinject.Arm(faultinject.TrimPanic, "poison-retry", 1)
-	if rec := post(g3, graphBody(t, poisonNet(7, "poison-retry"), 0.35, "")); rec.Code != http.StatusInternalServerError {
-		t.Fatal(rec.Body.String())
-	}
-	// Retry hints for unhealthy devices derive from the probe interval:
-	// one hour is exactly 3600 seconds, so the header must say so.
+	tripDevice(t, g3, 7, "sim-xavier")
+	// Retry hints for unhealthy devices are the probe interval, the
+	// soonest a probe could restore the device.
+	probeMs := float64(probeInterval) / float64(time.Millisecond)
 	rec = post(g3, graphBody(t, userNet(0), 0.35, `,"target":"sim-xavier"`))
 	if rec.Code != http.StatusServiceUnavailable || errCode(t, rec) != "device_unhealthy" ||
-		rec.Header().Get("Retry-After") != "3600" {
-		t.Fatalf("device_unhealthy: status %d code %q retry-after %q, want %q",
-			rec.Code, errCode(t, rec), rec.Header().Get("Retry-After"), "3600")
+		retryAfterMs(t, rec) != probeMs || rec.Header().Get("Retry-After") != wantRetryAfter(t, rec) {
+		t.Fatalf("device_unhealthy: status %d code %q retry-after %q, want hint %v ms",
+			rec.Code, errCode(t, rec), rec.Header().Get("Retry-After"), probeMs)
 	}
 	rec = post(g3, graphBody(t, userNet(0), 0.35, `,"target":"auto"`))
 	if rec.Code != http.StatusServiceUnavailable || errCode(t, rec) != "no_healthy_device" ||
-		rec.Header().Get("Retry-After") != "3600" {
-		t.Fatalf("no_healthy_device: status %d code %q retry-after %q, want %q",
-			rec.Code, errCode(t, rec), rec.Header().Get("Retry-After"), "3600")
+		retryAfterMs(t, rec) != probeMs || rec.Header().Get("Retry-After") != wantRetryAfter(t, rec) {
+		t.Fatalf("no_healthy_device: status %d code %q retry-after %q, want hint %v ms",
+			rec.Code, errCode(t, rec), rec.Header().Get("Retry-After"), probeMs)
 	}
 }
 

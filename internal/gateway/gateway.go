@@ -169,12 +169,6 @@ type Config struct {
 	// saves on SIGTERM drain / restores on boot). Empty disables the
 	// endpoint.
 	StatePath string
-	// ShedMinSamples is how many warm executions a target's latency
-	// histogram must hold before budget-based shedding (and its warm
-	// estimate's participation in "auto" ranking) activates — shedding
-	// on a cold estimate would reject half of a fresh server's first
-	// clients. 0 means DefaultShedMinSamples.
-	ShedMinSamples int
 	// ByteCacheCap bounds the rendered-response byte cache: fully
 	// delivered 200 bodies, keyed by complete response identity
 	// (resolved device + its calibration fingerprint, graph name +
@@ -212,25 +206,6 @@ type Config struct {
 	// good snapshot as StatePath+".bak". Requires StatePath; 0 (the
 	// default) disables autosaving; negative is a configuration error.
 	AutosaveInterval time.Duration
-	// UnhealthyAfter is how many consecutive containment events
-	// (panics or watchdog abandons) on one device trip it into the
-	// unhealthy state, where "auto" routing skips it and explicit
-	// requests get 503 + Retry-After until a background probe plan
-	// succeeds. 0 means DefaultUnhealthyAfter; negative disables
-	// health tracking entirely.
-	UnhealthyAfter int
-	// ProbeInterval is how often an unhealthy device is probed with one
-	// real prewarm-style plan; the first success restores it. 0 means
-	// DefaultProbeInterval; negative is a configuration error.
-	ProbeInterval time.Duration
-	// QuarantineAfter is how many panics one request key may cause
-	// before the key is quarantined: further spellings of it are
-	// rejected with a structured 500 at admission, without touching a
-	// worker, so a poison graph cannot re-crash lanes in a tight
-	// retry loop. Quarantined keys live in a small bounded LRU
-	// (quarantineCap), so the set cannot grow without bound either.
-	// 0 means DefaultQuarantineAfter; negative disables quarantining.
-	QuarantineAfter int
 
 	// OverloadInterval is the closed-loop overload controller's sampling
 	// cadence: every interval a background sampler folds the signals the
@@ -252,13 +227,6 @@ type Config struct {
 	SlowTraceMs float64
 	// SlowLog receives the slow-trace lines; nil means slog.Default().
 	SlowLog *slog.Logger
-	// TraceRingCap bounds the completed-trace ring buffer behind
-	// GET /debug/trace (the retained count rounds up to a multiple of
-	// the ring's shard count). 0 means DefaultTraceRingCap; negative
-	// disables the ring — requests are still traced (header, body
-	// trace_id, /debug/requests, stage histograms, slow logging), but
-	// completed traces are not retained.
-	TraceRingCap int
 	// Pprof mounts net/http/pprof's profiling handlers under
 	// /debug/pprof/ on the gateway mux. Off by default: the profile
 	// endpoints can stall the process (CPU profiles block for their
@@ -268,12 +236,8 @@ type Config struct {
 
 // Defaults for the Config knobs.
 const (
-	DefaultMaxBodyBytes    = 1 << 20 // 1 MiB: ~10x the largest zoo graph's wire form
-	DefaultQueueDepth      = 256
-	DefaultShedMinSamples  = 64
-	DefaultUnhealthyAfter  = 3
-	DefaultProbeInterval   = 500 * time.Millisecond
-	DefaultQuarantineAfter = 2
+	DefaultMaxBodyBytes = 1 << 20 // 1 MiB: ~10x the largest zoo graph's wire form
+	DefaultQueueDepth   = 256
 	// DefaultByteCacheCap bounds the rendered-response byte cache:
 	// bodies are a few hundred bytes, so the default is ~1 MiB of
 	// rendered responses — the full zoo x fleet x a generous spread of
@@ -283,17 +247,42 @@ const (
 	// default: the drain budget assumed when Shutdown's context has no
 	// deadline.
 	DefaultDrainTimeout = 30 * time.Second
-	// DefaultTraceRingCap retains the most recent completed traces for
-	// GET /debug/trace: a trace is a few hundred bytes, so the default
-	// window costs well under a megabyte while covering several seconds
-	// of saturated traffic.
+	// DefaultTraceRingCap is how many of the most recent completed
+	// traces GET /debug/trace retains: a trace is a few hundred bytes,
+	// so the window costs well under a megabyte while covering several
+	// seconds of saturated traffic. The ring's cost is flat in its size
+	// from 8 to 512 entries, so it is fixed rather than configured.
 	DefaultTraceRingCap = 512
 	// DefaultOverloadInterval is the overload controller's sampling
 	// cadence: fast enough that the level tracks a traffic step within
 	// ~100ms, slow enough that a tick's few atomic reads never register
 	// against the request path.
 	DefaultOverloadInterval = 100 * time.Millisecond
+)
 
+// Fixed admission and containment settings.
+const (
+	// shedMinSamples is how many warm executions a target's latency
+	// histogram must hold before budget-based shedding, its warm
+	// estimate's part in "auto" ranking, and its drift signal activate:
+	// shedding on a cold estimate would reject half of a fresh server's
+	// first clients.
+	shedMinSamples = 64
+	// unhealthyAfter is how many consecutive containment events
+	// (panics or watchdog abandons) on one device trip it into the
+	// unhealthy state, where "auto" routing skips it and explicit
+	// requests get 503 + Retry-After until a background probe plan
+	// succeeds.
+	unhealthyAfter = 3
+	// probeInterval is how often an unhealthy device is probed with one
+	// real prewarm-style plan; the first success restores it.
+	probeInterval = 500 * time.Millisecond
+	// quarantineAfter is how many panics one request key may cause
+	// before the key is quarantined: further spellings of it are
+	// rejected with a structured 500 at admission, without touching a
+	// worker, so a poison graph cannot re-crash lanes in a tight retry
+	// loop.
+	quarantineAfter = 2
 	// quarantineCap bounds the panic-count LRU: big enough to hold a
 	// burst of distinct poison keys, small enough that the quarantine
 	// itself can never become a memory sink.
@@ -311,7 +300,6 @@ func (c *Config) fill() error {
 	}{
 		{"QueueDepth", c.QueueDepth},
 		{"Workers", c.Workers},
-		{"ShedMinSamples", c.ShedMinSamples},
 	} {
 		if k.val < 0 {
 			return fmt.Errorf("negative %s %d", k.name, k.val)
@@ -323,7 +311,6 @@ func (c *Config) fill() error {
 	}{
 		{"ExecTimeout", c.ExecTimeout},
 		{"AutosaveInterval", c.AutosaveInterval},
-		{"ProbeInterval", c.ProbeInterval},
 		{"DrainTimeout", c.DrainTimeout},
 	} {
 		if k.val < 0 {
@@ -342,23 +329,8 @@ func (c *Config) fill() error {
 	if c.QueueDepth == 0 {
 		c.QueueDepth = DefaultQueueDepth
 	}
-	if c.ShedMinSamples == 0 {
-		c.ShedMinSamples = DefaultShedMinSamples
-	}
-	if c.UnhealthyAfter == 0 {
-		c.UnhealthyAfter = DefaultUnhealthyAfter
-	}
-	if c.ProbeInterval == 0 {
-		c.ProbeInterval = DefaultProbeInterval
-	}
-	if c.QuarantineAfter == 0 {
-		c.QuarantineAfter = DefaultQuarantineAfter
-	}
 	if c.ByteCacheCap == 0 {
 		c.ByteCacheCap = DefaultByteCacheCap
-	}
-	if c.TraceRingCap == 0 {
-		c.TraceRingCap = DefaultTraceRingCap
 	}
 	if c.DrainTimeout == 0 {
 		c.DrainTimeout = DefaultDrainTimeout
@@ -437,7 +409,7 @@ func (c *call) phases() []phaseWindow {
 
 // deviceHealth is one device's fault-containment state. consecutive
 // counts containment events (panics, watchdog abandons) since the last
-// successful execution; crossing Config.UnhealthyAfter trips unhealthy,
+// successful execution; reaching unhealthyAfter trips unhealthy,
 // and only a successful background probe plan clears it.
 type deviceHealth struct {
 	device      string
@@ -548,14 +520,11 @@ type Gateway struct {
 	requestLatMs   *telemetry.Histogram
 
 	// Overload control (see overload.go): loadLevel is the controller's
-	// published load level (0 normal, 1 brownout, 2 emergency), traceSeq
-	// the deterministic counter behind brownout trace-ring sampling.
+	// published load level (0 normal, 1 brownout, 2 emergency).
 	loadLevel       atomic.Int32
-	traceSeq        atomic.Uint64
 	loadTransitions *telemetry.Counter
 	shedOverload    *telemetry.Counter
 	degradedServed  *telemetry.Counter
-	traceSampledOut *telemetry.Counter
 	// cancelledLatMs records the wall-clock latency of admitted
 	// requests whose client disconnected before delivery — its own
 	// series, so cancellations neither vanish from latency telemetry
@@ -567,7 +536,7 @@ type Gateway struct {
 	// Request tracing (see trace.go in this package): ids mints the
 	// deterministic-format trace IDs, live tracks in-flight traces for
 	// GET /debug/requests, ring retains completed ones for
-	// GET /debug/trace (nil when disabled), and stageHists carries the
+	// GET /debug/trace, and stageHists carries the
 	// netcut_gateway_stage_ms{stage,device} histograms, pre-registered
 	// per device (plus "none" for requests refused before routing).
 	ids        *trace.IDGen
@@ -631,8 +600,6 @@ func New(cfg Config) (*Gateway, error) {
 			"cold misses shed at admission while the load level was 2 (emergency)"),
 		degradedServed: reg.Counter("netcut_gateway_degraded_total",
 			"allow_degraded requests served from a fallback device instead of being rejected"),
-		traceSampledOut: reg.Counter("netcut_gateway_trace_sampled_out_total",
-			"completed traces dropped from the /debug/trace ring by brownout sampling"),
 		requestLatMs: reg.Histogram("netcut_gateway_request_ms", "wall-clock request latency of admitted plan requests", nil),
 		cancelledLatMs: reg.Histogram("netcut_gateway_request_cancelled_lat_ms",
 			"wall-clock latency of admitted plan requests cancelled by client disconnect before delivery", nil),
@@ -657,12 +624,10 @@ func New(cfg Config) (*Gateway, error) {
 	// trace IDs — deterministic in format and in sequence.
 	g.ids = trace.NewIDGen(uint64(cfg.Planner.Seed))
 	g.live = trace.NewLive()
-	if cfg.TraceRingCap > 0 {
-		g.ring = trace.NewRing(cfg.TraceRingCap)
-		reg.GaugeFunc("netcut_gateway_trace_ring_entries",
-			"completed traces retained in the /debug/trace ring buffer",
-			func() float64 { return float64(g.ring.Len()) })
-	}
+	g.ring = trace.NewRing(DefaultTraceRingCap)
+	reg.GaugeFunc("netcut_gateway_trace_ring_entries",
+		"completed traces retained in the /debug/trace ring buffer",
+		func() float64 { return float64(g.ring.Len()) })
 	reg.GaugeFunc("netcut_gateway_traces_inflight",
 		"requests currently in flight (live traces, dumped at /debug/requests)",
 		func() float64 { return float64(g.live.Len()) })
@@ -1016,18 +981,16 @@ func (g *Gateway) admit(dec *decodedRequest, tr *trace.Trace) (*call, []byte, *a
 	// duration below the clock's resolution.
 	tr.Mark(stageDrain, verdictOK)
 	// Quarantine gate: a request identity that already crashed planner
-	// passes QuarantineAfter times is rejected here, before it can touch
+	// passes quarantineAfter times is rejected here, before it can touch
 	// a worker — containment of a poison graph must not cost a lane per
 	// retry. The key ignores the device (a graph that panics the trim
 	// layer panics it on every target), so the gate runs before target
 	// resolution.
-	if g.cfg.QuarantineAfter > 0 {
-		if n, ok := g.quarantine.Get(quarantineKey(dec.key)); ok && n.Load() >= int64(g.cfg.QuarantineAfter) {
-			tr.MarkZero(stageQuarantine, "quarantined")
-			g.quarantined.Inc()
-			return nil, nil, errf(http.StatusInternalServerError, "quarantined",
-				"this request previously crashed %d planner passes and is quarantined", n.Load())
-		}
+	if n, ok := g.quarantine.Get(quarantineKey(dec.key)); ok && n.Load() >= quarantineAfter {
+		tr.MarkZero(stageQuarantine, "quarantined")
+		g.quarantined.Inc()
+		return nil, nil, errf(http.StatusInternalServerError, "quarantined",
+			"this request previously crashed %d planner passes and is quarantined", n.Load())
 	}
 	tr.MarkZero(stageQuarantine, verdictOK)
 
@@ -1066,7 +1029,7 @@ func (g *Gateway) resolve(dec *decodedRequest, tr *trace.Trace) (string, *call, 
 		tr.MarkZero(stageRoute, dev)
 		return dev, nil, nil
 	}
-	dev, est, ok := g.pool.Route(dec.budgetMs, uint64(g.cfg.ShedMinSamples), g.deviceEligible)
+	dev, est, ok := g.pool.Route(dec.budgetMs, shedMinSamples, g.deviceEligible)
 	if ok {
 		g.autoRouted.Inc()
 		tr.Mark(stageRoute, dev)
@@ -1162,7 +1125,7 @@ func (g *Gateway) gates(dec *decodedRequest, dev string, tr *trace.Trace) (*call
 	// lateness.
 	if dec.budgetMs > 0 && dec.target != "auto" && dec.degradedReason == "" {
 		p99, samples := l.planner.WarmQuantile(0.99)
-		if samples >= uint64(g.cfg.ShedMinSamples) && dec.budgetMs < p99 {
+		if samples >= shedMinSamples && dec.budgetMs < p99 {
 			if mayDegrade {
 				return g.degrade(dec, degradedBudget, tr)
 			}
@@ -1224,7 +1187,7 @@ func (g *Gateway) degrade(dec *decodedRequest, reason string, tr *trace.Trace) (
 // body is byte-identical to the explicit spelling of that device; the
 // response is marked degraded at write time.
 func (g *Gateway) fallback(dec *decodedRequest, reason string, tr *trace.Trace) (string, *apiError) {
-	dev, _, ok := g.pool.Fastest(uint64(g.cfg.ShedMinSamples), g.deviceEligible)
+	dev, _, ok := g.pool.Fastest(shedMinSamples, g.deviceEligible)
 	if !ok {
 		return "", g.fleetDown(tr)
 	}
@@ -1249,7 +1212,7 @@ func (g *Gateway) deviceEligible(name string) bool {
 func (g *Gateway) unhealthyErr(name string) *apiError {
 	e := errf(http.StatusServiceUnavailable, "device_unhealthy",
 		"device %s is unhealthy after repeated containment events; a background probe will restore it", name)
-	e.wire.RetryAfterMs = float64(g.cfg.ProbeInterval) / float64(time.Millisecond)
+	e.wire.RetryAfterMs = float64(probeInterval) / float64(time.Millisecond)
 	return e
 }
 
@@ -1259,7 +1222,7 @@ func (g *Gateway) fleetDown(tr *trace.Trace) *apiError {
 	tr.MarkZero(stageHealth, "no_healthy_device")
 	e := errf(http.StatusServiceUnavailable, "no_healthy_device",
 		"every registered device is unhealthy; background probes are running")
-	e.wire.RetryAfterMs = float64(g.cfg.ProbeInterval) / float64(time.Millisecond)
+	e.wire.RetryAfterMs = float64(probeInterval) / float64(time.Millisecond)
 	return e
 }
 
@@ -1462,25 +1425,16 @@ func (g *Gateway) abandonCall(c *call) {
 // quarantine LRU. Add has LoadOrStore semantics, so concurrent bumps
 // share one canonical counter.
 func (g *Gateway) notePanicKey(k coalesceKey) {
-	if g.cfg.QuarantineAfter <= 0 {
-		return
-	}
 	n := g.quarantine.Add(quarantineKey(k), new(atomic.Int64))
 	n.Add(1)
 }
 
 // deviceFault marks one containment event (panic or watchdog abandon)
-// against a device; crossing Config.UnhealthyAfter consecutive events
-// trips it unhealthy and starts the probe loop that will restore it.
+// against a device; unhealthyAfter consecutive events trip it
+// unhealthy and start the probe loop that will restore it.
 func (g *Gateway) deviceFault(dev string) {
-	if g.cfg.UnhealthyAfter < 0 {
-		return
-	}
 	h := g.health[dev]
-	if h == nil {
-		return
-	}
-	if h.consecutive.Add(1) >= int64(g.cfg.UnhealthyAfter) && h.unhealthy.CompareAndSwap(false, true) {
+	if h.consecutive.Add(1) >= unhealthyAfter && h.unhealthy.CompareAndSwap(false, true) {
 		g.unhealthyByDev[dev].Set(1)
 		// A tripped device's rendered bodies leave the fast path with
 		// it: eligibility already gates every lookup, and the purge
@@ -1500,7 +1454,7 @@ func (g *Gateway) deviceOK(dev string) {
 }
 
 // probeLoop probes an unhealthy device with one real plan per
-// Config.ProbeInterval until a probe succeeds (restoring the device) or
+// probeInterval until a probe succeeds (restoring the device) or
 // the gateway drains. The probe is a prewarm-style zoo plan against the
 // device's planner directly — real planner work, so a success is
 // evidence the target actually serves again, not just that the process
@@ -1511,30 +1465,20 @@ func (g *Gateway) probeLoop(h *deviceHealth) {
 		return
 	}
 	for {
-		if !g.sleep(g.cfg.ProbeInterval) {
+		if !g.sleep(probeInterval) {
 			return
 		}
 		if hook := g.testHookProbe; hook != nil {
 			hook(h.device)
 		}
 		g.probesByDev[h.device].Inc()
-		if g.probe(p) {
+		if zooPlan(p, zoo.Names[0]) {
 			h.consecutive.Store(0)
 			h.unhealthy.Store(false)
 			g.unhealthyByDev[h.device].Set(0)
 			return
 		}
 	}
-}
-
-// probe runs one guarded zoo plan; any panic or error is a failed probe.
-func (g *Gateway) probe(p *serve.Planner) bool {
-	zg, err := zooGraph(zoo.Names[0])
-	if err != nil {
-		return false
-	}
-	_, err = guardedSelect(p, serve.Request{Graph: zg, DeadlineMs: 0.9, Estimator: "profiler"})
-	return err == nil
 }
 
 // planError maps a planner error to an HTTP status: admission conflicts
@@ -1739,11 +1683,7 @@ func (g *Gateway) Prewarm() <-chan struct{} {
 						return
 					}
 				}
-				zg, err := zooGraph(netName)
-				if err != nil {
-					continue
-				}
-				if _, err := guardedSelect(p, serve.Request{Graph: zg, DeadlineMs: 0.9, Estimator: "profiler"}); err == nil {
+				if zooPlan(p, netName) {
 					g.prewarmed.Inc()
 				}
 			}
@@ -1755,17 +1695,18 @@ func (g *Gateway) Prewarm() <-chan struct{} {
 	return done
 }
 
-// guardedSelect is Planner.Select behind the panic boundary, for the
-// background paths (prewarm) that run planner work outside a worker's
-// containment: a poison zoo entry must not crash the process from a
-// warming goroutine either.
-func guardedSelect(p *serve.Planner, req serve.Request) (resp *serve.Response, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			resp, err = nil, fmt.Errorf("planner panic: %v", r)
-		}
-	}()
-	return p.Select(req)
+// zooPlan plans a zoo network for the background paths — prewarm and
+// health probes, which run planner work outside a worker — behind the
+// worker's panic boundary, so a poison zoo entry cannot crash the
+// process from a background goroutine either. It reports success; a
+// panic or a planner error is a failure.
+func zooPlan(p *serve.Planner, name string) bool {
+	zg, err := zooGraph(name)
+	if err != nil {
+		return false
+	}
+	res := runPass(p, serve.Request{Graph: zg, DeadlineMs: 0.9, Estimator: "profiler"})
+	return !res.panicked && res.err == nil
 }
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -1787,7 +1728,7 @@ func (g *Gateway) handleDevices(w http.ResponseWriter, _ *http.Request) {
 		}
 		cfg := p.DeviceConfig()
 		p99, samples := p.WarmQuantile(0.99)
-		if samples < uint64(g.cfg.ShedMinSamples) {
+		if samples < shedMinSamples {
 			p99 = 0 // below activation: neither shedding nor ranking reads it
 		}
 		out = append(out, DeviceWire{

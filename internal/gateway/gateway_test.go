@@ -95,6 +95,31 @@ func graphBody(t *testing.T, g *graph.Graph, deadline float64, extra string) str
 	return fmt.Sprintf(`{"graph":%s,"deadline_ms":%g%s}`, gw, deadline, extra)
 }
 
+// warmExecutions posts net to dev at fresh deadlines until dev's warm
+// latency histogram holds n executions. A fresh deadline misses the
+// byte cache, so every post after the graph's first (cold) one runs a
+// warm planner pass. With n = shedMinSamples it activates budget
+// shedding, the drift signal and the warm estimate "auto" ranks by.
+func warmExecutions(t *testing.T, g *Gateway, dev string, net *graph.Graph, n uint64) {
+	t.Helper()
+	p, err := g.pool.Planner(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; ; i++ {
+		if _, samples := p.WarmQuantile(0.99); samples >= n {
+			return
+		}
+		if i > int(n)+1 {
+			t.Fatalf("%d posts left %s short of %d warm executions", i-1, dev, n)
+		}
+		body := graphBody(t, net, float64(1000+i)/1000, `,"target":"`+dev+`"`)
+		if rec := post(g, body); rec.Code != http.StatusOK {
+			t.Fatalf("warm-up %d on %s: status %d: %s", i, dev, rec.Code, rec.Body.String())
+		}
+	}
+}
+
 // TestGatewayMatchesPlannerSelect pins the acceptance criterion: the
 // gateway's response body is byte-identical to encoding the response of
 // the same request served alone through a fresh serve.Planner.
@@ -196,32 +221,17 @@ func TestGatewayCoalescesIdenticalRequests(t *testing.T) {
 }
 
 // TestGatewayShedsOnBudget pins deadline-aware load shedding: once the
-// warm histogram has samples, a request whose budget_ms cannot cover
-// the warm p99 is rejected with 429 + retry hint and consumes no
-// planner work.
+// warm histogram holds shedMinSamples executions, a request whose
+// budget_ms cannot cover the warm p99 is rejected with 429 + retry
+// hint and consumes no planner work.
 func TestGatewayShedsOnBudget(t *testing.T) {
-	cfg := quickConfig(5)
-	cfg.ShedMinSamples = 1
-	// This test warms via repeated identical requests and then asserts
-	// the shed path; the byte cache would serve the repeats (and the
-	// tiny-budget identical request) without touching the planner.
-	cfg.ByteCacheCap = -1
-	g, err := New(cfg)
+	g, err := New(quickConfig(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mustShutdown(t, g)
 
-	body := graphBody(t, userNet(2), 0.35, "")
-	// First request is cold, second warm: seeds the warm histogram.
-	for i := 0; i < 2; i++ {
-		if rec := post(g, body); rec.Code != http.StatusOK {
-			t.Fatalf("warmup %d: status %d: %s", i, rec.Code, rec.Body.String())
-		}
-	}
-	if _, samples := g.Planner().WarmQuantile(0.99); samples == 0 {
-		t.Fatal("no warm samples after a repeated request")
-	}
+	warmExecutions(t, g, "sim-xavier", userNet(2), shedMinSamples)
 
 	execs := g.Planner().Executions()
 	rec := post(g, graphBody(t, userNet(2), 0.35, `,"budget_ms":0.00001`))
@@ -393,6 +403,63 @@ func TestGatewayQueuedRequestsRunOnePassEach(t *testing.T) {
 	}
 }
 
+// TestGatewayShedActivatesAtWarmThreshold pins where budget shedding
+// switches on: with shedMinSamples-1 warm executions behind the device
+// a tiny budget is still admitted and /v1/devices reports no warm p99;
+// that request's own pass is the threshold execution, after which the
+// same request is shed with budget_too_small at no planner cost. The
+// byte cache is off so the repeat reaches the budget gate.
+func TestGatewayShedActivatesAtWarmThreshold(t *testing.T) {
+	cfg := quickConfig(6)
+	cfg.Devices = []device.Config{device.Xavier()}
+	cfg.ByteCacheCap = -1
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustShutdown(t, g)
+
+	warmP99 := func() float64 {
+		t.Helper()
+		var fleet struct{ Devices []DeviceWire }
+		if err := json.Unmarshal(get(g, "/v1/devices").Body.Bytes(), &fleet); err != nil {
+			t.Fatal(err)
+		}
+		return fleet.Devices[0].WarmP99Ms
+	}
+	warmExecutions(t, g, "sim-xavier", userNet(6), shedMinSamples-1)
+	if _, samples := g.Planner().WarmQuantile(0.99); samples != shedMinSamples-1 {
+		t.Fatalf("warm-up left %d warm executions, want %d", samples, shedMinSamples-1)
+	}
+	if p99 := warmP99(); p99 != 0 {
+		t.Fatalf("warm_p99_ms %v below the threshold, want 0", p99)
+	}
+
+	tiny := graphBody(t, userNet(6), 0.35, `,"budget_ms":0.000001`)
+	execs := g.Planner().Executions()
+	if rec := post(g, tiny); rec.Code != http.StatusOK {
+		t.Fatalf("tiny budget below the threshold: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if got := g.Planner().Executions(); got != execs+1 {
+		t.Fatalf("admitted request: executions %d -> %d, want one", execs, got)
+	}
+	if _, samples := g.Planner().WarmQuantile(0.99); samples != shedMinSamples {
+		t.Fatalf("%d warm executions after the admitted request, want %d", samples, shedMinSamples)
+	}
+	if p99 := warmP99(); p99 <= 0 {
+		t.Fatalf("warm_p99_ms %v at the threshold, want a positive estimate", p99)
+	}
+
+	execs = g.Planner().Executions()
+	rec := post(g, tiny)
+	if rec.Code != http.StatusTooManyRequests || errCode(t, rec) != "budget_too_small" {
+		t.Fatalf("tiny budget at the threshold: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if got := g.Planner().Executions(); got != execs {
+		t.Fatalf("shed request consumed planner work: executions %d -> %d", execs, got)
+	}
+}
+
 // TestGatewayRejectsNegativeConfig pins that bad knobs are a prompt
 // constructor error (netserve exits 1 on them), never a panic.
 func TestGatewayRejectsNegativeConfig(t *testing.T) {
@@ -402,10 +469,8 @@ func TestGatewayRejectsNegativeConfig(t *testing.T) {
 	}{
 		{Config{QueueDepth: -1}, "negative QueueDepth"},
 		{Config{Workers: -1}, "negative Workers"},
-		{Config{ShedMinSamples: -1}, "negative ShedMinSamples"},
 		{Config{ExecTimeout: -time.Second}, "negative ExecTimeout"},
 		{Config{AutosaveInterval: -time.Second, StatePath: "state.bin"}, "negative AutosaveInterval"},
-		{Config{ProbeInterval: -time.Second}, "negative ProbeInterval"},
 		{Config{DrainTimeout: -time.Second}, "negative DrainTimeout"},
 		{Config{SlowTraceMs: -1}, "negative SlowTraceMs"},
 		{Config{AutosaveInterval: time.Second}, "AutosaveInterval requires a StatePath"},
@@ -819,10 +884,6 @@ func TestGatewayAutoTargetMatchesExplicit(t *testing.T) {
 // over shedding.
 func TestGatewayAutoShedsOnlyWhenNoDeviceQualifies(t *testing.T) {
 	cfg := quickConfig(31)
-	cfg.ShedMinSamples = 1
-	// Warm-ups repeat identical requests; the byte cache would answer
-	// them (and the impossible-budget repeats) before the shed path.
-	cfg.ByteCacheCap = -1
 	// Two targets keep the warm-up short.
 	cfg.Devices = []device.Config{device.Xavier(), device.EdgeCPU()}
 	g, err := New(cfg)
@@ -834,11 +895,7 @@ func TestGatewayAutoShedsOnlyWhenNoDeviceQualifies(t *testing.T) {
 	body := func(extra string) string { return graphBody(t, userNet(4), 0.35, extra) }
 	// Warm device 1 only: an impossible budget must still route (to the
 	// unmeasured device), not shed.
-	for i := 0; i < 2; i++ {
-		if rec := post(g, body(`,"target":"sim-xavier"`)); rec.Code != http.StatusOK {
-			t.Fatalf("warmup %d: %d", i, rec.Code)
-		}
-	}
+	warmExecutions(t, g, "sim-xavier", userNet(4), shedMinSamples)
 	rec := post(g, body(`,"target":"auto","budget_ms":0.000001`))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("auto with one unmeasured target: %d: %s", rec.Code, rec.Body.String())
@@ -850,11 +907,8 @@ func TestGatewayAutoShedsOnlyWhenNoDeviceQualifies(t *testing.T) {
 	if r.Device != "sim-edge-cpu" {
 		t.Fatalf("auto routed to %q, want the unmeasured sim-edge-cpu", r.Device)
 	}
-	// Warm device 2 as well (the request above was cold; repeat it so
-	// the warm histogram fills), then the impossible budget sheds.
-	if rec := post(g, body(`,"target":"sim-edge-cpu"`)); rec.Code != http.StatusOK {
-		t.Fatalf("edge warm: %d", rec.Code)
-	}
+	// Warm device 2 as well, then the impossible budget sheds.
+	warmExecutions(t, g, "sim-edge-cpu", userNet(4), shedMinSamples)
 	execs := g.Planner().Executions()
 	rec = post(g, body(`,"target":"auto","budget_ms":0.000001`))
 	if rec.Code != http.StatusTooManyRequests {
@@ -942,7 +996,6 @@ func TestGatewayCoalescesStaggeredBurstOnDefaultConfig(t *testing.T) {
 // zero planner cost instead of being shed.
 func TestGatewayAutoCoalescesBeforeShedding(t *testing.T) {
 	cfg := quickConfig(41)
-	cfg.ShedMinSamples = 1
 	// Coalescing with an in-flight leader is the subject; a byte-cache
 	// hit would answer the repeats before they could join anything.
 	cfg.ByteCacheCap = -1
@@ -956,11 +1009,7 @@ func TestGatewayAutoCoalescesBeforeShedding(t *testing.T) {
 
 	body := graphBody(t, userNet(5), 0.35, "")
 	// Warm the only device so its estimate is active (and positive).
-	for i := 0; i < 2; i++ {
-		if rec := post(g, body); rec.Code != http.StatusOK {
-			t.Fatalf("warmup %d: %d", i, rec.Code)
-		}
-	}
+	warmExecutions(t, g, "sim-xavier", userNet(5), shedMinSamples)
 	// Sanity: with nothing in flight, the impossible budget sheds.
 	if rec := post(g, graphBody(t, userNet(5), 0.35, `,"target":"auto","budget_ms":0.000001`)); rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("idle impossible-budget auto request: %d", rec.Code)

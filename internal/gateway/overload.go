@@ -6,15 +6,12 @@ package gateway
 // drift of observed execution latency — into one discrete load level,
 // and each level deterministically sheds optional work:
 //
-//	level 0 (normal)    everything on: prewarming, every completed
-//	                    trace retained.
-//	level 1 (brownout)  Prewarm paused, the /debug/trace ring samples
-//	                    1-in-4 traces.
-//	level 2 (emergency) Prewarm paused, ring samples 1-in-16, and
-//	                    admission serves only byte-cache hits and
-//	                    coalesce joins — every cold miss is shed
-//	                    pre-execution with a level-scaled,
-//	                    backlog-honest Retry-After.
+//	level 0 (normal)    everything on.
+//	level 1 (brownout)  Prewarm paused.
+//	level 2 (emergency) Prewarm paused, and admission serves only
+//	                    byte-cache hits and coalesce joins — every
+//	                    cold miss is shed pre-execution with a
+//	                    level-scaled, backlog-honest Retry-After.
 //
 // The level is a pure function of the signals sampled each tick — no
 // hysteresis — so it returns to 0 within one controller interval of
@@ -67,15 +64,6 @@ const (
 	// execEwmaAlpha is the smoothing weight of a new pass observation
 	// in the lane's exec-latency EWMA.
 	execEwmaAlpha = 0.2
-	// driftMinSamples floors the drift signal's activation: however
-	// eagerly budget shedding is configured (Config.ShedMinSamples can
-	// be 1), a warm p99 estimated from fewer executions than this is
-	// too noisy to declare a lane drifting — one cold pass against a
-	// one-sample history would read as overload on every boot.
-	driftMinSamples = 8
-	// Brownout/emergency trace-ring sampling: keep 1 in N.
-	brownoutTraceSample  = 4
-	emergencyTraceSample = 16
 )
 
 // LoadLevel reports the overload controller's current load level:
@@ -196,10 +184,9 @@ func (g *Gateway) computeLoadLevel() int {
 
 // anyLaneDrifting reports whether any lane's smoothed observed pass
 // latency has drifted past execDriftFactor x its device's own warm
-// p99. Only lanes whose histograms hold driftSamplesFloor executions
-// participate — the activation rule budget shedding uses, floored at
-// driftMinSamples, for the same reason: drifting against a cold
-// estimate is noise.
+// p99. Only lanes whose histograms hold shedMinSamples executions
+// participate — the activation rule budget shedding uses, for the same
+// reason: drifting against a cold estimate is noise.
 func (g *Gateway) anyLaneDrifting() bool {
 	for _, l := range g.lanes {
 		ewma := l.ewma()
@@ -211,39 +198,12 @@ func (g *Gateway) anyLaneDrifting() bool {
 			continue
 		}
 		p99, samples := p.WarmQuantile(0.99)
-		if samples >= g.driftSamplesFloor() && p99 > 0 &&
+		if samples >= shedMinSamples && p99 > 0 &&
 			ewma > execDriftFactor*p99 {
 			return true
 		}
 	}
 	return false
-}
-
-// driftSamplesFloor is the warm-sample count at which the drift
-// signal activates: Config.ShedMinSamples, never below
-// driftMinSamples.
-func (g *Gateway) driftSamplesFloor() uint64 {
-	if g.cfg.ShedMinSamples < driftMinSamples {
-		return driftMinSamples
-	}
-	return uint64(g.cfg.ShedMinSamples)
-}
-
-// traceKeep decides whether a completed trace enters the /debug/trace
-// ring: all of them at level 0, a deterministic 1-in-N sample under
-// load — the ring is optional work, and under pressure its allocation
-// and lock traffic go before anything a client can see.
-func (g *Gateway) traceKeep() bool {
-	var n uint64
-	switch g.loadLevel.Load() {
-	case levelNormal:
-		return true
-	case levelBrownout:
-		n = brownoutTraceSample
-	default:
-		n = emergencyTraceSample
-	}
-	return g.traceSeq.Add(1)%n == 1
 }
 
 // laneWaves is the retry-hint arithmetic shared by the queue-full and

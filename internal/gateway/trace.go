@@ -180,9 +180,9 @@ func injectTraceID(body []byte, id string) []byte {
 
 // finishTrace seals a trace and files it: out of the live table, its
 // timed spans into the per-stage histograms, past Config.SlowTraceMs
-// onto the structured log, and finally into the ring. The ring add (or
-// the Release when the ring is disabled) hands ownership away — Trace
-// records are pooled, so it must be the last touch.
+// onto the structured log, and finally into the ring. The ring add
+// hands ownership away — Trace records are pooled, so it must be the
+// last touch.
 func (g *Gateway) finishTrace(tr *trace.Trace, status int, now time.Time) {
 	tr.Finish(status, now)
 	g.live.Remove(tr)
@@ -191,14 +191,7 @@ func (g *Gateway) finishTrace(tr *trace.Trace, status int, now time.Time) {
 		g.slowTraces.Inc()
 		g.logSlow(tr)
 	}
-	if g.ring != nil && g.traceKeep() {
-		g.ring.Add(tr)
-	} else {
-		if g.ring != nil {
-			g.traceSampledOut.Inc()
-		}
-		trace.Release(tr)
-	}
+	g.ring.Add(tr)
 }
 
 // observeStages feeds a completed trace's clock-bounded spans into the
@@ -245,11 +238,6 @@ func (g *Gateway) logSlow(tr *trace.Trace) {
 // status (numeric), min_ms (minimum total duration), limit (defaults
 // to 100; 0 means the whole ring).
 func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if g.ring == nil {
-		g.writeErr(w, errf(http.StatusNotFound, "trace_ring_disabled",
-			"the completed-trace ring buffer is disabled (negative TraceRingCap)"))
-		return
-	}
 	q := r.URL.Query()
 	id, device := q.Get("id"), q.Get("device")
 	var minMs float64

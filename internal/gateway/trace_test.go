@@ -331,35 +331,6 @@ func (l *lockedWriter) Write(p []byte) (int, error) {
 	return l.w.Write(p)
 }
 
-// TestTraceRingDisabled pins the off switch: a negative TraceRingCap
-// disables the completed-trace ring, /debug/trace refuses with 404,
-// and requests still serve (tracing itself stays on for /metrics and
-// the header).
-func TestTraceRingDisabled(t *testing.T) {
-	cfg := quickConfig(97)
-	cfg.TraceRingCap = -1
-	g, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mustShutdown(t, g)
-
-	rec := post(g, graphBody(t, userNet(0), 0.35, ""))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d", rec.Code)
-	}
-	if !traceIDFormat.MatchString(rec.Header().Get(TraceHeader)) {
-		t.Fatal("ring off must not disable trace IDs")
-	}
-	dump := get(g, "/debug/trace")
-	if dump.Code != http.StatusNotFound {
-		t.Fatalf("/debug/trace with ring disabled: %d", dump.Code)
-	}
-	if !strings.Contains(dump.Body.String(), "trace_ring_disabled") {
-		t.Fatalf("404 body %s", dump.Body.String())
-	}
-}
-
 // TestDebugContentTypes pins the explicit Content-Type on every
 // observability surface: Prometheus text on /metrics, JSON on the
 // debug endpoints.

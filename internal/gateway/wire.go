@@ -1028,7 +1028,7 @@ type DeviceWire struct {
 	Fusion           bool    `json:"fusion"`
 	// Executions counts planning executions on this target;
 	// WarmP99Ms is its estimated warm-path p99 (0 until the warm
-	// histogram holds ShedMinSamples executions) — the estimate both
+	// histogram holds 64 warm executions) — the estimate both
 	// budget shedding and "auto" routing read.
 	Executions uint64  `json:"executions"`
 	WarmP99Ms  float64 `json:"warm_p99_ms"`

@@ -66,7 +66,7 @@ func (r *Ring) Add(t *Trace) {
 	}
 	sh.mu.Unlock()
 	if retired != nil {
-		Release(retired)
+		release(retired)
 	}
 }
 

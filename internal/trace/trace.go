@@ -84,11 +84,11 @@ func Start(id string, now time.Time) *Trace {
 	return t
 }
 
-// Release returns a trace to the allocation pool. The caller must
-// guarantee no goroutine still holds a reference — in the gateway that
-// is a trace displaced from the ring (every read surface copies under
-// the shard lock) or one finished with the ring disabled.
-func Release(t *Trace) { pool.Put(t) }
+// release returns a trace to the allocation pool. The caller must
+// guarantee no goroutine still holds a reference: the ring releases
+// only a trace it displaced, and every read surface copies under the
+// shard lock.
+func release(t *Trace) { pool.Put(t) }
 
 // reset clears a recycled record back to Start state.
 func (t *Trace) reset(id string, now time.Time) {

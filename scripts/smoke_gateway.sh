@@ -37,7 +37,7 @@ STATE="$TMP/state.bin"
 # and the shed predicate with repeated identical requests, which the
 # rendered-response cache would otherwise answer outright (the dedicated
 # byte-cache leg at the end runs with the cache on).
-"$BIN" -addr "$ADDR" -seed 1 -shed-min-samples 1 -byte-cache 0 -state-file "$STATE" -slow-trace 1ms >"$TMP/netserve.log" 2>&1 &
+"$BIN" -addr "$ADDR" -seed 1 -byte-cache 0 -state-file "$STATE" -slow-trace 1ms >"$TMP/netserve.log" 2>&1 &
 PID=$!
 
 for _ in $(seq 1 50); do
@@ -62,7 +62,7 @@ plan() { curl -s -o "$1" -w '%{http_code}' -X POST -d "$2" "http://$ADDR/v1/plan
 canon() { sed 's/,"trace_id":"[0-9a-f]\{16\}"//' "$1"; }
 same() { [ "$(canon "$1")" = "$(canon "$2")" ]; }
 
-# Cold then warm request (the warm one seeds the shed path's histogram).
+# Cold then warm request (the repeat runs on the planner's warm path).
 [ "$(plan "$TMP/cold.json" '{"network":"ResNet-50","deadline_ms":0.9}')" = 200 ]
 [ "$(plan "$TMP/warm.json" '{"network":"ResNet-50","deadline_ms":0.9}')" = 200 ]
 same "$TMP/cold.json" "$TMP/warm.json" || {
@@ -112,6 +112,13 @@ same "$TMP/auto.json" "$TMP/auto_explicit.json" || {
 grep -q '"code":"unknown_device"' "$TMP/unknown_dev.json"
 
 # Shed path: a budget below the warm p99 must be rejected up front.
+# Budget shedding activates once the device has served 64 warm
+# executions; with the byte cache off each of these distinct-deadline
+# requests runs one.
+for i in $(seq 1 64); do
+  [ "$(plan "$TMP/warmup.json" "{\"network\":\"ResNet-50\",\"deadline_ms\":1.$((100 + i))}")" = 200 ] || {
+    echo "FAIL: shed warm-up request $i failed" >&2; cat "$TMP/warmup.json" >&2; exit 1; }
+done
 [ "$(plan "$TMP/shed.json" '{"network":"ResNet-50","deadline_ms":0.9,"budget_ms":0.000001}')" = 429 ]
 grep -q '"code":"budget_too_small"' "$TMP/shed.json"
 
@@ -225,7 +232,7 @@ grep -q "saved warm state to $STATE" "$TMP/netserve.log" || {
 # Restart from the snapshot: the first request of the new process must
 # run on the warm path — byte-identical body, warm counter moves, cold
 # counter stays 0.
-"$BIN" -addr "$ADDR" -seed 1 -shed-min-samples 1 -state-file "$STATE" >"$TMP/netserve2.log" 2>&1 &
+"$BIN" -addr "$ADDR" -seed 1 -state-file "$STATE" >"$TMP/netserve2.log" 2>&1 &
 PID=$!
 for _ in $(seq 1 50); do
   curl -fsS "http://$ADDR/healthz" >/dev/null 2>&1 && break
@@ -270,7 +277,7 @@ PID=""
 # the restart must fall back to the .bak generation and serve its first
 # request warm.
 STATE2="$TMP/crash-state.bin"
-"$BIN" -addr "$ADDR" -seed 1 -shed-min-samples 1 -state-file "$STATE2" -autosave 300ms >"$TMP/netserve3.log" 2>&1 &
+"$BIN" -addr "$ADDR" -seed 1 -state-file "$STATE2" -autosave 300ms >"$TMP/netserve3.log" 2>&1 &
 PID=$!
 for _ in $(seq 1 50); do
   curl -fsS "http://$ADDR/healthz" >/dev/null 2>&1 && break
@@ -307,7 +314,7 @@ PID=""
 # recovery must come from the previous-good .bak.
 printf 'torn-by-crash' >"$STATE2"
 
-"$BIN" -addr "$ADDR" -seed 1 -shed-min-samples 1 -state-file "$STATE2" >"$TMP/netserve4.log" 2>&1 &
+"$BIN" -addr "$ADDR" -seed 1 -state-file "$STATE2" >"$TMP/netserve4.log" 2>&1 &
 PID=$!
 for _ in $(seq 1 50); do
   curl -fsS "http://$ADDR/healthz" >/dev/null 2>&1 && break
@@ -406,7 +413,7 @@ OV_POSTERS=24
 OV_BODIES=40 # per poster
 mkdir -p "$TMP/cold"
 go run ./scripts/coldbodies -n $((OV_POSTERS * OV_BODIES)) -out "$TMP/cold"
-"$BIN" -addr "$ADDR" -seed 1 -devices sim-xavier -queue 4 -workers 1 -shed-min-samples 1 -overload-interval 50ms >"$TMP/netserve6.log" 2>&1 &
+"$BIN" -addr "$ADDR" -seed 1 -devices sim-xavier -queue 4 -workers 1 -overload-interval 50ms >"$TMP/netserve6.log" 2>&1 &
 PID=$!
 for _ in $(seq 1 50); do
   curl -fsS "http://$ADDR/healthz" >/dev/null 2>&1 && break
