@@ -44,10 +44,6 @@ func sameBody(a, b string) bool {
 	return bytes.Equal(netcut.StripTraceID([]byte(a)), netcut.StripTraceID([]byte(b)))
 }
 
-// shedWarmup is how many warm executions a device must serve before
-// the gateway sheds on budget_ms.
-const shedWarmup = 64
-
 // customNet is a small residual network standing in for a user
 // architecture outside the calibrated zoo.
 func customNet() *netcut.Graph {
@@ -79,6 +75,22 @@ func post(base string, body string) (int, string) {
 		die(err)
 	}
 	return resp.StatusCode, strings.TrimSpace(string(b))
+}
+
+// fleet fetches the /v1/devices listing; the default device is first.
+func fleet(base string) []gateway.DeviceWire {
+	resp, err := http.Get(base + "/v1/devices")
+	if err != nil {
+		die(err)
+	}
+	defer resp.Body.Close()
+	var list struct {
+		Devices []gateway.DeviceWire `json:"devices"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		die(err)
+	}
+	return list.Devices
 }
 
 func main() {
@@ -138,17 +150,21 @@ func main() {
 
 	// 4. A request whose own latency budget cannot cover the warm p99.
 	// Budget shedding reads the warm p99 only once the device has
-	// served shedWarmup warm executions, so warm it first: each
-	// request carries a fresh deadline, which the byte cache has never
-	// seen, so each runs a warm planner pass. The tiny-budget request
-	// then asks for yet another deadline, so no cached body can answer
-	// it before the budget gate.
-	for i := 1; i <= shedWarmup; i++ {
-		code, body = post(base, fmt.Sprintf(`{"network":"ResNet-50","deadline_ms":1.%03d}`, i))
-		check(code == http.StatusOK, "warm-up request %d: status %d %s", i, code, body)
+	// served enough warm executions, which /v1/devices shows as a
+	// nonzero warm_p99_ms, so warm the default device until it does:
+	// each request carries a fresh deadline, which the byte cache has
+	// never seen, so each runs a warm planner pass. The tiny-budget
+	// request then asks for yet another deadline, so no cached body can
+	// answer it before the budget gate.
+	const maxWarmup = 999
+	warm := 0
+	for ; fleet(base)[0].WarmP99Ms == 0; warm++ {
+		check(warm < maxWarmup, "warm_p99_ms still 0 after %d warm-up requests", warm)
+		code, body = post(base, fmt.Sprintf(`{"network":"ResNet-50","deadline_ms":1.%03d}`, warm+1))
+		check(code == http.StatusOK, "warm-up request %d: status %d %s", warm+1, code, body)
 	}
 	code, body = post(base, `{"network":"ResNet-50","deadline_ms":0.95,"budget_ms":0.000001}`)
-	fmt.Printf("tiny budget_ms      -> %d %s\n", code, body)
+	fmt.Printf("tiny budget_ms      -> %d %s (after %d warm-up requests)\n", code, body, warm)
 	check(code == http.StatusTooManyRequests && strings.Contains(body, `"code":"budget_too_small"`),
 		"tiny budget: want 429 budget_too_small, got %d %s", code, body)
 
@@ -157,20 +173,9 @@ func main() {
 	// measured latencies, zero shared cache entries), and let "auto"
 	// route — its body is byte-identical to naming the resolved device
 	// explicitly.
-	resp, err := http.Get(base + "/v1/devices")
-	if err != nil {
-		die(err)
-	}
-	devices, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var fleet struct {
-		Devices []gateway.DeviceWire `json:"devices"`
-	}
-	if err := json.Unmarshal(devices, &fleet); err != nil {
-		die(err)
-	}
-	fmt.Printf("\n/v1/devices         -> %d registered targets:\n", len(fleet.Devices))
-	for _, d := range fleet.Devices {
+	devices := fleet(base)
+	fmt.Printf("\n/v1/devices         -> %d registered targets:\n", len(devices))
+	for _, d := range devices {
 		fmt.Printf("  %-16s default=%-5v precision=%-4s warm_p99_ms=%.4f\n",
 			d.Name, d.Default, d.Precision, d.WarmP99Ms)
 	}
@@ -192,7 +197,7 @@ func main() {
 	check(sameBody(auto, explicit), "auto body differs from the explicit %s body", routed.Device)
 
 	// 6. The observability surface.
-	resp, err = http.Get(base + "/metrics")
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		die(err)
 	}

@@ -1448,9 +1448,7 @@ func (g *Gateway) deviceFault(dev string) {
 // execution. The unhealthy flag itself is only cleared by a probe, so
 // recovery is observable as exactly one transition.
 func (g *Gateway) deviceOK(dev string) {
-	if h := g.health[dev]; h != nil {
-		h.consecutive.Store(0)
-	}
+	g.health[dev].consecutive.Store(0)
 }
 
 // probeLoop probes an unhealthy device with one real plan per

@@ -112,12 +112,19 @@ same "$TMP/auto.json" "$TMP/auto_explicit.json" || {
 grep -q '"code":"unknown_device"' "$TMP/unknown_dev.json"
 
 # Shed path: a budget below the warm p99 must be rejected up front.
-# Budget shedding activates once the device has served 64 warm
-# executions; with the byte cache off each of these distinct-deadline
-# requests runs one.
-for i in $(seq 1 64); do
-  [ "$(plan "$TMP/warmup.json" "{\"network\":\"ResNet-50\",\"deadline_ms\":1.$((100 + i))}")" = 200 ] || {
-    echo "FAIL: shed warm-up request $i failed" >&2; cat "$TMP/warmup.json" >&2; exit 1; }
+# Budget shedding activates once the default device has served enough
+# warm executions, which /v1/devices shows as a nonzero warm_p99_ms;
+# with the byte cache off each distinct-deadline request runs one.
+shed_active() {
+  curl -fsS "http://$ADDR/v1/devices" |
+    python3 -c 'import json,sys; print(int(json.load(sys.stdin)["devices"][0]["warm_p99_ms"] > 0))'
+}
+WARM=0
+while [ "$(shed_active)" = 0 ]; do
+  WARM=$((WARM + 1))
+  [ "$WARM" -le 999 ] || { echo "FAIL: warm_p99_ms still 0 after 999 warm-up requests" >&2; exit 1; }
+  [ "$(plan "$TMP/warmup.json" "{\"network\":\"ResNet-50\",\"deadline_ms\":1.$((1000 + WARM))}")" = 200 ] || {
+    echo "FAIL: shed warm-up request $WARM failed" >&2; cat "$TMP/warmup.json" >&2; exit 1; }
 done
 [ "$(plan "$TMP/shed.json" '{"network":"ResNet-50","deadline_ms":0.9,"budget_ms":0.000001}')" = 429 ]
 grep -q '"code":"budget_too_small"' "$TMP/shed.json"
