@@ -522,10 +522,11 @@ func BenchmarkGatewayThroughput(b *testing.B) {
 }
 
 // BenchmarkGatewayThroughputNoByteCache is the same zoo-cycling stream
-// with the byte cache disabled: every iteration pays coalescing-map
-// admission, a lane round-trip and response rendering on top of the
-// planner's own warm caches — the pre-cache serving cost, kept as the
-// denominator of the byte-cache speedup.
+// with the byte cache disabled: every post-warm-up iteration misses the
+// byte cache and is a resident answer — the planner's staircase lookup
+// and the step's once-rendered body, on the handler goroutine, with no
+// lane round-trip, planner pass or encode. It prices the resident gate
+// against the byte-cache hit.
 func BenchmarkGatewayThroughputNoByteCache(b *testing.B) {
 	runGatewayThroughput(b, newBenchGatewayCfg(b, GatewayConfig{
 		Planner:      PlannerConfig{Seed: 1},
@@ -564,13 +565,15 @@ func runGatewayThroughput(b *testing.B, gw *Gateway) {
 
 // BenchmarkGatewayCoalescedBurst measures the acceptance-criterion load
 // shape: bursts of identical concurrent requests. The exec/burst metric
-// is the telemetry-counted planner executions per burst — coalescing
-// keeps it near 1 even though every burst carries 16 requests (the
-// deterministic ==1 case is pinned by the gateway coalescing test).
+// is the telemetry-counted planner executions per burst. With the byte
+// cache off, every post-warm-up request is a resident answer from the
+// step the warm-up accepted, so it reads 0 and no burst reaches the
+// coalescing of lane work (one execution per burst of lane work is
+// pinned by the gateway coalescing tests).
 func BenchmarkGatewayCoalescedBurst(b *testing.B) {
 	const burst = 16
-	// Coalescing of in-flight executions is the subject; the byte cache
-	// would answer every post-warm-up request before it could coalesce.
+	// The byte cache would answer every post-warm-up request before the
+	// staircase could.
 	gw := newBenchGatewayCfg(b, GatewayConfig{
 		Planner:      PlannerConfig{Seed: 1},
 		ByteCacheCap: -1,
@@ -639,9 +642,9 @@ func BenchmarkPlannerPoolWarmAcrossDevices(b *testing.B) {
 // socket-staggered arrivals: the 16 requests of each burst start ~50 µs
 // apart instead of simultaneously, on the default configuration. Each
 // burst carries a fresh deadline, so its first request misses the byte
-// cache and leads one planner pass; every straggler either joins that
-// pass in flight or, once it has delivered, hits its cached body.
-// exec/burst therefore reads 1.0.
+// cache; the deadline lands on the staircase step the warm-up accepted,
+// so the first request is a resident answer and the stragglers hit its
+// cached body. exec/burst therefore reads 0: no burst reaches a lane.
 func BenchmarkGatewayCoalescedBurstStaggered(b *testing.B) {
 	const burst = 16
 	gw := newBenchGateway(b)

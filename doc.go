@@ -116,13 +116,19 @@
 // size-limited and the decoded graph stops at graph.Validate —
 // malformed or oversized input is a structured 4xx, never a panic.
 //
-// Admission is deadline-aware in four stages. A repeat of an already
+// Admission is deadline-aware in five stages. A repeat of an already
 // delivered request — same resolved device, name, structure, deadline
 // and estimator — is answered from a bounded rendered-response byte
 // cache (GatewayConfig.ByteCacheCap, on by default; negative disables)
 // straight from admission, after the drain, quarantine and
 // device-health gates but before any queueing, skipping its lane, the
-// planner and the JSON rendering. Identical in-flight requests
+// planner and the JSON rendering. A planner's answer is a step
+// function of the deadline (Algorithm 1's estimates do not depend on
+// it), and each planner keeps that answer staircase per graph and
+// estimator; a request whose deadline falls on a step an earlier
+// request accepted is answered next, on the handler goroutine, from
+// the step's body rendered once (Planner.Resident) — no lane, no
+// planner pass — and the body joins the byte cache. Identical in-flight requests
 // coalesce into one planner execution, singleflight-style, and all
 // receive byte-identical bodies. Distinct requests wait in a bounded
 // per-device queue, and each lane worker plans one of them per pass
@@ -130,14 +136,15 @@
 // ("budget_ms") that cannot cover the observed warm-path p99 — read
 // once the device has served 64 warm executions — is shed up front
 // with 429 and a retry hint — as is any arrival finding the
-// queue full — consuming no planner work (a byte-cache hit beats the
-// shed: delivering rendered bytes fits any budget). Gateway.Shutdown
+// queue full — consuming no planner work (a byte-cache hit or a
+// resident answer beats the shed: delivering rendered bytes fits any
+// budget). Gateway.Shutdown
 // drains gracefully: new requests get 503 with a Retry-After derived
 // from the remaining drain budget while every admitted call completes
 // and delivers.
 //
-// Caching, coalescing, lanes and shedding change which executions
-// happen and when — never what any request returns: a cached or
+// Caching, resident answers, coalescing, lanes and shedding change
+// which executions happen and when — never what any request returns: a cached or
 // coalesced response body is byte-identical to the same
 // request served alone through a Planner (pinned by the gateway
 // package tests, the TestByteCache* seam suite and the GOMAXPROCS
@@ -256,8 +263,8 @@
 // observed execution latency into one load level — 0 normal,
 // 1 brownout, 2 emergency — exported as netcut_gateway_load_level.
 // Each level sheds optional work first: brownout pauses prewarming;
-// emergency pauses it too and admits only byte-cache hits and
-// coalesce joins, shedding every cold miss
+// emergency pauses it too and admits only byte-cache hits, resident
+// answers and coalesce joins, shedding every cold miss
 // pre-execution with a level-scaled, backlog-honest Retry-After
 // (ceil(backlog/workers) execution waves of p99 each). The
 // level is a pure function of the current signals, so it returns to
@@ -294,7 +301,8 @@
 // the X-Netcut-Trace response header and the trace_id body field —
 // and a record of timestamped stage spans covering decode, every
 // admission gate with its verdict (drain, quarantine, route, health,
-// bytecache, coalesce, shed, degraded on opt-in fallbacks), enqueue,
+// bytecache, resident, coalesce, shed, degraded on opt-in fallbacks),
+// enqueue,
 // queue wait and planner
 // execution as separate spans, encode and delivery. Completed traces
 // land in a bounded lock-sharded ring served at GET /debug/trace

@@ -151,19 +151,39 @@ func main() {
 	// 4. A request whose own latency budget cannot cover the warm p99.
 	// Budget shedding reads the warm p99 only once the device has
 	// served enough warm executions, which /v1/devices shows as a
-	// nonzero warm_p99_ms, so warm the default device until it does:
-	// each request carries a fresh deadline, which the byte cache has
-	// never seen, so each runs a warm planner pass. The tiny-budget
-	// request then asks for yet another deadline, so no cached body can
-	// answer it before the budget gate.
+	// nonzero warm_p99_ms, so warm the default device until it does. A
+	// deadline on a step of a network's answer staircase that a request
+	// already accepted is answered without a planner pass, so the
+	// warm-up walks staircases down: each request asks just under the
+	// last answer's estimated_ms, a step no request has accepted yet,
+	// and an infeasible answer moves the walk to the next network. The
+	// tiny-budget request is the walk's next step, so neither a
+	// resident answer nor a cached body can answer it before the budget
+	// gate.
 	const maxWarmup = 999
+	walk := []string{"ResNet-50", "DenseNet-121", "InceptionV3"}
+	const top = 1e6 // a deadline every unmodified network meets
+	deadline := top
+	next := func(extra string) string {
+		check(len(walk) > 0, "the warm-up walk ran out of networks")
+		return fmt.Sprintf(`{"network":%q,"deadline_ms":%g%s}`, walk[0], deadline, extra)
+	}
 	warm := 0
 	for ; fleet(base)[0].WarmP99Ms == 0; warm++ {
 		check(warm < maxWarmup, "warm_p99_ms still 0 after %d warm-up requests", warm)
-		code, body = post(base, fmt.Sprintf(`{"network":"ResNet-50","deadline_ms":1.%03d}`, warm+1))
+		code, body = post(base, next(""))
 		check(code == http.StatusOK, "warm-up request %d: status %d %s", warm+1, code, body)
+		var r gateway.PlanResponseWire
+		if err := json.Unmarshal([]byte(body), &r); err != nil {
+			die(err)
+		}
+		if r.Feasible {
+			deadline = r.EstimatedMs * (1 - 1e-9)
+		} else {
+			walk, deadline = walk[1:], top
+		}
 	}
-	code, body = post(base, `{"network":"ResNet-50","deadline_ms":0.95,"budget_ms":0.000001}`)
+	code, body = post(base, next(`,"budget_ms":0.000001`))
 	fmt.Printf("tiny budget_ms      -> %d %s (after %d warm-up requests)\n", code, body, warm)
 	check(code == http.StatusTooManyRequests && strings.Contains(body, `"code":"budget_too_small"`),
 		"tiny budget: want 429 budget_too_small, got %d %s", code, body)
@@ -196,18 +216,31 @@ func main() {
 		routed.Device, sameBody(auto, explicit))
 	check(sameBody(auto, explicit), "auto body differs from the explicit %s body", routed.Device)
 
-	// 6. The observability surface.
+	// 6. The observability surface: the nonzero series of the request,
+	// answer-path and shed families.
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		die(err)
 	}
 	metrics, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	fmt.Println("\n/metrics excerpt:")
-	for _, line := range bytes.Split(metrics, []byte("\n")) {
-		s := string(line)
-		if strings.HasPrefix(s, "netcut_gateway_") && !strings.HasPrefix(s, "#") {
-			fmt.Println(" ", s)
+	families := map[string]bool{
+		"netcut_gateway_requests_total":         true,
+		"netcut_gateway_bytecache_hits_total":   true,
+		"netcut_gateway_bytecache_misses_total": true,
+		"netcut_gateway_resident_total":         true,
+		"netcut_gateway_coalesced_total":        true,
+		"netcut_gateway_shed_budget_total":      true,
+		"netcut_gateway_shed_overload_total":    true,
+		"netcut_gateway_shed_queue_full_total":  true,
+		"netcut_gateway_shed_draining_total":    true,
+	}
+	fmt.Println("\n/metrics excerpt (nonzero):")
+	for _, line := range strings.Split(string(metrics), "\n") {
+		series, value, ok := strings.Cut(line, " ")
+		family, _, _ := strings.Cut(series, "{")
+		if ok && families[family] && value != "0" {
+			fmt.Println(" ", line)
 		}
 	}
 

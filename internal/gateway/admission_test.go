@@ -4,9 +4,9 @@ package gateway
 // state × allow_degraded. Each cell runs one request against a freshly
 // prepared gateway and pins what admission decided — status, error
 // code, serving device, degraded reason — and which counters moved, so
-// the single gate order (route, then health → byte cache → coalesce →
-// emergency → budget → enqueue, with the degraded fallback re-entering
-// once) is checked cell by cell rather than path by path.
+// the single gate order (route, then health → byte cache → resident →
+// coalesce → emergency → budget → enqueue, with the degraded fallback
+// re-entering once) is checked cell by cell rather than path by path.
 
 import (
 	"encoding/json"
@@ -22,7 +22,7 @@ import (
 
 // admissionCounters are the counters an admission decision can move.
 type admissionCounters struct {
-	shedBudget, shedOverload, degraded, autoRouted, hits, execs uint64
+	shedBudget, shedOverload, degraded, autoRouted, hits, resident, execs uint64
 }
 
 func readAdmissionCounters(g *Gateway) admissionCounters {
@@ -41,6 +41,9 @@ func readAdmissionCounters(g *Gateway) admissionCounters {
 			panic(err)
 		}
 		c.execs += p.Executions()
+		if rc := g.residentByDev[name].Load(); rc != nil {
+			c.resident += rc.Value()
+		}
 	}
 	return c
 }
@@ -52,6 +55,7 @@ func (c admissionCounters) minus(o admissionCounters) admissionCounters {
 		degraded:     c.degraded - o.degraded,
 		autoRouted:   c.autoRouted - o.autoRouted,
 		hits:         c.hits - o.hits,
+		resident:     c.resident - o.resident,
 		execs:        c.execs - o.execs,
 	}
 }
@@ -114,6 +118,17 @@ var admissionStates = map[string]admissionState{
 		setup: func(t *testing.T, g *Gateway) *graph.Graph {
 			if rec := post(g, graphBody(t, userNet(7), 0.35, "")); rec.Code != http.StatusOK {
 				t.Fatalf("warming the byte cache: status %d: %s", rec.Code, rec.Body.String())
+			}
+			return nil
+		},
+	},
+	// The byte cache is off, so the repeat is answered from the
+	// staircase step the setup request accepted.
+	"staircase-resident": {
+		cfg: func(c *Config) { c.ByteCacheCap = -1 },
+		setup: func(t *testing.T, g *Gateway) *graph.Graph {
+			if rec := post(g, graphBody(t, userNet(7), 0.35, "")); rec.Code != http.StatusOK {
+				t.Fatalf("accepting the step: status %d: %s", rec.Code, rec.Body.String())
 			}
 			return nil
 		},
@@ -206,6 +221,11 @@ func TestAdmissionTable(t *testing.T) {
 		{"bytecache-resident", xav, either, admissionOutcome{status: 200, device: xav, delta: c{hits: 1}}},
 		{"bytecache-resident", auto, either, admissionOutcome{status: 200, device: xav, delta: c{autoRouted: 1, hits: 1}}},
 		{"bytecache-resident", unk, either, unknown},
+
+		{"staircase-resident", def, either, admissionOutcome{status: 200, device: xav, delta: c{resident: 1}}},
+		{"staircase-resident", xav, either, admissionOutcome{status: 200, device: xav, delta: c{resident: 1}}},
+		{"staircase-resident", auto, either, admissionOutcome{status: 200, device: xav, delta: c{autoRouted: 1, resident: 1}}},
+		{"staircase-resident", unk, either, unknown},
 
 		{"emergency", def, either, admissionOutcome{status: 429, code: "overload_shed", delta: c{shedOverload: 1}}},
 		{"emergency", xav, either, admissionOutcome{status: 429, code: "overload_shed", delta: c{shedOverload: 1}}},

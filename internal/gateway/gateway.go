@@ -6,7 +6,7 @@
 // format at /metrics and as JSON at /debug/stats.
 //
 // Request flow: every plan request takes the steps below in this
-// order, each once — a degraded request re-runs steps 4 to 8 once on
+// order, each once — a degraded request re-runs steps 4 to 9 once on
 // its fallback device. The order is written out once, in admit, resolve
 // and gates, and the invariants below rely on it.
 //
@@ -14,9 +14,10 @@
 //     decoded graph stops at graph.Validate — malformed or oversized
 //     input is a structured 400/413, never a panic or an OOM.
 //  2. Drain and quarantine: a draining gateway answers 503 with a
-//     Retry-After from the remaining drain budget (byte-cache hits
-//     stop too); an identity quarantined for repeated planner panics
-//     gets a structured 500 — on every target, so before routing.
+//     Retry-After from the remaining drain budget (byte-cache hits and
+//     resident answers stop too); an identity quarantined for repeated
+//     planner panics gets a structured 500 — on every target, so
+//     before routing.
 //  3. Route: the target ("" = default device, a registered name from
 //     GET /v1/devices, or "auto" = fastest eligible device whose
 //     estimated warm-path latency fits the budget) resolves to one
@@ -24,7 +25,7 @@
 //     for "auto", an identical execution in flight on any eligible
 //     device is joined; failing that, no eligible device at all is 503
 //     no_healthy_device, and otherwise the request is shed with 429 or
-//     degrades (step 9).
+//     degrades (step 10).
 //  4. Health: a device tripped unhealthy is 503 device_unhealthy.
 //  5. Byte cache: a request whose fully resolved identity (device +
 //     calibration, name + structure, deadline, estimator) already has a
@@ -34,22 +35,30 @@
 //     since rendered bytes fit any budget. Hits are transparent and are
 //     counted by netcut_gateway_bytecache_hits_total, never as planner
 //     executions.
-//  6. Coalesce: requests with identical (device, name, structure,
+//  6. Resident: a request whose deadline falls on a step of the
+//     device planner's answer staircase that an earlier request
+//     accepted (serve.Planner.Resident) is answered on the handler
+//     goroutine from that step's canonical body, rendered once — no
+//     lane, no planner pass, no encode — and the body joins the byte
+//     cache like any completed 200. Like a byte-cache hit it beats
+//     every shed, and it is counted by netcut_gateway_resident_total,
+//     never as a planner execution.
+//  7. Coalesce: requests with identical (device, name, structure,
 //     deadline, estimator) share one in-flight planner execution and
 //     receive byte-identical response bodies, singleflight-style, at no
 //     planner work and no queue slot.
-//  7. Emergency: at load level 2 (see overload.go) a would-be leader
+//  8. Emergency: at load level 2 (see overload.go) a would-be leader
 //     is shed with 429 overload_shed.
-//  8. Budget: a would-be leader whose budget_ms cannot cover the
+//  9. Budget: a would-be leader whose budget_ms cannot cover the
 //     device's warm-path p99 is shed with 429 and a retry hint ("auto"
 //     was checked by its route in step 3).
-//  9. Degrade: with "allow_degraded": true, a request that step 3's
-//     budget check, step 4 or step 8 would refuse is served instead: it
+//  10. Degrade: with "allow_degraded": true, a request that step 3's
+//     budget check, step 4 or step 9 would refuse is served instead: it
 //     falls back to the fastest eligible device and re-enters at step 4
-//     there, once, with step 8 skipped. It is counted as degraded,
+//     there, once, with step 9 skipped. It is counted as degraded,
 //     never as shed; with no eligible device left it is 503
 //     no_healthy_device.
-//  10. Lane: admitted leaders sit in their device's bounded lane — one
+//  11. Lane: admitted leaders sit in their device's bounded lane — one
 //     queue plus workers per registered device, so one slow target's
 //     cold plan can never head-of-line-block another target's warm
 //     traffic; a full lane sheds with 429. Each worker runs one request
@@ -85,9 +94,10 @@
 // Overload control & degraded serving: a closed-loop controller
 // (Config.OverloadInterval) publishes a load level that
 // deterministically sheds optional work — down to serving only
-// byte-cache hits and coalesce joins at level 2 — and requests may
-// opt into degraded fallback routing with "allow_degraded": true. See
-// the package comment in overload.go for the ladder and its signals.
+// byte-cache hits, resident answers and coalesce joins at level 2 —
+// and requests may opt into degraded fallback routing with
+// "allow_degraded": true. See the package comment in overload.go for
+// the ladder and its signals.
 //
 // Warm-state persistence: POST /v1/state/save (enabled by
 // Config.StatePath) snapshots every planner's caches to disk via
@@ -96,13 +106,13 @@
 // Prewarm plans the calibrated zoo across the fleet in the background
 // to eliminate the remaining cold misses.
 //
-// Determinism contract: routing, coalescing, lanes and shedding change
-// which executions happen, where and when — never what any execution
-// returns. A coalesced response body is byte-identical to the same
-// request served alone through that device's serve.Planner, and an
-// auto-routed body to the same request naming the resolved device
-// explicitly — pinned by the package tests and the GOMAXPROCS
-// determinism guard.
+// Determinism contract: routing, coalescing, lanes, resident answers
+// and shedding change which executions happen, where and when — never
+// what any execution returns. A coalesced or resident response body is
+// byte-identical to the same request served alone through that
+// device's serve.Planner, and an auto-routed body to the same request
+// naming the resolved device explicitly — pinned by the package tests
+// and the GOMAXPROCS determinism guard.
 package gateway
 
 import (
@@ -179,8 +189,8 @@ type Config struct {
 	// functions of seed + config, so a hit returns exactly the bytes a
 	// fresh execution would render, on or off, at any GOMAXPROCS.
 	// 0 means DefaultByteCacheCap; negative disables the cache (tests
-	// that exercise the planner's own warm path via repeated requests
-	// do this).
+	// whose repeated requests must reach the resident, coalesce or shed
+	// gates do this).
 	ByteCacheCap int
 	// DrainTimeout is the drain budget Shutdown assumes when its
 	// context carries no deadline (a context deadline takes
@@ -516,8 +526,12 @@ type Gateway struct {
 	abandonedByDev map[string]*telemetry.Counter
 	unhealthyByDev map[string]*telemetry.Gauge
 	probesByDev    map[string]*telemetry.Counter
-	slowTraces     *telemetry.Counter
-	requestLatMs   *telemetry.Histogram
+	// residentByDev holds each device's netcut_gateway_resident_total
+	// series, registered on the device's first resident answer (see
+	// residentCounter); the map itself is immutable after New.
+	residentByDev map[string]*atomic.Pointer[telemetry.Counter]
+	slowTraces    *telemetry.Counter
+	requestLatMs  *telemetry.Histogram
 
 	// Overload control (see overload.go): loadLevel is the controller's
 	// published load level (0 normal, 1 brownout, 2 emergency).
@@ -652,6 +666,7 @@ func New(cfg Config) (*Gateway, error) {
 	g.abandonedByDev = make(map[string]*telemetry.Counter, len(names))
 	g.unhealthyByDev = make(map[string]*telemetry.Gauge, len(names))
 	g.probesByDev = make(map[string]*telemetry.Counter, len(names))
+	g.residentByDev = make(map[string]*atomic.Pointer[telemetry.Counter], len(names))
 	for _, name := range names {
 		p, err := pool.Planner(name)
 		if err != nil {
@@ -680,6 +695,7 @@ func New(cfg Config) (*Gateway, error) {
 			"1 while the device is tripped unhealthy, 0 while it is serving", labels)
 		g.probesByDev[name] = reg.CounterWith("netcut_gateway_probes_total",
 			"health probe plans attempted against an unhealthy device", labels)
+		g.residentByDev[name] = new(atomic.Pointer[telemetry.Counter])
 	}
 
 	// Per-stage latency histograms, pre-registered for every device plus
@@ -913,11 +929,12 @@ func (g *Gateway) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if cached != nil {
-		// Byte-cache hit: the rendered body short-circuited lane,
-		// planner and wire-marshal. It still counts as an admitted
-		// request in the latency histogram; the hit itself is counted
-		// by the cache's own netcut_gateway_bytecache_hits_total,
-		// distinct from planner executions.
+		// Byte-cache hit or resident answer: the rendered body
+		// short-circuited lane, planner and wire-marshal. It still
+		// counts as an admitted request in the latency histogram; the
+		// answer itself is counted by netcut_gateway_bytecache_hits_total
+		// or netcut_gateway_resident_total, distinct from planner
+		// executions.
 		if dec.degradedReason != "" {
 			cached = injectDegraded(cached, dec.degradedReason)
 		}
@@ -959,10 +976,11 @@ func (g *Gateway) handlePlan(w http.ResponseWriter, r *http.Request) {
 }
 
 // admit is the admission pipeline of one decoded request: it returns
-// either a cached rendered body (byte-cache hit) or the call to wait
-// on. The gate order of the package comment is written out once — the
-// drain and quarantine gates here, then resolve, then gates — and a
-// degraded fallback re-enters gates rather than copying it.
+// either a rendered body (byte-cache hit or resident answer) or the
+// call to wait on. The gate order of the package comment is written
+// out once — the drain and quarantine gates here, then resolve, then
+// gates — and a degraded fallback re-enters gates rather than copying
+// it.
 func (g *Gateway) admit(dec *decodedRequest, tr *trace.Trace) (*call, []byte, *apiError) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -1065,11 +1083,11 @@ func (g *Gateway) resolve(dec *decodedRequest, tr *trace.Trace) (string, *call, 
 }
 
 // gates runs the per-device gates on a resolved device, each exactly
-// once, in the package comment's order: health, byte cache, coalesce,
-// emergency, budget, enqueue. A health or budget refusal of a request
-// that opted into allow_degraded, and has not degraded yet, is not
-// applied — no verdict, no shed counter — and the request degrades
-// instead.
+// once, in the package comment's order: health, byte cache, resident,
+// coalesce, emergency, budget, enqueue. A health or budget refusal of
+// a request that opted into allow_degraded, and has not degraded yet,
+// is not applied — no verdict, no shed counter — and the request
+// degrades instead.
 func (g *Gateway) gates(dec *decodedRequest, dev string, tr *trace.Trace) (*call, []byte, *apiError) {
 	mayDegrade := dec.allowDegraded && dec.degradedReason == ""
 	dec.key.device = dev
@@ -1094,6 +1112,19 @@ func (g *Gateway) gates(dec *decodedRequest, dev string, tr *trace.Trace) (*call
 	}
 	tr.MarkZero(stageByteCache, "miss")
 
+	// A resident answer takes the byte cache's place in the order, for
+	// the same reasons: the staircase step's body was rendered once
+	// from a completed response, and it fits any budget.
+	l := g.lanes[dev]
+	if a, ok := l.planner.Resident(dec.req); ok {
+		body := a.Body(EncodeResponse)
+		g.byteCacheAdd(dec.key, body)
+		g.residentCounter(dev).Inc()
+		tr.Mark(stageResident, "hit")
+		return nil, body, nil
+	}
+	tr.MarkZero(stageResident, "miss")
+
 	// Coalesce before shedding: joining an in-flight execution consumes
 	// no planner work. The join increments waiters under the gateway
 	// mutex — the same lock cancellation holds — so a call can never be
@@ -1106,7 +1137,6 @@ func (g *Gateway) gates(dec *decodedRequest, dev string, tr *trace.Trace) (*call
 	}
 	tr.MarkZero(stageCoalesce, "leader")
 
-	l := g.lanes[dev]
 	// Emergency gate: at load level 2 every cold miss — degraded ones
 	// too, a fallback still costs an execution — is shed pre-execution
 	// with a level-scaled backlog-honest hint.
@@ -1114,7 +1144,7 @@ func (g *Gateway) gates(dec *decodedRequest, dev string, tr *trace.Trace) (*call
 		tr.MarkZero(stageShed, "overload")
 		g.shedOverload.Inc()
 		e := errf(http.StatusTooManyRequests, "overload_shed",
-			"gateway is at load level %d (emergency): only cached responses and coalesce joins are served", lvl)
+			"gateway is at load level %d (emergency): only cached responses, resident answers and coalesce joins are served", lvl)
 		p99, _ := l.planner.WarmQuantile(0.99)
 		e.wire.RetryAfterMs = math.Max(float64(lvl)*laneWaves(len(l.queue), g.laneWorkers)*p99, 1)
 		return nil, nil, e
@@ -1751,14 +1781,16 @@ func (g *Gateway) handleDevices(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleStats serves the registry snapshot plus per-device planner
-// cache stats as one JSON document ("planner" remains the default
-// target's stats for single-device dashboards).
+// cache stats and resident-answer counts as one JSON document
+// ("planner" remains the default target's stats for single-device
+// dashboards).
 func (g *Gateway) handleStats(w http.ResponseWriter, _ *http.Request) {
 	doc := map[string]any{
 		"metrics":  g.reg.Snapshot(),
 		"planner":  g.pool.Default().Stats(),
 		"devices":  g.pool.Stats(),
 		"overload": g.overloadStats(),
+		"resident": g.residentCounts(),
 	}
 	b, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -1766,4 +1798,34 @@ func (g *Gateway) handleStats(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, append(b, '\n'))
+}
+
+// residentCounter returns dev's netcut_gateway_resident_total series,
+// registering it on the device's first resident answer, so a device
+// that never answers from its staircase adds no zero series. The
+// registry returns the existing series to a racing registration.
+func (g *Gateway) residentCounter(dev string) *telemetry.Counter {
+	slot := g.residentByDev[dev]
+	if c := slot.Load(); c != nil {
+		return c
+	}
+	c := g.reg.CounterWith("netcut_gateway_resident_total",
+		"requests answered from a resident staircase step, without a lane or planner pass",
+		[]telemetry.Label{{Key: "device", Value: dev}})
+	slot.Store(c)
+	return c
+}
+
+// residentCounts reports the resident answers per device, over every
+// registered device.
+func (g *Gateway) residentCounts() map[string]uint64 {
+	out := make(map[string]uint64, len(g.residentByDev))
+	for dev, slot := range g.residentByDev {
+		var n uint64
+		if c := slot.Load(); c != nil {
+			n = c.Value()
+		}
+		out[dev] = n
+	}
+	return out
 }

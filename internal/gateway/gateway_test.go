@@ -95,28 +95,88 @@ func graphBody(t *testing.T, g *graph.Graph, deadline float64, extra string) str
 	return fmt.Sprintf(`{"graph":%s,"deadline_ms":%g%s}`, gw, deadline, extra)
 }
 
-// warmExecutions posts net to dev at fresh deadlines until dev's warm
-// latency histogram holds n executions. A fresh deadline misses the
-// byte cache, so every post after the graph's first (cold) one runs a
-// warm planner pass. With n = shedMinSamples it activates budget
-// shedding, the drift signal and the warm estimate "auto" ranks by.
-func warmExecutions(t *testing.T, g *Gateway, dev string, net *graph.Graph, n uint64) {
+// stairWalk walks answer staircases down on one device. It starts a
+// graph at walkTopMs, above its whole staircase, and sends each next
+// request just under the last answer's estimated_ms, so every request
+// lands on a step no request has accepted yet and is lane work: cold on
+// a graph's first request, warm after. An infeasible answer moves the
+// walk to the next graph: the one it started on, then the zoo networks
+// in order.
+type stairWalk struct {
+	t      *testing.T
+	g      *Gateway
+	dev    string
+	bodies []func(deadline float64, extra string) string
+	d      float64
+}
+
+// walkTopMs is a deadline every graph's unmodified network meets.
+const walkTopMs = 1e6
+
+func newStairWalk(t *testing.T, g *Gateway, dev string, net *graph.Graph) *stairWalk {
+	w := &stairWalk{t: t, g: g, dev: dev, d: walkTopMs}
+	w.bodies = append(w.bodies, func(d float64, extra string) string { return graphBody(t, net, d, extra) })
+	for _, name := range zoo.Names {
+		w.bodies = append(w.bodies, func(d float64, extra string) string {
+			return fmt.Sprintf(`{"network":%q,"deadline_ms":%g%s}`, name, d, extra)
+		})
+	}
+	return w
+}
+
+// body is the walk's next request, with extra appended; it names no
+// target.
+func (w *stairWalk) body(extra string) string {
+	w.t.Helper()
+	if len(w.bodies) == 0 {
+		w.t.Fatal("the walk ran past the last zoo network")
+	}
+	return w.bodies[0](w.d, extra)
+}
+
+// step sends the walk's next request to its device and moves on.
+func (w *stairWalk) step() {
+	w.t.Helper()
+	rec := post(w.g, w.body(`,"target":"`+w.dev+`"`))
+	if rec.Code != http.StatusOK {
+		w.t.Fatalf("walk on %s at %g ms: status %d: %s", w.dev, w.d, rec.Code, rec.Body.String())
+	}
+	w.advance(rec.Body.Bytes())
+}
+
+// advance moves the walk past body, an answer to its current request.
+func (w *stairWalk) advance(body []byte) {
+	w.t.Helper()
+	var r PlanResponseWire
+	if err := json.Unmarshal(body, &r); err != nil {
+		w.t.Fatalf("walk answer %s: %v", body, err)
+	}
+	if !r.Feasible {
+		w.bodies, w.d = w.bodies[1:], walkTopMs
+		return
+	}
+	w.d = r.EstimatedMs * (1 - 1e-9)
+}
+
+// warmExecutions walks staircases on dev, starting with net, until
+// dev's warm latency histogram holds n executions, and returns the walk:
+// its next request is warm lane work unless it starts a new graph.
+func warmExecutions(t *testing.T, g *Gateway, dev string, net *graph.Graph, n uint64) *stairWalk {
 	t.Helper()
 	p, err := g.pool.Planner(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; ; i++ {
+	w := newStairWalk(t, g, dev, net)
+	limit := int(n) + 2*len(w.bodies) // a cold first and an infeasible last request per graph
+	for i := 0; ; i++ {
 		if _, samples := p.WarmQuantile(0.99); samples >= n {
-			return
+			return w
 		}
-		if i > int(n)+1 {
-			t.Fatalf("%d posts left %s short of %d warm executions", i-1, dev, n)
+		if i > limit {
+			t.Fatalf("%d walk requests left %s short of %d warm executions", i, dev, n)
 		}
-		body := graphBody(t, net, float64(1000+i)/1000, `,"target":"`+dev+`"`)
-		if rec := post(g, body); rec.Code != http.StatusOK {
-			t.Fatalf("warm-up %d on %s: status %d: %s", i, dev, rec.Code, rec.Body.String())
-		}
+		w.step()
 	}
 }
 
@@ -223,7 +283,8 @@ func TestGatewayCoalescesIdenticalRequests(t *testing.T) {
 // TestGatewayShedsOnBudget pins deadline-aware load shedding: once the
 // warm histogram holds shedMinSamples executions, a request whose
 // budget_ms cannot cover the warm p99 is rejected with 429 + retry
-// hint and consumes no planner work.
+// hint and consumes no planner work. The request is lane work (the next
+// step of the warm-up walk): a resident answer would beat the shed.
 func TestGatewayShedsOnBudget(t *testing.T) {
 	g, err := New(quickConfig(5))
 	if err != nil {
@@ -231,10 +292,10 @@ func TestGatewayShedsOnBudget(t *testing.T) {
 	}
 	defer mustShutdown(t, g)
 
-	warmExecutions(t, g, "sim-xavier", userNet(2), shedMinSamples)
+	w := warmExecutions(t, g, "sim-xavier", userNet(2), shedMinSamples)
 
 	execs := g.Planner().Executions()
-	rec := post(g, graphBody(t, userNet(2), 0.35, `,"budget_ms":0.00001`))
+	rec := post(g, w.body(`,"budget_ms":0.00001`))
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("tiny-budget request: status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -256,7 +317,7 @@ func TestGatewayShedsOnBudget(t *testing.T) {
 	}
 
 	// A generous budget passes.
-	if rec := post(g, graphBody(t, userNet(2), 0.35, `,"budget_ms":60000`)); rec.Code != http.StatusOK {
+	if rec := post(g, w.body(`,"budget_ms":60000`)); rec.Code != http.StatusOK {
 		t.Fatalf("generous-budget request: status %d: %s", rec.Code, rec.Body.String())
 	}
 }
@@ -407,8 +468,10 @@ func TestGatewayQueuedRequestsRunOnePassEach(t *testing.T) {
 // switches on: with shedMinSamples-1 warm executions behind the device
 // a tiny budget is still admitted and /v1/devices reports no warm p99;
 // that request's own pass is the threshold execution, after which the
-// same request is shed with budget_too_small at no planner cost. The
-// byte cache is off so the repeat reaches the budget gate.
+// next warm request of the walk is shed with budget_too_small at no
+// planner cost, while the admitted request, now a resident answer, is
+// still answered. The byte cache is off so the repeat reaches the
+// resident gate.
 func TestGatewayShedActivatesAtWarmThreshold(t *testing.T) {
 	cfg := quickConfig(6)
 	cfg.Devices = []device.Config{device.Xavier()}
@@ -427,7 +490,7 @@ func TestGatewayShedActivatesAtWarmThreshold(t *testing.T) {
 		}
 		return fleet.Devices[0].WarmP99Ms
 	}
-	warmExecutions(t, g, "sim-xavier", userNet(6), shedMinSamples-1)
+	w := warmExecutions(t, g, "sim-xavier", userNet(6), shedMinSamples-1)
 	if _, samples := g.Planner().WarmQuantile(0.99); samples != shedMinSamples-1 {
 		t.Fatalf("warm-up left %d warm executions, want %d", samples, shedMinSamples-1)
 	}
@@ -435,9 +498,11 @@ func TestGatewayShedActivatesAtWarmThreshold(t *testing.T) {
 		t.Fatalf("warm_p99_ms %v below the threshold, want 0", p99)
 	}
 
-	tiny := graphBody(t, userNet(6), 0.35, `,"budget_ms":0.000001`)
+	const tiny = `,"budget_ms":0.000001`
+	admitted := w.body(tiny)
 	execs := g.Planner().Executions()
-	if rec := post(g, tiny); rec.Code != http.StatusOK {
+	rec := post(g, admitted)
+	if rec.Code != http.StatusOK {
 		t.Fatalf("tiny budget below the threshold: status %d: %s", rec.Code, rec.Body.String())
 	}
 	if got := g.Planner().Executions(); got != execs+1 {
@@ -450,13 +515,17 @@ func TestGatewayShedActivatesAtWarmThreshold(t *testing.T) {
 		t.Fatalf("warm_p99_ms %v at the threshold, want a positive estimate", p99)
 	}
 
+	w.advance(rec.Body.Bytes())
 	execs = g.Planner().Executions()
-	rec := post(g, tiny)
+	rec = post(g, w.body(tiny))
 	if rec.Code != http.StatusTooManyRequests || errCode(t, rec) != "budget_too_small" {
 		t.Fatalf("tiny budget at the threshold: status %d: %s", rec.Code, rec.Body.String())
 	}
+	if rec := post(g, admitted); rec.Code != http.StatusOK {
+		t.Fatalf("resident tiny-budget request at the threshold: status %d: %s", rec.Code, rec.Body.String())
+	}
 	if got := g.Planner().Executions(); got != execs {
-		t.Fatalf("shed request consumed planner work: executions %d -> %d", execs, got)
+		t.Fatalf("shed and resident requests consumed planner work: executions %d -> %d", execs, got)
 	}
 }
 
@@ -789,11 +858,13 @@ func TestGatewayDevicesEndpoint(t *testing.T) {
 // TestGatewayCrossDeviceIsolation pins the tentpole acceptance
 // criterion through the HTTP surface: the same graph planned on two
 // targets yields different measured latencies from independent cache
-// entries; a repeat per target is a warm byte-identical hit.
+// entries; a repeat per target is a byte-identical resident answer, and
+// lane work on the next step of the target's staircase is a warm
+// per-target measurement-cache hit.
 func TestGatewayCrossDeviceIsolation(t *testing.T) {
 	cfg := quickConfig(23)
-	// Asserts per-target measurement-cache hits on repeats — the
-	// planner's own warm path, which the byte cache short-circuits.
+	// The repeat must reach the resident gate, which the byte cache
+	// would answer first.
 	cfg.ByteCacheCap = -1
 	g, err := New(cfg)
 	if err != nil {
@@ -834,14 +905,26 @@ func TestGatewayCrossDeviceIsolation(t *testing.T) {
 	if pa.Executions() != 1 || pb.Executions() != 1 {
 		t.Fatalf("executions %d/%d, want 1/1", pa.Executions(), pb.Executions())
 	}
-	// Repeats are warm per-target hits with byte-identical bodies.
-	hits := pa.Stats().Measurements.Hits
+	// Repeats are resident per-target answers with byte-identical
+	// bodies.
 	recA2 := post(g, body("sim-xavier"))
 	if !bytes.Equal(stripped(recA2.Body.Bytes()), stripped(recA.Body.Bytes())) {
 		t.Fatalf("repeat on one target diverged:\n%s\n%s", recA2.Body.String(), recA.Body.String())
 	}
+	if pa.Executions() != 1 || pb.Executions() != 1 {
+		t.Fatalf("repeat cost executions %d/%d, want 1/1", pa.Executions(), pb.Executions())
+	}
+	// The next step down is lane work on the warm per-target path.
+	hits := pa.Stats().Measurements.Hits
+	next := graphBody(t, userNet(0), ra.EstimatedMs*(1-1e-9), `,"target":"sim-xavier"`)
+	if rec := post(g, next); rec.Code != http.StatusOK {
+		t.Fatalf("next step: %d: %s", rec.Code, rec.Body.String())
+	}
+	if pa.Executions() != 2 {
+		t.Fatalf("next step: executions %d, want 2", pa.Executions())
+	}
 	if pa.Stats().Measurements.Hits <= hits {
-		t.Fatal("repeat on one target missed its measurement cache")
+		t.Fatal("lane work on one target missed its measurement cache")
 	}
 }
 
@@ -926,10 +1009,10 @@ func TestGatewayAutoShedsOnlyWhenNoDeviceQualifies(t *testing.T) {
 // TestGatewayCoalescesStaggeredBurstOnDefaultConfig pins that socket-
 // staggered identical requests cost one planner pass per burst with
 // the byte cache on and nothing held open: admission checks the byte
-// cache and then the in-flight map under one lock, and a pass caches
-// its body before it leaves the in-flight map, so every straggler
-// either joins the pass or hits its body. Each burst carries a fresh
-// deadline, so its leader is a byte-cache miss.
+// cache, the staircase and then the in-flight map under one lock, and
+// a pass caches its body before it leaves the in-flight map, so every
+// straggler either joins the pass or hits its body. Each burst is the
+// next step of a staircase walk, so its leader is lane work.
 func TestGatewayCoalescesStaggeredBurstOnDefaultConfig(t *testing.T) {
 	const bursts, k = 8, 16
 	g, err := New(quickConfig(37))
@@ -943,9 +1026,10 @@ func TestGatewayCoalescesStaggeredBurstOnDefaultConfig(t *testing.T) {
 		body []byte
 	}
 	execs := g.Planner().Executions()
+	w := newStairWalk(t, g, "sim-xavier", userNet(1))
 	var first []byte
 	for b := 0; b < bursts; b++ {
-		body := graphBody(t, userNet(1), 0.35+float64(b)*1e-3, "")
+		body := w.body("")
 		start := make(chan struct{})
 		results := make(chan result, k)
 		for i := 0; i < k; i++ {
@@ -975,13 +1059,14 @@ func TestGatewayCoalescesStaggeredBurstOnDefaultConfig(t *testing.T) {
 		if first == nil {
 			first = burstBody
 		}
+		w.advance(burstBody)
 	}
 	// Coalescing and cache hits never change bytes.
 	solo, err := serve.New(serve.Config{Seed: 37, Protocol: quickProto})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := solo.Select(serve.Request{Graph: userNet(1), DeadlineMs: 0.35, Estimator: "profiler"})
+	want, err := solo.Select(serve.Request{Graph: userNet(1), DeadlineMs: walkTopMs, Estimator: "profiler"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1007,9 +1092,10 @@ func TestGatewayAutoCoalescesBeforeShedding(t *testing.T) {
 	}
 	defer mustShutdown(t, g)
 
-	body := graphBody(t, userNet(5), 0.35, "")
 	// Warm the only device so its estimate is active (and positive).
-	warmExecutions(t, g, "sim-xavier", userNet(5), shedMinSamples)
+	w := warmExecutions(t, g, "sim-xavier", userNet(5), shedMinSamples)
+	// The leader must be lane work, not a resident answer.
+	body := w.body("")
 	// Sanity: with nothing in flight, the impossible budget sheds.
 	if rec := post(g, graphBody(t, userNet(5), 0.35, `,"target":"auto","budget_ms":0.000001`)); rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("idle impossible-budget auto request: %d", rec.Code)
@@ -1030,7 +1116,7 @@ func TestGatewayAutoCoalescesBeforeShedding(t *testing.T) {
 	execs := g.Planner().Executions()
 	joinedCh := make(chan *httptest.ResponseRecorder, 1)
 	go func() {
-		joinedCh <- post(g, graphBody(t, userNet(5), 0.35, `,"target":"auto","budget_ms":0.000001`))
+		joinedCh <- post(g, w.body(`,"target":"auto","budget_ms":0.000001`))
 	}()
 	deadline := time.Now().Add(5 * time.Second)
 	for g.coalesced.Value() == 0 {

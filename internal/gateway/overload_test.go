@@ -475,16 +475,11 @@ func TestFaultDegradedBudgetAndFleetDown(t *testing.T) {
 	}
 	defer mustShutdown(t, g)
 
-	// Warm the histogram so budget shedding activates, and keep the
-	// unbudgeted body as the byte-identity reference.
-	warmExecutions(t, g, "sim-xavier", userNet(0), shedMinSamples)
-	rec := post(g, graphBody(t, userNet(0), 0.35, ""))
-	if rec.Code != http.StatusOK {
-		t.Fatal(rec.Body.String())
-	}
-	want := stripped(rec.Body.Bytes())
-
-	if rec = post(g, graphBody(t, userNet(0), 0.35, `,"budget_ms":0.000001`)); rec.Code != http.StatusTooManyRequests ||
+	// Warm the histogram so budget shedding activates. Each budgeted
+	// request below is the walk's next step, lane work: a resident
+	// answer would beat the shed, and so need no fallback.
+	w := warmExecutions(t, g, "sim-xavier", userNet(0), shedMinSamples)
+	if rec := post(g, w.body(`,"budget_ms":0.000001`)); rec.Code != http.StatusTooManyRequests ||
 		errCode(t, rec) != "budget_too_small" {
 		t.Fatalf("unflagged tiny budget: status %d code %q", rec.Code, errCode(t, rec))
 	}
@@ -494,7 +489,7 @@ func TestFaultDegradedBudgetAndFleetDown(t *testing.T) {
 		`,"target":"sim-xavier","budget_ms":0.000001,"allow_degraded":true`,
 		`,"target":"auto","budget_ms":0.000001,"allow_degraded":true`,
 	} {
-		rec := post(g, graphBody(t, userNet(0), 0.35, spelling))
+		rec := post(g, w.body(spelling))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("degraded budget fallback %q: status %d: %s", spelling, rec.Code, rec.Body.String())
 		}
@@ -505,9 +500,15 @@ func TestFaultDegradedBudgetAndFleetDown(t *testing.T) {
 		if !resp.Degraded || resp.DegradedReason != degradedBudget || resp.Device != "sim-xavier" {
 			t.Fatalf("fallback %q: device %q degraded=%v reason %q", spelling, resp.Device, resp.Degraded, resp.DegradedReason)
 		}
-		if !bytes.Equal(StripDegraded(stripped(rec.Body.Bytes())), want) {
+		// The byte-identity reference: the unbudgeted spelling.
+		ref := post(g, w.body(""))
+		if ref.Code != http.StatusOK {
+			t.Fatal(ref.Body.String())
+		}
+		if want := stripped(ref.Body.Bytes()); !bytes.Equal(StripDegraded(stripped(rec.Body.Bytes())), want) {
 			t.Fatalf("degraded budget body diverged from the unbudgeted spelling:\n%s\nwant %s", rec.Body.Bytes(), want)
 		}
+		w.advance(ref.Body.Bytes())
 	}
 	if g.degradedServed.Value() != 3 {
 		t.Fatalf("degraded counter %d, want 3", g.degradedServed.Value())
@@ -527,7 +528,7 @@ func TestFaultDegradedBudgetAndFleetDown(t *testing.T) {
 	}
 	defer mustShutdown(t, g2)
 	tripDevice(t, g2, 6, "sim-xavier")
-	rec = post(g2, graphBody(t, userNet(1), 0.35, `,"allow_degraded":true`))
+	rec := post(g2, graphBody(t, userNet(1), 0.35, `,"allow_degraded":true`))
 	if rec.Code != http.StatusServiceUnavailable || errCode(t, rec) != "no_healthy_device" {
 		t.Fatalf("fleet down with allow_degraded: status %d code %q", rec.Code, errCode(t, rec))
 	}

@@ -48,6 +48,7 @@ const (
 	stageRoute      = "route"      // target resolution; verdict is the resolved device
 	stageHealth     = "health"     // device-health gate
 	stageByteCache  = "bytecache"  // rendered-response cache; verdict hit/miss
+	stageResident   = "resident"   // planner staircase lookup; verdict hit/miss
 	stageCoalesce   = "coalesce"   // verdict leader/follower
 	stageShed       = "shed"       // budget/overload shed gate
 	stageDegraded   = "degraded"   // allow_degraded fallback; verdict is the reason

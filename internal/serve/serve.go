@@ -211,6 +211,11 @@ type Planner struct {
 	// Zoo names are bound to the calibrated networks at construction.
 	names sync.Map // name -> graph fingerprint (uint64)
 
+	// stairs holds the answer staircases (staircase.go), one per
+	// (name, structure, estimator), bounded like the per-structure
+	// profiler tables.
+	stairs *lru.Cache[stairKey, *stairs]
+
 	requests atomic.Uint64
 
 	// tel is the optional telemetry surface, set by Instrument. It is
@@ -251,7 +256,8 @@ func New(cfg Config) (*Planner, error) {
 		trim.SetCutCacheCap(capOrDefault(cfg.CutCacheCap, trim.DefaultCutCacheCap))
 	}
 	sim := transfer.NewSimulator(cfg.Seed)
-	p := &Planner{cfg: cfg, dev: dev, prof: prof, sim: sim}
+	p := &Planner{cfg: cfg, dev: dev, prof: prof, sim: sim,
+		stairs: lru.New[stairKey, *stairs](capOrDefault(cfg.TableCacheCap, profiler.DefaultTableCacheCap))}
 	p.rt = core.RetrainerFunc(func(t *trim.TRN) (core.TrainResult, error) {
 		r, err := sim.Retrain(t)
 		return core.TrainResult{Accuracy: r.Accuracy, TrainHours: r.TrainHours}, err
@@ -318,14 +324,11 @@ func (p *Planner) Select(req Request) (*Response, error) {
 	// An unknown estimator is rejected before any planner work. The
 	// profiler estimator reads g's own per-layer table, which the
 	// measure phase builds together with the measurement.
-	var profiled bool
-	switch req.Estimator {
-	case "", "profiler":
-		profiled = true
-	case "analytical", "linear":
-	default:
+	kind, ok := estimatorKind(req.Estimator)
+	if !ok {
 		return nil, fmt.Errorf("serve: unknown estimator %q", req.Estimator)
 	}
+	profiled := kind == "profiler"
 	// Admission: one name, one structure (see the names field), bound
 	// only by a request that passed every check above. The
 	// fingerprint-equal path is the common repeated-request case.
@@ -385,37 +388,34 @@ func (p *Planner) Select(req Request) (*Response, error) {
 	}
 	phase("measure")
 
-	est, err := p.estimator(req.Estimator, g, cand.MeasuredMs, tbl)
-	if err != nil {
-		return nil, err
+	// Algorithm 1 runs on the graph's answer staircase (staircase.go):
+	// the estimator is resolved only when the deadline falls past the
+	// explored prefix, and the loop resumes where earlier requests left
+	// it. A prefix only grows, so a staircase that was long enough here
+	// still is inside climb.
+	st := p.staircase(stairKey{name: g.Name, print: print, estimator: kind}, cand.MeasuredMs, g.BlockCount())
+	var est estimate.Estimator
+	if st.cur.Load().short(deadline) {
+		if est, err = p.estimator(kind, g, cand.MeasuredMs, tbl); err != nil {
+			return nil, err
+		}
 	}
 	phase("estimate")
 
-	res, err := core.Explore([]core.Candidate{cand}, deadline, est, p.rt, p.cfg.Head)
+	a, err := p.climb(st, cand, deadline, est)
 	if err != nil {
 		return nil, err
 	}
-	phase("explore")
-	if res.Best == nil {
-		record()
-		return &Response{Device: p.cfg.Device.Name, Parent: g.Name}, nil
+	resp := a.resp
+	if resp.Feasible {
+		// The staircase holds no TRN; the cut cache does.
+		if resp.TRN, err = trim.Cut(g, resp.BlocksRemoved, p.cfg.Head); err != nil {
+			return nil, err
+		}
 	}
-	best := res.Best
+	phase("explore")
 	record()
-	return &Response{
-		Device:        p.cfg.Device.Name,
-		Feasible:      true,
-		Network:       best.TRN.Name(),
-		Parent:        g.Name,
-		BlocksRemoved: best.Cutpoint,
-		LayersRemoved: best.TRN.LayersRemoved,
-		EstimatedMs:   best.EstimateMs,
-		MeasuredMs:    p.dev.LatencyMs(best.TRN.Graph),
-		Accuracy:      best.Accuracy,
-		TrainHours:    best.TrainHours,
-		Iterations:    best.Iterations,
-		TRN:           best.TRN,
-	}, nil
+	return &resp, nil
 }
 
 // Candidate builds the Algorithm-1 input for g: its measured latency on
@@ -567,6 +567,7 @@ type Stats struct {
 	Measurements lru.Stats // profiler end-to-end measurements
 	Tables       lru.Stats // profiler per-layer tables
 	Cuts         lru.Stats // process-wide TRN cut cache
+	Staircases   lru.Stats // answer staircases
 }
 
 // Instrument threads the planner and every cache layer under it into a
@@ -632,5 +633,6 @@ func (p *Planner) Stats() Stats {
 		Measurements: m,
 		Tables:       t,
 		Cuts:         trim.CutCacheStats(),
+		Staircases:   p.stairs.Stats(),
 	}
 }

@@ -33,7 +33,7 @@ if "$BIN" -addr "not-a-valid-address" >/dev/null 2>&1; then
 fi
 
 STATE="$TMP/state.bin"
-# -byte-cache 0 for this leg: it exercises the planner's own warm path
+# -byte-cache 0 for this leg: it exercises resident staircase answers
 # and the shed predicate with repeated identical requests, which the
 # rendered-response cache would otherwise answer outright (the dedicated
 # byte-cache leg at the end runs with the cache on).
@@ -62,7 +62,8 @@ plan() { curl -s -o "$1" -w '%{http_code}' -X POST -d "$2" "http://$ADDR/v1/plan
 canon() { sed 's/,"trace_id":"[0-9a-f]\{16\}"//' "$1"; }
 same() { [ "$(canon "$1")" = "$(canon "$2")" ]; }
 
-# Cold then warm request (the repeat runs on the planner's warm path).
+# Cold request, then its repeat: a resident answer from the planner's
+# staircase, on the handler goroutine.
 [ "$(plan "$TMP/cold.json" '{"network":"ResNet-50","deadline_ms":0.9}')" = 200 ]
 [ "$(plan "$TMP/warm.json" '{"network":"ResNet-50","deadline_ms":0.9}')" = 200 ]
 same "$TMP/cold.json" "$TMP/warm.json" || {
@@ -113,20 +114,42 @@ grep -q '"code":"unknown_device"' "$TMP/unknown_dev.json"
 
 # Shed path: a budget below the warm p99 must be rejected up front.
 # Budget shedding activates once the default device has served enough
-# warm executions, which /v1/devices shows as a nonzero warm_p99_ms;
-# with the byte cache off each distinct-deadline request runs one.
+# warm executions, which /v1/devices shows as a nonzero warm_p99_ms. A
+# deadline on a step of a network's answer staircase that a request
+# already accepted is a resident answer, not a planner pass, so the
+# warm-up walks staircases down: each request asks just under the last
+# answer's estimated_ms, a step no request has accepted yet, and an
+# infeasible answer moves the walk to the next network. The budget
+# probe is the walk's next step, so nothing resident can answer it.
 shed_active() {
   curl -fsS "http://$ADDR/v1/devices" |
     python3 -c 'import json,sys; print(int(json.load(sys.stdin)["devices"][0]["warm_p99_ms"] > 0))'
+}
+WALK=("ResNet-50" "DenseNet-121" "InceptionV3")
+WALK_TOP=1000000 # a deadline every unmodified network meets
+NET=0
+DL=$WALK_TOP
+walk_body() {
+  [ "$NET" -lt "${#WALK[@]}" ] || { echo "FAIL: the warm-up walk ran out of networks" >&2; exit 1; }
+  printf '{"network":"%s","deadline_ms":%s%s}' "${WALK[$NET]}" "$DL" "${1:-}"
 }
 WARM=0
 while [ "$(shed_active)" = 0 ]; do
   WARM=$((WARM + 1))
   [ "$WARM" -le 999 ] || { echo "FAIL: warm_p99_ms still 0 after 999 warm-up requests" >&2; exit 1; }
-  [ "$(plan "$TMP/warmup.json" "{\"network\":\"ResNet-50\",\"deadline_ms\":1.$((1000 + WARM))}")" = 200 ] || {
+  BODY="$(walk_body)"
+  [ "$(plan "$TMP/warmup.json" "$BODY")" = 200 ] || {
     echo "FAIL: shed warm-up request $WARM failed" >&2; cat "$TMP/warmup.json" >&2; exit 1; }
+  NEXT="$(python3 -c 'import json,sys; r=json.load(open(sys.argv[1])); print(repr(r["estimated_ms"]*(1-1e-9)) if r["feasible"] else "")' "$TMP/warmup.json")"
+  if [ -n "$NEXT" ]; then
+    DL="$NEXT"
+  else
+    NET=$((NET + 1))
+    DL=$WALK_TOP
+  fi
 done
-[ "$(plan "$TMP/shed.json" '{"network":"ResNet-50","deadline_ms":0.9,"budget_ms":0.000001}')" = 429 ]
+BODY="$(walk_body ',"budget_ms":0.000001')"
+[ "$(plan "$TMP/shed.json" "$BODY")" = 429 ]
 grep -q '"code":"budget_too_small"' "$TMP/shed.json"
 
 # Decode boundary: malformed JSON is a structured 400.
@@ -168,9 +191,10 @@ python3 -c 'import json,sys; d=json.load(open(sys.argv[1])); assert "metrics" in
 # Request tracing, end to end: a fresh request's response names its
 # trace in the X-Netcut-Trace header and the body's trace_id field;
 # fetching that ID from /debug/trace returns the per-stage timeline
-# with queue-wait and execution as separate spans.
+# with queue-wait and execution as separate spans. The request is the
+# shed probe's step without a budget: lane work, not a resident answer.
 curl -s -D "$TMP/trace.hdr" -o "$TMP/trace.json" -X POST \
-  -d '{"network":"ResNet-50","deadline_ms":0.9}' "http://$ADDR/v1/plan" >/dev/null
+  -d "$(walk_body)" "http://$ADDR/v1/plan" >/dev/null
 TRACE_ID="$(tr -d '\r' <"$TMP/trace.hdr" | awk -F': ' 'tolower($1)=="x-netcut-trace"{print $2}')"
 echo "$TRACE_ID" | grep -Eq '^[0-9a-f]{16}$' || {
   echo "FAIL: X-Netcut-Trace header is not a 16-hex trace ID: '$TRACE_ID'" >&2; exit 1; }
@@ -185,7 +209,7 @@ t = traces[0]
 assert t["trace_id"] == sys.argv[2] and t["done"] and t["status"] == 200, t
 spans = {s["stage"]: s for s in t["spans"]}
 for stage in ("decode", "drain", "quarantine", "route", "health",
-              "bytecache", "coalesce", "shed", "enqueue",
+              "bytecache", "resident", "coalesce", "shed", "enqueue",
               "queue_wait", "exec", "deliver"):
     assert stage in spans, f"trace missing {stage} span: {sorted(spans)}"
 assert spans["queue_wait"]["start_ms"] <= spans["exec"]["start_ms"], \
@@ -357,7 +381,9 @@ PID=""
 
 # Byte-cache leg: a default-configuration daemon (cache on) must serve
 # the second of two identical requests from the rendered-response cache
-# — the hit counter moves and the body stays byte-identical.
+# — the hit counter moves and the body stays byte-identical — and a
+# third request at another deadline on the same staircase step (the
+# first answer's own estimate) as a resident answer with the same body.
 "$BIN" -addr "$ADDR" -seed 1 >"$TMP/netserve5.log" 2>&1 &
 PID=$!
 for _ in $(seq 1 50); do
@@ -374,7 +400,14 @@ done
 [ "$(plan "$TMP/bc2.json" '{"network":"ResNet-50","deadline_ms":0.9}')" = 200 ]
 same "$TMP/bc1.json" "$TMP/bc2.json" || {
   echo "FAIL: byte-cache hit body diverged from the executed body" >&2; exit 1; }
+STEP_DL="$(python3 -c 'import json,sys; print(repr(json.load(open(sys.argv[1]))["estimated_ms"]))' "$TMP/bc1.json")"
+[ "$(plan "$TMP/bc3.json" "{\"network\":\"ResNet-50\",\"deadline_ms\":$STEP_DL}")" = 200 ]
+same "$TMP/bc1.json" "$TMP/bc3.json" || {
+  echo "FAIL: resident answer body diverged from the executed body" >&2; exit 1; }
 curl -fsS "http://$ADDR/metrics" >"$TMP/metrics4"
+grep -Eq '^netcut_gateway_resident_total\{device="sim-xavier"\} 1$' "$TMP/metrics4" || {
+  echo "FAIL: a deadline on an accepted step was not a resident answer" >&2
+  grep '^netcut_gateway_resident' "$TMP/metrics4" >&2; exit 1; }
 grep -Eq '^netcut_gateway_bytecache_hits_total [1-9]' "$TMP/metrics4" || {
   echo "FAIL: second identical request was not a bytecache hit" >&2
   grep '^netcut_gateway_bytecache' "$TMP/metrics4" >&2; exit 1; }
@@ -419,7 +452,8 @@ PID=""
 OV_POSTERS=24
 OV_BODIES=40 # per poster
 mkdir -p "$TMP/cold"
-go run ./scripts/coldbodies -n $((OV_POSTERS * OV_BODIES)) -out "$TMP/cold"
+OV_PROBES=50 # never-seen bodies for the shed probe below
+go run ./scripts/coldbodies -n $((OV_POSTERS * OV_BODIES + OV_PROBES)) -out "$TMP/cold"
 "$BIN" -addr "$ADDR" -seed 1 -devices sim-xavier -queue 4 -workers 1 -overload-interval 50ms >"$TMP/netserve6.log" 2>&1 &
 PID=$!
 for _ in $(seq 1 50); do
@@ -471,13 +505,15 @@ done
 same "$TMP/ov_hit.json" "$TMP/ov_hit2.json" || {
   echo "FAIL: byte-cache hit body diverged under overload" >&2; exit 1; }
 
-# Probe the shed path directly: retry until a rejection lands (the
-# queue empties between waves), then require a structured 429 with a
-# backlog-honest Retry-After header and hint.
+# Probe the shed path directly with never-seen graphs (lane work: a
+# resident answer or a cached body would be served through the
+# overload): retry until a rejection lands (the queue empties between
+# waves), then require a structured 429 with a backlog-honest
+# Retry-After header and hint.
 SHED_OK=0
-for i in $(seq 1 50); do
+for i in $(seq 1 $OV_PROBES); do
   CODE="$(curl -s -D "$TMP/ov_shed.hdr" -o "$TMP/ov_shed.json" -w '%{http_code}' -X POST \
-    -d "{\"network\":\"ResNet-50\",\"deadline_ms\":0.8$((900 + i))}" "http://$ADDR/v1/plan")"
+    --data-binary "@$TMP/cold/$((OV_POSTERS * OV_BODIES + i - 1)).json" "http://$ADDR/v1/plan")"
   if [ "$CODE" = 429 ]; then
     grep -Eq '"code":"(queue_full|overload_shed)"' "$TMP/ov_shed.json" || {
       echo "FAIL: overload 429 carried unexpected code" >&2; cat "$TMP/ov_shed.json" >&2; exit 1; }
