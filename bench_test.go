@@ -565,27 +565,26 @@ func runGatewayThroughput(b *testing.B, gw *Gateway) {
 
 // BenchmarkGatewayCoalescedBurst measures the acceptance-criterion load
 // shape: bursts of identical concurrent requests. The exec/burst metric
-// is the telemetry-counted planner executions per burst. With the byte
-// cache off, every post-warm-up request is a resident answer from the
-// step the warm-up accepted, so it reads 0 and no burst reaches the
-// coalescing of lane work (one execution per burst of lane work is
-// pinned by the gateway coalescing tests).
+// is the telemetry-counted planner executions per burst. Each burst
+// posts a never-seen graph (coldNet), so its first request is lane
+// work, a cold plan, and the rest coalesce onto it or, once it has
+// finished, get the step it accepted as a resident answer: exec/burst
+// reads about 1. The byte cache is off so
+// that late arrivals are priced as resident answers, not cache hits.
 func BenchmarkGatewayCoalescedBurst(b *testing.B) {
 	const burst = 16
-	// The byte cache would answer every post-warm-up request before the
-	// staircase could.
 	gw := newBenchGatewayCfg(b, GatewayConfig{
 		Planner:      PlannerConfig{Seed: 1},
 		ByteCacheCap: -1,
 	})
-	body := `{"network":"ResNet-50","deadline_ms":0.9}`
-	if err := benchGatewayPost(gw, body); err != nil { // warm
+	if err := benchGatewayPost(gw, `{"network":"ResNet-50","deadline_ms":0.9}`); err != nil { // warm
 		b.Fatal(err)
 	}
 	execsBefore := gw.Planner().Executions()
 	var failed atomic.Pointer[error]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		body := coldBody(b, i)
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		for j := 0; j < burst; j++ {
@@ -641,10 +640,9 @@ func BenchmarkPlannerPoolWarmAcrossDevices(b *testing.B) {
 // BenchmarkGatewayCoalescedBurstStaggered is the burst benchmark under
 // socket-staggered arrivals: the 16 requests of each burst start ~50 µs
 // apart instead of simultaneously, on the default configuration. Each
-// burst carries a fresh deadline, so its first request misses the byte
-// cache; the deadline lands on the staircase step the warm-up accepted,
-// so the first request is a resident answer and the stragglers hit its
-// cached body. exec/burst therefore reads 0: no burst reaches a lane.
+// burst posts a never-seen graph (coldNet), so its first request is
+// lane work whose cold plan outlasts the 750 µs stagger: the stragglers
+// coalesce onto it, and exec/burst reads 1.0.
 func BenchmarkGatewayCoalescedBurstStaggered(b *testing.B) {
 	const burst = 16
 	gw := newBenchGateway(b)
@@ -655,7 +653,7 @@ func BenchmarkGatewayCoalescedBurstStaggered(b *testing.B) {
 	var failed atomic.Pointer[error]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		body := fmt.Sprintf(`{"network":"ResNet-50","deadline_ms":%g}`, 0.9+float64(i+1)*1e-6)
+		body := coldBody(b, i)
 		start := make(chan struct{})
 		var wg sync.WaitGroup
 		for j := 0; j < burst; j++ {
@@ -703,6 +701,15 @@ func coldNet(i int) *Graph {
 	x = b.Dense(x, 8)
 	b.Softmax(x)
 	return b.MustFinish()
+}
+
+// coldBody is a request posting coldNet(i) at the default device.
+func coldBody(b *testing.B, i int) string {
+	wire, err := json.Marshal(gateway.EncodeGraph(coldNet(i)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return fmt.Sprintf(`{"graph":%s,"deadline_ms":0.35}`, wire)
 }
 
 // BenchmarkGatewayLaneIsolation measures head-of-line isolation across

@@ -17,8 +17,11 @@ import (
 // safely run (the property the graph-package fuzzers pin for Validate
 // acceptances). Whenever the single-pass parser accepts a body, its
 // decode must equal encoding/json's, so the fast path can never change
-// what a request means.
+// what a request means. Each input is decoded right after a large
+// graph body, so it meets the scratch that body left in the pool, and
+// the result must equal a decode on fresh scratch.
 func FuzzDecodeRequest(f *testing.F) {
+	large := wireBody(f, EncodeGraph(benchGraph(14)))
 	// Well-formed seeds: zoo shorthand, a full encoded user graph, and
 	// each knob exercised.
 	f.Add([]byte(`{"network":"ResNet-50","deadline_ms":0.9}`))
@@ -55,7 +58,14 @@ func FuzzDecodeRequest(f *testing.F) {
 				t.Fatalf("fast path decode diverges from encoding/json:\n fast %+v\n json %+v", fast, ref)
 			}
 		}
+		if _, aerr := decodeRequest(bytes.NewReader(large)); aerr != nil {
+			t.Fatalf("the large body: %v", aerr)
+		}
 		dec, aerr := decodeRequest(bytes.NewReader(data))
+		fresh, freshErr := new(wireParser).decode(bytes.NewReader(data))
+		if !reflect.DeepEqual(dec, fresh) || !reflect.DeepEqual(aerr, freshErr) {
+			t.Fatalf("pooled decode differs from a fresh one:\n pooled %+v %v\n fresh  %+v %v", dec, aerr, fresh, freshErr)
+		}
 		if aerr != nil {
 			if aerr.status < 400 || aerr.status > 499 {
 				t.Fatalf("decode rejection with non-4xx status %d", aerr.status)

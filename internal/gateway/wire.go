@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"sync"
 	"unicode/utf8"
+	"unsafe"
 
 	"netcut/internal/graph"
 	"netcut/internal/serve"
@@ -408,6 +409,10 @@ func EncodeGraph(g *graph.Graph) *GraphWire {
 // rejects what Validate cannot see from the assembled struct (unknown
 // operator names, bad pad modes, node-count mismatches that would
 // otherwise panic during assembly).
+//
+// The graph takes over w's node Inputs and block Nodes slices instead
+// of copying them (empty ones become nil): both decoders allocate them
+// fresh for each request, and w is dropped once the graph is built.
 func decodeGraph(w *GraphWire) (*graph.Graph, *apiError) {
 	if w.Name == "" {
 		return nil, errf(http.StatusBadRequest, "invalid_graph", "graph: missing name")
@@ -416,8 +421,9 @@ func decodeGraph(w *GraphWire) (*graph.Graph, *apiError) {
 		Name:       w.Name,
 		InputShape: w.Input.shape(),
 		NumClasses: w.NumClasses,
-		Nodes:      make([]*graph.Node, 0, len(w.Nodes)),
+		Nodes:      make([]*graph.Node, len(w.Nodes)),
 	}
+	slab := make([]graph.Node, len(w.Nodes))
 	for i := range w.Nodes {
 		nw := &w.Nodes[i]
 		kind, ok := graph.ParseOpKind(nw.Kind)
@@ -432,11 +438,12 @@ func decodeGraph(w *GraphWire) (*graph.Graph, *apiError) {
 		if nw.Block != nil {
 			block = *nw.Block
 		}
-		n := &graph.Node{
+		n := &slab[i]
+		*n = graph.Node{
 			ID:          nw.ID,
 			Name:        nw.Name,
 			Kind:        kind,
-			Inputs:      append([]int(nil), nw.Inputs...),
+			Inputs:      nilIfEmpty(nw.Inputs),
 			Out:         nw.Out.shape(),
 			KH:          nw.KH,
 			KW:          nw.KW,
@@ -452,13 +459,16 @@ func decodeGraph(w *GraphWire) (*graph.Graph, *apiError) {
 		if nw.In != nil {
 			n.In = nw.In.shape()
 		}
-		g.Nodes = append(g.Nodes, n)
+		g.Nodes[i] = n
+	}
+	if len(w.Blocks) > 0 {
+		g.Blocks = make([]graph.Block, 0, len(w.Blocks))
 	}
 	for _, bw := range w.Blocks {
 		g.Blocks = append(g.Blocks, graph.Block{
 			Index:  bw.Index,
 			Label:  bw.Label,
-			Nodes:  append([]int(nil), bw.Nodes...),
+			Nodes:  nilIfEmpty(bw.Nodes),
 			Output: bw.Output,
 		})
 	}
@@ -466,6 +476,13 @@ func decodeGraph(w *GraphWire) (*graph.Graph, *apiError) {
 		return nil, errf(http.StatusBadRequest, "invalid_graph", "%v", err)
 	}
 	return g, nil
+}
+
+func nilIfEmpty(s []int) []int {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
 }
 
 // zooCache shares one graph instance per calibrated name across all
@@ -523,15 +540,32 @@ type coalesceKey struct {
 	estimator string
 }
 
+// parserPool recycles decodeRequest's read buffer and wire scratch, so
+// a canonical graph body allocates little beyond the graph it returns.
+// Reuse is safe because no decoded value aliases either: wireParser.str
+// and encoding/json both copy strings out of the body, int lists are
+// copied out of the ints scratch, and decodeGraph reads the node and
+// block scratch by value. release clears that scratch before pooling,
+// so a pooled parser holds nothing of the request it served.
+var parserPool = sync.Pool{New: func() any { return new(wireParser) }}
+
 // decodeRequest parses and validates one request body. It never panics
 // on arbitrary input (fuzzed), and everything it accepts is safe to
 // hand to the planner. The body is read whole first, so a body over the
 // http.MaxBytesReader limit is 413 wherever it would have turned
-// malformed. Canonical bodies then take parseRequest's single pass;
+// malformed. Canonical bodies then take the parser's single pass;
 // anything else goes to decodeRequestJSON over the same bytes.
 func decodeRequest(body io.Reader) (*decodedRequest, *apiError) {
-	data, err := io.ReadAll(body)
-	if err != nil {
+	p := parserPool.Get().(*wireParser)
+	defer p.release()
+	return p.decode(body)
+}
+
+// decode is decodeRequest on this parser's buffer and scratch.
+func (p *wireParser) decode(body io.Reader) (*decodedRequest, *apiError) {
+	buf := bytes.NewBuffer(p.b[:0])
+	_, err := buf.ReadFrom(body)
+	if p.b = buf.Bytes(); err != nil {
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
 			return nil, errf(http.StatusRequestEntityTooLarge, "body_too_large",
@@ -540,9 +574,9 @@ func decodeRequest(body io.Reader) (*decodedRequest, *apiError) {
 		return nil, errf(http.StatusBadRequest, "invalid_json", "decoding request: %v", err)
 	}
 	var wire PlanRequestWire
-	if !parseRequest(data, &wire) {
+	if !p.request(&wire) {
 		wire = PlanRequestWire{}
-		if aerr := decodeRequestJSON(data, &wire); aerr != nil {
+		if aerr := decodeRequestJSON(p.b, &wire); aerr != nil {
 			return nil, aerr
 		}
 	}
@@ -639,6 +673,12 @@ func decodeRequestJSON(data []byte, wire *PlanRequestWire) *apiError {
 // caller decodes with encoding/json instead.
 func parseRequest(data []byte, w *PlanRequestWire) bool {
 	p := wireParser{b: data}
+	return p.request(w)
+}
+
+// request is parseRequest over p.b, into p's node and block scratch.
+func (p *wireParser) request(w *PlanRequestWire) bool {
+	p.i = 0
 	p.ws()
 	if !p.object(func(key []byte) uint32 {
 		switch string(key) {
@@ -673,6 +713,28 @@ type wireParser struct {
 	b    []byte
 	i    int
 	ints []int // scratch for int arrays, copied out at their length
+	// nodes and blocks back the decoded GraphWire's Nodes and Blocks,
+	// so they are valid only until the parser is reused.
+	nodes  []NodeWire
+	blocks []BlockWire
+}
+
+// release clears p's scratch and returns p to parserPool. A parser
+// whose buffer or scratch grew past DefaultMaxBodyBytes is left to the
+// collector, so the pool never pins an outsized request's memory.
+func (p *wireParser) release() {
+	clear(p.nodes)
+	clear(p.blocks)
+	if outsized(p.b) || outsized(p.ints) || outsized(p.nodes) || outsized(p.blocks) {
+		return
+	}
+	p.b, p.i, p.ints, p.nodes, p.blocks = p.b[:0], 0, p.ints[:0], p.nodes[:0], p.blocks[:0]
+	parserPool.Put(p)
+}
+
+func outsized[T any](s []T) bool {
+	var zero T
+	return cap(s)*int(unsafe.Sizeof(zero)) > DefaultMaxBodyBytes
 }
 
 func (p *wireParser) ws() {
@@ -927,22 +989,28 @@ func (p *wireParser) graph(g *GraphWire, bit uint32) uint32 {
 		case "num_classes":
 			return p.integer(&g.NumClasses, 1<<2)
 		case "nodes":
-			g.Nodes = []NodeWire{}
+			// A repeated key (declined once its object ends) may have
+			// used the scratch already: clear that first.
+			clear(p.nodes)
+			p.nodes = p.nodes[:0]
 			if !p.array(func() bool {
-				g.Nodes = append(g.Nodes, NodeWire{})
-				return p.node(&g.Nodes[len(g.Nodes)-1])
+				p.nodes = append(p.nodes, NodeWire{})
+				return p.node(&p.nodes[len(p.nodes)-1])
 			}) {
 				return 0
 			}
+			g.Nodes = emptyIfNil(p.nodes)
 			return 1 << 3
 		case "blocks":
-			g.Blocks = []BlockWire{}
+			clear(p.blocks)
+			p.blocks = p.blocks[:0]
 			if !p.array(func() bool {
-				g.Blocks = append(g.Blocks, BlockWire{})
-				return p.block(&g.Blocks[len(g.Blocks)-1])
+				p.blocks = append(p.blocks, BlockWire{})
+				return p.block(&p.blocks[len(p.blocks)-1])
 			}) {
 				return 0
 			}
+			g.Blocks = emptyIfNil(p.blocks)
 			return 1 << 4
 		}
 		return 0
@@ -950,6 +1018,15 @@ func (p *wireParser) graph(g *GraphWire, bit uint32) uint32 {
 		return 0
 	}
 	return bit
+}
+
+// emptyIfNil keeps encoding/json's spelling of "[]": an empty, non-nil
+// slice, also from a parser that has no scratch yet.
+func emptyIfNil[T any](s []T) []T {
+	if s == nil {
+		return []T{}
+	}
+	return s
 }
 
 func (p *wireParser) node(n *NodeWire) bool {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"netcut/internal/graph"
@@ -118,28 +120,135 @@ func TestParseRequestDeclinesNonCanonical(t *testing.T) {
 // graph body like the cold-graphs workload posts, and on a zoo
 // shorthand body.
 func BenchmarkDecodeRequest(b *testing.B) {
-	gw := EncodeGraph(benchGraph(14))
-	graphBody, err := json.Marshal(PlanRequestWire{Graph: gw, DeadlineMs: 0.35})
-	if err != nil {
-		b.Fatal(err)
+	for _, bc := range decodeBenchBodies(b) {
+		b.Run(bc.name, benchDecode(bc.body))
 	}
-	for _, bc := range []struct {
-		name string
-		body []byte
-	}{
-		{"graph", graphBody},
+}
+
+type namedBody struct {
+	name string
+	body []byte
+}
+
+func decodeBenchBodies(tb testing.TB) []namedBody {
+	return []namedBody{
+		{"graph", wireBody(tb, EncodeGraph(benchGraph(14)))},
 		{"shorthand", []byte(`{"network":"ResNet-50","deadline_ms":0.9}`)},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.SetBytes(int64(len(bc.body)))
-			b.ReportAllocs()
-			for b.Loop() {
-				if _, aerr := decodeRequest(bytes.NewReader(bc.body)); aerr != nil {
-					b.Fatal(aerr)
+	}
+}
+
+func benchDecode(body []byte) func(*testing.B) {
+	return func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, aerr := decodeRequest(bytes.NewReader(body)); aerr != nil {
+				b.Fatal(aerr)
+			}
+		}
+	}
+}
+
+// wireBody is the canonical request body posting gw.
+func wireBody(tb testing.TB, gw *GraphWire) []byte {
+	tb.Helper()
+	body, err := json.Marshal(PlanRequestWire{Graph: gw, DeadlineMs: 0.35})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return body
+}
+
+// TestDecodeRequestGarbage gates what a decode leaves for the
+// collector, like TestResidentAnswerAllocs gates a resident answer: a
+// graph body allocates the graph it returns and little else (the read
+// buffer and wire scratch are pooled), so a per-request copy of the
+// body or of the node array fails here.
+func TestDecodeRequestGarbage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled objects at random")
+	}
+	limits := map[string]int64{"graph": 32 << 10, "shorthand": 512}
+	for _, bc := range decodeBenchBodies(t) {
+		got := testing.Benchmark(benchDecode(bc.body)).AllocedBytesPerOp()
+		if got > limits[bc.name] {
+			t.Errorf("%s: a decode allocates %d B, want <= %d", bc.name, got, limits[bc.name])
+		}
+		t.Logf("%s: %d B/op", bc.name, got)
+	}
+}
+
+// TestDecodeRequestReuseIsStateless decodes, through the pool, a large
+// graph, a small one, a body the fast path declines partway through
+// its nodes, and a truncated body, from several goroutines at once.
+// Each result must equal a decode on fresh scratch, and the first
+// graph must be untouched by the decodes after it.
+func TestDecodeRequestReuseIsStateless(t *testing.T) {
+	large := EncodeGraph(benchGraph(14))
+	late := EncodeGraph(benchGraph(14))
+	late.Nodes[len(late.Nodes)-3].Name = `late "quoted" name` // escaped on the wire
+	largeBody := wireBody(t, large)
+	bodies := [][]byte{
+		largeBody,
+		wireBody(t, EncodeGraph(tinyGraph())),
+		wireBody(t, late),
+		largeBody[:len(largeBody)/2],
+	}
+	if parseRequest(bodies[2], new(PlanRequestWire)) {
+		t.Fatal("the late-escape body took the fast path")
+	}
+	want := make([]*decodedRequest, len(bodies))
+	wantErr := make([]*apiError, len(bodies))
+	for i, body := range bodies {
+		want[i], wantErr[i] = new(wireParser).decode(bytes.NewReader(body))
+	}
+	if wantErr[0] != nil || wantErr[1] != nil || wantErr[2] != nil || wantErr[3] == nil {
+		t.Fatalf("fresh decodes: errors %v", wantErr)
+	}
+
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				var first *graph.Graph
+				var names []string
+				var inputs [][]int
+				for i, body := range bodies {
+					got, aerr := decodeRequest(bytes.NewReader(body))
+					if !reflect.DeepEqual(got, want[i]) || !reflect.DeepEqual(aerr, wantErr[i]) {
+						t.Errorf("body %d: pooled decode differs from a fresh one (error %v)", i, aerr)
+						return
+					}
+					if i == 0 {
+						first = got.req.Graph
+						for _, n := range first.Nodes {
+							names = append(names, strings.Clone(n.Name))
+							inputs = append(inputs, slices.Clone(n.Inputs))
+						}
+					}
+				}
+				for j, n := range first.Nodes {
+					if n.Name != names[j] || !slices.Equal(n.Inputs, inputs[j]) {
+						t.Errorf("node %d of the first graph changed under later decodes", j)
+						return
+					}
 				}
 			}
-		})
+		}()
 	}
+	wg.Wait()
+}
+
+// tinyGraph is a 3-node graph: input, dense head, softmax.
+func tinyGraph() *graph.Graph {
+	b := graph.NewBuilder("tiny-net", graph.Shape{H: 1, W: 1, C: 8}, 4)
+	x := b.Input()
+	b.BeginHead()
+	x = b.Dense(x, 4)
+	b.Softmax(x)
+	return b.MustFinish()
 }
 
 // benchGraph builds a residual stack of the given depth (four nodes per

@@ -2,9 +2,10 @@
 // Use of this source code is governed by a BSD-style
 // license that can be found in the LICENSE file.
 
-// Package noise draws math/rand's seeded standard-normal stream from a
-// concrete value type. A Source seeded with s returns, draw for draw,
-// the bits rand.New(rand.NewSource(s)).NormFloat64() returns: the same
+// Package noise draws math/rand's seeded standard-normal and uniform
+// streams from a concrete value type. A Source seeded with s returns,
+// draw for draw, the bits rand.New(rand.NewSource(s)).NormFloat64() and
+// Float64() return: the same
 // additive lagged-Fibonacci generator (Mitchell and Reeds) with the
 // same seeding, and the same ziggurat (Marsaglia and Tsang, 2000). The
 // seeding, rngCooked and the ziggurat are copied from the Go standard
@@ -122,8 +123,10 @@ func (s *Source) uint64() uint64 {
 	return uint64(u)
 }
 
-// float64 is rand.Float64: a 63-bit draw scaled into [0, 1).
-func (s *Source) float64() float64 {
+// Float64 returns the next uniform draw in [0, 1), the value
+// rand.(*Rand).Float64 returns at the same point of the stream: a
+// 63-bit output scaled down.
+func (s *Source) Float64() float64 {
 again:
 	f := float64(int64(s.uint64()&rngMask)) / (1 << 63)
 	if f == 1 {
@@ -169,8 +172,8 @@ func (s *Source) normSlow(j int32) float64 {
 		if i == 0 {
 			// This extra work is only required for the base strip.
 			for {
-				x = -math.Log(s.float64()) * (1.0 / rn)
-				y := -math.Log(s.float64())
+				x = -math.Log(s.Float64()) * (1.0 / rn)
+				y := -math.Log(s.Float64())
 				if y+y >= x*x {
 					break
 				}
@@ -180,7 +183,7 @@ func (s *Source) normSlow(j int32) float64 {
 			}
 			return -rn - x
 		}
-		if fn[i]+float32(s.float64())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
+		if fn[i]+float32(s.Float64())*(fn[i-1]-fn[i]) < float32(math.Exp(-.5*x*x)) {
 			return x
 		}
 		j = int32(s.uint64() >> 31)

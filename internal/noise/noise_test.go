@@ -13,11 +13,12 @@ func consumed(before, after int) int {
 }
 
 // TestLockstepWithMathRand draws 5M normals per seed from a Source and
-// from math/rand's seeded generator and requires identical bits, over
-// seeds that exercise every branch of Seed's reduction (zero, negative,
-// past int32, near the int64 minimum). It also requires the ziggurat's
-// slow path (wedge and tail tests, redraws) to have run, since the fast
-// path alone would leave most of normSlow unchecked.
+// from math/rand's seeded generator, with a uniform Float64 draw after
+// every third normal, and requires identical bits, over seeds that
+// exercise every branch of Seed's reduction (zero, negative, past
+// int32, near the int64 minimum). It also requires the ziggurat's slow
+// path (wedge and tail tests, redraws) to have run, since the fast path
+// alone would leave most of normSlow unchecked.
 func TestLockstepWithMathRand(t *testing.T) {
 	const draws = 5_000_000
 	for _, seed := range []int64{0, 1, 42, -7, 1 << 40, -1 << 62} {
@@ -40,6 +41,11 @@ func TestLockstepWithMathRand(t *testing.T) {
 				slow++
 			case k == 2:
 				slow++
+			}
+			if n%3 == 2 {
+				if got, want := s.Float64(), r.Float64(); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d uniform after draw %d: got %v, math/rand %v", seed, n, got, want)
+				}
 			}
 		}
 		if slow == 0 || multi == 0 {

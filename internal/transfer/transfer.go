@@ -28,10 +28,10 @@ package transfer
 import (
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"sort"
 	"sync"
 
+	"netcut/internal/noise"
 	"netcut/internal/trim"
 )
 
@@ -316,7 +316,8 @@ func GenericProfile(name string, featureLayers int) *Profile {
 	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "generic|%s|%d", name, featureLayers)
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	var rng noise.Source
+	rng.Seed(int64(h.Sum64()))
 	base := 0.78 + 0.10*rng.Float64() // head-only transfer accuracy
 	p := &Profile{
 		Network: name,
@@ -359,7 +360,7 @@ func (s *Simulator) blockBoundaries(t *trim.TRN) ([]int, error) {
 
 // noise returns the deterministic retraining perturbation for a TRN:
 // same (seed, network, layers removed) always trains to the same
-// accuracy, mimicking a fixed training seed. Seeding a math/rand source
+// accuracy, mimicking a fixed training seed. Seeding a noise.Source
 // costs far more than the rest of a retrain, so the standard-normal
 // draw is memoized per (network, layers removed); a concurrent miss
 // draws the identical value.
@@ -371,7 +372,9 @@ func (s *Simulator) noise(network string, removed int, sigma float64) float64 {
 	if !ok {
 		h := fnv.New64a()
 		fmt.Fprintf(h, "%d|%s|%d", s.seed, network, removed)
-		z = rand.New(rand.NewSource(int64(h.Sum64()))).NormFloat64()
+		var src noise.Source
+		src.Seed(int64(h.Sum64()))
+		z = src.NormFloat64()
 		s.mu.Lock()
 		s.normals[k] = z
 		s.mu.Unlock()
