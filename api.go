@@ -294,13 +294,11 @@ func NewPlannerPool(cfg PoolConfig) (*PlannerPool, error) { return serve.NewPool
 // PlannerPool: a JSON planning API (POST /v1/plan) with per-request
 // device targeting ("target": a registered device name, "auto", or
 // empty for the default device; GET /v1/devices lists the fleet),
-// singleflight coalescing of identical requests, a bounded
-// rendered-response byte cache (repeat
-// requests are answered with the previously rendered body straight
-// from admission — after the drain, quarantine and device-health
-// gates, before any queueing; GatewayConfig.ByteCacheCap, on by
-// default at DefaultByteCacheCap entries, negative disables),
-// per-device worker lanes (one bounded queue + workers per target,
+// singleflight coalescing of identical requests, resident answers (a
+// request whose deadline lands on an answer-staircase step an earlier
+// request accepted is answered with that step's once-rendered body
+// straight from admission — after the drain, quarantine and
+// device-health gates, before any queueing), per-device worker lanes (one bounded queue + workers per target,
 // each worker planning one request per pass, so a cold plan on one
 // device never head-of-line-blocks another's warm traffic), load shedding keyed to the client's own
 // latency budget, graceful drain, warm-state snapshot/restore
@@ -308,9 +306,9 @@ func NewPlannerPool(cfg PoolConfig) (*PlannerPool, error) { return serve.NewPool
 // with background zoo prewarming (Prewarm), and a telemetry registry
 // exposed at /metrics (Prometheus text, per-device series carry a
 // device label) and /debug/stats (JSON). Routing, coalescing, lanes,
-// caching and shedding change which executions happen, where and when —
-// never what any request returns: a coalesced or byte-cached response
-// body is byte-identical to the same request served alone
+// resident answers and shedding change which executions happen, where
+// and when — never what any request returns: a coalesced or resident
+// response body is byte-identical to the same request served alone
 // through that device's Planner, and an auto-routed body to the same
 // request naming the resolved device explicitly.
 //
@@ -334,7 +332,7 @@ func NewPlannerPool(cfg PoolConfig) (*PlannerPool, error) { return serve.NewPool
 // latency drift into a load level (0 normal, 1 brownout, 2 emergency;
 // netcut_gateway_load_level, Gateway.LoadLevel) that sheds optional
 // work level by level: prewarming pauses, and at level 2 only
-// byte-cache hits and coalesce joins are admitted while cold misses
+// resident answers and coalesce joins are admitted while cold misses
 // are shed pre-execution with backlog-honest Retry-After hints. Requests that
 // prefer a degraded answer over a rejection set "allow_degraded": true
 // in the body: a budget-infeasible or unhealthy-device request then
@@ -360,17 +358,12 @@ type (
 	Gateway = gateway.Gateway
 	// GatewayConfig parameterizes a Gateway: the embedded PlannerConfig
 	// template and device list plus the deployment settings (body size
-	// limit, queue depth, worker count, byte-cache size, state path,
+	// limit, queue depth, worker count, state path,
 	// watchdog, autosave and overload intervals, slow-trace logging).
 	// The shed warm-up (64 warm executions), the health and quarantine
 	// thresholds, the probe cadence and the trace-ring size are fixed.
 	GatewayConfig = gateway.Config
 )
-
-// DefaultByteCacheCap is the entry bound of the gateway's
-// rendered-response byte cache when GatewayConfig.ByteCacheCap is 0;
-// negative disables the cache.
-const DefaultByteCacheCap = gateway.DefaultByteCacheCap
 
 // DefaultTraceRingCap is the completed-trace retention of GET
 // /debug/trace: the ring keeps the newest DefaultTraceRingCap traces.

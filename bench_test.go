@@ -481,12 +481,7 @@ func benchGatewayPost(gw *Gateway, body string) error {
 
 func newBenchGateway(b *testing.B) *Gateway {
 	b.Helper()
-	return newBenchGatewayCfg(b, GatewayConfig{Planner: PlannerConfig{Seed: 1}})
-}
-
-func newBenchGatewayCfg(b *testing.B, cfg GatewayConfig) *Gateway {
-	b.Helper()
-	gw, err := NewGateway(cfg)
+	gw, err := NewGateway(GatewayConfig{Planner: PlannerConfig{Seed: 1}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -496,19 +491,19 @@ func newBenchGatewayCfg(b *testing.B, cfg GatewayConfig) *Gateway {
 
 // BenchmarkGatewayThroughput measures warm serving-layer throughput
 // under the default configuration: a zoo-cycling request stream through
-// decode, admission and response delivery. With the rendered-response
-// byte cache on by default, every post-warm-up iteration is a cache
-// hit — decode, admission gates, lookup, deliver — which is the warm
-// path production traffic sees. BenchmarkGatewayThroughputNoByteCache
-// is the same stream priced without the cache.
+// decode, admission and response delivery. Every post-warm-up
+// iteration is a resident answer — decode, admission gates, the
+// planner's staircase lookup, the step's once-rendered body, deliver,
+// all on the handler goroutine — which is the warm path production
+// traffic sees.
 func BenchmarkGatewayThroughput(b *testing.B) {
 	gw := newBenchGateway(b)
 	runGatewayThroughput(b, gw)
-	// Pin the zero-copy hit path: a byte-cache hit allocates only
+	// Pin the zero-copy resident path: a resident answer allocates only
 	// request-scoped bookkeeping (trace record, header map, recorder
-	// internals) — never a copy of the response body. The bound has
-	// headroom over the measured count (~30) but sits far below what a
-	// body copy or rendering pass would add.
+	// internals) — never a render or a copy of the response body. The
+	// bound has headroom over the measured count (~27) but sits far
+	// below what a body copy or rendering pass would add.
 	body := fmt.Sprintf(`{"network":%q,"deadline_ms":0.9}`, NetworkNames()[0])
 	allocs := testing.AllocsPerRun(200, func() {
 		if err := benchGatewayPost(gw, body); err != nil {
@@ -517,21 +512,8 @@ func BenchmarkGatewayThroughput(b *testing.B) {
 	})
 	b.ReportMetric(allocs, "hit_allocs")
 	if allocs > 48 {
-		b.Fatalf("byte-cache hit path allocates %.0f objects/op, want <= 48 (body copy crept back in?)", allocs)
+		b.Fatalf("resident answer path allocates %.0f objects/op, want <= 48 (render or body copy crept back in?)", allocs)
 	}
-}
-
-// BenchmarkGatewayThroughputNoByteCache is the same zoo-cycling stream
-// with the byte cache disabled: every post-warm-up iteration misses the
-// byte cache and is a resident answer — the planner's staircase lookup
-// and the step's once-rendered body, on the handler goroutine, with no
-// lane round-trip, planner pass or encode. It prices the resident gate
-// against the byte-cache hit.
-func BenchmarkGatewayThroughputNoByteCache(b *testing.B) {
-	runGatewayThroughput(b, newBenchGatewayCfg(b, GatewayConfig{
-		Planner:      PlannerConfig{Seed: 1},
-		ByteCacheCap: -1,
-	}))
 }
 
 func runGatewayThroughput(b *testing.B, gw *Gateway) {
@@ -569,14 +551,10 @@ func runGatewayThroughput(b *testing.B, gw *Gateway) {
 // posts a never-seen graph (coldNet), so its first request is lane
 // work, a cold plan, and the rest coalesce onto it or, once it has
 // finished, get the step it accepted as a resident answer: exec/burst
-// reads about 1. The byte cache is off so
-// that late arrivals are priced as resident answers, not cache hits.
+// reads about 1.
 func BenchmarkGatewayCoalescedBurst(b *testing.B) {
 	const burst = 16
-	gw := newBenchGatewayCfg(b, GatewayConfig{
-		Planner:      PlannerConfig{Seed: 1},
-		ByteCacheCap: -1,
-	})
+	gw := newBenchGateway(b)
 	if err := benchGatewayPost(gw, `{"network":"ResNet-50","deadline_ms":0.9}`); err != nil { // warm
 		b.Fatal(err)
 	}
@@ -725,12 +703,7 @@ func coldBody(b *testing.B, i int) string {
 // keeps a floor of raw CPU-time contention no queueing design can
 // remove (the cold plan needs the only core).
 func BenchmarkGatewayLaneIsolation(b *testing.B) {
-	// The warm stream repeats one identical request; lane isolation of
-	// its *executions* is the subject, so the byte cache is off.
-	gw := newBenchGatewayCfg(b, GatewayConfig{
-		Planner:      PlannerConfig{Seed: 1},
-		ByteCacheCap: -1,
-	})
+	gw := newBenchGateway(b)
 	names := gw.Pool().DeviceNames()
 	warmDev, coldDev := names[0], names[2]
 	warmBody := `{"network":"MobileNetV1 (0.25)","deadline_ms":0.9}`

@@ -26,7 +26,6 @@
 //	netserve -addr 127.0.0.1:9090 -seed 7
 //	netserve -queue 512 -workers 4
 //	netserve -max-body 4194304 -drain-timeout 30s
-//	netserve -byte-cache 8192                # rendered-response cache entries (0 = off)
 //	netserve -state-file /var/lib/netcut/state.bin -prewarm
 //	netserve -state-file /var/lib/netcut/state.bin -autosave 30s
 //	netserve -exec-timeout 5s
@@ -68,7 +67,7 @@
 // -overload-interval) folds lane backlog and latency drift into a load
 // level (0 normal, 1 brownout, 2 emergency, exported as
 // netcut_gateway_load_level) that sheds optional work first:
-// prewarming pauses, and at level 2 only cached responses and coalesce
+// prewarming pauses, and at level 2 only resident answers and coalesce
 // joins are served while cold misses get 429s with backlog-honest
 // Retry-After hints. Clients that prefer a
 // degraded answer over a rejection can set "allow_degraded": true in
@@ -115,7 +114,6 @@ func run() int {
 		queue        = flag.Int("queue", 0, "admission queue depth (0 = default)")
 		workers      = flag.Int("workers", 0, "lane worker goroutines, split evenly across devices with at least one per device: devices x max(1, workers/devices) run (0 = GOMAXPROCS per device)")
 		maxBody      = flag.Int64("max-body", 0, "request body size limit in bytes (0 = default, negative = unlimited)")
-		byteCache    = flag.Int("byte-cache", netcut.DefaultByteCacheCap, "rendered-response byte cache entries (0 = disabled)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 		stateFile    = flag.String("state-file", "", "warm-state snapshot path: restored on boot (with .bak fallback), saved after the SIGTERM drain and by POST /v1/state/save (empty = no persistence)")
 		autosave     = flag.Duration("autosave", 0, "periodic warm-state snapshot interval (requires -state-file; 0 = only save on drain/demand)")
@@ -147,19 +145,12 @@ func run() int {
 		}
 	}
 
-	// On the flag, 0 reads naturally as "off"; the config spells
-	// disabled as negative (0 there means the default capacity).
-	byteCacheCap := *byteCache
-	if byteCacheCap == 0 {
-		byteCacheCap = -1
-	}
 	gw, err := netcut.NewGateway(netcut.GatewayConfig{
 		Planner:          netcut.PlannerConfig{Seed: *seed},
 		Devices:          devs,
 		QueueDepth:       *queue,
 		Workers:          *workers,
 		MaxBodyBytes:     *maxBody,
-		ByteCacheCap:     byteCacheCap,
 		DrainTimeout:     *drainTimeout,
 		StatePath:        *stateFile,
 		AutosaveInterval: *autosave,

@@ -116,19 +116,15 @@
 // size-limited and the decoded graph stops at graph.Validate —
 // malformed or oversized input is a structured 4xx, never a panic.
 //
-// Admission is deadline-aware in five stages. A repeat of an already
-// delivered request — same resolved device, name, structure, deadline
-// and estimator — is answered from a bounded rendered-response byte
-// cache (GatewayConfig.ByteCacheCap, on by default; negative disables)
-// straight from admission, after the drain, quarantine and
-// device-health gates but before any queueing, skipping its lane, the
-// planner and the JSON rendering. A planner's answer is a step
-// function of the deadline (Algorithm 1's estimates do not depend on
-// it), and each planner keeps that answer staircase per graph and
+// Admission is deadline-aware in four stages. A planner's answer is a
+// step function of the deadline (Algorithm 1's estimates do not depend
+// on it), and each planner keeps that answer staircase per graph and
 // estimator; a request whose deadline falls on a step an earlier
-// request accepted is answered next, on the handler goroutine, from
-// the step's body rendered once (Planner.Resident) — no lane, no
-// planner pass — and the body joins the byte cache. Identical in-flight requests
+// request accepted — an exact repeat included — is answered on the
+// handler goroutine from the step's body rendered once
+// (Planner.Resident), after the drain, quarantine and device-health
+// gates but before any queueing: no lane, no planner pass, no JSON
+// rendering. Identical in-flight requests
 // coalesce into one planner execution, singleflight-style, and all
 // receive byte-identical bodies. Distinct requests wait in a bounded
 // per-device queue, and each lane worker plans one of them per pass
@@ -136,23 +132,22 @@
 // ("budget_ms") that cannot cover the observed warm-path p99 — read
 // once the device has served 64 warm executions — is shed up front
 // with 429 and a retry hint — as is any arrival finding the
-// queue full — consuming no planner work (a byte-cache hit or a
-// resident answer beats the shed: delivering rendered bytes fits any
-// budget). Gateway.Shutdown
+// queue full — consuming no planner work (a resident answer beats the
+// shed: delivering rendered bytes fits any budget). Gateway.Shutdown
 // drains gracefully: new requests get 503 with a Retry-After derived
 // from the remaining drain budget while every admitted call completes
 // and delivers.
 //
-// Caching, resident answers, coalescing, lanes and shedding change
-// which executions happen and when — never what any request returns: a cached or
-// coalesced response body is byte-identical to the same
+// Resident answers, coalescing, lanes and shedding change which
+// executions happen and when — never what any request returns: a
+// resident or coalesced response body is byte-identical to the same
 // request served alone through a Planner (pinned by the gateway
-// package tests, the TestByteCache* seam suite and the GOMAXPROCS
-// determinism guard). Only fully delivered 200 bodies are cached —
-// errors, contained panics and watchdog-abandoned passes never are —
-// tripping a device's health purges its entries, and hits/misses are
-// distinct /metrics series (netcut_gateway_bytecache_*) next to the
-// planner's execution counters.
+// package tests, the TestResident* suite and the GOMAXPROCS
+// determinism guard). Only a step a completed pass accepted is
+// resident — planner errors and contained panics never are — and
+// resident answers are a distinct /metrics series
+// (netcut_gateway_resident_total) next to the planner's execution
+// counters.
 //
 // # Targets & routing
 //
@@ -263,8 +258,8 @@
 // observed execution latency into one load level — 0 normal,
 // 1 brownout, 2 emergency — exported as netcut_gateway_load_level.
 // Each level sheds optional work first: brownout pauses prewarming;
-// emergency pauses it too and admits only byte-cache hits, resident
-// answers and coalesce joins, shedding every cold miss
+// emergency pauses it too and admits only resident answers and
+// coalesce joins, shedding every cold miss
 // pre-execution with a level-scaled, backlog-honest Retry-After
 // (ceil(backlog/workers) execution waves of p99 each). The
 // level is a pure function of the current signals, so it returns to
@@ -301,7 +296,7 @@
 // the X-Netcut-Trace response header and the trace_id body field —
 // and a record of timestamped stage spans covering decode, every
 // admission gate with its verdict (drain, quarantine, route, health,
-// bytecache, resident, coalesce, shed, degraded on opt-in fallbacks),
+// resident, coalesce, shed, degraded on opt-in fallbacks),
 // enqueue,
 // queue wait and planner
 // execution as separate spans, encode and delivery. Completed traces

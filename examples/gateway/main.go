@@ -125,8 +125,8 @@ func main() {
 
 	// 3. A burst of identical requests: arrivals that overlap an
 	// in-flight identical execution join it instead of planning again
-	// (stragglers landing after it completes run warm from the shared
-	// caches), and every body is byte-identical (modulo its trace_id)
+	// (stragglers landing after it completes get the step it accepted
+	// as a resident answer), and every body is byte-identical (modulo its trace_id)
 	// either way.
 	const burst = 16
 	before := gw.Planner().Executions()
@@ -157,9 +157,8 @@ func main() {
 	// warm-up walks staircases down: each request asks just under the
 	// last answer's estimated_ms, a step no request has accepted yet,
 	// and an infeasible answer moves the walk to the next network. The
-	// tiny-budget request is the walk's next step, so neither a
-	// resident answer nor a cached body can answer it before the budget
-	// gate.
+	// tiny-budget request is the walk's next step, so no resident
+	// answer can answer it before the budget gate.
 	const maxWarmup = 999
 	walk := []string{"ResNet-50", "DenseNet-121", "InceptionV3"}
 	const top = 1e6 // a deadline every unmodified network meets
@@ -225,15 +224,13 @@ func main() {
 	metrics, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	families := map[string]bool{
-		"netcut_gateway_requests_total":         true,
-		"netcut_gateway_bytecache_hits_total":   true,
-		"netcut_gateway_bytecache_misses_total": true,
-		"netcut_gateway_resident_total":         true,
-		"netcut_gateway_coalesced_total":        true,
-		"netcut_gateway_shed_budget_total":      true,
-		"netcut_gateway_shed_overload_total":    true,
-		"netcut_gateway_shed_queue_full_total":  true,
-		"netcut_gateway_shed_draining_total":    true,
+		"netcut_gateway_requests_total":        true,
+		"netcut_gateway_resident_total":        true,
+		"netcut_gateway_coalesced_total":       true,
+		"netcut_gateway_shed_budget_total":     true,
+		"netcut_gateway_shed_overload_total":   true,
+		"netcut_gateway_shed_queue_full_total": true,
+		"netcut_gateway_shed_draining_total":   true,
 	}
 	fmt.Println("\n/metrics excerpt (nonzero):")
 	for _, line := range strings.Split(string(metrics), "\n") {

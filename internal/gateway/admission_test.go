@@ -4,9 +4,9 @@ package gateway
 // state × allow_degraded. Each cell runs one request against a freshly
 // prepared gateway and pins what admission decided — status, error
 // code, serving device, degraded reason — and which counters moved, so
-// the single gate order (route, then health → byte cache → resident →
-// coalesce → emergency → budget → enqueue, with the degraded fallback
-// re-entering once) is checked cell by cell rather than path by path.
+// the single gate order (route, then health → resident → coalesce →
+// emergency → budget → enqueue, with the degraded fallback re-entering
+// once) is checked cell by cell rather than path by path.
 
 import (
 	"encoding/json"
@@ -22,7 +22,7 @@ import (
 
 // admissionCounters are the counters an admission decision can move.
 type admissionCounters struct {
-	shedBudget, shedOverload, degraded, autoRouted, hits, resident, execs uint64
+	shedBudget, shedOverload, degraded, autoRouted, resident, execs uint64
 }
 
 func readAdmissionCounters(g *Gateway) admissionCounters {
@@ -31,9 +31,6 @@ func readAdmissionCounters(g *Gateway) admissionCounters {
 		shedOverload: g.shedOverload.Value(),
 		degraded:     g.degradedServed.Value(),
 		autoRouted:   g.autoRouted.Value(),
-	}
-	if g.bytes != nil {
-		c.hits = g.bytes.Stats().Hits
 	}
 	for _, name := range g.pool.DeviceNames() {
 		p, err := g.pool.Planner(name)
@@ -54,7 +51,6 @@ func (c admissionCounters) minus(o admissionCounters) admissionCounters {
 		shedOverload: c.shedOverload - o.shedOverload,
 		degraded:     c.degraded - o.degraded,
 		autoRouted:   c.autoRouted - o.autoRouted,
-		hits:         c.hits - o.hits,
 		resident:     c.resident - o.resident,
 		execs:        c.execs - o.execs,
 	}
@@ -114,20 +110,27 @@ var admissionStates = map[string]admissionState{
 			return nil
 		},
 	},
-	"bytecache-resident": {
+	// The cell repeats the setup request exactly.
+	"resident": {
 		setup: func(t *testing.T, g *Gateway) *graph.Graph {
 			if rec := post(g, graphBody(t, userNet(7), 0.35, "")); rec.Code != http.StatusOK {
-				t.Fatalf("warming the byte cache: status %d: %s", rec.Code, rec.Body.String())
+				t.Fatalf("accepting the step: status %d: %s", rec.Code, rec.Body.String())
 			}
 			return nil
 		},
 	},
-	// The byte cache is off, so the repeat is answered from the
-	// staircase step the setup request accepted.
+	// The setup request accepts the cell's step at another deadline (the
+	// step's own estimate, learnt on a scratch gateway), so the cell is
+	// answered by the staircase, not by a repeat of its deadline.
 	"staircase-resident": {
-		cfg: func(c *Config) { c.ByteCacheCap = -1 },
 		setup: func(t *testing.T, g *Gateway) *graph.Graph {
-			if rec := post(g, graphBody(t, userNet(7), 0.35, "")); rec.Code != http.StatusOK {
+			scratch, err := New(g.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			step := seedStep(t, scratch, userNet(7), "sim-xavier")
+			mustShutdown(t, scratch)
+			if rec := post(g, step); rec.Code != http.StatusOK {
 				t.Fatalf("accepting the step: status %d: %s", rec.Code, rec.Body.String())
 			}
 			return nil
@@ -217,10 +220,10 @@ func TestAdmissionTable(t *testing.T) {
 		{"fleet-unhealthy", auto, either, admissionOutcome{status: 503, code: "no_healthy_device"}},
 		{"fleet-unhealthy", unk, either, unknown},
 
-		{"bytecache-resident", def, either, admissionOutcome{status: 200, device: xav, delta: c{hits: 1}}},
-		{"bytecache-resident", xav, either, admissionOutcome{status: 200, device: xav, delta: c{hits: 1}}},
-		{"bytecache-resident", auto, either, admissionOutcome{status: 200, device: xav, delta: c{autoRouted: 1, hits: 1}}},
-		{"bytecache-resident", unk, either, unknown},
+		{"resident", def, either, admissionOutcome{status: 200, device: xav, delta: c{resident: 1}}},
+		{"resident", xav, either, admissionOutcome{status: 200, device: xav, delta: c{resident: 1}}},
+		{"resident", auto, either, admissionOutcome{status: 200, device: xav, delta: c{autoRouted: 1, resident: 1}}},
+		{"resident", unk, either, unknown},
 
 		{"staircase-resident", def, either, admissionOutcome{status: 200, device: xav, delta: c{resident: 1}}},
 		{"staircase-resident", xav, either, admissionOutcome{status: 200, device: xav, delta: c{resident: 1}}},

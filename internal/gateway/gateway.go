@@ -6,7 +6,7 @@
 // format at /metrics and as JSON at /debug/stats.
 //
 // Request flow: every plan request takes the steps below in this
-// order, each once — a degraded request re-runs steps 4 to 9 once on
+// order, each once — a degraded request re-runs steps 4 to 8 once on
 // its fallback device. The order is written out once, in admit, resolve
 // and gates, and the invariants below rely on it.
 //
@@ -14,10 +14,9 @@
 //     decoded graph stops at graph.Validate — malformed or oversized
 //     input is a structured 400/413, never a panic or an OOM.
 //  2. Drain and quarantine: a draining gateway answers 503 with a
-//     Retry-After from the remaining drain budget (byte-cache hits and
-//     resident answers stop too); an identity quarantined for repeated
-//     planner panics gets a structured 500 — on every target, so
-//     before routing.
+//     Retry-After from the remaining drain budget (resident answers
+//     stop too); an identity quarantined for repeated planner panics
+//     gets a structured 500 — on every target, so before routing.
 //  3. Route: the target ("" = default device, a registered name from
 //     GET /v1/devices, or "auto" = fastest eligible device whose
 //     estimated warm-path latency fits the budget) resolves to one
@@ -25,45 +24,37 @@
 //     for "auto", an identical execution in flight on any eligible
 //     device is joined; failing that, no eligible device at all is 503
 //     no_healthy_device, and otherwise the request is shed with 429 or
-//     degrades (step 10).
+//     degrades (step 9).
 //  4. Health: a device tripped unhealthy is 503 device_unhealthy.
-//  5. Byte cache: a request whose fully resolved identity (device +
-//     calibration, name + structure, deadline, estimator) already has a
-//     delivered body in the bounded rendered-response cache
-//     (Config.ByteCacheCap) is answered from those bytes — no lane, no
-//     planner pass, no wire-marshal — even under a tight budget_ms,
-//     since rendered bytes fit any budget. Hits are transparent and are
-//     counted by netcut_gateway_bytecache_hits_total, never as planner
-//     executions.
-//  6. Resident: a request whose deadline falls on a step of the
+//  5. Resident: a request whose deadline falls on a step of the
 //     device planner's answer staircase that an earlier request
 //     accepted (serve.Planner.Resident) is answered on the handler
 //     goroutine from that step's canonical body, rendered once — no
-//     lane, no planner pass, no encode — and the body joins the byte
-//     cache like any completed 200. Like a byte-cache hit it beats
-//     every shed, and it is counted by netcut_gateway_resident_total,
-//     never as a planner execution.
-//  7. Coalesce: requests with identical (device, name, structure,
+//     lane, no planner pass, no encode — even under a tight budget_ms,
+//     since a rendered body fits any budget. It beats every shed, and
+//     it is counted by netcut_gateway_resident_total, never as a
+//     planner execution.
+//  6. Coalesce: requests with identical (device, name, structure,
 //     deadline, estimator) share one in-flight planner execution and
 //     receive byte-identical response bodies, singleflight-style, at no
 //     planner work and no queue slot.
-//  8. Emergency: at load level 2 (see overload.go) a would-be leader
+//  7. Emergency: at load level 2 (see overload.go) a would-be leader
 //     is shed with 429 overload_shed.
-//  9. Budget: a would-be leader whose budget_ms cannot cover the
+//  8. Budget: a would-be leader whose budget_ms cannot cover the
 //     device's warm-path p99 is shed with 429 and a retry hint ("auto"
 //     was checked by its route in step 3).
-//  10. Degrade: with "allow_degraded": true, a request that step 3's
-//     budget check, step 4 or step 9 would refuse is served instead: it
+//  9. Degrade: with "allow_degraded": true, a request that step 3's
+//     budget check, step 4 or step 8 would refuse is served instead: it
 //     falls back to the fastest eligible device and re-enters at step 4
-//     there, once, with step 9 skipped. It is counted as degraded,
+//     there, once, with step 8 skipped. It is counted as degraded,
 //     never as shed; with no eligible device left it is 503
 //     no_healthy_device.
-//  11. Lane: admitted leaders sit in their device's bounded lane — one
+//  10. Lane: admitted leaders sit in their device's bounded lane — one
 //     queue plus workers per registered device, so one slow target's
 //     cold plan can never head-of-line-block another target's warm
 //     traffic; a full lane sheds with 429. Each worker runs one request
 //     per planner pass; identical stragglers that miss the pass find
-//     its body in the byte cache (step 5). Every lane runs
+//     its accepted step resident (step 5). Every lane runs
 //     GOMAXPROCS workers unless Config.Workers is set; lane capacities
 //     divide the QueueDepth (and an explicit Workers) total evenly
 //     across devices (minimum 1 each), as the planner pool divides its
@@ -94,10 +85,9 @@
 // Overload control & degraded serving: a closed-loop controller
 // (Config.OverloadInterval) publishes a load level that
 // deterministically sheds optional work — down to serving only
-// byte-cache hits, resident answers and coalesce joins at level 2 —
-// and requests may opt into degraded fallback routing with
-// "allow_degraded": true. See the package comment in overload.go for
-// the ladder and its signals.
+// resident answers and coalesce joins at level 2 — and requests may
+// opt into degraded fallback routing with "allow_degraded": true. See
+// the package comment in overload.go for the ladder and its signals.
 //
 // Warm-state persistence: POST /v1/state/save (enabled by
 // Config.StatePath) snapshots every planner's caches to disk via
@@ -179,19 +169,6 @@ type Config struct {
 	// saves on SIGTERM drain / restores on boot). Empty disables the
 	// endpoint.
 	StatePath string
-	// ByteCacheCap bounds the rendered-response byte cache: fully
-	// delivered 200 bodies, keyed by complete response identity
-	// (resolved device + its calibration fingerprint, graph name +
-	// structure, deadline, estimator), are served straight from
-	// admission — after the drain, quarantine and device-health gates,
-	// before queueing — so a repeat request skips its lane, the planner
-	// and the wire-marshal. Hits are transparent: responses are pure
-	// functions of seed + config, so a hit returns exactly the bytes a
-	// fresh execution would render, on or off, at any GOMAXPROCS.
-	// 0 means DefaultByteCacheCap; negative disables the cache (tests
-	// whose repeated requests must reach the resident, coalesce or shed
-	// gates do this).
-	ByteCacheCap int
 	// DrainTimeout is the drain budget Shutdown assumes when its
 	// context carries no deadline (a context deadline takes
 	// precedence), and the basis of the Retry-After hint every
@@ -226,7 +203,7 @@ type Config struct {
 	// section). The level is a pure function of the current signals, so
 	// it returns to 0 within one interval of the load going away.
 	// 0 means DefaultOverloadInterval; negative disables the controller
-	// (the level is pinned at 0), mirroring the ByteCacheCap convention.
+	// (the level is pinned at 0).
 	OverloadInterval time.Duration
 
 	// SlowTraceMs emits a structured log/slog line (on SlowLog, or the
@@ -248,11 +225,6 @@ type Config struct {
 const (
 	DefaultMaxBodyBytes = 1 << 20 // 1 MiB: ~10x the largest zoo graph's wire form
 	DefaultQueueDepth   = 256
-	// DefaultByteCacheCap bounds the rendered-response byte cache:
-	// bodies are a few hundred bytes, so the default is ~1 MiB of
-	// rendered responses — the full zoo x fleet x a generous spread of
-	// deadlines stays resident.
-	DefaultByteCacheCap = 4096
 	// DefaultDrainTimeout matches cmd/netserve's -drain-timeout
 	// default: the drain budget assumed when Shutdown's context has no
 	// deadline.
@@ -339,14 +311,9 @@ func (c *Config) fill() error {
 	if c.QueueDepth == 0 {
 		c.QueueDepth = DefaultQueueDepth
 	}
-	if c.ByteCacheCap == 0 {
-		c.ByteCacheCap = DefaultByteCacheCap
-	}
 	if c.DrainTimeout == 0 {
 		c.DrainTimeout = DefaultDrainTimeout
 	}
-	// OverloadInterval follows the ByteCacheCap convention: 0 means the
-	// default, negative means disabled.
 	if c.OverloadInterval == 0 {
 		c.OverloadInterval = DefaultOverloadInterval
 	}
@@ -464,13 +431,6 @@ type Gateway struct {
 	// par.Workers() when Workers is unset).
 	laneQueueCap int
 	laneWorkers  int
-
-	// bytes is the rendered-response byte cache (nil when disabled by a
-	// negative Config.ByteCacheCap); calib maps each registered device
-	// to its calibration fingerprint, the byteKey component that pins
-	// cached bytes to the calibration that produced them.
-	bytes *lru.Sharded[byteKey, []byte]
-	calib map[string]uint64
 
 	mu        sync.Mutex
 	saveMu    sync.Mutex // serializes SaveStateFile writers
@@ -618,10 +578,6 @@ func New(cfg Config) (*Gateway, error) {
 		cancelledLatMs: reg.Histogram("netcut_gateway_request_cancelled_lat_ms",
 			"wall-clock latency of admitted plan requests cancelled by client disconnect before delivery", nil),
 	}
-	if cfg.ByteCacheCap > 0 {
-		g.bytes = lru.NewSharded[byteKey, []byte](byteCacheShards, cfg.ByteCacheCap, hashByteKey)
-		lru.Instrument(reg, "netcut_gateway_bytecache", g.bytes)
-	}
 	reg.GaugeFunc("netcut_gateway_inflight", "distinct in-flight executions (coalescing keys)",
 		func() float64 {
 			g.mu.Lock()
@@ -661,7 +617,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g.lanes = make(map[string]*lane, len(names))
 	g.health = make(map[string]*deviceHealth, len(names))
-	g.calib = make(map[string]uint64, len(names))
 	g.panicsByDev = make(map[string]*telemetry.Counter, len(names))
 	g.abandonedByDev = make(map[string]*telemetry.Counter, len(names))
 	g.unhealthyByDev = make(map[string]*telemetry.Gauge, len(names))
@@ -672,8 +627,6 @@ func New(cfg Config) (*Gateway, error) {
 		if err != nil {
 			return nil, fmt.Errorf("gateway: %w", err)
 		}
-		dc := p.DeviceConfig()
-		g.calib[name] = dc.Fingerprint()
 		labels := []telemetry.Label{{Key: "device", Value: name}}
 		l := &lane{
 			device:  name,
@@ -923,22 +876,21 @@ func (g *Gateway) handlePlan(w http.ResponseWriter, r *http.Request) {
 	tr.SetRequest(dec.key.name, dec.target)
 	tr.Mark(stageDecode, verdictOK)
 
-	c, cached, aerr := g.admit(dec, tr)
+	c, resident, aerr := g.admit(dec, tr)
 	if aerr != nil {
 		g.writeErrTraced(w, aerr, tr)
 		return
 	}
-	if cached != nil {
-		// Byte-cache hit or resident answer: the rendered body
-		// short-circuited lane, planner and wire-marshal. It still
-		// counts as an admitted request in the latency histogram; the
-		// answer itself is counted by netcut_gateway_bytecache_hits_total
-		// or netcut_gateway_resident_total, distinct from planner
-		// executions.
+	if resident != nil {
+		// Resident answer: the rendered body short-circuited lane,
+		// planner and wire-marshal. It still counts as an admitted
+		// request in the latency histogram; the answer itself is
+		// counted by netcut_gateway_resident_total, distinct from
+		// planner executions.
 		if dec.degradedReason != "" {
-			cached = injectDegraded(cached, dec.degradedReason)
+			resident = injectDegraded(resident, dec.degradedReason)
 		}
-		end := g.writePlanTraced(w, http.StatusOK, cached, tr)
+		end := g.writePlanTraced(w, http.StatusOK, resident, tr)
 		g.requestLatMs.Observe(float64(end.Sub(start)) / float64(time.Millisecond))
 		return
 	}
@@ -955,7 +907,7 @@ func (g *Gateway) handlePlan(w http.ResponseWriter, r *http.Request) {
 		if dec.degradedReason != "" && c.status == http.StatusOK {
 			// The degraded markers are this response's, not the call's:
 			// the canonical body (shared with coalesced waiters and the
-			// byte cache) stays clean, like the trace ID.
+			// resident step) stays clean, like the trace ID.
 			body = injectDegraded(body, dec.degradedReason)
 		}
 		end := g.writePlanTraced(w, c.status, body, tr)
@@ -976,11 +928,10 @@ func (g *Gateway) handlePlan(w http.ResponseWriter, r *http.Request) {
 }
 
 // admit is the admission pipeline of one decoded request: it returns
-// either a rendered body (byte-cache hit or resident answer) or the
-// call to wait on. The gate order of the package comment is written
-// out once — the drain and quarantine gates here, then resolve, then
-// gates — and a degraded fallback re-enters gates rather than copying
-// it.
+// either a rendered body (a resident answer) or the call to wait on.
+// The gate order of the package comment is written out once — the
+// drain and quarantine gates here, then resolve, then gates — and a
+// degraded fallback re-enters gates rather than copying it.
 func (g *Gateway) admit(dec *decodedRequest, tr *trace.Trace) (*call, []byte, *apiError) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -1083,11 +1034,11 @@ func (g *Gateway) resolve(dec *decodedRequest, tr *trace.Trace) (string, *call, 
 }
 
 // gates runs the per-device gates on a resolved device, each exactly
-// once, in the package comment's order: health, byte cache, resident,
-// coalesce, emergency, budget, enqueue. A health or budget refusal of
-// a request that opted into allow_degraded, and has not degraded yet,
-// is not applied — no verdict, no shed counter — and the request
-// degrades instead.
+// once, in the package comment's order: health, resident, coalesce,
+// emergency, budget, enqueue. A health or budget refusal of a request
+// that opted into allow_degraded, and has not degraded yet, is not
+// applied — no verdict, no shed counter — and the request degrades
+// instead.
 func (g *Gateway) gates(dec *decodedRequest, dev string, tr *trace.Trace) (*call, []byte, *apiError) {
 	mayDegrade := dec.allowDegraded && dec.degradedReason == ""
 	dec.key.device = dev
@@ -1102,23 +1053,17 @@ func (g *Gateway) gates(dec *decodedRequest, dev string, tr *trace.Trace) (*call
 	}
 	tr.MarkZero(stageHealth, verdictOK)
 
-	// The byte cache comes after the drain, quarantine and health gates
-	// (a refused request is refused whether or not its bytes are
-	// resident) and before every shed: a hit is served even to a
-	// budget-constrained request, since rendered bytes fit any budget.
-	if body, ok := g.byteCacheGet(dec.key); ok {
-		tr.Mark(stageByteCache, "hit")
-		return nil, body, nil
-	}
-	tr.MarkZero(stageByteCache, "miss")
-
-	// A resident answer takes the byte cache's place in the order, for
-	// the same reasons: the staircase step's body was rendered once
-	// from a completed response, and it fits any budget.
+	// A resident answer comes after the drain, quarantine and health
+	// gates (a refused request is refused whether or not its step is
+	// resident) and before every shed: the staircase step's body was
+	// rendered once from a completed response, and it fits any budget.
+	// It also serves the stragglers of a pass: climb publishes the
+	// accepted step before Select returns, so before deliver removes
+	// the in-flight entry, and an identical request that finds no
+	// entry to join finds the step here.
 	l := g.lanes[dev]
 	if a, ok := l.planner.Resident(dec.req); ok {
 		body := a.Body(EncodeResponse)
-		g.byteCacheAdd(dec.key, body)
 		g.residentCounter(dev).Inc()
 		tr.Mark(stageResident, "hit")
 		return nil, body, nil
@@ -1144,7 +1089,7 @@ func (g *Gateway) gates(dec *decodedRequest, dev string, tr *trace.Trace) (*call
 		tr.MarkZero(stageShed, "overload")
 		g.shedOverload.Inc()
 		e := errf(http.StatusTooManyRequests, "overload_shed",
-			"gateway is at load level %d (emergency): only cached responses, resident answers and coalesce joins are served", lvl)
+			"gateway is at load level %d (emergency): only resident answers and coalesce joins are served", lvl)
 		p99, _ := l.planner.WarmQuantile(0.99)
 		e.wire.RetryAfterMs = math.Max(float64(lvl)*laneWaves(len(l.queue), g.laneWorkers)*p99, 1)
 		return nil, nil, e
@@ -1356,8 +1301,9 @@ func runPass(p *serve.Planner, req serve.Request) (res passResult) {
 // pass runs on its own goroutine; if it outlives the timeout the worker
 // abandons it — abandoned reports true, the goroutine's eventual result
 // lands in the buffered channel and is discarded, and the lane moves
-// on. Abandonment never caches anything at the gateway layer: the
-// coalesce entry dies with the call.
+// on. The coalesce entry dies with the call; a step the abandoned pass
+// later accepts becomes resident like any other, since its bytes do not
+// depend on timing.
 func (g *Gateway) runGuarded(p *serve.Planner, req serve.Request) (res passResult, abandoned bool) {
 	if g.cfg.ExecTimeout <= 0 {
 		return runPass(p, req), false
@@ -1399,10 +1345,7 @@ func (g *Gateway) execute(c *call) {
 }
 
 // deliverResult publishes a completed execution's response (success or
-// structured planner error) to a call. The success path is the byte
-// cache's only population point: a body cached here was fully rendered
-// and delivered, so errors, contained panics and watchdog-abandoned
-// passes can never seed the fast path.
+// structured planner error) to a call.
 func (g *Gateway) deliverResult(c *call, resp *serve.Response, err error) {
 	if err != nil {
 		g.planErrors.Inc()
@@ -1414,7 +1357,6 @@ func (g *Gateway) deliverResult(c *call, resp *serve.Response, err error) {
 	encStart := time.Now()
 	body := EncodeResponse(resp)
 	c.encodeDur = time.Since(encStart)
-	g.byteCacheAdd(c.key, body)
 	g.deliver(c, http.StatusOK, body, 0)
 }
 
@@ -1436,9 +1378,8 @@ func (g *Gateway) deliverPanic(c *call, res passResult) {
 }
 
 // abandonCall is the watchdog outcome: the abandoned pass's call gets
-// a 504 with a Retry-After, its coalesce entry dies (an abandoned
-// result is never cached at this layer), and the device takes a
-// containment mark.
+// a 504 with a Retry-After, its coalesce entry dies, and the device
+// takes a containment mark.
 func (g *Gateway) abandonCall(c *call) {
 	dev := c.key.device
 	g.abandonedByDev[dev].Inc()
@@ -1466,10 +1407,6 @@ func (g *Gateway) deviceFault(dev string) {
 	h := g.health[dev]
 	if h.consecutive.Add(1) >= unhealthyAfter && h.unhealthy.CompareAndSwap(false, true) {
 		g.unhealthyByDev[dev].Set(1)
-		// A tripped device's rendered bodies leave the fast path with
-		// it: eligibility already gates every lookup, and the purge
-		// keeps the cache's contents honest about who is serving.
-		g.byteCachePurgeDevice(dev)
 		g.goBackground(func() { g.probeLoop(h) })
 	}
 }

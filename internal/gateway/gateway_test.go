@@ -470,12 +470,10 @@ func TestGatewayQueuedRequestsRunOnePassEach(t *testing.T) {
 // that request's own pass is the threshold execution, after which the
 // next warm request of the walk is shed with budget_too_small at no
 // planner cost, while the admitted request, now a resident answer, is
-// still answered. The byte cache is off so the repeat reaches the
-// resident gate.
+// still answered.
 func TestGatewayShedActivatesAtWarmThreshold(t *testing.T) {
 	cfg := quickConfig(6)
 	cfg.Devices = []device.Config{device.Xavier()}
-	cfg.ByteCacheCap = -1
 	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -862,11 +860,7 @@ func TestGatewayDevicesEndpoint(t *testing.T) {
 // lane work on the next step of the target's staircase is a warm
 // per-target measurement-cache hit.
 func TestGatewayCrossDeviceIsolation(t *testing.T) {
-	cfg := quickConfig(23)
-	// The repeat must reach the resident gate, which the byte cache
-	// would answer first.
-	cfg.ByteCacheCap = -1
-	g, err := New(cfg)
+	g, err := New(quickConfig(23))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1007,12 +1001,13 @@ func TestGatewayAutoShedsOnlyWhenNoDeviceQualifies(t *testing.T) {
 }
 
 // TestGatewayCoalescesStaggeredBurstOnDefaultConfig pins that socket-
-// staggered identical requests cost one planner pass per burst with
-// the byte cache on and nothing held open: admission checks the byte
-// cache, the staircase and then the in-flight map under one lock, and
-// a pass caches its body before it leaves the in-flight map, so every
-// straggler either joins the pass or hits its body. Each burst is the
-// next step of a staircase walk, so its leader is lane work.
+// staggered identical requests cost one planner pass per burst on the
+// default config with nothing held open: admission checks the
+// staircase and then the in-flight map under one lock, and climb
+// publishes the accepted step before Select returns, so before deliver
+// removes the in-flight entry; every straggler either joins the pass or
+// finds its step resident. Each burst is the next step of a staircase
+// walk, so its leader is lane work.
 func TestGatewayCoalescesStaggeredBurstOnDefaultConfig(t *testing.T) {
 	const bursts, k = 8, 16
 	g, err := New(quickConfig(37))
@@ -1061,7 +1056,7 @@ func TestGatewayCoalescesStaggeredBurstOnDefaultConfig(t *testing.T) {
 		}
 		w.advance(burstBody)
 	}
-	// Coalescing and cache hits never change bytes.
+	// Coalescing and resident answers never change bytes.
 	solo, err := serve.New(serve.Config{Seed: 37, Protocol: quickProto})
 	if err != nil {
 		t.Fatal(err)
@@ -1081,9 +1076,6 @@ func TestGatewayCoalescesStaggeredBurstOnDefaultConfig(t *testing.T) {
 // zero planner cost instead of being shed.
 func TestGatewayAutoCoalescesBeforeShedding(t *testing.T) {
 	cfg := quickConfig(41)
-	// Coalescing with an in-flight leader is the subject; a byte-cache
-	// hit would answer the repeats before they could join anything.
-	cfg.ByteCacheCap = -1
 	cfg.Workers = 1
 	cfg.Devices = []device.Config{device.Xavier()}
 	g, err := New(cfg)

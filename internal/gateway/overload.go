@@ -9,7 +9,7 @@ package gateway
 //	level 0 (normal)    everything on.
 //	level 1 (brownout)  Prewarm paused.
 //	level 2 (emergency) Prewarm paused, and admission serves only
-//	                    byte-cache hits and coalesce joins — every
+//	                    resident answers and coalesce joins — every
 //	                    cold miss is shed pre-execution with a
 //	                    level-scaled, backlog-honest Retry-After.
 //

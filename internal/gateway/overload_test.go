@@ -40,7 +40,7 @@ func retryAfterMs(t *testing.T, rec *httptest.ResponseRecorder) float64 {
 // TestFaultOverloadLadderQueueStall pins the ladder's contract at
 // level 2 end to end, deterministically: the QueueStall point reads
 // the lane as completely full, so the controller must report
-// emergency within one interval; byte-cache hits and coalesce joins
+// emergency within one interval; resident answers and coalesce joins
 // keep serving; a cold miss is shed pre-execution with the
 // level-scaled backlog-honest hint; and one tick after the signal
 // clears the level is back to 0 and cold misses serve again.
@@ -59,7 +59,7 @@ func TestFaultOverloadLadderQueueStall(t *testing.T) {
 		t.Fatalf("fresh gateway at load level %d, want 0", lvl)
 	}
 
-	// Warm one identity into the byte cache while the gateway is calm.
+	// Accept one identity's staircase step while the gateway is calm.
 	hitBody := graphBody(t, userNet(0), 0.35, "")
 	if rec := post(g, hitBody); rec.Code != http.StatusOK {
 		t.Fatal(rec.Body.String())
@@ -88,9 +88,9 @@ func TestFaultOverloadLadderQueueStall(t *testing.T) {
 		t.Fatal("level moved to 2 without a recorded transition")
 	}
 
-	// Byte-cache hits still serve at level 2.
+	// Resident answers still serve at level 2.
 	if rec := post(g, hitBody); rec.Code != http.StatusOK {
-		t.Fatalf("byte-cache hit at level 2: status %d: %s", rec.Code, rec.Body.String())
+		t.Fatalf("resident answer at level 2: status %d: %s", rec.Code, rec.Body.String())
 	}
 	// Coalesce joins still serve: an identical spelling of the wedged
 	// leader must join its in-flight execution, not be shed.
@@ -388,7 +388,7 @@ func TestOverloadNoDecayDuringPass(t *testing.T) {
 // falls back deterministically to the fastest healthy device and the
 // body is byte-identical to the explicit spelling of that fallback
 // modulo the trace ID and the write-time degraded markers — on both
-// the execution path and the byte-cache hit path.
+// the execution path and the resident path.
 func TestFaultDegradedUnhealthyDevice(t *testing.T) {
 	defer faultinject.Reset()
 	cfg := quickConfig(38)
@@ -421,17 +421,17 @@ func TestFaultDegradedUnhealthyDevice(t *testing.T) {
 	}
 	d1 := rec.Body.Bytes()
 
-	// Repeat: now a byte-cache hit of the fallback identity, still
+	// Repeat: now a resident answer on the fallback device, still
 	// marked degraded, byte-identical modulo the trace ID.
 	rec = post(g, graphBody(t, userNet(0), 0.35, `,"allow_degraded":true`))
 	if rec.Code != http.StatusOK {
 		t.Fatal(rec.Body.String())
 	}
 	if !bytes.Equal(stripped(d1), stripped(rec.Body.Bytes())) {
-		t.Fatalf("cold and cached degraded bodies diverged:\n%s\n%s", d1, rec.Body.Bytes())
+		t.Fatalf("cold and resident degraded bodies diverged:\n%s\n%s", d1, rec.Body.Bytes())
 	}
 	// Explicit spelling of the fallback target delivers the canonical
-	// body: no degraded markers leak out of the shared byte cache, and
+	// body: no degraded markers leak out of the shared resident step, and
 	// the degraded body equals it modulo the markers.
 	rec = post(g, graphBody(t, userNet(0), 0.35, `,"target":"sim-edge-cpu"`))
 	if rec.Code != http.StatusOK {
@@ -468,7 +468,6 @@ func TestFaultDegradedBudgetAndFleetDown(t *testing.T) {
 	defer faultinject.Reset()
 	cfg := quickConfig(39)
 	cfg.Devices = []device.Config{device.Xavier()}
-	cfg.ByteCacheCap = -1 // repeats must reach the shed predicate
 	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -546,7 +545,6 @@ func TestOverloadQueueFullRetryAfterWaves(t *testing.T) {
 	cfg.Devices = []device.Config{device.Xavier()}
 	cfg.Workers = 1
 	cfg.QueueDepth = 4
-	cfg.ByteCacheCap = -1
 	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -617,7 +615,7 @@ func TestOverloadQueueFullRetryAfterWaves(t *testing.T) {
 // TestFaultOverloadSoak floods a tiny gateway with roughly 4x its
 // queue capacity of unique cold requests over slowed executions (the
 // ExecDelay point) and pins the controller's dynamic behavior under
-// -race: the level rises to emergency, byte-cache hits keep serving
+// -race: the level rises to emergency, resident answers keep serving
 // through it, every rejection is a well-formed 429 with a Retry-After,
 // the level returns to 0 once the load stops, a cold request serves
 // again, and shutdown leaks no goroutines.
@@ -688,7 +686,7 @@ func TestFaultOverloadSoak(t *testing.T) {
 	waitFor(t, "emergency level under flood", func() bool { return g.LoadLevel() == levelEmergency })
 	for i := 0; i < 3; i++ {
 		if rec := post(g, hitBody); rec.Code != http.StatusOK {
-			t.Fatalf("byte-cache hit during overload: status %d: %s", rec.Code, rec.Body.String())
+			t.Fatalf("resident answer during overload: status %d: %s", rec.Code, rec.Body.String())
 		}
 	}
 	waitFor(t, "overload sheds to be counted", func() bool { return g.shedOverload.Value() > 0 })

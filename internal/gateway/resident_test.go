@@ -1,18 +1,20 @@
 package gateway
 
-// Resident-answer suite: the byte-cache invariants, carried over to
-// answers served from a planner's answer staircase. A resident answer
-// costs no planner execution, is byte-identical (modulo trace_id) to
-// the lane's answer for the same request, joins the byte cache, beats
-// the emergency and budget sheds, and is refused by every gate before
-// it: drain, quarantine and device health.
+// Resident-answer suite: answers served from a planner's answer
+// staircase are invisible except in latency. A resident answer costs no
+// planner execution, is byte-identical (modulo trace_id) to the lane's
+// answer for the same request under any interleaving and after any
+// eviction, beats the emergency and budget sheds, and is refused by
+// every gate before it: drain, quarantine and device health.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"netcut/internal/device"
@@ -44,7 +46,8 @@ func seedStep(t *testing.T, g *Gateway, net *graph.Graph, target string) string 
 // bytes: no planner execution, the lane's body for the same request on
 // a fresh gateway, a "resident" hit verdict in the trace, a per-device
 // counter registered on the device's first resident answer, a count in
-// /debug/stats, and a byte-cache entry that answers the repeat.
+// /debug/stats, and the same answer for an exact repeat of either the
+// step request or the request that accepted the step.
 func TestResidentAnswerSkipsLane(t *testing.T) {
 	cfg := quickConfig(71)
 	cfg.Devices = []device.Config{device.Xavier(), device.EdgeCPU()}
@@ -55,7 +58,7 @@ func TestResidentAnswerSkipsLane(t *testing.T) {
 	defer mustShutdown(t, g)
 
 	step := seedStep(t, g, userNet(0), "sim-xavier")
-	execs, hits := g.Planner().Executions(), g.bytes.Stats().Hits
+	execs := g.Planner().Executions()
 	rec := post(g, step)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("resident request: status %d: %s", rec.Code, rec.Body.String())
@@ -96,7 +99,7 @@ func TestResidentAnswerSkipsLane(t *testing.T) {
 	for _, sp := range dump.Traces[0].Spans {
 		verdicts[sp.Stage] = sp.Verdict
 	}
-	if verdicts[stageByteCache] != "miss" || verdicts[stageResident] != "hit" || verdicts[stageCoalesce] != "" {
+	if verdicts[stageResident] != "hit" || verdicts[stageCoalesce] != "" {
 		t.Fatalf("resident trace verdicts %v", verdicts)
 	}
 
@@ -114,16 +117,186 @@ func TestResidentAnswerSkipsLane(t *testing.T) {
 		t.Fatalf("/debug/stats resident %v", stats.Resident)
 	}
 
-	// The answer joined the byte cache: the repeat is a hit.
-	again := post(g, step)
-	if again.Code != http.StatusOK || !bytes.Equal(stripped(again.Body.Bytes()), stripped(rec.Body.Bytes())) {
-		t.Fatalf("repeat: status %d: %s", again.Code, again.Body.String())
+	// Exact repeats of the step request and of the request that
+	// accepted the step are resident answers with the same body.
+	for i, body := range []string{step, graphBody(t, userNet(0), 0.35, `,"target":"sim-xavier"`)} {
+		again := post(g, body)
+		if again.Code != http.StatusOK || !bytes.Equal(stripped(again.Body.Bytes()), stripped(rec.Body.Bytes())) {
+			t.Fatalf("repeat %d: status %d: %s", i, again.Code, again.Body.String())
+		}
 	}
-	if got := g.bytes.Stats().Hits; got != hits+1 {
-		t.Fatalf("byte-cache hits %d -> %d, want one", hits, got)
+	if got := g.residentCounter("sim-xavier").Value(); got != 3 {
+		t.Fatalf("resident counter %d after two repeats, want 3", got)
+	}
+	if got := g.Planner().Executions(); got != execs {
+		t.Fatalf("repeats cost planner executions: %d -> %d", execs, got)
+	}
+}
+
+// TestByteCacheHitSkipsExecution pins the exact-repeat contract that
+// the rendered-response byte cache used to carry and resident answers
+// carry now: a repeat of an identical request is byte-identical to the
+// first answer, costs zero additional planner executions, and is
+// counted as a resident answer on /metrics, never as an execution.
+func TestByteCacheHitSkipsExecution(t *testing.T) {
+	cfg := quickConfig(51)
+	cfg.Devices = []device.Config{device.Xavier()}
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustShutdown(t, g)
+
+	body := graphBody(t, userNet(0), 0.35, "")
+	first := post(g, body)
+	if first.Code != http.StatusOK {
+		t.Fatalf("first request: status %d: %s", first.Code, first.Body.String())
+	}
+	execs := g.Planner().Executions()
+	if execs == 0 {
+		t.Fatal("first request did not execute")
+	}
+	if got := g.residentCounter("sim-xavier").Value(); got != 0 {
+		t.Fatalf("resident counter %d after the first request, want 0", got)
+	}
+
+	second := post(g, body)
+	if second.Code != http.StatusOK {
+		t.Fatalf("second request: status %d: %s", second.Code, second.Body.String())
+	}
+	if !bytes.Equal(stripped(first.Body.Bytes()), stripped(second.Body.Bytes())) {
+		t.Fatalf("repeat diverged from execution:\n got %s\nwant %s", second.Body.Bytes(), first.Body.Bytes())
+	}
+	if got := g.Planner().Executions(); got != execs {
+		t.Fatalf("planner executions = %d after an exact repeat, want unchanged %d", got, execs)
 	}
 	if got := g.residentCounter("sim-xavier").Value(); got != 1 {
-		t.Fatalf("the repeat was resident too (counter %d)", got)
+		t.Fatalf("resident counter %d after an exact repeat, want 1", got)
+	}
+
+	rec := get(g, "/metrics")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/metrics: status %d", rec.Code)
+	}
+	if out := rec.Body.String(); !strings.Contains(out, `netcut_gateway_resident_total{device="sim-xavier"} 1`+"\n") {
+		t.Fatalf("/metrics resident series:\n%s", grepLines(out, "netcut_gateway_resident_total"))
+	}
+}
+
+// TestResidentByteIdenticalUnderConcurrency pins transparency under
+// concurrency: any interleaving of repeated requests at any GOMAXPROCS,
+// most of them resident answers, produces bodies byte-identical to a
+// serial replay on a fresh gateway.
+func TestResidentByteIdenticalUnderConcurrency(t *testing.T) {
+	const (
+		goroutines = 8
+		distinct   = 4
+		rounds     = 3
+		seed       = 53
+	)
+	bodyFor := func(t *testing.T, i int) string { return graphBody(t, userNet(i), 0.35, "") }
+
+	// Serial reference: one worker, GOMAXPROCS 1, each request once.
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	refCfg := quickConfig(seed)
+	refCfg.Workers = 1
+	ref, err := New(refCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]byte, distinct)
+	for i := range want {
+		rec := post(ref, bodyFor(t, i))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("reference request %d: status %d: %s", i, rec.Code, rec.Body.String())
+		}
+		want[i] = stripped(rec.Body.Bytes())
+	}
+	mustShutdown(t, ref)
+
+	for _, width := range []int{1, 4} {
+		runtime.GOMAXPROCS(width)
+		cfg := quickConfig(seed)
+		cfg.Workers = 2
+		g, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, goroutines)
+		for w := 0; w < goroutines; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for round := 0; round < rounds; round++ {
+					for j := 0; j < distinct; j++ {
+						i := (j + w + round) % distinct
+						rec := post(g, bodyFor(t, i))
+						if rec.Code != http.StatusOK {
+							errs <- fmt.Errorf("GOMAXPROCS=%d worker %d: status %d: %s", width, w, rec.Code, rec.Body.String())
+							return
+						}
+						if !bytes.Equal(stripped(rec.Body.Bytes()), want[i]) {
+							errs <- fmt.Errorf("GOMAXPROCS=%d worker %d round %d: user-net-%d body diverged from the serial replay:\n got %s\nwant %s",
+								width, w, round, i, rec.Body.Bytes(), want[i])
+							return
+						}
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		if g.residentCounter("sim-xavier").Value() == 0 {
+			t.Fatalf("GOMAXPROCS=%d: no request was a resident answer, the comparison proved nothing", width)
+		}
+		mustShutdown(t, g)
+	}
+}
+
+// TestResidentEvictionTransparent pins the bounded-staircase contract:
+// with room for one staircase, an identity whose staircase was evicted
+// re-executes on its next request and renders byte-identical output —
+// eviction costs latency, never correctness.
+func TestResidentEvictionTransparent(t *testing.T) {
+	cfg := quickConfig(57)
+	cfg.Devices = []device.Config{device.Xavier()}
+	cfg.Planner.TableCacheCap = 1
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustShutdown(t, g)
+
+	const distinct = 6
+	first := make([][]byte, distinct)
+	for i := 0; i < distinct; i++ {
+		rec := post(g, graphBody(t, userNet(i), 0.35, ""))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, rec.Code, rec.Body.String())
+		}
+		first[i] = stripped(rec.Body.Bytes())
+	}
+	st := g.Planner().Stats().Staircases
+	if st.Evictions == 0 || st.Len > 1 {
+		t.Fatalf("staircase stats = %+v: %d distinct identities under cap 1", st, distinct)
+	}
+	execs := g.Planner().Executions()
+	for i := 0; i < distinct; i++ {
+		rec := post(g, graphBody(t, userNet(i), 0.35, ""))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("repeat %d: status %d: %s", i, rec.Code, rec.Body.String())
+		}
+		if !bytes.Equal(stripped(rec.Body.Bytes()), first[i]) {
+			t.Fatalf("identity %d diverged after eviction:\n got %s\nwant %s", i, rec.Body.Bytes(), first[i])
+		}
+	}
+	if got := g.Planner().Executions(); got != execs+distinct {
+		t.Fatalf("executions %d -> %d: every evicted identity should re-execute once", execs, got)
 	}
 }
 
@@ -168,9 +341,7 @@ func TestResidentRefusedByEarlierGates(t *testing.T) {
 		cfg := quickConfig(74)
 		cfg.Devices = []device.Config{device.Xavier(), device.EdgeCPU()}
 		// The quarantine identity includes the deadline, so the refused
-		// request repeats the seeding one; with the byte cache off its
-		// answer comes from the staircase.
-		cfg.ByteCacheCap = -1
+		// request repeats the seeding one, answered from the staircase.
 		g, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -205,9 +376,8 @@ func TestResidentRefusedByEarlierGates(t *testing.T) {
 	})
 }
 
-// TestResidentBeatsSheds pins that a resident answer, like a byte-cache
-// hit, is served under the emergency level and to a budget below the
-// warm p99, at no planner cost, while lane work on the same gateway is
+// TestResidentBeatsSheds pins that a resident answer is served under
+// the emergency level and to a budget below the warm p99, at no planner cost, while lane work on the same gateway is
 // shed.
 func TestResidentBeatsSheds(t *testing.T) {
 	t.Run("emergency", func(t *testing.T) {
@@ -264,9 +434,8 @@ func TestResidentBeatsSheds(t *testing.T) {
 
 // TestResidentAnswerAllocs bounds a resident answer's allocations, like
 // BenchmarkGatewayThroughput's hit_allocs gate: request-scoped
-// bookkeeping and the byte-cache insert, never a render or a copy of
-// the body. Each request is a fresh deadline on one step, so each one
-// misses the byte cache and is answered by the staircase.
+// bookkeeping only, never a render or a copy of the body. Each request
+// is a fresh deadline on one step, so each one searches the staircase.
 func TestResidentAnswerAllocs(t *testing.T) {
 	cfg := quickConfig(79)
 	cfg.Devices = []device.Config{device.Xavier()}

@@ -10,10 +10,10 @@ package gateway
 // Config.SlowTraceMs structured log lines.
 //
 // Tracing is observability only, like every telemetry surface in this
-// repo: the canonical response body (and the byte cache that stores it)
-// stays trace-free, and the per-request trace_id is spliced in at
-// response-write time — so a cache hit, a coalesced follower and a
-// fresh execution still produce byte-identical bodies modulo that one
+// repo: the canonical response body (and the resident staircase step
+// that stores it) stays trace-free, and the per-request trace_id is
+// spliced in at response-write time — so a resident answer, a coalesced
+// follower and a fresh execution still produce byte-identical bodies modulo that one
 // injected field, at any GOMAXPROCS.
 
 import (
@@ -47,7 +47,6 @@ const (
 	stageQuarantine = "quarantine" // poison-key gate
 	stageRoute      = "route"      // target resolution; verdict is the resolved device
 	stageHealth     = "health"     // device-health gate
-	stageByteCache  = "bytecache"  // rendered-response cache; verdict hit/miss
 	stageResident   = "resident"   // planner staircase lookup; verdict hit/miss
 	stageCoalesce   = "coalesce"   // verdict leader/follower
 	stageShed       = "shed"       // budget/overload shed gate
@@ -56,7 +55,7 @@ const (
 	stageQueueWait  = "queue_wait" // admission to pass start (stitched post-delivery)
 	stageExec       = "exec"       // the planner pass (stitched post-delivery)
 	stageEncode     = "encode"     // wire-marshal of the response body
-	stageDeliver    = "deliver"    // pass end (or cache hit) to response write
+	stageDeliver    = "deliver"    // pass end (or resident answer) to response write
 )
 
 // verdictOK is the span verdict of a gate that let the request through.
@@ -69,8 +68,10 @@ const stageDeviceNone = "none"
 // timedStages are the stages whose durations are clock-bounded and
 // meaningful as histograms. The admission gates are deliberately
 // absent: they decide in nanoseconds and appear in traces as verdicts,
-// not in /metrics as mass.
-var timedStages = []string{stageDecode, stageByteCache, stageQueueWait, stageExec, stageEncode, stageDeliver}
+// not in /metrics as mass. The resident gate is the exception: a hit's
+// span (gate run-up, staircase lookup, first render) is the fast path's
+// admission cost, and a miss records zero.
+var timedStages = []string{stageDecode, stageResident, stageQueueWait, stageExec, stageEncode, stageDeliver}
 
 // stitchCallSpans carves a delivered call's worker-side timeline into
 // the waiting handler's trace: queue-wait (this trace's enqueue mark to
@@ -99,7 +100,7 @@ func stitchCallSpans(tr *trace.Trace, c *call) {
 // the trace. It returns the timestamp of the deliver mark so the caller
 // can reuse it for the request-latency histogram (one clock read for
 // all three). The deliver span runs from the previous cursor (pass end,
-// or the byte-cache hit) to this handler resuming to write — scheduler
+// or the resident answer) to this handler resuming to write — scheduler
 // handoff latency, the gap no other stage accounts for.
 func (g *Gateway) writePlanTraced(w http.ResponseWriter, status int, body []byte, tr *trace.Trace) time.Time {
 	now := tr.Mark(stageDeliver, verdictOK)
@@ -116,11 +117,11 @@ func (g *Gateway) writePlanTraced(w http.ResponseWriter, status int, body []byte
 var bodyScratch = sync.Pool{New: func() any { b := make([]byte, 0, 64); return &b }}
 
 // writeWithTraceID performs injectTraceID's splice zero-copy — this is
-// the per-request warm path. The rendered body (a byte-cache value or
-// EncodeResponse output, immutable by convention) is written directly
-// up to its final brace, so a cache hit never copies the payload; only
-// the few-byte trace-ID tail is assembled in the pooled scratch and
-// written second.
+// the per-request warm path. The rendered body (a resident step's body
+// or EncodeResponse output, immutable by convention) is written
+// directly up to its final brace, so a resident answer never copies the
+// payload; only the few-byte trace-ID tail is assembled in the pooled
+// scratch and written second.
 func writeWithTraceID(w http.ResponseWriter, body []byte, id string) {
 	i := bytes.LastIndexByte(body, '}')
 	if i < 0 {
@@ -158,9 +159,9 @@ func (g *Gateway) writeErrTraced(w http.ResponseWriter, e *apiError, tr *trace.T
 
 // injectTraceID splices `,"trace_id":"<id>"` before the final closing
 // brace of a rendered JSON body (bodies end "}\n"). The canonical body
-// — the coalesced result, the byte-cache value, EncodeResponse's
+// — the coalesced result, the resident step's body, EncodeResponse's
 // output — stays trace-free; each response gets its own ID at write
-// time, so caching and coalescing still produce byte-identical bodies
+// time, so resident answers and coalescing still produce byte-identical bodies
 // modulo this one field.
 func injectTraceID(body []byte, id string) []byte {
 	i := bytes.LastIndexByte(body, '}')

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -121,7 +122,7 @@ func TestDebugTraceTimeline(t *testing.T) {
 	}
 	for _, stage := range []string{
 		stageDecode, stageDrain, stageQuarantine, stageRoute, stageHealth,
-		stageByteCache, stageCoalesce, stageShed, stageEnqueue,
+		stageResident, stageCoalesce, stageShed, stageEnqueue,
 		stageQueueWait, stageExec, stageDeliver,
 	} {
 		if !hasStage(v, stage) {
@@ -145,24 +146,24 @@ func TestDebugTraceTimeline(t *testing.T) {
 		t.Fatalf("completed trace has non-positive duration %v", v.DurMs)
 	}
 
-	// A byte-cache hit records the hit verdict instead of executing.
+	// A resident answer records the hit verdict instead of executing.
 	rec2 := post(g, graphBody(t, userNet(1), 0.35, ""))
 	d2 := getDump(t, g, "/debug/trace?id="+rec2.Header().Get(TraceHeader))
 	if len(d2.Traces) != 1 {
-		t.Fatalf("cache-hit trace lookup returned %d traces", len(d2.Traces))
+		t.Fatalf("resident trace lookup returned %d traces", len(d2.Traces))
 	}
 	hit := d2.Traces[0]
-	var bc *trace.Span
+	var rs *trace.Span
 	for i := range hit.Spans {
-		if hit.Spans[i].Stage == stageByteCache {
-			bc = &hit.Spans[i]
+		if hit.Spans[i].Stage == stageResident {
+			rs = &hit.Spans[i]
 		}
 	}
-	if bc == nil || bc.Verdict != "hit" {
-		t.Fatalf("cache-hit trace bytecache span %+v, want verdict hit; have %v", bc, stages(hit))
+	if rs == nil || rs.Verdict != "hit" {
+		t.Fatalf("resident trace span %+v, want verdict hit; have %v", rs, stages(hit))
 	}
-	if hasStage(hit, stageExec) {
-		t.Fatalf("cache-hit trace has an exec span: %v", stages(hit))
+	if hasStage(hit, stageExec) || hasStage(hit, stageCoalesce) {
+		t.Fatalf("resident trace ran past the resident gate: %v", stages(hit))
 	}
 }
 
@@ -387,8 +388,9 @@ func TestPprofGated(t *testing.T) {
 
 // TestStageHistogramsInMetrics pins the netcut_gateway_stage_ms
 // families: after one delivered request the timed stages appear with
-// the device label (queue_wait and exec as distinct series), and the
-// ring/live gauges are exported.
+// the device label (queue_wait and exec as distinct series), a
+// resident answer then prices the fast path in the resident series
+// and no lane stage, and the ring/live gauges are exported.
 func TestStageHistogramsInMetrics(t *testing.T) {
 	g, err := New(quickConfig(107))
 	if err != nil {
@@ -396,19 +398,37 @@ func TestStageHistogramsInMetrics(t *testing.T) {
 	}
 	defer mustShutdown(t, g)
 
-	if rec := post(g, graphBody(t, userNet(4), 0.35, "")); rec.Code != http.StatusOK {
+	body := graphBody(t, userNet(4), 0.35, "")
+	if rec := post(g, body); rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
+	}
+	count := func(stage string, n int) string {
+		return fmt.Sprintf(`netcut_gateway_stage_ms_count{stage="%s",device="sim-xavier"} %d`, stage, n)
 	}
 	out := get(g, "/metrics").Body.String()
 	for _, stage := range timedStages {
 		// One delivered request: every timed stage observed exactly once,
 		// all attributed to the resolved device.
-		want := `netcut_gateway_stage_ms_count{stage="` + stage + `",device="sim-xavier"} 1`
-		if !strings.Contains(out, want) {
+		if want := count(stage, 1); !strings.Contains(out, want) {
 			t.Fatalf("/metrics missing %q", want)
 		}
 	}
-	for _, fam := range []string{"netcut_gateway_trace_ring_entries 1", "netcut_gateway_traces_inflight 0"} {
+	// The repeat is a resident answer: decode, resident and deliver
+	// observe it; the lane stages do not.
+	if rec := post(g, body); rec.Code != http.StatusOK {
+		t.Fatalf("resident repeat: status %d", rec.Code)
+	}
+	out = get(g, "/metrics").Body.String()
+	for _, stage := range timedStages {
+		n := 1
+		if stage == stageDecode || stage == stageResident || stage == stageDeliver {
+			n = 2
+		}
+		if want := count(stage, n); !strings.Contains(out, want) {
+			t.Fatalf("/metrics missing %q after a resident answer", want)
+		}
+	}
+	for _, fam := range []string{"netcut_gateway_trace_ring_entries 2", "netcut_gateway_traces_inflight 0"} {
 		if !strings.Contains(out, fam) {
 			t.Fatalf("/metrics missing %q", fam)
 		}

@@ -128,7 +128,7 @@ type PlanResponseWire struct {
 	// too small, device unhealthy), so this plan came from the fastest
 	// healthy device instead. Like TraceID below, both fields are
 	// spliced into the rendered body at write time — EncodeResponse
-	// never sets them, so the canonical body (the coalesce/byte-cache
+	// never sets them, so the canonical body (the coalesced or resident
 	// value) stays clean and byte-identical to the explicit spelling of
 	// the fallback target.
 	Degraded bool `json:"degraded,omitempty"`
@@ -138,7 +138,7 @@ type PlanResponseWire struct {
 	// TraceID is the per-request trace identifier (16 lowercase hex
 	// chars, also in the X-Netcut-Trace header). It is spliced into the
 	// rendered body at response-write time — EncodeResponse never sets
-	// it, so the canonical body (the coalesce/byte-cache value) stays
+	// it, so the canonical body (the coalesced or resident value) stays
 	// trace-free and byte-identical across serving paths. The field is
 	// declared last to match the injected position.
 	TraceID string `json:"trace_id,omitempty"`
@@ -168,7 +168,7 @@ func errf(status int, code, format string, args ...any) *apiError {
 
 // encBufPool recycles scratch buffers for EncodeResponse, so a warm
 // miss renders its body with exactly one allocation (the returned
-// slice, which outlives the call as the response and byte-cache value).
+// slice, which outlives the call as the response and resident value).
 var encBufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 256); return &b },
 }

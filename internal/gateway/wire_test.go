@@ -3,6 +3,7 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"netcut/internal/graph"
+	"netcut/internal/serve"
 	"netcut/internal/zoo"
 )
 
@@ -268,4 +270,76 @@ func benchGraph(depth int) *graph.Graph {
 	x = b.Dense(x, 10)
 	b.Softmax(x)
 	return b.MustFinish()
+}
+
+// TestEncodeResponseMatchesJSONMarshal pins the hand-rolled renderer to
+// encoding/json: for any response — including floats that force 'e'
+// formatting, HTML-escaped names and omitted empty fields — the pooled
+// encoder's bytes equal json.Marshal of PlanResponseWire plus the
+// trailing newline. This equivalence is what makes the renderer safe to
+// swap onto the byte-identity contract.
+func TestEncodeResponseMatchesJSONMarshal(t *testing.T) {
+	floats := []float64{
+		0, 0.9, 1, 0.35, 123.456, 1e-6, 9.9e-7, 4.5e-9, 1e20, 1e21, 2.5e22,
+		-0.75, -4.5e-9, -1e21, math.MaxFloat64, math.SmallestNonzeroFloat64,
+		1.0000000000000002, 3.141592653589793,
+	}
+	names := []string{
+		"", "ResNet-50", "user-net-0", "a<b>&c", `quo"te`, `back\slash`,
+		"tab\tname", "Ünïcode-网络", "ctrl\x01\x1f", "trailing space ",
+	}
+	idx := 0
+	nextFloat := func() float64 { idx++; return floats[idx%len(floats)] }
+	for i, name := range names {
+		for _, feasible := range []bool{true, false} {
+			r := &serve.Response{
+				Device:        "sim-xavier",
+				Feasible:      feasible,
+				Network:       name,
+				Parent:        names[(i+1)%len(names)],
+				BlocksRemoved: i,
+				LayersRemoved: 3 * i,
+				EstimatedMs:   nextFloat(),
+				MeasuredMs:    nextFloat(),
+				Accuracy:      nextFloat(),
+				TrainHours:    nextFloat(),
+				Iterations:    i * 7,
+			}
+			want, err := json.Marshal(PlanResponseWire{
+				Device:        r.Device,
+				Feasible:      r.Feasible,
+				Network:       r.Network,
+				Parent:        r.Parent,
+				BlocksRemoved: r.BlocksRemoved,
+				LayersRemoved: r.LayersRemoved,
+				EstimatedMs:   r.EstimatedMs,
+				MeasuredMs:    r.MeasuredMs,
+				Accuracy:      r.Accuracy,
+				TrainHours:    r.TrainHours,
+				Iterations:    r.Iterations,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, '\n')
+			if got := EncodeResponse(r); !bytes.Equal(got, want) {
+				t.Fatalf("EncodeResponse diverged for network %q:\n got %s\nwant %s", name, got, want)
+			}
+		}
+	}
+}
+
+// TestEncodeResponseRejectsNonFinite pins the encoder's one divergence
+// lever: values encoding/json would reject must panic, not render.
+func TestEncodeResponseRejectsNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("EncodeResponse accepted %v", v)
+				}
+			}()
+			EncodeResponse(&serve.Response{Device: "sim-xavier", EstimatedMs: v})
+		}()
+	}
 }

@@ -38,7 +38,7 @@ OUT="$OUT_DIR/BENCH_${DATE}_${COMMIT:0:7}.json"
 # GatewayLaneIsolation (per-device lane p99s) and StateSave/StateRestore
 # (snapshot codec bytes + ns). -benchmem adds B/op and allocs/op to
 # every entry so allocation regressions (a copy creeping back onto the
-# byte-cache hit path, a reflective codec) show in the drift log too.
+# resident answer path, a reflective codec) show in the drift log too.
 RAW="$(go test -run '^$' -bench 'SelectEndToEnd|Planner|Gateway|State|Fig|Tab|Abl' \
   -benchtime="$BENCHTIME" -count="$COUNT" -benchmem . | grep -E '^Benchmark')"
 

@@ -10,7 +10,7 @@
 # from the autosaved .bak generation with a warm first request. An
 # overload leg floods a tiny-capacity instance past its queue depth
 # and asserts the load level rises, 429s carry backlog-honest
-# Retry-After hints, byte-cache hits keep serving, and the level
+# Retry-After hints, resident answers keep serving, and the level
 # returns to 0 before a clean drain. The README metric catalogue is
 # linted against live scrapes both ways.
 #
@@ -33,11 +33,7 @@ if "$BIN" -addr "not-a-valid-address" >/dev/null 2>&1; then
 fi
 
 STATE="$TMP/state.bin"
-# -byte-cache 0 for this leg: it exercises resident staircase answers
-# and the shed predicate with repeated identical requests, which the
-# rendered-response cache would otherwise answer outright (the dedicated
-# byte-cache leg at the end runs with the cache on).
-"$BIN" -addr "$ADDR" -seed 1 -byte-cache 0 -state-file "$STATE" -slow-trace 1ms >"$TMP/netserve.log" 2>&1 &
+"$BIN" -addr "$ADDR" -seed 1 -state-file "$STATE" -slow-trace 1ms >"$TMP/netserve.log" 2>&1 &
 PID=$!
 
 for _ in $(seq 1 50); do
@@ -209,7 +205,7 @@ t = traces[0]
 assert t["trace_id"] == sys.argv[2] and t["done"] and t["status"] == 200, t
 spans = {s["stage"]: s for s in t["spans"]}
 for stage in ("decode", "drain", "quarantine", "route", "health",
-              "bytecache", "resident", "coalesce", "shed", "enqueue",
+              "resident", "coalesce", "shed", "enqueue",
               "queue_wait", "exec", "deliver"):
     assert stage in spans, f"trace missing {stage} span: {sorted(spans)}"
 assert spans["queue_wait"]["start_ms"] <= spans["exec"]["start_ms"], \
@@ -379,17 +375,17 @@ else
 fi
 PID=""
 
-# Byte-cache leg: a default-configuration daemon (cache on) must serve
-# the second of two identical requests from the rendered-response cache
-# — the hit counter moves and the body stays byte-identical — and a
-# third request at another deadline on the same staircase step (the
-# first answer's own estimate) as a resident answer with the same body.
+# Resident leg: a default-configuration daemon must answer the second
+# of two identical requests and a third request at another deadline on
+# the same staircase step (the first answer's own estimate) as resident
+# answers — the counter reads 2 — with bodies byte-identical to the
+# executed one.
 "$BIN" -addr "$ADDR" -seed 1 >"$TMP/netserve5.log" 2>&1 &
 PID=$!
 for _ in $(seq 1 50); do
   curl -fsS "http://$ADDR/healthz" >/dev/null 2>&1 && break
   if ! kill -0 "$PID" 2>/dev/null; then
-    echo "FAIL: byte-cache netserve died before becoming healthy" >&2
+    echo "FAIL: resident-leg netserve died before becoming healthy" >&2
     cat "$TMP/netserve5.log" >&2
     exit 1
   fi
@@ -399,20 +395,15 @@ done
 [ "$(plan "$TMP/bc1.json" '{"network":"ResNet-50","deadline_ms":0.9}')" = 200 ]
 [ "$(plan "$TMP/bc2.json" '{"network":"ResNet-50","deadline_ms":0.9}')" = 200 ]
 same "$TMP/bc1.json" "$TMP/bc2.json" || {
-  echo "FAIL: byte-cache hit body diverged from the executed body" >&2; exit 1; }
+  echo "FAIL: repeated request's resident body diverged from the executed body" >&2; exit 1; }
 STEP_DL="$(python3 -c 'import json,sys; print(repr(json.load(open(sys.argv[1]))["estimated_ms"]))' "$TMP/bc1.json")"
 [ "$(plan "$TMP/bc3.json" "{\"network\":\"ResNet-50\",\"deadline_ms\":$STEP_DL}")" = 200 ]
 same "$TMP/bc1.json" "$TMP/bc3.json" || {
-  echo "FAIL: resident answer body diverged from the executed body" >&2; exit 1; }
+  echo "FAIL: step-deadline resident body diverged from the executed body" >&2; exit 1; }
 curl -fsS "http://$ADDR/metrics" >"$TMP/metrics4"
-grep -Eq '^netcut_gateway_resident_total\{device="sim-xavier"\} 1$' "$TMP/metrics4" || {
-  echo "FAIL: a deadline on an accepted step was not a resident answer" >&2
+grep -Eq '^netcut_gateway_resident_total\{device="sim-xavier"\} 2$' "$TMP/metrics4" || {
+  echo "FAIL: the repeat and the step-deadline request were not both resident answers" >&2
   grep '^netcut_gateway_resident' "$TMP/metrics4" >&2; exit 1; }
-grep -Eq '^netcut_gateway_bytecache_hits_total [1-9]' "$TMP/metrics4" || {
-  echo "FAIL: second identical request was not a bytecache hit" >&2
-  grep '^netcut_gateway_bytecache' "$TMP/metrics4" >&2; exit 1; }
-grep -Eq '^netcut_gateway_bytecache_misses_total [1-9]' "$TMP/metrics4" || {
-  echo "FAIL: bytecache miss counter did not move" >&2; exit 1; }
 
 # Reverse metrics lint: every family a README catalogue row lists must
 # be exported by this default-configuration daemon, so a deleted
@@ -425,10 +416,10 @@ done <"$TMP/catalogued"
 
 kill -TERM "$PID"
 if wait "$PID"; then
-  echo "byte-cache netserve drained cleanly"
+  echo "resident-leg netserve drained cleanly"
 else
   code=$?
-  echo "FAIL: byte-cache netserve exited $code after SIGTERM" >&2
+  echo "FAIL: resident-leg netserve exited $code after SIGTERM" >&2
   cat "$TMP/netserve5.log" >&2
   exit 1
 fi
@@ -443,7 +434,7 @@ PID=""
 # for the 50ms controller ticks to observe whatever the host's speed.
 # The bodies are generated once, before the flood, so the posters only
 # spawn curl. The load level must rise, rejections must be structured
-# 429s carrying a backlog-honest Retry-After, byte-cache hits must
+# 429s carrying a backlog-honest Retry-After, resident answers must
 # keep serving through the overload, and the level must return to 0
 # once the flood stops — before a clean SIGTERM drain. (The ladder
 # flaps by design: emergency sheds the inflow, the queue drains, the
@@ -466,7 +457,7 @@ for _ in $(seq 1 50); do
   sleep 0.2
 done
 
-# One identity warmed into the byte cache before the storm.
+# One identity's staircase step accepted before the storm.
 [ "$(plan "$TMP/ov_hit.json" '{"network":"ResNet-50","deadline_ms":0.9}')" = 200 ]
 
 # Sustained flood: poster w cycles through its own bodies w, w+24,
@@ -500,14 +491,13 @@ done
   echo "FAIL: load level never rose under the flood" >&2
   touch "$TMP/ov_stop"; cat "$TMP/netserve6.log" >&2; exit 1; }
 
-# A byte-cache hit keeps serving through the overload.
+# A resident answer keeps serving through the overload.
 [ "$(plan "$TMP/ov_hit2.json" '{"network":"ResNet-50","deadline_ms":0.9}')" = 200 ]
 same "$TMP/ov_hit.json" "$TMP/ov_hit2.json" || {
-  echo "FAIL: byte-cache hit body diverged under overload" >&2; exit 1; }
+  echo "FAIL: resident answer body diverged under overload" >&2; exit 1; }
 
 # Probe the shed path directly with never-seen graphs (lane work: a
-# resident answer or a cached body would be served through the
-# overload): retry until a rejection lands (the queue empties between
+# resident answer would be served through the overload): retry until a rejection lands (the queue empties between
 # waves), then require a structured 429 with a backlog-honest
 # Retry-After header and hint.
 SHED_OK=0
