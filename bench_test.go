@@ -350,15 +350,8 @@ func BenchmarkPlannerSelectRestoredCold(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	warm, err := NewPlanner(PlannerConfig{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := warm.Select(PlanRequest{Graph: g, DeadlineMs: 0.9}); err != nil {
-		b.Fatal(err)
-	}
 	var snap bytes.Buffer
-	if err := warm.SaveState(&snap); err != nil {
+	if err := benchWarmPlanner(b).SaveState(&snap); err != nil {
 		b.Fatal(err)
 	}
 	var restoreNs int64
@@ -385,13 +378,16 @@ func BenchmarkPlannerSelectRestoredCold(b *testing.B) {
 	b.ReportMetric(float64(snap.Len()), "snapshot_bytes")
 }
 
-// benchWarmSnapshot warms one planner on a ResNet-50 request (the
+// benchWarmPlanner warms one planner on a ResNet-50 request (the
 // state-codec benchmark workload: two device plans, a measurement, a
-// per-layer table and the blockwise cut sweep) and returns its
-// snapshot. The state benchmarks below are the codec regression
-// tripwires the bench-drift job reads.
-func benchWarmSnapshot(b *testing.B) []byte {
+// per-layer table and the blockwise cut sweep). It purges the
+// process-wide cut cache first, so the planner's snapshot holds this
+// workload's cuts alone, whichever benchmarks ran before. The state
+// benchmarks below are the codec regression tripwires the bench-drift
+// job reads.
+func benchWarmPlanner(b *testing.B) *Planner {
 	b.Helper()
+	trim.PurgeCutCache()
 	g, err := NetworkByName("ResNet-50")
 	if err != nil {
 		b.Fatal(err)
@@ -403,11 +399,7 @@ func benchWarmSnapshot(b *testing.B) []byte {
 	if _, err := warm.Select(PlanRequest{Graph: g, DeadlineMs: 0.9}); err != nil {
 		b.Fatal(err)
 	}
-	var snap bytes.Buffer
-	if err := warm.SaveState(&snap); err != nil {
-		b.Fatal(err)
-	}
-	return snap.Bytes()
+	return warm
 }
 
 // BenchmarkStateSave measures snapshot encoding: one warm planner's
@@ -415,20 +407,12 @@ func benchWarmSnapshot(b *testing.B) []byte {
 // under load, so it must stay cheap enough to be invisible in
 // netcut_gateway_stage_ms.
 func BenchmarkStateSave(b *testing.B) {
-	snap := benchWarmSnapshot(b)
-	g, err := NetworkByName("ResNet-50")
-	if err != nil {
-		b.Fatal(err)
-	}
-	warm, err := NewPlanner(PlannerConfig{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := warm.Select(PlanRequest{Graph: g, DeadlineMs: 0.9}); err != nil {
-		b.Fatal(err)
-	}
+	warm := benchWarmPlanner(b)
 	var buf bytes.Buffer
-	b.SetBytes(int64(len(snap)))
+	if err := warm.SaveState(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
@@ -445,7 +429,11 @@ func BenchmarkStateSave(b *testing.B) {
 // pays before its first request. The fresh planner and cut-cache purge
 // run off-timer; the timed op is LoadState alone.
 func BenchmarkStateRestore(b *testing.B) {
-	snap := benchWarmSnapshot(b)
+	var buf bytes.Buffer
+	if err := benchWarmPlanner(b).SaveState(&buf); err != nil {
+		b.Fatal(err)
+	}
+	snap := buf.Bytes()
 	b.SetBytes(int64(len(snap)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -697,28 +685,56 @@ func coldBody(b *testing.B, i int) string {
 // quiet, with it loading a *different* device (cross_lane_p99_ms — the
 // case lanes isolate), and with it loading the *same* device
 // (same_lane_p99_ms — the head-of-line case, where warm passes queue
-// behind multi-millisecond cold plans on the one lane worker). The
-// lane contract is cross_lane << same_lane; on a multi-core host
-// cross_lane additionally approaches quiet, while a single-core host
-// keeps a floor of raw CPU-time contention no queueing design can
-// remove (the cold plan needs the only core).
+// behind multi-millisecond cold plans on the lane). The lane contract
+// is cross_lane << same_lane; on a multi-core host cross_lane
+// additionally approaches quiet, while a single-core host keeps a floor
+// of raw CPU-time contention no queueing design can remove (the cold
+// plan needs the only core).
+//
+// Every timed warm request is lane work, never a resident answer: the
+// stream walks answer staircases down, each request just under the last
+// answer's estimated_ms, so it lands on a step no request has accepted
+// yet. An infeasible answer moves the walk to a fresh graph, whose
+// first (cold) request runs untimed.
 func BenchmarkGatewayLaneIsolation(b *testing.B) {
 	gw := newBenchGateway(b)
 	names := gw.Pool().DeviceNames()
 	warmDev, coldDev := names[0], names[2]
-	warmBody := `{"network":"MobileNetV1 (0.25)","deadline_ms":0.9}`
-	if err := benchGatewayPost(gw, warmBody); err != nil {
-		b.Fatal(err)
-	}
 
+	var walkBody func(d float64) string
+	walkD, walkGraphs := 0.0, 0 // walkD == 0: start the next graph
+	walkPost := func(d float64) time.Duration {
+		req := httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(walkBody(d)))
+		rec := httptest.NewRecorder()
+		t0 := time.Now()
+		gw.Handler().ServeHTTP(rec, req)
+		el := time.Since(t0)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("warm walk at %g ms: status %d: %s", d, rec.Code, rec.Body.String())
+		}
+		var r gateway.PlanResponseWire
+		if err := json.Unmarshal(rec.Body.Bytes(), &r); err != nil {
+			b.Fatal(err)
+		}
+		walkD = 0
+		if r.Feasible {
+			walkD = r.EstimatedMs * (1 - 1e-9)
+		}
+		return el
+	}
 	measure := func(n int) []float64 {
 		lat := make([]float64, 0, n)
-		for i := 0; i < n; i++ {
-			t0 := time.Now()
-			if err := benchGatewayPost(gw, warmBody); err != nil {
-				b.Fatal(err)
+		for len(lat) < n {
+			if walkD == 0 {
+				wire := gatewayGraphJSON(b, coldNet(1<<30+walkGraphs))
+				walkGraphs++
+				walkBody = func(d float64) string {
+					return fmt.Sprintf(`{"graph":%s,"deadline_ms":%g,"target":%q}`, wire, d, warmDev)
+				}
+				walkPost(1e6) // above the whole staircase: the graph's cold first request
+				continue
 			}
-			lat = append(lat, float64(time.Since(t0))/float64(time.Millisecond))
+			lat = append(lat, float64(walkPost(walkD))/float64(time.Millisecond))
 		}
 		return lat
 	}
@@ -778,6 +794,12 @@ func BenchmarkGatewayLaneIsolation(b *testing.B) {
 	sameLat := underColdLoad(warmDev, b.N-2*third)
 	b.StopTimer()
 
+	// The walk never repeats a step, so nothing was answered resident.
+	rec := httptest.NewRecorder()
+	gw.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if strings.Contains(rec.Body.String(), "netcut_gateway_resident_total") {
+		b.Fatal("a timed warm request was a resident answer, not lane work")
+	}
 	b.ReportMetric(p99(quietLat), "quiet_p99_ms")
 	b.ReportMetric(p99(crossLat), "cross_lane_p99_ms")
 	b.ReportMetric(p99(sameLat), "same_lane_p99_ms")

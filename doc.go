@@ -24,7 +24,9 @@
 //     baseline
 //   - internal/transfer: the retraining simulator calibrated to the
 //     paper's accuracy-vs-removal curves and 183-hour sweep cost
-//   - internal/core: Algorithm 1 and the blockwise-sweep baseline
+//   - internal/core: Algorithm 1 as one resumable loop (Staircase),
+//     which Explore, the serving planner and the figure Lab all climb,
+//     and the blockwise-sweep baseline
 //   - internal/tensor, internal/nn, internal/hands, internal/quant: a
 //     real, from-scratch trainable CNN stack for the miniature
 //     end-to-end pipeline
@@ -118,7 +120,8 @@
 //
 // Admission is deadline-aware in four stages. A planner's answer is a
 // step function of the deadline (Algorithm 1's estimates do not depend
-// on it), and each planner keeps that answer staircase per graph and
+// on it), and each planner keeps that answer staircase (core.Staircase,
+// the one implementation of Algorithm 1's loop) per graph and
 // estimator; a request whose deadline falls on a step an earlier
 // request accepted — an exact repeat included — is answered on the
 // handler goroutine from the step's body rendered once

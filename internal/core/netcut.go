@@ -5,6 +5,9 @@
 // TRNs are retrained, and the most accurate one wins. Against the
 // 148-candidate blockwise sweep this cuts the number of retrained
 // networks by ~95% and exploration time by ~27x (Sec. V).
+//
+// The loop exists once, as Staircase: Explore, the serving planner
+// (internal/serve) and the figure Lab (internal/exp) all climb one.
 package core
 
 import (
@@ -81,12 +84,12 @@ type Result struct {
 
 // Explore runs Algorithm 1 over the candidates.
 //
-// For each candidate it starts from the unmodified network (estimated at
-// its measured latency, per the algorithm's inputs) and increments the
-// blockwise cutpoint until the estimator predicts the TRN meets the
-// deadline. Only those TRNs are retrained. Candidates whose deepest cut
-// still misses the deadline are reported as infeasible rather than
-// failing the run.
+// For each candidate it climbs a fresh Staircase: from the unmodified
+// network (estimated at its measured latency, per the algorithm's
+// inputs) it increments the blockwise cutpoint until the estimator
+// predicts the TRN meets the deadline. Only those TRNs are retrained.
+// Candidates whose deepest cut still misses the deadline are reported
+// as infeasible rather than failing the run.
 //
 // Per-candidate explorations are independent (the estimator and
 // retrainer are read-only/schedule-free), so they run on a worker pool;
@@ -142,47 +145,13 @@ func Explore(cands []Candidate, deadlineMs float64, est estimate.Estimator, rt R
 
 // exploreOne is the inner loop of Algorithm 1 (lines 2-10).
 func exploreOne(c Candidate, deadlineMs float64, est estimate.Estimator, rt Retrainer, head trim.HeadSpec) (Proposal, bool, error) {
-	estMs := c.MeasuredMs
-	cut := 0
-	var trn *trim.TRN
-	iters := 1
-	for estMs > deadlineMs {
-		cut++
-		if cut > c.Graph.BlockCount() {
-			return Proposal{}, false, nil
-		}
-		var err error
-		trn, err = trim.Cut(c.Graph, cut, head)
-		if err != nil {
-			return Proposal{}, false, err
-		}
-		estMs, err = est.EstimateMs(trn)
-		if err != nil {
-			return Proposal{}, false, err
-		}
-		iters++
-	}
-
-	p := Proposal{Cutpoint: cut, EstimateMs: estMs, Iterations: iters}
-	if cut == 0 {
-		// The unmodified network already meets the deadline: no
-		// retraining needed, its accuracy is known (Algorithm 1 input).
-		p.Accuracy = c.Accuracy
-		var err error
-		p.TRN, err = trim.Cut(c.Graph, 0, head)
-		if err != nil {
-			return Proposal{}, false, err
-		}
-		return p, true, nil
-	}
-	tr, err := rt.Retrain(trn)
-	if err != nil {
+	s := NewStaircase(c)
+	k, err := s.Climb(c.Graph, deadlineMs, est, head)
+	if err != nil || k == s.Explored() {
 		return Proposal{}, false, err
 	}
-	p.TRN = trn
-	p.Accuracy = tr.Accuracy
-	p.TrainHours = tr.TrainHours
-	return p, true, nil
+	p, err := s.Propose(c, k, rt, head)
+	return p, err == nil, err
 }
 
 // ParetoPoints converts proposals to latency/accuracy points using the

@@ -40,7 +40,7 @@ func (l *Lab) AblEstimatorChoice() (*Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := coreExplore(l, cands, d, est)
+			res, err := core.Explore(cands, d, est, l.rt, l.cfg.Head)
 			if err != nil {
 				return nil, err
 			}
@@ -85,27 +85,24 @@ func (l *Lab) AblBlockGranularity() (*Figure, error) {
 		s := Series{Name: name}
 
 		// Blockwise: Algorithm 1 as published.
-		blockIters := 0
+		c, err := l.p.Candidate(g)
+		if err != nil {
+			return nil, err
+		}
+		stairs := core.NewStaircase(c)
+		k, err := stairs.Climb(g, l.cfg.DeadlineMs, prof, l.cfg.Head)
+		if err != nil {
+			return nil, err
+		}
+		blockIters := stairs.Explored() - 1 // cutpoints examined past the unmodified network
 		var blockAcc float64
 		var blockLabel string
-		for c := 1; c <= g.BlockCount(); c++ {
-			blockIters++
-			tr, err := trim.Cut(g, c, l.cfg.Head)
+		if k < stairs.Explored() {
+			prop, err := stairs.Propose(c, k, l.rt, l.cfg.Head)
 			if err != nil {
 				return nil, err
 			}
-			est, err := prof.EstimateMs(tr)
-			if err != nil {
-				return nil, err
-			}
-			if est <= l.cfg.DeadlineMs {
-				acc, err := l.sim.Accuracy(tr)
-				if err != nil {
-					return nil, err
-				}
-				blockAcc, blockLabel = acc, tr.Name()
-				break
-			}
+			blockAcc, blockLabel = prop.Accuracy, prop.TRN.Name()
 		}
 		s.add(float64(blockIters), blockAcc, "blockwise "+blockLabel)
 
@@ -188,10 +185,4 @@ func (l *Lab) AblDeviceModes() (*Figure, error) {
 	f.Note("disabling fusion costs %.2fx on average (worst: DenseNet-121's unfused activations)", metric.Mean(fusionWin))
 	f.Note("fp32 costs %.2fx vs deployed int8 on average", metric.Mean(fp32Cost))
 	return f, nil
-}
-
-// coreExplore is a tiny seam so ablations can explore at non-default
-// deadlines without mutating the lab config.
-func coreExplore(l *Lab, cands []core.Candidate, deadline float64, est estimate.Estimator) (*core.Result, error) {
-	return core.Explore(cands, deadline, est, l.rt, l.cfg.Head)
 }

@@ -118,7 +118,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"path/filepath"
-	"runtime"
 	"runtime/debug"
 	"strconv"
 	"sync"
@@ -1210,20 +1209,13 @@ func quarantineKey(k coalesceKey) coalesceKey {
 }
 
 // worker drains one device's admission lane, one request per planner
-// pass: a blocking receive, a cooperative yield, the cancellation
-// check, then the pass. Workers never cross lanes, so a cold plan here
-// cannot delay any other device's queue.
+// pass: a blocking receive, the cancellation check, then the pass.
+// Workers never cross lanes, so a cold plan here cannot delay any other
+// device's queue.
 func (g *Gateway) worker(l *lane) {
 	defer g.workers.Done()
 	for c := range l.queue {
 		l.busy.Add(1)
-		// The yield lets the rest of a concurrent burst reach admission
-		// before this pass executes, so identical arrivals join the
-		// in-flight call (coalesce) instead of finding it delivered and
-		// starting an execution of their own. Without it, a fully-loaded
-		// single-core scheduler runs the worker ahead of the burst's
-		// remaining handlers. Costs nothing when idle.
-		runtime.Gosched()
 		// A dequeued call nobody waits on anymore — every coalesced
 		// client disconnected while it was queued — is retired here,
 		// before it can consume a planner execution.

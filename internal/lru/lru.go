@@ -146,29 +146,6 @@ func (c *Cache[K, V]) Purge() {
 	}
 }
 
-// DeleteFunc removes every resident entry whose key satisfies pred,
-// returning how many were removed. Removals count as evictions — under
-// the transparency contract a targeted delete, like any eviction, can
-// only restore recompute cost, never change a result. pred runs under
-// the cache lock and must not call back into the cache.
-func (c *Cache[K, V]) DeleteFunc(pred func(K) bool) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for el := c.order.Back(); el != nil; {
-		prev := el.Prev()
-		e := el.Value.(*entry[K, V])
-		if pred(e.key) {
-			c.order.Remove(el)
-			delete(c.items, e.key)
-			c.evictions++
-			n++
-		}
-		el = prev
-	}
-	return n
-}
-
 // Entry is one key/value pair of a Snapshot.
 type Entry[K comparable, V any] struct {
 	Key K

@@ -174,31 +174,3 @@ func TestConcurrentCanonicalValue(t *testing.T) {
 		}
 	}
 }
-
-func TestDeleteFunc(t *testing.T) {
-	c := New[int, int](8)
-	for i := 0; i < 8; i++ {
-		c.Add(i, i*10)
-	}
-	before := c.Stats().Evictions
-	if n := c.DeleteFunc(func(k int) bool { return k%2 == 0 }); n != 4 {
-		t.Fatalf("DeleteFunc removed %d entries; want 4", n)
-	}
-	if n := c.Len(); n != 4 {
-		t.Fatalf("Len = %d after deleting evens; want 4", n)
-	}
-	for i := 0; i < 8; i++ {
-		_, ok := c.Get(i)
-		if want := i%2 == 1; ok != want {
-			t.Fatalf("Get(%d) resident = %v; want %v", i, ok, want)
-		}
-	}
-	if got := c.Stats().Evictions - before; got != 4 {
-		t.Fatalf("deletions counted %d evictions; want 4", got)
-	}
-	// Deleting nothing is a no-op, and the survivors still behave:
-	// recency order was untouched for them.
-	if n := c.DeleteFunc(func(int) bool { return false }); n != 0 {
-		t.Fatalf("no-op DeleteFunc removed %d entries", n)
-	}
-}

@@ -123,18 +123,6 @@ func (s *Sharded[K, V]) Restore(entries []Entry[K, V]) {
 	}
 }
 
-// DeleteFunc removes every resident entry whose key satisfies pred
-// across all shards (inactive shards included, so a transient stray
-// cannot survive a targeted purge), returning how many were removed.
-// Removals count as evictions, per the transparency contract.
-func (s *Sharded[K, V]) DeleteFunc(pred func(K) bool) int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.DeleteFunc(pred)
-	}
-	return n
-}
-
 // Resize redistributes a new total capacity across the shards (parts
 // summing exactly to totalCap; <= 0 unbounds every shard), evicting
 // least-recently-used entries per shard as needed. Concurrent lookups

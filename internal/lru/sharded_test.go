@@ -175,22 +175,3 @@ func TestInstrumentRegistersStandardSeries(t *testing.T) {
 	// Sharded satisfies the same source interface.
 	Instrument(reg, "test_sharded", NewSharded[int, int](2, 4, func(k int) uint64 { return uint64(k) }))
 }
-
-func TestShardedDeleteFunc(t *testing.T) {
-	s := NewSharded[int, int](4, 16, func(k int) uint64 { return uint64(k) })
-	for i := 0; i < 16; i++ {
-		s.Add(i, i)
-	}
-	if n := s.DeleteFunc(func(k int) bool { return k >= 8 }); n != 8 {
-		t.Fatalf("DeleteFunc removed %d entries; want 8", n)
-	}
-	if n := s.Len(); n != 8 {
-		t.Fatalf("Len = %d after targeted delete; want 8", n)
-	}
-	for i := 0; i < 16; i++ {
-		_, ok := s.Get(i)
-		if want := i < 8; ok != want {
-			t.Fatalf("Get(%d) resident = %v; want %v", i, ok, want)
-		}
-	}
-}

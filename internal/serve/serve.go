@@ -211,8 +211,9 @@ type Planner struct {
 	// Zoo names are bound to the calibrated networks at construction.
 	names sync.Map // name -> graph fingerprint (uint64)
 
-	// stairs holds the answer staircases (staircase.go), one per
-	// (name, structure, estimator), bounded like the per-structure
+	// stairs holds the answer staircases (staircase.go): one
+	// core.Staircase per (name, structure, estimator) with the finished
+	// answers of its accepted steps, bounded like the per-structure
 	// profiler tables.
 	stairs *lru.Cache[stairKey, *stairs]
 
@@ -388,14 +389,14 @@ func (p *Planner) Select(req Request) (*Response, error) {
 	}
 	phase("measure")
 
-	// Algorithm 1 runs on the graph's answer staircase (staircase.go):
+	// Algorithm 1 runs on the graph's answer staircase (core.Staircase):
 	// the estimator is resolved only when the deadline falls past the
 	// explored prefix, and the loop resumes where earlier requests left
 	// it. A prefix only grows, so a staircase that was long enough here
 	// still is inside climb.
-	st := p.staircase(stairKey{name: g.Name, print: print, estimator: kind}, cand.MeasuredMs, g.BlockCount())
+	st := p.staircase(stairKey{name: g.Name, print: print, estimator: kind}, cand)
 	var est estimate.Estimator
-	if st.cur.Load().short(deadline) {
+	if st.cur.Load().Short(deadline) {
 		if est, err = p.estimator(kind, g, cand.MeasuredMs, tbl); err != nil {
 			return nil, err
 		}

@@ -1,33 +1,13 @@
 package serve
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
 	"netcut/internal/core"
 	"netcut/internal/estimate"
 	"netcut/internal/graph"
-	"netcut/internal/trim"
 )
-
-// The answer staircase. In Algorithm 1 a cutpoint's latency estimate
-// does not depend on the deadline: the deadline only picks the first
-// cutpoint whose estimate meets it. So for one (graph, estimator) a
-// planner's answer is a step function of the deadline, and the planner
-// keeps that function instead of re-running the loop per request.
-//
-// est[0] is the measured parent and est[k] the estimate of cut k, for
-// the cutpoints explored so far, in order. min is their running
-// minimum; the first k with min[k] <= d is exactly where the loop
-// "for est > d { cut++ }" stops, since est[k] <= d first holds there.
-// A NaN estimate ends that loop for any deadline (NaN > d is false), so
-// from a NaN on min is -Inf. A deadline past the explored prefix
-// extends it with the loop's own trim.Cut / EstimateMs calls, in the
-// loop's order and never further than the loop would go; only the
-// accepted step is retrained and measured, and then keeps its finished
-// answer. A staircase holds floats and answers, never a graph or a TRN,
-// so it cannot pin cuts the cut cache evicted.
 
 // stairKey identifies one staircase: the name (measurement noise and
 // transfer profiles derive from it), the structure and the estimator
@@ -46,14 +26,15 @@ type stairs struct {
 	cur atomic.Pointer[staircase]
 }
 
-// staircase is one immutable snapshot of a staircase.
+// staircase is one immutable snapshot of a staircase: the
+// core.Staircase of one (graph, estimator), which answers every
+// deadline as Algorithm 1's loop would, and the finished answers of the
+// steps requests accepted.
 type staircase struct {
-	est   []float64
-	min   []float64
-	steps []*Answer // steps[k] is cut k's answer, nil until a request accepts it
-	// blocks is the graph's cutpoint count: the staircase is fully
-	// explored once len(est) == blocks+1.
-	blocks int
+	core.Staircase
+	// steps[k] is cut k's answer, nil (or past the end) until a request
+	// accepts it.
+	steps []*Answer
 	// infeasible answers every deadline below the whole staircase, once
 	// a request has asked for one.
 	infeasible *Answer
@@ -81,63 +62,17 @@ func (a *Answer) Body(render func(*Response) []byte) []byte {
 	return *a.body.Load()
 }
 
-// search returns the first explored k whose running minimum meets d,
-// or len(s.est) when none does. min is non-increasing, so the
-// predicate is monotone.
-func (s *staircase) search(d float64) int {
-	lo, hi := 0, len(s.min)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.min[mid] <= d {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
-// complete reports whether every cutpoint has been explored.
-func (s *staircase) complete() bool { return len(s.est) == s.blocks+1 }
-
-// short reports whether answering d needs cutpoints past the explored
-// prefix.
-func (s *staircase) short(d float64) bool { return s.search(d) == len(s.est) && !s.complete() }
-
 // answer returns d's materialised answer, or nil when d falls past the
 // explored prefix or on a step no request has accepted yet.
 func (s *staircase) answer(d float64) *Answer {
-	k := s.search(d)
-	if k < len(s.est) {
+	k := s.Search(d)
+	if k < len(s.steps) {
 		return s.steps[k]
 	}
-	if s.complete() {
+	if k == s.Explored() && s.Complete() {
 		return s.infeasible
 	}
 	return nil
-}
-
-// clone copies s for a writer.
-func (s *staircase) clone() *staircase {
-	c := *s
-	c.est = append([]float64(nil), s.est...)
-	c.min = append([]float64(nil), s.min...)
-	c.steps = append([]*Answer(nil), s.steps...)
-	return &c
-}
-
-// push appends cut len(est)'s estimate.
-func (s *staircase) push(e float64) {
-	m := e
-	if math.IsNaN(e) {
-		m = math.Inf(-1)
-	}
-	if n := len(s.min); n > 0 {
-		m = math.Min(s.min[n-1], m)
-	}
-	s.est = append(s.est, e)
-	s.min = append(s.min, m)
-	s.steps = append(s.steps, nil)
 }
 
 // estimatorKind folds the estimator spelling into a staircase key
@@ -176,80 +111,61 @@ func (p *Planner) Resident(req Request) (*Answer, bool) {
 }
 
 // staircase returns the planner's staircase for key, creating one
-// rooted at the measured parent.
-func (p *Planner) staircase(key stairKey, parentMs float64, blocks int) *stairs {
+// rooted at cand's measured latency.
+func (p *Planner) staircase(key stairKey, cand core.Candidate) *stairs {
 	if st, ok := p.stairs.Get(key); ok {
 		return st
 	}
 	st := &stairs{}
-	s := &staircase{blocks: blocks}
-	s.push(parentMs)
-	st.cur.Store(s)
+	st.cur.Store(&staircase{Staircase: core.NewStaircase(cand)})
 	return p.stairs.Add(key, st)
 }
 
-// climb answers deadline d from st: it extends the explored prefix
-// with est until a cut meets d or every cut is explored, then
-// materialises the accepted step, retraining and measuring only that
-// cut. est may be nil when st did not need extending for d.
+// climb answers deadline d from st: core.Staircase.Climb extends the
+// explored prefix with est as far as d needs, and only the accepted
+// step is retrained and measured. est may be nil when st did not need
+// extending for d.
 func (p *Planner) climb(st *stairs, cand core.Candidate, d float64, est estimate.Estimator) (*Answer, error) {
 	if a := st.cur.Load().answer(d); a != nil {
 		return a, nil
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if a := st.cur.Load().answer(d); a != nil {
+	cur := st.cur.Load()
+	if a := cur.answer(d); a != nil {
 		return a, nil // another request got here first
 	}
-	s := st.cur.Load().clone()
+	s := &staircase{Staircase: cur.Clone(), steps: cur.steps, infeasible: cur.infeasible}
 	// Publish whatever was explored, even when a later call fails: every
 	// estimate in it is final.
 	defer st.cur.Store(s)
-	g := cand.Graph
-	k := s.search(d)
-	for k == len(s.est) && !s.complete() {
-		trn, err := trim.Cut(g, len(s.est), p.cfg.Head)
-		if err != nil {
-			return nil, err
-		}
-		e, err := est.EstimateMs(trn)
-		if err != nil {
-			return nil, err
-		}
-		s.push(e)
-		if e > d { // NaN > d is false: a NaN estimate accepts
-			k = len(s.est)
-		}
+	k, err := s.Climb(cand.Graph, d, est, p.cfg.Head)
+	if err != nil {
+		return nil, err
 	}
-	if k == len(s.est) {
-		s.infeasible = &Answer{resp: Response{Device: p.cfg.Device.Name, Parent: g.Name}}
+	if k == s.Explored() {
+		s.infeasible = &Answer{resp: Response{Device: p.cfg.Device.Name, Parent: cand.Graph.Name}}
 		return s.infeasible, nil
 	}
-	trn, err := trim.Cut(g, k, p.cfg.Head)
+	prop, err := s.Propose(cand, k, p.rt, p.cfg.Head)
 	if err != nil {
 		return nil, err
 	}
 	a := &Answer{resp: Response{
 		Device:        p.cfg.Device.Name,
 		Feasible:      true,
-		Network:       trn.Name(),
-		Parent:        g.Name,
+		Network:       prop.TRN.Name(),
+		Parent:        cand.Graph.Name,
 		BlocksRemoved: k,
-		LayersRemoved: trn.LayersRemoved,
-		EstimatedMs:   s.est[k],
-		MeasuredMs:    p.dev.LatencyMs(trn.Graph),
-		Accuracy:      cand.Accuracy,
-		Iterations:    k + 1,
+		LayersRemoved: prop.TRN.LayersRemoved,
+		EstimatedMs:   prop.EstimateMs,
+		MeasuredMs:    p.dev.LatencyMs(prop.TRN.Graph),
+		Accuracy:      prop.Accuracy,
+		TrainHours:    prop.TrainHours,
+		Iterations:    prop.Iterations,
 	}}
-	if k > 0 {
-		// Only first-feasible cuts are retrained (Algorithm 1); the
-		// unmodified network's accuracy is an input.
-		tr, err := p.rt.Retrain(trn)
-		if err != nil {
-			return nil, err
-		}
-		a.resp.Accuracy, a.resp.TrainHours = tr.Accuracy, tr.TrainHours
-	}
+	s.steps = make([]*Answer, max(len(cur.steps), k+1))
+	copy(s.steps, cur.steps)
 	s.steps[k] = a
 	return a, nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"netcut/internal/core"
 	"netcut/internal/device"
+	"netcut/internal/estimate"
 	"netcut/internal/graph"
 	"netcut/internal/telemetry"
 	"netcut/internal/trim"
@@ -16,7 +17,7 @@ import (
 )
 
 // loopSelect is Select as it was before the answer staircase: Algorithm
-// 1 run from scratch for one request, through core.Explore. It keeps no
+// 1 run from scratch for one request, through loopExplore. It keeps no
 // state between requests beyond the planner's transparent caches, so
 // calling it on a planner that has served nothing through Select
 // answers every deadline as a fresh planner would.
@@ -32,14 +33,13 @@ func loopSelect(p *Planner, g *graph.Graph, deadline float64, kind string) (*Res
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Explore([]core.Candidate{cand}, deadline, est, p.rt, p.cfg.Head)
+	best, feasible, err := loopExplore(cand, deadline, est, p.rt, p.cfg.Head)
 	if err != nil {
 		return nil, err
 	}
-	if res.Best == nil {
+	if !feasible {
 		return &Response{Device: p.cfg.Device.Name, Parent: g.Name}, nil
 	}
-	best := res.Best
 	return &Response{
 		Device:        p.cfg.Device.Name,
 		Feasible:      true,
@@ -54,6 +54,55 @@ func loopSelect(p *Planner, g *graph.Graph, deadline float64, kind string) (*Res
 		Iterations:    best.Iterations,
 		TRN:           best.TRN,
 	}, nil
+}
+
+// loopExplore is core's exploreOne as it was before core.Staircase, kept
+// verbatim (with its types qualified) as the independent reference: the
+// inner loop of Algorithm 1 (lines 2-10), run from scratch per deadline.
+// core.Explore now climbs a staircase itself, so it cannot be the
+// reference for one.
+func loopExplore(c core.Candidate, deadlineMs float64, est estimate.Estimator, rt core.Retrainer, head trim.HeadSpec) (core.Proposal, bool, error) {
+	estMs := c.MeasuredMs
+	cut := 0
+	var trn *trim.TRN
+	iters := 1
+	for estMs > deadlineMs {
+		cut++
+		if cut > c.Graph.BlockCount() {
+			return core.Proposal{}, false, nil
+		}
+		var err error
+		trn, err = trim.Cut(c.Graph, cut, head)
+		if err != nil {
+			return core.Proposal{}, false, err
+		}
+		estMs, err = est.EstimateMs(trn)
+		if err != nil {
+			return core.Proposal{}, false, err
+		}
+		iters++
+	}
+
+	p := core.Proposal{Cutpoint: cut, EstimateMs: estMs, Iterations: iters}
+	if cut == 0 {
+		// The unmodified network already meets the deadline: no
+		// retraining needed, its accuracy is known (Algorithm 1 input).
+		p.Accuracy = c.Accuracy
+		var err error
+		p.TRN, err = trim.Cut(c.Graph, 0, head)
+		if err != nil {
+			return core.Proposal{}, false, err
+		}
+		return p, true, nil
+	}
+	tr, err := rt.Retrain(trn)
+	if err != nil {
+		return core.Proposal{}, false, err
+	}
+	p.TRN = trn
+	p.Accuracy = tr.Accuracy
+	p.TrainHours = tr.TrainHours
+	return p, true, nil
 }
 
 // stepGrid is the differential deadline grid of one graph under one
@@ -394,30 +443,6 @@ func TestStaircaseConcurrent(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
-		}
-	}
-}
-
-// TestStaircaseSearchNaN pins the lookup against Algorithm 1's loop on
-// estimates the zoo never produces: a NaN accepts every deadline from
-// its cutpoint on (NaN > d is false), and a rise after a fall does not
-// hide the lower step before it.
-func TestStaircaseSearchNaN(t *testing.T) {
-	est := []float64{5, 4, 6, math.NaN(), 1}
-	s := &staircase{blocks: len(est) - 1}
-	for _, e := range est {
-		s.push(e)
-	}
-	loop := func(d float64) int {
-		k := 0
-		for est[k] > d {
-			k++
-		}
-		return k
-	}
-	for _, d := range []float64{0.5, 1, 3.9, 4, 4.5, 5, 5.5, 6, 7, math.Inf(1)} {
-		if got, want := s.search(d), loop(d); got != want {
-			t.Errorf("deadline %v: step %d, the loop stops at %d", d, got, want)
 		}
 	}
 }
