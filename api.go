@@ -298,9 +298,11 @@ func NewPlannerPool(cfg PoolConfig) (*PlannerPool, error) { return serve.NewPool
 // request whose deadline lands on an answer-staircase step an earlier
 // request accepted is answered with that step's once-rendered body
 // straight from admission — after the drain, quarantine and
-// device-health gates, before any queueing), per-device worker lanes (one bounded queue + workers per target,
-// each worker planning one request per pass, so a cold plan on one
-// device never head-of-line-blocks another's warm traffic), load shedding keyed to the client's own
+// device-health gates, before any queueing), per-device lanes (one
+// bounded waiting room + a fixed number of pass permits per target; a
+// request that starts an execution plans on its own handler goroutine,
+// one request per pass, so a cold plan on one device never
+// head-of-line-blocks another's warm traffic), load shedding keyed to the client's own
 // latency budget, graceful drain, warm-state snapshot/restore
 // (SaveState/LoadState, POST /v1/state/save via GatewayConfig.StatePath)
 // with background zoo prewarming (Prewarm), and a telemetry registry
@@ -315,7 +317,7 @@ func NewPlannerPool(cfg PoolConfig) (*PlannerPool, error) { return serve.NewPool
 // Faults are contained rather than propagated: planner-pass panics are
 // recovered per request (only the poison request fails, repeat
 // offenders are quarantined), disconnected
-// clients have queued work cancelled before execution, an optional
+// clients have waiting work cancelled before execution, an optional
 // watchdog (GatewayConfig.ExecTimeout) abandons stuck passes with a
 // 504, repeatedly faulting devices leave rotation until a background
 // probe restores them, and GatewayConfig.AutosaveInterval snapshots
@@ -328,8 +330,8 @@ func NewPlannerPool(cfg PoolConfig) (*PlannerPool, error) { return serve.NewPool
 //
 // Under sustained pressure the gateway degrades instead of failing
 // binary: a closed-loop overload controller
-// (GatewayConfig.OverloadInterval) samples lane backlog and observed
-// latency drift into a load level (0 normal, 1 brownout, 2 emergency;
+// (GatewayConfig.OverloadInterval) samples lane backlog into a load
+// level (0 normal, 1 brownout, 2 emergency;
 // netcut_gateway_load_level, Gateway.LoadLevel) that sheds optional
 // work level by level: prewarming pauses, and at level 2 only
 // resident answers and coalesce joins are admitted while cold misses
@@ -358,7 +360,7 @@ type (
 	Gateway = gateway.Gateway
 	// GatewayConfig parameterizes a Gateway: the embedded PlannerConfig
 	// template and device list plus the deployment settings (body size
-	// limit, queue depth, worker count, state path,
+	// limit, queue depth, pass-permit count, state path,
 	// watchdog, autosave and overload intervals, slow-trace logging).
 	// The shed warm-up (64 warm executions), the health and quarantine
 	// thresholds, the probe cadence and the trace-ring size are fixed.
@@ -369,14 +371,14 @@ type (
 // /debug/trace: the ring keeps the newest DefaultTraceRingCap traces.
 const DefaultTraceRingCap = gateway.DefaultTraceRingCap
 
-// NewGateway builds the serving gateway and starts its lane workers.
+// NewGateway builds the serving gateway with one lane per device.
 // Mount Handler() on an http.Server and call Shutdown to drain:
 //
 //	gw, err := netcut.NewGateway(netcut.GatewayConfig{})
 //	srv := &http.Server{Addr: ":8080", Handler: gw.Handler()}
 //	... srv.ListenAndServe() ...
 //	srv.Shutdown(ctx) // stop accepting, finish in-flight handlers
-//	gw.Shutdown(ctx)  // drain the admission queue, stop workers
+//	gw.Shutdown(ctx)  // deliver every admitted call, stop background loops
 func NewGateway(cfg GatewayConfig) (*Gateway, error) { return gateway.New(cfg) }
 
 // StripTraceID removes the write-time-injected trace_id member from a

@@ -64,7 +64,7 @@
 // until then every budget is admitted.
 //
 // Overload control: a closed-loop controller (sampling every
-// -overload-interval) folds lane backlog and latency drift into a load
+// -overload-interval) folds lane backlog into a load
 // level (0 normal, 1 brownout, 2 emergency, exported as
 // netcut_gateway_load_level) that sheds optional work first:
 // prewarming pauses, and at level 2 only resident answers and coalesce
@@ -112,7 +112,7 @@ func run() int {
 		seed         = flag.Int64("seed", 0, "measurement and retraining seed")
 		devices      = flag.String("devices", "", "comma-separated registered device names to serve (empty = full registry; see /v1/devices)")
 		queue        = flag.Int("queue", 0, "admission queue depth (0 = default)")
-		workers      = flag.Int("workers", 0, "lane worker goroutines, split evenly across devices with at least one per device: devices x max(1, workers/devices) run (0 = GOMAXPROCS per device)")
+		workers      = flag.Int("workers", 0, "concurrent planner passes, split evenly across devices with at least one per device: each lane runs max(1, workers/devices) passes at a time (0 = GOMAXPROCS per device)")
 		maxBody      = flag.Int64("max-body", 0, "request body size limit in bytes (0 = default, negative = unlimited)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 		stateFile    = flag.String("state-file", "", "warm-state snapshot path: restored on boot (with .bak fallback), saved after the SIGTERM drain and by POST /v1/state/save (empty = no persistence)")
@@ -239,8 +239,8 @@ func run() int {
 		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		defer cancel()
 		// Order matters: stop accepting and finish in-flight handlers
-		// first (they wait on gateway deliveries), then drain the
-		// gateway's own queue, workers and background loops.
+		// first (they run and wait on gateway deliveries), then drain
+		// the gateway's admitted calls and background loops.
 		if err := srv.Shutdown(ctx); err != nil {
 			fmt.Fprintf(os.Stderr, "netserve: drain: %v\n", err)
 			return 1

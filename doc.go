@@ -130,8 +130,9 @@
 // rendering. Identical in-flight requests
 // coalesce into one planner execution, singleflight-style, and all
 // receive byte-identical bodies. Distinct requests wait in a bounded
-// per-device queue, and each lane worker plans one of them per pass
-// through Planner.Select. A request carrying its own latency budget
+// per-device lane for one of its pass permits, and each then plans on
+// its own handler goroutine, one request per pass, through
+// Planner.Select. A request carrying its own latency budget
 // ("budget_ms") that cannot cover the observed warm-path p99 — read
 // once the device has served 64 warm executions — is shed up front
 // with 429 and a retry hint — as is any arrival finding the
@@ -217,25 +218,29 @@
 // background at startup, so steady-state traffic never sees a cold
 // miss for a known architecture.
 //
-// The gateway's admission machinery is one bounded lane — queue plus
-// workers — per registered device, with the configured QueueDepth
-// total divided evenly across lanes (minimum 1 each, the pool
-// cache-cap division rule). Every lane runs GOMAXPROCS workers unless
-// GatewayConfig.Workers sets a total, which divides the same way. Lane assignment is the resolved-device
-// routing decision, so lanes shift which worker runs an execution and
-// when, never what it returns, and one target's cold plan cannot
-// head-of-line-block another target's warm traffic.
+// The gateway's admission machinery is one bounded lane — a waiting
+// room plus a fixed number of pass permits — per registered device,
+// with the configured QueueDepth total divided evenly across lanes
+// (minimum 1 each, the pool cache-cap division rule). Every lane has
+// GOMAXPROCS permits unless GatewayConfig.Workers sets a total, which
+// divides the same way. A request that starts a new execution runs its
+// pass on its own handler goroutine while it holds a permit; there are
+// no worker goroutines. Lane assignment is the resolved-device routing
+// decision, so lanes shift when an execution runs, never what it
+// returns, and one target's cold plan cannot head-of-line-block another
+// target's warm traffic.
 //
 // # Fault tolerance & degradation
 //
-// Faults are contained at the lane-worker boundary and degradation
-// moves or refuses executions, never changes their bytes. A panic
-// inside a planner pass becomes a structured 500 for the poisoned
-// request — a pass plans exactly one request, so no other request
-// shares its fate — and the worker survives;
-// request identities that panic repeatedly are quarantined in a
-// bounded LRU and refused up front. A client that disconnects while
-// queued has its work cancelled before the planner runs. An optional
+// Faults are contained at the pass boundary and degradation moves or
+// refuses executions, never changes their bytes. A panic inside a
+// planner pass becomes a structured 500 for the poisoned request — a
+// pass plans exactly one request, so no other request shares its
+// fate — and the lane keeps its permit count; request identities that
+// panic repeatedly are quarantined in a bounded LRU and refused up
+// front. A client that disconnects while its request waits for a
+// permit has the work cancelled before the planner runs, unless
+// coalesced followers still wait for it. An optional
 // execution watchdog (GatewayConfig.ExecTimeout) abandons stuck passes
 // with a 504 — abandoned results are never delivered or cached.
 // Devices that fault repeatedly are taken out of rotation: "auto"
@@ -257,19 +262,18 @@
 // # Overload control & degraded serving
 //
 // A closed-loop controller (GatewayConfig.OverloadInterval, netserve
-// -overload-interval) folds per-lane backlog and warm-p99 drift of
-// observed execution latency into one load level — 0 normal,
-// 1 brownout, 2 emergency — exported as netcut_gateway_load_level.
+// -overload-interval) folds per-lane backlog — the requests waiting
+// for a permit — into one load level — 0 normal, 1 brownout,
+// 2 emergency — exported as netcut_gateway_load_level.
 // Each level sheds optional work first: brownout pauses prewarming;
 // emergency pauses it too and admits only resident answers and
 // coalesce joins, shedding every cold miss
 // pre-execution with a level-scaled, backlog-honest Retry-After
-// (ceil(backlog/workers) execution waves of p99 each). The
-// level is a pure function of the current signals, so it returns to
-// normal within one interval of the load going away (the drift EWMA,
-// the one signal with memory, halves each tick while its lane is
-// idle). Each lane runs its full per-lane worker count of concurrent
-// passes, so the hint's worker count is exact.
+// (ceil(backlog/permits) execution waves of p99 each). The level is a
+// pure function of the current backlog, so it returns to normal within
+// one interval of the load going away; slow passes alone never raise
+// it. Each lane always has its full per-lane permit count of
+// concurrent passes, so the hint's permit count is exact.
 //
 // Requests may opt into degraded serving with "allow_degraded": true:
 // instead of a budget_too_small or device_unhealthy rejection, the

@@ -49,21 +49,21 @@
 //     there, once, with step 8 skipped. It is counted as degraded,
 //     never as shed; with no eligible device left it is 503
 //     no_healthy_device.
-//  10. Lane: admitted leaders sit in their device's bounded lane — one
-//     queue plus workers per registered device, so one slow target's
-//     cold plan can never head-of-line-block another target's warm
-//     traffic; a full lane sheds with 429. Each worker runs one request
-//     per planner pass; identical stragglers that miss the pass find
-//     its accepted step resident (step 5). Every lane runs
-//     GOMAXPROCS workers unless Config.Workers is set; lane capacities
-//     divide the QueueDepth (and an explicit Workers) total evenly
-//     across devices (minimum 1 each), as the planner pool divides its
-//     cache caps.
+//  10. Lane: an admitted leader waits in its device's bounded lane — a
+//     waiting room plus a fixed number of pass permits per registered
+//     device, so one slow target's cold plan can never
+//     head-of-line-block another target's warm traffic; a full waiting
+//     room sheds with 429. Holding a permit, the leader runs one
+//     planner pass for its request on its own handler goroutine;
+//     identical stragglers that miss the pass find its accepted step
+//     resident (step 5). Every lane has GOMAXPROCS permits unless
+//     Config.Workers is set; lane capacities divide the QueueDepth (and
+//     an explicit Workers) total evenly across devices (minimum 1
+//     each), as the planner pool divides its cache caps.
 //
 // Shed and refused requests never consume planner work. Shutdown stops
-// admission at step 2, lets every queued call finish and deliver, then
-// stops every lane's workers and waits for the background loops
-// (autosave, prewarm, probes).
+// admission at step 2, lets every admitted call finish and deliver, then
+// waits for the background loops (autosave, prewarm, probes).
 //
 // Fault containment & graceful degradation: every planner pass runs
 // behind a panic boundary — a panicking request gets a structured 500,
@@ -73,7 +73,7 @@
 // wedged request cannot stall a lane. Consecutive containment events
 // trip a device unhealthy: "auto" routing skips it, explicit requests
 // get 503 + Retry-After, and a background probe plan restores it on
-// first success. Queued calls whose waiters all disconnect are
+// first success. Waiting calls whose waiters all disconnect are
 // cancelled before they consume a planner execution. An optional
 // autosave loop (Config.AutosaveInterval) snapshots warm state
 // crash-safely — atomic rename plus one previous-good ".bak" generation
@@ -151,17 +151,18 @@ type Config struct {
 	// MaxBodyBytes caps a request body; larger bodies get 413.
 	// 0 means DefaultMaxBodyBytes; negative means no limit.
 	MaxBodyBytes int64
-	// QueueDepth bounds the total admission queue; it is divided evenly
-	// across the per-device lanes (minimum 1 each, the pool cache-cap
-	// division rule), and arrivals beyond a lane's slice are shed with
-	// 429. 0 means DefaultQueueDepth.
+	// QueueDepth bounds the total admission queue — admitted leaders
+	// waiting for a pass permit; it is divided evenly across the
+	// per-device lanes (minimum 1 each, the pool cache-cap division
+	// rule), and arrivals beyond a lane's slice are shed with 429. 0
+	// means DefaultQueueDepth.
 	QueueDepth int
-	// Workers is the total number of lane workers, divided evenly
-	// across the per-device lanes with at least one worker per lane, so
-	// no device is ever without a worker: devices x max(1,
-	// Workers/devices) goroutines run, each executing one request per
-	// planner pass. 0 gives every lane par.Workers() (GOMAXPROCS)
-	// workers, so a single lane can keep every core busy.
+	// Workers is the total number of concurrent planner passes, divided
+	// evenly across the per-device lanes with at least one per lane, so
+	// no device is ever without one: each lane holds max(1,
+	// Workers/devices) pass permits, and a pass plans one request. 0
+	// gives every lane par.Workers() (GOMAXPROCS) permits, so a single
+	// lane can keep every core busy.
 	Workers int
 	// StatePath enables warm-state persistence: POST /v1/state/save
 	// atomically writes the pool's snapshot there (and cmd/netserve
@@ -180,7 +181,7 @@ type Config struct {
 	// ExecTimeout is the per-pass execution watchdog: a planner pass
 	// still running after this long is abandoned — its calls get a
 	// structured 504, the coalesce entries are invalidated and the lane
-	// worker moves on, so one stuck request can never wedge a lane. The
+	// permit is released, so one stuck request can never wedge a lane. The
 	// abandoned goroutine's eventual result is discarded. 0 (the
 	// default) disables the watchdog; negative is a configuration
 	// error.
@@ -194,12 +195,12 @@ type Config struct {
 	AutosaveInterval time.Duration
 
 	// OverloadInterval is the closed-loop overload controller's sampling
-	// cadence: every interval a background sampler folds the signals the
-	// process already has — per-lane backlog and warm-p99 drift of
-	// observed execution latency — into a discrete load level
+	// cadence: every interval a background sampler folds the signal the
+	// process already has — the backlog waiting in each lane — into a
+	// discrete load level
 	// (0 normal, 1 brownout, 2 emergency) that deterministically
 	// disables optional work (see the package comment's "Overload"
-	// section). The level is a pure function of the current signals, so
+	// section). The level is a pure function of the current backlog, so
 	// it returns to 0 within one interval of the load going away.
 	// 0 means DefaultOverloadInterval; negative disables the controller
 	// (the level is pinned at 0).
@@ -244,8 +245,8 @@ const (
 // Fixed admission and containment settings.
 const (
 	// shedMinSamples is how many warm executions a target's latency
-	// histogram must hold before budget-based shedding, its warm
-	// estimate's part in "auto" ranking, and its drift signal activate:
+	// histogram must hold before budget-based shedding and its warm
+	// estimate's part in "auto" ranking activate:
 	// shedding on a cold estimate would reject half of a fresh server's
 	// first clients.
 	shedMinSamples = 64
@@ -260,8 +261,8 @@ const (
 	probeInterval = 500 * time.Millisecond
 	// quarantineAfter is how many panics one request key may cause
 	// before the key is quarantined: further spellings of it are
-	// rejected with a structured 500 at admission, without touching a
-	// worker, so a poison graph cannot re-crash lanes in a tight retry
+	// rejected with a structured 500 at admission, without taking a
+	// pass permit, so a poison graph cannot re-crash lanes in a tight retry
 	// loop.
 	quarantineAfter = 2
 	// quarantineCap bounds the panic-count LRU: big enough to hold a
@@ -320,36 +321,33 @@ func (c *Config) fill() error {
 }
 
 // call is one in-flight planner execution and the response every
-// coalesced waiter shares. planner is the resolved target's planner
-// (key.device names it). body and status are written exactly once,
-// before done is closed; delivered guards that write so a watchdog
-// abandonment and the abandoned pass's late completion can race for a
-// call without double-delivering it.
+// coalesced waiter shares. lane is the resolved target's lane
+// (key.device names it). The leader's handler goroutine holds the call
+// from admission to delivery (see lead), so it alone delivers or
+// cancels it, exactly once.
 //
 // waiters counts the handlers still waiting on done: it starts at 1
 // for the leader, coalesce joins increment it (under the gateway
 // mutex), and a handler whose client disconnects decrements it. A
-// worker that dequeues a call nobody waits for anymore cancels it
-// before it consumes a planner execution.
+// leader that gets its permit for a call nobody waits for anymore
+// cancels it before it consumes a planner execution.
 type call struct {
-	key     coalesceKey
-	req     serve.Request
-	planner *serve.Planner
-	done    chan struct{}
-	// status, body and retryAfterMs are written exactly once, by the
-	// delivered CAS winner, before done closes; retryAfterMs > 0 adds a
-	// Retry-After header (watchdog 504s carry one).
+	key  coalesceKey
+	req  serve.Request
+	lane *lane
+	done chan struct{}
+	// status, body and retryAfterMs are written once, before done
+	// closes; retryAfterMs > 0 adds a Retry-After header (watchdog 504s
+	// carry one).
 	status       int
 	body         []byte
 	retryAfterMs float64
 	waiters      atomic.Int64
-	delivered    atomic.Bool
 
-	// Execution timeline, written by the lane worker before done closes
+	// Execution timeline, written by the leader before done closes
 	// (the close is the happens-before edge) and read by every waiter
 	// afterwards, so each trace can carve its wait into queue-wait,
-	// execution and encode spans. Zero when the call never reached a
-	// planner (cancelled in queue).
+	// execution and encode spans.
 	execStartAt time.Time
 	execEndAt   time.Time
 	encodeDur   time.Duration
@@ -394,26 +392,22 @@ type deviceHealth struct {
 }
 
 // lane is one device's slice of the admission machinery: a bounded
-// queue plus dedicated workers. Lane assignment is the resolved-device
-// routing decision the admission path already makes, so lanes shift
-// which worker runs an execution and when — never what it returns —
-// and a cold plan occupying one lane's workers cannot delay another
-// device's traffic.
+// waiting room plus a fixed number of pass permits. A leader runs its
+// pass on its own handler goroutine while it holds one of its lane's
+// permits. Lane assignment is the resolved-device routing decision the
+// admission path already makes, so lanes shift when an execution runs —
+// never what it returns — and a cold plan holding one lane's permits
+// cannot delay another device's traffic.
 type lane struct {
 	device    string
 	planner   *serve.Planner
-	queue     chan *call
 	shedQueue *telemetry.Counter // queue_full sheds on this lane
-
-	// busy counts the lane's workers holding dequeued calls, from
-	// dequeue to delivery; the overload controller decays the drift
-	// signal only while it is 0 and the queue is empty (see
-	// overload.go).
-	busy atomic.Int32
-	// execEwmaMs is the smoothed observed pass latency the overload
-	// controller reads as its warm-p99 drift signal, guarded by ewmaMu.
-	ewmaMu     sync.Mutex
-	execEwmaMs float64
+	// permits holds one token per pass running on the lane; its
+	// capacity, laneWorkers, is the lane's fixed parallelism.
+	permits chan struct{}
+	// waiting counts the admitted leaders not yet holding a permit: the
+	// lane's backlog, bounded by laneQueueCap at admission.
+	waiting atomic.Int64
 }
 
 // Gateway is the serving layer. Construct with New, expose Handler on
@@ -425,9 +419,9 @@ type Gateway struct {
 	mux   *http.ServeMux
 	lanes map[string]*lane // one per registered device
 
-	// laneQueueCap / laneWorkers are the per-lane slices of the
-	// configured QueueDepth / Workers totals (laneWorkers is
-	// par.Workers() when Workers is unset).
+	// laneQueueCap / laneWorkers are the per-lane waiting room and
+	// permit count, the slices of the configured QueueDepth / Workers
+	// totals (laneWorkers is par.Workers() when Workers is unset).
 	laneQueueCap int
 	laneWorkers  int
 
@@ -441,8 +435,7 @@ type Gateway struct {
 	// carry is the remaining budget, not a hardcoded constant.
 	drainDeadline atomic.Int64
 	stop          chan struct{}  // closed when the drain starts: background loops exit
-	pending       sync.WaitGroup // queued, not yet delivered calls
-	workers       sync.WaitGroup
+	pending       sync.WaitGroup // admitted, not yet delivered calls
 	// background tracks the gateway-owned background goroutines —
 	// autosave loop, prewarm sweeps, health probes — so Shutdown can
 	// wait for them to wind down (no save left mid-write, no tmp file
@@ -503,7 +496,7 @@ type Gateway struct {
 	// series, so cancellations neither vanish from latency telemetry
 	// (survivorship bias) nor pollute the delivered-request histogram.
 	cancelledLatMs *telemetry.Histogram
-	testHookPass   func(device string) // test-only: runs in a worker before each planner pass
+	testHookPass   func(device string) // test-only: runs under the permit before each planner pass
 	testHookProbe  func(device string) // test-only: runs before each health probe plan
 
 	// Request tracing (see trace.go in this package): ids mints the
@@ -511,7 +504,8 @@ type Gateway struct {
 	// GET /debug/requests, ring retains completed ones for
 	// GET /debug/trace, and stageHists carries the
 	// netcut_gateway_stage_ms{stage,device} histograms, pre-registered
-	// per device (plus "none" for requests refused before routing).
+	// per device (plus "none", for requests refused before routing, on
+	// the two stages such a request can record).
 	ids        *trace.IDGen
 	live       *trace.Live
 	ring       *trace.Ring
@@ -519,9 +513,9 @@ type Gateway struct {
 }
 
 // New builds the gateway — one planner per registered device behind a
-// serve.PlannerPool — instruments every planner and cache layer under
-// it (per-device series carry a device label), and starts the lane
-// workers. Callers own the HTTP server; see Handler.
+// serve.PlannerPool, each with its lane — and instruments every planner
+// and cache layer under it (per-device series carry a device label).
+// Callers own the HTTP server; see Handler.
 func New(cfg Config) (*Gateway, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, fmt.Errorf("gateway: %w", err)
@@ -602,11 +596,11 @@ func New(cfg Config) (*Gateway, error) {
 		func() float64 { return float64(g.live.Len()) })
 
 	// One lane per registered device: the configured queue-depth and
-	// worker totals divide evenly across lanes (minimum 1 each, the
+	// permit totals divide evenly across lanes (minimum 1 each, the
 	// same division rule the planner pool applies to cache caps), and
 	// each lane's queue depth and queue_full sheds are device-labeled
 	// series on the shared registry. With Workers unset every lane gets
-	// one worker per core: a pass plans one request, so lane width is
+	// one permit per core: a pass plans one request, so lane width is
 	// the only way one device's traffic reaches a second core.
 	names := pool.DeviceNames()
 	g.laneQueueCap = max(1, cfg.QueueDepth/len(names))
@@ -630,13 +624,13 @@ func New(cfg Config) (*Gateway, error) {
 		l := &lane{
 			device:  name,
 			planner: p,
-			queue:   make(chan *call, g.laneQueueCap),
+			permits: make(chan struct{}, g.laneWorkers),
 			shedQueue: reg.CounterWith("netcut_gateway_shed_queue_full_total",
 				"requests shed because the device's admission lane was full", labels),
 		}
 		reg.GaugeFuncWith("netcut_gateway_queue_depth",
 			"requests waiting in the device's admission lane", labels,
-			func() float64 { return float64(len(l.queue)) })
+			func() float64 { return float64(l.waiting.Load()) })
 		g.lanes[name] = l
 		g.health[name] = &deviceHealth{device: name}
 		g.panicsByDev[name] = reg.CounterWith("netcut_gateway_panics_total",
@@ -651,13 +645,19 @@ func New(cfg Config) (*Gateway, error) {
 	}
 
 	// Per-stage latency histograms, pre-registered for every device plus
-	// the "none" pseudo-device (requests refused before routing). Only
-	// the clock-bounded stages get series; the admission gates record
-	// zero-duration verdict spans in traces, not histogram mass.
+	// the "none" pseudo-device. Only the clock-bounded stages get series;
+	// the admission gates record zero-duration verdict spans in traces,
+	// not histogram mass. A request refused before routing (decode
+	// error, drain, quarantine) records only decode and deliver, so
+	// "none" carries just those two.
 	g.stageHists = make(map[string]map[string]*telemetry.Histogram, len(names)+1)
 	for _, dev := range append(append(make([]string, 0, len(names)+1), names...), stageDeviceNone) {
-		byStage := make(map[string]*telemetry.Histogram, len(timedStages))
-		for _, st := range timedStages {
+		stages := timedStages
+		if dev == stageDeviceNone {
+			stages = []string{stageDecode, stageDeliver}
+		}
+		byStage := make(map[string]*telemetry.Histogram, len(stages))
+		for _, st := range stages {
 			byStage[st] = reg.HistogramWith("netcut_gateway_stage_ms",
 				"per-stage latency of plan requests, carved from request traces at completion", nil,
 				[]telemetry.Label{{Key: "stage", Value: st}, {Key: "device", Value: dev}})
@@ -689,13 +689,6 @@ func New(cfg Config) (*Gateway, error) {
 	})
 	g.mux.HandleFunc("GET /readyz", g.handleReady)
 
-	for _, name := range names {
-		l := g.lanes[name]
-		g.workers.Add(g.laneWorkers)
-		for i := 0; i < g.laneWorkers; i++ {
-			go g.worker(l)
-		}
-	}
 	if cfg.AutosaveInterval > 0 {
 		g.goBackground(g.autosaveLoop)
 	}
@@ -746,8 +739,8 @@ func (g *Gateway) Registry() *telemetry.Registry { return g.reg }
 
 // Shutdown drains the gateway: new plan requests are rejected with 503,
 // every already-admitted call runs to completion and delivers its
-// response, then the workers stop and the background loops — autosave,
-// prewarm, health probes — wind down, so no save is left mid-write and
+// response, then the background loops — autosave, prewarm, health
+// probes — wind down, so no save is left mid-write and
 // no temp file is left behind. Safe to call more than once — concurrent
 // and repeated callers all wait on the same drain, so nil always means
 // "fully drained". The context bounds each caller's wait.
@@ -767,11 +760,7 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 		close(g.stop) // background loops see the drain without polling
 		g.drainDone = make(chan struct{})
 		go func() {
-			g.pending.Wait() // all queued calls delivered
-			for _, l := range g.lanes {
-				close(l.queue) // no producer can enqueue once draining is set
-			}
-			g.workers.Wait()
+			g.pending.Wait() // all admitted calls delivered
 			g.background.Wait()
 			close(g.drainDone)
 		}()
@@ -894,9 +883,14 @@ func (g *Gateway) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// A leader runs its own pass and comes back with c delivered, unless
+	// its client left while the call waited for a permit.
+	if dec.lead && !g.lead(r.Context(), c, func() { g.finishCancelled(tr, start) }) {
+		return
+	}
 	select {
 	case <-c.done:
-		// The worker published the call's execution timeline before
+		// The leader published the call's execution timeline before
 		// closing done; carve it into queue-wait / exec / encode spans.
 		stitchCallSpans(tr, c)
 		if c.retryAfterMs > 0 {
@@ -914,16 +908,21 @@ func (g *Gateway) handlePlan(w http.ResponseWriter, r *http.Request) {
 	case <-r.Context().Done():
 		// The client went away. If other waiters remain, the execution
 		// keeps running for them (its result is cached work, not waste);
-		// if this was the last waiter, the worker that dequeues the call
-		// cancels it before it consumes a planner execution. The
-		// cancellation is still a request with a latency — recorded in
-		// its own histogram, so delivered-request p99s aren't
-		// survivorship-biased by the clients who gave up.
+		// if this was the last waiter, the leader cancels the call when
+		// it gets its permit, before it consumes a planner execution.
 		c.waiters.Add(-1)
-		now := tr.Mark(stageDeliver, "disconnected")
-		g.cancelledLatMs.Observe(float64(now.Sub(start)) / float64(time.Millisecond))
-		g.finishTrace(tr, statusClientClosed, now)
+		g.finishCancelled(tr, start)
 	}
+}
+
+// finishCancelled closes the trace of a request whose client left
+// before delivery. The cancellation is still a request with a latency —
+// recorded in its own histogram, so delivered-request p99s aren't
+// survivorship-biased by the clients who gave up.
+func (g *Gateway) finishCancelled(tr *trace.Trace, start time.Time) {
+	now := tr.Mark(stageDeliver, "disconnected")
+	g.cancelledLatMs.Observe(float64(now.Sub(start)) / float64(time.Millisecond))
+	g.finishTrace(tr, statusClientClosed, now)
 }
 
 // admit is the admission pipeline of one decoded request: it returns
@@ -950,7 +949,7 @@ func (g *Gateway) admit(dec *decodedRequest, tr *trace.Trace) (*call, []byte, *a
 	tr.Mark(stageDrain, verdictOK)
 	// Quarantine gate: a request identity that already crashed planner
 	// passes quarantineAfter times is rejected here, before it can touch
-	// a worker — containment of a poison graph must not cost a lane per
+	// a permit — containment of a poison graph must not cost a lane per
 	// retry. The key ignores the device (a graph that panics the trim
 	// layer panics it on every target), so the gate runs before target
 	// resolution.
@@ -1090,7 +1089,7 @@ func (g *Gateway) gates(dec *decodedRequest, dev string, tr *trace.Trace) (*call
 		e := errf(http.StatusTooManyRequests, "overload_shed",
 			"gateway is at load level %d (emergency): only resident answers and coalesce joins are served", lvl)
 		p99, _ := l.planner.WarmQuantile(0.99)
-		e.wire.RetryAfterMs = math.Max(float64(lvl)*laneWaves(len(l.queue), g.laneWorkers)*p99, 1)
+		e.wire.RetryAfterMs = math.Max(float64(lvl)*laneWaves(int(l.waiting.Load()), g.laneWorkers)*p99, 1)
 		return nil, nil, e
 	}
 	// Budget gate: if the client's budget cannot cover the warm p99,
@@ -1114,7 +1113,7 @@ func (g *Gateway) gates(dec *decodedRequest, dev string, tr *trace.Trace) (*call
 	}
 	tr.MarkZero(stageShed, verdictOK)
 
-	c := &call{key: dec.key, req: dec.req, planner: l.planner, done: make(chan struct{})}
+	c := &call{key: dec.key, req: dec.req, lane: l, done: make(chan struct{})}
 	// The planner reports its internal phase timings (measure /
 	// estimate / explore) into the call, where every coalesced waiter's
 	// trace picks them up after delivery. Observability only: the
@@ -1122,27 +1121,28 @@ func (g *Gateway) gates(dec *decodedRequest, dev string, tr *trace.Trace) (*call
 	// coalescing identity (dec.key was computed before it existed).
 	c.req.Trace = c.notePhase
 	c.waiters.Store(1) // the leader
-	// Admission holds g.mu and is the lanes' only producer, and workers
-	// only drain, so a lane with room now still has room at the send.
-	// That lets the enqueue mark go in before the send: a worker may
-	// start the pass the instant the call lands, and the queue-wait
-	// span stitched in after delivery begins at this mark.
-	if len(l.queue) == cap(l.queue) {
+	// Only admission, under g.mu, adds to a lane's waiting room, and a
+	// leader leaves it only for a permit, so the room checked here is
+	// still there when the leader is counted in. The enqueue mark comes
+	// first: the queue-wait span stitched in after delivery begins at
+	// it, before the leader can take a permit and start its pass.
+	if int(l.waiting.Load()) >= g.laneQueueCap {
 		tr.Mark(stageEnqueue, "full")
 		l.shedQueue.Inc()
 		e := errf(http.StatusTooManyRequests, "queue_full",
 			"admission lane of %d for device %s is full", g.laneQueueCap, l.device)
 		// A full lane means a backlog of whole execution waves stands
-		// between this client and service: ceil(backlog / workers)
+		// between this client and service: ceil(backlog / permits)
 		// passes of roughly p99 each.
 		p99, _ := l.planner.WarmQuantile(0.99)
-		e.wire.RetryAfterMs = math.Max(laneWaves(len(l.queue), g.laneWorkers)*p99, 1)
+		e.wire.RetryAfterMs = math.Max(laneWaves(int(l.waiting.Load()), g.laneWorkers)*p99, 1)
 		return nil, nil, e
 	}
 	tr.Mark(stageEnqueue, verdictOK)
 	g.inflight[dec.key] = c
 	g.pending.Add(1)
-	l.queue <- c
+	l.waiting.Add(1)
+	dec.lead = true
 	return c, nil, nil
 }
 
@@ -1208,25 +1208,40 @@ func quarantineKey(k coalesceKey) coalesceKey {
 	return k
 }
 
-// worker drains one device's admission lane, one request per planner
-// pass: a blocking receive, the cancellation check, then the pass.
-// Workers never cross lanes, so a cold plan here cannot delay any other
-// device's queue.
-func (g *Gateway) worker(l *lane) {
-	defer g.workers.Done()
-	for c := range l.queue {
-		l.busy.Add(1)
-		// A dequeued call nobody waits on anymore — every coalesced
-		// client disconnected while it was queued — is retired here,
-		// before it can consume a planner execution.
-		if !g.tryCancel(c) {
-			g.execute(c)
+// lead runs a leader's call on the leader's handler goroutine, one
+// request per planner pass: it waits in the lane for a permit, leaves
+// the waiting room, cancels the call if nobody waits for it anymore or
+// runs the pass, and releases the permit. Permits never cross lanes, so
+// a cold plan here cannot delay any other device's traffic.
+//
+// A leader whose client leaves while it waits drops its waiter count
+// and calls leave, which closes its request's trace. With no waiter
+// left the call is cancelled at once; otherwise the leader still takes
+// a permit and runs the pass for its followers. lead reports whether
+// the leader's client was still there at the permit.
+func (g *Gateway) lead(ctx context.Context, c *call, leave func()) bool {
+	l, stayed := c.lane, true
+	select {
+	case l.permits <- struct{}{}:
+	case <-ctx.Done():
+		stayed = false
+		c.waiters.Add(-1)
+		leave()
+		if g.tryCancel(c) {
+			l.waiting.Add(-1)
+			return false
 		}
-		l.busy.Add(-1)
+		l.permits <- struct{}{}
 	}
+	l.waiting.Add(-1)
+	if !g.tryCancel(c) {
+		g.execute(c)
+	}
+	<-l.permits
+	return stayed
 }
 
-// tryCancel retires a queued call whose waiters have all disconnected.
+// tryCancel retires a waiting call whose waiters have all disconnected.
 // The decision is made under the gateway mutex — the lock coalesce
 // joins hold — so a join either lands before the final check (and keeps
 // the call alive) or finds the key already gone from inflight and
@@ -1241,22 +1256,17 @@ func (g *Gateway) tryCancel(c *call) bool {
 		g.mu.Unlock()
 		return false
 	}
-	if g.inflight[c.key] == c {
-		delete(g.inflight, c.key)
-	}
+	delete(g.inflight, c.key)
 	g.mu.Unlock()
 	g.cancelled.Inc()
-	if c.delivered.CompareAndSwap(false, true) {
-		c.status = http.StatusGone // no reader remains; set for completeness
-		close(c.done)
-		g.pending.Done()
-	}
+	close(c.done) // no reader remains
+	g.pending.Done()
 	return true
 }
 
 // passResult is one planner pass's outcome, including a recovered
 // panic: the recover happens on the goroutine that ran the pass (the
-// only place Go allows it), and the result crosses back to the worker
+// only place Go allows it), and the result crosses back to the leader
 // as a value.
 type passResult struct {
 	resp     *serve.Response
@@ -1290,10 +1300,10 @@ func runPass(p *serve.Planner, req serve.Request) (res passResult) {
 
 // runGuarded is runPass plus the execution watchdog. With ExecTimeout
 // unset the pass runs inline (no goroutine, no timer). With it set, the
-// pass runs on its own goroutine; if it outlives the timeout the worker
+// pass runs on its own goroutine; if it outlives the timeout the leader
 // abandons it — abandoned reports true, the goroutine's eventual result
-// lands in the buffered channel and is discarded, and the lane moves
-// on. The coalesce entry dies with the call; a step the abandoned pass
+// lands in the buffered channel and is discarded, and the permit is
+// released. The coalesce entry dies with the call; a step the abandoned pass
 // later accepts becomes resident like any other, since its bytes do not
 // depend on timing.
 func (g *Gateway) runGuarded(p *serve.Planner, req serve.Request) (res passResult, abandoned bool) {
@@ -1322,7 +1332,7 @@ func (g *Gateway) execute(c *call) {
 		hook(dev)
 	}
 	c.execStartAt = time.Now()
-	res, abandoned := g.runGuarded(c.planner, c.req)
+	res, abandoned := g.runGuarded(c.lane.planner, c.req)
 	c.execEndAt = time.Now()
 	switch {
 	case abandoned:
@@ -1331,7 +1341,6 @@ func (g *Gateway) execute(c *call) {
 		g.deliverPanic(c, res)
 	default:
 		g.deviceOK(dev)
-		g.observePass(dev, c.execEndAt.Sub(c.execStartAt))
 		g.deliverResult(c, res.resp, res.err)
 	}
 }
@@ -1449,23 +1458,18 @@ func planError(err error) *apiError {
 	return errf(http.StatusUnprocessableEntity, "plan_failed", "%v", err)
 }
 
-// deliver publishes a call's response and retires its coalescing key.
-// The delivered CAS makes publication exactly-once: the winner writes
-// the response fields, closes done (the happens-before edge every
-// waiter reads through) and releases the pending count; any later
-// attempt is a no-op. The inflight delete checks identity, because
-// after a watchdog abandonment a fresh call may already own the key.
+// deliver publishes a call's response and retires its coalescing key:
+// it writes the response fields, closes done (the happens-before edge
+// every waiter reads through) and releases the pending count. Only the
+// leader holding the call calls it, once; a watchdog-abandoned pass
+// never delivers.
 func (g *Gateway) deliver(c *call, status int, body []byte, retryAfterMs float64) {
 	g.mu.Lock()
-	if g.inflight[c.key] == c {
-		delete(g.inflight, c.key)
-	}
+	delete(g.inflight, c.key)
 	g.mu.Unlock()
-	if c.delivered.CompareAndSwap(false, true) {
-		c.status, c.body, c.retryAfterMs = status, body, retryAfterMs
-		close(c.done)
-		g.pending.Done()
-	}
+	c.status, c.body, c.retryAfterMs = status, body, retryAfterMs
+	close(c.done)
+	g.pending.Done()
 }
 
 // SaveState snapshots every planner's warm state (see
@@ -1610,7 +1614,7 @@ func (g *Gateway) handleStateSave(w http.ResponseWriter, _ *http.Request) {
 // background, so steady-state traffic never sees a cold miss for a
 // known architecture. It runs at low priority — one sequential
 // goroutine against the planners directly, bypassing the lanes so it
-// can never occupy a queue slot or a worker — and stops early if the
+// can never occupy a waiting-room slot or a permit — and stops early if the
 // gateway starts draining. Prewarming is pure cache warming: every
 // value it computes is one a request would compute identically, so it
 // shifts cold costs off the request path without changing any
@@ -1653,8 +1657,8 @@ func (g *Gateway) Prewarm() <-chan struct{} {
 }
 
 // zooPlan plans a zoo network for the background paths — prewarm and
-// health probes, which run planner work outside a worker — behind the
-// worker's panic boundary, so a poison zoo entry cannot crash the
+// health probes, which run planner work outside a lane — behind the
+// lane's panic boundary, so a poison zoo entry cannot crash the
 // process from a background goroutine either. It reports success; a
 // panic or a planner error is a failure.
 func zooPlan(p *serve.Planner, name string) bool {

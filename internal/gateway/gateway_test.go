@@ -353,7 +353,7 @@ func TestGatewayShedsOnQueueFull(t *testing.T) {
 	lane := g.lanes[g.pool.DeviceNames()[0]]
 	go send(1)
 	deadline := time.Now().Add(5 * time.Second)
-	for len(lane.queue) == 0 {
+	for lane.waiting.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("second request never queued")
 		}
@@ -429,9 +429,9 @@ func TestGatewayQueuedRequestsRunOnePassEach(t *testing.T) {
 	}
 	lane := g.lanes[g.pool.DeviceNames()[0]]
 	deadline := time.Now().Add(5 * time.Second)
-	for len(lane.queue) < k {
+	for lane.waiting.Load() < k {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d requests queued", len(lane.queue), k)
+			t.Fatalf("only %d of %d requests queued", lane.waiting.Load(), k)
 		}
 		time.Sleep(time.Millisecond)
 	}

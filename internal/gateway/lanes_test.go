@@ -1,13 +1,17 @@
 package gateway
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -101,8 +105,8 @@ func TestGatewayLaneCapsDivide(t *testing.T) {
 		t.Fatalf("lane caps %d/%d, want %d/%d", g.laneQueueCap, g.laneWorkers, 64/n, 8/n)
 	}
 	for _, l := range g.lanes {
-		if cap(l.queue) != g.laneQueueCap {
-			t.Fatalf("lane %s queue cap %d, want %d", l.device, cap(l.queue), g.laneQueueCap)
+		if cap(l.permits) != g.laneWorkers {
+			t.Fatalf("lane %s permit cap %d, want %d", l.device, cap(l.permits), g.laneWorkers)
 		}
 	}
 
@@ -345,5 +349,119 @@ func TestGatewayPrewarm(t *testing.T) {
 		if warmAfter-warmBefore != execs {
 			t.Fatalf("%s: %d of %d post-prewarm executions ran cold", dev, execs-(warmAfter-warmBefore), execs)
 		}
+	}
+}
+
+// TestLaneLeaderDisconnectKeepsFollower pins the leader path: a leader
+// runs its call's pass on its own handler goroutine once it holds a
+// permit. When the leader's client leaves while the call waits, the
+// leader leaves a 499 trace and a cancelled-latency sample, and still
+// runs the pass for a follower that waits on: the follower's body equals
+// the solo planner's, at exactly one execution for the two of them.
+// When the follower leaves too before the permit frees, the call is
+// cancelled at zero executions and the lane's queue depth returns to 0.
+func TestLaneLeaderDisconnectKeepsFollower(t *testing.T) {
+	for _, followerLeaves := range []bool{false, true} {
+		name := "follower waits"
+		if followerLeaves {
+			name = "follower leaves"
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := quickConfig(14)
+			cfg.Devices = []device.Config{device.Xavier()}
+			cfg.Workers = 1 // one permit: request A's wedged pass holds it
+			g, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mustShutdown(t, g)
+			l := g.lanes["sim-xavier"]
+
+			entered := make(chan struct{}, 4)
+			release := make(chan struct{})
+			var releaseOnce atomic.Bool
+			g.testHookPass = func(string) {
+				entered <- struct{}{}
+				if !releaseOnce.Load() {
+					<-release
+				}
+			}
+			aDone := make(chan *httptest.ResponseRecorder, 1)
+			go func() { aDone <- post(g, graphBody(t, userNet(0), 0.35, "")) }()
+			<-entered
+
+			// Leader B waits for the permit; follower C joins its call.
+			body := graphBody(t, userNet(1), 0.35, "")
+			serveCtx := func(ctx context.Context) (*httptest.ResponseRecorder, chan struct{}) {
+				req := httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body)).WithContext(ctx)
+				rec, done := httptest.NewRecorder(), make(chan struct{})
+				go func() {
+					g.Handler().ServeHTTP(rec, req)
+					close(done)
+				}()
+				return rec, done
+			}
+			bCtx, bCancel := context.WithCancel(context.Background())
+			_, bDone := serveCtx(bCtx)
+			waitFor(t, "leader B to wait for the permit", func() bool { return l.waiting.Load() == 1 })
+			cCtx, cCancel := context.WithCancel(context.Background())
+			defer cCancel()
+			cRec, cDone := serveCtx(cCtx)
+			waitFor(t, "follower C to join", func() bool { return g.coalesced.Value() == 1 })
+
+			bCancel()
+			waitFor(t, "B's 499 trace", func() bool {
+				return len(getDump(t, g, "/debug/trace?status=499").Traces) == 1
+			})
+			if got := g.cancelledLatMs.Count(); got != 1 {
+				t.Fatalf("cancelled-latency samples %d after B left, want 1", got)
+			}
+			if followerLeaves {
+				cCancel()
+				<-cDone
+			}
+			if got := g.Planner().Executions(); got != 0 {
+				t.Fatalf("planner executed %d times before the permit freed", got)
+			}
+
+			releaseOnce.Store(true)
+			close(release)
+			if rec := <-aDone; rec.Code != http.StatusOK {
+				t.Fatalf("request A: status %d: %s", rec.Code, rec.Body.String())
+			}
+			<-bDone
+			<-cDone
+			if followerLeaves {
+				if got := g.Planner().Executions(); got != 1 {
+					t.Fatalf("planner executions %d, want 1 (request A only)", got)
+				}
+				if got := g.cancelled.Value(); got != 1 {
+					t.Fatalf("cancelled calls %d, want 1", got)
+				}
+				if l.waiting.Load() != 0 || !strings.Contains(get(g, "/metrics").Body.String(),
+					`netcut_gateway_queue_depth{device="sim-xavier"} 0`) {
+					t.Fatalf("queue depth %d after the cancellation, want 0", l.waiting.Load())
+				}
+				return
+			}
+			// A's pass, plus exactly one for B and C together.
+			if got := g.Planner().Executions(); got != 2 {
+				t.Fatalf("planner executions %d, want 2", got)
+			}
+			if cRec.Code != http.StatusOK {
+				t.Fatalf("follower C: status %d: %s", cRec.Code, cRec.Body.String())
+			}
+			solo, err := serve.New(serve.Config{Seed: 14, Protocol: quickProto})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := solo.Select(serve.Request{Graph: userNet(1), DeadlineMs: 0.35, Estimator: "profiler"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := stripped(cRec.Body.Bytes()); !bytes.Equal(got, EncodeResponse(want)) {
+				t.Fatalf("follower body diverges from the solo planner:\n got: %s\nwant: %s", got, EncodeResponse(want))
+			}
+		})
 	}
 }

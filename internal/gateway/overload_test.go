@@ -2,8 +2,8 @@ package gateway
 
 // Overload-control suite: the load-level ladder (driven
 // deterministically through the faultinject QueueStall point), the
-// emergency admission gate, the drift signal and its
-// idle decay, the opt-in degraded-serving fallback, the
+// emergency admission gate, slow passes that must not read as
+// overload, the opt-in degraded-serving fallback, the
 // backlog-honest retry hints, and the -race soak that pushes ~4x the
 // queue capacity through a tiny gateway. The TestFault* names put the
 // heavyweight tests in the CI fault job's -race -run 'Fault' selection
@@ -106,7 +106,7 @@ func TestFaultOverloadLadderQueueStall(t *testing.T) {
 		t.Fatal(err)
 	}
 	p99, _ := p.WarmQuantile(0.99)
-	backlog := len(g.lanes["sim-xavier"].queue)
+	backlog := int(g.lanes["sim-xavier"].waiting.Load())
 	rec := post(g, graphBody(t, userNet(2), 0.35, ""))
 	if rec.Code != http.StatusTooManyRequests || errCode(t, rec) != "overload_shed" {
 		t.Fatalf("cold miss at level 2: status %d code %q, want 429 overload_shed", rec.Code, errCode(t, rec))
@@ -256,23 +256,15 @@ func TestFaultShutdownNoTrailingProbe(t *testing.T) {
 	}
 }
 
-// setLaneEwmaMs overwrites a lane's drift EWMA under its lock.
-func setLaneEwmaMs(l *lane, v float64) {
-	l.ewmaMu.Lock()
-	l.execEwmaMs = v
-	l.ewmaMu.Unlock()
-}
-
-// TestOverloadIdleDriftDecay pins the drift signal end to end: a pass
-// observation seeds the lane's EWMA, a later one smooths it by
-// execEwmaAlpha, and a drifting observation moves the ladder to
-// brownout. The EWMA is the one ladder signal with memory, and it only
-// collects samples while passes run — so a lone slow pass must not
-// hold an idle gateway in brownout. Each tick halves the EWMA of a
-// lane with no queued work and no busy worker (and only such a lane),
-// and the level folds back to normal once it decays under the drift
-// threshold.
-func TestOverloadIdleDriftDecay(t *testing.T) {
+// TestOverloadSlowPassesStayNormal pins that pass latency is not an
+// overload signal: once the warm histogram holds shedMinSamples
+// executions, a few passes held far past twice the warm p99 on an
+// otherwise idle lane leave the level at 0. Lanes carry mostly cold
+// passes, which take milliseconds by nature; only a backlog waiting for
+// permits raises the ladder (TestFaultOverloadLadderQueueStall,
+// TestFaultOverloadSoak).
+func TestOverloadSlowPassesStayNormal(t *testing.T) {
+	defer faultinject.Reset()
 	cfg := quickConfig(43)
 	cfg.Devices = []device.Config{device.Xavier()}
 	cfg.OverloadInterval = -1 // ticks driven by hand
@@ -282,104 +274,28 @@ func TestOverloadIdleDriftDecay(t *testing.T) {
 	}
 	defer mustShutdown(t, g)
 
-	// Warm history to shedMinSamples so the drift gate is active.
 	warmExecutions(t, g, "sim-xavier", userNet(0), shedMinSamples)
-	l := g.lanes["sim-xavier"]
-	// A post returns once its body is delivered, a moment before the
-	// worker counts itself idle: wait for that, or the idle ticks below
-	// see a busy lane and never decay.
-	waitFor(t, "the lane to go idle", func() bool { return l.busy.Load() == 0 })
-
-	// Drift arithmetic, against the device's own warm p99: the first
-	// observation seeds the EWMA, the next is folded in with weight
-	// execEwmaAlpha, and neither drifts; a pass far past
-	// execDriftFactor x p99 does.
 	p, err := g.pool.Planner("sim-xavier")
 	if err != nil {
 		t.Fatal(err)
 	}
 	p99, _ := p.WarmQuantile(0.99)
-	ms := func(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
-	setLaneEwmaMs(l, 0)
-	g.observePass("sim-xavier", ms(p99))
-	seed := l.ewma()
-	if math.Abs(seed-p99) > 1e-6 {
-		t.Fatalf("first observation seeds EWMA %v, want %v", seed, p99)
+	hold := time.Duration(math.Max(10*p99, 20) * float64(time.Millisecond))
+	const passes = 3
+	faultinject.ArmDelay(faultinject.ExecDelay, "", passes, hold)
+	for i := 0; i < passes; i++ {
+		start := time.Now()
+		if rec := post(g, graphBody(t, userNet(50+i), 0.35, "")); rec.Code != http.StatusOK {
+			t.Fatalf("slow pass %d: status %d: %s", i, rec.Code, rec.Body.String())
+		}
+		if d := time.Since(start); d < hold {
+			t.Fatalf("pass %d took %v, not held for %v", i, d, hold)
+		}
 	}
-	g.observePass("sim-xavier", ms(2*p99))
-	if got, want := l.ewma(), (1-execEwmaAlpha)*seed+execEwmaAlpha*2*p99; math.Abs(got-want) > 1e-6 {
-		t.Fatalf("smoothed EWMA %v, want %v", got, want)
-	}
-	if lvl := g.computeLoadLevel(); lvl != levelNormal {
-		t.Fatalf("tracking lane computes level %d", lvl)
-	}
-	g.observePass("sim-xavier", ms(1e6))
-	if lvl := g.computeLoadLevel(); lvl != levelBrownout {
-		t.Fatalf("drifting lane computes level %d, want brownout", lvl)
-	}
-
-	// A busy lane must not decay: the drift signal may not be washed
-	// out while passes are in flight.
-	setLaneEwmaMs(l, 1e6)
-	l.busy.Add(1)
 	g.overloadTick()
-	l.busy.Add(-1)
-	if got := l.ewma(); got != 1e6 {
-		t.Fatalf("tick decayed a busy lane's EWMA to %v", got)
-	}
-
-	// Idle ticks halve the EWMA until the level folds back to normal
-	// and the signal zeroes out entirely.
-	ticks := 0
-	for ; ticks < 64 && g.LoadLevel() != levelNormal; ticks++ {
-		g.overloadTick()
-	}
-	if got := g.LoadLevel(); got != levelNormal {
-		t.Fatalf("level still %d after %d idle ticks", got, ticks)
-	}
-	for i := 0; i < 64; i++ {
-		g.overloadTick()
-	}
-	if final := l.ewma(); final != 0 {
-		t.Fatalf("idle EWMA decayed to %v, want exactly 0", final)
-	}
-}
-
-// TestOverloadNoDecayDuringPass pins when a lane is busy: from the
-// moment a worker dequeues a call until the pass delivers. A pass held
-// in the planner by the ExecDelay point leaves the queue empty, yet a
-// controller tick during it must leave the drift EWMA alone.
-func TestOverloadNoDecayDuringPass(t *testing.T) {
-	defer faultinject.Reset()
-	cfg := quickConfig(44)
-	cfg.Devices = []device.Config{device.Xavier()}
-	cfg.OverloadInterval = -1 // ticks driven by hand
-	g, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mustShutdown(t, g)
-	l := g.lanes["sim-xavier"]
-	setLaneEwmaMs(l, 1e6)
-
-	faultinject.ArmDelay(faultinject.ExecDelay, "user-net-0", 1, time.Second)
-	done := make(chan *httptest.ResponseRecorder, 1)
-	go func() { done <- post(g, graphBody(t, userNet(0), 0.35, "")) }()
-	// Admission inserts into inflight and enqueues under g.mu, and the
-	// entry leaves inflight only at delivery: one entry with an empty
-	// queue means a worker holds the call. The worker marks itself busy
-	// just after its receive, so wait for that mark too.
-	waitFor(t, "a worker to dequeue the call", func() bool {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		return len(g.inflight) == 1 && len(l.queue) == 0 && l.busy.Load() == 1
-	})
-	g.overloadTick()
-	if got := l.ewma(); got != 1e6 {
-		t.Fatalf("tick during the pass decayed the EWMA to %v", got)
-	}
-	if rec := <-done; rec.Code != http.StatusOK {
-		t.Fatal(rec.Body.String())
+	if lvl := g.LoadLevel(); lvl != levelNormal {
+		t.Fatalf("%d passes held %v (warm p99 %.3f ms) on an idle lane raised the level to %d, want 0",
+			passes, hold, p99, lvl)
 	}
 }
 
@@ -581,7 +497,7 @@ func TestOverloadQueueFullRetryAfterWaves(t *testing.T) {
 		go wedge(i)
 	}
 	waitFor(t, "four requests to fill the queue", func() bool {
-		return len(g.lanes["sim-xavier"].queue) == 4
+		return g.lanes["sim-xavier"].waiting.Load() == 4
 	})
 
 	p, err := g.pool.Planner("sim-xavier")

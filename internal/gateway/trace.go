@@ -73,16 +73,14 @@ const stageDeviceNone = "none"
 // admission cost, and a miss records zero.
 var timedStages = []string{stageDecode, stageResident, stageQueueWait, stageExec, stageEncode, stageDeliver}
 
-// stitchCallSpans carves a delivered call's worker-side timeline into
-// the waiting handler's trace: queue-wait (this trace's enqueue mark to
+// stitchCallSpans carves a delivered call's pass timeline into the
+// waiting handler's trace: queue-wait (this trace's enqueue mark to
 // pass start), exec, and encode. The timestamps were written by the
-// worker before done closed, so reading them here is race-free; a
+// leader before done closed (a cancelled call has no waiter left to
+// read it), so reading them here is race-free; a
 // coalesced follower that joined mid-pass gets its edges clamped by
 // SpanAt rather than a negative wait.
 func stitchCallSpans(tr *trace.Trace, c *call) {
-	if c.execStartAt.IsZero() {
-		return // never reached a planner (cancelled in queue)
-	}
 	tr.SpanAt(stageQueueWait, "", tr.Cursor(), c.execStartAt)
 	// Planner-internal phases (reported by serve via the per-request
 	// Trace callback) are sub-spans of the exec window.

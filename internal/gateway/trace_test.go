@@ -390,7 +390,8 @@ func TestPprofGated(t *testing.T) {
 // families: after one delivered request the timed stages appear with
 // the device label (queue_wait and exec as distinct series), a
 // resident answer then prices the fast path in the resident series
-// and no lane stage, and the ring/live gauges are exported.
+// and no lane stage, the ring/live gauges are exported, and a request
+// refused before routing lands in the only two device="none" series.
 func TestStageHistogramsInMetrics(t *testing.T) {
 	g, err := New(quickConfig(107))
 	if err != nil {
@@ -431,6 +432,24 @@ func TestStageHistogramsInMetrics(t *testing.T) {
 	for _, fam := range []string{"netcut_gateway_trace_ring_entries 2", "netcut_gateway_traces_inflight 0"} {
 		if !strings.Contains(out, fam) {
 			t.Fatalf("/metrics missing %q", fam)
+		}
+	}
+
+	// A malformed request is refused before routing: it is counted under
+	// device="none", which carries only the decode and deliver series —
+	// the other timed stages need a resolved device.
+	if rec := post(g, `{"network":`); rec.Code != http.StatusBadRequest {
+		t.Fatalf("malformed request: status %d", rec.Code)
+	}
+	out = get(g, "/metrics").Body.String()
+	for _, stage := range []string{stageDecode, stageDeliver} {
+		if want := fmt.Sprintf(`netcut_gateway_stage_ms_count{stage="%s",device="none"} 1`, stage); !strings.Contains(out, want) {
+			t.Fatalf("/metrics missing %q", want)
+		}
+	}
+	for _, stage := range []string{stageResident, stageQueueWait, stageExec, stageEncode} {
+		if series := fmt.Sprintf(`{stage="%s",device="none"}`, stage); strings.Contains(out, series) {
+			t.Fatalf("/metrics exports a %s series no request can record", series)
 		}
 	}
 }

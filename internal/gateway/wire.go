@@ -521,6 +521,9 @@ type decodedRequest struct {
 	// spelling of its fallback target.
 	allowDegraded  bool
 	degradedReason string
+	// lead is set by admission when the request starts a new call: its
+	// handler then runs the call's pass (Gateway.lead).
+	lead bool
 }
 
 // coalesceKey identifies requests that must receive byte-identical

@@ -55,7 +55,7 @@ func TestWarmSelectBuildsNoGraph(t *testing.T) {
 // measured but not yet profiled, the state an analytical or linear
 // request (or a table eviction) leaves behind. That request builds the
 // whole per-layer table, so it must be timed as cold: the warm
-// histogram feeds budget shedding, auto routing and the drift signal.
+// histogram feeds budget shedding and auto routing.
 func TestTableColdRequestIsTimedCold(t *testing.T) {
 	p, err := New(Config{Seed: 1, Protocol: quickProto})
 	if err != nil {

@@ -168,8 +168,8 @@ func (t *Trace) MarkZero(stage, verdict string) {
 }
 
 // SpanAt records a span with explicit boundaries — how the queue-wait
-// and execution windows, measured on the worker goroutine and read back
-// after delivery, are stitched into a waiter's trace. A start before
+// and execution windows, measured by the goroutine that ran the pass
+// and read back after delivery, are stitched into a waiter's trace. A start before
 // the trace's own start or an end before the start is clamped rather
 // than rendered negative (a coalesced follower can join an execution
 // that began before it arrived). The cursor advances to end if later.

@@ -425,11 +425,11 @@ else
 fi
 PID=""
 
-# Overload leg: a tiny-capacity daemon (one lane worker, queue depth
+# Overload leg: a tiny-capacity daemon (one pass permit, queue depth
 # 4, fast controller ticks) is flooded by 24
 # concurrent posters, each posting its own never-seen graphs. Every
 # such post is a cold planning pass (profile, measure, cut) that costs
-# milliseconds, against ~20us for a warm one, so the lone worker's
+# milliseconds, against ~20us for a warm one, so the lone permit's
 # passes stay slower than the inflow and the 4-slot queue sits full
 # for the 50ms controller ticks to observe whatever the host's speed.
 # The bodies are generated once, before the flood, so the posters only
