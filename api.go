@@ -316,13 +316,12 @@ func NewPlannerPool(cfg PoolConfig) (*PlannerPool, error) { return serve.NewPool
 //
 // Faults are contained rather than propagated: planner-pass panics are
 // recovered per request (only the poison request fails, repeat
-// offenders are quarantined), disconnected
-// clients have waiting work cancelled before execution, an optional
-// watchdog (GatewayConfig.ExecTimeout) abandons stuck passes with a
-// 504, repeatedly faulting devices leave rotation until a background
-// probe restores them, and GatewayConfig.AutosaveInterval snapshots
-// the warm state crash-safely (atomic rename plus a previous-good .bak
-// generation that LoadStateFile falls back to). GET /readyz reports
+// offenders are quarantined), disconnected clients have waiting work
+// cancelled before execution, repeatedly panicking devices leave
+// rotation until a background probe restores them, and
+// GatewayConfig.AutosaveInterval snapshots the warm state crash-safely
+// (atomic rename plus a previous-good .bak generation that
+// LoadStateFile falls back to). GET /readyz reports
 // readiness (flip it with MarkReady after boot restore), distinct from
 // /healthz liveness. Every 429/503 rejection carries a Retry-After
 // header. See the package comment's "Fault tolerance & degradation"
@@ -360,8 +359,8 @@ type (
 	Gateway = gateway.Gateway
 	// GatewayConfig parameterizes a Gateway: the embedded PlannerConfig
 	// template and device list plus the deployment settings (body size
-	// limit, queue depth, pass-permit count, state path,
-	// watchdog, autosave and overload intervals, slow-trace logging).
+	// limit, queue depth, pass-permit count, state path, autosave and
+	// overload intervals, slow-trace logging).
 	// The shed warm-up (64 warm executions), the health and quarantine
 	// thresholds, the probe cadence and the trace-ring size are fixed.
 	GatewayConfig = gateway.Config

@@ -28,7 +28,6 @@
 //	netserve -max-body 4194304 -drain-timeout 30s
 //	netserve -state-file /var/lib/netcut/state.bin -prewarm
 //	netserve -state-file /var/lib/netcut/state.bin -autosave 30s
-//	netserve -exec-timeout 5s
 //	netserve -overload-interval 50ms
 //	netserve -slow-trace 50ms                # log requests slower than this
 //	netserve -pprof                          # mount /debug/pprof/ (off by default)
@@ -52,9 +51,7 @@
 // cold). -prewarm plans the calibrated zoo across the fleet in the
 // background after any restore.
 //
-// Fault tolerance: -exec-timeout arms the gateway's execution watchdog
-// (a stuck planner pass is abandoned with a 504 instead of wedging a
-// lane); panics are contained per request, repeat offenders are
+// Fault tolerance: panics are contained per request, repeat offenders are
 // quarantined, and devices that fault repeatedly are taken out of
 // rotation until a background probe restores them — see the gateway
 // package documentation.
@@ -117,7 +114,6 @@ func run() int {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 		stateFile    = flag.String("state-file", "", "warm-state snapshot path: restored on boot (with .bak fallback), saved after the SIGTERM drain and by POST /v1/state/save (empty = no persistence)")
 		autosave     = flag.Duration("autosave", 0, "periodic warm-state snapshot interval (requires -state-file; 0 = only save on drain/demand)")
-		execTimeout  = flag.Duration("exec-timeout", 0, "per-pass execution watchdog: abandon planner passes stuck longer than this with a 504 (0 = disabled)")
 		prewarm      = flag.Bool("prewarm", false, "plan the calibrated zoo on every device in the background at startup (after any -state-file restore)")
 		overloadInt  = flag.Duration("overload-interval", 0, "overload-controller sampling interval (0 = default 100ms, negative = controller disabled)")
 		slowTrace    = flag.Duration("slow-trace", 0, "log a structured per-stage trace for requests slower than this (0 = disabled)")
@@ -154,7 +150,6 @@ func run() int {
 		DrainTimeout:     *drainTimeout,
 		StatePath:        *stateFile,
 		AutosaveInterval: *autosave,
-		ExecTimeout:      *execTimeout,
 		OverloadInterval: *overloadInt,
 		SlowTraceMs:      float64(*slowTrace) / float64(time.Millisecond),
 		Pprof:            *pprof,

@@ -240,11 +240,9 @@
 // panic repeatedly are quarantined in a bounded LRU and refused up
 // front. A client that disconnects while its request waits for a
 // permit has the work cancelled before the planner runs, unless
-// coalesced followers still wait for it. An optional
-// execution watchdog (GatewayConfig.ExecTimeout) abandons stuck passes
-// with a 504 — abandoned results are never delivered or cached.
-// Devices that fault repeatedly are taken out of rotation: "auto"
-// routes around them, explicit targeting gets 503 with Retry-After
+// coalesced followers still wait for it. A pass holds its permit until
+// it returns. Devices that panic repeatedly are taken out of rotation:
+// "auto" routes around them, explicit targeting gets 503 with Retry-After
 // (every 429/503 rejection carries one), and a background probe
 // restores the device when a probe plan succeeds. GET /readyz is the
 // readiness probe (503 until MarkReady after boot restore, and again

@@ -39,8 +39,8 @@ const (
 	// layer stack.
 	TrimPanic Point = "trim-panic"
 	// ExecDelay sleeps inside serve.(*Planner).Select, keyed by the
-	// graph name — the "stuck execution" fault the gateway watchdog
-	// abandons.
+	// graph name — the "stuck execution" fault: the held pass keeps its
+	// lane permit, so later leaders back up in the waiting room.
 	ExecDelay Point = "exec-delay"
 	// SnapshotWrite fails the gateway's state-snapshot write, keyed by
 	// the state path.

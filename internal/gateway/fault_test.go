@@ -204,42 +204,6 @@ func TestFaultQuarantine(t *testing.T) {
 	}
 }
 
-// TestFaultWatchdogAbandonsStuckExecution pins the execution watchdog:
-// a pass stuck past ExecTimeout is abandoned with a 504 + Retry-After,
-// counted per device, and its coalesce entry dies with it — the same
-// request retried afterwards gets a fresh, successful execution (the
-// abandoned outcome is never cached).
-func TestFaultWatchdogAbandonsStuckExecution(t *testing.T) {
-	defer faultinject.Reset()
-	cfg := quickConfig(11)
-	cfg.Devices = []device.Config{device.Xavier()}
-	cfg.ExecTimeout = time.Second
-	g, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mustShutdown(t, g)
-
-	faultinject.ArmDelay(faultinject.ExecDelay, "user-net-3", 1, 10*time.Second)
-	body := graphBody(t, userNet(3), 0.35, "")
-
-	rec := post(g, body)
-	if rec.Code != http.StatusGatewayTimeout || errCode(t, rec) != "watchdog_timeout" {
-		t.Fatalf("stuck request: status %d code %q body %s", rec.Code, errCode(t, rec), rec.Body.String())
-	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Fatal("watchdog 504 carries no Retry-After header")
-	}
-	if got := g.abandonedByDev["sim-xavier"].Value(); got != 1 {
-		t.Fatalf("netcut_gateway_watchdog_abandoned_total{sim-xavier} = %d, want 1", got)
-	}
-	// The delay rule is consumed: the retry executes fresh and succeeds,
-	// proving the 504 was delivered-and-forgotten, not cached.
-	if rec := post(g, body); rec.Code != http.StatusOK {
-		t.Fatalf("retry after abandonment: status %d: %s", rec.Code, rec.Body.String())
-	}
-}
-
 // TestFaultCancelledQueuedRequestNoExecution pins the cancellation
 // acceptance criterion: a queued call whose only waiter disconnects
 // before a worker reaches it is cancelled without ever incrementing

@@ -68,12 +68,10 @@
 // Fault containment & graceful degradation: every planner pass runs
 // behind a panic boundary — a panicking request gets a structured 500,
 // counted per device, and identities that panic repeatedly are
-// quarantined at admission by a bounded LRU. An optional execution
-// watchdog (Config.ExecTimeout) abandons stuck passes with a 504 so one
-// wedged request cannot stall a lane. Consecutive containment events
-// trip a device unhealthy: "auto" routing skips it, explicit requests
-// get 503 + Retry-After, and a background probe plan restores it on
-// first success. Waiting calls whose waiters all disconnect are
+// quarantined at admission by a bounded LRU. A pass holds its lane
+// permit until it returns. Consecutive panics trip a device unhealthy:
+// "auto" routing skips it, explicit requests get 503 + Retry-After, and
+// a background probe plan restores it on first success. Waiting calls whose waiters all disconnect are
 // cancelled before they consume a planner execution. An optional
 // autosave loop (Config.AutosaveInterval) snapshots warm state
 // crash-safely — atomic rename plus one previous-good ".bak" generation
@@ -178,14 +176,6 @@ type Config struct {
 	// is a configuration error.
 	DrainTimeout time.Duration
 
-	// ExecTimeout is the per-pass execution watchdog: a planner pass
-	// still running after this long is abandoned — its calls get a
-	// structured 504, the coalesce entries are invalidated and the lane
-	// permit is released, so one stuck request can never wedge a lane. The
-	// abandoned goroutine's eventual result is discarded. 0 (the
-	// default) disables the watchdog; negative is a configuration
-	// error.
-	ExecTimeout time.Duration
 	// AutosaveInterval enables crash-safe periodic persistence: a
 	// background loop snapshots the warm state to StatePath roughly
 	// every interval (±10% deterministic jitter, so a fleet of replicas
@@ -250,11 +240,10 @@ const (
 	// shedding on a cold estimate would reject half of a fresh server's
 	// first clients.
 	shedMinSamples = 64
-	// unhealthyAfter is how many consecutive containment events
-	// (panics or watchdog abandons) on one device trip it into the
-	// unhealthy state, where "auto" routing skips it and explicit
-	// requests get 503 + Retry-After until a background probe plan
-	// succeeds.
+	// unhealthyAfter is how many consecutive panics on one device trip
+	// it into the unhealthy state, where "auto" routing skips it and
+	// explicit requests get 503 + Retry-After until a background probe
+	// plan succeeds.
 	unhealthyAfter = 3
 	// probeInterval is how often an unhealthy device is probed with one
 	// real prewarm-style plan; the first success restores it.
@@ -291,7 +280,6 @@ func (c *Config) fill() error {
 		name string
 		val  time.Duration
 	}{
-		{"ExecTimeout", c.ExecTimeout},
 		{"AutosaveInterval", c.AutosaveInterval},
 		{"DrainTimeout", c.DrainTimeout},
 	} {
@@ -336,29 +324,22 @@ type call struct {
 	req  serve.Request
 	lane *lane
 	done chan struct{}
-	// status, body and retryAfterMs are written once, before done
-	// closes; retryAfterMs > 0 adds a Retry-After header (watchdog 504s
-	// carry one).
-	status       int
-	body         []byte
-	retryAfterMs float64
-	waiters      atomic.Int64
+	// status and body are written once, before done closes.
+	status  int
+	body    []byte
+	waiters atomic.Int64
 
 	// Execution timeline, written by the leader before done closes
 	// (the close is the happens-before edge) and read by every waiter
 	// afterwards, so each trace can carve its wait into queue-wait,
-	// execution and encode spans.
+	// execution and encode spans. planPhases holds the planner's
+	// internal phase windows (measure, estimate, explore), reported
+	// through the serve.Request.Trace callback on the leader's
+	// goroutine while the pass runs.
 	execStartAt time.Time
 	execEndAt   time.Time
 	encodeDur   time.Duration
-
-	// planPhases collects the planner's internal phase windows
-	// (measure, estimate, explore) via the serve.Request.Trace
-	// callback. Guarded by phaseMu rather than the done happens-before
-	// edge alone: a watchdog-abandoned pass keeps running in the
-	// background and may still be appending while waiters read.
-	phaseMu    sync.Mutex
-	planPhases []phaseWindow
+	planPhases  []phaseWindow
 }
 
 // phaseWindow is one planner phase's absolute time window.
@@ -369,22 +350,13 @@ type phaseWindow struct {
 
 // notePhase is the serve.Request.Trace callback target.
 func (c *call) notePhase(name string, start, end time.Time) {
-	c.phaseMu.Lock()
 	c.planPhases = append(c.planPhases, phaseWindow{name, start, end})
-	c.phaseMu.Unlock()
-}
-
-// phases snapshots the recorded planner phases.
-func (c *call) phases() []phaseWindow {
-	c.phaseMu.Lock()
-	defer c.phaseMu.Unlock()
-	return append([]phaseWindow(nil), c.planPhases...)
 }
 
 // deviceHealth is one device's fault-containment state. consecutive
-// counts containment events (panics, watchdog abandons) since the last
-// successful execution; reaching unhealthyAfter trips unhealthy,
-// and only a successful background probe plan clears it.
+// counts panics since the last successful execution; reaching
+// unhealthyAfter trips unhealthy, and only a successful background
+// probe plan clears it.
 type deviceHealth struct {
 	device      string
 	consecutive atomic.Int64
@@ -475,7 +447,6 @@ type Gateway struct {
 	cancelled      *telemetry.Counter
 	quarantined    *telemetry.Counter
 	panicsByDev    map[string]*telemetry.Counter
-	abandonedByDev map[string]*telemetry.Counter
 	unhealthyByDev map[string]*telemetry.Gauge
 	probesByDev    map[string]*telemetry.Counter
 	// residentByDev holds each device's netcut_gateway_resident_total
@@ -611,7 +582,6 @@ func New(cfg Config) (*Gateway, error) {
 	g.lanes = make(map[string]*lane, len(names))
 	g.health = make(map[string]*deviceHealth, len(names))
 	g.panicsByDev = make(map[string]*telemetry.Counter, len(names))
-	g.abandonedByDev = make(map[string]*telemetry.Counter, len(names))
 	g.unhealthyByDev = make(map[string]*telemetry.Gauge, len(names))
 	g.probesByDev = make(map[string]*telemetry.Counter, len(names))
 	g.residentByDev = make(map[string]*atomic.Pointer[telemetry.Counter], len(names))
@@ -635,8 +605,6 @@ func New(cfg Config) (*Gateway, error) {
 		g.health[name] = &deviceHealth{device: name}
 		g.panicsByDev[name] = reg.CounterWith("netcut_gateway_panics_total",
 			"planner panics recovered at the execution boundary", labels)
-		g.abandonedByDev[name] = reg.CounterWith("netcut_gateway_watchdog_abandoned_total",
-			"planner passes abandoned by the execution watchdog", labels)
 		g.unhealthyByDev[name] = reg.GaugeWith("netcut_gateway_device_unhealthy",
 			"1 while the device is tripped unhealthy, 0 while it is serving", labels)
 		g.probesByDev[name] = reg.CounterWith("netcut_gateway_probes_total",
@@ -893,9 +861,6 @@ func (g *Gateway) handlePlan(w http.ResponseWriter, r *http.Request) {
 		// The leader published the call's execution timeline before
 		// closing done; carve it into queue-wait / exec / encode spans.
 		stitchCallSpans(tr, c)
-		if c.retryAfterMs > 0 {
-			w.Header().Set("Retry-After", retryAfterSeconds(c.retryAfterMs))
-		}
 		body := c.body
 		if dec.degradedReason != "" && c.status == http.StatusOK {
 			// The degraded markers are this response's, not the call's:
@@ -1265,9 +1230,7 @@ func (g *Gateway) tryCancel(c *call) bool {
 }
 
 // passResult is one planner pass's outcome, including a recovered
-// panic: the recover happens on the goroutine that ran the pass (the
-// only place Go allows it), and the result crosses back to the leader
-// as a value.
+// panic.
 type passResult struct {
 	resp     *serve.Response
 	err      error
@@ -1298,32 +1261,8 @@ func runPass(p *serve.Planner, req serve.Request) (res passResult) {
 	return res
 }
 
-// runGuarded is runPass plus the execution watchdog. With ExecTimeout
-// unset the pass runs inline (no goroutine, no timer). With it set, the
-// pass runs on its own goroutine; if it outlives the timeout the leader
-// abandons it — abandoned reports true, the goroutine's eventual result
-// lands in the buffered channel and is discarded, and the permit is
-// released. The coalesce entry dies with the call; a step the abandoned pass
-// later accepts becomes resident like any other, since its bytes do not
-// depend on timing.
-func (g *Gateway) runGuarded(p *serve.Planner, req serve.Request) (res passResult, abandoned bool) {
-	if g.cfg.ExecTimeout <= 0 {
-		return runPass(p, req), false
-	}
-	ch := make(chan passResult, 1)
-	go func() { ch <- runPass(p, req) }()
-	timer := time.NewTimer(g.cfg.ExecTimeout)
-	defer timer.Stop()
-	select {
-	case res = <-ch:
-		return res, false
-	case <-timer.C:
-		return passResult{}, true
-	}
-}
-
 // execute runs one call as a planner pass on its device's planner,
-// behind the panic and watchdog boundaries, and delivers the outcome.
+// inline behind the panic boundary, and delivers the outcome.
 // Two clock reads bracket the pass; waiters stitch the window into
 // their traces as the exec span after done closes.
 func (g *Gateway) execute(c *call) {
@@ -1332,17 +1271,14 @@ func (g *Gateway) execute(c *call) {
 		hook(dev)
 	}
 	c.execStartAt = time.Now()
-	res, abandoned := g.runGuarded(c.lane.planner, c.req)
+	res := runPass(c.lane.planner, c.req)
 	c.execEndAt = time.Now()
-	switch {
-	case abandoned:
-		g.abandonCall(c)
-	case res.panicked:
+	if res.panicked {
 		g.deliverPanic(c, res)
-	default:
-		g.deviceOK(dev)
-		g.deliverResult(c, res.resp, res.err)
+		return
 	}
+	g.deviceOK(dev)
+	g.deliverResult(c, res.resp, res.err)
 }
 
 // deliverResult publishes a completed execution's response (success or
@@ -1352,13 +1288,13 @@ func (g *Gateway) deliverResult(c *call, resp *serve.Response, err error) {
 		g.planErrors.Inc()
 		e := planError(err)
 		b, _ := json.Marshal(e.wire)
-		g.deliver(c, e.status, append(b, '\n'), 0)
+		g.deliver(c, e.status, append(b, '\n'))
 		return
 	}
 	encStart := time.Now()
 	body := EncodeResponse(resp)
 	c.encodeDur = time.Since(encStart)
-	g.deliver(c, http.StatusOK, body, 0)
+	g.deliver(c, http.StatusOK, body)
 }
 
 // deliverPanic converts a recovered planner panic into a structured 500
@@ -1375,22 +1311,7 @@ func (g *Gateway) deliverPanic(c *call, res passResult) {
 	e := errf(http.StatusInternalServerError, "internal_panic",
 		"planner panicked serving this request on %s; the panic was contained and the lane keeps serving", dev)
 	b, _ := json.Marshal(e.wire)
-	g.deliver(c, e.status, append(b, '\n'), 0)
-}
-
-// abandonCall is the watchdog outcome: the abandoned pass's call gets
-// a 504 with a Retry-After, its coalesce entry dies, and the device
-// takes a containment mark.
-func (g *Gateway) abandonCall(c *call) {
-	dev := c.key.device
-	g.abandonedByDev[dev].Inc()
-	g.deviceFault(dev)
-	retryMs := float64(g.cfg.ExecTimeout) / float64(time.Millisecond)
-	e := errf(http.StatusGatewayTimeout, "watchdog_timeout",
-		"planner pass on %s exceeded the %v execution watchdog and was abandoned", dev, g.cfg.ExecTimeout)
-	e.wire.RetryAfterMs = retryMs
-	b, _ := json.Marshal(e.wire)
-	g.deliver(c, e.status, append(b, '\n'), retryMs)
+	g.deliver(c, e.status, append(b, '\n'))
 }
 
 // notePanicKey bumps a request identity's panic count in the bounded
@@ -1401,9 +1322,9 @@ func (g *Gateway) notePanicKey(k coalesceKey) {
 	n.Add(1)
 }
 
-// deviceFault marks one containment event (panic or watchdog abandon)
-// against a device; unhealthyAfter consecutive events trip it
-// unhealthy and start the probe loop that will restore it.
+// deviceFault marks one containment event (a panic) against a device;
+// unhealthyAfter consecutive events trip it unhealthy and start the
+// probe loop that will restore it.
 func (g *Gateway) deviceFault(dev string) {
 	h := g.health[dev]
 	if h.consecutive.Add(1) >= unhealthyAfter && h.unhealthy.CompareAndSwap(false, true) {
@@ -1461,13 +1382,12 @@ func planError(err error) *apiError {
 // deliver publishes a call's response and retires its coalescing key:
 // it writes the response fields, closes done (the happens-before edge
 // every waiter reads through) and releases the pending count. Only the
-// leader holding the call calls it, once; a watchdog-abandoned pass
-// never delivers.
-func (g *Gateway) deliver(c *call, status int, body []byte, retryAfterMs float64) {
+// leader holding the call calls it, once.
+func (g *Gateway) deliver(c *call, status int, body []byte) {
 	g.mu.Lock()
 	delete(g.inflight, c.key)
 	g.mu.Unlock()
-	c.status, c.body, c.retryAfterMs = status, body, retryAfterMs
+	c.status, c.body = status, body
 	close(c.done)
 	g.pending.Done()
 }

@@ -536,7 +536,6 @@ func TestGatewayRejectsNegativeConfig(t *testing.T) {
 	}{
 		{Config{QueueDepth: -1}, "negative QueueDepth"},
 		{Config{Workers: -1}, "negative Workers"},
-		{Config{ExecTimeout: -time.Second}, "negative ExecTimeout"},
 		{Config{AutosaveInterval: -time.Second, StatePath: "state.bin"}, "negative AutosaveInterval"},
 		{Config{DrainTimeout: -time.Second}, "negative DrainTimeout"},
 		{Config{SlowTraceMs: -1}, "negative SlowTraceMs"},

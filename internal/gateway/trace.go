@@ -84,7 +84,7 @@ func stitchCallSpans(tr *trace.Trace, c *call) {
 	tr.SpanAt(stageQueueWait, "", tr.Cursor(), c.execStartAt)
 	// Planner-internal phases (reported by serve via the per-request
 	// Trace callback) are sub-spans of the exec window.
-	for _, ph := range c.phases() {
+	for _, ph := range c.planPhases {
 		tr.SpanAt("plan_"+ph.name, "", ph.start, ph.end)
 	}
 	tr.SpanAt(stageExec, "", c.execStartAt, c.execEndAt)
@@ -114,12 +114,14 @@ func (g *Gateway) writePlanTraced(w http.ResponseWriter, status int, body []byte
 // closing brace (the trailing newline), never the body itself.
 var bodyScratch = sync.Pool{New: func() any { b := make([]byte, 0, 64); return &b }}
 
-// writeWithTraceID performs injectTraceID's splice zero-copy — this is
-// the per-request warm path. The rendered body (a resident step's body
-// or EncodeResponse output, immutable by convention) is written
-// directly up to its final brace, so a resident answer never copies the
-// payload; only the few-byte trace-ID tail is assembled in the pooled
-// scratch and written second.
+// writeWithTraceID writes a rendered JSON body (bodies end "}\n") with
+// `,"trace_id":"<id>"` spliced before its final closing brace. The
+// canonical body — a resident step's, a coalesced result, an error
+// body — stays trace-free, so resident answers and coalescing produce
+// byte-identical bodies modulo this one field. The body (immutable by
+// convention) is written directly up to its final brace, so the warm
+// path never copies the payload; only the few-byte trace-ID tail is
+// assembled in the pooled scratch and written second.
 func writeWithTraceID(w http.ResponseWriter, body []byte, id string) {
 	i := bytes.LastIndexByte(body, '}')
 	if i < 0 {
@@ -151,31 +153,8 @@ func (g *Gateway) writeErrTraced(w http.ResponseWriter, e *apiError, tr *trace.T
 	now := tr.Mark(stageDeliver, e.wire.Code)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(e.status)
-	w.Write(injectTraceID(append(b, '\n'), tr.ID()))
+	writeWithTraceID(w, append(b, '\n'), tr.ID())
 	g.finishTrace(tr, e.status, now)
-}
-
-// injectTraceID splices `,"trace_id":"<id>"` before the final closing
-// brace of a rendered JSON body (bodies end "}\n"). The canonical body
-// — the coalesced result, the resident step's body, EncodeResponse's
-// output — stays trace-free; each response gets its own ID at write
-// time, so resident answers and coalescing still produce byte-identical bodies
-// modulo this one field.
-func injectTraceID(body []byte, id string) []byte {
-	i := bytes.LastIndexByte(body, '}')
-	if i < 0 {
-		return body
-	}
-	out := make([]byte, 0, len(body)+len(id)+len(`,"trace_id":""`))
-	out = append(out, body[:i]...)
-	if i > 0 && body[i-1] != '{' {
-		out = append(out, ',')
-	}
-	out = append(out, `"trace_id":"`...)
-	out = append(out, id...)
-	out = append(out, `"}`...)
-	out = append(out, body[i+1:]...)
-	return out
 }
 
 // finishTrace seals a trace and files it: out of the live table, its

@@ -3,7 +3,7 @@ package gateway
 // Tests for the request-tracing surfaces: the X-Netcut-Trace header and
 // injected trace_id body field, GET /debug/trace (ring + filters), GET
 // /debug/requests (in-flight), slow-request logging, the explicit
-// Content-Types on every debug surface, and the injectTraceID /
+// Content-Types on every debug surface, and the writeWithTraceID /
 // StripTraceID pair the byte-identity tests lean on.
 
 import (
@@ -57,13 +57,40 @@ func stages(v trace.View) []string {
 	return out
 }
 
-func hasStage(v trace.View, stage string) bool {
-	for _, sp := range v.Spans {
-		if sp.Stage == stage {
-			return true
+func hasStage(v trace.View, stage string) bool { return spanOf(v, stage) != nil }
+
+// spanOf returns a view's first span of the stage, or nil.
+func spanOf(v trace.View, stage string) *trace.Span {
+	for i := range v.Spans {
+		if v.Spans[i].Stage == stage {
+			return &v.Spans[i]
 		}
 	}
-	return false
+	return nil
+}
+
+// checkPlanPhases pins the planner's phase sub-spans in a delivered
+// trace: plan_measure, plan_estimate and plan_explore each lie inside
+// the exec window, in pipeline order.
+func checkPlanPhases(t *testing.T, who string, v trace.View) {
+	t.Helper()
+	const slack = 1e-6 // ms: float rounding of the span offsets
+	exec := spanOf(v, stageExec)
+	if exec == nil {
+		t.Fatalf("%s trace has no exec span: %v", who, stages(v))
+	}
+	prevEnd := exec.StartMs
+	for _, phase := range []string{"plan_measure", "plan_estimate", "plan_explore"} {
+		sp := spanOf(v, phase)
+		if sp == nil {
+			t.Fatalf("%s trace missing %q span; have %v", who, phase, stages(v))
+		}
+		if sp.StartMs < prevEnd-slack || sp.StartMs+sp.DurMs > exec.StartMs+exec.DurMs+slack {
+			t.Fatalf("%s trace: %s [%v, +%v] escapes exec [%v, +%v] or its predecessor's end %v",
+				who, phase, sp.StartMs, sp.DurMs, exec.StartMs, exec.DurMs, prevEnd)
+		}
+		prevEnd = sp.StartMs + sp.DurMs
+	}
 }
 
 // TestTraceHeaderMatchesBody pins the ID plumbing on both the success
@@ -130,21 +157,14 @@ func TestDebugTraceTimeline(t *testing.T) {
 		}
 	}
 	// Queue wait and execution are separate, correctly ordered windows.
-	var wait, exec *trace.Span
-	for i := range v.Spans {
-		switch v.Spans[i].Stage {
-		case stageQueueWait:
-			wait = &v.Spans[i]
-		case stageExec:
-			exec = &v.Spans[i]
-		}
-	}
+	wait, exec := spanOf(v, stageQueueWait), spanOf(v, stageExec)
 	if wait.StartMs > exec.StartMs {
 		t.Fatalf("queue_wait starts at %vms after exec at %vms", wait.StartMs, exec.StartMs)
 	}
 	if v.DurMs <= 0 {
 		t.Fatalf("completed trace has non-positive duration %v", v.DurMs)
 	}
+	checkPlanPhases(t, "cold leader", v)
 
 	// A resident answer records the hit verdict instead of executing.
 	rec2 := post(g, graphBody(t, userNet(1), 0.35, ""))
@@ -153,18 +173,41 @@ func TestDebugTraceTimeline(t *testing.T) {
 		t.Fatalf("resident trace lookup returned %d traces", len(d2.Traces))
 	}
 	hit := d2.Traces[0]
-	var rs *trace.Span
-	for i := range hit.Spans {
-		if hit.Spans[i].Stage == stageResident {
-			rs = &hit.Spans[i]
-		}
-	}
-	if rs == nil || rs.Verdict != "hit" {
+	if rs := spanOf(hit, stageResident); rs == nil || rs.Verdict != "hit" {
 		t.Fatalf("resident trace span %+v, want verdict hit; have %v", rs, stages(hit))
 	}
 	if hasStage(hit, stageExec) || hasStage(hit, stageCoalesce) {
 		t.Fatalf("resident trace ran past the resident gate: %v", stages(hit))
 	}
+
+	// A coalesced follower reads the leader's phases after done closes:
+	// hold the leader's pass until the follower has joined.
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	var once sync.Once
+	g.testHookPass = func(string) {
+		once.Do(func() { entered <- struct{}{}; <-gate })
+	}
+	body := graphBody(t, userNet(2), 0.35, "")
+	leader, follower := make(chan *httptest.ResponseRecorder, 1), make(chan *httptest.ResponseRecorder, 1)
+	go func() { leader <- post(g, body) }()
+	<-entered
+	go func() { follower <- post(g, body) }()
+	waitFor(t, "follower to coalesce", func() bool { return g.coalesced.Value() == 1 })
+	close(gate)
+	<-leader
+	rec3 := <-follower
+	if rec3.Code != http.StatusOK {
+		t.Fatalf("follower: status %d: %s", rec3.Code, rec3.Body.String())
+	}
+	d3 := getDump(t, g, "/debug/trace?id="+rec3.Header().Get(TraceHeader))
+	if len(d3.Traces) != 1 {
+		t.Fatalf("follower trace lookup returned %d traces", len(d3.Traces))
+	}
+	if cs := spanOf(d3.Traces[0], stageCoalesce); cs == nil || cs.Verdict != "follower" {
+		t.Fatalf("follower coalesce span %+v; have %v", cs, stages(d3.Traces[0]))
+	}
+	checkPlanPhases(t, "coalesced follower", d3.Traces[0])
 }
 
 // TestDebugTraceFilters pins the query vocabulary: device, status,
@@ -465,7 +508,9 @@ func TestInjectAndStripTraceID(t *testing.T) {
 		{"not json", "not json"}, // no closing brace: left alone
 	}
 	for _, c := range cases {
-		got := injectTraceID([]byte(c.in), id)
+		rec := httptest.NewRecorder()
+		writeWithTraceID(rec, []byte(c.in), id)
+		got := rec.Body.Bytes()
 		if string(got) != c.want {
 			t.Fatalf("inject(%q) = %q, want %q", c.in, got, c.want)
 		}

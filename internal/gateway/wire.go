@@ -1098,8 +1098,8 @@ type DeviceWire struct {
 	Name    string `json:"name"`
 	Default bool   `json:"default"`
 	// Healthy is the fault-containment state "auto" routing reads: false
-	// while repeated panics or watchdog abandons have tripped the device
-	// and its background probe has not yet restored it.
+	// while repeated panics have tripped the device and its background
+	// probe has not yet restored it.
 	Healthy          bool    `json:"healthy"`
 	Precision        string  `json:"precision"`
 	PeakMACs         float64 `json:"peak_macs"`

@@ -364,8 +364,8 @@ func (p *Planner) Select(req Request) (*Response, error) {
 	}
 
 	// Fault site (no-op unless a test armed it): a stuck execution,
-	// placed after the execution counter so a watchdog-abandoned plan
-	// is still visible as planner work that started.
+	// placed after the execution counter so a stuck plan is already
+	// visible as planner work that started.
 	faultinject.Delay(faultinject.ExecDelay, g.Name)
 
 	// Phase boundaries for the optional per-request trace callback: one

@@ -27,8 +27,8 @@ package transfer
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
+	"strconv"
 	"sync"
 
 	"netcut/internal/noise"
@@ -262,12 +262,6 @@ func NewSimulator(seed int64) *Simulator {
 	}
 }
 
-// Cost returns the training cost model in use.
-func (s *Simulator) Cost() TrainCost { return s.cost }
-
-// SetCost overrides the training cost model.
-func (s *Simulator) SetCost(c TrainCost) { s.cost = c }
-
 func (s *Simulator) profile(network string) (*Profile, error) {
 	s.mu.Lock()
 	p, ok := s.profiles[network]
@@ -314,10 +308,8 @@ func GenericProfile(name string, featureLayers int) *Profile {
 	if featureLayers < 4 {
 		featureLayers = 4
 	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "generic|%s|%d", name, featureLayers)
 	var rng noise.Source
-	rng.Seed(int64(h.Sum64()))
+	rng.Seed(genericSeed(name, featureLayers))
 	base := 0.78 + 0.10*rng.Float64() // head-only transfer accuracy
 	p := &Profile{
 		Network: name,
@@ -370,16 +362,52 @@ func (s *Simulator) noise(network string, removed int, sigma float64) float64 {
 	z, ok := s.normals[k]
 	s.mu.Unlock()
 	if !ok {
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%d|%s|%d", s.seed, network, removed)
 		var src noise.Source
-		src.Seed(int64(h.Sum64()))
+		src.Seed(noiseSeed(s.seed, network, removed))
 		z = src.NormFloat64()
 		s.mu.Lock()
 		s.normals[k] = z
 		s.mu.Unlock()
 	}
 	return sigma * z
+}
+
+// genericSeed is GenericProfile's seed: the FNV-1a hash of
+// "generic|<name>|<layers>".
+func genericSeed(name string, layers int) int64 {
+	return int64(fnvOffset.str("generic|").str(name).str("|").int(int64(layers)))
+}
+
+// noiseSeed is a retraining draw's seed: the FNV-1a hash of
+// "<seed>|<network>|<removed>".
+func noiseSeed(seed int64, network string, removed int) int64 {
+	return int64(fnvOffset.int(seed).str("|").str(network).str("|").int(int64(removed)))
+}
+
+// fnv1a is a 64-bit FNV-1a hash state (hash/fnv's New64a) that hashes
+// in place, so a seed costs no allocation: neither the state nor the
+// hashed fields reach the heap. Strings hash verbatim and integers as
+// their decimal digits, the bytes fmt's %s and %d print.
+type fnv1a uint64
+
+const (
+	fnvOffset fnv1a = 14695981039346656037
+	fnvPrime  fnv1a = 1099511628211
+)
+
+func (h fnv1a) str(s string) fnv1a {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ fnv1a(s[i])) * fnvPrime
+	}
+	return h
+}
+
+func (h fnv1a) int(v int64) fnv1a {
+	var buf [20]byte // len("-9223372036854775808")
+	for _, c := range strconv.AppendInt(buf[:0], v, 10) {
+		h = (h ^ fnv1a(c)) * fnvPrime
+	}
+	return h
 }
 
 // Accuracy returns the retrained accuracy of a TRN without the cost

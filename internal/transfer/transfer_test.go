@@ -1,7 +1,10 @@
 package transfer
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -340,4 +343,33 @@ func TestAccuracyConcurrentFirstUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestSeedsMatchFprintf pins the inline FNV-1a seeds to the hash/fnv +
+// fmt.Fprintf spelling they replaced, so every generic profile and
+// retraining draw keeps its bits: empty, non-ASCII, invalid-UTF-8 and
+// long names against negative, zero and extreme integers.
+func TestSeedsMatchFprintf(t *testing.T) {
+	names := []string{"", "ResNet-50", "réseau|网络", "\xff\xfe", strings.Repeat("user-graph/", 300)}
+	ints := []int{0, 1, -1, 9, -10, 1234567, math.MaxInt, math.MinInt}
+	ref := func(format string, args ...any) int64 {
+		h := fnv.New64a()
+		fmt.Fprintf(h, format, args...)
+		return int64(h.Sum64())
+	}
+	for _, name := range names {
+		for _, n := range ints {
+			if got, want := genericSeed(name, n), ref("generic|%s|%d", name, n); got != want {
+				t.Fatalf("genericSeed(%q, %d) = %d, want %d", name, n, got, want)
+			}
+			for _, seed := range []int64{0, -3, int64(n)} {
+				if got, want := noiseSeed(seed, name, n), ref("%d|%s|%d", seed, name, n); got != want {
+					t.Fatalf("noiseSeed(%d, %q, %d) = %d, want %d", seed, name, n, got, want)
+				}
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { noiseSeed(1, "ResNet-50", -12) }); a != 0 {
+		t.Fatalf("noiseSeed allocates %v times per call, want 0", a)
+	}
 }

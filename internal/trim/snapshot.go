@@ -33,7 +33,8 @@ type CutRecord struct {
 
 // SnapshotCuts exports the cut cache as cut records in shard order,
 // each shard least-recently-used first (the lru snapshot order), so a
-// replay through RestoreCut reproduces contents and per-shard recency.
+// replay through BuildCut and InsertCut in this order reproduces
+// contents and per-shard recency.
 func SnapshotCuts() []CutRecord {
 	entries := cutCache.Snapshot()
 	out := make([]CutRecord, 0, len(entries))
@@ -73,27 +74,12 @@ func CheckCut(rec CutRecord) error {
 	return nil
 }
 
-// RestoreCut re-executes one snapshotted cut against its (decoded)
-// parent graph and caches the result — the restore half of
-// SnapshotCuts. It is exactly the public cut path, so every validation
-// (head spec, cut range, head-layer exclusion) applies and a record
-// that no longer cuts cleanly is a structured error, never a poisoned
-// cache entry.
-func RestoreCut(rec CutRecord) error {
-	var err error
-	if rec.Blockwise {
-		_, err = Cut(rec.Parent, rec.At, rec.Head)
-	} else {
-		_, err = CutAtNode(rec.Parent, rec.At, rec.Head)
-	}
-	return err
-}
-
-// BuildCut is the build half of RestoreCut: it runs the same fault
-// site and validations and computes the TRN, but never touches the cut
-// cache. A parallel restore builds many cuts concurrently with BuildCut
-// and then inserts them serially with InsertCut, so the cache's
-// per-shard recency order is exactly what serial replay would produce.
+// BuildCut re-executes one snapshotted cut against its (decoded)
+// parent graph: it runs the public cut path's fault site and
+// validations and computes the TRN, but never touches the cut cache. A
+// restore builds many cuts concurrently with BuildCut and then inserts
+// them serially with InsertCut, so the cache's per-shard recency order
+// is exactly what serial replay through Cut/CutAtNode would produce.
 func BuildCut(rec CutRecord) (*TRN, error) {
 	faultinject.Panic(faultinject.TrimPanic, rec.Parent.Name)
 	if err := rec.Head.validate(); err != nil {
