@@ -534,6 +534,39 @@ func runGatewayThroughput(b *testing.B, gw *Gateway) {
 	}
 }
 
+// BenchmarkGatewayPrewarm times the startup prewarm sweep: every zoo
+// network planned cold on every device of a default (four-device)
+// gateway, the set-up a daemon started with -prewarm pays before its
+// zoo traffic is warm. Each iteration purges the process-wide cut cache
+// and builds a fresh gateway outside the timer, so every plan is cold;
+// prewarm_ms is the sweep's mean wall time.
+func BenchmarkGatewayPrewarm(b *testing.B) {
+	b.Cleanup(trim.PurgeCutCache)
+	want := uint64(len(DeviceProfiles()) * len(NetworkNames()))
+	var swept time.Duration
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		trim.PurgeCutCache()
+		gw, err := NewGateway(GatewayConfig{Planner: PlannerConfig{Seed: 1}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		t0 := time.Now()
+		<-gw.Prewarm()
+		swept += time.Since(t0)
+		b.StopTimer()
+		got := gw.Registry().Counter("netcut_gateway_prewarmed_total", "").Value()
+		if err := gw.Shutdown(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		if got != want {
+			b.Fatalf("prewarmed %d plans, want %d (zoo x fleet)", got, want)
+		}
+	}
+	b.ReportMetric(float64(swept.Microseconds())/1e3/float64(b.N), "prewarm_ms")
+}
+
 // BenchmarkGatewayCoalescedBurst measures the acceptance-criterion load
 // shape: bursts of identical concurrent requests. The exec/burst metric
 // is the telemetry-counted planner executions per burst. Each burst

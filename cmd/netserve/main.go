@@ -49,7 +49,8 @@
 // -autosave writes it periodically (crash safety: after a kill -9 the
 // next boot restores the last autosaved generation instead of starting
 // cold). -prewarm plans the calibrated zoo across the fleet in the
-// background after any restore.
+// background after any restore, one task per device, GOMAXPROCS devices
+// at a time.
 //
 // Fault tolerance: panics are contained per request, repeat offenders are
 // quarantined, and devices that fault repeatedly are taken out of

@@ -91,8 +91,9 @@
 // Config.StatePath) snapshots every planner's caches to disk via
 // serve.PlannerPool.SaveState, and LoadState restores a snapshot on
 // boot, so a restarted daemon's first requests run on the warm path.
-// Prewarm plans the calibrated zoo across the fleet in the background
-// to eliminate the remaining cold misses.
+// Prewarm plans the calibrated zoo across the fleet in the background,
+// one task per device with up to GOMAXPROCS devices at once, to
+// eliminate the remaining cold misses.
 //
 // Determinism contract: routing, coalescing, lanes, resident answers
 // and shedding change which executions happen, where and when — never
@@ -1532,48 +1533,58 @@ func (g *Gateway) handleStateSave(w http.ResponseWriter, _ *http.Request) {
 
 // Prewarm plans the calibrated zoo on every registered device in the
 // background, so steady-state traffic never sees a cold miss for a
-// known architecture. It runs at low priority — one sequential
-// goroutine against the planners directly, bypassing the lanes so it
-// can never occupy a waiting-room slot or a permit — and stops early if the
+// known architecture. The sweep fans out with par.ForEach, one task
+// per device (GOMAXPROCS devices at a time), and each task plans the
+// zoo on its own device in zoo order. It runs at low priority —
+// against the planners directly, bypassing the lanes so it can never
+// occupy a waiting-room slot or a permit — and stops early if the
 // gateway starts draining. Prewarming is pure cache warming: every
 // value it computes is one a request would compute identically, so it
 // shifts cold costs off the request path without changing any
-// response. The returned channel closes when the sweep finishes (or
-// aborts on drain); netcut_gateway_prewarmed_total counts completed
-// plans.
+// response; two devices cutting the same parent at once through the
+// shared cut cache compute the same cut. The returned channel closes
+// when the sweep finishes (or aborts on drain);
+// netcut_gateway_prewarmed_total counts completed plans.
 func (g *Gateway) Prewarm() <-chan struct{} {
 	done := make(chan struct{})
 	started := g.goBackground(func() {
 		defer close(done)
-		for _, name := range g.pool.DeviceNames() {
-			p, err := g.pool.Planner(name)
-			if err != nil {
-				continue // Route only registers known names; defensive
+		names := g.pool.DeviceNames()
+		par.ForEach(len(names), func(i int) error {
+			if p, err := g.pool.Planner(names[i]); err == nil { // Route only registers known names; defensive
+				g.prewarmDevice(p)
 			}
-			for _, netName := range zoo.Names {
-				select {
-				case <-g.stop:
-					return
-				default:
-				}
-				// Prewarming is the most optional work there is: any
-				// brownout pauses the sweep until the level clears (it
-				// resumes where it left off; drain still aborts it).
-				for g.loadLevel.Load() >= levelBrownout {
-					if !g.sleep(g.cfg.OverloadInterval) {
-						return
-					}
-				}
-				if zooPlan(p, netName) {
-					g.prewarmed.Inc()
-				}
-			}
-		}
+			return nil
+		})
 	})
 	if !started { // already draining: nothing to warm
 		close(done)
 	}
 	return done
+}
+
+// prewarmDevice is one device's share of the Prewarm sweep: the zoo in
+// zoo order, re-checking the drain and the load level before each
+// plan.
+func (g *Gateway) prewarmDevice(p *serve.Planner) {
+	for _, netName := range zoo.Names {
+		select {
+		case <-g.stop:
+			return
+		default:
+		}
+		// Prewarming is the most optional work there is: any brownout
+		// pauses the sweep until the level clears (it resumes where it
+		// left off; drain still aborts it).
+		for g.loadLevel.Load() >= levelBrownout {
+			if !g.sleep(g.cfg.OverloadInterval) {
+				return
+			}
+		}
+		if zooPlan(p, netName) {
+			g.prewarmed.Inc()
+		}
+	}
 }
 
 // zooPlan plans a zoo network for the background paths — prewarm and

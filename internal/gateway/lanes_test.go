@@ -304,15 +304,18 @@ func TestGatewayStateSaveEndpoint(t *testing.T) {
 	}
 }
 
-// TestGatewayPrewarm pins startup prewarming: after Prewarm completes,
-// every zoo architecture is a warm cache hit on every registered
-// device, and the prewarmed counter accounts for the full cross
-// product.
+// TestGatewayPrewarm pins startup prewarming on the full registry:
+// after Prewarm completes, the prewarmed counter accounts for the full
+// zoo x fleet cross product, every zoo architecture is a warm cache hit
+// on every device, and every answer at the prewarm deadline is
+// byte-identical to a solo planner pool that planned the same requests
+// one at a time — the device tasks running side by side change when
+// values are computed, never what they are.
 func TestGatewayPrewarm(t *testing.T) {
 	trim.PurgeCutCache()
 	t.Cleanup(trim.PurgeCutCache)
 	cfg := quickConfig(19)
-	cfg.Devices = device.Profiles()[:2]
+	cfg.Devices = device.Profiles()
 	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -329,6 +332,10 @@ func TestGatewayPrewarm(t *testing.T) {
 		t.Fatalf("prewarmed %d plans, want %d", got, wantPlans)
 	}
 
+	solo, err := serve.NewPool(serve.PoolConfig{Base: cfg.Planner, Devices: cfg.Devices})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Every zoo request on every device is now warm: no executions may
 	// land in a cold histogram.
 	for _, dev := range g.pool.DeviceNames() {
@@ -336,12 +343,29 @@ func TestGatewayPrewarm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		sp, err := solo.Planner(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
 		execsBefore := p.Executions()
 		_, warmBefore := p.WarmQuantile(0.99)
 		for _, name := range zoo.Names {
 			body, _ := json.Marshal(map[string]any{"network": name, "deadline_ms": 0.9, "target": dev})
-			if rec := post(g, string(body)); rec.Code != http.StatusOK {
+			rec := post(g, string(body))
+			if rec.Code != http.StatusOK {
 				t.Fatalf("%s on %s: status %d: %s", name, dev, rec.Code, rec.Body.String())
+			}
+			zg, err := zoo.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sp.Select(serve.Request{Graph: zg, DeadlineMs: 0.9, Estimator: "profiler"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := stripped(rec.Body.Bytes()); !bytes.Equal(got, EncodeResponse(want)) {
+				t.Fatalf("%s on %s: prewarmed answer diverges from the solo pool:\n got: %s\nwant: %s",
+					name, dev, got, EncodeResponse(want))
 			}
 		}
 		_, warmAfter := p.WarmQuantile(0.99)

@@ -25,6 +25,7 @@ import (
 
 	"netcut/internal/device"
 	"netcut/internal/faultinject"
+	"netcut/internal/zoo"
 )
 
 // retryAfterMs decodes the structured error body's retry hint.
@@ -197,6 +198,82 @@ func TestOverloadBrownoutKeepsEveryTrace(t *testing.T) {
 		t.Fatalf("ring holds %d of 8 brownout traces, want all", got)
 	}
 	g.loadLevel.Store(levelNormal)
+}
+
+// TestOverloadBrownoutPausesPrewarm pins the prewarm sweep's brownout
+// pause with one task per device in flight: while the controller holds
+// the load level at brownout, netcut_gateway_prewarmed_total does not
+// move over several controller ticks; once the level clears, the sweep
+// finishes with the full zoo x fleet count. A drain during the pause
+// aborts the sweep and closes its channel.
+func TestOverloadBrownoutPausesPrewarm(t *testing.T) {
+	const tick = 5 * time.Millisecond
+	newGateway := func(t *testing.T) *Gateway {
+		cfg := quickConfig(35)
+		cfg.Devices = device.Profiles()
+		cfg.OverloadInterval = tick
+		g, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	// holdBrownout parks phantom leaders in half of one lane's waiting
+	// room — the brownout threshold, short of the emergency one — and
+	// waits for the controller to publish brownout. The returned func
+	// takes them out again.
+	holdBrownout := func(t *testing.T, g *Gateway) (release func()) {
+		l := g.lanes[device.Xavier().Name]
+		n := int64(math.Ceil(brownoutQueueFrac * float64(g.laneQueueCap)))
+		l.waiting.Add(n)
+		waitFor(t, "brownout", func() bool { return g.LoadLevel() == levelBrownout })
+		return func() { l.waiting.Add(-n) }
+	}
+	// paused watches the sweep over several ticks of a held brownout.
+	paused := func(t *testing.T, g *Gateway) {
+		for range 8 {
+			time.Sleep(tick)
+			if lvl := g.LoadLevel(); lvl != levelBrownout {
+				t.Fatalf("load level %d, want brownout held", lvl)
+			}
+			if got := g.prewarmed.Value(); got != 0 {
+				t.Fatalf("prewarmed %d plans under brownout, want 0", got)
+			}
+		}
+	}
+
+	t.Run("resumes", func(t *testing.T) {
+		g := newGateway(t)
+		defer mustShutdown(t, g)
+		release := holdBrownout(t, g)
+		done := g.Prewarm()
+		paused(t, g)
+		release()
+		select {
+		case <-done:
+		case <-time.After(60 * time.Second):
+			t.Fatal("prewarm did not finish after the brownout cleared")
+		}
+		if got, want := g.prewarmed.Value(), uint64(len(g.pool.DeviceNames())*len(zoo.Names)); got != want {
+			t.Fatalf("prewarmed %d plans, want %d", got, want)
+		}
+	})
+
+	t.Run("drain", func(t *testing.T) {
+		g := newGateway(t)
+		holdBrownout(t, g)
+		done := g.Prewarm()
+		paused(t, g)
+		mustShutdown(t, g) // waits for the paused device tasks
+		select {
+		case <-done:
+		default:
+			t.Fatal("prewarm channel still open after a drain during its pause")
+		}
+		if got := g.prewarmed.Value(); got != 0 {
+			t.Fatalf("prewarmed %d plans, want 0", got)
+		}
+	})
 }
 
 // TestOverloadSleepNoTrailingTick pins the stop-aware sleep's

@@ -546,10 +546,11 @@ type coalesceKey struct {
 // parserPool recycles decodeRequest's read buffer and wire scratch, so
 // a canonical graph body allocates little beyond the graph it returns.
 // Reuse is safe because no decoded value aliases either: wireParser.str
-// and encoding/json both copy strings out of the body, int lists are
-// copied out of the ints scratch, and decodeGraph reads the node and
-// block scratch by value. release clears that scratch before pooling,
-// so a pooled parser holds nothing of the request it served.
+// and encoding/json both copy strings out of the body (symbol returns
+// constants), int lists are copied out of the ints scratch, node In and
+// Block point into a slab release drops, and decodeGraph reads the node
+// and block scratch by value. release clears that scratch before
+// pooling, so a pooled parser holds nothing of the request it served.
 var parserPool = sync.Pool{New: func() any { return new(wireParser) }}
 
 // decodeRequest parses and validates one request body. It never panics
@@ -720,6 +721,12 @@ type wireParser struct {
 	// so they are valid only until the parser is reused.
 	nodes  []NodeWire
 	blocks []BlockWire
+	// shapes and blockIDs are the request's slab: the decoded nodes'
+	// In and Block point into them. Unlike the scratch above they are
+	// never pooled — release drops them — so nothing decoded aliases a
+	// later request's memory.
+	shapes   []ShapeWire
+	blockIDs []int
 }
 
 // release clears p's scratch and returns p to parserPool. A parser
@@ -728,6 +735,7 @@ type wireParser struct {
 func (p *wireParser) release() {
 	clear(p.nodes)
 	clear(p.blocks)
+	p.shapes, p.blockIDs = nil, nil
 	if outsized(p.b) || outsized(p.ints) || outsized(p.nodes) || outsized(p.blocks) {
 		return
 	}
@@ -848,6 +856,44 @@ func (p *wireParser) str(dst *string, bit uint32) uint32 {
 	}
 	*dst = string(s)
 	return bit
+}
+
+// symbol is str for a node's closed vocabularies, the graph op-kind
+// names and the pad modes: a known spelling decodes to its constant
+// string without allocating, and only an unknown one (which
+// decodeGraph rejects) is copied out of the body.
+func (p *wireParser) symbol(dst *string, bit uint32) uint32 {
+	s, ok := p.quoted()
+	if !ok {
+		return 0
+	}
+	switch string(s) {
+	case "same":
+		*dst = "same"
+	case "valid":
+		*dst = "valid"
+	default:
+		if k, known := graph.ParseOpKind(string(s)); known {
+			*dst = k.String()
+		} else {
+			*dst = string(s)
+		}
+	}
+	return bit
+}
+
+// slabNext hands out the next element of a slab, starting a fresh
+// chunk (twice the last, at least 32) when the current one is full.
+// Full chunks are never moved, so the pointers already handed out stay
+// valid, and every element handed out is zero.
+func slabNext[T any](slab *[]T) *T {
+	s := *slab
+	if len(s) == cap(s) {
+		s = make([]T, 0, max(32, 2*cap(s)))
+	}
+	s = s[:len(s)+1]
+	*slab = s
+	return &s[len(s)-1]
 }
 
 func (p *wireParser) boolean(dst *bool, bit uint32) uint32 {
@@ -1040,11 +1086,11 @@ func (p *wireParser) node(n *NodeWire) bool {
 		case "name":
 			return p.str(&n.Name, 1<<1)
 		case "kind":
-			return p.str(&n.Kind, 1<<2)
+			return p.symbol(&n.Kind, 1<<2)
 		case "inputs":
 			return p.intList(&n.Inputs, 1<<3)
 		case "in":
-			n.In = new(ShapeWire)
+			n.In = slabNext(&p.shapes)
 			return p.shape(n.In, 1<<4)
 		case "out":
 			return p.shape(&n.Out, 1<<5)
@@ -1055,7 +1101,7 @@ func (p *wireParser) node(n *NodeWire) bool {
 		case "stride":
 			return p.integer(&n.Stride, 1<<8)
 		case "pad":
-			return p.str(&n.Pad, 1<<9)
+			return p.symbol(&n.Pad, 1<<9)
 		case "macs":
 			return p.integer64(&n.MACs, 1<<10)
 		case "params":
@@ -1065,7 +1111,7 @@ func (p *wireParser) node(n *NodeWire) bool {
 		case "io_bytes":
 			return p.integer64(&n.IOBytes, 1<<13)
 		case "block":
-			n.Block = new(int)
+			n.Block = slabNext(&p.blockIDs)
 			return p.integer(n.Block, 1<<14)
 		case "head":
 			return p.boolean(&n.Head, 1<<15)

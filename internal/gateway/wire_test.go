@@ -164,19 +164,28 @@ func wireBody(tb testing.TB, gw *GraphWire) []byte {
 // TestDecodeRequestGarbage gates what a decode leaves for the
 // collector, like TestResidentAnswerAllocs gates a resident answer: a
 // graph body allocates the graph it returns and little else (the read
-// buffer and wire scratch are pooled), so a per-request copy of the
-// body or of the node array fails here.
+// buffer and wire scratch are pooled, op kinds and pad modes decode to
+// constant strings, and the nodes' In and Block come from one slab), so
+// a per-request copy of the body or of the node array fails here on
+// bytes, and a per-node allocation creeping back fails on the count.
 func TestDecodeRequestGarbage(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled objects at random")
 	}
-	limits := map[string]int64{"graph": 32 << 10, "shorthand": 512}
+	limits := map[string]struct{ bytes, allocs int64 }{
+		"graph":     {32 << 10, 160},
+		"shorthand": {512, 8},
+	}
 	for _, bc := range decodeBenchBodies(t) {
-		got := testing.Benchmark(benchDecode(bc.body)).AllocedBytesPerOp()
-		if got > limits[bc.name] {
-			t.Errorf("%s: a decode allocates %d B, want <= %d", bc.name, got, limits[bc.name])
+		res := testing.Benchmark(benchDecode(bc.body))
+		got, allocs, lim := res.AllocedBytesPerOp(), res.AllocsPerOp(), limits[bc.name]
+		if got > lim.bytes {
+			t.Errorf("%s: a decode allocates %d B, want <= %d", bc.name, got, lim.bytes)
 		}
-		t.Logf("%s: %d B/op", bc.name, got)
+		if allocs > lim.allocs {
+			t.Errorf("%s: a decode makes %d allocations, want <= %d", bc.name, allocs, lim.allocs)
+		}
+		t.Logf("%s: %d B/op, %d allocs/op", bc.name, got, allocs)
 	}
 }
 

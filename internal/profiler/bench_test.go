@@ -10,8 +10,10 @@ import (
 // BenchmarkProfile times the profiler's protocol runs on a cold graph:
 // "profile" is a fresh profiler's per-layer table build, "measure" is
 // one end-to-end Measure, and "measure_profile" is both in one
-// MeasureProfile, sharing one warm-up, which is the cold measure phase
-// of a profiler-estimator request. Every iteration starts from a fresh
+// MeasureProfile, which is the cold measure phase of a
+// profiler-estimator request: one shared warm-up, then the two timed
+// phases as two tasks, side by side when GOMAXPROCS > 1 (compare with
+// -cpu 1 for the serial schedule). Every iteration starts from a fresh
 // device and profiler, so no plan, table or measurement is cached, as
 // for a never-seen graph posted to the gateway.
 func BenchmarkProfile(b *testing.B) {

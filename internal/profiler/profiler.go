@@ -19,6 +19,7 @@ import (
 	"netcut/internal/graph"
 	"netcut/internal/lru"
 	"netcut/internal/metric"
+	"netcut/internal/par"
 	"netcut/internal/telemetry"
 )
 
@@ -250,24 +251,39 @@ func (p *Profiler) Measure(g *graph.Graph) Measurement {
 }
 
 // MeasureProfile returns Measure(g) and Profile(g), with the same
-// results and cache counters as calling the two in that order. When
-// both miss, the table's timed runs start from a fork of the
-// measurement's warmed-up session instead of repeating the warm-up:
-// both protocols open the same seeded session and run the same
-// warm-up, so the fork is the session a second warm-up would produce.
+// results and cache counters as calling the two in that order: the
+// caches are read and filled measurement first. When both miss, the
+// two protocols share one warm-up — both open the same seeded session
+// and run the same warm-up, so a fork of the warmed session is the
+// session a second warm-up would produce — and their timed runs, which
+// are then independent, run as two par.ForEach tasks: concurrently
+// when GOMAXPROCS allows, serially (measurement first) otherwise. A
+// panic in either surfaces on the caller as a *par.TaskPanic.
 func (p *Profiler) MeasureProfile(g *graph.Graph) (Measurement, *Table) {
 	key := p.dev.PlanKey(g)
-	var warm *device.Session
+	var built *Table
 	m := p.measurements.GetOrCompute(key, func() Measurement {
 		s := p.warmup(g)
-		warm = s.Fork()
-		return p.measure(s)
+		if p.tables.Contains(key) {
+			return p.measure(s)
+		}
+		fork := s.Fork()
+		var measured Measurement
+		par.ForEach(2, func(i int) error {
+			if i == 0 {
+				measured = p.measure(s)
+			} else {
+				built = p.profile(fork)
+			}
+			return nil
+		})
+		return measured
 	})
 	tbl := p.tables.GetOrCompute(key, func() *Table {
-		if warm == nil {
-			warm = p.warmup(g)
+		if built == nil {
+			return p.profile(p.warmup(g))
 		}
-		return p.profile(warm)
+		return built
 	})
 	return m, tbl
 }
