@@ -328,9 +328,8 @@ func NewPlannerPool(cfg PoolConfig) (*PlannerPool, error) { return serve.NewPool
 // section.
 //
 // Under sustained pressure the gateway degrades instead of failing
-// binary: a closed-loop overload controller
-// (GatewayConfig.OverloadInterval) samples lane backlog into a load
-// level (0 normal, 1 brownout, 2 emergency;
+// binary: lane backlog, read wherever the level acts or is shown, folds
+// into a load level (0 normal, 1 brownout, 2 emergency;
 // netcut_gateway_load_level, Gateway.LoadLevel) that sheds optional
 // work level by level: prewarming pauses, and at level 2 only
 // resident answers and coalesce joins are admitted while cold misses
@@ -359,8 +358,8 @@ type (
 	Gateway = gateway.Gateway
 	// GatewayConfig parameterizes a Gateway: the embedded PlannerConfig
 	// template and device list plus the deployment settings (body size
-	// limit, queue depth, pass-permit count, state path, autosave and
-	// overload intervals, slow-trace logging).
+	// limit, queue depth, pass-permit count, state path, autosave
+	// interval, slow-trace logging).
 	// The shed warm-up (64 warm executions), the health and quarantine
 	// thresholds, the probe cadence and the trace-ring size are fixed.
 	GatewayConfig = gateway.Config

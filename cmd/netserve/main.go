@@ -28,7 +28,6 @@
 //	netserve -max-body 4194304 -drain-timeout 30s
 //	netserve -state-file /var/lib/netcut/state.bin -prewarm
 //	netserve -state-file /var/lib/netcut/state.bin -autosave 30s
-//	netserve -overload-interval 50ms
 //	netserve -slow-trace 50ms                # log requests slower than this
 //	netserve -pprof                          # mount /debug/pprof/ (off by default)
 //
@@ -61,9 +60,8 @@
 // device's warm p99 once that device has served 64 warm executions;
 // until then every budget is admitted.
 //
-// Overload control: a closed-loop controller (sampling every
-// -overload-interval) folds lane backlog into a load
-// level (0 normal, 1 brownout, 2 emergency, exported as
+// Overload control: lane backlog, read wherever the level acts, folds
+// into a load level (0 normal, 1 brownout, 2 emergency, exported as
 // netcut_gateway_load_level) that sheds optional work first:
 // prewarming pauses, and at level 2 only resident answers and coalesce
 // joins are served while cold misses get 429s with backlog-honest
@@ -116,7 +114,6 @@ func run() int {
 		stateFile    = flag.String("state-file", "", "warm-state snapshot path: restored on boot (with .bak fallback), saved after the SIGTERM drain and by POST /v1/state/save (empty = no persistence)")
 		autosave     = flag.Duration("autosave", 0, "periodic warm-state snapshot interval (requires -state-file; 0 = only save on drain/demand)")
 		prewarm      = flag.Bool("prewarm", false, "plan the calibrated zoo on every device in the background at startup (after any -state-file restore)")
-		overloadInt  = flag.Duration("overload-interval", 0, "overload-controller sampling interval (0 = default 100ms, negative = controller disabled)")
 		slowTrace    = flag.Duration("slow-trace", 0, "log a structured per-stage trace for requests slower than this (0 = disabled)")
 		pprof        = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default; enable only on trusted listeners)")
 	)
@@ -151,7 +148,6 @@ func run() int {
 		DrainTimeout:     *drainTimeout,
 		StatePath:        *stateFile,
 		AutosaveInterval: *autosave,
-		OverloadInterval: *overloadInt,
 		SlowTraceMs:      float64(*slowTrace) / float64(time.Millisecond),
 		Pprof:            *pprof,
 	})

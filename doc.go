@@ -259,19 +259,21 @@
 //
 // # Overload control & degraded serving
 //
-// A closed-loop controller (GatewayConfig.OverloadInterval, netserve
-// -overload-interval) folds per-lane backlog — the requests waiting
-// for a permit — into one load level — 0 normal, 1 brownout,
-// 2 emergency — exported as netcut_gateway_load_level.
+// The gateway folds per-lane backlog — the requests waiting for a
+// permit — into one load level — 0 normal, 1 brownout, 2 emergency —
+// exported as netcut_gateway_load_level. The level is read from the
+// live backlog wherever it acts or is shown; no sampler runs.
 // Each level sheds optional work first: brownout pauses prewarming;
 // emergency pauses it too and admits only resident answers and
 // coalesce joins, shedding every cold miss
 // pre-execution with a level-scaled, backlog-honest Retry-After
-// (ceil(backlog/permits) execution waves of p99 each). The level is a
-// pure function of the current backlog, so it returns to normal within
-// one interval of the load going away; slow passes alone never raise
-// it. Each lane always has its full per-lane permit count of
-// concurrent passes, so the hint's permit count is exact.
+// (ceil(backlog/permits) execution waves of p99 each). The emergency
+// shed acts once two consecutive reads find level 2, so the arrival
+// that first finds a lane full gets that lane's queue_full. The level
+// is a pure function of the current backlog, so it returns to normal
+// as soon as the load goes away; slow passes alone never raise it.
+// Each lane always has its full per-lane permit count of concurrent
+// passes, so the hint's permit count is exact.
 //
 // Requests may opt into degraded serving with "allow_degraded": true:
 // instead of a budget_too_small or device_unhealthy rejection, the

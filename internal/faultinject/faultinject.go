@@ -49,9 +49,10 @@ const (
 	// snapshot, keyed by the state path — the fault that exercises the
 	// .bak recovery path end to end.
 	StateCorrupt Point = "state-corrupt"
-	// QueueStall makes the overload sampler read a lane's backlog as
-	// completely full, keyed by the device name — the deterministic way
-	// to pin brownout behavior without racing real queue occupancy.
+	// QueueStall makes every read of the gateway's load level see a
+	// lane's backlog as completely full, keyed by the device name — the
+	// deterministic way to pin the overload ladder without racing real
+	// queue occupancy.
 	QueueStall Point = "queue-stall"
 )
 

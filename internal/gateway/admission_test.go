@@ -38,7 +38,7 @@ func readAdmissionCounters(g *Gateway) admissionCounters {
 			panic(err)
 		}
 		c.execs += p.Executions()
-		if rc := g.residentByDev[name].Load(); rc != nil {
+		if rc := g.lanes[name].resident.Load(); rc != nil {
 			c.resident += rc.Value()
 		}
 	}
@@ -139,9 +139,8 @@ var admissionStates = map[string]admissionState{
 	"emergency": {
 		setup: func(t *testing.T, g *Gateway) *graph.Graph {
 			faultinject.Arm(faultinject.QueueStall, "", 0)
-			g.overloadTick()
 			if lvl := g.LoadLevel(); lvl != levelEmergency {
-				t.Fatalf("load level %d after a stalled tick, want %d", lvl, levelEmergency)
+				t.Fatalf("load level %d with every lane stalled, want %d", lvl, levelEmergency)
 			}
 			return nil
 		},
@@ -268,7 +267,6 @@ func TestAdmissionTable(t *testing.T) {
 				defer faultinject.Reset()
 				cfg := quickConfig(90)
 				cfg.Devices = []device.Config{device.Xavier(), device.EdgeCPU()}
-				cfg.OverloadInterval = -1 // the level moves only by an explicit tick
 				if st.cfg != nil {
 					st.cfg(&cfg)
 				}

@@ -131,7 +131,7 @@ func TestFaultPanicIsolation(t *testing.T) {
 				r.i, r.rec.Body.String(), EncodeResponse(want))
 		}
 	}
-	if got := g.panicsByDev["sim-xavier"].Value(); got < 1 {
+	if got := g.lanes["sim-xavier"].panics.Value(); got < 1 {
 		t.Fatalf("netcut_gateway_panics_total{sim-xavier} = %d, want >= 1", got)
 	}
 	// The lane survived: a fresh request plans normally.
@@ -393,7 +393,7 @@ func TestFaultUnhealthyDeviceSkippedAndRecovers(t *testing.T) {
 	// Clear the fault: the next probe succeeds and restores the device.
 	faultinject.Reset()
 	waitFor(t, "probe to restore sim-xavier", func() bool { return g.deviceEligible("sim-xavier") })
-	if g.probesByDev["sim-xavier"].Value() == 0 {
+	if g.lanes["sim-xavier"].probes.Value() == 0 {
 		t.Fatal("device recovered without any probe recorded")
 	}
 	if rec := post(g, graphBody(t, userNet(0), 0.35, `,"target":"sim-xavier"`)); rec.Code != http.StatusOK {

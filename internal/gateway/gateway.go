@@ -38,8 +38,9 @@
 //     deadline, estimator) share one in-flight planner execution and
 //     receive byte-identical response bodies, singleflight-style, at no
 //     planner work and no queue slot.
-//  7. Emergency: at load level 2 (see overload.go) a would-be leader
-//     is shed with 429 overload_shed.
+//  7. Emergency: at load level 2 (see overload.go), read from the
+//     live lane backlog on this arrival and on the read before it, a
+//     would-be leader is shed with 429 overload_shed.
 //  8. Budget: a would-be leader whose budget_ms cannot cover the
 //     device's warm-path p99 is shed with 429 and a retry hint ("auto"
 //     was checked by its route in step 3).
@@ -80,10 +81,10 @@
 // containment decision is admission policy: it moves or refuses
 // executions, never changes what any execution returns.
 //
-// Overload control & degraded serving: a closed-loop controller
-// (Config.OverloadInterval) publishes a load level that
-// deterministically sheds optional work — down to serving only
-// resident answers and coalesce joins at level 2 — and requests may
+// Overload control & degraded serving: a load level, read from the
+// live lane backlog wherever it acts or is shown, deterministically
+// sheds optional work — down to serving only resident answers and
+// coalesce joins at level 2 — and requests may
 // opt into degraded fallback routing with "allow_degraded": true. See
 // the package comment in overload.go for the ladder and its signals.
 //
@@ -185,18 +186,6 @@ type Config struct {
 	// default) disables autosaving; negative is a configuration error.
 	AutosaveInterval time.Duration
 
-	// OverloadInterval is the closed-loop overload controller's sampling
-	// cadence: every interval a background sampler folds the signal the
-	// process already has — the backlog waiting in each lane — into a
-	// discrete load level
-	// (0 normal, 1 brownout, 2 emergency) that deterministically
-	// disables optional work (see the package comment's "Overload"
-	// section). The level is a pure function of the current backlog, so
-	// it returns to 0 within one interval of the load going away.
-	// 0 means DefaultOverloadInterval; negative disables the controller
-	// (the level is pinned at 0).
-	OverloadInterval time.Duration
-
 	// SlowTraceMs emits a structured log/slog line (on SlowLog, or the
 	// process default logger) for every request whose end-to-end trace
 	// exceeds this many milliseconds, with per-stage durations as
@@ -226,11 +215,6 @@ const (
 	// seconds of saturated traffic. The ring's cost is flat in its size
 	// from 8 to 512 entries, so it is fixed rather than configured.
 	DefaultTraceRingCap = 512
-	// DefaultOverloadInterval is the overload controller's sampling
-	// cadence: fast enough that the level tracks a traffic step within
-	// ~100ms, slow enough that a tick's few atomic reads never register
-	// against the request path.
-	DefaultOverloadInterval = 100 * time.Millisecond
 )
 
 // Fixed admission and containment settings.
@@ -249,6 +233,9 @@ const (
 	// probeInterval is how often an unhealthy device is probed with one
 	// real prewarm-style plan; the first success restores it.
 	probeInterval = 500 * time.Millisecond
+	// prewarmPause is how long a prewarm task paused by a brownout
+	// sleeps between reads of the load level.
+	prewarmPause = 100 * time.Millisecond
 	// quarantineAfter is how many panics one request key may cause
 	// before the key is quarantined: further spellings of it are
 	// rejected with a structured 500 at admission, without taking a
@@ -303,9 +290,6 @@ func (c *Config) fill() error {
 	if c.DrainTimeout == 0 {
 		c.DrainTimeout = DefaultDrainTimeout
 	}
-	if c.OverloadInterval == 0 {
-		c.OverloadInterval = DefaultOverloadInterval
-	}
 	return nil
 }
 
@@ -354,23 +338,14 @@ func (c *call) notePhase(name string, start, end time.Time) {
 	c.planPhases = append(c.planPhases, phaseWindow{name, start, end})
 }
 
-// deviceHealth is one device's fault-containment state. consecutive
-// counts panics since the last successful execution; reaching
-// unhealthyAfter trips unhealthy, and only a successful background
-// probe plan clears it.
-type deviceHealth struct {
-	device      string
-	consecutive atomic.Int64
-	unhealthy   atomic.Bool
-}
-
-// lane is one device's slice of the admission machinery: a bounded
-// waiting room plus a fixed number of pass permits. A leader runs its
-// pass on its own handler goroutine while it holds one of its lane's
-// permits. Lane assignment is the resolved-device routing decision the
-// admission path already makes, so lanes shift when an execution runs —
-// never what it returns — and a cold plan holding one lane's permits
-// cannot delay another device's traffic.
+// lane is one registered device's record: its slice of the admission
+// machinery — a bounded waiting room plus a fixed number of pass
+// permits — its fault-containment state and its device-labeled series.
+// A leader runs its pass on its own handler goroutine while it holds
+// one of its lane's permits. Lane assignment is the resolved-device
+// routing decision the admission path already makes, so lanes shift
+// when an execution runs — never what it returns — and a cold plan
+// holding one lane's permits cannot delay another device's traffic.
 type lane struct {
 	device    string
 	planner   *serve.Planner
@@ -381,6 +356,21 @@ type lane struct {
 	// waiting counts the admitted leaders not yet holding a permit: the
 	// lane's backlog, bounded by laneQueueCap at admission.
 	waiting atomic.Int64
+
+	// Fault containment: consecutive counts panics since the last
+	// successful pass; reaching unhealthyAfter trips unhealthy, and only
+	// a successful background probe plan clears it.
+	consecutive    atomic.Int64
+	unhealthy      atomic.Bool
+	panics         *telemetry.Counter
+	unhealthyGauge *telemetry.Gauge
+	probes         *telemetry.Counter
+	// resident is the device's netcut_gateway_resident_total series,
+	// registered on its first resident answer (see residentCounter).
+	resident atomic.Pointer[telemetry.Counter]
+	// stages holds the device's netcut_gateway_stage_ms histograms, by
+	// stage.
+	stages map[string]*telemetry.Histogram
 }
 
 // Gateway is the serving layer. Construct with New, expose Handler on
@@ -390,7 +380,7 @@ type Gateway struct {
 	pool  *serve.PlannerPool
 	reg   *telemetry.Registry
 	mux   *http.ServeMux
-	lanes map[string]*lane // one per registered device
+	lanes map[string]*lane // one per registered device; immutable after New
 
 	// laneQueueCap / laneWorkers are the per-lane waiting room and
 	// permit count, the slices of the configured QueueDepth / Workers
@@ -423,10 +413,6 @@ type Gateway struct {
 	// process serves.
 	ready atomic.Bool
 
-	// health tracks per-device fault containment (see deviceHealth);
-	// immutable map built at construction, one entry per lane.
-	health map[string]*deviceHealth
-
 	// quarantine maps panic-causing request identities (the coalesce
 	// key minus its device: a poison graph is poison on every target)
 	// to their panic counts. Bounded, so it can never out-grow the
@@ -447,18 +433,12 @@ type Gateway struct {
 	restoreFallbck *telemetry.Counter
 	cancelled      *telemetry.Counter
 	quarantined    *telemetry.Counter
-	panicsByDev    map[string]*telemetry.Counter
-	unhealthyByDev map[string]*telemetry.Gauge
-	probesByDev    map[string]*telemetry.Counter
-	// residentByDev holds each device's netcut_gateway_resident_total
-	// series, registered on the device's first resident answer (see
-	// residentCounter); the map itself is immutable after New.
-	residentByDev map[string]*atomic.Pointer[telemetry.Counter]
-	slowTraces    *telemetry.Counter
-	requestLatMs  *telemetry.Histogram
+	slowTraces     *telemetry.Counter
+	requestLatMs   *telemetry.Histogram
 
-	// Overload control (see overload.go): loadLevel is the controller's
-	// published load level (0 normal, 1 brownout, 2 emergency).
+	// Overload control (see overload.go): loadLevel is the last load
+	// level read (0 normal, 1 brownout, 2 emergency), kept to count its
+	// transitions and for the emergency gate's second read.
 	loadLevel       atomic.Int32
 	loadTransitions *telemetry.Counter
 	shedOverload    *telemetry.Counter
@@ -474,14 +454,14 @@ type Gateway struct {
 	// Request tracing (see trace.go in this package): ids mints the
 	// deterministic-format trace IDs, live tracks in-flight traces for
 	// GET /debug/requests, ring retains completed ones for
-	// GET /debug/trace, and stageHists carries the
-	// netcut_gateway_stage_ms{stage,device} histograms, pre-registered
-	// per device (plus "none", for requests refused before routing, on
-	// the two stages such a request can record).
+	// GET /debug/trace, and stagesNone carries the
+	// netcut_gateway_stage_ms{stage,device="none"} histograms of requests
+	// refused before routing, on the two stages such a request can
+	// record (each lane carries its device's).
 	ids        *trace.IDGen
 	live       *trace.Live
 	ring       *trace.Ring
-	stageHists map[string]map[string]*telemetry.Histogram
+	stagesNone map[string]*telemetry.Histogram
 }
 
 // New builds the gateway — one planner per registered device behind a
@@ -552,7 +532,7 @@ func New(cfg Config) (*Gateway, error) {
 	telemetry.RegisterRuntime(reg)
 	reg.GaugeFunc("netcut_gateway_load_level",
 		"overload-controller load level: 0 normal, 1 brownout, 2 emergency",
-		func() float64 { return float64(g.loadLevel.Load()) })
+		func() float64 { return float64(g.level()) })
 
 	// Request tracing: the ID stream derives from the planner seed, so a
 	// replay with the same seed and admission order reproduces the same
@@ -581,11 +561,6 @@ func New(cfg Config) (*Gateway, error) {
 		g.laneWorkers = max(1, cfg.Workers/len(names))
 	}
 	g.lanes = make(map[string]*lane, len(names))
-	g.health = make(map[string]*deviceHealth, len(names))
-	g.panicsByDev = make(map[string]*telemetry.Counter, len(names))
-	g.unhealthyByDev = make(map[string]*telemetry.Gauge, len(names))
-	g.probesByDev = make(map[string]*telemetry.Counter, len(names))
-	g.residentByDev = make(map[string]*atomic.Pointer[telemetry.Counter], len(names))
 	for _, name := range names {
 		p, err := pool.Planner(name)
 		if err != nil {
@@ -602,15 +577,13 @@ func New(cfg Config) (*Gateway, error) {
 		reg.GaugeFuncWith("netcut_gateway_queue_depth",
 			"requests waiting in the device's admission lane", labels,
 			func() float64 { return float64(l.waiting.Load()) })
-		g.lanes[name] = l
-		g.health[name] = &deviceHealth{device: name}
-		g.panicsByDev[name] = reg.CounterWith("netcut_gateway_panics_total",
+		l.panics = reg.CounterWith("netcut_gateway_panics_total",
 			"planner panics recovered at the execution boundary", labels)
-		g.unhealthyByDev[name] = reg.GaugeWith("netcut_gateway_device_unhealthy",
+		l.unhealthyGauge = reg.GaugeWith("netcut_gateway_device_unhealthy",
 			"1 while the device is tripped unhealthy, 0 while it is serving", labels)
-		g.probesByDev[name] = reg.CounterWith("netcut_gateway_probes_total",
+		l.probes = reg.CounterWith("netcut_gateway_probes_total",
 			"health probe plans attempted against an unhealthy device", labels)
-		g.residentByDev[name] = new(atomic.Pointer[telemetry.Counter])
+		g.lanes[name] = l
 	}
 
 	// Per-stage latency histograms, pre-registered for every device plus
@@ -619,20 +592,19 @@ func New(cfg Config) (*Gateway, error) {
 	// not histogram mass. A request refused before routing (decode
 	// error, drain, quarantine) records only decode and deliver, so
 	// "none" carries just those two.
-	g.stageHists = make(map[string]map[string]*telemetry.Histogram, len(names)+1)
-	for _, dev := range append(append(make([]string, 0, len(names)+1), names...), stageDeviceNone) {
-		stages := timedStages
-		if dev == stageDeviceNone {
-			stages = []string{stageDecode, stageDeliver}
-		}
+	registerStages := func(dev string, stages []string) map[string]*telemetry.Histogram {
 		byStage := make(map[string]*telemetry.Histogram, len(stages))
 		for _, st := range stages {
 			byStage[st] = reg.HistogramWith("netcut_gateway_stage_ms",
 				"per-stage latency of plan requests, carved from request traces at completion", nil,
 				[]telemetry.Label{{Key: "stage", Value: st}, {Key: "device", Value: dev}})
 		}
-		g.stageHists[dev] = byStage
+		return byStage
 	}
+	for _, name := range names {
+		g.lanes[name].stages = registerStages(name, timedStages)
+	}
+	g.stagesNone = registerStages(stageDeviceNone, []string{stageDecode, stageDeliver})
 
 	g.mux = http.NewServeMux()
 	g.mux.HandleFunc("POST /v1/plan", g.handlePlan)
@@ -660,9 +632,6 @@ func New(cfg Config) (*Gateway, error) {
 
 	if cfg.AutosaveInterval > 0 {
 		g.goBackground(g.autosaveLoop)
-	}
-	if cfg.OverloadInterval > 0 {
-		g.goBackground(g.overloadLoop)
 	}
 	return g, nil
 }
@@ -1028,7 +997,7 @@ func (g *Gateway) gates(dec *decodedRequest, dev string, tr *trace.Trace) (*call
 	l := g.lanes[dev]
 	if a, ok := l.planner.Resident(dec.req); ok {
 		body := a.Body(EncodeResponse)
-		g.residentCounter(dev).Inc()
+		g.residentCounter(l).Inc()
 		tr.Mark(stageResident, "hit")
 		return nil, body, nil
 	}
@@ -1046,10 +1015,14 @@ func (g *Gateway) gates(dec *decodedRequest, dev string, tr *trace.Trace) (*call
 	}
 	tr.MarkZero(stageCoalesce, "leader")
 
-	// Emergency gate: at load level 2 every cold miss — degraded ones
-	// too, a fallback still costs an execution — is shed pre-execution
-	// with a level-scaled backlog-honest hint.
-	if lvl := int(g.loadLevel.Load()); lvl >= levelEmergency {
+	// Emergency gate: while the load level reads 2 on this read and on
+	// the read before it, every cold miss — degraded ones too, a
+	// fallback still costs an execution — is shed pre-execution with a
+	// level-scaled backlog-honest hint. The arrival whose read first
+	// finds level 2 goes on to its lane's own gates, so a lane that has
+	// just filled answers queue_full with its exact backlog hint.
+	prev := int(g.loadLevel.Load())
+	if lvl := g.level(); lvl >= levelEmergency && prev >= levelEmergency {
 		tr.MarkZero(stageShed, "overload")
 		g.shedOverload.Inc()
 		e := errf(http.StatusTooManyRequests, "overload_shed",
@@ -1142,8 +1115,8 @@ func (g *Gateway) fallback(dec *decodedRequest, reason string, tr *trace.Trace) 
 // has tripped unhealthy. Health, like the rest of admission, decides
 // where executions run, never what they return.
 func (g *Gateway) deviceEligible(name string) bool {
-	h := g.health[name]
-	return h == nil || !h.unhealthy.Load()
+	l := g.lanes[name]
+	return l == nil || !l.unhealthy.Load()
 }
 
 // unhealthyErr is the 503 an explicit request for a tripped device
@@ -1267,9 +1240,8 @@ func runPass(p *serve.Planner, req serve.Request) (res passResult) {
 // Two clock reads bracket the pass; waiters stitch the window into
 // their traces as the exec span after done closes.
 func (g *Gateway) execute(c *call) {
-	dev := c.key.device
 	if hook := g.testHookPass; hook != nil {
-		hook(dev)
+		hook(c.lane.device)
 	}
 	c.execStartAt = time.Now()
 	res := runPass(c.lane.planner, c.req)
@@ -1278,7 +1250,7 @@ func (g *Gateway) execute(c *call) {
 		g.deliverPanic(c, res)
 		return
 	}
-	g.deviceOK(dev)
+	deviceOK(c.lane)
 	g.deliverResult(c, res.resp, res.err)
 }
 
@@ -1303,10 +1275,10 @@ func (g *Gateway) deliverResult(c *call, resp *serve.Response, err error) {
 // per-device panic counter, the quarantine count for the request
 // identity, the health state — and logs the stack once to stderr.
 func (g *Gateway) deliverPanic(c *call, res passResult) {
-	dev := c.key.device
-	g.panicsByDev[dev].Inc()
+	dev := c.lane.device
+	c.lane.panics.Inc()
 	g.notePanicKey(c.key)
-	g.deviceFault(dev)
+	g.deviceFault(c.lane)
 	fmt.Fprintf(os.Stderr, "gateway: contained planner panic for %q on %s: %v\n%s",
 		c.key.name, dev, res.pval, res.stack)
 	e := errf(http.StatusInternalServerError, "internal_panic",
@@ -1326,19 +1298,18 @@ func (g *Gateway) notePanicKey(k coalesceKey) {
 // deviceFault marks one containment event (a panic) against a device;
 // unhealthyAfter consecutive events trip it unhealthy and start the
 // probe loop that will restore it.
-func (g *Gateway) deviceFault(dev string) {
-	h := g.health[dev]
-	if h.consecutive.Add(1) >= unhealthyAfter && h.unhealthy.CompareAndSwap(false, true) {
-		g.unhealthyByDev[dev].Set(1)
-		g.goBackground(func() { g.probeLoop(h) })
+func (g *Gateway) deviceFault(l *lane) {
+	if l.consecutive.Add(1) >= unhealthyAfter && l.unhealthy.CompareAndSwap(false, true) {
+		l.unhealthyGauge.Set(1)
+		g.goBackground(func() { g.probeLoop(l) })
 	}
 }
 
 // deviceOK resets a device's consecutive-fault count after a successful
 // execution. The unhealthy flag itself is only cleared by a probe, so
 // recovery is observable as exactly one transition.
-func (g *Gateway) deviceOK(dev string) {
-	g.health[dev].consecutive.Store(0)
+func deviceOK(l *lane) {
+	l.consecutive.Store(0)
 }
 
 // probeLoop probes an unhealthy device with one real plan per
@@ -1347,23 +1318,19 @@ func (g *Gateway) deviceOK(dev string) {
 // device's planner directly — real planner work, so a success is
 // evidence the target actually serves again, not just that the process
 // is alive.
-func (g *Gateway) probeLoop(h *deviceHealth) {
-	p, err := g.pool.Planner(h.device)
-	if err != nil {
-		return
-	}
+func (g *Gateway) probeLoop(l *lane) {
 	for {
 		if !g.sleep(probeInterval) {
 			return
 		}
 		if hook := g.testHookProbe; hook != nil {
-			hook(h.device)
+			hook(l.device)
 		}
-		g.probesByDev[h.device].Inc()
-		if zooPlan(p, zoo.Names[0]) {
-			h.consecutive.Store(0)
-			h.unhealthy.Store(false)
-			g.unhealthyByDev[h.device].Set(0)
+		l.probes.Inc()
+		if zooPlan(l.planner, zoo.Names[0]) {
+			l.consecutive.Store(0)
+			l.unhealthy.Store(false)
+			l.unhealthyGauge.Set(0)
 			return
 		}
 	}
@@ -1404,11 +1371,13 @@ func (g *Gateway) SaveState(w io.Writer) error { return g.pool.SaveState(w) }
 func (g *Gateway) LoadState(r io.Reader) error { return g.pool.LoadState(r) }
 
 // SaveStateFile writes the pool snapshot to Config.StatePath atomically
-// (unique temp file + rename, so a crash mid-write never leaves a torn
-// file — the decoder would reject one anyway, but the previous good
-// snapshot is worth keeping), rotating the previous snapshot to
-// StatePath+".bak" first so one known-good generation always survives a
-// save that lands corrupt. Saves are serialized under a mutex:
+// (unique temp file, synced, then renamed, so a crash mid-write never
+// leaves a torn file — the decoder would reject one anyway, but the
+// previous good snapshot is worth keeping), rotating the previous
+// snapshot to StatePath+".bak" first so one known-good generation
+// always survives a save that lands corrupt. A failed write or sync
+// fails the save: the temp file is removed and the previous snapshot
+// stands. Saves are serialized under a mutex:
 // concurrent POST /v1/state/save calls each write their own temp file,
 // but interleaving the renames is pointless work, and the lock keeps
 // the "last save wins" ordering trivially true. It returns the
@@ -1438,6 +1407,11 @@ func (g *Gateway) SaveStateFile() (int64, error) {
 		// Torn-write simulation: stomp the envelope header so the decoder
 		// must reject this generation and restore falls back to .bak.
 		f.WriteAt([]byte("\x00CORRUPT\x00"), 0)
+	}
+	// Sync before the rename: without it a power cut could leave the
+	// new name pointing at data the disk never received.
+	if err == nil {
+		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -1576,8 +1550,8 @@ func (g *Gateway) prewarmDevice(p *serve.Planner) {
 		// Prewarming is the most optional work there is: any brownout
 		// pauses the sweep until the level clears (it resumes where it
 		// left off; drain still aborts it).
-		for g.loadLevel.Load() >= levelBrownout {
-			if !g.sleep(g.cfg.OverloadInterval) {
+		for g.level() >= levelBrownout {
+			if !g.sleep(prewarmPause) {
 				return
 			}
 		}
@@ -1664,29 +1638,28 @@ func (g *Gateway) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, append(b, '\n'))
 }
 
-// residentCounter returns dev's netcut_gateway_resident_total series,
-// registering it on the device's first resident answer, so a device
-// that never answers from its staircase adds no zero series. The
-// registry returns the existing series to a racing registration.
-func (g *Gateway) residentCounter(dev string) *telemetry.Counter {
-	slot := g.residentByDev[dev]
-	if c := slot.Load(); c != nil {
+// residentCounter returns the lane's netcut_gateway_resident_total
+// series, registering it on the device's first resident answer, so a
+// device that never answers from its staircase adds no zero series.
+// The registry returns the existing series to a racing registration.
+func (g *Gateway) residentCounter(l *lane) *telemetry.Counter {
+	if c := l.resident.Load(); c != nil {
 		return c
 	}
 	c := g.reg.CounterWith("netcut_gateway_resident_total",
 		"requests answered from a resident staircase step, without a lane or planner pass",
-		[]telemetry.Label{{Key: "device", Value: dev}})
-	slot.Store(c)
+		[]telemetry.Label{{Key: "device", Value: l.device}})
+	l.resident.Store(c)
 	return c
 }
 
 // residentCounts reports the resident answers per device, over every
 // registered device.
 func (g *Gateway) residentCounts() map[string]uint64 {
-	out := make(map[string]uint64, len(g.residentByDev))
-	for dev, slot := range g.residentByDev {
+	out := make(map[string]uint64, len(g.lanes))
+	for dev, l := range g.lanes {
 		var n uint64
-		if c := slot.Load(); c != nil {
+		if c := l.resident.Load(); c != nil {
 			n = c.Value()
 		}
 		out[dev] = n

@@ -1,10 +1,9 @@
 package gateway
 
 // Adaptive overload control: the closed-loop half of the gateway's
-// admission policy. A background sampler (overloadLoop) folds the one
-// signal the process already has — the backlog waiting in each lane —
-// into a discrete load level, and each level deterministically sheds
-// optional work:
+// admission policy. level folds the one signal the process already
+// has — the backlog waiting in each lane — into a discrete load level,
+// and each level deterministically sheds optional work:
 //
 //	level 0 (normal)    everything on.
 //	level 1 (brownout)  Prewarm paused.
@@ -13,13 +12,22 @@ package gateway
 //	                    cold miss is shed pre-execution with a
 //	                    level-scaled, backlog-honest Retry-After.
 //
-// The level is a pure function of the backlog sampled each tick — no
-// hysteresis, no memory — so it returns to 0 within one controller
-// interval of the load going away, and a fixed backlog always maps to
-// the same level (the property the deterministic ladder tests pin, via
-// the faultinject QueueStall point). How long passes take is not a
-// signal: lanes carry mostly cold passes, which are slow by nature, so
-// a slow pass on an idle lane is ordinary work, not overload.
+// The level is a pure function of the backlog at the moment it is read
+// — no hysteresis, no memory, no sampler — and it is read wherever it
+// acts or is shown: the emergency gate, the prewarm pause, LoadLevel,
+// the netcut_gateway_load_level gauge and /debug/stats. So shedding
+// starts and stops with the backlog itself, and a fixed backlog always
+// maps to the same level (the property the deterministic ladder tests
+// pin, via the faultinject QueueStall point). How long passes take is
+// not a signal: lanes carry mostly cold passes, which are slow by
+// nature, so a slow pass on an idle lane is ordinary work, not
+// overload.
+//
+// The emergency gate alone also looks at the read before its own
+// (g.loadLevel, the last level read): it sheds only when both find
+// level 2. The arrival that first finds a lane full therefore meets
+// that lane's queue-full gate and its exact backlog hint, and a flood
+// that keeps the lane full is shed as overload from the next read on.
 //
 // A lane's parallelism is its permit count, fixed: that is what the
 // backlog-honest Retry-After hints assume. Like every admission
@@ -54,10 +62,9 @@ const (
 	emergencyQueueFrac = 0.9
 )
 
-// LoadLevel reports the overload controller's current load level:
-// 0 normal, 1 brownout, 2 emergency. Always 0 when the controller is
-// disabled (negative Config.OverloadInterval).
-func (g *Gateway) LoadLevel() int { return int(g.loadLevel.Load()) }
+// LoadLevel reads the current load level from the lane backlog:
+// 0 normal, 1 brownout, 2 emergency.
+func (g *Gateway) LoadLevel() int { return g.level() }
 
 // sleep waits d or until the drain starts, whichever is first, and
 // reports whether the caller should keep running. After the timer
@@ -81,31 +88,12 @@ func (g *Gateway) sleep(d time.Duration) bool {
 	}
 }
 
-// overloadLoop is the controller: one tick per Config.OverloadInterval
-// until the drain.
-func (g *Gateway) overloadLoop() {
-	for {
-		if !g.sleep(g.cfg.OverloadInterval) {
-			return
-		}
-		g.overloadTick()
-	}
-}
-
-// overloadTick samples the backlog, publishes the resulting level and
-// counts the transition if it moved.
-func (g *Gateway) overloadTick() {
-	lvl := int32(g.computeLoadLevel())
-	if g.loadLevel.Swap(lvl) != lvl {
-		g.loadTransitions.Inc()
-	}
-}
-
-// computeLoadLevel is the ladder's pure signal fold: the fullest
-// lane's waiting-room occupancy against the brownout/emergencyQueueFrac
-// thresholds (the faultinject QueueStall point reads a lane as
-// completely full, so tests pin the ladder deterministically).
-func (g *Gateway) computeLoadLevel() int {
+// level is the ladder's signal fold: the fullest lane's waiting-room
+// occupancy against the brownout/emergencyQueueFrac thresholds (the
+// faultinject QueueStall point reads a lane as completely full, so
+// tests pin the ladder deterministically). It records the result as
+// the last level read and counts a transition when that moved.
+func (g *Gateway) level() int {
 	occ := 0.0
 	for _, l := range g.lanes {
 		o := float64(l.waiting.Load()) / float64(g.laneQueueCap)
@@ -116,13 +104,16 @@ func (g *Gateway) computeLoadLevel() int {
 			occ = o
 		}
 	}
+	lvl := levelNormal
 	if occ >= emergencyQueueFrac {
-		return levelEmergency
+		lvl = levelEmergency
+	} else if occ >= brownoutQueueFrac {
+		lvl = levelBrownout
 	}
-	if occ >= brownoutQueueFrac {
-		return levelBrownout
+	if g.loadLevel.Swap(int32(lvl)) != int32(lvl) {
+		g.loadTransitions.Inc()
 	}
-	return levelNormal
+	return lvl
 }
 
 // laneWaves is the retry-hint arithmetic shared by the queue-full and

@@ -40,16 +40,15 @@ func retryAfterMs(t *testing.T, rec *httptest.ResponseRecorder) float64 {
 
 // TestFaultOverloadLadderQueueStall pins the ladder's contract at
 // level 2 end to end, deterministically: the QueueStall point reads
-// the lane as completely full, so the controller must report
-// emergency within one interval; resident answers and coalesce joins
-// keep serving; a cold miss is shed pre-execution with the
-// level-scaled backlog-honest hint; and one tick after the signal
-// clears the level is back to 0 and cold misses serve again.
+// the lane as completely full, so the very next read of the level is
+// emergency; resident answers and coalesce joins keep serving; a cold
+// miss is shed pre-execution with the level-scaled backlog-honest
+// hint; and once the signal clears the level reads 0 and cold misses
+// serve again.
 func TestFaultOverloadLadderQueueStall(t *testing.T) {
 	defer faultinject.Reset()
 	cfg := quickConfig(31)
 	cfg.Devices = []device.Config{device.Xavier()}
-	cfg.OverloadInterval = 2 * time.Millisecond
 	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -82,9 +81,11 @@ func TestFaultOverloadLadderQueueStall(t *testing.T) {
 	go func() { leaderDone <- post(g, leaderBody) }()
 	<-entered
 
-	// Stall signal on: the next tick must report emergency.
+	// Stall signal on: the next read is emergency.
 	faultinject.Arm(faultinject.QueueStall, "sim-xavier", 0)
-	waitFor(t, "load level 2", func() bool { return g.LoadLevel() == levelEmergency })
+	if lvl := g.LoadLevel(); lvl != levelEmergency {
+		t.Fatalf("load level %d with the lane stalled, want %d", lvl, levelEmergency)
+	}
 	if g.loadTransitions.Value() == 0 {
 		t.Fatal("level moved to 2 without a recorded transition")
 	}
@@ -144,35 +145,72 @@ func TestFaultOverloadLadderQueueStall(t *testing.T) {
 		t.Fatalf("coalesced bodies diverged:\n%s\n%s", lRec.Body.String(), fRec.Body.String())
 	}
 
-	// Signal off: back to 0 within a tick, cold misses serve again.
+	// Signal off: the level reads 0 again, cold misses serve again.
 	faultinject.Reset()
-	waitFor(t, "load level 0 after the stall clears", func() bool { return g.LoadLevel() == levelNormal })
+	if lvl := g.LoadLevel(); lvl != levelNormal {
+		t.Fatalf("load level %d after the stall cleared, want 0", lvl)
+	}
 	if rec := post(g, graphBody(t, userNet(3), 0.35, "")); rec.Code != http.StatusOK {
 		t.Fatalf("cold miss after recovery: status %d: %s", rec.Code, rec.Body.String())
 	}
 }
 
-// TestOverloadConfigValidation pins the controller knob's edge: a
-// negative OverloadInterval disables the controller — the level stays
-// 0 even with a stall signal armed, and nothing is shed.
-func TestOverloadConfigValidation(t *testing.T) {
+// TestOverloadLevelTable pins the ladder's fold and its transition
+// count: phantom waiters in one lane of several, just below and at
+// each threshold of laneQueueCap, read as levels 0, 1 and 2; every
+// read that moves the level counts one transition and a read that
+// does not counts none; and a QueueStall on the lane reads as level 2
+// whatever its backlog.
+func TestOverloadLevelTable(t *testing.T) {
 	defer faultinject.Reset()
 	cfg := quickConfig(33)
-	cfg.Devices = []device.Config{device.Xavier()}
-	cfg.OverloadInterval = -1
+	cfg.Devices = device.Profiles()
 	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mustShutdown(t, g)
-	faultinject.Arm(faultinject.QueueStall, "sim-xavier", 0)
-	time.Sleep(20 * time.Millisecond)
-	if lvl := g.LoadLevel(); lvl != levelNormal {
-		t.Fatalf("disabled controller reports level %d", lvl)
+	if len(g.lanes) < 2 {
+		t.Fatalf("%d lanes, want several", len(g.lanes))
 	}
-	if rec := post(g, graphBody(t, userNet(0), 0.35, "")); rec.Code != http.StatusOK {
-		t.Fatalf("cold miss with controller disabled: status %d: %s", rec.Code, rec.Body.String())
+	l := g.lanes[device.Xavier().Name]
+	at := func(frac float64) int64 { return int64(math.Ceil(frac * float64(g.laneQueueCap))) }
+	for _, row := range []struct {
+		waiting int64
+		stall   bool
+		want    int
+	}{
+		{0, false, levelNormal},
+		{at(brownoutQueueFrac) - 1, false, levelNormal},
+		{at(brownoutQueueFrac), false, levelBrownout},
+		{at(emergencyQueueFrac) - 1, false, levelBrownout},
+		{at(emergencyQueueFrac), false, levelEmergency},
+		{at(brownoutQueueFrac) - 1, false, levelNormal},
+		{0, true, levelEmergency},
+		{0, false, levelNormal},
+	} {
+		l.waiting.Store(row.waiting)
+		faultinject.Reset()
+		if row.stall {
+			faultinject.Arm(faultinject.QueueStall, l.device, 0)
+		}
+		prev, before := g.loadLevel.Load(), g.loadTransitions.Value()
+		for read := 0; read < 3; read++ {
+			if got := g.LoadLevel(); got != row.want {
+				t.Fatalf("waiting %d of %d (stall %v): level %d, want %d",
+					row.waiting, g.laneQueueCap, row.stall, got, row.want)
+			}
+		}
+		wantMoves := uint64(0)
+		if int(prev) != row.want {
+			wantMoves = 1
+		}
+		if got := g.loadTransitions.Value() - before; got != wantMoves {
+			t.Fatalf("waiting %d (stall %v): %d transitions counted over three reads, want %d",
+				row.waiting, row.stall, got, wantMoves)
+		}
 	}
+	l.waiting.Store(0)
 }
 
 // TestOverloadBrownoutKeepsEveryTrace pins that the load level does
@@ -181,14 +219,21 @@ func TestOverloadConfigValidation(t *testing.T) {
 func TestOverloadBrownoutKeepsEveryTrace(t *testing.T) {
 	cfg := quickConfig(34)
 	cfg.Devices = []device.Config{device.Xavier()}
-	cfg.OverloadInterval = -1 // manual level control below
 	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mustShutdown(t, g)
 
-	g.loadLevel.Store(levelBrownout)
+	// Phantom waiters fill half the waiting room: brownout, with room
+	// left for the requests below.
+	l := g.lanes["sim-xavier"]
+	phantom := int64(math.Ceil(brownoutQueueFrac * float64(g.laneQueueCap)))
+	l.waiting.Add(phantom)
+	defer l.waiting.Add(-phantom)
+	if lvl := g.LoadLevel(); lvl != levelBrownout {
+		t.Fatalf("load level %d with a half-full lane, want %d", lvl, levelBrownout)
+	}
 	for i := 0; i < 8; i++ {
 		if rec := post(g, graphBody(t, userNet(10+i), 0.35, "")); rec.Code != http.StatusOK {
 			t.Fatalf("request %d under brownout: status %d: %s", i, rec.Code, rec.Body.String())
@@ -197,13 +242,12 @@ func TestOverloadBrownoutKeepsEveryTrace(t *testing.T) {
 	if got := g.ring.Len(); got != 8 {
 		t.Fatalf("ring holds %d of 8 brownout traces, want all", got)
 	}
-	g.loadLevel.Store(levelNormal)
 }
 
 // TestOverloadBrownoutPausesPrewarm pins the prewarm sweep's brownout
-// pause with one task per device in flight: while the controller holds
+// pause with one task per device in flight: while lane backlog holds
 // the load level at brownout, netcut_gateway_prewarmed_total does not
-// move over several controller ticks; once the level clears, the sweep
+// move over several watches; once the level clears, the sweep
 // finishes with the full zoo x fleet count. A drain during the pause
 // aborts the sweep and closes its channel.
 func TestOverloadBrownoutPausesPrewarm(t *testing.T) {
@@ -211,7 +255,6 @@ func TestOverloadBrownoutPausesPrewarm(t *testing.T) {
 	newGateway := func(t *testing.T) *Gateway {
 		cfg := quickConfig(35)
 		cfg.Devices = device.Profiles()
-		cfg.OverloadInterval = tick
 		g, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -220,13 +263,15 @@ func TestOverloadBrownoutPausesPrewarm(t *testing.T) {
 	}
 	// holdBrownout parks phantom leaders in half of one lane's waiting
 	// room — the brownout threshold, short of the emergency one — and
-	// waits for the controller to publish brownout. The returned func
-	// takes them out again.
+	// checks that the level reads brownout. The returned func takes them
+	// out again.
 	holdBrownout := func(t *testing.T, g *Gateway) (release func()) {
 		l := g.lanes[device.Xavier().Name]
 		n := int64(math.Ceil(brownoutQueueFrac * float64(g.laneQueueCap)))
 		l.waiting.Add(n)
-		waitFor(t, "brownout", func() bool { return g.LoadLevel() == levelBrownout })
+		if lvl := g.LoadLevel(); lvl != levelBrownout {
+			t.Fatalf("load level %d with a half-full lane, want %d", lvl, levelBrownout)
+		}
 		return func() { l.waiting.Add(-n) }
 	}
 	// paused watches the sweep over several ticks of a held brownout.
@@ -344,7 +389,6 @@ func TestOverloadSlowPassesStayNormal(t *testing.T) {
 	defer faultinject.Reset()
 	cfg := quickConfig(43)
 	cfg.Devices = []device.Config{device.Xavier()}
-	cfg.OverloadInterval = -1 // ticks driven by hand
 	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +413,6 @@ func TestOverloadSlowPassesStayNormal(t *testing.T) {
 			t.Fatalf("pass %d took %v, not held for %v", i, d, hold)
 		}
 	}
-	g.overloadTick()
 	if lvl := g.LoadLevel(); lvl != levelNormal {
 		t.Fatalf("%d passes held %v (warm p99 %.3f ms) on an idle lane raised the level to %d, want 0",
 			passes, hold, p99, lvl)
@@ -619,7 +662,6 @@ func TestFaultOverloadSoak(t *testing.T) {
 	cfg.Devices = []device.Config{device.Xavier()}
 	cfg.Workers = 1
 	cfg.QueueDepth = 4
-	cfg.OverloadInterval = 3 * time.Millisecond
 	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -66,7 +66,7 @@ func TestResidentAnswerSkipsLane(t *testing.T) {
 	if got := g.Planner().Executions(); got != execs {
 		t.Fatalf("resident answer cost planner executions: %d -> %d", execs, got)
 	}
-	if got := g.residentCounter("sim-xavier").Value(); got != 1 {
+	if got := g.residentCounter(g.lanes["sim-xavier"]).Value(); got != 1 {
 		t.Fatalf("resident counter %d, want 1", got)
 	}
 
@@ -125,7 +125,7 @@ func TestResidentAnswerSkipsLane(t *testing.T) {
 			t.Fatalf("repeat %d: status %d: %s", i, again.Code, again.Body.String())
 		}
 	}
-	if got := g.residentCounter("sim-xavier").Value(); got != 3 {
+	if got := g.residentCounter(g.lanes["sim-xavier"]).Value(); got != 3 {
 		t.Fatalf("resident counter %d after two repeats, want 3", got)
 	}
 	if got := g.Planner().Executions(); got != execs {
@@ -156,7 +156,7 @@ func TestByteCacheHitSkipsExecution(t *testing.T) {
 	if execs == 0 {
 		t.Fatal("first request did not execute")
 	}
-	if got := g.residentCounter("sim-xavier").Value(); got != 0 {
+	if got := g.residentCounter(g.lanes["sim-xavier"]).Value(); got != 0 {
 		t.Fatalf("resident counter %d after the first request, want 0", got)
 	}
 
@@ -170,7 +170,7 @@ func TestByteCacheHitSkipsExecution(t *testing.T) {
 	if got := g.Planner().Executions(); got != execs {
 		t.Fatalf("planner executions = %d after an exact repeat, want unchanged %d", got, execs)
 	}
-	if got := g.residentCounter("sim-xavier").Value(); got != 1 {
+	if got := g.residentCounter(g.lanes["sim-xavier"]).Value(); got != 1 {
 		t.Fatalf("resident counter %d after an exact repeat, want 1", got)
 	}
 
@@ -251,7 +251,7 @@ func TestResidentByteIdenticalUnderConcurrency(t *testing.T) {
 		for err := range errs {
 			t.Fatal(err)
 		}
-		if g.residentCounter("sim-xavier").Value() == 0 {
+		if g.residentCounter(g.lanes["sim-xavier"]).Value() == 0 {
 			t.Fatalf("GOMAXPROCS=%d: no request was a resident answer, the comparison proved nothing", width)
 		}
 		mustShutdown(t, g)
@@ -350,7 +350,7 @@ func TestResidentRefusedByEarlierGates(t *testing.T) {
 		net := poisonNet(2, "poison-resident")
 		seedStep(t, g, net, "sim-xavier")
 		body := graphBody(t, net, 0.35, `,"target":"sim-xavier"`)
-		if rec := post(g, body); rec.Code != http.StatusOK || g.residentCounter("sim-xavier").Value() != 1 {
+		if rec := post(g, body); rec.Code != http.StatusOK || g.residentCounter(g.lanes["sim-xavier"]).Value() != 1 {
 			t.Fatalf("repeat before the quarantine: status %d, not resident", rec.Code)
 		}
 		faultinject.Arm(faultinject.TrimPanic, "poison-resident", quarantineAfter)
@@ -384,7 +384,6 @@ func TestResidentBeatsSheds(t *testing.T) {
 		defer faultinject.Reset()
 		cfg := quickConfig(77)
 		cfg.Devices = []device.Config{device.Xavier()}
-		cfg.OverloadInterval = -1
 		g, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -392,7 +391,6 @@ func TestResidentBeatsSheds(t *testing.T) {
 		defer mustShutdown(t, g)
 		step := seedStep(t, g, userNet(4), "sim-xavier")
 		faultinject.Arm(faultinject.QueueStall, "", 0)
-		g.overloadTick()
 		if lvl := g.LoadLevel(); lvl != levelEmergency {
 			t.Fatalf("load level %d, want %d", lvl, levelEmergency)
 		}
@@ -461,7 +459,7 @@ func TestResidentAnswerAllocs(t *testing.T) {
 		}
 		i++
 	})
-	if got := g.residentCounter("sim-xavier").Value(); got != runs+1 {
+	if got := g.residentCounter(g.lanes["sim-xavier"]).Value(); got != runs+1 {
 		t.Fatalf("%d resident answers, want %d", got, runs+1)
 	}
 	if allocs > 48 {

@@ -177,9 +177,9 @@ func (g *Gateway) finishTrace(tr *trace.Trace, status int, now time.Time) {
 // netcut_gateway_stage_ms{stage,device} histograms. Gate spans miss the
 // map and are skipped — they are verdicts, not durations.
 func (g *Gateway) observeStages(tr *trace.Trace) {
-	byStage := g.stageHists[tr.DeviceOr(stageDeviceNone)]
-	if byStage == nil {
-		byStage = g.stageHists[stageDeviceNone]
+	byStage := g.stagesNone
+	if l := g.lanes[tr.DeviceOr("")]; l != nil {
+		byStage = l.stages
 	}
 	tr.ForEach(func(sp trace.Span) {
 		if h, ok := byStage[sp.Stage]; ok {

@@ -43,9 +43,10 @@
 // states produce equal bytes. Saving a state and restoring it into a
 // fresh process, then saving again, yields the identical file — the
 // restore-equals-recompute contract the serve package pins. Decoding
-// may run sections concurrently (DecodeParallel) without changing any
-// of that: sections are independent, results land in position-indexed
-// slots, and cut replay re-inserts serially in snapshot order.
+// runs sections concurrently (in order at GOMAXPROCS 1) without
+// changing any of that: sections are independent, results land in
+// position-indexed slots, and cut replay re-inserts serially in
+// snapshot order.
 package persist
 
 import (
@@ -147,10 +148,12 @@ func Encode(w io.Writer, f *File) error {
 	return WriteSections(w, f.Sections())
 }
 
-// Decode reads and validates a snapshot serially: magic, schema
-// version and both checksum layers gate the parse, so a stale, foreign
-// or corrupt file is a structured error before any of its content is
-// trusted. Callers then match the frame identity fields themselves.
+// Decode reads and validates a snapshot: magic, schema version and
+// both checksum layers gate the parse, so a stale, foreign or corrupt
+// file is a structured error before any of its content is trusted.
+// Sections decode concurrently (width par.Workers); results and errors
+// are the same at every width. Callers then match the frame identity
+// fields themselves.
 func Decode(r io.Reader) (*File, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -159,25 +162,28 @@ func Decode(r io.Reader) (*File, error) {
 	return DecodeBytes(raw)
 }
 
-// DecodeParallel is Decode with sections decoded concurrently (width
-// par.Workers). Identical results and errors — parallelism changes
-// wall-clock only.
-func DecodeParallel(r io.Reader) (*File, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("persist: reading snapshot: %w", err)
-	}
-	return DecodeBytesParallel(raw)
-}
-
 // DecodeBytes is Decode over an in-memory snapshot (the fuzz target).
 func DecodeBytes(raw []byte) (*File, error) {
-	return decodeAll(raw, false)
-}
-
-// DecodeBytesParallel is DecodeParallel over an in-memory snapshot.
-func DecodeBytesParallel(raw []byte) (*File, error) {
-	return decodeAll(raw, true)
+	r, err := NewSectionReader(raw)
+	if err != nil {
+		return nil, err
+	}
+	// Section decoding is pure (no shared state) and each section lands
+	// in its position-indexed slot, so the width changes wall-clock
+	// only; an error is the lowest-index section's (the par.ForEach
+	// contract).
+	secs := make([]Section, r.Len())
+	if err := par.ForEach(r.Len(), func(i int) error {
+		s, err := r.Decode(i)
+		if err != nil {
+			return err
+		}
+		secs[i] = *s
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return FromSections(secs)
 }
 
 // CaptureCuts snapshots the process-wide cut cache as cut coordinates,

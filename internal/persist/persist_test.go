@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -174,8 +175,8 @@ func richFile(t *testing.T) *File {
 
 // TestSectionRoundTrip pins the section-level API: Sections/
 // FromSections invert each other, SectionReader decodes frames
-// independently and in iterator order, identity peeks match, and the
-// parallel decode path returns bit-identical results to the serial one.
+// independently and in iterator order, identity peeks match, and
+// Decode returns bit-identical results at GOMAXPROCS 1 and 4.
 func TestSectionRoundTrip(t *testing.T) {
 	f := richFile(t)
 	secs := f.Sections()
@@ -236,16 +237,18 @@ func TestSectionRoundTrip(t *testing.T) {
 		t.Fatalf("iterator yielded %d frames, want %d", n, len(secs))
 	}
 
-	serial, err := DecodeBytes(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
+	// At GOMAXPROCS 1 the sections decode in order; at 4 they fan out.
+	decodeAt := func(procs int) *File {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		got, err := DecodeBytes(buf.Bytes())
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+		return got
 	}
-	parallel, err := DecodeBytesParallel(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, parallel := decodeAt(1), decodeAt(4)
 	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("parallel decode diverged from serial decode")
+		t.Fatal("decode at GOMAXPROCS 4 diverged from decode at GOMAXPROCS 1")
 	}
 	if !reflect.DeepEqual(serial, f) {
 		t.Fatal("decoded file diverged from the original")

@@ -8,7 +8,6 @@ import (
 
 	"netcut/internal/device"
 	"netcut/internal/graph"
-	"netcut/internal/par"
 	"netcut/internal/profiler"
 )
 
@@ -349,8 +348,8 @@ func (r *SectionReader) ID(i int) (SectionID, error) {
 }
 
 // Decode checksums and decodes frame i. Frames are independent, so
-// concurrent Decode calls on distinct indexes are safe — the parallel
-// restore path fans exactly this out.
+// concurrent Decode calls on distinct indexes are safe — the package
+// Decode fans exactly this out.
 func (r *SectionReader) Decode(i int) (*Section, error) {
 	s, err := decodeFrame(r.frames[i])
 	if err != nil {
@@ -403,38 +402,6 @@ func checkEnvelope(raw []byte) ([]byte, error) {
 			ErrChecksumMismatch, got, want)
 	}
 	return payload, nil
-}
-
-// decodeAll decodes every frame — concurrently when parallel is set,
-// each section into its position-indexed slot — and reassembles the
-// File. Section decoding is pure (no shared state), so parallelism
-// changes wall-clock only; errors surface as the lowest-index
-// section's error either way (the par.ForEach contract).
-func decodeAll(raw []byte, parallel bool) (*File, error) {
-	r, err := NewSectionReader(raw)
-	if err != nil {
-		return nil, err
-	}
-	secs := make([]Section, r.Len())
-	decodeOne := func(i int) error {
-		s, err := r.Decode(i)
-		if err != nil {
-			return err
-		}
-		secs[i] = *s
-		return nil
-	}
-	if parallel {
-		err = par.ForEach(r.Len(), decodeOne)
-	} else {
-		for i := 0; i < r.Len() && err == nil; i++ {
-			err = decodeOne(i)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return FromSections(secs)
 }
 
 // Per-kind record codecs. The count() minimums are conservative

@@ -130,7 +130,7 @@ func (p *Planner) SaveState(w io.Writer) error {
 // persist.ErrVersionMismatch / ErrChecksumMismatch / ErrStateMismatch —
 // and leave the planner fully functional on the cold path.
 func (p *Planner) LoadState(r io.Reader) error {
-	f, err := persist.DecodeParallel(r)
+	f, err := persist.Decode(r)
 	if err != nil {
 		return err
 	}
@@ -230,7 +230,7 @@ func (pp *PlannerPool) SaveStateFor(w io.Writer, devices ...string) error {
 // Every matched section — and every cut — is validated before any is
 // applied, so a rejected snapshot leaves every cache untouched.
 func (pp *PlannerPool) LoadState(r io.Reader) error {
-	f, err := persist.DecodeParallel(r)
+	f, err := persist.Decode(r)
 	if err != nil {
 		return err
 	}

@@ -499,3 +499,88 @@ func TestPoolSectionShard(t *testing.T) {
 		t.Fatal("SaveStateFor accepted an unserved device name")
 	}
 }
+
+// TestPlannerRestoresFromPoolSnapshot pins the pool/planner snapshot
+// interchange: a lone Planner restored from a multi-device pool's
+// snapshot answers byte-identically to the pool's planner for its
+// device, on the warm path, and a one-device pool writes the same
+// snapshot bytes as a lone planner with the same configuration.
+func TestPlannerRestoresFromPoolSnapshot(t *testing.T) {
+	trim.PurgeCutCache()
+	t.Cleanup(trim.PurgeCutCache)
+	reqs := warmRequests(t)
+	devs := device.Profiles()[:3]
+	pool, err := NewPool(PoolConfig{Base: Config{Seed: 17, Protocol: quickProto}, Devices: devs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string][][10]interface{})
+	for _, name := range pool.DeviceNames() {
+		p, err := pool.Planner(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = mustSelectAll(t, p, reqs)
+	}
+	var snap bytes.Buffer
+	if err := pool.SaveState(&snap); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := range devs {
+		d := devs[i]
+		t.Run("restore/"+d.Name, func(t *testing.T) {
+			trim.PurgeCutCache()
+			lone, err := New(Config{Seed: 17, Protocol: quickProto, Device: &d})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lone.Instrument(telemetry.NewRegistry())
+			if err := lone.LoadState(bytes.NewReader(snap.Bytes())); err != nil {
+				t.Fatalf("LoadState: %v", err)
+			}
+			got := mustSelectAll(t, lone, reqs)
+			for j := range reqs {
+				if got[j] != want[d.Name][j] {
+					t.Fatalf("request %d: restored planner answered %v, pool planner %v", j, got[j], want[d.Name][j])
+				}
+			}
+			if _, samples := lone.WarmQuantile(0.99); samples != uint64(len(reqs)) {
+				t.Fatalf("warm executions = %d, want %d (restored planner must not run cold)", samples, len(reqs))
+			}
+		})
+	}
+
+	t.Run("one-device-pool-bytes", func(t *testing.T) {
+		d := devs[1]
+		trim.PurgeCutCache()
+		lone, err := New(Config{Seed: 19, Protocol: quickProto, Device: &d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustSelectAll(t, lone, reqs)
+		var loneSnap bytes.Buffer
+		if err := lone.SaveState(&loneSnap); err != nil {
+			t.Fatal(err)
+		}
+
+		trim.PurgeCutCache()
+		single, err := NewPool(PoolConfig{Base: Config{Seed: 19, Protocol: quickProto}, Devices: []device.Config{d}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, r := range reqs {
+			if _, err := single.Select(d.Name, r); err != nil {
+				t.Fatalf("request %d: %v", j, err)
+			}
+		}
+		var poolSnap bytes.Buffer
+		if err := single.SaveState(&poolSnap); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(loneSnap.Bytes(), poolSnap.Bytes()) {
+			t.Fatalf("one-device pool snapshot (%d bytes) differs from the lone planner's (%d bytes)",
+				poolSnap.Len(), loneSnap.Len())
+		}
+	})
+}

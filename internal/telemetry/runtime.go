@@ -14,11 +14,11 @@ import (
 // that cost per gauge.
 const memSampleTTL = time.Second
 
-// MemSampler memoizes runtime.ReadMemStats across the consumers that
-// sample it (the runtime gauges here, the gateway's overload
-// controller), so a tight sampling loop never pays the stop-the-world
-// more than once per TTL. The zero value is ready to use.
-type MemSampler struct {
+// memSampler memoizes runtime.ReadMemStats across the runtime gauges
+// that sample it (heap bytes and GC pause p99), so a tight scrape loop
+// never pays the stop-the-world more than once per TTL. The zero value
+// is ready to use.
+type memSampler struct {
 	mu   sync.Mutex
 	at   time.Time
 	stat runtime.MemStats
@@ -26,7 +26,7 @@ type MemSampler struct {
 
 // Read returns the memoized MemStats, refreshing it when the TTL has
 // elapsed.
-func (m *MemSampler) Read() runtime.MemStats {
+func (m *memSampler) Read() runtime.MemStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if now := time.Now(); m.at.IsZero() || now.Sub(m.at) >= memSampleTTL {
@@ -36,11 +36,11 @@ func (m *MemSampler) Read() runtime.MemStats {
 	return m.stat
 }
 
-// GCPauseP99 reports a conservative p99 over the runtime's ring of the
+// gcPauseP99 reports a conservative p99 over the runtime's ring of the
 // last 256 GC pauses: with fewer than 100 samples the max is returned,
 // matching the repo-wide rule that approximate quantiles over-report
 // rather than under-report.
-func GCPauseP99(ms *runtime.MemStats) float64 {
+func gcPauseP99(ms *runtime.MemStats) float64 {
 	n := int(ms.NumGC)
 	if n == 0 {
 		return 0
@@ -69,7 +69,7 @@ func GCPauseP99(ms *runtime.MemStats) float64 {
 // All are sampled at scrape time; registration itself reads no state.
 func RegisterRuntime(r *Registry) {
 	start := time.Now()
-	ms := &MemSampler{}
+	ms := &memSampler{}
 
 	r.GaugeFunc("netcut_runtime_goroutines",
 		"Current number of goroutines.",
@@ -84,7 +84,7 @@ func RegisterRuntime(r *Registry) {
 		"p99 GC stop-the-world pause over the runtime's recent pause window, milliseconds (conservative: reports max below 100 samples).",
 		func() float64 {
 			stat := ms.Read()
-			return GCPauseP99(&stat)
+			return gcPauseP99(&stat)
 		})
 	r.GaugeFunc("netcut_runtime_uptime_seconds",
 		"Seconds since the process registered runtime metrics.",

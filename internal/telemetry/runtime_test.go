@@ -57,7 +57,7 @@ func TestRuntimeGaugesSane(t *testing.T) {
 
 func TestGCPauseP99Conservative(t *testing.T) {
 	var ms runtime.MemStats
-	if got := GCPauseP99(&ms); got != 0 {
+	if got := gcPauseP99(&ms); got != 0 {
 		t.Fatalf("p99 with no GCs = %v, want 0", got)
 	}
 	// Below 100 samples the max must be reported (over-report, never
@@ -65,7 +65,7 @@ func TestGCPauseP99Conservative(t *testing.T) {
 	ms.NumGC = 5
 	ms.PauseNs[0], ms.PauseNs[1], ms.PauseNs[2], ms.PauseNs[3], ms.PauseNs[4] =
 		1e6, 2e6, 3e6, 4e6, 9e6
-	if got := GCPauseP99(&ms); got != 9 {
+	if got := gcPauseP99(&ms); got != 9 {
 		t.Fatalf("p99 with 5 samples = %v, want max 9", got)
 	}
 	// With a full window the p99 sits at or above the 99th percentile.
@@ -73,7 +73,7 @@ func TestGCPauseP99Conservative(t *testing.T) {
 	for i := range ms.PauseNs {
 		ms.PauseNs[i] = uint64(i+1) * 1e5 // 0.1ms .. 25.6ms
 	}
-	got := GCPauseP99(&ms)
+	got := gcPauseP99(&ms)
 	if got < 25.3 || got > 25.6 {
 		t.Fatalf("p99 over full window = %v, want in [25.3, 25.6]", got)
 	}
