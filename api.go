@@ -44,13 +44,15 @@ type (
 // FC/Softmax over 5 grasp classes).
 var DefaultHead = trim.DefaultHead
 
-// Networks returns the seven networks of the paper's study.
+// Networks returns the seven networks of the paper's study: the
+// process's shared, immutable instances, in a fresh slice.
 func Networks() []*Graph { return zoo.Paper7() }
 
 // NetworkNames lists the canonical network names, fastest first.
 func NetworkNames() []string { return append([]string(nil), zoo.Names...) }
 
-// NetworkByName builds one of the paper's networks by name.
+// NetworkByName returns the process's shared, immutable instance of one
+// of the paper's networks by name.
 func NetworkByName(name string) (*Graph, error) { return zoo.ByName(name) }
 
 // XavierConfig returns the calibrated embedded-GPU simulation standing

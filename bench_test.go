@@ -534,6 +534,28 @@ func runGatewayThroughput(b *testing.B, gw *Gateway) {
 	}
 }
 
+// BenchmarkGatewayBoot times a default (four-device) gateway's boot,
+// NewGateway plus MarkReady: the exec-to-ready work of a netserve
+// start without -state or -prewarm. It builds no zoo network, since
+// those are built on first use; a rebuild that creeps back onto the
+// boot path shows in allocs/op (internal/gateway's
+// TestGatewayBootAllocs gates it).
+func BenchmarkGatewayBoot(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		gw, err := NewGateway(GatewayConfig{Planner: PlannerConfig{Seed: 1}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		gw.MarkReady()
+		b.StopTimer()
+		if err := gw.Shutdown(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
 // BenchmarkGatewayPrewarm times the startup prewarm sweep: every zoo
 // network planned cold on every device of a default (four-device)
 // gateway, the set-up a daemon started with -prewarm pays before its

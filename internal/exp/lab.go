@@ -62,7 +62,6 @@ type Lab struct {
 	sim  *transfer.Simulator
 	rt   core.Retrainer
 
-	nets       par.Lazy[[]*graph.Graph]
 	candidates par.Lazy[[]core.Candidate]
 	tables     par.Lazy[map[string]*profiler.Table]
 	sweep      par.Lazy[*core.Sweep]
@@ -100,22 +99,14 @@ func (l *Lab) Deadline() float64 { return l.cfg.DeadlineMs }
 // Device returns the simulated device.
 func (l *Lab) Device() *device.Device { return l.p.Device() }
 
-// networks returns the shared network slice; callers must not mutate it.
-func (l *Lab) networks() []*graph.Graph {
-	nets, _ := l.nets.Get(func() ([]*graph.Graph, error) { return zoo.Paper7(), nil })
-	return nets
-}
-
-// Networks returns the seven paper networks (built once). The returned
-// slice is the caller's to mutate.
-func (l *Lab) Networks() []*graph.Graph {
-	return append([]*graph.Graph(nil), l.networks()...)
-}
+// Networks returns the seven paper networks: the process's shared
+// instances, in a slice that is the caller's to mutate.
+func (l *Lab) Networks() []*graph.Graph { return zoo.Paper7() }
 
 // buildCandidates measures and accuracy-scores the zoo, one worker per
 // network.
 func (l *Lab) buildCandidates() ([]core.Candidate, error) {
-	nets := l.networks()
+	nets := zoo.Paper7()
 	out := make([]core.Candidate, len(nets))
 	err := par.ForEach(len(nets), func(i int) (err error) {
 		out[i], err = l.p.Candidate(nets[i])
@@ -138,7 +129,7 @@ func (l *Lab) Candidates() ([]core.Candidate, error) {
 }
 
 func (l *Lab) buildTables() (map[string]*profiler.Table, error) {
-	nets := l.networks()
+	nets := zoo.Paper7()
 	tbls := make([]*profiler.Table, len(nets))
 	err := par.ForEach(len(nets), func(i int) error {
 		tbls[i] = l.prof.Profile(nets[i])

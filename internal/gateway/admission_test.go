@@ -138,10 +138,7 @@ var admissionStates = map[string]admissionState{
 	},
 	"emergency": {
 		setup: func(t *testing.T, g *Gateway) *graph.Graph {
-			faultinject.Arm(faultinject.QueueStall, "", 0)
-			if lvl := g.LoadLevel(); lvl != levelEmergency {
-				t.Fatalf("load level %d with every lane stalled, want %d", lvl, levelEmergency)
-			}
+			enterEmergency(t, g, "")
 			return nil
 		},
 	},

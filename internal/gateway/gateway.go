@@ -126,6 +126,7 @@ import (
 
 	"netcut/internal/device"
 	"netcut/internal/faultinject"
+	"netcut/internal/graph"
 	"netcut/internal/lru"
 	"netcut/internal/par"
 	"netcut/internal/serve"
@@ -437,8 +438,8 @@ type Gateway struct {
 	requestLatMs   *telemetry.Histogram
 
 	// Overload control (see overload.go): loadLevel is the last load
-	// level read (0 normal, 1 brownout, 2 emergency), kept to count its
-	// transitions and for the emergency gate's second read.
+	// level admission read (0 normal, 1 brownout, 2 emergency), kept to
+	// count its transitions and for the emergency gate's second read.
 	loadLevel       atomic.Int32
 	loadTransitions *telemetry.Counter
 	shedOverload    *telemetry.Counter
@@ -514,7 +515,7 @@ func New(cfg Config) (*Gateway, error) {
 		slowTraces: reg.Counter("netcut_gateway_slow_traces_total",
 			"requests whose end-to-end trace exceeded Config.SlowTraceMs and were logged"),
 		loadTransitions: reg.Counter("netcut_gateway_load_transitions_total",
-			"overload-controller load-level changes (any direction)"),
+			"load-level changes seen by admission (any direction)"),
 		shedOverload: reg.Counter("netcut_gateway_shed_overload_total",
 			"cold misses shed at admission while the load level was 2 (emergency)"),
 		degradedServed: reg.Counter("netcut_gateway_degraded_total",
@@ -1016,13 +1017,12 @@ func (g *Gateway) gates(dec *decodedRequest, dev string, tr *trace.Trace) (*call
 	tr.MarkZero(stageCoalesce, "leader")
 
 	// Emergency gate: while the load level reads 2 on this read and on
-	// the read before it, every cold miss — degraded ones too, a
+	// admission's read before it, every cold miss — degraded ones too, a
 	// fallback still costs an execution — is shed pre-execution with a
 	// level-scaled backlog-honest hint. The arrival whose read first
 	// finds level 2 goes on to its lane's own gates, so a lane that has
 	// just filled answers queue_full with its exact backlog hint.
-	prev := int(g.loadLevel.Load())
-	if lvl := g.level(); lvl >= levelEmergency && prev >= levelEmergency {
+	if lvl, prev := g.admitLevel(); lvl >= levelEmergency && prev >= levelEmergency {
 		tr.MarkZero(stageShed, "overload")
 		g.shedOverload.Inc()
 		e := errf(http.StatusTooManyRequests, "overload_shed",
@@ -1327,7 +1327,7 @@ func (g *Gateway) probeLoop(l *lane) {
 			hook(l.device)
 		}
 		l.probes.Inc()
-		if zooPlan(l.planner, zoo.Names[0]) {
+		if zooPlan(l.planner, zoo.Paper7()[0]) {
 			l.consecutive.Store(0)
 			l.unhealthy.Store(false)
 			l.unhealthyGauge.Set(0)
@@ -1541,7 +1541,7 @@ func (g *Gateway) Prewarm() <-chan struct{} {
 // zoo order, re-checking the drain and the load level before each
 // plan.
 func (g *Gateway) prewarmDevice(p *serve.Planner) {
-	for _, netName := range zoo.Names {
+	for _, net := range zoo.Paper7() {
 		select {
 		case <-g.stop:
 			return
@@ -1555,7 +1555,7 @@ func (g *Gateway) prewarmDevice(p *serve.Planner) {
 				return
 			}
 		}
-		if zooPlan(p, netName) {
+		if zooPlan(p, net) {
 			g.prewarmed.Inc()
 		}
 	}
@@ -1566,12 +1566,8 @@ func (g *Gateway) prewarmDevice(p *serve.Planner) {
 // lane's panic boundary, so a poison zoo entry cannot crash the
 // process from a background goroutine either. It reports success; a
 // panic or a planner error is a failure.
-func zooPlan(p *serve.Planner, name string) bool {
-	zg, err := zooGraph(name)
-	if err != nil {
-		return false
-	}
-	res := runPass(p, serve.Request{Graph: zg, DeadlineMs: 0.9, Estimator: "profiler"})
+func zooPlan(p *serve.Planner, net *graph.Graph) bool {
+	res := runPass(p, serve.Request{Graph: net, DeadlineMs: 0.9, Estimator: "profiler"})
 	return !res.panicked && res.err == nil
 }
 

@@ -7,7 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -527,6 +530,39 @@ func TestGatewayShedActivatesAtWarmThreshold(t *testing.T) {
 	}
 }
 
+// TestGatewayBootAllocs gates the boot path: a default (four-device)
+// gateway's New plus MarkReady, as the first thing a process does,
+// makes ~1.4k allocations, while one build of the paper zoo adds
+// ~5.3k, so a zoo build creeping back onto boot fails the bound. It
+// reruns itself in a fresh process, where nothing has been built yet.
+func TestGatewayBootAllocs(t *testing.T) {
+	const bound = 3000
+	if os.Getenv("NETCUT_BOOT_ALLOCS") == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestGatewayBootAllocs$", "-test.count=1", "-test.v")
+		cmd.Env = append(os.Environ(), "NETCUT_BOOT_ALLOCS=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("fresh process: %v\n%s", err, out)
+		}
+		t.Logf("fresh process:\n%s", out)
+		return
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := New(Config{Planner: serve.Config{Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.MarkReady()
+	runtime.ReadMemStats(&after)
+	mustShutdown(t, g)
+	allocs := after.Mallocs - before.Mallocs
+	if allocs > bound {
+		t.Fatalf("booting a default gateway makes %d allocations, want <= %d (is the zoo built on boot again?)", allocs, bound)
+	}
+	t.Logf("boot: %d allocs", allocs)
+}
+
 // TestGatewayRejectsNegativeConfig pins that bad knobs are a prompt
 // constructor error (netserve exits 1 on them), never a panic.
 func TestGatewayRejectsNegativeConfig(t *testing.T) {
@@ -622,18 +658,23 @@ func TestGatewayNameConflictIs409(t *testing.T) {
 	}
 	defer mustShutdown(t, g)
 
+	conflict := func(imposter *graph.Graph) {
+		t.Helper()
+		rec := post(g, graphBody(t, imposter, 0.35, ""))
+		if rec.Code != http.StatusConflict {
+			t.Fatalf("imposter %s: status %d: %s", imposter.Name, rec.Code, rec.Body.String())
+		}
+		var e ErrorWire
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Code != "name_conflict" {
+			t.Fatalf("imposter body %s", rec.Body.String())
+		}
+	}
+	// A zoo name is bound from the start: the gateway's first request.
+	conflict(namedNet("ResNet-50", 2))
 	if rec := post(g, graphBody(t, userNet(0), 0.35, "")); rec.Code != http.StatusOK {
-		t.Fatalf("first request: %d", rec.Code)
+		t.Fatalf("first user request: %d", rec.Code)
 	}
-	imposter := namedNet("user-net-0", 1)
-	rec := post(g, graphBody(t, imposter, 0.35, ""))
-	if rec.Code != http.StatusConflict {
-		t.Fatalf("imposter: status %d: %s", rec.Code, rec.Body.String())
-	}
-	var e ErrorWire
-	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Code != "name_conflict" {
-		t.Fatalf("imposter body %s", rec.Body.String())
-	}
+	conflict(namedNet("user-net-0", 1))
 }
 
 // TestGatewayDrain pins graceful shutdown: in-flight requests complete

@@ -23,11 +23,12 @@ package gateway
 // nature, so a slow pass on an idle lane is ordinary work, not
 // overload.
 //
-// The emergency gate alone also looks at the read before its own
-// (g.loadLevel, the last level read): it sheds only when both find
-// level 2. The arrival that first finds a lane full therefore meets
-// that lane's queue-full gate and its exact backlog hint, and a flood
-// that keeps the lane full is shed as overload from the next read on.
+// The emergency gate alone also looks at admission's read before its
+// own (g.loadLevel; no other reader records): it sheds only when both
+// find level 2. The arrival that first finds a lane full therefore
+// meets that lane's queue-full gate and its exact backlog hint, and a
+// flood that keeps the lane full is shed as overload from the next
+// arrival on, whoever else reads the level in between.
 //
 // A lane's parallelism is its permit count, fixed: that is what the
 // backlog-honest Retry-After hints assume. Like every admission
@@ -91,8 +92,7 @@ func (g *Gateway) sleep(d time.Duration) bool {
 // level is the ladder's signal fold: the fullest lane's waiting-room
 // occupancy against the brownout/emergencyQueueFrac thresholds (the
 // faultinject QueueStall point reads a lane as completely full, so
-// tests pin the ladder deterministically). It records the result as
-// the last level read and counts a transition when that moved.
+// tests pin the ladder deterministically). It records nothing.
 func (g *Gateway) level() int {
 	occ := 0.0
 	for _, l := range g.lanes {
@@ -104,16 +104,25 @@ func (g *Gateway) level() int {
 			occ = o
 		}
 	}
-	lvl := levelNormal
 	if occ >= emergencyQueueFrac {
-		lvl = levelEmergency
-	} else if occ >= brownoutQueueFrac {
-		lvl = levelBrownout
+		return levelEmergency
 	}
-	if g.loadLevel.Swap(int32(lvl)) != int32(lvl) {
+	if occ >= brownoutQueueFrac {
+		return levelBrownout
+	}
+	return levelNormal
+}
+
+// admitLevel is admission's read of the level: it returns the level
+// and admission's read before it, records the level as the last one
+// admission saw and counts a transition when that moved.
+func (g *Gateway) admitLevel() (lvl, prev int) {
+	lvl = g.level()
+	prev = int(g.loadLevel.Swap(int32(lvl)))
+	if prev != lvl {
 		g.loadTransitions.Inc()
 	}
-	return lvl
+	return lvl, prev
 }
 
 // laneWaves is the retry-hint arithmetic shared by the queue-full and

@@ -38,6 +38,18 @@ func retryAfterMs(t *testing.T, rec *httptest.ResponseRecorder) float64 {
 	return e.RetryAfterMs
 }
 
+// enterEmergency arms the QueueStall point on device ("" stalls every
+// lane) and makes the admission read an earlier arrival would have
+// made, so the next cold miss meets the emergency gate with both of
+// its reads at level 2.
+func enterEmergency(t *testing.T, g *Gateway, device string) {
+	t.Helper()
+	faultinject.Arm(faultinject.QueueStall, device, 0)
+	if lvl, _ := g.admitLevel(); lvl != levelEmergency {
+		t.Fatalf("load level %d with the lane stalled, want %d", lvl, levelEmergency)
+	}
+}
+
 // TestFaultOverloadLadderQueueStall pins the ladder's contract at
 // level 2 end to end, deterministically: the QueueStall point reads
 // the lane as completely full, so the very next read of the level is
@@ -81,11 +93,16 @@ func TestFaultOverloadLadderQueueStall(t *testing.T) {
 	go func() { leaderDone <- post(g, leaderBody) }()
 	<-entered
 
-	// Stall signal on: the next read is emergency.
+	// Stall signal on: the next read is emergency. An observer's read
+	// records nothing; admission's read counts the transition.
 	faultinject.Arm(faultinject.QueueStall, "sim-xavier", 0)
 	if lvl := g.LoadLevel(); lvl != levelEmergency {
 		t.Fatalf("load level %d with the lane stalled, want %d", lvl, levelEmergency)
 	}
+	if got := g.loadTransitions.Value(); got != 0 {
+		t.Fatalf("%d transitions counted by an observer's read, want 0", got)
+	}
+	enterEmergency(t, g, "sim-xavier")
 	if g.loadTransitions.Value() == 0 {
 		t.Fatal("level moved to 2 without a recorded transition")
 	}
@@ -158,9 +175,9 @@ func TestFaultOverloadLadderQueueStall(t *testing.T) {
 // TestOverloadLevelTable pins the ladder's fold and its transition
 // count: phantom waiters in one lane of several, just below and at
 // each threshold of laneQueueCap, read as levels 0, 1 and 2; every
-// read that moves the level counts one transition and a read that
-// does not counts none; and a QueueStall on the lane reads as level 2
-// whatever its backlog.
+// admission read that moves the level counts one transition, and one
+// that does not counts none, nor does any LoadLevel read; and a
+// QueueStall on the lane reads as level 2 whatever its backlog.
 func TestOverloadLevelTable(t *testing.T) {
 	defer faultinject.Reset()
 	cfg := quickConfig(33)
@@ -201,16 +218,128 @@ func TestOverloadLevelTable(t *testing.T) {
 					row.waiting, g.laneQueueCap, row.stall, got, row.want)
 			}
 		}
+		if got := g.loadTransitions.Value() - before; got != 0 {
+			t.Fatalf("waiting %d (stall %v): %d transitions counted over three LoadLevel reads, want 0",
+				row.waiting, row.stall, got)
+		}
+		for read := 0; read < 3; read++ {
+			if got, _ := g.admitLevel(); got != row.want {
+				t.Fatalf("waiting %d (stall %v): admission read level %d, want %d",
+					row.waiting, row.stall, got, row.want)
+			}
+		}
 		wantMoves := uint64(0)
 		if int(prev) != row.want {
 			wantMoves = 1
 		}
 		if got := g.loadTransitions.Value() - before; got != wantMoves {
-			t.Fatalf("waiting %d (stall %v): %d transitions counted over three reads, want %d",
+			t.Fatalf("waiting %d (stall %v): %d transitions counted over three admission reads, want %d",
 				row.waiting, row.stall, got, wantMoves)
 		}
 	}
 	l.waiting.Store(0)
+}
+
+// TestOverloadObserversChangeNoResponse pins that admission reads lane
+// state, never its observers: with one pass held and one leader
+// waiting in a one-slot lane, three overflow arrivals get the same
+// status, code, retry hint and shed counters whether or not an
+// observer of the level (a /metrics scrape, /debug/stats, LoadLevel or
+// a prewarm task paused by the backlog) reads between them. The first
+// overflow meets the lane's queue_full gate and the rest the emergency
+// gate, and only admission's reads count transitions.
+func TestOverloadObserversChangeNoResponse(t *testing.T) {
+	type outcome struct {
+		status             int
+		code               string
+		retryAfterMs       float64
+		shedQueue, shedOvl uint64
+		transitions        uint64
+	}
+	observers := []struct {
+		name  string
+		start func(g *Gateway) // once, before the first overflow
+		read  func(g *Gateway) // between overflows
+	}{
+		{name: "none"},
+		{name: "metrics", read: func(g *Gateway) { get(g, "/metrics") }},
+		{name: "debug-stats", read: func(g *Gateway) { get(g, "/debug/stats") }},
+		{name: "LoadLevel", read: func(g *Gateway) { g.LoadLevel() }},
+		{
+			// A prewarm task started under the backlog pauses at once
+			// and re-reads the level every prewarmPause.
+			name:  "paused-prewarm",
+			start: func(g *Gateway) { g.Prewarm() },
+			read:  func(*Gateway) { time.Sleep(prewarmPause + prewarmPause/2) },
+		},
+	}
+	run := func(t *testing.T, start, read func(g *Gateway)) []outcome {
+		cfg := quickConfig(36)
+		cfg.Devices = []device.Config{device.Xavier()}
+		cfg.Workers, cfg.QueueDepth = 1, 1
+		g, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gate := make(chan struct{})
+		entered := make(chan struct{}, 4)
+		g.testHookPass = func(string) {
+			entered <- struct{}{}
+			<-gate
+		}
+		admitted := make(chan int, 2)
+		send := func(i int) { admitted <- post(g, graphBody(t, userNet(i), 0.35, "")).Code }
+		go send(0) // holds the lane's one permit
+		<-entered
+		go send(1) // waits in its one slot
+		l := g.lanes["sim-xavier"]
+		waitFor(t, "a leader to wait in the lane", func() bool { return l.waiting.Load() == 1 })
+		if start != nil {
+			start(g)
+		}
+		var out []outcome
+		for i := 2; i < 5; i++ {
+			if read != nil {
+				read(g)
+			}
+			rec := post(g, graphBody(t, userNet(i), 0.35, ""))
+			out = append(out, outcome{
+				status:       rec.Code,
+				code:         errCode(t, rec),
+				retryAfterMs: retryAfterMs(t, rec),
+				shedQueue:    l.shedQueue.Value(),
+				shedOvl:      g.shedOverload.Value(),
+				transitions:  g.loadTransitions.Value(),
+			})
+		}
+		close(gate)
+		for range 2 {
+			if code := <-admitted; code != http.StatusOK {
+				t.Fatalf("admitted request: status %d", code)
+			}
+		}
+		mustShutdown(t, g)
+		return out
+	}
+	var want []outcome
+	for _, obs := range observers {
+		t.Run(obs.name, func(t *testing.T) {
+			got := run(t, obs.start, obs.read)
+			if want == nil {
+				want = got
+				if got[0].code != "queue_full" || got[1].code != "overload_shed" || got[2].code != "overload_shed" {
+					t.Fatalf("overflow codes %q %q %q, want queue_full then overload_shed twice",
+						got[0].code, got[1].code, got[2].code)
+				}
+				return
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("overflow %d: %+v with the observer reading, %+v without", i, got[i], want[i])
+				}
+			}
+		})
+	}
 }
 
 // TestOverloadBrownoutKeepsEveryTrace pins that the load level does

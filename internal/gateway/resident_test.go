@@ -390,10 +390,7 @@ func TestResidentBeatsSheds(t *testing.T) {
 		}
 		defer mustShutdown(t, g)
 		step := seedStep(t, g, userNet(4), "sim-xavier")
-		faultinject.Arm(faultinject.QueueStall, "", 0)
-		if lvl := g.LoadLevel(); lvl != levelEmergency {
-			t.Fatalf("load level %d, want %d", lvl, levelEmergency)
-		}
+		enterEmergency(t, g, "")
 		execs := g.Planner().Executions()
 		if rec := post(g, step); rec.Code != http.StatusOK {
 			t.Fatalf("resident answer at emergency: status %d: %s", rec.Code, rec.Body.String())

@@ -485,25 +485,6 @@ func nilIfEmpty(s []int) []int {
 	return s
 }
 
-// zooCache shares one graph instance per calibrated name across all
-// shorthand requests: zoo graphs are immutable once built and carry
-// their fingerprint, and rebuilding ResNet-50's several hundred nodes
-// per request would dominate the warm-path decode cost and stagger
-// otherwise-coalescable arrivals.
-var zooCache sync.Map // name -> *graph.Graph
-
-func zooGraph(name string) (*graph.Graph, error) {
-	if g, ok := zooCache.Load(name); ok {
-		return g.(*graph.Graph), nil
-	}
-	g, err := zoo.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	shared, _ := zooCache.LoadOrStore(name, g)
-	return shared.(*graph.Graph), nil
-}
-
 // decodedRequest is a parsed, validated plan request plus the identity
 // the gateway coalesces on. target is the raw wire value ("", "auto"
 // or a device name); admission resolves it to a concrete device and
@@ -606,7 +587,7 @@ func (p *wireParser) decode(body io.Reader) (*decodedRequest, *apiError) {
 	case wire.Network != "" && wire.Graph != nil:
 		return nil, errf(http.StatusBadRequest, "ambiguous_request", "set either network or graph, not both")
 	case wire.Network != "":
-		zg, err := zooGraph(wire.Network)
+		zg, err := zoo.ByName(wire.Network)
 		if err != nil {
 			return nil, errf(http.StatusBadRequest, "unknown_network", "%v", err)
 		}

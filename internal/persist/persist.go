@@ -50,9 +50,11 @@
 package persist
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 
 	"netcut/internal/device"
 	"netcut/internal/graph"
@@ -153,13 +155,19 @@ func Encode(w io.Writer, f *File) error {
 // file is a structured error before any of its content is trusted.
 // Sections decode concurrently (width par.Workers); results and errors
 // are the same at every width. Callers then match the frame identity
-// fields themselves.
+// fields themselves. A reader that can Stat itself (an *os.File) is
+// read into one buffer of its size instead of a doubling one.
 func Decode(r io.Reader) (*File, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
+	var buf bytes.Buffer
+	if f, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		if fi, err := f.Stat(); err == nil && fi.Size() > 0 {
+			buf.Grow(int(fi.Size()) + bytes.MinRead)
+		}
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("persist: reading snapshot: %w", err)
 	}
-	return DecodeBytes(raw)
+	return DecodeBytes(buf.Bytes())
 }
 
 // DecodeBytes is Decode over an in-memory snapshot (the fuzz target).

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
@@ -64,6 +65,32 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if len(got.Cuts.Cuts) != 1 || got.Cuts.Cuts[0].Head != trim.DefaultHead {
 		t.Fatalf("decoded cuts diverged: %+v", got.Cuts)
+	}
+}
+
+// TestDecodeFileMatchesDecodeBytes pins that reading a snapshot from
+// a file, whose size sizes Decode's buffer, decodes exactly what the
+// same bytes decode to in memory.
+func TestDecodeFileMatchesDecodeBytes(t *testing.T) {
+	raw, err := os.ReadFile(referencePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := DecodeBytes(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(referencePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := Decode(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("a snapshot decoded from its file differs from the same bytes decoded in memory")
 	}
 }
 

@@ -208,7 +208,7 @@ type Planner struct {
 	// structure for the life of the service; a graph reusing an
 	// admitted name with a different structure is rejected rather than
 	// silently served with the earlier structure's retraining curve.
-	// Zoo names are bound to the calibrated networks at construction.
+	// Zoo names are never stored here (see Select).
 	names sync.Map // name -> graph fingerprint (uint64)
 
 	// stairs holds the answer staircases (staircase.go): one
@@ -263,11 +263,6 @@ func New(cfg Config) (*Planner, error) {
 		r, err := sim.Retrain(t)
 		return core.TrainResult{Accuracy: r.Accuracy, TrainHours: r.TrainHours}, err
 	})
-	// Reserve the calibrated names: a user graph reusing a zoo name
-	// with a different structure must not inherit the zoo's curves.
-	for _, g := range zoo.Paper7() {
-		p.names.Store(g.Name, graph.Fingerprint(g))
-	}
 	return p, nil
 }
 
@@ -331,10 +326,17 @@ func (p *Planner) Select(req Request) (*Response, error) {
 	}
 	profiled := kind == "profiler"
 	// Admission: one name, one structure (see the names field), bound
-	// only by a request that passed every check above. The
-	// fingerprint-equal path is the common repeated-request case.
+	// only by a request that passed every check above. A zoo name is
+	// bound to the process's shared calibrated network from the start.
+	// The fingerprint-equal path is the common repeated-request case.
 	print := graph.Fingerprint(g)
-	if prev, loaded := p.names.LoadOrStore(g.Name, print); loaded && prev.(uint64) != print {
+	bound := print
+	if zg, ok := zoo.Lookup(g.Name); ok {
+		bound = graph.Fingerprint(zg)
+	} else if prev, loaded := p.names.LoadOrStore(g.Name, print); loaded {
+		bound = prev.(uint64)
+	}
+	if bound != print {
 		return nil, fmt.Errorf("serve: rejecting graph %q: %w", g.Name, ErrNameBound)
 	}
 

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"os"
+	"os/exec"
 	"strings"
 	"sync"
 	"testing"
@@ -312,6 +315,36 @@ func TestPlannerDeadlineEdges(t *testing.T) {
 	}
 }
 
+// TestZooNameBoundOnFirstRequest pins that a zoo name is bound before
+// the zoo exists: a structurally different graph named ResNet-50 is
+// rejected as the process's very first request, and the genuine
+// network then plans. It reruns itself in a fresh process, where no
+// zoo graph has been built yet.
+func TestZooNameBoundOnFirstRequest(t *testing.T) {
+	if os.Getenv("NETCUT_ZOO_FIRST_REQUEST") == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestZooNameBoundOnFirstRequest$", "-test.count=1")
+		cmd.Env = append(os.Environ(), "NETCUT_ZOO_FIRST_REQUEST=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("fresh process: %v\n%s", err, out)
+		}
+		return
+	}
+	p, err := New(Config{Seed: 1, Protocol: quickProto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Select(Request{Graph: namedNet("ResNet-50", 2), DeadlineMs: 0.35}); !errors.Is(err, ErrNameBound) {
+		t.Fatalf("fake ResNet-50 as the first request: %v, want ErrNameBound", err)
+	}
+	g, err := zoo.ByName("ResNet-50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Select(Request{Graph: g, DeadlineMs: 0.9}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPlannerRejectsNameCollisions pins the one-structure-per-name
 // admission rule: measurement seeds and transfer profiles key on the
 // network name, so a different structure under an admitted name must
@@ -329,10 +362,11 @@ func TestPlannerRejectsNameCollisions(t *testing.T) {
 	if _, err := p.Select(Request{Graph: imposter, DeadlineMs: 0.35}); err == nil {
 		t.Fatal("structurally different graph admitted under an existing name")
 	}
-	// Zoo names are reserved at construction, before any zoo request.
+	// Zoo names are bound to the calibrated networks before any zoo
+	// request.
 	fake := namedNet("ResNet-50", 2)
-	if _, err := p.Select(Request{Graph: fake, DeadlineMs: 0.35}); err == nil {
-		t.Fatal("fake ResNet-50 admitted against the calibrated name")
+	if _, err := p.Select(Request{Graph: fake, DeadlineMs: 0.35}); !errors.Is(err, ErrNameBound) {
+		t.Fatalf("fake ResNet-50 against the calibrated name: %v, want ErrNameBound", err)
 	}
 	// The genuine structures keep working.
 	if _, err := p.Select(Request{Graph: userNet(0), DeadlineMs: 0.35}); err != nil {

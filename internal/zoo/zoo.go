@@ -15,6 +15,7 @@ package zoo
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"netcut/internal/graph"
 )
@@ -34,39 +35,47 @@ var Names = []string{
 	"DenseNet-121",
 }
 
-var builders = map[string]func() *graph.Graph{
-	"MobileNetV1 (0.25)": func() *graph.Graph { return MobileNetV1(0.25) },
-	"MobileNetV1 (0.5)":  func() *graph.Graph { return MobileNetV1(0.5) },
-	"MobileNetV2 (1.0)":  func() *graph.Graph { return MobileNetV2(1.0) },
-	"MobileNetV2 (1.4)":  func() *graph.Graph { return MobileNetV2(1.4) },
-	"ResNet-50":          ResNet50,
-	"InceptionV3":        InceptionV3,
-	"DenseNet-121":       DenseNet121,
+// networks holds one sealed instance per network, built on first use
+// and shared for the life of the process: graphs are immutable, so
+// sharing changes no result and spares every consumer a rebuild.
+var networks = map[string]func() *graph.Graph{
+	"MobileNetV1 (0.25)": sync.OnceValue(func() *graph.Graph { return MobileNetV1(0.25) }),
+	"MobileNetV1 (0.5)":  sync.OnceValue(func() *graph.Graph { return MobileNetV1(0.5) }),
+	"MobileNetV2 (1.0)":  sync.OnceValue(func() *graph.Graph { return MobileNetV2(1.0) }),
+	"MobileNetV2 (1.4)":  sync.OnceValue(func() *graph.Graph { return MobileNetV2(1.4) }),
+	"ResNet-50":          sync.OnceValue(ResNet50),
+	"InceptionV3":        sync.OnceValue(InceptionV3),
+	"DenseNet-121":       sync.OnceValue(DenseNet121),
 }
 
-// ByName builds the named network. The name must be one of Names.
-func ByName(name string) (*graph.Graph, error) {
-	b, ok := builders[name]
+// Lookup returns the process's shared instance of the named network,
+// building it on first use, and reports whether name is one of Names.
+// An unknown name costs one map lookup and allocates nothing.
+func Lookup(name string) (*graph.Graph, bool) {
+	shared, ok := networks[name]
 	if !ok {
-		known := make([]string, 0, len(builders))
-		for k := range builders {
-			known = append(known, k)
-		}
-		sort.Strings(known)
-		return nil, fmt.Errorf("zoo: unknown network %q (known: %v)", name, known)
+		return nil, false
 	}
-	return b(), nil
+	return shared(), true
 }
 
-// Paper7 builds all seven networks in the order of Names.
+// ByName returns the process's shared instance of the named network
+// (see Lookup). The name must be one of Names.
+func ByName(name string) (*graph.Graph, error) {
+	if g, ok := Lookup(name); ok {
+		return g, nil
+	}
+	known := append([]string(nil), Names...)
+	sort.Strings(known)
+	return nil, fmt.Errorf("zoo: unknown network %q (known: %v)", name, known)
+}
+
+// Paper7 returns the shared instances of all seven networks in the
+// order of Names, in a fresh slice.
 func Paper7() []*graph.Graph {
 	gs := make([]*graph.Graph, len(Names))
 	for i, n := range Names {
-		g, err := ByName(n)
-		if err != nil {
-			panic(err) // unreachable: Names and builders are in sync
-		}
-		gs[i] = g
+		gs[i] = networks[n]()
 	}
 	return gs
 }

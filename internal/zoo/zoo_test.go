@@ -3,6 +3,7 @@ package zoo
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"netcut/internal/graph"
@@ -191,6 +192,80 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("VGG-19"); err == nil || !strings.Contains(err.Error(), "unknown network") {
 		t.Fatalf("ByName(VGG-19) err = %v, want unknown network", err)
+	}
+}
+
+// TestSharedInstances pins the zoo's one-instance-per-process rule:
+// repeated and concurrent ByName, Lookup and Paper7 calls return the
+// same pointers, each shared graph is sealed, and its fingerprint is
+// that of a fresh build through the exported builders.
+func TestSharedInstances(t *testing.T) {
+	fresh := map[string]func() *graph.Graph{
+		"MobileNetV1 (0.25)": func() *graph.Graph { return MobileNetV1(0.25) },
+		"MobileNetV1 (0.5)":  func() *graph.Graph { return MobileNetV1(0.5) },
+		"MobileNetV2 (1.0)":  func() *graph.Graph { return MobileNetV2(1.0) },
+		"MobileNetV2 (1.4)":  func() *graph.Graph { return MobileNetV2(1.4) },
+		"ResNet-50":          ResNet50,
+		"InceptionV3":        InceptionV3,
+		"DenseNet-121":       DenseNet121,
+	}
+	const callers = 8
+	got := make([][]*graph.Graph, callers)
+	var wg sync.WaitGroup
+	for c := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, n := range Names {
+				g, err := ByName(n)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[c] = append(got[c], g)
+			}
+			got[c] = append(got[c], Paper7()...)
+		}()
+	}
+	wg.Wait()
+	want := Paper7()
+	for c := range callers {
+		for i, g := range got[c] {
+			if g != want[i%len(Names)] {
+				t.Fatalf("caller %d, call %d: %s is not the shared instance", c, i, g.Name)
+			}
+		}
+	}
+	for i, n := range Names {
+		g := want[i]
+		if lg, ok := Lookup(n); !ok || lg != g {
+			t.Fatalf("Lookup(%q) = %p, %v; want the shared instance %p", n, lg, ok, g)
+		}
+		if !g.Sealed() {
+			t.Errorf("%s: shared instance is not sealed", n)
+		}
+		if got, want := graph.Fingerprint(g), graph.Fingerprint(fresh[n]()); got != want {
+			t.Errorf("%s: shared fingerprint %x, fresh build %x", n, got, want)
+		}
+	}
+	if len(fresh) != len(Names) {
+		t.Fatalf("%d fresh builders for %d names", len(fresh), len(Names))
+	}
+	scratch := Paper7()
+	scratch[0] = nil
+	if Paper7()[0] != want[0] {
+		t.Fatal("writing to one Paper7 slice changed another")
+	}
+}
+
+// TestLookupUnknownAllocatesNothing pins that a name outside the zoo
+// costs the serving planner's name check no allocation.
+func TestLookupUnknownAllocatesNothing(t *testing.T) {
+	if g, ok := Lookup("user-net-0"); ok || g != nil {
+		t.Fatalf("Lookup(user-net-0) = %v, %v", g, ok)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Lookup("user-net-0") }); allocs != 0 {
+		t.Fatalf("Lookup of an unknown name makes %v allocations, want 0", allocs)
 	}
 }
 

@@ -35,10 +35,11 @@ OUT="$OUT_DIR/BENCH_${DATE}_${COMMIT:0:7}.json"
 # PlannerConcurrentThroughput, PlannerPoolWarmAcrossDevices
 # (multi-target warm path), GatewayThroughput, GatewayCoalescedBurst,
 # GatewayCoalescedBurstStaggered (staggered arrivals, default config),
-# GatewayLaneIsolation (per-device lane p99s) and StateSave/StateRestore
-# (snapshot codec bytes + ns). -benchmem adds B/op and allocs/op to
-# every entry so allocation regressions (a copy creeping back onto the
-# resident answer path, a reflective codec) show in the drift log too.
+# GatewayLaneIsolation (per-device lane p99s), GatewayBoot (NewGateway
+# plus MarkReady) and StateSave/StateRestore (snapshot codec bytes +
+# ns). -benchmem adds B/op and allocs/op to every entry so allocation
+# regressions (a copy creeping back onto the resident answer path, a
+# reflective codec, a zoo build on boot) show in the drift log too.
 RAW="$(go test -run '^$' -bench 'SelectEndToEnd|Planner|Gateway|State|Fig|Tab|Abl' \
   -benchtime="$BENCHTIME" -count="$COUNT" -benchmem . | grep -E '^Benchmark')"
 
