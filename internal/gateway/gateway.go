@@ -743,8 +743,7 @@ func (g *Gateway) writeErr(w http.ResponseWriter, e *apiError) {
 	if e.wire.RetryAfterMs > 0 {
 		w.Header().Set("Retry-After", retryAfterSeconds(e.wire.RetryAfterMs))
 	}
-	b, _ := json.Marshal(e.wire)
-	writeJSON(w, e.status, append(b, '\n'))
+	writeJSON(w, e.status, e.body())
 }
 
 // retryAfterSeconds renders a retry hint in milliseconds as a
@@ -797,7 +796,7 @@ func (g *Gateway) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if aerr != nil {
 		tr.Mark(stageDecode, "error")
 		g.rejected.Inc()
-		g.writeErrTraced(w, aerr, tr)
+		g.writePlanTraced(w, tr, aerr.status, aerr.body(), aerr.wire.Code, aerr.wire.RetryAfterMs)
 		return
 	}
 	tr.SetRequest(dec.key.name, dec.target)
@@ -805,50 +804,45 @@ func (g *Gateway) handlePlan(w http.ResponseWriter, r *http.Request) {
 
 	c, resident, aerr := g.admit(dec, tr)
 	if aerr != nil {
-		g.writeErrTraced(w, aerr, tr)
+		g.writePlanTraced(w, tr, aerr.status, aerr.body(), aerr.wire.Code, aerr.wire.RetryAfterMs)
 		return
 	}
-	if resident != nil {
-		// Resident answer: the rendered body short-circuited lane,
-		// planner and wire-marshal. It still counts as an admitted
-		// request in the latency histogram; the answer itself is
-		// counted by netcut_gateway_resident_total, distinct from
-		// planner executions.
-		if dec.degradedReason != "" {
-			resident = injectDegraded(resident, dec.degradedReason)
+	// A resident answer's rendered body short-circuited lane, planner
+	// and wire-marshal; it is counted by netcut_gateway_resident_total,
+	// distinct from planner executions. Otherwise a leader runs its own
+	// pass and comes back with c delivered, unless its client left while
+	// the call waited for a permit.
+	status, out := http.StatusOK, resident
+	if resident == nil {
+		if dec.lead && !g.lead(r.Context(), c, func() { g.finishCancelled(tr, start) }) {
+			return
 		}
-		end := g.writePlanTraced(w, http.StatusOK, resident, tr)
-		g.requestLatMs.Observe(float64(end.Sub(start)) / float64(time.Millisecond))
-		return
-	}
-
-	// A leader runs its own pass and comes back with c delivered, unless
-	// its client left while the call waited for a permit.
-	if dec.lead && !g.lead(r.Context(), c, func() { g.finishCancelled(tr, start) }) {
-		return
-	}
-	select {
-	case <-c.done:
-		// The leader published the call's execution timeline before
-		// closing done; carve it into queue-wait / exec / encode spans.
-		stitchCallSpans(tr, c)
-		body := c.body
-		if dec.degradedReason != "" && c.status == http.StatusOK {
-			// The degraded markers are this response's, not the call's:
-			// the canonical body (shared with coalesced waiters and the
-			// resident step) stays clean, like the trace ID.
-			body = injectDegraded(body, dec.degradedReason)
+		select {
+		case <-c.done:
+			// The leader published the call's execution timeline before
+			// closing done; carve it into queue-wait / exec / encode spans.
+			stitchCallSpans(tr, c)
+			status, out = c.status, c.body
+		case <-r.Context().Done():
+			// The client went away. If other waiters remain, the execution
+			// keeps running for them (its result is cached work, not waste);
+			// if this was the last waiter, the leader cancels the call when
+			// it gets its permit, before it consumes a planner execution.
+			c.waiters.Add(-1)
+			g.finishCancelled(tr, start)
+			return
 		}
-		end := g.writePlanTraced(w, c.status, body, tr)
-		g.requestLatMs.Observe(float64(end.Sub(start)) / float64(time.Millisecond))
-	case <-r.Context().Done():
-		// The client went away. If other waiters remain, the execution
-		// keeps running for them (its result is cached work, not waste);
-		// if this was the last waiter, the leader cancels the call when
-		// it gets its permit, before it consumes a planner execution.
-		c.waiters.Add(-1)
-		g.finishCancelled(tr, start)
 	}
+	if dec.degradedReason != "" && status == http.StatusOK {
+		// The degraded markers are this response's, not the call's: the
+		// canonical body (shared with coalesced waiters and the resident
+		// step) stays clean, like the trace ID.
+		out = injectDegraded(out, dec.degradedReason)
+	}
+	// Every answer, resident or delivered, counts as an admitted request
+	// in the latency histogram.
+	end := g.writePlanTraced(w, tr, status, out, verdictOK, 0)
+	g.requestLatMs.Observe(float64(end.Sub(start)) / float64(time.Millisecond))
 }
 
 // finishCancelled closes the trace of a request whose client left
@@ -1260,8 +1254,7 @@ func (g *Gateway) deliverResult(c *call, resp *serve.Response, err error) {
 	if err != nil {
 		g.planErrors.Inc()
 		e := planError(err)
-		b, _ := json.Marshal(e.wire)
-		g.deliver(c, e.status, append(b, '\n'))
+		g.deliver(c, e.status, e.body())
 		return
 	}
 	encStart := time.Now()
@@ -1283,8 +1276,7 @@ func (g *Gateway) deliverPanic(c *call, res passResult) {
 		c.key.name, dev, res.pval, res.stack)
 	e := errf(http.StatusInternalServerError, "internal_panic",
 		"planner panicked serving this request on %s; the panic was contained and the lane keeps serving", dev)
-	b, _ := json.Marshal(e.wire)
-	g.deliver(c, e.status, append(b, '\n'))
+	g.deliver(c, e.status, e.body())
 }
 
 // notePanicKey bumps a request identity's panic count in the bounded

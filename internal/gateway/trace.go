@@ -93,15 +93,21 @@ func stitchCallSpans(tr *trace.Trace, c *call) {
 	}
 }
 
-// writePlanTraced writes a plan response with the trace_id field
-// spliced into the rendered body, marks the deliver span and finishes
-// the trace. It returns the timestamp of the deliver mark so the caller
-// can reuse it for the request-latency histogram (one clock read for
-// all three). The deliver span runs from the previous cursor (pass end,
-// or the resident answer) to this handler resuming to write — scheduler
+// writePlanTraced writes every /v1/plan answer: a plan body, a
+// delivered planner error or a rejection. It splices the trace_id field
+// into the rendered body, sets Retry-After from a positive retryAfterMs,
+// marks the deliver span with verdict (verdictOK for a delivered call
+// or resident answer, the error code for a rejection) and finishes the
+// trace. It returns the timestamp of the deliver mark so the caller can
+// reuse it for the request-latency histogram (one clock read for all
+// three). The deliver span runs from the previous cursor (pass end, or
+// the resident answer) to this handler resuming to write — scheduler
 // handoff latency, the gap no other stage accounts for.
-func (g *Gateway) writePlanTraced(w http.ResponseWriter, status int, body []byte, tr *trace.Trace) time.Time {
-	now := tr.Mark(stageDeliver, verdictOK)
+func (g *Gateway) writePlanTraced(w http.ResponseWriter, tr *trace.Trace, status int, body []byte, verdict string, retryAfterMs float64) time.Time {
+	if retryAfterMs > 0 {
+		w.Header().Set("Retry-After", retryAfterSeconds(retryAfterMs))
+	}
+	now := tr.Mark(stageDeliver, verdict)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	writeWithTraceID(w, body, tr.ID())
@@ -141,20 +147,6 @@ func writeWithTraceID(w http.ResponseWriter, body []byte, id string) {
 	w.Write(out)
 	*bp = out
 	bodyScratch.Put(bp)
-}
-
-// writeErrTraced is writeErr for traced requests: same wire shape plus
-// the injected trace_id, with the error code as the deliver verdict.
-func (g *Gateway) writeErrTraced(w http.ResponseWriter, e *apiError, tr *trace.Trace) {
-	if e.wire.RetryAfterMs > 0 {
-		w.Header().Set("Retry-After", retryAfterSeconds(e.wire.RetryAfterMs))
-	}
-	b, _ := json.Marshal(e.wire)
-	now := tr.Mark(stageDeliver, e.wire.Code)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(e.status)
-	writeWithTraceID(w, append(b, '\n'), tr.ID())
-	g.finishTrace(tr, e.status, now)
 }
 
 // finishTrace seals a trace and files it: out of the live table, its

@@ -107,10 +107,12 @@ type PlanRequestWire struct {
 	AllowDegraded bool `json:"allow_degraded,omitempty"`
 }
 
-// PlanResponseWire is the body of a successful plan. Field order is
+// PlanResponseWire is the body of a successful plan and its only
+// definition: EncodeResponse is json.Marshal of it. Field order is
 // fixed; together with encoding/json's deterministic float formatting
 // this makes response bodies byte-comparable, the property the
-// coalescing tests pin.
+// coalescing tests pin. TestEncodeResponseBytes holds the bytes to
+// literal bodies, so a reordered or renamed field fails there.
 type PlanResponseWire struct {
 	Device        string  `json:"device"`
 	Feasible      bool    `json:"feasible"`
@@ -166,56 +168,38 @@ func errf(status int, code, format string, args ...any) *apiError {
 	return &apiError{status: status, wire: ErrorWire{Code: code, Error: fmt.Sprintf(format, args...)}}
 }
 
-// encBufPool recycles scratch buffers for EncodeResponse, so a warm
-// miss renders its body with exactly one allocation (the returned
-// slice, which outlives the call as the response and resident value).
-var encBufPool = sync.Pool{
-	New: func() any { b := make([]byte, 0, 256); return &b },
+// body renders the error as a response body.
+func (e *apiError) body() []byte {
+	b, _ := json.Marshal(e.wire) // strings and a finite float cannot fail
+	return append(b, '\n')
 }
 
 // EncodeResponse renders a planner response as the gateway's response
-// body. Exported so tests (and clients embedded in this repo) can pin
-// the byte-identity contract: a coalesced gateway body
-// equals EncodeResponse of the same request served alone.
-//
-// The rendering is hand-rolled — field order and spelling mirror
-// PlanResponseWire, and the scalar appenders replicate encoding/json's
-// formatting exactly — so the warm path pays no reflective walk while
-// the bytes stay identical to json.Marshal of the wire struct
-// (TestEncodeResponseMatchesJSONMarshal pins the equivalence; change
-// PlanResponseWire and this renderer together).
+// body: json.Marshal of PlanResponseWire plus a trailing newline.
+// Exported so tests (and clients embedded in this repo) can pin the
+// byte-identity contract: a coalesced gateway body equals
+// EncodeResponse of the same request served alone. It runs once per
+// planner pass and once per staircase step, whose rendered body every
+// later resident answer reuses. A non-finite float, which the planner
+// never emits, panics.
 func EncodeResponse(r *serve.Response) []byte {
-	bp := encBufPool.Get().(*[]byte)
-	b := (*bp)[:0]
-	b = append(b, `{"device":`...)
-	b = appendJSONString(b, r.Device)
-	b = append(b, `,"feasible":`...)
-	b = strconv.AppendBool(b, r.Feasible)
-	if r.Network != "" { // omitempty
-		b = append(b, `,"network":`...)
-		b = appendJSONString(b, r.Network)
+	b, err := json.Marshal(PlanResponseWire{
+		Device:        r.Device,
+		Feasible:      r.Feasible,
+		Network:       r.Network,
+		Parent:        r.Parent,
+		BlocksRemoved: r.BlocksRemoved,
+		LayersRemoved: r.LayersRemoved,
+		EstimatedMs:   r.EstimatedMs,
+		MeasuredMs:    r.MeasuredMs,
+		Accuracy:      r.Accuracy,
+		TrainHours:    r.TrainHours,
+		Iterations:    r.Iterations,
+	})
+	if err != nil {
+		panic(err)
 	}
-	b = append(b, `,"parent":`...)
-	b = appendJSONString(b, r.Parent)
-	b = append(b, `,"blocks_removed":`...)
-	b = strconv.AppendInt(b, int64(r.BlocksRemoved), 10)
-	b = append(b, `,"layers_removed":`...)
-	b = strconv.AppendInt(b, int64(r.LayersRemoved), 10)
-	b = append(b, `,"estimated_ms":`...)
-	b = appendJSONFloat(b, r.EstimatedMs)
-	b = append(b, `,"measured_ms":`...)
-	b = appendJSONFloat(b, r.MeasuredMs)
-	b = append(b, `,"accuracy":`...)
-	b = appendJSONFloat(b, r.Accuracy)
-	b = append(b, `,"train_hours":`...)
-	b = appendJSONFloat(b, r.TrainHours)
-	b = append(b, `,"iterations":`...)
-	b = strconv.AppendInt(b, int64(r.Iterations), 10)
-	b = append(b, '}', '\n')
-	out := append(make([]byte, 0, len(b)), b...)
-	*bp = b
-	encBufPool.Put(bp)
-	return out
+	return append(b, '\n')
 }
 
 // StripTraceID removes the injected `"trace_id":"..."` member from a
@@ -225,27 +209,7 @@ func EncodeResponse(r *serve.Response) []byte {
 // same request are byte-identical after stripping their (per-request)
 // trace IDs. Bodies without the field come back unchanged.
 func StripTraceID(body []byte) []byte {
-	const field = `"trace_id":"`
-	i := bytes.Index(body, []byte(field))
-	if i < 0 {
-		return body
-	}
-	end := i + len(field)
-	for end < len(body) && body[end] != '"' {
-		end++
-	}
-	if end >= len(body) {
-		return body
-	}
-	end++ // the closing quote
-	start := i
-	if start > 0 && body[start-1] == ',' {
-		start-- // drop the comma that joined the field to its predecessor
-	}
-	out := make([]byte, 0, len(body)-(end-start))
-	out = append(out, body[:start]...)
-	out = append(out, body[end:]...)
-	return out
+	return cutStringMember(body, `"trace_id":"`)
 }
 
 // injectDegraded splices `,"degraded":true,"degraded_reason":"<r>"`
@@ -283,22 +247,26 @@ func StripDegraded(body []byte) []byte {
 	if i := bytes.Index(body, []byte(`"degraded":true`)); i >= 0 {
 		body = cutMember(body, i, i+len(`"degraded":true`))
 	}
-	const reason = `"degraded_reason":"`
-	if i := bytes.Index(body, []byte(reason)); i >= 0 {
-		end := i + len(reason)
-		for end < len(body) && body[end] != '"' {
-			end++
-		}
-		if end < len(body) {
-			body = cutMember(body, i, end+1)
-		}
+	return cutStringMember(body, `"degraded_reason":"`)
+}
+
+// cutStringMember removes the first string member that starts with
+// prefix (`"<key>":"`), through its closing quote. A body without the
+// member, or with it unterminated, comes back unchanged.
+func cutStringMember(body []byte, prefix string) []byte {
+	i := bytes.Index(body, []byte(prefix))
+	if i < 0 {
+		return body
 	}
-	return body
+	end := bytes.IndexByte(body[i+len(prefix):], '"')
+	if end < 0 {
+		return body
+	}
+	return cutMember(body, i, i+len(prefix)+end+1)
 }
 
 // cutMember removes body[start:end] plus the comma that joined the
-// member to its predecessor, allocating the result (the StripTraceID
-// splice shape).
+// member to its predecessor, allocating the result.
 func cutMember(body []byte, start, end int) []byte {
 	if start > 0 && body[start-1] == ',' {
 		start--
@@ -307,48 +275,6 @@ func cutMember(body []byte, start, end int) []byte {
 	out = append(out, body[:start]...)
 	out = append(out, body[end:]...)
 	return out
-}
-
-// appendJSONString appends s as a JSON string. The fast path covers
-// printable ASCII with nothing to escape — every registered device and
-// zoo network name; anything else (quotes, control bytes, non-ASCII,
-// and the <, >, & that encoding/json HTML-escapes) falls back to
-// json.Marshal so the escaping matches it byte for byte.
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			enc, err := json.Marshal(s)
-			if err != nil {
-				panic(err) // a string value cannot fail to marshal
-			}
-			return append(b, enc...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
-}
-
-// appendJSONFloat appends f exactly as encoding/json renders a float64:
-// shortest representation, 'f' format unless the magnitude forces 'e',
-// and the exponent's leading zero stripped (2.5e-09 -> 2.5e-9).
-func appendJSONFloat(b []byte, f float64) []byte {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		// encoding/json rejects these; the planner never emits them.
-		panic(&json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)})
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
 }
 
 // EncodeGraph renders g in the wire schema, the inverse of the request

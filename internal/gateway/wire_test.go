@@ -281,59 +281,35 @@ func benchGraph(depth int) *graph.Graph {
 	return b.MustFinish()
 }
 
-// TestEncodeResponseMatchesJSONMarshal pins the hand-rolled renderer to
-// encoding/json: for any response — including floats that force 'e'
-// formatting, HTML-escaped names and omitted empty fields — the pooled
-// encoder's bytes equal json.Marshal of PlanResponseWire plus the
-// trailing newline. This equivalence is what makes the renderer safe to
-// swap onto the byte-identity contract.
-func TestEncodeResponseMatchesJSONMarshal(t *testing.T) {
-	floats := []float64{
-		0, 0.9, 1, 0.35, 123.456, 1e-6, 9.9e-7, 4.5e-9, 1e20, 1e21, 2.5e22,
-		-0.75, -4.5e-9, -1e21, math.MaxFloat64, math.SmallestNonzeroFloat64,
-		1.0000000000000002, 3.141592653589793,
-	}
-	names := []string{
-		"", "ResNet-50", "user-net-0", "a<b>&c", `quo"te`, `back\slash`,
-		"tab\tname", "Ünïcode-网络", "ctrl\x01\x1f", "trailing space ",
-	}
-	idx := 0
-	nextFloat := func() float64 { idx++; return floats[idx%len(floats)] }
-	for i, name := range names {
-		for _, feasible := range []bool{true, false} {
-			r := &serve.Response{
-				Device:        "sim-xavier",
-				Feasible:      feasible,
-				Network:       name,
-				Parent:        names[(i+1)%len(names)],
-				BlocksRemoved: i,
-				LayersRemoved: 3 * i,
-				EstimatedMs:   nextFloat(),
-				MeasuredMs:    nextFloat(),
-				Accuracy:      nextFloat(),
-				TrainHours:    nextFloat(),
-				Iterations:    i * 7,
-			}
-			want, err := json.Marshal(PlanResponseWire{
-				Device:        r.Device,
-				Feasible:      r.Feasible,
-				Network:       r.Network,
-				Parent:        r.Parent,
-				BlocksRemoved: r.BlocksRemoved,
-				LayersRemoved: r.LayersRemoved,
-				EstimatedMs:   r.EstimatedMs,
-				MeasuredMs:    r.MeasuredMs,
-				Accuracy:      r.Accuracy,
-				TrainHours:    r.TrainHours,
-				Iterations:    r.Iterations,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want = append(want, '\n')
-			if got := EncodeResponse(r); !bytes.Equal(got, want) {
-				t.Fatalf("EncodeResponse diverged for network %q:\n got %s\nwant %s", name, got, want)
-			}
+// TestEncodeResponseBytes pins the plan body byte for byte against
+// literal bodies, so a reordered or renamed PlanResponseWire field, or a
+// change in float formatting or string escaping, fails here rather than
+// passing every test that compares a body with EncodeResponse itself.
+func TestEncodeResponseBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		r    serve.Response
+		want string
+	}{
+		{"feasible", serve.Response{Device: "sim-xavier", Feasible: true, Network: "ResNet-50", Parent: "ResNet-50", BlocksRemoved: 3, LayersRemoved: 30, EstimatedMs: 0.8712, MeasuredMs: 0.88, Accuracy: 0.7415, TrainHours: 2.5, Iterations: 4},
+			`{"device":"sim-xavier","feasible":true,"network":"ResNet-50","parent":"ResNet-50","blocks_removed":3,"layers_removed":30,"estimated_ms":0.8712,"measured_ms":0.88,"accuracy":0.7415,"train_hours":2.5,"iterations":4}`},
+		{"e-format floats", serve.Response{Device: "sim-xavier", Feasible: true, Network: "e-floats", Parent: "p", EstimatedMs: 4.5e-9, MeasuredMs: 1e21, Accuracy: 1e-6, TrainHours: -9.9e-7, Iterations: 1},
+			`{"device":"sim-xavier","feasible":true,"network":"e-floats","parent":"p","blocks_removed":0,"layers_removed":0,"estimated_ms":4.5e-9,"measured_ms":1e+21,"accuracy":0.000001,"train_hours":-9.9e-7,"iterations":1}`},
+		{"large and shortest floats", serve.Response{Device: "sim-xavier", Feasible: true, Network: "big", Parent: "p", EstimatedMs: 1e20, MeasuredMs: 2.5e22, Accuracy: 1.0000000000000002},
+			`{"device":"sim-xavier","feasible":true,"network":"big","parent":"p","blocks_removed":0,"layers_removed":0,"estimated_ms":100000000000000000000,"measured_ms":2.5e+22,"accuracy":1.0000000000000002,"train_hours":0,"iterations":0}`},
+		{"html escaped", serve.Response{Device: "sim-xavier", Feasible: true, Network: "a<b>&c", Parent: "x", EstimatedMs: 1},
+			`{"device":"sim-xavier","feasible":true,"network":"a\u003cb\u003e\u0026c","parent":"x","blocks_removed":0,"layers_removed":0,"estimated_ms":1,"measured_ms":0,"accuracy":0,"train_hours":0,"iterations":0}`},
+		{"non-ascii and control bytes", serve.Response{Device: "sim-xavier", Feasible: true, Network: "Ünïcode-网络", Parent: "ctrl\x01\x1f\ttab", EstimatedMs: 1},
+			`{"device":"sim-xavier","feasible":true,"network":"Ünïcode-网络","parent":"ctrl\u0001\u001f\ttab","blocks_removed":0,"layers_removed":0,"estimated_ms":1,"measured_ms":0,"accuracy":0,"train_hours":0,"iterations":0}`},
+		{"quotes, invalid utf-8, line separator", serve.Response{Device: "sim-xavier", Feasible: true, Network: "quo\"te back\\slash", Parent: "bad\xffutf8 sep\u2028", EstimatedMs: 1},
+			`{"device":"sim-xavier","feasible":true,"network":"quo\"te back\\slash","parent":"bad\ufffdutf8 sep\u2028","blocks_removed":0,"layers_removed":0,"estimated_ms":1,"measured_ms":0,"accuracy":0,"train_hours":0,"iterations":0}`},
+		{"network omitted", serve.Response{Device: "sim-server-gpu", Feasible: true, Parent: "user-net-0", BlocksRemoved: 1, LayersRemoved: 2, EstimatedMs: 0.35, MeasuredMs: 0.36, Accuracy: 0.7, TrainHours: 1.25, Iterations: 2},
+			`{"device":"sim-server-gpu","feasible":true,"parent":"user-net-0","blocks_removed":1,"layers_removed":2,"estimated_ms":0.35,"measured_ms":0.36,"accuracy":0.7,"train_hours":1.25,"iterations":2}`},
+		{"infeasible", serve.Response{Device: "sim-xavier", Feasible: false, Network: "VGG-16", Parent: "VGG-16", BlocksRemoved: 4, LayersRemoved: 14, EstimatedMs: 3.141592653589793, MeasuredMs: 3.2, Accuracy: 0.6, TrainHours: 4, Iterations: 5},
+			`{"device":"sim-xavier","feasible":false,"network":"VGG-16","parent":"VGG-16","blocks_removed":4,"layers_removed":14,"estimated_ms":3.141592653589793,"measured_ms":3.2,"accuracy":0.6,"train_hours":4,"iterations":5}`},
+	} {
+		if got := string(EncodeResponse(&tc.r)); got != tc.want+"\n" {
+			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.want)
 		}
 	}
 }
@@ -350,5 +326,27 @@ func TestEncodeResponseRejectsNonFinite(t *testing.T) {
 			}()
 			EncodeResponse(&serve.Response{Device: "sim-xavier", EstimatedMs: v})
 		}()
+	}
+}
+
+// TestStripMembers pins the inverses of the write-time splices on the
+// edge shapes no serving test produces: a lone member, an absent one
+// and an unterminated one.
+func TestStripMembers(t *testing.T) {
+	for _, tc := range []struct {
+		strip    func([]byte) []byte
+		in, want string
+	}{
+		{StripTraceID, `{"device":"d","trace_id":"00ab"}` + "\n", `{"device":"d"}` + "\n"},
+		{StripTraceID, `{"trace_id":"00ab"}`, `{}`},
+		{StripTraceID, `{"device":"d"}`, `{"device":"d"}`},
+		{StripTraceID, `{"device":"d","trace_id":"00ab`, `{"device":"d","trace_id":"00ab`},
+		{StripDegraded, `{"device":"d","degraded":true,"degraded_reason":"budget_infeasible","trace_id":"00ab"}`, `{"device":"d","trace_id":"00ab"}`},
+		{StripDegraded, `{"device":"d"}`, `{"device":"d"}`},
+		{StripDegraded, `{"device":"d","degraded":true,"degraded_reason":"unhealthy`, `{"device":"d","degraded_reason":"unhealthy`},
+	} {
+		if got := string(tc.strip([]byte(tc.in))); got != tc.want {
+			t.Errorf("strip(%s) = %s, want %s", tc.in, got, tc.want)
+		}
 	}
 }

@@ -32,6 +32,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 )
 
 // Counter is a monotonically increasing counter.
@@ -210,12 +211,20 @@ type Label struct{ Key, Value string }
 
 // renderLabels renders label pairs in the given order (no sorting: the
 // caller picks a stable order, and series identity is the rendered
-// string). Values are escaped per the Prometheus text format.
+// string). Values are escaped per the Prometheus text format. The
+// builder is sized once for the unescaped rendering, and a valid UTF-8
+// value with nothing to escape — every device, stage and cache name —
+// is appended whole.
 func renderLabels(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
 	}
+	n := 0
+	for _, l := range labels {
+		n += len(l.Key) + len(l.Value) + len(`,=""`)
+	}
 	var b strings.Builder
+	b.Grow(n)
 	for i, l := range labels {
 		validName(l.Key)
 		if i > 0 {
@@ -223,21 +232,32 @@ func renderLabels(labels []Label) string {
 		}
 		b.WriteString(l.Key)
 		b.WriteString(`="`)
-		for _, r := range l.Value {
-			switch r {
-			case '\\':
-				b.WriteString(`\\`)
-			case '"':
-				b.WriteString(`\"`)
-			case '\n':
-				b.WriteString(`\n`)
-			default:
-				b.WriteRune(r)
-			}
+		if utf8.ValidString(l.Value) && !strings.ContainsAny(l.Value, "\\\"\n") {
+			b.WriteString(l.Value)
+		} else {
+			escapeLabelValue(&b, l.Value)
 		}
 		b.WriteByte('"')
 	}
 	return b.String()
+}
+
+// escapeLabelValue appends v with backslash, double quote and newline
+// escaped. Ranging over the runes rewrites invalid UTF-8 to U+FFFD, so
+// the exposition stays valid UTF-8 whatever a label value holds.
+func escapeLabelValue(b *strings.Builder, v string) {
+	for _, r := range v {
+		switch r {
+		case '\\':
+			b.WriteString(`\\`)
+		case '"':
+			b.WriteString(`\"`)
+		case '\n':
+			b.WriteString(`\n`)
+		default:
+			b.WriteRune(r)
+		}
+	}
 }
 
 // Registry holds named metric series. The zero value is not usable; use

@@ -328,3 +328,28 @@ func TestPrometheusLabelEscapingRoundTrip(t *testing.T) {
 		t.Fatalf("literal-backslash series missing:\n%s", out)
 	}
 }
+
+// TestRenderLabelsFastPathMatchesLoop pins renderLabels' whole-value
+// append to the escaping loop: for plain, escaped, non-ASCII and
+// invalid-UTF-8 values both give the same string, and that string is
+// the literal rendering.
+func TestRenderLabelsFastPathMatchesLoop(t *testing.T) {
+	for _, tc := range []struct{ value, want string }{
+		{"sim-xavier", `sim-xavier`},
+		{"", ``},
+		{`a\b`, `a\\b`},
+		{`say "hi"`, `say \"hi\"`},
+		{"line1\nline2", `line1\nline2`},
+		{"Ünïcode-网络\t", "Ünïcode-网络\t"},
+		{"bad\xffutf8", "bad�utf8"},
+		{"bad\xff\"quote\"", "bad�\\\"quote\\\""},
+	} {
+		var loop strings.Builder
+		escapeLabelValue(&loop, tc.value)
+		got := renderLabels([]Label{{Key: "device", Value: tc.value}, {Key: "stage", Value: tc.value}})
+		want := `device="` + tc.want + `",stage="` + tc.want + `"`
+		if loop.String() != tc.want || got != want {
+			t.Errorf("value %q: loop %q, renderLabels %q; want %q", tc.value, loop.String(), got, want)
+		}
+	}
+}
