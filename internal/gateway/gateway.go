@@ -733,17 +733,24 @@ func (g *Gateway) goBackground(fn func()) bool {
 	return true
 }
 
-func writeJSON(w http.ResponseWriter, status int, body []byte) {
+// writeJSONHeader sends the header of every JSON answer: Retry-After
+// from a positive retryAfterMs, the content type and the status.
+func writeJSONHeader(w http.ResponseWriter, status int, retryAfterMs float64) {
+	if retryAfterMs > 0 {
+		w.Header().Set("Retry-After", retryAfterSeconds(retryAfterMs))
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+}
+
+func writeJSON(w http.ResponseWriter, status int, body []byte) {
+	writeJSONHeader(w, status, 0)
 	w.Write(body)
 }
 
 func (g *Gateway) writeErr(w http.ResponseWriter, e *apiError) {
-	if e.wire.RetryAfterMs > 0 {
-		w.Header().Set("Retry-After", retryAfterSeconds(e.wire.RetryAfterMs))
-	}
-	writeJSON(w, e.status, e.body())
+	writeJSONHeader(w, e.status, e.wire.RetryAfterMs)
+	w.Write(e.body())
 }
 
 // retryAfterSeconds renders a retry hint in milliseconds as a
@@ -793,16 +800,16 @@ func (g *Gateway) handlePlan(w http.ResponseWriter, r *http.Request) {
 		body = http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)
 	}
 	dec, aerr := decodeRequest(body)
+	var c *call
+	var resident []byte
 	if aerr != nil {
 		tr.Mark(stageDecode, "error")
 		g.rejected.Inc()
-		g.writePlanTraced(w, tr, aerr.status, aerr.body(), aerr.wire.Code, aerr.wire.RetryAfterMs)
-		return
+	} else {
+		tr.SetRequest(dec.key.name, dec.target)
+		tr.Mark(stageDecode, verdictOK)
+		c, resident, aerr = g.admit(dec, tr)
 	}
-	tr.SetRequest(dec.key.name, dec.target)
-	tr.Mark(stageDecode, verdictOK)
-
-	c, resident, aerr := g.admit(dec, tr)
 	if aerr != nil {
 		g.writePlanTraced(w, tr, aerr.status, aerr.body(), aerr.wire.Code, aerr.wire.RetryAfterMs)
 		return

@@ -104,12 +104,8 @@ func stitchCallSpans(tr *trace.Trace, c *call) {
 // the resident answer) to this handler resuming to write — scheduler
 // handoff latency, the gap no other stage accounts for.
 func (g *Gateway) writePlanTraced(w http.ResponseWriter, tr *trace.Trace, status int, body []byte, verdict string, retryAfterMs float64) time.Time {
-	if retryAfterMs > 0 {
-		w.Header().Set("Retry-After", retryAfterSeconds(retryAfterMs))
-	}
 	now := tr.Mark(stageDeliver, verdict)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
+	writeJSONHeader(w, status, retryAfterMs)
 	writeWithTraceID(w, body, tr.ID())
 	g.finishTrace(tr, status, now)
 	return now

@@ -32,7 +32,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"unicode/utf8"
 )
 
 // Counter is a monotonically increasing counter.
@@ -211,10 +210,10 @@ type Label struct{ Key, Value string }
 
 // renderLabels renders label pairs in the given order (no sorting: the
 // caller picks a stable order, and series identity is the rendered
-// string). Values are escaped per the Prometheus text format. The
-// builder is sized once for the unescaped rendering, and a valid UTF-8
-// value with nothing to escape — every device, stage and cache name —
-// is appended whole.
+// string). Values are escaped per the Prometheus text format; ranging
+// over the runes rewrites invalid UTF-8 to U+FFFD, so the exposition
+// stays valid UTF-8 whatever a label value holds. The builder is sized
+// once for the unescaped rendering, so a plain value never regrows it.
 func renderLabels(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
@@ -232,32 +231,21 @@ func renderLabels(labels []Label) string {
 		}
 		b.WriteString(l.Key)
 		b.WriteString(`="`)
-		if utf8.ValidString(l.Value) && !strings.ContainsAny(l.Value, "\\\"\n") {
-			b.WriteString(l.Value)
-		} else {
-			escapeLabelValue(&b, l.Value)
+		for _, r := range l.Value {
+			switch r {
+			case '\\':
+				b.WriteString(`\\`)
+			case '"':
+				b.WriteString(`\"`)
+			case '\n':
+				b.WriteString(`\n`)
+			default:
+				b.WriteRune(r)
+			}
 		}
 		b.WriteByte('"')
 	}
 	return b.String()
-}
-
-// escapeLabelValue appends v with backslash, double quote and newline
-// escaped. Ranging over the runes rewrites invalid UTF-8 to U+FFFD, so
-// the exposition stays valid UTF-8 whatever a label value holds.
-func escapeLabelValue(b *strings.Builder, v string) {
-	for _, r := range v {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
-		}
-	}
 }
 
 // Registry holds named metric series. The zero value is not usable; use
