@@ -331,11 +331,10 @@ func NewPlannerPool(cfg PoolConfig) (*PlannerPool, error) { return serve.NewPool
 //
 // Under sustained pressure the gateway degrades instead of failing
 // binary: lane backlog, read wherever the level acts or is shown, folds
-// into a load level (0 normal, 1 brownout, 2 emergency;
-// netcut_gateway_load_level, Gateway.LoadLevel) that sheds optional
-// work level by level: prewarming pauses, and at level 2 only
-// resident answers and coalesce joins are admitted while cold misses
-// are shed pre-execution with backlog-honest Retry-After hints. Requests that
+// into a load level (0 normal, 1 brownout; netcut_gateway_load_level,
+// Gateway.LoadLevel), and brownout pauses prewarming. Only a full lane
+// sheds, and only its own arrivals: 429 queue_full with a
+// backlog-honest Retry-After hint. Requests that
 // prefer a degraded answer over a rejection set "allow_degraded": true
 // in the body: a budget-infeasible or unhealthy-device request then
 // falls back deterministically to the fastest healthy device and

@@ -61,11 +61,10 @@
 // until then every budget is admitted.
 //
 // Overload control: lane backlog, read wherever the level acts, folds
-// into a load level (0 normal, 1 brownout, 2 emergency, exported as
-// netcut_gateway_load_level) that sheds optional work first:
-// prewarming pauses, and at level 2 only resident answers and coalesce
-// joins are served while cold misses get 429s with backlog-honest
-// Retry-After hints. Clients that prefer a
+// into a load level (0 normal, 1 brownout, exported as
+// netcut_gateway_load_level), and brownout pauses prewarming. A full
+// lane sheds its own arrivals with 429 queue_full and a backlog-honest
+// Retry-After hint; other lanes keep admitting. Clients that prefer a
 // degraded answer over a rejection can set "allow_degraded": true in
 // the request body — see the gateway package documentation.
 //

@@ -260,20 +260,17 @@
 // # Overload control & degraded serving
 //
 // The gateway folds per-lane backlog — the requests waiting for a
-// permit — into one load level — 0 normal, 1 brownout, 2 emergency —
-// exported as netcut_gateway_load_level. The level is read from the
-// live backlog wherever it acts or is shown; no sampler runs.
-// Each level sheds optional work first: brownout pauses prewarming;
-// emergency pauses it too and admits only resident answers and
-// coalesce joins, shedding every cold miss
-// pre-execution with a level-scaled, backlog-honest Retry-After
-// (ceil(backlog/permits) execution waves of p99 each). The emergency
-// shed acts once two consecutive reads find level 2, so the arrival
-// that first finds a lane full gets that lane's queue_full. The level
-// is a pure function of the current backlog, so it returns to normal
-// as soon as the load goes away; slow passes alone never raise it.
-// Each lane always has its full per-lane permit count of concurrent
-// passes, so the hint's permit count is exact.
+// permit — into one load level — 0 normal, 1 brownout — exported as
+// netcut_gateway_load_level. The level is read from the live backlog
+// wherever it acts or is shown; no sampler runs. Brownout pauses
+// prewarming and refuses no request. Backlog is shed only where it
+// stands: a lane whose waiting room is full answers its own arrivals
+// 429 queue_full with a backlog-honest Retry-After (ceil(backlog/
+// permits) execution waves of p99 each), while every other lane keeps
+// admitting. The level is a pure function of the current backlog, so
+// it returns to normal as soon as the load goes away; slow passes
+// alone never raise it. Each lane always has its full per-lane permit
+// count of concurrent passes, so the hint's permit count is exact.
 //
 // Requests may opt into degraded serving with "allow_degraded": true:
 // instead of a budget_too_small or device_unhealthy rejection, the

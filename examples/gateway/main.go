@@ -228,7 +228,6 @@ func main() {
 		"netcut_gateway_resident_total":        true,
 		"netcut_gateway_coalesced_total":       true,
 		"netcut_gateway_shed_budget_total":     true,
-		"netcut_gateway_shed_overload_total":   true,
 		"netcut_gateway_shed_queue_full_total": true,
 		"netcut_gateway_shed_draining_total":   true,
 	}

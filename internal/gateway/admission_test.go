@@ -5,8 +5,8 @@ package gateway
 // prepared gateway and pins what admission decided — status, error
 // code, serving device, degraded reason — and which counters moved, so
 // the single gate order (route, then health → resident → coalesce →
-// emergency → budget → enqueue, with the degraded fallback re-entering
-// once) is checked cell by cell rather than path by path.
+// budget → enqueue, with the degraded fallback re-entering once) is
+// checked cell by cell rather than path by path.
 
 import (
 	"encoding/json"
@@ -22,15 +22,14 @@ import (
 
 // admissionCounters are the counters an admission decision can move.
 type admissionCounters struct {
-	shedBudget, shedOverload, degraded, autoRouted, resident, execs uint64
+	shedBudget, shedQueue, degraded, autoRouted, resident, execs uint64
 }
 
 func readAdmissionCounters(g *Gateway) admissionCounters {
 	c := admissionCounters{
-		shedBudget:   g.shedBudget.Value(),
-		shedOverload: g.shedOverload.Value(),
-		degraded:     g.degradedServed.Value(),
-		autoRouted:   g.autoRouted.Value(),
+		shedBudget: g.shedBudget.Value(),
+		degraded:   g.degradedServed.Value(),
+		autoRouted: g.autoRouted.Value(),
 	}
 	for _, name := range g.pool.DeviceNames() {
 		p, err := g.pool.Planner(name)
@@ -38,6 +37,7 @@ func readAdmissionCounters(g *Gateway) admissionCounters {
 			panic(err)
 		}
 		c.execs += p.Executions()
+		c.shedQueue += g.lanes[name].shedQueue.Value()
 		if rc := g.lanes[name].resident.Load(); rc != nil {
 			c.resident += rc.Value()
 		}
@@ -47,12 +47,12 @@ func readAdmissionCounters(g *Gateway) admissionCounters {
 
 func (c admissionCounters) minus(o admissionCounters) admissionCounters {
 	return admissionCounters{
-		shedBudget:   c.shedBudget - o.shedBudget,
-		shedOverload: c.shedOverload - o.shedOverload,
-		degraded:     c.degraded - o.degraded,
-		autoRouted:   c.autoRouted - o.autoRouted,
-		resident:     c.resident - o.resident,
-		execs:        c.execs - o.execs,
+		shedBudget: c.shedBudget - o.shedBudget,
+		shedQueue:  c.shedQueue - o.shedQueue,
+		degraded:   c.degraded - o.degraded,
+		autoRouted: c.autoRouted - o.autoRouted,
+		resident:   c.resident - o.resident,
+		execs:      c.execs - o.execs,
 	}
 }
 
@@ -136,9 +136,11 @@ var admissionStates = map[string]admissionState{
 			return nil
 		},
 	},
-	"emergency": {
+	// Phantom leaders fill sim-xavier's waiting room; sim-edge-cpu's
+	// lane stays idle.
+	"lane-full": {
 		setup: func(t *testing.T, g *Gateway) *graph.Graph {
-			enterEmergency(t, g, "")
+			g.lanes["sim-xavier"].waiting.Store(int64(g.laneQueueCap))
 			return nil
 		},
 	},
@@ -226,10 +228,11 @@ func TestAdmissionTable(t *testing.T) {
 		{"staircase-resident", auto, either, admissionOutcome{status: 200, device: xav, delta: c{autoRouted: 1, resident: 1}}},
 		{"staircase-resident", unk, either, unknown},
 
-		{"emergency", def, either, admissionOutcome{status: 429, code: "overload_shed", delta: c{shedOverload: 1}}},
-		{"emergency", xav, either, admissionOutcome{status: 429, code: "overload_shed", delta: c{shedOverload: 1}}},
-		{"emergency", auto, either, admissionOutcome{status: 429, code: "overload_shed", delta: c{autoRouted: 1, shedOverload: 1}}},
-		{"emergency", unk, either, unknown},
+		{"lane-full", def, either, admissionOutcome{status: 429, code: "queue_full", delta: c{shedQueue: 1}}},
+		{"lane-full", xav, either, admissionOutcome{status: 429, code: "queue_full", delta: c{shedQueue: 1}}},
+		{"lane-full", edge, either, admissionOutcome{status: 200, device: edge, delta: c{execs: 1}}},
+		{"lane-full", auto, either, admissionOutcome{status: 429, code: "queue_full", delta: c{autoRouted: 1, shedQueue: 1}}},
+		{"lane-full", unk, either, unknown},
 
 		{"budget-infeasible", def, strict, admissionOutcome{status: 429, code: "budget_too_small", delta: c{shedBudget: 1}}},
 		{"budget-infeasible", def, opted, admissionOutcome{status: 200, device: xav, reason: degradedBudget, delta: c{degraded: 1, execs: 1}}},

@@ -6,7 +6,7 @@
 // format at /metrics and as JSON at /debug/stats.
 //
 // Request flow: every plan request takes the steps below in this
-// order, each once — a degraded request re-runs steps 4 to 8 once on
+// order, each once — a degraded request re-runs steps 4 to 7 once on
 // its fallback device. The order is written out once, in admit, resolve
 // and gates, and the invariants below rely on it.
 //
@@ -24,7 +24,7 @@
 //     for "auto", an identical execution in flight on any eligible
 //     device is joined; failing that, no eligible device at all is 503
 //     no_healthy_device, and otherwise the request is shed with 429 or
-//     degrades (step 9).
+//     degrades (step 8).
 //  4. Health: a device tripped unhealthy is 503 device_unhealthy.
 //  5. Resident: a request whose deadline falls on a step of the
 //     device planner's answer staircase that an earlier request
@@ -38,23 +38,21 @@
 //     deadline, estimator) share one in-flight planner execution and
 //     receive byte-identical response bodies, singleflight-style, at no
 //     planner work and no queue slot.
-//  7. Emergency: at load level 2 (see overload.go), read from the
-//     live lane backlog on this arrival and on the read before it, a
-//     would-be leader is shed with 429 overload_shed.
-//  8. Budget: a would-be leader whose budget_ms cannot cover the
+//  7. Budget: a would-be leader whose budget_ms cannot cover the
 //     device's warm-path p99 is shed with 429 and a retry hint ("auto"
 //     was checked by its route in step 3).
-//  9. Degrade: with "allow_degraded": true, a request that step 3's
-//     budget check, step 4 or step 8 would refuse is served instead: it
+//  8. Degrade: with "allow_degraded": true, a request that step 3's
+//     budget check, step 4 or step 7 would refuse is served instead: it
 //     falls back to the fastest eligible device and re-enters at step 4
-//     there, once, with step 8 skipped. It is counted as degraded,
+//     there, once, with step 7 skipped. It is counted as degraded,
 //     never as shed; with no eligible device left it is 503
 //     no_healthy_device.
-//  10. Lane: an admitted leader waits in its device's bounded lane — a
+//  9. Lane: an admitted leader waits in its device's bounded lane — a
 //     waiting room plus a fixed number of pass permits per registered
 //     device, so one slow target's cold plan can never
 //     head-of-line-block another target's warm traffic; a full waiting
-//     room sheds with 429. Holding a permit, the leader runs one
+//     room sheds that lane's arrivals, and only those, with 429
+//     queue_full. Holding a permit, the leader runs one
 //     planner pass for its request on its own handler goroutine;
 //     identical stragglers that miss the pass find its accepted step
 //     resident (step 5). Every lane has GOMAXPROCS permits unless
@@ -82,11 +80,11 @@
 // executions, never changes what any execution returns.
 //
 // Overload control & degraded serving: a load level, read from the
-// live lane backlog wherever it acts or is shown, deterministically
-// sheds optional work — down to serving only resident answers and
-// coalesce joins at level 2 — and requests may
-// opt into degraded fallback routing with "allow_degraded": true. See
-// the package comment in overload.go for the ladder and its signals.
+// live lane backlog wherever it acts or is shown, pauses prewarm at
+// brownout — it refuses no request; each lane's waiting room is the
+// only backlog shed — and requests may opt into degraded fallback
+// routing with "allow_degraded": true. See the package comment in
+// overload.go for the ladder and its signal.
 //
 // Warm-state persistence: POST /v1/state/save (enabled by
 // Config.StatePath) snapshots every planner's caches to disk via
@@ -111,7 +109,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"math"
 	"math/rand"
 	"net/http"
@@ -187,14 +184,12 @@ type Config struct {
 	// default) disables autosaving; negative is a configuration error.
 	AutosaveInterval time.Duration
 
-	// SlowTraceMs emits a structured log/slog line (on SlowLog, or the
-	// process default logger) for every request whose end-to-end trace
-	// exceeds this many milliseconds, with per-stage durations as
-	// attributes. 0 (the default) disables slow-trace logging; negative
-	// is a configuration error.
+	// SlowTraceMs emits a structured log/slog line (on slog.Default())
+	// for every request whose end-to-end trace exceeds this many
+	// milliseconds, with per-stage durations as attributes. 0 (the
+	// default) disables slow-trace logging; negative is a configuration
+	// error.
 	SlowTraceMs float64
-	// SlowLog receives the slow-trace lines; nil means slog.Default().
-	SlowLog *slog.Logger
 	// Pprof mounts net/http/pprof's profiling handlers under
 	// /debug/pprof/ on the gateway mux. Off by default: the profile
 	// endpoints can stall the process (CPU profiles block for their
@@ -437,13 +432,7 @@ type Gateway struct {
 	slowTraces     *telemetry.Counter
 	requestLatMs   *telemetry.Histogram
 
-	// Overload control (see overload.go): loadLevel is the last load
-	// level admission read (0 normal, 1 brownout, 2 emergency), kept to
-	// count its transitions and for the emergency gate's second read.
-	loadLevel       atomic.Int32
-	loadTransitions *telemetry.Counter
-	shedOverload    *telemetry.Counter
-	degradedServed  *telemetry.Counter
+	degradedServed *telemetry.Counter
 	// cancelledLatMs records the wall-clock latency of admitted
 	// requests whose client disconnected before delivery — its own
 	// series, so cancellations neither vanish from latency telemetry
@@ -514,10 +503,6 @@ func New(cfg Config) (*Gateway, error) {
 			"requests rejected at admission because their key previously caused repeated panics"),
 		slowTraces: reg.Counter("netcut_gateway_slow_traces_total",
 			"requests whose end-to-end trace exceeded Config.SlowTraceMs and were logged"),
-		loadTransitions: reg.Counter("netcut_gateway_load_transitions_total",
-			"load-level changes seen by admission (any direction)"),
-		shedOverload: reg.Counter("netcut_gateway_shed_overload_total",
-			"cold misses shed at admission while the load level was 2 (emergency)"),
 		degradedServed: reg.Counter("netcut_gateway_degraded_total",
 			"allow_degraded requests served from a fallback device instead of being rejected"),
 		requestLatMs: reg.Histogram("netcut_gateway_request_ms", "wall-clock request latency of admitted plan requests", nil),
@@ -532,7 +517,7 @@ func New(cfg Config) (*Gateway, error) {
 		})
 	telemetry.RegisterRuntime(reg)
 	reg.GaugeFunc("netcut_gateway_load_level",
-		"overload-controller load level: 0 normal, 1 brownout, 2 emergency",
+		"overload-controller load level: 0 normal, 1 brownout",
 		func() float64 { return float64(g.level()) })
 
 	// Request tracing: the ID stream derives from the planner seed, so a
@@ -970,7 +955,7 @@ func (g *Gateway) resolve(dec *decodedRequest, tr *trace.Trace) (string, *call, 
 
 // gates runs the per-device gates on a resolved device, each exactly
 // once, in the package comment's order: health, resident, coalesce,
-// emergency, budget, enqueue. A health or budget refusal of a request
+// budget, enqueue. A health or budget refusal of a request
 // that opted into allow_degraded, and has not degraded yet, is not
 // applied — no verdict, no shed counter — and the request degrades
 // instead.
@@ -1017,21 +1002,6 @@ func (g *Gateway) gates(dec *decodedRequest, dev string, tr *trace.Trace) (*call
 	}
 	tr.MarkZero(stageCoalesce, "leader")
 
-	// Emergency gate: while the load level reads 2 on this read and on
-	// admission's read before it, every cold miss — degraded ones too, a
-	// fallback still costs an execution — is shed pre-execution with a
-	// level-scaled backlog-honest hint. The arrival whose read first
-	// finds level 2 goes on to its lane's own gates, so a lane that has
-	// just filled answers queue_full with its exact backlog hint.
-	if lvl, prev := g.admitLevel(); lvl >= levelEmergency && prev >= levelEmergency {
-		tr.MarkZero(stageShed, "overload")
-		g.shedOverload.Inc()
-		e := errf(http.StatusTooManyRequests, "overload_shed",
-			"gateway is at load level %d (emergency): only resident answers and coalesce joins are served", lvl)
-		p99, _ := l.planner.WarmQuantile(0.99)
-		e.wire.RetryAfterMs = math.Max(float64(lvl)*laneWaves(int(l.waiting.Load()), g.laneWorkers)*p99, 1)
-		return nil, nil, e
-	}
 	// Budget gate: if the client's budget cannot cover the warm p99,
 	// queueing only manufactures a guaranteed-late response. "auto"
 	// already applied it in Route; a degraded request opted into

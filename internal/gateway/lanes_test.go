@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -85,6 +87,93 @@ func TestGatewayLaneIsolation(t *testing.T) {
 	}
 }
 
+// TestLaneBacklogShedsOnlyItsLane pins that a lane's backlog sheds
+// only that lane's arrivals: with one permit and one waiting slot per
+// lane, sim-xavier's permit held and its slot taken, never-seen graphs
+// sent to the idle sim-edge-cpu lane all serve and move no shed
+// counter, while the full lane's next arrival gets its own 429
+// queue_full with that lane's ceil(waiting/permits) × p99 hint.
+func TestLaneBacklogShedsOnlyItsLane(t *testing.T) {
+	cfg := quickConfig(23)
+	cfg.Devices = []device.Config{device.Xavier(), device.EdgeCPU()}
+	cfg.Workers, cfg.QueueDepth = 2, 2 // one permit and one slot per lane
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustShutdown(t, g)
+	if g.laneWorkers != 1 || g.laneQueueCap != 1 {
+		t.Fatalf("lanes of %d permits and %d slots, want 1 and 1", g.laneWorkers, g.laneQueueCap)
+	}
+
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release() // a failed check must not leave the drain waiting
+	entered := make(chan struct{}, 2)
+	g.testHookPass = func(dev string) {
+		if dev == "sim-xavier" {
+			entered <- struct{}{}
+			<-gate
+		}
+	}
+	admitted := make(chan int, 2)
+	send := func(i int) { admitted <- post(g, graphBody(t, userNet(i), 0.35, "")).Code }
+	go send(0) // holds sim-xavier's permit
+	<-entered
+	go send(1) // waits in sim-xavier's slot
+	full := g.lanes["sim-xavier"]
+	waitFor(t, "a leader to wait in sim-xavier's lane", func() bool { return full.waiting.Load() == 1 })
+
+	// sheds sums every netcut_gateway_shed_* series on /metrics.
+	sheds := func() float64 {
+		sum := 0.0
+		for _, line := range strings.Split(get(g, "/metrics").Body.String(), "\n") {
+			if !strings.HasPrefix(line, "netcut_gateway_shed_") {
+				continue
+			}
+			v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+			if err != nil {
+				t.Fatalf("metric line %q: %v", line, err)
+			}
+			sum += v
+		}
+		return sum
+	}
+	before := sheds()
+	for i := 2; i < 6; i++ {
+		rec := post(g, graphBody(t, userNet(i), 0.35, `,"target":"sim-edge-cpu"`))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("cold miss %d to the idle lane: status %d: %s", i-1, rec.Code, rec.Body.String())
+		}
+		if got := sheds(); got != before {
+			t.Fatalf("cold miss %d to the idle lane moved the shed counters %v -> %v", i-1, before, got)
+		}
+	}
+
+	p99, _ := full.planner.WarmQuantile(0.99)
+	want := math.Max(laneWaves(int(full.waiting.Load()), g.laneWorkers)*p99, 1)
+	rec := post(g, graphBody(t, userNet(6), 0.35, ""))
+	if rec.Code != http.StatusTooManyRequests || errCode(t, rec) != "queue_full" {
+		t.Fatalf("overflow of the full lane: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if got := retryAfterMs(t, rec); got != want {
+		t.Fatalf("queue_full hint %v, want the lane's own %v", got, want)
+	}
+	if got := full.shedQueue.Value(); got != 1 {
+		t.Fatalf("sim-xavier queue_full sheds %d, want 1", got)
+	}
+	if got := g.lanes["sim-edge-cpu"].shedQueue.Value(); got != 0 {
+		t.Fatalf("sim-edge-cpu queue_full sheds %d, want 0", got)
+	}
+
+	release()
+	for range 2 {
+		if code := <-admitted; code != http.StatusOK {
+			t.Fatalf("admitted sim-xavier request: status %d", code)
+		}
+	}
+}
+
 // TestGatewayLaneCapsDivide pins the division rule: lane queue depth
 // and workers are the configured totals split evenly across devices,
 // minimum 1 each, and an unset Workers gives every lane par.Workers().
@@ -139,8 +228,8 @@ func TestGatewayLaneCapsDivide(t *testing.T) {
 // parallelism is its configured worker count, fixed: with two workers
 // per lane, two distinct graphs sent to one device both enter their
 // planner passes before either may finish — and still do right after
-// a contained panic on that device, which the queue-full and emergency
-// Retry-After hints rely on.
+// a contained panic on that device, which the queue-full Retry-After
+// hint relies on.
 func TestGatewayLaneRunsWorkersConcurrently(t *testing.T) {
 	defer faultinject.Reset()
 	cfg := quickConfig(22)

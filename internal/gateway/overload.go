@@ -1,39 +1,31 @@
 package gateway
 
-// Adaptive overload control: the closed-loop half of the gateway's
-// admission policy. level folds the one signal the process already
-// has — the backlog waiting in each lane — into a discrete load level,
-// and each level deterministically sheds optional work:
+// Adaptive overload control: level folds the one signal the process
+// already has — the backlog waiting in each lane — into a discrete
+// load level, which pauses optional background work:
 //
 //	level 0 (normal)    everything on.
 //	level 1 (brownout)  Prewarm paused.
-//	level 2 (emergency) Prewarm paused, and admission serves only
-//	                    resident answers and coalesce joins — every
-//	                    cold miss is shed pre-execution with a
-//	                    level-scaled, backlog-honest Retry-After.
 //
 // The level is a pure function of the backlog at the moment it is read
 // — no hysteresis, no memory, no sampler — and it is read wherever it
-// acts or is shown: the emergency gate, the prewarm pause, LoadLevel,
-// the netcut_gateway_load_level gauge and /debug/stats. So shedding
-// starts and stops with the backlog itself, and a fixed backlog always
-// maps to the same level (the property the deterministic ladder tests
-// pin, via the faultinject QueueStall point). How long passes take is
-// not a signal: lanes carry mostly cold passes, which are slow by
-// nature, so a slow pass on an idle lane is ordinary work, not
-// overload.
+// acts or is shown: the prewarm pause, LoadLevel, the
+// netcut_gateway_load_level gauge and /debug/stats. Reading it records
+// nothing, so no reader can change what another sees, and a fixed
+// backlog always maps to the same level (the property the
+// deterministic ladder tests pin, via the faultinject QueueStall
+// point). How long passes take is not a signal: lanes carry mostly
+// cold passes, which are slow by nature, so a slow pass on an idle
+// lane is ordinary work, not overload.
 //
-// The emergency gate alone also looks at admission's read before its
-// own (g.loadLevel; no other reader records): it sheds only when both
-// find level 2. The arrival that first finds a lane full therefore
-// meets that lane's queue-full gate and its exact backlog hint, and a
-// flood that keeps the lane full is shed as overload from the next
-// arrival on, whoever else reads the level in between.
-//
-// A lane's parallelism is its permit count, fixed: that is what the
-// backlog-honest Retry-After hints assume. Like every admission
-// mechanism in this repository, overload control decides where and
-// when executions run — never what any execution returns.
+// The level refuses no request. Backlog is shed where it stands: a
+// lane whose waiting room is full answers its own arrivals 429
+// queue_full with that lane's exact backlog hint, and every other
+// lane keeps admitting. A lane's parallelism is its permit count,
+// fixed: that is what the backlog-honest Retry-After hint assumes.
+// Like every admission mechanism in this repository, overload control
+// decides where and when executions run — never what any execution
+// returns.
 
 import (
 	"time"
@@ -43,9 +35,8 @@ import (
 
 // The load-level ladder.
 const (
-	levelNormal    = 0
-	levelBrownout  = 1
-	levelEmergency = 2
+	levelNormal   = 0
+	levelBrownout = 1
 )
 
 // Degraded-serving reasons (the wire degraded_reason values).
@@ -54,17 +45,13 @@ const (
 	degradedBudget    = "budget_infeasible"
 )
 
-const (
-	// brownoutQueueFrac / emergencyQueueFrac are the lane-backlog
-	// thresholds of the ladder, as fractions of a lane's queue
-	// capacity: a half-full lane starts the brownout, a near-full one
-	// declares the emergency.
-	brownoutQueueFrac  = 0.5
-	emergencyQueueFrac = 0.9
-)
+// brownoutQueueFrac is the ladder's lane-backlog threshold, as a
+// fraction of a lane's queue capacity: a half-full lane starts the
+// brownout.
+const brownoutQueueFrac = 0.5
 
 // LoadLevel reads the current load level from the lane backlog:
-// 0 normal, 1 brownout, 2 emergency.
+// 0 normal, 1 brownout.
 func (g *Gateway) LoadLevel() int { return g.level() }
 
 // sleep waits d or until the drain starts, whichever is first, and
@@ -90,9 +77,9 @@ func (g *Gateway) sleep(d time.Duration) bool {
 }
 
 // level is the ladder's signal fold: the fullest lane's waiting-room
-// occupancy against the brownout/emergencyQueueFrac thresholds (the
-// faultinject QueueStall point reads a lane as completely full, so
-// tests pin the ladder deterministically). It records nothing.
+// occupancy against brownoutQueueFrac (the faultinject QueueStall
+// point reads a lane as completely full, so tests pin the ladder
+// deterministically). It records nothing.
 func (g *Gateway) level() int {
 	occ := 0.0
 	for _, l := range g.lanes {
@@ -104,30 +91,15 @@ func (g *Gateway) level() int {
 			occ = o
 		}
 	}
-	if occ >= emergencyQueueFrac {
-		return levelEmergency
-	}
 	if occ >= brownoutQueueFrac {
 		return levelBrownout
 	}
 	return levelNormal
 }
 
-// admitLevel is admission's read of the level: it returns the level
-// and admission's read before it, records the level as the last one
-// admission saw and counts a transition when that moved.
-func (g *Gateway) admitLevel() (lvl, prev int) {
-	lvl = g.level()
-	prev = int(g.loadLevel.Swap(int32(lvl)))
-	if prev != lvl {
-		g.loadTransitions.Inc()
-	}
-	return lvl, prev
-}
-
-// laneWaves is the retry-hint arithmetic shared by the queue-full and
-// overload sheds: a backlog of n requests in front of a lane's permits
-// clears in ceil(n/permits) execution waves, never fewer than one.
+// laneWaves is the queue-full shed's retry-hint arithmetic: a backlog
+// of n requests in front of a lane's permits clears in
+// ceil(n/permits) execution waves, never fewer than one.
 func laneWaves(backlog, permits int) float64 {
 	waves := (backlog + permits - 1) / permits
 	if waves < 1 {

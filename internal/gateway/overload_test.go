@@ -1,9 +1,9 @@
 package gateway
 
 // Overload-control suite: the load-level ladder (driven
-// deterministically through the faultinject QueueStall point), the
-// emergency admission gate, slow passes that must not read as
-// overload, the opt-in degraded-serving fallback, the
+// deterministically through the faultinject QueueStall point), which
+// pauses prewarm and refuses no request, slow passes that must not
+// read as overload, the opt-in degraded-serving fallback, the
 // backlog-honest retry hints, and the -race soak that pushes ~4x the
 // queue capacity through a tiny gateway. The TestFault* names put the
 // heavyweight tests in the CI fault job's -race -run 'Fault' selection
@@ -38,25 +38,12 @@ func retryAfterMs(t *testing.T, rec *httptest.ResponseRecorder) float64 {
 	return e.RetryAfterMs
 }
 
-// enterEmergency arms the QueueStall point on device ("" stalls every
-// lane) and makes the admission read an earlier arrival would have
-// made, so the next cold miss meets the emergency gate with both of
-// its reads at level 2.
-func enterEmergency(t *testing.T, g *Gateway, device string) {
-	t.Helper()
-	faultinject.Arm(faultinject.QueueStall, device, 0)
-	if lvl, _ := g.admitLevel(); lvl != levelEmergency {
-		t.Fatalf("load level %d with the lane stalled, want %d", lvl, levelEmergency)
-	}
-}
-
-// TestFaultOverloadLadderQueueStall pins the ladder's contract at
-// level 2 end to end, deterministically: the QueueStall point reads
-// the lane as completely full, so the very next read of the level is
-// emergency; resident answers and coalesce joins keep serving; a cold
-// miss is shed pre-execution with the level-scaled backlog-honest
-// hint; and once the signal clears the level reads 0 and cold misses
-// serve again.
+// TestFaultOverloadLadderQueueStall pins the ladder's contract end to
+// end, deterministically: the QueueStall point reads the lane as
+// completely full, so the very next read of the level is brownout,
+// shown on /metrics and /debug/stats; resident answers and coalesce
+// joins keep serving; and once the signal clears the level reads 0 and
+// cold misses serve.
 func TestFaultOverloadLadderQueueStall(t *testing.T) {
 	defer faultinject.Reset()
 	cfg := quickConfig(31)
@@ -93,65 +80,33 @@ func TestFaultOverloadLadderQueueStall(t *testing.T) {
 	go func() { leaderDone <- post(g, leaderBody) }()
 	<-entered
 
-	// Stall signal on: the next read is emergency. An observer's read
-	// records nothing; admission's read counts the transition.
+	// Stall signal on: the next read is brownout.
 	faultinject.Arm(faultinject.QueueStall, "sim-xavier", 0)
-	if lvl := g.LoadLevel(); lvl != levelEmergency {
-		t.Fatalf("load level %d with the lane stalled, want %d", lvl, levelEmergency)
-	}
-	if got := g.loadTransitions.Value(); got != 0 {
-		t.Fatalf("%d transitions counted by an observer's read, want 0", got)
-	}
-	enterEmergency(t, g, "sim-xavier")
-	if g.loadTransitions.Value() == 0 {
-		t.Fatal("level moved to 2 without a recorded transition")
+	if lvl := g.LoadLevel(); lvl != levelBrownout {
+		t.Fatalf("load level %d with the lane stalled, want %d", lvl, levelBrownout)
 	}
 
-	// Resident answers still serve at level 2.
+	// Resident answers still serve at level 1.
 	if rec := post(g, hitBody); rec.Code != http.StatusOK {
-		t.Fatalf("resident answer at level 2: status %d: %s", rec.Code, rec.Body.String())
+		t.Fatalf("resident answer at level 1: status %d: %s", rec.Code, rec.Body.String())
 	}
 	// Coalesce joins still serve: an identical spelling of the wedged
 	// leader must join its in-flight execution, not be shed.
 	joined := g.coalesced.Value()
 	followerDone := make(chan *httptest.ResponseRecorder, 1)
 	go func() { followerDone <- post(g, leaderBody) }()
-	waitFor(t, "follower to coalesce at level 2", func() bool { return g.coalesced.Value() > joined })
-
-	// A cold miss is shed pre-execution with the level-scaled,
-	// backlog-honest hint: level x ceil(backlog/workers) x p99.
-	p, err := g.pool.Planner("sim-xavier")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p99, _ := p.WarmQuantile(0.99)
-	backlog := int(g.lanes["sim-xavier"].waiting.Load())
-	rec := post(g, graphBody(t, userNet(2), 0.35, ""))
-	if rec.Code != http.StatusTooManyRequests || errCode(t, rec) != "overload_shed" {
-		t.Fatalf("cold miss at level 2: status %d code %q, want 429 overload_shed", rec.Code, errCode(t, rec))
-	}
-	want := math.Max(float64(levelEmergency)*laneWaves(backlog, g.laneWorkers)*p99, 1)
-	if got := retryAfterMs(t, rec); got != want {
-		t.Fatalf("overload_shed hint %v, want level-scaled %v", got, want)
-	}
-	if hdr := rec.Header().Get("Retry-After"); hdr != wantRetryAfter(t, rec) {
-		t.Fatalf("overload_shed Retry-After header %q does not round the body hint %q", hdr, wantRetryAfter(t, rec))
-	}
-	if g.shedOverload.Value() == 0 {
-		t.Fatal("overload shed not counted")
-	}
+	waitFor(t, "follower to coalesce at level 1", func() bool { return g.coalesced.Value() > joined })
 
 	// The level is visible on both surfaces.
-	if m := get(g, "/metrics").Body.String(); !strings.Contains(m, "netcut_gateway_load_level 2") {
-		t.Fatalf("/metrics does not report netcut_gateway_load_level 2:\n%s", m)
+	if m := get(g, "/metrics").Body.String(); !strings.Contains(m, "netcut_gateway_load_level 1") {
+		t.Fatalf("/metrics does not report netcut_gateway_load_level 1:\n%s", m)
 	}
 	if s := get(g, "/debug/stats").Body.String(); !strings.Contains(s, `"overload"`) {
 		t.Fatalf("/debug/stats carries no overload document: %s", s)
 	}
 
 	// Release the wedge: leader and follower deliver byte-identical
-	// bodies — admission at level 2 refused new work, never changed
-	// in-flight results.
+	// bodies — the level never changes in-flight results.
 	releaseOnce.Store(true)
 	close(release)
 	lRec, fRec := <-leaderDone, <-followerDone
@@ -168,16 +123,15 @@ func TestFaultOverloadLadderQueueStall(t *testing.T) {
 		t.Fatalf("load level %d after the stall cleared, want 0", lvl)
 	}
 	if rec := post(g, graphBody(t, userNet(3), 0.35, "")); rec.Code != http.StatusOK {
-		t.Fatalf("cold miss after recovery: status %d: %s", rec.Code, rec.Body.String())
+		t.Fatalf("cold miss after the stall: status %d: %s", rec.Code, rec.Body.String())
 	}
 }
 
-// TestOverloadLevelTable pins the ladder's fold and its transition
-// count: phantom waiters in one lane of several, just below and at
-// each threshold of laneQueueCap, read as levels 0, 1 and 2; every
-// admission read that moves the level counts one transition, and one
-// that does not counts none, nor does any LoadLevel read; and a
-// QueueStall on the lane reads as level 2 whatever its backlog.
+// TestOverloadLevelTable pins the ladder's fold: phantom waiters in
+// one lane of several, just below and at the brownout threshold of
+// laneQueueCap and at a full lane, read as levels 0 and 1, the same on
+// every read; and a QueueStall on the lane reads as level 1 whatever
+// its backlog.
 func TestOverloadLevelTable(t *testing.T) {
 	defer faultinject.Reset()
 	cfg := quickConfig(33)
@@ -200,10 +154,9 @@ func TestOverloadLevelTable(t *testing.T) {
 		{0, false, levelNormal},
 		{at(brownoutQueueFrac) - 1, false, levelNormal},
 		{at(brownoutQueueFrac), false, levelBrownout},
-		{at(emergencyQueueFrac) - 1, false, levelBrownout},
-		{at(emergencyQueueFrac), false, levelEmergency},
+		{int64(g.laneQueueCap), false, levelBrownout},
 		{at(brownoutQueueFrac) - 1, false, levelNormal},
-		{0, true, levelEmergency},
+		{0, true, levelBrownout},
 		{0, false, levelNormal},
 	} {
 		l.waiting.Store(row.waiting)
@@ -211,30 +164,11 @@ func TestOverloadLevelTable(t *testing.T) {
 		if row.stall {
 			faultinject.Arm(faultinject.QueueStall, l.device, 0)
 		}
-		prev, before := g.loadLevel.Load(), g.loadTransitions.Value()
 		for read := 0; read < 3; read++ {
 			if got := g.LoadLevel(); got != row.want {
 				t.Fatalf("waiting %d of %d (stall %v): level %d, want %d",
 					row.waiting, g.laneQueueCap, row.stall, got, row.want)
 			}
-		}
-		if got := g.loadTransitions.Value() - before; got != 0 {
-			t.Fatalf("waiting %d (stall %v): %d transitions counted over three LoadLevel reads, want 0",
-				row.waiting, row.stall, got)
-		}
-		for read := 0; read < 3; read++ {
-			if got, _ := g.admitLevel(); got != row.want {
-				t.Fatalf("waiting %d (stall %v): admission read level %d, want %d",
-					row.waiting, row.stall, got, row.want)
-			}
-		}
-		wantMoves := uint64(0)
-		if int(prev) != row.want {
-			wantMoves = 1
-		}
-		if got := g.loadTransitions.Value() - before; got != wantMoves {
-			t.Fatalf("waiting %d (stall %v): %d transitions counted over three admission reads, want %d",
-				row.waiting, row.stall, got, wantMoves)
 		}
 	}
 	l.waiting.Store(0)
@@ -243,18 +177,16 @@ func TestOverloadLevelTable(t *testing.T) {
 // TestOverloadObserversChangeNoResponse pins that admission reads lane
 // state, never its observers: with one pass held and one leader
 // waiting in a one-slot lane, three overflow arrivals get the same
-// status, code, retry hint and shed counters whether or not an
+// status, code, retry hint and shed counter whether or not an
 // observer of the level (a /metrics scrape, /debug/stats, LoadLevel or
-// a prewarm task paused by the backlog) reads between them. The first
-// overflow meets the lane's queue_full gate and the rest the emergency
-// gate, and only admission's reads count transitions.
+// a prewarm task paused by the backlog) reads between them. Every
+// overflow meets the lane's queue_full gate.
 func TestOverloadObserversChangeNoResponse(t *testing.T) {
 	type outcome struct {
-		status             int
-		code               string
-		retryAfterMs       float64
-		shedQueue, shedOvl uint64
-		transitions        uint64
+		status       int
+		code         string
+		retryAfterMs float64
+		shedQueue    uint64
 	}
 	observers := []struct {
 		name  string
@@ -308,8 +240,6 @@ func TestOverloadObserversChangeNoResponse(t *testing.T) {
 				code:         errCode(t, rec),
 				retryAfterMs: retryAfterMs(t, rec),
 				shedQueue:    l.shedQueue.Value(),
-				shedOvl:      g.shedOverload.Value(),
-				transitions:  g.loadTransitions.Value(),
 			})
 		}
 		close(gate)
@@ -327,9 +257,10 @@ func TestOverloadObserversChangeNoResponse(t *testing.T) {
 			got := run(t, obs.start, obs.read)
 			if want == nil {
 				want = got
-				if got[0].code != "queue_full" || got[1].code != "overload_shed" || got[2].code != "overload_shed" {
-					t.Fatalf("overflow codes %q %q %q, want queue_full then overload_shed twice",
-						got[0].code, got[1].code, got[2].code)
+				for i, o := range got {
+					if o.status != http.StatusTooManyRequests || o.code != "queue_full" {
+						t.Fatalf("overflow %d: status %d code %q, want 429 queue_full", i, o.status, o.code)
+					}
 				}
 				return
 			}
@@ -391,8 +322,7 @@ func TestOverloadBrownoutPausesPrewarm(t *testing.T) {
 		return g
 	}
 	// holdBrownout parks phantom leaders in half of one lane's waiting
-	// room — the brownout threshold, short of the emergency one — and
-	// checks that the level reads brownout. The returned func takes them
+	// room — the brownout threshold, with room left — and checks that the level reads brownout. The returned func takes them
 	// out again.
 	holdBrownout := func(t *testing.T, g *Gateway) (release func()) {
 		l := g.lanes[device.Xavier().Name]
@@ -780,10 +710,11 @@ func TestOverloadQueueFullRetryAfterWaves(t *testing.T) {
 // TestFaultOverloadSoak floods a tiny gateway with roughly 4x its
 // queue capacity of unique cold requests over slowed executions (the
 // ExecDelay point) and pins the controller's dynamic behavior under
-// -race: the level rises to emergency, resident answers keep serving
-// through it, every rejection is a well-formed 429 with a Retry-After,
-// the level returns to 0 once the load stops, a cold request serves
-// again, and shutdown leaks no goroutines.
+// -race: the level rises to brownout, resident answers keep serving
+// through it, every rejection is the lane's well-formed 429
+// queue_full with a Retry-After, the level returns to 0 once the load
+// stops, a cold request serves again, and shutdown leaks no
+// goroutines.
 func TestFaultOverloadSoak(t *testing.T) {
 	defer faultinject.Reset()
 	before := runtime.NumGoroutine()
@@ -830,7 +761,7 @@ func TestFaultOverloadSoak(t *testing.T) {
 					shed.Add(1)
 					var e ErrorWire
 					if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil ||
-						(e.Code != "queue_full" && e.Code != "overload_shed") {
+						e.Code != "queue_full" {
 						errs <- fmt.Errorf("unexpected 429 body: %s", rec.Body.String())
 						return
 					}
@@ -846,14 +777,14 @@ func TestFaultOverloadSoak(t *testing.T) {
 		}()
 	}
 
-	waitFor(t, "load level to rise under flood", func() bool { return g.LoadLevel() >= levelBrownout })
-	waitFor(t, "emergency level under flood", func() bool { return g.LoadLevel() == levelEmergency })
+	waitFor(t, "load level to rise under flood", func() bool { return g.LoadLevel() == levelBrownout })
 	for i := 0; i < 3; i++ {
 		if rec := post(g, hitBody); rec.Code != http.StatusOK {
 			t.Fatalf("resident answer during overload: status %d: %s", rec.Code, rec.Body.String())
 		}
 	}
-	waitFor(t, "overload sheds to be counted", func() bool { return g.shedOverload.Value() > 0 })
+	l := g.lanes["sim-xavier"]
+	waitFor(t, "queue-full sheds to be counted", func() bool { return l.shedQueue.Value() > 0 })
 
 	close(stop)
 	wg.Wait()

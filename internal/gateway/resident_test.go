@@ -4,7 +4,7 @@ package gateway
 // staircase are invisible except in latency. A resident answer costs no
 // planner execution, is byte-identical (modulo trace_id) to the lane's
 // answer for the same request under any interleaving and after any
-// eviction, beats the emergency and budget sheds, and is refused by
+// eviction, beats the queue-full and budget sheds, and is refused by
 // every gate before it: drain, quarantine and device health.
 
 import (
@@ -376,12 +376,11 @@ func TestResidentRefusedByEarlierGates(t *testing.T) {
 	})
 }
 
-// TestResidentBeatsSheds pins that a resident answer is served under
-// the emergency level and to a budget below the warm p99, at no planner cost, while lane work on the same gateway is
-// shed.
+// TestResidentBeatsSheds pins that a resident answer is served past a
+// full lane and to a budget below the warm p99, at no planner cost,
+// while lane work on the same gateway is shed.
 func TestResidentBeatsSheds(t *testing.T) {
-	t.Run("emergency", func(t *testing.T) {
-		defer faultinject.Reset()
+	t.Run("queue_full", func(t *testing.T) {
 		cfg := quickConfig(77)
 		cfg.Devices = []device.Config{device.Xavier()}
 		g, err := New(cfg)
@@ -390,16 +389,18 @@ func TestResidentBeatsSheds(t *testing.T) {
 		}
 		defer mustShutdown(t, g)
 		step := seedStep(t, g, userNet(4), "sim-xavier")
-		enterEmergency(t, g, "")
+		l := g.lanes["sim-xavier"]
+		l.waiting.Store(int64(g.laneQueueCap)) // phantom leaders fill the lane
+		defer l.waiting.Store(0)
 		execs := g.Planner().Executions()
 		if rec := post(g, step); rec.Code != http.StatusOK {
-			t.Fatalf("resident answer at emergency: status %d: %s", rec.Code, rec.Body.String())
+			t.Fatalf("resident answer past a full lane: status %d: %s", rec.Code, rec.Body.String())
 		}
-		if rec := post(g, graphBody(t, userNet(5), 0.35, "")); rec.Code != http.StatusTooManyRequests || errCode(t, rec) != "overload_shed" {
-			t.Fatalf("lane work at emergency: status %d: %s", rec.Code, rec.Body.String())
+		if rec := post(g, graphBody(t, userNet(5), 0.35, "")); rec.Code != http.StatusTooManyRequests || errCode(t, rec) != "queue_full" {
+			t.Fatalf("lane work on a full lane: status %d: %s", rec.Code, rec.Body.String())
 		}
 		if got := g.Planner().Executions(); got != execs {
-			t.Fatalf("executions %d -> %d at emergency", execs, got)
+			t.Fatalf("executions %d -> %d on a full lane", execs, got)
 		}
 	})
 

@@ -49,7 +49,7 @@ const (
 	stageHealth     = "health"     // device-health gate
 	stageResident   = "resident"   // planner staircase lookup; verdict hit/miss
 	stageCoalesce   = "coalesce"   // verdict leader/follower
-	stageShed       = "shed"       // budget/overload shed gate
+	stageShed       = "shed"       // budget shed gate
 	stageDegraded   = "degraded"   // allow_degraded fallback; verdict is the reason
 	stageEnqueue    = "enqueue"    // lane handoff; verdict ok/full
 	stageQueueWait  = "queue_wait" // admission to pass start (stitched post-delivery)
@@ -180,16 +180,12 @@ func (g *Gateway) observeStages(tr *trace.Trace) {
 // totals as top-level attributes, per-stage durations in a "stages"
 // group, so a log pipeline can aggregate on any stage without parsing.
 func (g *Gateway) logSlow(tr *trace.Trace) {
-	lg := g.cfg.SlowLog
-	if lg == nil {
-		lg = slog.Default()
-	}
 	v := tr.View(time.Now())
 	stages := make([]any, 0, 2*len(v.Spans))
 	for _, sp := range v.Spans {
 		stages = append(stages, slog.Float64(sp.Stage, sp.DurMs))
 	}
-	lg.LogAttrs(context.Background(), slog.LevelWarn, "slow request",
+	slog.Default().LogAttrs(context.Background(), slog.LevelWarn, "slow request",
 		slog.String("trace_id", v.ID),
 		slog.String("name", v.Name),
 		slog.String("device", tr.DeviceOr(stageDeviceNone)),

@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -303,15 +304,23 @@ func TestDebugRequestsShowsInflight(t *testing.T) {
 }
 
 // TestSlowTraceLogging pins the slow-request log line: a request over
-// Config.SlowTraceMs emits one structured warning with the trace ID,
-// per-stage durations and the threshold, and bumps the counter; with
-// the threshold at 0 nothing is logged.
+// Config.SlowTraceMs emits one structured warning on the default
+// logger with the trace ID, per-stage durations and the threshold, and
+// bumps the counter; with the threshold at 0 nothing is logged.
 func TestSlowTraceLogging(t *testing.T) {
 	var buf bytes.Buffer
 	mu := &sync.Mutex{}
+	// slog.SetDefault also points the log package at the new handler;
+	// the cleanup puts both back.
+	prev, logOut, logFlags := slog.Default(), log.Writer(), log.Flags()
+	slog.SetDefault(slog.New(slog.NewJSONHandler(&lockedWriter{mu: mu, w: &buf}, nil)))
+	t.Cleanup(func() {
+		slog.SetDefault(prev)
+		log.SetOutput(logOut)
+		log.SetFlags(logFlags)
+	})
 	cfg := quickConfig(89)
 	cfg.SlowTraceMs = 1e-9 // every request is slow
-	cfg.SlowLog = slog.New(slog.NewJSONHandler(&lockedWriter{mu: mu, w: &buf}, nil))
 	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -266,10 +266,13 @@ func cutStringMember(body []byte, prefix string) []byte {
 }
 
 // cutMember removes body[start:end] plus the comma that joined the
-// member to its predecessor, allocating the result.
+// member to its predecessor — or, for a leading member, to its
+// successor — allocating the result.
 func cutMember(body []byte, start, end int) []byte {
 	if start > 0 && body[start-1] == ',' {
 		start--
+	} else if end < len(body) && body[end] == ',' {
+		end++
 	}
 	out := make([]byte, 0, len(body)-(end-start))
 	out = append(out, body[:start]...)

@@ -330,8 +330,9 @@ func TestEncodeResponseRejectsNonFinite(t *testing.T) {
 }
 
 // TestStripMembers pins the inverses of the write-time splices on the
-// edge shapes no serving test produces: a lone member, an absent one
-// and an unterminated one.
+// edge shapes no serving test produces: a lone member, a leading one,
+// an absent one and an unterminated one. Every stripped body that was
+// valid JSON stays valid JSON.
 func TestStripMembers(t *testing.T) {
 	for _, tc := range []struct {
 		strip    func([]byte) []byte
@@ -339,14 +340,22 @@ func TestStripMembers(t *testing.T) {
 	}{
 		{StripTraceID, `{"device":"d","trace_id":"00ab"}` + "\n", `{"device":"d"}` + "\n"},
 		{StripTraceID, `{"trace_id":"00ab"}`, `{}`},
+		{StripTraceID, `{"trace_id":"00ab","device":"d"}`, `{"device":"d"}`},
 		{StripTraceID, `{"device":"d"}`, `{"device":"d"}`},
 		{StripTraceID, `{"device":"d","trace_id":"00ab`, `{"device":"d","trace_id":"00ab`},
 		{StripDegraded, `{"device":"d","degraded":true,"degraded_reason":"budget_infeasible","trace_id":"00ab"}`, `{"device":"d","trace_id":"00ab"}`},
 		{StripDegraded, `{"device":"d"}`, `{"device":"d"}`},
+		{StripDegraded, `{"degraded":true,"degraded_reason":"budget_infeasible","device":"d"}`, `{"device":"d"}`},
+		{StripDegraded, `{"degraded":true,"degraded_reason":"budget_infeasible"}`, `{}`},
+		{StripDegraded, `{"degraded_reason":"unhealthy_device","device":"d"}`, `{"device":"d"}`},
 		{StripDegraded, `{"device":"d","degraded":true,"degraded_reason":"unhealthy`, `{"device":"d","degraded_reason":"unhealthy`},
 	} {
-		if got := string(tc.strip([]byte(tc.in))); got != tc.want {
+		got := string(tc.strip([]byte(tc.in)))
+		if got != tc.want {
 			t.Errorf("strip(%s) = %s, want %s", tc.in, got, tc.want)
+		}
+		if json.Valid([]byte(tc.in)) && !json.Valid([]byte(got)) {
+			t.Errorf("strip(%s) = %s, not valid JSON", tc.in, got)
 		}
 	}
 }

@@ -108,12 +108,7 @@ func (p *Planner) applyPrepared(ps preparedState) {
 // planner sections plus the whole cut cache, since cuts do not depend
 // on the device.
 func (p *Planner) StateSections() []persist.Section {
-	f := &persist.File{
-		Seed:     p.cfg.Seed,
-		Planners: []persist.PlannerState{p.state()},
-		Cuts:     persist.CaptureCuts(),
-	}
-	return f.Sections()
+	return captureSections([]*Planner{p})
 }
 
 // SaveState writes the planner's warm state as a versioned snapshot.
@@ -130,45 +125,98 @@ func (p *Planner) SaveState(w io.Writer) error {
 // persist.ErrVersionMismatch / ErrChecksumMismatch / ErrStateMismatch —
 // and leave the planner fully functional on the cold path.
 func (p *Planner) LoadState(r io.Reader) error {
-	f, err := persist.Decode(r)
-	if err != nil {
-		return err
-	}
-	return p.loadFile(f)
+	return loadState(r, []*Planner{p})
 }
 
 // LoadSections restores already-decoded sections — the entry point a
 // replica streaming its shard section-by-section lands on.
 func (p *Planner) LoadSections(secs []persist.Section) error {
+	return loadSections(secs, []*Planner{p})
+}
+
+// captureSections captures the warm state of planners, in order, plus
+// the whole cut cache, which every device shares, as section frames.
+func captureSections(planners []*Planner) []persist.Section {
+	f := &persist.File{Seed: planners[0].cfg.Seed, Cuts: persist.CaptureCuts()}
+	for _, p := range planners {
+		f.Planners = append(f.Planners, p.state())
+	}
+	return f.Sections()
+}
+
+// loadState decodes a snapshot and restores it into planners.
+func loadState(r io.Reader, planners []*Planner) error {
+	f, err := persist.Decode(r)
+	if err != nil {
+		return err
+	}
+	return restore(f, planners)
+}
+
+// loadSections restores already-decoded sections into planners.
+func loadSections(secs []persist.Section, planners []*Planner) error {
 	f, err := persist.FromSections(secs)
 	if err != nil {
 		return err
 	}
-	return p.loadFile(f)
+	return restore(f, planners)
 }
 
-func (p *Planner) loadFile(f *persist.File) error {
-	for i := range f.Planners {
-		if p.matches(&f.Planners[i]) {
-			ps, err := prepareState(&f.Planners[i])
-			if err != nil {
-				return err
+// restore applies a snapshot to planners: each restores the first
+// section written with its identity, and a planner the snapshot does
+// not hold starts cold. A snapshot matching none of them is
+// ErrStateMismatch. Every matched section — and every cut — is
+// validated before any is applied, so a rejected snapshot leaves every
+// cache untouched.
+func restore(f *persist.File, planners []*Planner) error {
+	type match struct {
+		planner *Planner
+		state   *persist.PlannerState
+	}
+	var matches []match
+	for _, p := range planners {
+		for i := range f.Planners {
+			if p.matches(&f.Planners[i]) {
+				matches = append(matches, match{p, &f.Planners[i]})
+				break
 			}
-			// Cuts replay through the public trim path into the
-			// process-wide cache; RestoreCuts validates every record
-			// before replaying any, and runs first so a bad cut section
-			// rejects the snapshot before the planner caches fill.
-			if err := persist.RestoreCuts(f.Cuts); err != nil {
-				return err
-			}
-			p.applyPrepared(ps)
-			return nil
 		}
 	}
-	return fmt.Errorf(
-		"serve: %w: snapshot holds %s, this planner is %s (calibration %016x, seed %d, protocol %d/%d)",
-		ErrStateMismatch, snapshotIdentity(f), p.cfg.Device.Name,
-		p.dev.Fingerprint(), p.cfg.Seed, p.cfg.Protocol.WarmupRuns, p.cfg.Protocol.TimedRuns)
+	if len(matches) == 0 {
+		ids := make([]string, len(planners))
+		for i, p := range planners {
+			ids[i] = fmt.Sprintf("%s(calibration %016x, seed %d, protocol %d/%d)", p.cfg.Device.Name,
+				p.dev.Fingerprint(), p.cfg.Seed, p.cfg.Protocol.WarmupRuns, p.cfg.Protocol.TimedRuns)
+		}
+		return fmt.Errorf("serve: %w: snapshot holds %s, planners here are %v",
+			ErrStateMismatch, snapshotIdentity(f), ids)
+	}
+	// Prepare every matched section concurrently into its slot —
+	// preparation is pure validation + entry building, so parallelism
+	// changes wall-clock only and the lowest-index section's error is
+	// what a serial walk would have reported.
+	preps := make([]preparedState, len(matches))
+	if err := par.ForEach(len(matches), func(i int) error {
+		ps, err := prepareState(matches[i].state)
+		if err != nil {
+			return err
+		}
+		preps[i] = ps
+		return nil
+	}); err != nil {
+		return err
+	}
+	// Cuts replay through the public trim path into the process-wide
+	// cache; RestoreCuts validates every record before replaying any,
+	// and runs before the planner caches fill, so a bad cut section
+	// rejects the snapshot with every cache untouched.
+	if err := persist.RestoreCuts(f.Cuts); err != nil {
+		return err
+	}
+	for i, m := range matches {
+		m.planner.applyPrepared(preps[i])
+	}
+	return nil
 }
 
 func snapshotIdentity(f *persist.File) string {
@@ -190,19 +238,17 @@ func snapshotIdentity(f *persist.File) string {
 func (pp *PlannerPool) StateSections(devices ...string) ([]persist.Section, error) {
 	names := pp.names
 	if len(devices) > 0 {
-		names = make([]string, 0, len(devices))
-		for _, want := range devices {
-			if _, ok := pp.planners[want]; !ok {
-				return nil, fmt.Errorf("serve: no planner for device %q, pool serves %v", want, pp.names)
-			}
-			names = append(names, want)
-		}
+		names = devices
 	}
-	f := &persist.File{Seed: pp.Default().cfg.Seed, Cuts: persist.CaptureCuts()}
+	planners := make([]*Planner, 0, len(names))
 	for _, name := range names {
-		f.Planners = append(f.Planners, pp.planners[name].state())
+		p, ok := pp.planners[name]
+		if !ok {
+			return nil, fmt.Errorf("serve: no planner for device %q, pool serves %v", name, pp.names)
+		}
+		planners = append(planners, p)
 	}
-	return f.Sections(), nil
+	return captureSections(planners), nil
 }
 
 // SaveState writes the pool's warm state — one section group per
@@ -227,64 +273,20 @@ func (pp *PlannerPool) SaveStateFor(w io.Writer, devices ...string) error {
 // devices is ErrStateMismatch; sections for devices this pool does not
 // serve are skipped (their cache entries would be unreachable here),
 // and registered devices absent from the snapshot simply start cold.
-// Every matched section — and every cut — is validated before any is
-// applied, so a rejected snapshot leaves every cache untouched.
 func (pp *PlannerPool) LoadState(r io.Reader) error {
-	f, err := persist.Decode(r)
-	if err != nil {
-		return err
-	}
-	return pp.loadFile(f)
+	return loadState(r, pp.all())
 }
 
 // LoadSections restores a pool shard from already-decoded sections.
 func (pp *PlannerPool) LoadSections(secs []persist.Section) error {
-	f, err := persist.FromSections(secs)
-	if err != nil {
-		return err
-	}
-	return pp.loadFile(f)
+	return loadSections(secs, pp.all())
 }
 
-func (pp *PlannerPool) loadFile(f *persist.File) error {
-	type match struct {
-		planner *Planner
-		state   *persist.PlannerState
+// all lists the pool's planners in registration order.
+func (pp *PlannerPool) all() []*Planner {
+	planners := make([]*Planner, len(pp.names))
+	for i, name := range pp.names {
+		planners[i] = pp.planners[name]
 	}
-	var matches []match
-	for _, name := range pp.names {
-		p := pp.planners[name]
-		for i := range f.Planners {
-			if p.matches(&f.Planners[i]) {
-				matches = append(matches, match{p, &f.Planners[i]})
-				break
-			}
-		}
-	}
-	if len(matches) == 0 {
-		return fmt.Errorf("serve: %w: snapshot holds %s, pool serves %v",
-			ErrStateMismatch, snapshotIdentity(f), pp.names)
-	}
-	// Prepare every matched section concurrently into its slot —
-	// preparation is pure validation + entry building, so parallelism
-	// changes wall-clock only and the lowest-index section's error is
-	// what a serial walk would have reported.
-	preps := make([]preparedState, len(matches))
-	if err := par.ForEach(len(matches), func(i int) error {
-		ps, err := prepareState(matches[i].state)
-		if err != nil {
-			return err
-		}
-		preps[i] = ps
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := persist.RestoreCuts(f.Cuts); err != nil {
-		return err
-	}
-	for i, m := range matches {
-		m.planner.applyPrepared(preps[i])
-	}
-	return nil
+	return planners
 }

@@ -9,9 +9,9 @@
 # corrupts the primary snapshot, and requires the restart to recover
 # from the autosaved .bak generation with a warm first request. An
 # overload leg floods a tiny-capacity instance past its queue depth
-# and asserts the load level rises, 429s carry backlog-honest
-# Retry-After hints, resident answers keep serving, and the level
-# returns to 0 before a clean drain. The README metric catalogue is
+# and asserts the load level rises to 1, 429s are the lane's own
+# queue_full with backlog-honest Retry-After hints, resident answers
+# keep serving, and the level returns to 0 before a clean drain. The README metric catalogue is
 # linted against live scrapes both ways.
 #
 # Usage: scripts/smoke_gateway.sh [port]   (default 18080)
@@ -433,13 +433,13 @@ PID=""
 # 4-slot queue sits full for the /metrics polls below to observe
 # whatever the host's speed.
 # The bodies are generated once, before the flood, so the posters only
-# spawn curl. The load level must rise, rejections must be structured
-# 429s carrying a backlog-honest Retry-After, resident answers must
-# keep serving through the overload, and the level must return to 0
-# once the flood stops — before a clean SIGTERM drain. (The ladder
-# flaps by design: emergency sheds the inflow, the queue drains, the
-# level falls, and admission resumes — the poll below only needs to
-# observe one elevated sample.)
+# spawn curl. The load level must rise to 1, rejections must be the
+# lane's structured 429 queue_full carrying a backlog-honest
+# Retry-After, resident answers must keep serving through the overload,
+# and the level must return to 0 once the flood stops — before a clean
+# SIGTERM drain. (The level follows the backlog: the queue drains
+# between waves and the level falls with it — the poll below only
+# needs to observe one elevated sample.)
 OV_POSTERS=24
 OV_BODIES=40 # per poster
 mkdir -p "$TMP/cold"
@@ -478,11 +478,11 @@ for w in $(seq 0 $((OV_POSTERS - 1))); do
   ovpids+=("$!")
 done
 
-# The load level, read from the lane backlog at each scrape, must be
-# non-zero under the flood.
+# The load level, read from the lane backlog at each scrape, must reach
+# brownout (1) under the flood.
 LEVEL_SEEN=0
 for _ in $(seq 1 100); do
-  if curl -fsS "http://$ADDR/metrics" 2>/dev/null | grep -Eq '^netcut_gateway_load_level [12]'; then
+  if curl -fsS "http://$ADDR/metrics" 2>/dev/null | grep -Eq '^netcut_gateway_load_level 1$'; then
     LEVEL_SEEN=1
     break
   fi
@@ -499,14 +499,14 @@ same "$TMP/ov_hit.json" "$TMP/ov_hit2.json" || {
 
 # Probe the shed path directly with never-seen graphs (lane work: a
 # resident answer would be served through the overload): retry until a rejection lands (the queue empties between
-# waves), then require a structured 429 with a backlog-honest
-# Retry-After header and hint.
+# waves), then require the lane's structured 429 queue_full with a
+# backlog-honest Retry-After header and hint.
 SHED_OK=0
 for i in $(seq 1 $OV_PROBES); do
   CODE="$(curl -s -D "$TMP/ov_shed.hdr" -o "$TMP/ov_shed.json" -w '%{http_code}' -X POST \
     --data-binary "@$TMP/cold/$((OV_POSTERS * OV_BODIES + i - 1)).json" "http://$ADDR/v1/plan")"
   if [ "$CODE" = 429 ]; then
-    grep -Eq '"code":"(queue_full|overload_shed)"' "$TMP/ov_shed.json" || {
+    grep -q '"code":"queue_full"' "$TMP/ov_shed.json" || {
       echo "FAIL: overload 429 carried unexpected code" >&2; cat "$TMP/ov_shed.json" >&2; exit 1; }
     grep -Eq '"retry_after_ms":[0-9.]+' "$TMP/ov_shed.json" || {
       echo "FAIL: overload 429 body carries no retry_after_ms hint" >&2; cat "$TMP/ov_shed.json" >&2; exit 1; }
@@ -518,8 +518,7 @@ for i in $(seq 1 $OV_PROBES); do
 done
 [ "$SHED_OK" = 1 ] || { echo "FAIL: flood never produced a 429" >&2; touch "$TMP/ov_stop"; exit 1; }
 
-# Flood off: the level must return to 0 (the ladder has no hysteresis)
-# and the transition counter must have moved.
+# Flood off: the level must return to 0 (the ladder has no hysteresis).
 touch "$TMP/ov_stop"
 for p in "${ovpids[@]}"; do wait "$p" 2>/dev/null || true; done
 LEVEL_ZERO=0
@@ -534,9 +533,6 @@ done
   echo "FAIL: load level did not return to 0 after the flood stopped" >&2
   curl -fsS "http://$ADDR/metrics" | grep '^netcut_gateway_load' >&2 || true
   exit 1; }
-curl -fsS "http://$ADDR/metrics" >"$TMP/metrics5"
-grep -Eq '^netcut_gateway_load_transitions_total [1-9]' "$TMP/metrics5" || {
-  echo "FAIL: load-level transitions were not counted" >&2; exit 1; }
 
 kill -TERM "$PID"
 if wait "$PID"; then
