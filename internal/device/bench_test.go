@@ -25,26 +25,31 @@ func BenchmarkLatencyResNet(b *testing.B) {
 	}
 }
 
+// timedRuns is the paper protocol's timed-run count.
+const timedRuns = 800
+
+// inferRuns runs b.N inferences on s through Infer, timedRuns per call
+// as the profiler does, so ns/op is the cost of one run on the block
+// path: its share of a block's NormFill plus its formula.
+func inferRuns(b *testing.B, s *Session, lat, sums []float64) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += timedRuns {
+		s.Infer(min(timedRuns, b.N-done), lat, sums)
+	}
+}
+
 func BenchmarkInferMs(b *testing.B) {
 	d := New(Xavier())
 	g, _ := zoo.ByName("InceptionV3")
-	s := d.Open(g, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.InferMs()
-	}
+	inferRuns(b, d.Open(g, 1), make([]float64, timedRuns), nil)
 }
 
 func BenchmarkInferProfiledAdd(b *testing.B) {
 	d := New(Xavier())
 	g, _ := zoo.ByName("InceptionV3")
 	s := d.Open(g, 1)
-	sums := make([]float64, len(s.ProfiledLayers()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.InferProfiledAdd(sums)
-	}
+	inferRuns(b, s, nil, make([]float64, len(s.ProfiledLayers())))
 }
 
 func BenchmarkInferProfiledAddDenseNet(b *testing.B) {
@@ -53,12 +58,7 @@ func BenchmarkInferProfiledAddDenseNet(b *testing.B) {
 	d := New(Xavier())
 	g, _ := zoo.ByName("DenseNet-121")
 	s := d.Open(g, 1)
-	sums := make([]float64, len(s.ProfiledLayers()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.InferProfiledAdd(sums)
-	}
+	inferRuns(b, s, nil, make([]float64, len(s.ProfiledLayers())))
 }
 
 func BenchmarkOpenCachedPlan(b *testing.B) {

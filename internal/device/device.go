@@ -147,14 +147,15 @@ func (d *Device) LatencyMs(g *graph.Graph) float64 {
 // Session is an open execution context for one network on the device.
 // It tracks warm-up state and yields noisy per-run measurements, the way
 // repeated timed inferences on real hardware do. The execution plan is
-// shared, immutable cache state; only the run counter and noise stream
-// are per-session.
+// shared, immutable cache state; only the run counter, the noise stream
+// and the draw buffer are per-session.
 type Session struct {
 	dev   *Device
 	g     *graph.Graph
 	info  *planInfo
 	runs  int
 	noise noise.Source
+	buf   []float64 // Infer's draw buffer, kept for the next call
 }
 
 // Open prepares a session for g, reusing the device's memoized plan and
@@ -164,16 +165,6 @@ func (d *Device) Open(g *graph.Graph, seed int64) *Session {
 	s := &Session{dev: d, g: g, info: d.plan(g)}
 	s.noise.Seed(seed)
 	return s
-}
-
-// Fork returns an independent copy of the session: same run count,
-// and a noise stream that continues where s's would. Running the fork
-// yields exactly what running s would have, without touching s, so
-// two protocols that share a warm-up can each start from one warmed
-// session.
-func (s *Session) Fork() *Session {
-	f := *s
-	return &f
 }
 
 // Graph returns the network this session executes.
@@ -190,46 +181,147 @@ func (c *Config) coldFactor(k int) float64 {
 	return 1 + float64(c.ColdPenalty*math.Exp(-float64(k)/c.ColdRuns))
 }
 
-// coldFactor is the warm-up factor of the session's next run, read
-// from the device's table while the run is in it.
-func (s *Session) coldFactor() float64 {
-	if s.runs < len(s.dev.cold) {
-		return s.dev.cold[s.runs]
+// coldFactor is the warm-up factor of run k, read from the device's
+// table while k is in it.
+func (d *Device) coldFactor(k int) float64 {
+	if k < len(d.cold) {
+		return d.cold[k]
 	}
-	return s.dev.cfg.coldFactor(s.runs)
+	return d.cfg.coldFactor(k)
 }
 
-// runNoise is the per-run global noise factor (clock and DVFS jitter
-// affect all kernels of a run together); kernelNoise is the smaller
-// independent per-kernel jitter.
-//
-// Throughout the noise math, an explicit float64(x*y) rounds a product
-// before it is added: the Go spec lets a compiler fuse x*y+z into one
-// multiply-add, even across statements (arm64 builds do), and only a
-// conversion rules that out, so every build draws the same bits. The
-// draws themselves come from internal/noise, which reproduces
-// math/rand's seeded normal stream; its ziggurat keeps math/rand's
-// expressions unrounded on purpose, so it fuses wherever math/rand
-// does.
-func (s *Session) runNoise() float64 {
-	return 1 + float64(s.dev.cfg.NoiseSigma*s.noise.NormFloat64())
-}
+// inferBlock is how many runs Infer draws per NormFill. Its buffer
+// holds one block of runs, never a whole protocol.
+const inferBlock = 8
 
-func (s *Session) kernelNoise() float64 {
-	return 1 + float64(0.5*s.dev.cfg.NoiseSigma*s.noise.NormFloat64())
-}
+// Skip executes runs inferences whose latencies nobody reads, such as a
+// protocol's warm-up: it draws and discards their noise, leaving the
+// session where as many InferMs calls would.
+func (s *Session) Skip(runs int) { s.Infer(runs, nil, nil) }
 
 // InferMs executes one inference and returns its measured latency in
 // milliseconds, including warm-up and noise effects.
 func (s *Session) InferMs() float64 {
-	cold := s.coldFactor()
-	run := s.runNoise()
-	s.runs++
+	var lat [1]float64
+	s.Infer(1, lat[:], nil)
+	return lat[0]
+}
+
+// InferProfiledAdd executes one inference with per-layer event
+// recording: it adds each layer's measured latency to the matching
+// entry of sums (one per ProfiledLayers row; it panics if sums is
+// shorter) and returns the end-to-end latency the run would have had
+// without events. Kernel time is attributed to its fused layers
+// proportionally to their MAC share (precomputed once per plan, not per
+// run), and each recorded layer pays the event overhead — which is why
+// the per-layer sum slightly exceeds the end-to-end latency, the effect
+// Eq. (1) divides away. Accumulating in place lets an 800-run
+// measurement protocol build a table without materializing any row.
+func (s *Session) InferProfiledAdd(sums []float64) float64 {
+	return s.Infer(1, nil, sums[:s.info.rows])
+}
+
+// Infer executes n inferences, drawing their noise inferBlock runs at
+// a time, and returns the sum of their end-to-end latencies if sums is
+// non-nil, else 0.
+//
+// A plain run (InferMs) draws 1+K normals: its run factor, then one per
+// kernel in plan order. A profiled run (InferProfiledAdd) draws the
+// same 1+K and, after each kernel's, one per fused row of that kernel.
+// With sums nil the n runs are plain; with sums non-nil they are
+// profiled, each adding its rows to sums as InferProfiledAdd does. If
+// lat is non-nil, lat[i] receives what the i-th of n InferMs calls from
+// the session's current state would return. With sums non-nil those
+// plain runs read the stream's first n(1+K) normals, a prefix of the
+// profiled runs' draws, so one draw feeds both protocols: a plain run
+// that straddles two blocks carries its drawn normals over to the
+// next. The session ends n runs on, at the end of what it drew.
+func (s *Session) Infer(n int, lat, sums []float64) float64 {
+	plain := 1 + len(s.info.baseMs)
+	width := plain
+	if sums != nil {
+		sums = sums[:s.info.rows]
+		width += s.info.rows
+	}
+	// buf[:plain] holds the carried head of a straddling plain run,
+	// buf[plain:] one block's draws.
+	if need := plain + min(n, inferBlock)*width; cap(s.buf) < need {
+		s.buf = make([]float64, need)
+	}
+	first := s.runs
+	var total float64
+	carried, m := 0, 0 // lat[m] is the next plain run; carried its drawn normals
+	for s.runs < first+n {
+		drawn := s.buf[plain : plain+min(inferBlock, first+n-s.runs)*width]
+		s.noise.NormFill(drawn)
+		for z := drawn; len(z) > 0; z = z[width:] {
+			if sums != nil {
+				total += s.profiledMs(s.dev.coldFactor(s.runs), z[:width], sums)
+			}
+			s.runs++
+		}
+		if lat == nil {
+			continue
+		}
+		z := s.buf[plain-carried : plain+len(drawn)]
+		for ; m < n && len(z) >= plain; m++ {
+			lat[m] = s.plainMs(s.dev.coldFactor(first+m), z[:plain])
+			z = z[plain:]
+		}
+		if m < n {
+			carried = copy(s.buf[plain-len(z):plain], z)
+		}
+	}
+	return total
+}
+
+// plainMs is the latency of a plain run with warm-up factor cold and
+// normals z: the run's global noise factor (clock and DVFS jitter
+// affect all kernels of a run together) times the sum of the kernel
+// times, each with its smaller independent jitter.
+//
+// Throughout the noise math, an explicit float64(x*y) rounds a product
+// before it is added: the Go spec lets a compiler fuse x*y+z into one
+// multiply-add, even across statements (arm64 builds do), and only a
+// conversion rules that out, so every build computes the same bits.
+// The draws themselves come from internal/noise, which reproduces
+// math/rand's seeded normal stream; its ziggurat keeps math/rand's
+// expressions unrounded on purpose, so it fuses wherever math/rand
+// does.
+func (s *Session) plainMs(cold float64, z []float64) float64 {
+	sigma := s.dev.cfg.NoiseSigma
+	run := 1 + float64(sigma*z[0])
+	base := s.info.baseMs
+	kz := z[1:][:len(base)]
 	total := 0.0
-	for _, b := range s.info.baseMs {
-		total += float64(b * s.kernelNoise())
+	for k, b := range base {
+		total += float64(b * (1 + float64(0.5*sigma*kz[k])))
 	}
 	return total * run * cold
+}
+
+// profiledMs is plainMs for a profiled run with normals z: it adds each
+// row's share of its kernel's time plus the jittered event overhead to
+// sums and returns the kernels' total.
+func (s *Session) profiledMs(cold float64, z, sums []float64) float64 {
+	sigma, ev := s.dev.cfg.NoiseSigma, s.dev.cfg.EventOverheadMs
+	run := 1 + float64(sigma*z[0])
+	total := 0.0
+	zi, ri := 1, 0
+	for ki, tmpl := range s.info.rowTmpl {
+		t := float64(s.info.baseMs[ki] * (1 + float64(0.5*sigma*z[zi])) * run * cold)
+		zi++
+		total += t
+		for j := range tmpl {
+			// One draw per row, in plan order; both products are
+			// rounded before the adds.
+			jitter := 1 + float64(0.1*z[zi])
+			zi++
+			sums[ri] += float64(t*tmpl[j].share) + float64(ev*jitter)
+			ri++
+		}
+	}
+	return total
 }
 
 // ProfiledLayer identifies one row of a per-layer profiling table: a
@@ -251,36 +343,4 @@ func (s *Session) ProfiledLayers() []ProfiledLayer {
 		}
 	}
 	return out
-}
-
-// InferProfiledAdd executes one inference with per-layer event
-// recording: it adds each layer's measured latency to the matching
-// entry of sums (one per ProfiledLayers row; it panics if sums is
-// shorter) and returns the end-to-end latency the run would have had
-// without events. Kernel time is attributed to its fused layers
-// proportionally to their MAC share (precomputed once per plan, not per
-// run), and each recorded layer pays the event overhead — which is why
-// the per-layer sum slightly exceeds the end-to-end latency, the effect
-// Eq. (1) divides away. Accumulating in place lets an 800-run
-// measurement protocol build a table without materializing any row.
-func (s *Session) InferProfiledAdd(sums []float64) float64 {
-	cold := s.coldFactor()
-	run := s.runNoise()
-	s.runs++
-	total := 0.0
-	ev := s.dev.cfg.EventOverheadMs
-	sums = sums[:s.info.rows]
-	ri := 0
-	for ki, tmpl := range s.info.rowTmpl {
-		t := float64(s.info.baseMs[ki] * s.kernelNoise() * run * cold)
-		total += t
-		for j := range tmpl {
-			// One RNG draw per row, in plan order; both products are
-			// rounded before the adds.
-			jitter := 1 + float64(0.1*s.noise.NormFloat64())
-			sums[ri] += float64(t*tmpl[j].share) + float64(ev*jitter)
-			ri++
-		}
-	}
-	return total
 }

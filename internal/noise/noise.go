@@ -15,7 +15,8 @@
 // through the rand.Source interface and advances two ring indices per
 // output. A Source keeps its last 607 outputs in output order and
 // refills all of them at once, so a draw is one load plus the
-// ziggurat's fast test, with the rare slow path out of line.
+// ziggurat's fast test, with the rare slow path out of line. NormFill
+// draws a whole buffer with that fast path inline in its loop.
 //
 // Seeded math/rand streams are frozen by the Go 1 compatibility
 // promise. The package's lockstep test runs a Source beside math/rand
@@ -153,6 +154,31 @@ func (s *Source) NormFloat64() float64 {
 		return x
 	}
 	return s.normSlow(j)
+}
+
+// NormFill fills dst with the next len(dst) standard normal draws, the
+// values len(dst) calls of NormFloat64 would return. The ziggurat's
+// fast path runs inline, with the read index kept in a local; the slow
+// path is NormFloat64's.
+func (s *Source) NormFill(dst []float64) {
+	next := s.next
+	for d := range dst {
+		if next == rngLen {
+			s.refill()
+			next = 0
+		}
+		j := int32(uint64(s.v[next]) >> 31)
+		next++
+		i := j & 0x7F
+		if absInt32(j) < kn[i] {
+			dst[d] = float64(j) * float64(wn[i])
+			continue
+		}
+		s.next = next
+		dst[d] = s.normSlow(j)
+		next = s.next
+	}
+	s.next = next
 }
 
 // normSlow finishes a draw whose candidate j failed the fast test: it

@@ -94,3 +94,46 @@ func BenchmarkNormFloat64(b *testing.B) {
 		_ = sum
 	})
 }
+
+// TestNormFillLockstep checks NormFill against NormFloat64 and
+// math/rand, draw for draw, and the state it leaves against
+// NormFloat64's. Fill lengths of 0, 1, rngLen-1, rngLen, rngLen+1 and
+// 4096, taken in turn, start fills at many offsets into a block, so
+// fills cross refills at every phase; the slow path, about 2.8% of
+// draws, must have run.
+func TestNormFillLockstep(t *testing.T) {
+	lengths := []int{0, 1, 606, 607, 608, 4096}
+	for _, seed := range []int64{0, 1, 42, -7, 1 << 40, -1 << 62} {
+		var fill, draw Source
+		fill.Seed(seed)
+		draw.Seed(seed)
+		r := rand.New(rand.NewSource(seed))
+		var n, slow int
+		for round := 0; round < 8; round++ {
+			for _, l := range lengths {
+				dst := make([]float64, l)
+				fill.NormFill(dst)
+				for i, got := range dst {
+					before := draw.next
+					want := draw.NormFloat64()
+					if consumed(before, draw.next) > 1 {
+						slow++
+					}
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("seed %d draw %d (fill of %d, index %d): NormFill %v, NormFloat64 %v", seed, n, l, i, got, want)
+					}
+					if want := r.NormFloat64(); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("seed %d draw %d (fill of %d, index %d): NormFill %v, math/rand %v", seed, n, l, i, got, want)
+					}
+					n++
+				}
+				if fill != draw {
+					t.Fatalf("seed %d after a fill of %d: the state differs from NormFloat64's (read index %d vs %d)", seed, l, fill.next, draw.next)
+				}
+			}
+		}
+		if slow == 0 {
+			t.Fatalf("seed %d: no slow-path draw in %d; the test no longer covers NormFill's slow path", seed, n)
+		}
+	}
+}

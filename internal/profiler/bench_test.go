@@ -11,11 +11,12 @@ import (
 // "profile" is a fresh profiler's per-layer table build, "measure" is
 // one end-to-end Measure, and "measure_profile" is both in one
 // MeasureProfile, which is the cold measure phase of a
-// profiler-estimator request: one shared warm-up, then the two timed
-// phases as two tasks, side by side when GOMAXPROCS > 1 (compare with
-// -cpu 1 for the serial schedule). Every iteration starts from a fresh
-// device and profiler, so no plan, table or measurement is cached, as
-// for a never-seen graph posted to the gateway.
+// profiler-estimator request: one serial pass that draws the table's
+// timed runs once and computes the measurement's from a prefix of the
+// same draws, so it costs little more than "profile". Every iteration
+// starts from a fresh device and profiler, so no plan, table or
+// measurement is cached, as for a never-seen graph posted to the
+// gateway.
 func BenchmarkProfile(b *testing.B) {
 	g := coldGraph()
 	fresh := func(b *testing.B) *Profiler {

@@ -11,15 +11,12 @@ package profiler
 
 import (
 	"fmt"
-	"hash/fnv"
-	"io"
 	"sync"
 
 	"netcut/internal/device"
 	"netcut/internal/graph"
 	"netcut/internal/lru"
 	"netcut/internal/metric"
-	"netcut/internal/par"
 	"netcut/internal/telemetry"
 )
 
@@ -229,15 +226,19 @@ func (p *Profiler) HasTable(g *graph.Graph) bool {
 }
 
 // sessionSeed derives the per-network measurement seed from the
-// profiler's base seed: seed XOR a hash of the network name. Each
-// network therefore draws its own reproducible noise stream that is
-// independent of every other network's, which is what lets the
-// experiment harness measure many networks concurrently and still get
-// results that are bit-identical to a serial run in any order.
+// profiler's base seed: seed XOR the FNV-1a hash (hash/fnv's New64a) of
+// the network name, hashed in place so that opening a session
+// allocates no hash state. Each network therefore draws its own
+// reproducible noise stream that is independent of every other
+// network's, which is what lets the experiment harness measure many
+// networks concurrently and still get results that are bit-identical
+// to a serial run in any order.
 func sessionSeed(base int64, name string) int64 {
-	h := fnv.New64a()
-	io.WriteString(h, name)
-	return base ^ int64(h.Sum64())
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * 1099511628211
+	}
+	return base ^ int64(h)
 }
 
 // Measure runs the warm-up/timed protocol and returns the end-to-end
@@ -246,71 +247,62 @@ func sessionSeed(base int64, name string) int64 {
 func (p *Profiler) Measure(g *graph.Graph) Measurement {
 	// A concurrent miss computes the identical value; either store wins.
 	return p.measurements.GetOrCompute(p.dev.PlanKey(g), func() Measurement {
-		return p.measure(p.warmup(g))
+		m, _ := p.run(g, true, false)
+		return m
 	})
 }
 
 // MeasureProfile returns Measure(g) and Profile(g), with the same
 // results and cache counters as calling the two in that order: the
-// caches are read and filled measurement first. When both miss, the
-// two protocols share one warm-up — both open the same seeded session
-// and run the same warm-up, so a fork of the warmed session is the
-// session a second warm-up would produce — and their timed runs, which
-// are then independent, run as two par.ForEach tasks: concurrently
-// when GOMAXPROCS allows, serially (measurement first) otherwise. A
-// panic in either surfaces on the caller as a *par.TaskPanic.
+// caches are read and filled measurement first. When both miss, one
+// pass over g's noise stream serves both protocols: the two would open
+// the same seeded session and skip the same warm-up, and the
+// measurement's timed runs read a prefix of the normals the table's
+// timed runs draw (device.Session.Infer), so each normal is drawn once.
 func (p *Profiler) MeasureProfile(g *graph.Graph) (Measurement, *Table) {
 	key := p.dev.PlanKey(g)
 	var built *Table
-	m := p.measurements.GetOrCompute(key, func() Measurement {
-		s := p.warmup(g)
-		if p.tables.Contains(key) {
-			return p.measure(s)
-		}
-		fork := s.Fork()
-		var measured Measurement
-		par.ForEach(2, func(i int) error {
-			if i == 0 {
-				measured = p.measure(s)
-			} else {
-				built = p.profile(fork)
-			}
-			return nil
-		})
-		return measured
+	m := p.measurements.GetOrCompute(key, func() (m Measurement) {
+		m, built = p.run(g, true, !p.tables.Contains(key))
+		return m
 	})
 	tbl := p.tables.GetOrCompute(key, func() *Table {
 		if built == nil {
-			return p.profile(p.warmup(g))
+			_, built = p.run(g, false, true)
 		}
 		return built
 	})
 	return m, tbl
 }
 
-// warmup opens g's seeded session and runs the protocol's warm-up on
-// it: the identical first phase of Measure and Profile.
-func (p *Profiler) warmup(g *graph.Graph) *device.Session {
+// run opens g's seeded session, skips the protocol's warm-up and runs
+// its timed phase once, returning the end-to-end measurement if
+// measure is set and the per-layer table if table is set.
+func (p *Profiler) run(g *graph.Graph, measure, table bool) (m Measurement, tbl *Table) {
 	s := p.dev.Open(g, sessionSeed(p.seed, g.Name))
-	for i := 0; i < p.proto.WarmupRuns; i++ {
-		s.InferMs()
+	s.Skip(p.proto.WarmupRuns)
+	var lat, sums []float64
+	var layers []device.ProfiledLayer
+	if measure {
+		lat = make([]float64, p.proto.TimedRuns)
 	}
-	return s
-}
-
-// measure runs the timed phase of the end-to-end protocol on a
-// warmed-up session.
-func (p *Profiler) measure(s *device.Session) Measurement {
-	lat := make([]float64, p.proto.TimedRuns)
-	for i := range lat {
-		lat[i] = s.InferMs()
+	if table {
+		layers = s.ProfiledLayers()
+		sums = make([]float64, len(layers))
 	}
-	return Measurement{
-		Network: s.Graph().Name,
-		MeanMs:  metric.Mean(lat),
-		StdMs:   metric.Std(lat),
-		Runs:    p.proto.TimedRuns,
+	endToEnd := s.Infer(p.proto.TimedRuns, lat, sums)
+	if measure {
+		m = Measurement{
+			Network: g.Name,
+			MeanMs:  metric.Mean(lat),
+			StdMs:   metric.Std(lat),
+			Runs:    p.proto.TimedRuns,
+		}
 	}
+	if table {
+		tbl = newTable(g, layers, sums, endToEnd, p.proto.TimedRuns)
+	}
+	return m, tbl
 }
 
 // Profile runs the protocol with per-layer event instrumentation and
@@ -318,26 +310,20 @@ func (p *Profiler) measure(s *device.Session) Measurement {
 // one cached table; callers treat tables as immutable.
 func (p *Profiler) Profile(g *graph.Graph) *Table {
 	return p.tables.GetOrCompute(p.dev.PlanKey(g), func() *Table {
-		return p.profile(p.warmup(g))
+		_, tbl := p.run(g, false, true)
+		return tbl
 	})
 }
 
-// profile runs the timed phase of the instrumented protocol on a
-// warmed-up session.
-func (p *Profiler) profile(s *device.Session) *Table {
-	g := s.Graph()
-	// The execution plan — and therefore the profiled row order — is
-	// identical on every run, so the runs accumulate positionally into
-	// one sums slice, with no rows and no map ops in the hot loop.
-	layers := s.ProfiledLayers()
-	sums := make([]float64, len(layers))
-	var endToEnd float64
-	for i := 0; i < p.proto.TimedRuns; i++ {
-		endToEnd += s.InferProfiledAdd(sums)
-	}
+// newTable builds g's table from runs profiled runs: their per-row
+// sums, in the order of layers, and their end-to-end sum. The execution
+// plan, and therefore the profiled row order, is identical on every
+// run, so the runs accumulate positionally, with no rows and no map
+// ops in the hot loop.
+func newTable(g *graph.Graph, layers []device.ProfiledLayer, sums []float64, endToEnd float64, runs int) *Table {
 	tbl := &Table{
 		Network:    g.Name,
-		EndToEndMs: endToEnd / float64(p.proto.TimedRuns),
+		EndToEndMs: endToEnd / float64(runs),
 		Layers:     make([]LayerStat, len(layers)),
 	}
 	for ri, l := range layers {
@@ -345,7 +331,7 @@ func (p *Profiler) profile(s *device.Session) *Table {
 			NodeID: l.NodeID,
 			Name:   l.Name,
 			Kind:   l.Kind,
-			MeanMs: sums[ri] / float64(p.proto.TimedRuns),
+			MeanMs: sums[ri] / float64(runs),
 		}
 	}
 	if err := tbl.indexRows(); err != nil {

@@ -431,7 +431,8 @@ func (p *Planner) Candidate(g *graph.Graph) (core.Candidate, error) {
 
 // candidate is Candidate that, when withTable is set, also returns g's
 // per-layer profiler table, measuring and profiling g in one
-// Profiler.MeasureProfile so the two protocols share a warm-up.
+// Profiler.MeasureProfile so the two protocols share one pass over g's
+// noise stream.
 func (p *Planner) candidate(g *graph.Graph, withTable bool) (core.Candidate, *profiler.Table, error) {
 	if err := p.ensureProfile(g); err != nil {
 		return core.Candidate{}, nil, err
