@@ -195,12 +195,12 @@
 // envelope (magic, schema-version byte, FNV-1a payload checksum) over
 // length-prefixed section frames, one per (kind, device, calibration)
 // unit, each with its own identity header, deduplicated string table,
-// varint records and per-frame checksum. Sections are independently
-// decodable — persist.WriteSections and persist.SectionReader, plus
-// the planner/pool StateSections/SaveStateFor/LoadSections entry
-// points, expose the snapshot section-by-section so a replica can ship
-// or request exactly the device shard it owns. Restore decodes
-// sections concurrently and fans cut replay across cores with
+// varint records and per-frame checksum. The frames are the codec's
+// unit, not an API: persist.File is the one in-memory form of a
+// snapshot, persist.Encode its one writer and persist.Decode its one
+// reader. Restore decodes the frames concurrently (each checks its
+// own bytes, so damage is localized to one section) and fans cut
+// replay across cores with
 // position-indexed slots (insertions stay serial in snapshot order),
 // so parallelism changes wall-clock only: save, load, save reproduces
 // the file byte for byte. cmd/netserve wires it to the process

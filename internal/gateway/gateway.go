@@ -1084,10 +1084,10 @@ func (g *Gateway) fallback(dec *decodedRequest, reason string, tr *trace.Trace) 
 // deviceEligible is the health predicate "auto" routing and explicit
 // admission share: a device is eligible unless its containment state
 // has tripped unhealthy. Health, like the rest of admission, decides
-// where executions run, never what they return.
+// where executions run, never what they return. Every caller passes a
+// registered device name.
 func (g *Gateway) deviceEligible(name string) bool {
-	l := g.lanes[name]
-	return l == nil || !l.unhealthy.Load()
+	return !g.lanes[name].unhealthy.Load()
 }
 
 // unhealthyErr is the 503 an explicit request for a tripped device
@@ -1494,9 +1494,7 @@ func (g *Gateway) Prewarm() <-chan struct{} {
 		defer close(done)
 		names := g.pool.DeviceNames()
 		par.ForEach(len(names), func(i int) error {
-			if p, err := g.pool.Planner(names[i]); err == nil { // Route only registers known names; defensive
-				g.prewarmDevice(p)
-			}
+			g.prewarmDevice(g.lanes[names[i]].planner)
 			return nil
 		})
 	})
@@ -1552,11 +1550,7 @@ func (g *Gateway) handleDevices(w http.ResponseWriter, _ *http.Request) {
 	names := g.pool.DeviceNames()
 	out := make([]DeviceWire, 0, len(names))
 	for i, name := range names {
-		p, err := g.pool.Planner(name)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
+		p := g.lanes[name].planner
 		cfg := p.DeviceConfig()
 		p99, samples := p.WarmQuantile(0.99)
 		if samples < shedMinSamples {

@@ -373,7 +373,7 @@ func TestGatewayStateSaveEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f2.Close()
-	if err := g3.LoadState(f2); !errors.Is(err, serve.ErrStateMismatch) {
+	if err := g3.LoadState(f2); !errors.Is(err, persist.ErrStateMismatch) {
 		t.Fatalf("cross-seed gateway load: err = %v, want ErrStateMismatch", err)
 	}
 

@@ -52,36 +52,31 @@ func benchFile(b *testing.B) *File {
 }
 
 // BenchmarkSection times the snapshot codec one section at a time:
-// encode is WriteSections over that section alone (one frame plus the
-// envelope), decode is SectionReader.Decode of that frame. Each op's
-// bytes are the encoded snapshot, so MB/s compares sections.
+// encode frames that section alone inside the envelope, decode splits
+// that snapshot and decodes its one frame. Each op's bytes are the
+// encoded snapshot, so MB/s compares sections.
 func BenchmarkSection(b *testing.B) {
 	f := benchFile(b)
-	for _, sec := range f.Sections()[1:] { // meta carries no records
-		var raw bytes.Buffer
-		if err := WriteSections(&raw, []Section{sec}); err != nil {
-			b.Fatal(err)
-		}
+	for _, sec := range f.sections()[1:] { // meta carries no records
+		raw := encodeSections([]section{sec})
 		b.Run(sec.ID.Kind.String()+"/encode", func(b *testing.B) {
-			b.SetBytes(int64(raw.Len()))
+			b.SetBytes(int64(len(raw)))
 			b.ReportAllocs()
 			var buf bytes.Buffer
 			for b.Loop() {
 				buf.Reset()
-				if err := WriteSections(&buf, []Section{sec}); err != nil {
-					b.Fatal(err)
-				}
+				buf.Write(encodeSections([]section{sec}))
 			}
 		})
 		b.Run(sec.ID.Kind.String()+"/decode", func(b *testing.B) {
-			b.SetBytes(int64(raw.Len()))
+			b.SetBytes(int64(len(raw)))
 			b.ReportAllocs()
 			for b.Loop() {
-				r, err := NewSectionReader(raw.Bytes())
+				frames, err := splitFrames(raw)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := r.Decode(0); err != nil {
+				if _, err := decodeFrame(frames[0]); err != nil {
 					b.Fatal(err)
 				}
 			}

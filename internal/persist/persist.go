@@ -9,12 +9,12 @@
 //
 //	"netcut-state" version:u8 checksum:fixed64 frame...
 //
-// where each frame is one independently decodable section (see
-// section.go for the frame layout): a length-prefixed body carrying a
-// kind byte, an identity header (device, calibration fingerprint,
-// seed, measurement protocol), a per-frame deduplicated string table,
-// varint/fixed64-encoded records, and its own trailing FNV-1a 64
-// checksum. No reflection runs in either direction — every section
+// where each frame is one independently decodable section of the
+// state (see section.go for the frame layout): a length-prefixed body
+// carrying a kind byte, an identity header (device, calibration
+// fingerprint, seed, measurement protocol), a per-frame deduplicated
+// string table, varint/fixed64-encoded records, and its own trailing
+// FNV-1a 64 checksum. No reflection runs in either direction — every section
 // kind has a hand-written encode and decode walk.
 //
 // The envelope is what makes rejection structured instead of silent:
@@ -28,7 +28,7 @@
 //     every frame repeats the check over its own bytes: a truncated or
 //     bit-flipped file is ErrChecksumMismatch before any field of it is
 //     trusted, and the frame-level check localizes the damage to one
-//     section even when frames travel without the envelope.
+//     section.
 //   - Identity fields in each frame header (device name, calibration
 //     fingerprint, seed, measurement protocol) are matched by the
 //     restoring layer (serve.Planner.LoadState): a snapshot taken on a
@@ -90,15 +90,16 @@ var (
 	ErrStateMismatch = errors.New("snapshot does not match this planner")
 )
 
-// File is the in-memory form of a whole snapshot: every planner
-// section of a pool (one for a single Planner) plus the process-wide
-// cut-cache state. On the wire it is a flat sequence of sections — see
-// Sections and FromSections.
+// File is the one in-memory form of a snapshot: the warm state of
+// every planner of a pool (one for a single Planner) plus the
+// process-wide cut-cache state. Encode and Decode are its only writer
+// and reader; on the wire it is a flat sequence of per-section frames,
+// a detail of the codec (see section.go).
 type File struct {
 	// Seed is the base measurement/retraining seed the state was
 	// produced under.
 	Seed int64
-	// Planners holds one section per device-keyed planner, in
+	// Planners holds one entry per device-keyed planner, in
 	// registration order.
 	Planners []PlannerState
 	// Cuts is the cut-coordinate form of the process-wide cut cache.
@@ -147,14 +148,15 @@ type CutState struct {
 // Encode writes f as a versioned, checksummed binary snapshot. Equal
 // Files produce equal bytes.
 func Encode(w io.Writer, f *File) error {
-	return WriteSections(w, f.Sections())
+	_, err := w.Write(encodeSections(f.sections()))
+	return err
 }
 
 // Decode reads and validates a snapshot: magic, schema version and
 // both checksum layers gate the parse, so a stale, foreign or corrupt
 // file is a structured error before any of its content is trusted.
-// Sections decode concurrently (width par.Workers); results and errors
-// are the same at every width. Callers then match the frame identity
+// Frames decode concurrently (width par.Workers); results and errors
+// are the same at every width. Callers then match the planner identity
 // fields themselves. A reader that can Stat itself (an *os.File) is
 // read into one buffer of its size instead of a doubling one.
 func Decode(r io.Reader) (*File, error) {
@@ -172,26 +174,26 @@ func Decode(r io.Reader) (*File, error) {
 
 // DecodeBytes is Decode over an in-memory snapshot (the fuzz target).
 func DecodeBytes(raw []byte) (*File, error) {
-	r, err := NewSectionReader(raw)
+	frames, err := splitFrames(raw)
 	if err != nil {
 		return nil, err
 	}
-	// Section decoding is pure (no shared state) and each section lands
+	// Frame decoding is pure (no shared state) and each section lands
 	// in its position-indexed slot, so the width changes wall-clock
-	// only; an error is the lowest-index section's (the par.ForEach
+	// only; an error is the lowest-index frame's (the par.ForEach
 	// contract).
-	secs := make([]Section, r.Len())
-	if err := par.ForEach(r.Len(), func(i int) error {
-		s, err := r.Decode(i)
+	secs := make([]section, len(frames))
+	if err := par.ForEach(len(frames), func(i int) error {
+		s, err := decodeFrame(frames[i])
 		if err != nil {
-			return err
+			return fmt.Errorf("persist: section %d: %w", i, err)
 		}
-		secs[i] = *s
+		secs[i] = s
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	return FromSections(secs)
+	return assemble(secs)
 }
 
 // CaptureCuts snapshots the process-wide cut cache as cut coordinates,

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"io"
 	"os"
 	"reflect"
 	"runtime"
@@ -200,74 +199,52 @@ func richFile(t *testing.T) *File {
 	return f
 }
 
-// TestSectionRoundTrip pins the section-level API: Sections/
-// FromSections invert each other, SectionReader decodes frames
-// independently and in iterator order, identity peeks match, and
-// Decode returns bit-identical results at GOMAXPROCS 1 and 4.
+// TestSectionRoundTrip pins the frame layer under Encode and
+// DecodeBytes: sections and assemble invert each other, every frame
+// decodes on its own to the section it was encoded from, and
+// DecodeBytes returns bit-identical results at GOMAXPROCS 1 and 4.
 func TestSectionRoundTrip(t *testing.T) {
 	f := richFile(t)
-	secs := f.Sections()
-	wantKinds := []SectionKind{SectionMeta, SectionPlans, SectionMeasurements, SectionTables, SectionGraphs, SectionCuts}
+	secs := f.sections()
+	wantKinds := []sectionKind{sectionMeta, sectionPlans, sectionMeasurements, sectionTables, sectionGraphs, sectionCuts}
 	if len(secs) != len(wantKinds) {
-		t.Fatalf("Sections returned %d sections, want %d", len(secs), len(wantKinds))
+		t.Fatalf("sections returned %d sections, want %d", len(secs), len(wantKinds))
 	}
 	for i, k := range wantKinds {
 		if secs[i].ID.Kind != k {
 			t.Fatalf("section %d kind = %s, want %s", i, secs[i].ID.Kind, k)
 		}
 	}
-	back, err := FromSections(secs)
+	back, err := assemble(secs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(back, f) {
-		t.Fatalf("FromSections(Sections()) diverged:\n got  %+v\n want %+v", back, f)
+		t.Fatalf("assemble(sections()) diverged:\n got  %+v\n want %+v", back, f)
 	}
 
-	var buf bytes.Buffer
-	if err := WriteSections(&buf, secs); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewSectionReader(buf.Bytes())
+	raw := encodeSections(secs)
+	frames, err := splitFrames(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Len() != len(secs) {
-		t.Fatalf("reader holds %d frames, want %d", r.Len(), len(secs))
+	if len(frames) != len(secs) {
+		t.Fatalf("snapshot splits into %d frames, want %d", len(frames), len(secs))
 	}
-	for i := range secs {
-		id, err := r.ID(i)
+	for i, fr := range frames {
+		s, err := decodeFrame(fr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if id != secs[i].ID {
-			t.Fatalf("frame %d identity = %+v, want %+v", i, id, secs[i].ID)
+		if !sectionEqual(&s, &secs[i]) {
+			t.Fatalf("frame %d decode diverged:\n got  %+v\n want %+v", i, s, secs[i])
 		}
-		s, err := r.Decode(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sectionEqual(s, &secs[i]) {
-			t.Fatalf("frame %d decode diverged:\n got  %+v\n want %+v", i, s, &secs[i])
-		}
-	}
-	n := 0
-	for {
-		if _, err := r.Next(); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		n++
-	}
-	if n != len(secs) {
-		t.Fatalf("iterator yielded %d frames, want %d", n, len(secs))
 	}
 
-	// At GOMAXPROCS 1 the sections decode in order; at 4 they fan out.
+	// At GOMAXPROCS 1 the frames decode in order; at 4 they fan out.
 	decodeAt := func(procs int) *File {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		got, err := DecodeBytes(buf.Bytes())
+		got, err := DecodeBytes(raw)
 		if err != nil {
 			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
 		}
@@ -284,7 +261,7 @@ func TestSectionRoundTrip(t *testing.T) {
 
 // sectionEqual compares decoded sections treating nil and empty record
 // slices as the same (an empty section round-trips to nil slices).
-func sectionEqual(a, b *Section) bool {
+func sectionEqual(a, b *section) bool {
 	if a.ID != b.ID {
 		return false
 	}
@@ -296,34 +273,74 @@ func sectionEqual(a, b *Section) bool {
 		eq(a.Tables, b.Tables) && eq(a.Graphs, b.Graphs) && eq(a.Cuts, b.Cuts)
 }
 
-// TestFromSectionsRejectsStructure pins the structural invariants of
-// reassembly: no meta, duplicate sections.
-func TestFromSectionsRejectsStructure(t *testing.T) {
-	secs := sampleFile(t).Sections()
-	if _, err := FromSections(secs[1:]); !errors.Is(err, ErrNotSnapshot) {
-		t.Fatalf("missing meta: err = %v, want ErrNotSnapshot", err)
+// frame hand-builds one frame of the given kind under an otherwise
+// empty identity; fill, if set, writes its records.
+func frame(kind sectionKind, seed int64, fill func(*enc)) []byte {
+	var body enc
+	if fill != nil {
+		fill(&body)
 	}
-	dup := append(append([]Section{}, secs...), secs[1])
-	if _, err := FromSections(dup); !errors.Is(err, ErrNotSnapshot) {
-		t.Fatalf("duplicate section: err = %v, want ErrNotSnapshot", err)
+	return appendBody(nil, sectionID{Kind: kind, Seed: seed}, &body)
+}
+
+// snapshot envelopes hand-built frames: header, frames in order, and
+// an envelope checksum sealed over them, so only the frame structure
+// can reject the result.
+func snapshot(frames ...[]byte) []byte {
+	raw := append([]byte(Magic), SchemaVersion, 0, 0, 0, 0, 0, 0, 0, 0)
+	for _, fr := range frames {
+		raw = append(raw, fr...)
+	}
+	return reseal(raw)
+}
+
+// TestDecodeRejectsSectionStructure pins the structural invariants of
+// a snapshot's frame sequence, each through DecodeBytes on a
+// hand-framed file with a valid envelope: at least one frame, exactly
+// one meta frame, no duplicated planner frame, only known kind bytes,
+// and no bytes after a frame's last record.
+func TestDecodeRejectsSectionStructure(t *testing.T) {
+	meta := frame(sectionMeta, 1, nil)
+	noPlans := func(e *enc) { e.uvarint(0) }
+	plans := frame(sectionPlans, 1, noPlans)
+	if _, err := DecodeBytes(snapshot(meta, plans)); err != nil {
+		t.Fatalf("well-formed hand-framed snapshot: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+		want string
+	}{
+		{"empty-payload", snapshot(), "no sections"},
+		{"no-meta", snapshot(plans), "no meta section"},
+		{"second-meta", snapshot(meta, frame(sectionMeta, 2, nil)), "duplicate meta section"},
+		{"duplicate-plans", snapshot(meta, plans, plans), "duplicate plans section"},
+		{"unknown-kind", snapshot(meta, frame(sectionCuts+1, 1, nil)), "unknown section kind 7"},
+		{"trailing-bytes", snapshot(meta, frame(sectionPlans, 1, func(e *enc) {
+			noPlans(e)
+			e.u8(0)
+		})), "1 trailing bytes"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := DecodeBytes(tc.raw)
+			if !errors.Is(err, ErrNotSnapshot) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want ErrNotSnapshot naming %q", err, tc.want)
+			}
+		})
 	}
 }
 
 // TestGraphCodecRoundTrip pins that the snapshot graph codec preserves
 // the structural fingerprint — the property every restored cache key
 // depends on — and every field of every extended-zoo network, through
-// the binary graphs section.
+// one graphs frame.
 func TestGraphCodecRoundTrip(t *testing.T) {
 	nets := zoo.ExtendedZoo()
-	var raw bytes.Buffer
-	if err := WriteSections(&raw, []Section{{ID: SectionID{Kind: SectionGraphs}, Graphs: nets}}); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewSectionReader(raw.Bytes())
+	frames, err := splitFrames(encodeSections([]section{{ID: sectionID{Kind: sectionGraphs}, Graphs: nets}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sec, err := r.Decode(0)
+	sec, err := decodeFrame(frames[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,33 +364,29 @@ func TestGraphCodecRoundTrip(t *testing.T) {
 // graphsSnapshot builds by hand a snapshot whose graphs frame holds
 // one single-node graph with the given operator and pad names.
 func graphsSnapshot(kind, pad string) []byte {
-	var body enc
-	body.uvarint(1) // graphs
-	body.str("hand")
-	for _, v := range []int{8, 8, 3, 10} { // input H, W, C; classes
-		body.vint(v)
-	}
-	body.uvarint(1) // nodes
-	body.vint(0)
-	body.str("input")
-	body.str(kind)
-	body.uvarint(0) // inputs
-	// In, Out, KH, KW, Stride.
-	for _, v := range []int{8, 8, 3, 8, 8, 3, 0, 0, 0} {
-		body.vint(v)
-	}
-	body.str(pad)
-	for range 4 { // MACs, Params, WeightBytes, IOBytes
-		body.varint(0)
-	}
-	body.vint(-1) // block
-	body.bool(false)
-	body.uvarint(0) // blocks
-
-	raw := append([]byte(Magic), SchemaVersion, 0, 0, 0, 0, 0, 0, 0, 0)
-	raw, _ = appendFrame(raw, &Section{ID: SectionID{Kind: SectionMeta}})
-	raw = appendBody(raw, SectionID{Kind: SectionGraphs}, &body)
-	return reseal(raw)
+	return snapshot(frame(sectionMeta, 0, nil), frame(sectionGraphs, 0, func(body *enc) {
+		body.uvarint(1) // graphs
+		body.str("hand")
+		for _, v := range []int{8, 8, 3, 10} { // input H, W, C; classes
+			body.vint(v)
+		}
+		body.uvarint(1) // nodes
+		body.vint(0)
+		body.str("input")
+		body.str(kind)
+		body.uvarint(0) // inputs
+		// In, Out, KH, KW, Stride.
+		for _, v := range []int{8, 8, 3, 8, 8, 3, 0, 0, 0} {
+			body.vint(v)
+		}
+		body.str(pad)
+		for range 4 { // MACs, Params, WeightBytes, IOBytes
+			body.varint(0)
+		}
+		body.vint(-1) // block
+		body.bool(false)
+		body.uvarint(0) // blocks
+	}))
 }
 
 // TestDecodeRejectsUnknownGraphNames pins that an operator or pad name

@@ -4,19 +4,19 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"netcut/internal/device"
 	"netcut/internal/graph"
 	"netcut/internal/profiler"
 )
 
-// The section layer: a snapshot is a flat sequence of self-delimiting
-// frames, one per (section kind, identity) unit, each independently
-// decodable — its own identity header, its own deduplicated string
-// table, its own checksum. A restoring process (or, later, a replica
-// requesting exactly the shard it owns) can route, skip or verify a
-// section without touching any other frame's bytes.
+// The frame layer: a snapshot's payload is a flat sequence of
+// self-delimiting frames, one per (section kind, identity) unit, each
+// with its own identity header, its own deduplicated string table and
+// its own checksum. Frames are the codec's unit of work, not an API:
+// Encode flattens a File into sections and frames them, and
+// DecodeBytes splits the payload, decodes the frames independently
+// (concurrently) and reassembles the File.
 //
 // Frame wire layout (all inside the envelope of persist.go):
 //
@@ -27,56 +27,56 @@ import (
 //	table    := count:uvarint (len:uvarint bytes)...
 //
 // crc is FNV-1a 64 over every body byte before it, so a single flipped
-// bit anywhere in a frame is ErrChecksumMismatch for that section even
-// when the caller bypassed the envelope (section-granular transport).
+// bit anywhere in a frame is ErrChecksumMismatch naming that section,
+// even when the envelope checksum was recomputed over the damage.
 
-// SectionKind identifies what a frame carries; the numeric values are
+// sectionKind identifies what a frame carries; the numeric values are
 // the on-wire kind bytes and therefore part of the schema.
-type SectionKind uint8
+type sectionKind uint8
 
 const (
-	// SectionMeta carries the file-level identity (the base seed); it
+	// sectionMeta carries the file-level identity (the base seed); it
 	// is the first frame of every snapshot.
-	SectionMeta SectionKind = 1 + iota
-	// SectionPlans is one device's kernel-plan cache.
-	SectionPlans
-	// SectionMeasurements is one device's end-to-end measurement memo.
-	SectionMeasurements
-	// SectionTables is one device's per-layer table memo.
-	SectionTables
-	// SectionGraphs is the deduplicated parent-graph table the cut
+	sectionMeta sectionKind = 1 + iota
+	// sectionPlans is one device's kernel-plan cache.
+	sectionPlans
+	// sectionMeasurements is one device's end-to-end measurement memo.
+	sectionMeasurements
+	// sectionTables is one device's per-layer table memo.
+	sectionTables
+	// sectionGraphs is the deduplicated parent-graph table the cut
 	// records reference by index.
-	SectionGraphs
-	// SectionCuts is the cut-coordinate records of the process-wide
+	sectionGraphs
+	// sectionCuts is the cut-coordinate records of the process-wide
 	// cut cache.
-	SectionCuts
+	sectionCuts
 )
 
-func (k SectionKind) String() string {
+func (k sectionKind) String() string {
 	switch k {
-	case SectionMeta:
+	case sectionMeta:
 		return "meta"
-	case SectionPlans:
+	case sectionPlans:
 		return "plans"
-	case SectionMeasurements:
+	case sectionMeasurements:
 		return "measurements"
-	case SectionTables:
+	case sectionTables:
 		return "tables"
-	case SectionGraphs:
+	case sectionGraphs:
 		return "graphs"
-	case SectionCuts:
+	case sectionCuts:
 		return "cuts"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// SectionID is a frame's identity header: what the section is plus the
+// sectionID is a frame's identity header: what the section is plus the
 // inputs its values are pure functions of. Device-independent sections
 // (meta, graphs, cuts) leave Device empty and Calibration zero; the
 // restoring layer matches the device-keyed fields against its own
 // identity before it trusts any record.
-type SectionID struct {
-	Kind        SectionKind
+type sectionID struct {
+	Kind        sectionKind
 	Device      string
 	Calibration uint64
 	Seed        int64
@@ -84,10 +84,10 @@ type SectionID struct {
 	TimedRuns   int
 }
 
-// Section is one decoded frame: its identity plus exactly the payload
-// slice matching ID.Kind.
-type Section struct {
-	ID SectionID
+// section is one frame's content: its identity plus exactly the
+// payload slice matching ID.Kind.
+type section struct {
+	ID sectionID
 
 	Plans        []device.PlanState
 	Measurements []profiler.MeasurementState
@@ -96,57 +96,58 @@ type Section struct {
 	Cuts         []CutState
 }
 
-// Sections flattens a File into its frame sequence: meta first, then
+// sections flattens a File into its frame sequence: meta first, then
 // plans/measurements/tables per planner in registration order, then
 // the graph table and the cut records. The order is deterministic, so
-// equal Files still produce equal bytes.
-func (f *File) Sections() []Section {
-	secs := make([]Section, 0, 3*len(f.Planners)+3)
-	secs = append(secs, Section{ID: SectionID{Kind: SectionMeta, Seed: f.Seed}})
+// equal Files produce equal bytes.
+func (f *File) sections() []section {
+	secs := make([]section, 0, 3*len(f.Planners)+3)
+	secs = append(secs, section{ID: sectionID{Kind: sectionMeta, Seed: f.Seed}})
 	for i := range f.Planners {
 		p := &f.Planners[i]
-		id := SectionID{
+		id := sectionID{
 			Device:      p.Device,
 			Calibration: p.Calibration,
 			Seed:        p.Seed,
 			WarmupRuns:  p.WarmupRuns,
 			TimedRuns:   p.TimedRuns,
 		}
-		id.Kind = SectionPlans
-		secs = append(secs, Section{ID: id, Plans: p.Plans})
-		id.Kind = SectionMeasurements
-		secs = append(secs, Section{ID: id, Measurements: p.Measurements})
-		id.Kind = SectionTables
-		secs = append(secs, Section{ID: id, Tables: p.Tables})
+		id.Kind = sectionPlans
+		secs = append(secs, section{ID: id, Plans: p.Plans})
+		id.Kind = sectionMeasurements
+		secs = append(secs, section{ID: id, Measurements: p.Measurements})
+		id.Kind = sectionTables
+		secs = append(secs, section{ID: id, Tables: p.Tables})
 	}
 	secs = append(secs,
-		Section{ID: SectionID{Kind: SectionGraphs, Seed: f.Seed}, Graphs: f.Cuts.Parents},
-		Section{ID: SectionID{Kind: SectionCuts, Seed: f.Seed}, Cuts: f.Cuts.Cuts})
+		section{ID: sectionID{Kind: sectionGraphs, Seed: f.Seed}, Graphs: f.Cuts.Parents},
+		section{ID: sectionID{Kind: sectionCuts, Seed: f.Seed}, Cuts: f.Cuts.Cuts})
 	return secs
 }
 
-// FromSections reassembles a File from decoded sections: planner
-// sections group by identity in first-appearance order, graph and cut
-// sections concatenate (cut parent indexes are file-scoped into the
+// assemble rebuilds a File from its decoded sections: planner sections
+// group by identity in first-appearance order, graph and cut sections
+// concatenate (cut parent indexes are file-scoped into the
 // concatenated graph table). A snapshot without a meta section, with
 // two meta sections, or with duplicate planner sections is structurally
-// invalid (ErrNotSnapshot).
-func FromSections(secs []Section) (*File, error) {
+// invalid (ErrNotSnapshot). decodeFrame has already rejected every
+// kind byte this build does not know.
+func assemble(secs []section) (*File, error) {
 	f := &File{}
 	sawMeta := false
-	seen := make(map[SectionID]bool, len(secs))
-	planner := make(map[SectionID]int)
+	seen := make(map[sectionID]bool, len(secs))
+	planner := make(map[sectionID]int)
 	for i := range secs {
 		s := &secs[i]
-		if seen[s.ID] {
+		if seen[s.ID] || (s.ID.Kind == sectionMeta && sawMeta) {
 			return nil, fmt.Errorf("persist: %w: duplicate %s section for %q", ErrNotSnapshot, s.ID.Kind, s.ID.Device)
 		}
 		seen[s.ID] = true
 		switch s.ID.Kind {
-		case SectionMeta:
+		case sectionMeta:
 			sawMeta = true
 			f.Seed = s.ID.Seed
-		case SectionPlans, SectionMeasurements, SectionTables:
+		case sectionPlans, sectionMeasurements, sectionTables:
 			key := s.ID
 			key.Kind = 0 // group the three kinds of one planner identity
 			pi, ok := planner[key]
@@ -162,19 +163,17 @@ func FromSections(secs []Section) (*File, error) {
 				})
 			}
 			switch s.ID.Kind {
-			case SectionPlans:
+			case sectionPlans:
 				f.Planners[pi].Plans = s.Plans
-			case SectionMeasurements:
+			case sectionMeasurements:
 				f.Planners[pi].Measurements = s.Measurements
-			case SectionTables:
+			case sectionTables:
 				f.Planners[pi].Tables = s.Tables
 			}
-		case SectionGraphs:
+		case sectionGraphs:
 			f.Cuts.Parents = append(f.Cuts.Parents, s.Graphs...)
-		case SectionCuts:
+		case sectionCuts:
 			f.Cuts.Cuts = append(f.Cuts.Cuts, s.Cuts...)
-		default:
-			return nil, fmt.Errorf("persist: %w: unknown section kind %d", ErrNotSnapshot, s.ID.Kind)
 		}
 	}
 	if !sawMeta {
@@ -183,53 +182,45 @@ func FromSections(secs []Section) (*File, error) {
 	return f, nil
 }
 
-// WriteSections writes sections as one enveloped snapshot: magic,
+// encodeSections encodes sections as one enveloped snapshot: magic,
 // version byte, payload checksum, then one frame per section in slice
-// order. Encode is WriteSections over File.Sections; a pool saving a
-// single device's shard passes just that device's sections.
-func WriteSections(w io.Writer, secs []Section) error {
+// order.
+func encodeSections(secs []section) []byte {
 	buf := make([]byte, 0, 16<<10)
 	buf = append(buf, Magic...)
 	buf = append(buf, SchemaVersion)
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // checksum backfilled below
 	for i := range secs {
-		var err error
-		buf, err = appendFrame(buf, &secs[i])
-		if err != nil {
-			return fmt.Errorf("persist: encoding %s section: %w", secs[i].ID.Kind, err)
-		}
+		buf = appendFrame(buf, &secs[i])
 	}
 	binary.LittleEndian.PutUint64(buf[len(Magic)+1:], checksum64(buf[envHeaderLen:]))
-	_, err := w.Write(buf)
-	return err
+	return buf
 }
 
 // envHeaderLen is the envelope prefix: magic, version byte, checksum.
 const envHeaderLen = len(Magic) + 1 + 8
 
-// appendFrame encodes one section as a length-prefixed frame.
-func appendFrame(dst []byte, s *Section) ([]byte, error) {
+// appendFrame encodes one section as a length-prefixed frame. A meta
+// section has no records.
+func appendFrame(dst []byte, s *section) []byte {
 	var body enc
 	switch s.ID.Kind {
-	case SectionMeta:
-	case SectionPlans:
+	case sectionPlans:
 		encodePlans(&body, s.Plans)
-	case SectionMeasurements:
+	case sectionMeasurements:
 		encodeMeasurements(&body, s.Measurements)
-	case SectionTables:
+	case sectionTables:
 		encodeTables(&body, s.Tables)
-	case SectionGraphs:
+	case sectionGraphs:
 		encodeGraphs(&body, s.Graphs)
-	case SectionCuts:
+	case sectionCuts:
 		encodeCuts(&body, s.Cuts)
-	default:
-		return nil, fmt.Errorf("unknown section kind %d", s.ID.Kind)
 	}
-	return appendBody(dst, s.ID, &body), nil
+	return appendBody(dst, s.ID, &body)
 }
 
 // appendBody frames an encoded record body under its identity header.
-func appendBody(dst []byte, id SectionID, body *enc) []byte {
+func appendBody(dst []byte, id sectionID, body *enc) []byte {
 	var fr enc
 	fr.buf = make([]byte, 0, len(body.buf)+len(id.Device)+64)
 	fr.u8(byte(id.Kind))
@@ -248,69 +239,9 @@ func appendBody(dst []byte, id SectionID, body *enc) []byte {
 	return append(dst, fr.buf...)
 }
 
-func decodeIdentity(d *dec, id *SectionID) {
-	id.Kind = SectionKind(d.u8())
-	id.Device = d.rawString()
-	id.Calibration = d.u64()
-	id.Seed = d.varint()
-	id.WarmupRuns = d.vint()
-	id.TimedRuns = d.vint()
-}
-
-// decodeFrame verifies one frame's checksum and decodes it. The
-// checksum gates the parse, so a flipped bit anywhere in the frame is
-// a structured ErrChecksumMismatch naming the section, never a
-// half-trusted record.
-func decodeFrame(body []byte) (*Section, error) {
-	if len(body) < 9 {
-		return nil, fmt.Errorf("%w: frame of %d bytes is shorter than its checksum", ErrNotSnapshot, len(body))
-	}
-	want := binary.LittleEndian.Uint64(body[len(body)-8:])
-	if got := checksum64(body[:len(body)-8]); got != want {
-		return nil, fmt.Errorf("%w: section hashes to %016x, its frame claims %016x", ErrChecksumMismatch, got, want)
-	}
-	d := &dec{b: body[:len(body)-8]}
-	sec := &Section{}
-	decodeIdentity(d, &sec.ID)
-	table := d.strTable()
-	switch sec.ID.Kind {
-	case SectionMeta:
-	case SectionPlans:
-		sec.Plans = decodePlans(d, table)
-	case SectionMeasurements:
-		sec.Measurements = decodeMeasurements(d, table)
-	case SectionTables:
-		sec.Tables = decodeTables(d, table)
-	case SectionGraphs:
-		sec.Graphs = decodeGraphs(d, table)
-	case SectionCuts:
-		sec.Cuts = decodeCuts(d)
-	default:
-		d.failf("unknown section kind %d", sec.ID.Kind)
-	}
-	if d.err == nil && d.remaining() != 0 {
-		d.failf("%d trailing bytes after the last record", d.remaining())
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("%w: %s section: %v", ErrNotSnapshot, sec.ID.Kind, d.err)
-	}
-	return sec, nil
-}
-
-// SectionReader iterates a snapshot's frames after validating the
-// envelope. Frames are indexed slices of the raw payload — splitting
-// is O(frames), so callers can peek every identity (ID), decode
-// selected sections (Decode), or stream them in order (Next) without
-// materializing anything they skip.
-type SectionReader struct {
-	frames [][]byte
-	next   int
-}
-
-// NewSectionReader validates the envelope (magic, version, payload
-// checksum — the same sentinel mapping as DecodeBytes) and splits the
-// payload into frames without decoding any of them.
-func NewSectionReader(raw []byte) (*SectionReader, error) {
+// splitFrames validates the envelope and splits its payload into frame
+// bodies without decoding any of them.
+func splitFrames(raw []byte) ([][]byte, error) {
 	payload, err := checkEnvelope(raw)
 	if err != nil {
 		return nil, err
@@ -328,47 +259,53 @@ func NewSectionReader(raw []byte) (*SectionReader, error) {
 	if len(frames) == 0 {
 		return nil, fmt.Errorf("persist: %w: snapshot has no sections", ErrNotSnapshot)
 	}
-	return &SectionReader{frames: frames}, nil
+	return frames, nil
 }
 
-// Len returns the number of frames.
-func (r *SectionReader) Len() int { return len(r.frames) }
-
-// ID returns frame i's identity header without verifying its checksum
-// or decoding its records — the cheap routing peek a shard-aware
-// consumer filters on before paying for Decode.
-func (r *SectionReader) ID(i int) (SectionID, error) {
-	d := &dec{b: r.frames[i]}
-	var id SectionID
-	decodeIdentity(d, &id)
+// decodeFrame verifies one frame's checksum and decodes it. The
+// checksum gates the parse, so a flipped bit anywhere in the frame is
+// a structured ErrChecksumMismatch naming the section, never a
+// half-trusted record.
+func decodeFrame(body []byte) (section, error) {
+	var s section
+	if len(body) < 9 {
+		return s, fmt.Errorf("%w: frame of %d bytes is shorter than its checksum", ErrNotSnapshot, len(body))
+	}
+	want := binary.LittleEndian.Uint64(body[len(body)-8:])
+	if got := checksum64(body[:len(body)-8]); got != want {
+		return s, fmt.Errorf("%w: section hashes to %016x, its frame claims %016x", ErrChecksumMismatch, got, want)
+	}
+	d := &dec{b: body[:len(body)-8]}
+	s.ID = sectionID{
+		Kind:        sectionKind(d.u8()),
+		Device:      d.rawString(),
+		Calibration: d.u64(),
+		Seed:        d.varint(),
+		WarmupRuns:  d.vint(),
+		TimedRuns:   d.vint(),
+	}
+	table := d.strTable()
+	switch s.ID.Kind {
+	case sectionMeta:
+	case sectionPlans:
+		s.Plans = decodePlans(d, table)
+	case sectionMeasurements:
+		s.Measurements = decodeMeasurements(d, table)
+	case sectionTables:
+		s.Tables = decodeTables(d, table)
+	case sectionGraphs:
+		s.Graphs = decodeGraphs(d, table)
+	case sectionCuts:
+		s.Cuts = decodeCuts(d)
+	default:
+		d.failf("unknown section kind %d", s.ID.Kind)
+	}
+	if d.err == nil && d.remaining() != 0 {
+		d.failf("%d trailing bytes after the last record", d.remaining())
+	}
 	if d.err != nil {
-		return SectionID{}, fmt.Errorf("persist: %w: section %d identity: %v", ErrNotSnapshot, i, d.err)
+		return section{}, fmt.Errorf("%w: %s section: %v", ErrNotSnapshot, s.ID.Kind, d.err)
 	}
-	return id, nil
-}
-
-// Decode checksums and decodes frame i. Frames are independent, so
-// concurrent Decode calls on distinct indexes are safe — the package
-// Decode fans exactly this out.
-func (r *SectionReader) Decode(i int) (*Section, error) {
-	s, err := decodeFrame(r.frames[i])
-	if err != nil {
-		return nil, fmt.Errorf("persist: section %d: %w", i, err)
-	}
-	return s, nil
-}
-
-// Next decodes the next frame in file order, returning io.EOF after
-// the last one.
-func (r *SectionReader) Next() (*Section, error) {
-	if r.next >= len(r.frames) {
-		return nil, io.EOF
-	}
-	s, err := r.Decode(r.next)
-	if err != nil {
-		return nil, err
-	}
-	r.next++
 	return s, nil
 }
 

@@ -17,15 +17,13 @@ import (
 // daemon restart resumes on the warm path instead of re-measuring its
 // whole working set.
 //
-// The snapshot is section-granular: StateSections exposes the same
-// state as independently decodable persist.Section frames, and
-// LoadSections restores from any subset of them, so a future replica
-// can request (and a pool can serve — SaveStateFor) exactly the
-// device shard it owns instead of the whole file. SaveState/LoadState
-// remain the whole-file convenience wrappers; LoadState decodes
-// sections concurrently and prepares matched planner sections in
-// parallel, which changes wall-clock only — results land in
-// position-indexed slots and are applied in registration order.
+// A snapshot has one in-memory form, persist.File: SaveState captures
+// one (capture) and writes it with persist.Encode, and LoadState reads
+// one with persist.Decode and applies it (restore). Decode splits the
+// file into per-section frames and decodes them concurrently, and
+// restore prepares the matched planners' states in parallel; both
+// change wall-clock only — results land in position-indexed slots and
+// are applied in registration order.
 //
 // Trust model: a snapshot is only ever applied to a planner whose
 // identity matches the one that wrote it — same device name, same
@@ -44,11 +42,7 @@ import (
 // models (retrained from the zoo samples, which the restored
 // measurement caches make cheap).
 
-// ErrStateMismatch re-exports the persist sentinel the gateway and
-// daemon branch on.
-var ErrStateMismatch = persist.ErrStateMismatch
-
-// state captures one planner's section of a snapshot file.
+// state captures one planner's entry of a snapshot file.
 func (p *Planner) state() persist.PlannerState {
 	return persist.PlannerState{
 		Device:       p.cfg.Device.Name,
@@ -62,8 +56,8 @@ func (p *Planner) state() persist.PlannerState {
 	}
 }
 
-// matches reports whether a snapshot section was written by a planner
-// with this planner's identity.
+// matches reports whether a snapshot's planner state was written by a
+// planner with this planner's identity.
 func (p *Planner) matches(s *persist.PlannerState) bool {
 	return s.Device == p.cfg.Device.Name &&
 		s.Calibration == p.dev.Fingerprint() &&
@@ -72,13 +66,13 @@ func (p *Planner) matches(s *persist.PlannerState) bool {
 		s.TimedRuns == p.cfg.Protocol.TimedRuns
 }
 
-// preparedState is a section decoded and validated but not yet
+// preparedState is a planner state decoded and validated but not yet
 // applied. The prepare/apply split is what makes LoadState
-// all-or-nothing: every section of a snapshot is prepared (each entry
-// built and validated exactly once) before any section is applied, so
-// a rejected snapshot — even one whose damage sits in its last
-// section — leaves every cache untouched and the planner fully
-// functional on the cold path.
+// all-or-nothing: every matched state of a snapshot is prepared (each
+// entry built and validated exactly once) before any is applied, so a
+// rejected snapshot — even one whose damage sits in its last entry —
+// leaves every cache untouched and the planner fully functional on the
+// cold path.
 type preparedState struct {
 	plans        device.PreparedPlans
 	measurements profiler.PreparedMeasurements
@@ -96,19 +90,11 @@ func prepareState(s *persist.PlannerState) (ps preparedState, err error) {
 	return ps, err
 }
 
-// applyPrepared restores a prepared section; it cannot fail.
+// applyPrepared restores a prepared state; it cannot fail.
 func (p *Planner) applyPrepared(ps preparedState) {
 	p.dev.RestorePlans(ps.plans)
 	p.prof.RestoreMeasurements(ps.measurements)
 	p.prof.RestoreTables(ps.tables)
-}
-
-// StateSections captures the planner's warm state as section frames —
-// the shard a replica serving only this device would request: its
-// planner sections plus the whole cut cache, since cuts do not depend
-// on the device.
-func (p *Planner) StateSections() []persist.Section {
-	return captureSections([]*Planner{p})
 }
 
 // SaveState writes the planner's warm state as a versioned snapshot.
@@ -116,7 +102,7 @@ func (p *Planner) StateSections() []persist.Section {
 // concurrent request at worst lands in or misses the snapshot — either
 // way every entry written is valid.
 func (p *Planner) SaveState(w io.Writer) error {
-	return persist.WriteSections(w, p.StateSections())
+	return persist.Encode(w, capture([]*Planner{p}))
 }
 
 // LoadState restores a snapshot written by SaveState (or by a pool
@@ -125,50 +111,30 @@ func (p *Planner) SaveState(w io.Writer) error {
 // persist.ErrVersionMismatch / ErrChecksumMismatch / ErrStateMismatch —
 // and leave the planner fully functional on the cold path.
 func (p *Planner) LoadState(r io.Reader) error {
-	return loadState(r, []*Planner{p})
+	return restore(r, []*Planner{p})
 }
 
-// LoadSections restores already-decoded sections — the entry point a
-// replica streaming its shard section-by-section lands on.
-func (p *Planner) LoadSections(secs []persist.Section) error {
-	return loadSections(secs, []*Planner{p})
-}
-
-// captureSections captures the warm state of planners, in order, plus
-// the whole cut cache, which every device shares, as section frames.
-func captureSections(planners []*Planner) []persist.Section {
+// capture captures the warm state of planners, in order, plus the
+// whole cut cache, which every device shares.
+func capture(planners []*Planner) *persist.File {
 	f := &persist.File{Seed: planners[0].cfg.Seed, Cuts: persist.CaptureCuts()}
 	for _, p := range planners {
 		f.Planners = append(f.Planners, p.state())
 	}
-	return f.Sections()
+	return f
 }
 
-// loadState decodes a snapshot and restores it into planners.
-func loadState(r io.Reader, planners []*Planner) error {
+// restore decodes a snapshot and applies it to planners: each restores
+// the first planner state written with its identity, and a planner the
+// snapshot does not hold starts cold. A snapshot matching none of them
+// is ErrStateMismatch. Every matched state — and every cut — is
+// validated before any is applied, so a rejected snapshot leaves every
+// cache untouched.
+func restore(r io.Reader, planners []*Planner) error {
 	f, err := persist.Decode(r)
 	if err != nil {
 		return err
 	}
-	return restore(f, planners)
-}
-
-// loadSections restores already-decoded sections into planners.
-func loadSections(secs []persist.Section, planners []*Planner) error {
-	f, err := persist.FromSections(secs)
-	if err != nil {
-		return err
-	}
-	return restore(f, planners)
-}
-
-// restore applies a snapshot to planners: each restores the first
-// section written with its identity, and a planner the snapshot does
-// not hold starts cold. A snapshot matching none of them is
-// ErrStateMismatch. Every matched section — and every cut — is
-// validated before any is applied, so a rejected snapshot leaves every
-// cache untouched.
-func restore(f *persist.File, planners []*Planner) error {
 	type match struct {
 		planner *Planner
 		state   *persist.PlannerState
@@ -189,11 +155,11 @@ func restore(f *persist.File, planners []*Planner) error {
 				p.dev.Fingerprint(), p.cfg.Seed, p.cfg.Protocol.WarmupRuns, p.cfg.Protocol.TimedRuns)
 		}
 		return fmt.Errorf("serve: %w: snapshot holds %s, planners here are %v",
-			ErrStateMismatch, snapshotIdentity(f), ids)
+			persist.ErrStateMismatch, snapshotIdentity(f), ids)
 	}
-	// Prepare every matched section concurrently into its slot —
+	// Prepare every matched state concurrently into its slot —
 	// preparation is pure validation + entry building, so parallelism
-	// changes wall-clock only and the lowest-index section's error is
+	// changes wall-clock only and the lowest-index state's error is
 	// what a serial walk would have reported.
 	preps := make([]preparedState, len(matches))
 	if err := par.ForEach(len(matches), func(i int) error {
@@ -230,56 +196,20 @@ func snapshotIdentity(f *persist.File) string {
 	return fmt.Sprint(names)
 }
 
-// StateSections captures the warm state of the named devices (all
-// registered devices when none are named) as section frames, in
-// registration order, plus the whole cut cache, which every device
-// shares — the shard a replica owning that device subset would
-// request. Naming a device the pool does not serve is an error.
-func (pp *PlannerPool) StateSections(devices ...string) ([]persist.Section, error) {
-	names := pp.names
-	if len(devices) > 0 {
-		names = devices
-	}
-	planners := make([]*Planner, 0, len(names))
-	for _, name := range names {
-		p, ok := pp.planners[name]
-		if !ok {
-			return nil, fmt.Errorf("serve: no planner for device %q, pool serves %v", name, pp.names)
-		}
-		planners = append(planners, p)
-	}
-	return captureSections(planners), nil
-}
-
-// SaveState writes the pool's warm state — one section group per
+// SaveState writes the pool's warm state — one planner state per
 // registered device, in registration order, plus the cut cache — as
 // one snapshot.
 func (pp *PlannerPool) SaveState(w io.Writer) error {
-	return pp.SaveStateFor(w)
-}
-
-// SaveStateFor writes the named devices' shard of the pool's warm
-// state (all devices when none are named) as one snapshot.
-func (pp *PlannerPool) SaveStateFor(w io.Writer, devices ...string) error {
-	secs, err := pp.StateSections(devices...)
-	if err != nil {
-		return err
-	}
-	return persist.WriteSections(w, secs)
+	return persist.Encode(w, capture(pp.all()))
 }
 
 // LoadState restores a pool snapshot: every registered device restores
-// its matching section. A snapshot containing none of the pool's
-// devices is ErrStateMismatch; sections for devices this pool does not
+// its matching planner state. A snapshot containing none of the pool's
+// devices is ErrStateMismatch; states for devices this pool does not
 // serve are skipped (their cache entries would be unreachable here),
 // and registered devices absent from the snapshot simply start cold.
 func (pp *PlannerPool) LoadState(r io.Reader) error {
-	return loadState(r, pp.all())
-}
-
-// LoadSections restores a pool shard from already-decoded sections.
-func (pp *PlannerPool) LoadSections(secs []persist.Section) error {
-	return loadSections(secs, pp.all())
+	return restore(r, pp.all())
 }
 
 // all lists the pool's planners in registration order.

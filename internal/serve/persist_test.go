@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"runtime"
 	"testing"
 
@@ -167,7 +166,7 @@ func TestPlannerLoadStateRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := otherSeed.LoadState(bytes.NewReader(snap.Bytes())); !errors.Is(err, ErrStateMismatch) {
+	if err := otherSeed.LoadState(bytes.NewReader(snap.Bytes())); !errors.Is(err, persist.ErrStateMismatch) {
 		t.Fatalf("cross-seed load: err = %v, want ErrStateMismatch", err)
 	}
 
@@ -179,7 +178,7 @@ func TestPlannerLoadStateRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := otherDev.LoadState(bytes.NewReader(snap.Bytes())); !errors.Is(err, ErrStateMismatch) {
+	if err := otherDev.LoadState(bytes.NewReader(snap.Bytes())); !errors.Is(err, persist.ErrStateMismatch) {
 		t.Fatalf("cross-device load: err = %v, want ErrStateMismatch", err)
 	}
 
@@ -191,7 +190,7 @@ func TestPlannerLoadStateRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := crossCal.LoadState(bytes.NewReader(snap.Bytes())); !errors.Is(err, ErrStateMismatch) {
+	if err := crossCal.LoadState(bytes.NewReader(snap.Bytes())); !errors.Is(err, persist.ErrStateMismatch) {
 		t.Fatalf("cross-calibration load: err = %v, want ErrStateMismatch", err)
 	}
 
@@ -406,97 +405,8 @@ func TestPoolStateRoundTrip(t *testing.T) {
 
 	// No overlap at all is a rejection, not a silent no-op.
 	foreign := mk([]device.Config{device.Profiles()[3]})
-	if err := foreign.LoadState(bytes.NewReader(snap.Bytes())); !errors.Is(err, ErrStateMismatch) {
+	if err := foreign.LoadState(bytes.NewReader(snap.Bytes())); !errors.Is(err, persist.ErrStateMismatch) {
 		t.Fatalf("foreign pool load: err = %v, want ErrStateMismatch", err)
-	}
-}
-
-// TestPoolSectionShard pins the section-level API: SaveStateFor writes
-// just one device's shard, a single-device pool restores from it
-// byte-identically to a whole-file restore, and the shard's sections
-// route through LoadSections without the envelope. Naming an unserved
-// device is an error.
-func TestPoolSectionShard(t *testing.T) {
-	trim.PurgeCutCache()
-	t.Cleanup(trim.PurgeCutCache)
-	devs := device.Profiles()[:2]
-	mk := func(ds []device.Config) *PlannerPool {
-		pool, err := NewPool(PoolConfig{Base: Config{Seed: 13, Protocol: quickProto}, Devices: ds})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pool
-	}
-	warm := mk(devs)
-	zg, err := zoo.ByName("MobileNetV1 (0.25)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := Request{Graph: zg, DeadlineMs: 0.9}
-	want := make(map[string][10]interface{})
-	for _, name := range warm.DeviceNames() {
-		resp, err := warm.Select(name, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[name] = responseKey(resp)
-	}
-
-	// One device's shard: its planner sections plus the shared cuts.
-	var shard bytes.Buffer
-	if err := warm.SaveStateFor(&shard, devs[0].Name); err != nil {
-		t.Fatal(err)
-	}
-	var whole bytes.Buffer
-	if err := warm.SaveState(&whole); err != nil {
-		t.Fatal(err)
-	}
-	if shard.Len() >= whole.Len() {
-		t.Fatalf("one-device shard (%d bytes) not smaller than the whole pool snapshot (%d bytes)",
-			shard.Len(), whole.Len())
-	}
-	secs, err := warm.StateSections(devs[0].Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kinds := make(map[persist.SectionKind]int)
-	for _, s := range secs {
-		kinds[s.ID.Kind]++
-		if s.ID.Device != "" && s.ID.Device != devs[0].Name {
-			t.Fatalf("shard leaked a %s section for %q", s.ID.Kind, s.ID.Device)
-		}
-	}
-	if kinds[persist.SectionPlans] != 1 || kinds[persist.SectionMeta] != 1 {
-		t.Fatalf("shard section census: %v", kinds)
-	}
-
-	// The shard restores a single-device replica to byte-identical
-	// service, through both the envelope and the raw-sections entry.
-	for name, load := range map[string]func(*PlannerPool) error{
-		"envelope": func(p *PlannerPool) error { return p.LoadState(bytes.NewReader(shard.Bytes())) },
-		"sections": func(p *PlannerPool) error { return p.LoadSections(secs) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			trim.PurgeCutCache()
-			replica := mk(devs[:1])
-			if err := load(replica); err != nil {
-				t.Fatal(err)
-			}
-			resp, err := replica.Select(devs[0].Name, req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if responseKey(resp) != want[devs[0].Name] {
-				t.Fatal("replica restored from shard diverged")
-			}
-		})
-	}
-
-	if _, err := warm.StateSections("no-such-device"); err == nil {
-		t.Fatal("unserved device name accepted")
-	}
-	if err := warm.SaveStateFor(io.Discard, "no-such-device"); err == nil {
-		t.Fatal("SaveStateFor accepted an unserved device name")
 	}
 }
 
